@@ -35,7 +35,6 @@ from .contract import (
     UnknownAddress,
     WalletLedger,
     WrongPhase,
-    balance_of,
     deploy,
     pay_advance,
     query_state,

@@ -16,7 +16,7 @@ and ``~`` (inverse), so scheme code reads like the algebra it implements.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable
+from typing import Any
 
 from . import bn254
 
@@ -68,14 +68,6 @@ def encode_parts(*parts: bytes) -> bytes:
 def bit(bs: bytes, i: int) -> int:
     """The i-th bit of a bit string, 1-indexed, MSB of the first byte first."""
     return (bs[(i - 1) >> 3] >> (7 - ((i - 1) & 7))) & 1
-
-
-def bits_of(bs: bytes) -> tuple[int, ...]:
-    out = []
-    for byte in bs:
-        for j in range(7, -1, -1):
-            out.append((byte >> j) & 1)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +124,6 @@ class GroupElem:
 
     def __repr__(self):
         return f"<{self.group} {self.hex()[:16]}..>"
-
-
-def product(elems: Iterable[GroupElem], identity: GroupElem) -> GroupElem:
-    acc = identity
-    for e in elems:
-        acc = acc * e
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,26 @@
 """Arithmetic for the 254-bit Barreto-Naehrig curve (alt_bn128).
 
-Self-contained: base field Fp, the tower Fp2 -> Fp6 -> Fp12, affine point
-arithmetic on G1 (over Fp) and on the sextic twist carrying G2 (over Fp2),
-and the optimal ate pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
+Base field Fp, the tower Fp2 -> Fp6 -> Fp12, point arithmetic on G1 (over
+Fp) and on the sextic twist carrying G2 (over Fp2), and the optimal ate
+pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
+
+G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below,
+whose ``_chord`` is also where the Miller loop gets each line's slope.
 
 Representation conventions:
   - Fp elements are plain ints in [0, P).
   - Fp2 elements are pairs (a0, a1) meaning a0 + a1*i with i^2 = -1.
   - Fp12 elements are 6-tuples of Fp2 coefficients in w, with w^6 = XI
     where XI = 9 + i is the sextic non-residue.
-  - Curve points are affine (x, y) tuples; None is the point at infinity.
+  - Curve points are affine (x, y) tuples, or Jacobian (X, Y, Z) inside
+    scalar multiplication; None is the point at infinity in both.
 
 G2 points live on the D-type twist y^2 = x^3 + 3/XI over Fp2; the untwist
 into E(Fp12) is (x*w^2, y*w^3) and only appears implicitly in the sparse
 line evaluations of the Miller loop.
 """
+
+from . import curve
 
 # Curve parameter u and derived constants (36u^4 + 36u^3 + ...).
 U = 4965661367192848881
@@ -245,77 +251,12 @@ def g1_neg(pt):
 
 
 def g1_add(p, q):
-    if p is None:
-        return q
-    if q is None:
-        return p
-    x1, y1 = p
-    x2, y2 = q
-    if x1 == x2:
-        if (y1 + y2) % P == 0:
-            return None
-        m = 3 * x1 * x1 * pow(2 * y1, P - 2, P) % P
-    else:
-        m = (y2 - y1) * pow(x2 - x1, P - 2, P) % P
-    x3 = (m * m - x1 - x2) % P
-    return (x3, (m * (x1 - x3) - y1) % P)
-
-
-def _jac_double_fp(q):
-    x, y, z = q
-    a = x * x % P
-    b = y * y % P
-    c = b * b % P
-    d = 2 * ((x + b) * (x + b) - a - c) % P
-    e = 3 * a % P
-    x3 = (e * e - 2 * d) % P
-    return (x3, (e * (d - x3) - 8 * c) % P, 2 * y * z % P)
-
-
-def _jac_madd_fp(q, xa, ya):
-    """Mixed Jacobian + affine addition; the points must be distinct."""
-    x, y, z = q
-    z2 = z * z % P
-    u2 = xa * z2 % P
-    s2 = ya * z * z2 % P
-    h = (u2 - x) % P
-    i = 4 * h * h % P
-    j = h * i % P
-    r = 2 * (s2 - y) % P
-    v = x * i % P
-    x3 = (r * r - j - 2 * v) % P
-    return (x3, (r * (v - x3) - 2 * y * j) % P, 2 * z * h % P)
+    return curve.add(P, p, q)
 
 
 def g1_mul(pt, k):
-    """Scalar multiplication via Jacobian doubling with mixed affine additions."""
-    k %= N
-    if pt is None or k == 0:
-        return None
-    xa, ya = pt
-    acc = None
-    for i in range(k.bit_length() - 1, -1, -1):
-        if acc is not None:
-            acc = _jac_double_fp(acc)
-        if (k >> i) & 1:
-            if acc is None:
-                acc = (xa, ya, 1)
-            else:
-                z2 = acc[2] * acc[2] % P
-                if xa * z2 % P == acc[0]:  # same x: double or cancel
-                    if ya * acc[2] * z2 % P == acc[1]:
-                        acc = _jac_double_fp(acc)
-                    else:
-                        acc = None
-                else:
-                    acc = _jac_madd_fp(acc, xa, ya)
-        if acc is not None and acc[2] == 0:
-            acc = None
-    if acc is None:
-        return None
-    zi = pow(acc[2], P - 2, P)
-    zi2 = zi * zi % P
-    return (acc[0] * zi2 % P, acc[1] * zi2 * zi % P)
+    """k * pt, with k reduced mod N."""
+    return curve.mul(P, pt, k % N)
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +287,34 @@ def g2_neg(pt):
     return None if pt is None else (pt[0], f2_neg(pt[1]))
 
 
+# The Fp2 copy of the routines in ``curve``.
+
+
+def _chord(p, q):
+    """(p + q, chord or tangent slope) for finite p, q; (None, None) if q = -p."""
+    x1, y1 = p
+    x2, y2 = q
+    if x1 == x2:
+        if f2_add(y1, y2) == F2_ZERO:
+            return None, None
+        m = f2_mul(f2_muli(f2_sqr(x1), 3), f2_inv(f2_muli(y1, 2)))
+    else:
+        m = f2_mul(f2_sub(y2, y1), f2_inv(f2_sub(x2, x1)))
+    x3 = f2_sub(f2_sub(f2_sqr(m), x1), x2)
+    return (x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1)), m
+
+
 def g2_add(p, q):
     if p is None:
         return q
     if q is None:
         return p
-    x1, y1 = p
-    x2, y2 = q
-    if x1 == x2:
-        if f2_add(y1, y2) == F2_ZERO:
-            return None
-        m = f2_mul(f2_muli(f2_sqr(x1), 3), f2_inv(f2_muli(y1, 2)))
-    else:
-        m = f2_mul(f2_sub(y2, y1), f2_inv(f2_sub(x2, x1)))
-    x3 = f2_sub(f2_sub(f2_sqr(m), x1), x2)
-    return (x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1))
+    return _chord(p, q)[0]
 
 
 def _jac_double_f2(q):
+    if q is None:
+        return None
     x, y, z = q
     a = f2_sqr(x)
     b = f2_sqr(y)
@@ -375,53 +326,42 @@ def _jac_double_f2(q):
 
 
 def _jac_madd_f2(q, xa, ya):
+    if q is None:
+        return (xa, ya, F2_ONE)
     x, y, z = q
     z2 = f2_sqr(z)
-    u2 = f2_mul(xa, z2)
-    s2 = f2_mul(f2_mul(ya, z), z2)
-    h = f2_sub(u2, x)
-    i = f2_muli(f2_sqr(h), 4)
-    j = f2_mul(h, i)
-    r = f2_muli(f2_sub(s2, y), 2)
-    v = f2_mul(x, i)
-    x3 = f2_sub(f2_sub(f2_sqr(r), j), f2_muli(v, 2))
-    return (
-        x3,
-        f2_sub(f2_mul(r, f2_sub(v, x3)), f2_muli(f2_mul(y, j), 2)),
-        f2_muli(f2_mul(z, h), 2),
-    )
+    h = f2_sub(f2_mul(xa, z2), x)
+    r = f2_sub(f2_mul(f2_mul(ya, z), z2), y)
+    if h == F2_ZERO:
+        return _jac_double_f2(q) if r == F2_ZERO else None
+    hh = f2_sqr(h)
+    hhh = f2_mul(h, hh)
+    v = f2_mul(x, hh)
+    x3 = f2_sub(f2_sub(f2_sqr(r), hhh), f2_muli(v, 2))
+    return (x3, f2_sub(f2_mul(r, f2_sub(v, x3)), f2_mul(y, hhh)), f2_mul(z, h))
+
+
+def _to_affine_f2(q):
+    if q is None:
+        return None
+    zi = f2_inv(q[2])
+    zi2 = f2_sqr(zi)
+    return (f2_mul(q[0], zi2), f2_mul(f2_mul(q[1], zi2), zi))
 
 
 def g2_mul(pt, k):
     # No reduction mod N here: the subgroup check relies on multiplying by N.
     if k < 0:
         return g2_mul(g2_neg(pt), -k)
-    if pt is None or k == 0:
+    if pt is None:
         return None
     xa, ya = pt
     acc = None
     for i in range(k.bit_length() - 1, -1, -1):
-        if acc is not None:
-            acc = _jac_double_f2(acc)
+        acc = _jac_double_f2(acc)
         if (k >> i) & 1:
-            if acc is None:
-                acc = (xa, ya, F2_ONE)
-            else:
-                z2 = f2_sqr(acc[2])
-                if f2_mul(xa, z2) == acc[0]:
-                    if f2_mul(f2_mul(ya, acc[2]), z2) == acc[1]:
-                        acc = _jac_double_f2(acc)
-                    else:
-                        acc = None
-                else:
-                    acc = _jac_madd_f2(acc, xa, ya)
-        if acc is not None and acc[2] == F2_ZERO:
-            acc = None
-    if acc is None:
-        return None
-    zi = f2_inv(acc[2])
-    zi2 = f2_sqr(zi)
-    return (f2_mul(acc[0], zi2), f2_mul(f2_mul(acc[1], zi2), zi))
+            acc = _jac_madd_f2(acc, xa, ya)
+    return _to_affine_f2(acc)
 
 
 def g2_in_subgroup(pt):
@@ -439,53 +379,17 @@ for _ in range(N.bit_length() - 1):
 
 def g1_mul_base(k):
     """k * G1_GEN using the precomputed doubling table."""
-    k %= N
-    acc = None
-    i = 0
-    while k:
-        if k & 1:
-            xa, ya = _G1_POWS[i]
-            if acc is None:
-                acc = (xa, ya, 1)
-            elif xa * (acc[2] * acc[2]) % P == acc[0]:  # mod-N coincidence
-                z2 = acc[2] * acc[2] % P
-                acc = _jac_double_fp(acc) if ya * acc[2] * z2 % P == acc[1] else None
-            else:
-                acc = _jac_madd_fp(acc, xa, ya)
-        k >>= 1
-        i += 1
-    if acc is None or acc[2] == 0:
-        return None
-    zi = pow(acc[2], P - 2, P)
-    zi2 = zi * zi % P
-    return (acc[0] * zi2 % P, acc[1] * zi2 * zi % P)
+    return curve.mul_table(P, _G1_POWS, k % N)
 
 
 def g2_mul_base(k):
     """k * G2_GEN using the precomputed doubling table."""
     k %= N
     acc = None
-    i = 0
-    while k:
-        if k & 1:
-            xa, ya = _G2_POWS[i]
-            if acc is None:
-                acc = (xa, ya, F2_ONE)
-            elif f2_mul(xa, f2_sqr(acc[2])) == acc[0]:  # mod-N coincidence
-                z2 = f2_sqr(acc[2])
-                if f2_mul(f2_mul(ya, acc[2]), z2) == acc[1]:
-                    acc = _jac_double_f2(acc)
-                else:
-                    acc = None
-            else:
-                acc = _jac_madd_f2(acc, xa, ya)
-        k >>= 1
-        i += 1
-    if acc is None or acc[2] == F2_ZERO:
-        return None
-    zi = f2_inv(acc[2])
-    zi2 = f2_sqr(zi)
-    return (f2_mul(acc[0], zi2), f2_mul(f2_mul(acc[1], zi2), zi))
+    for i in range(k.bit_length()):
+        if (k >> i) & 1:
+            acc = _jac_madd_f2(acc, *_G2_POWS[i])
+    return _to_affine_f2(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +405,15 @@ def _tw_frob(pt):
     return (f2_mul(f2_conj(pt[0]), _TW_FROB_X), f2_mul(f2_conj(pt[1]), _TW_FROB_Y))
 
 
-def _line(t, q, xp, yp):
-    """Sparse Fp12 value of the line through untwisted t, q at the G1 point."""
+def _line_step(f, t, q, xp, yp):
+    """(f times the line through untwisted t, q at the G1 point, t + q)."""
+    s, m = _chord(t, q)
     x1, y1 = t
-    x2, y2 = q
-    if x1 == x2 and f2_add(y1, y2) == F2_ZERO:
-        # Vertical: xp - x1*w^2
-        return ((xp % P, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
-    if x1 == x2:
-        m = f2_mul(f2_muli(f2_sqr(x1), 3), f2_inv(f2_muli(y1, 2)))
-    else:
-        m = f2_mul(f2_sub(y2, y1), f2_inv(f2_sub(x2, x1)))
-    # m*xp*w - yp + (y1 - m*x1)*w^3
-    return (
-        (-yp % P, 0),
-        f2_muli(m, xp),
-        F2_ZERO,
-        f2_sub(y1, f2_mul(m, x1)),
-        F2_ZERO,
-        F2_ZERO,
-    )
+    if m is None:  # vertical: xp - x1*w^2
+        line = ((xp % P, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
+    else:  # m*xp*w - yp + (y1 - m*x1)*w^3
+        line = ((-yp % P, 0), f2_muli(m, xp), F2_ZERO, f2_sub(y1, f2_mul(m, x1)), F2_ZERO, F2_ZERO)
+    return f12_mul(f, line), s
 
 
 def miller_loop(q, pt):
@@ -531,17 +424,12 @@ def miller_loop(q, pt):
     f = F12_ONE
     t = q
     for i in range(ATE_LOOP.bit_length() - 2, -1, -1):
-        f = f12_mul(f12_sqr(f), _line(t, t, xp, yp))
-        t = g2_add(t, t)
+        f, t = _line_step(f12_sqr(f), t, t, xp, yp)
         if (ATE_LOOP >> i) & 1:
-            f = f12_mul(f, _line(t, q, xp, yp))
-            t = g2_add(t, q)
+            f, t = _line_step(f, t, q, xp, yp)
     q1 = _tw_frob(q)
-    f = f12_mul(f, _line(t, q1, xp, yp))
-    t = g2_add(t, q1)
-    nq2 = g2_neg(_tw_frob(q1))
-    f = f12_mul(f, _line(t, nq2, xp, yp))
-    return f
+    f, t = _line_step(f, t, q1, xp, yp)
+    return _line_step(f, t, g2_neg(_tw_frob(q1)), xp, yp)[0]
 
 
 _HARD_EXP = (P**4 - P**2 + 1) // N
@@ -557,10 +445,3 @@ def pairing(p1, q2):
     """e(p1, q2) for p1 in G1 (affine/None) and q2 on the twist (affine/None)."""
     return final_exp(miller_loop(q2, p1))
 
-
-def multi_miller(pairs):
-    """Product of Miller loops with a single shared final exponentiation."""
-    f = F12_ONE
-    for p1, q2 in pairs:
-        f = f12_mul(f, miller_loop(q2, p1))
-    return final_exp(f)

@@ -44,7 +44,7 @@ def _load(path: str, kind: str) -> dict:
 def _decode(fn, payload: dict):
     try:
         return fn(payload)
-    except (env.EnvelopeError, AlgebraError, KeyError, ValueError) as exc:
+    except (env.EnvelopeError, AlgebraError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad envelope payload: {exc}")
 
 

@@ -229,10 +229,6 @@ def submit_trigger(
     return ExecutionReceipt(verdict=True, gas=gas, transfer=(tx.frm, tx.to, tx.amount))
 
 
-def balance_of(ledger: WalletLedger, addr: bytes) -> int:
-    return ledger.balance_of(addr)
-
-
 def query_state(state: ContractState) -> dict:
     """Public view: everything on-chain is readable, secret keys never enter."""
     return {

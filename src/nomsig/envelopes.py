@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Backend, GroupElem, get_backend
+from .algebra import ELL, Backend, GroupElem, get_backend
 from .contract import (
     ContractState,
     ExecutionReceipt,
@@ -59,6 +59,14 @@ def _elem(backend: Backend, group: str, hx: str) -> GroupElem:
         return backend.element(group, bytes.fromhex(hx))
     except ValueError as exc:
         raise EnvelopeError(f"bad hex in {group} element") from exc
+
+
+def _vector(payload: dict, key: str, decode) -> tuple:
+    """A key's per-bit vector: exactly ELL + 1 entries, each decoded."""
+    items = payload[key]
+    if not isinstance(items, list) or len(items) != ELL + 1:
+        raise EnvelopeError(f"{key}: need a list of {ELL + 1} entries")
+    return tuple(decode(v) for v in items)
 
 
 def make_envelope(kind: str, payload: dict) -> dict:
@@ -132,7 +140,7 @@ def signer_public_from_payload(payload: dict) -> SignerPublicKey:
     return SignerPublicKey(
         gS=_elem(b, "G1", payload["gS"]),
         hS=_elem(b, "G2", payload["hS"]),
-        u=tuple(_elem(b, "G2", h) for h in payload["u"]),
+        u=_vector(payload, "u", lambda h: _elem(b, "G2", h)),
     )
 
 
@@ -165,7 +173,7 @@ def nominee_public_from_payload(payload: dict) -> NomineePublicKey:
         gN=_elem(b, "G1", payload["gN"]),
         hN=_elem(b, "G2", payload["hN"]),
         k=_elem(b, "G2", payload["k"]),
-        uPrime=tuple(_elem(b, "G2", h) for h in payload["uPrime"]),
+        uPrime=_vector(payload, "uPrime", lambda h: _elem(b, "G2", h)),
         x1=_elem(b, "G2", payload["x1"]),
         x2=_elem(b, "G2", payload["x2"]),
     )
@@ -185,7 +193,7 @@ def nominee_secret_from_payload(payload: dict) -> NomineeSecretKey:
     _expect_role(payload, "nominee-secret")
     return NomineeSecretKey(
         alphaN=int(payload["alphaN"], 16),
-        vPrime=tuple(int(v, 16) for v in payload["vPrime"]),
+        vPrime=_vector(payload, "vPrime", lambda v: int(v, 16)),
         y1=int(payload["y1"], 16),
         y2=int(payload["y2"], 16),
     )

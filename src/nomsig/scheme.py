@@ -25,7 +25,7 @@ cross-backend oracle tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
@@ -201,6 +201,19 @@ def waters_eval(bases: tuple[GroupElem, ...], mbits: bytes, counts: Optional[OpC
     return acc
 
 
+def waters_product(
+    pk_s: SignerPublicKey,
+    pk_n: NomineePublicKey,
+    d: DerivedValues,
+    counts: Optional[OpCounts] = None,
+) -> GroupElem:
+    """F_S(M_S) * F_N(M_N), the G2 side of the main verification equation."""
+    fs_fn = waters_eval(pk_s.u, d.MS, counts) * waters_eval(pk_n.uPrime, d.MNbits, counts)
+    if counts is not None:
+        counts.ec_additions += 1
+    return fs_fn
+
+
 def _ms_bits(pk_n: NomineePublicKey, m: bytes) -> bytes:
     return hash_h1(encode_parts(pk_n.to_bytes(), m))
 
@@ -250,8 +263,13 @@ def delta_checks(
     delta: DeltaMsg,
 ) -> tuple[bool, bool]:
     """The two receive-side checks: the Waters equation and the d1/d2 consistency."""
+    return _delta_checks(par, pk_s, delta, waters_eval(pk_s.u, _ms_bits(pk_n, m)))
+
+
+def _delta_checks(
+    par: PublicParams, pk_s: SignerPublicKey, delta: DeltaMsg, fs: GroupElem
+) -> tuple[bool, bool]:
     e = par.backend.pairing
-    fs = waters_eval(pk_s.u, _ms_bits(pk_n, m))
     waters_ok = e(pk_s.gS, pk_s.hS) * e(delta.d1, fs) == e(par.g1, delta.d3)
     consistent = e(delta.d1, par.g2) == e(par.g1, delta.d2)
     return waters_ok, consistent
@@ -267,14 +285,14 @@ def receive(
     rng: Random,
 ) -> Optional[NomSignature]:
     """Nominee half of signing; None means the delta message was rejected."""
-    waters_ok, consistent = delta_checks(par, pk_s, pk_n, m, delta)
+    fs = waters_eval(pk_s.u, _ms_bits(pk_n, m))
+    waters_ok, consistent = _delta_checks(par, pk_s, delta, fs)
     if not (waters_ok and consistent):
         return None
     b = par.backend
     r = b.random_scalar(rng)
     r_prime = b.random_scalar(rng)
     s = b.random_scalar(rng)
-    fs = waters_eval(pk_s.u, _ms_bits(pk_n, m))
     d1p = delta.d1 * par.g1**r_prime
     d2p = delta.d2 * par.g2**r_prime
     d3p = delta.d3 * fs**r_prime
@@ -302,7 +320,7 @@ def convert(
     """Produce the public verification token; None if sigma does not verify."""
     e = par.backend.pairing
     d = derive_values(par, pk_s, pk_n, m, sigma)
-    fs_fn = waters_eval(pk_s.u, d.MS) * waters_eval(pk_n.uPrime, d.MNbits)
+    fs_fn = waters_product(pk_s, pk_n, d)
     combined = sigma.s1**sk_n.y1 * sigma.s2**sk_n.y2
     lhs = e(par.g1, sigma.s3)
     rhs = e(pk_s.gS, pk_s.hS) * e(pk_n.gN, pk_n.hN) * e(combined, fs_fn)
@@ -328,11 +346,9 @@ def tk_verify(
     counts = OpCounts()
     e = par.backend.pairing
     d = derive_values(par, pk_s, pk_n, m, sigma, counts)
-    fs = waters_eval(pk_s.u, d.MS, counts)
-    fn = waters_eval(pk_n.uPrime, d.MNbits, counts)
-    fs_fn = fs * fn
+    fs_fn = waters_product(pk_s, pk_n, d, counts)
     tk12 = tk.tk1 * tk.tk2
-    counts.ec_additions += 2  # the two combining products
+    counts.ec_additions += 1  # tk1 * tk2
     eq1 = e(sigma.s1, par.g2) == e(tk.tk1, pk_n.x1)
     eq2 = e(sigma.s2, par.g2) == e(tk.tk2, pk_n.x2)
     eq3 = e(par.g1, sigma.s3) == e(pk_s.gS, pk_s.hS) * e(pk_n.gN, pk_n.hN) * e(tk12, fs_fn)

@@ -6,6 +6,8 @@ the trailing 20 bytes of a SHA-256 hash of the uncompressed key. Nonces
 are derived deterministically from (sk, message hash) so signing is
 reproducible; s is always normalized to the low half-range, and recovery
 refuses high-s encodings.
+
+The point arithmetic is ``curve``'s, shared with BN254 G1.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+
+from . import curve
 
 # secp256k1 domain parameters
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -30,75 +34,6 @@ class TriggerError(Exception):
 
 class RecoveryFailed(TriggerError):
     pass
-
-
-def _add(p, q):
-    if p is None:
-        return q
-    if q is None:
-        return p
-    x1, y1 = p
-    x2, y2 = q
-    if x1 == x2:
-        if (y1 + y2) % P == 0:
-            return None
-        m = 3 * x1 * x1 * pow(2 * y1, P - 2, P) % P
-    else:
-        m = (y2 - y1) * pow(x2 - x1, P - 2, P) % P
-    x3 = (m * m - x1 - x2) % P
-    return (x3, (m * (x1 - x3) - y1) % P)
-
-
-def _jac_double(p):
-    x, y, z = p
-    if y == 0:
-        return (0, 1, 0)
-    a = x * x % P
-    b = y * y % P
-    c = b * b % P
-    d = 2 * ((x + b) * (x + b) - a - c) % P
-    e = 3 * a % P
-    x3 = (e * e - 2 * d) % P
-    y3 = (e * (d - x3) - 8 * c) % P
-    return (x3, y3, 2 * y * z % P)
-
-
-def _jac_add_affine(p, q):
-    # p Jacobian, q affine
-    if p[2] == 0:
-        return (q[0], q[1], 1)
-    x1, y1, z1 = p
-    x2, y2 = q
-    z1z1 = z1 * z1 % P
-    u2 = x2 * z1z1 % P
-    s2 = y2 * z1 * z1z1 % P
-    h = (u2 - x1) % P
-    r = (s2 - y1) % P
-    if h == 0:
-        if r == 0:
-            return _jac_double(p)
-        return (0, 1, 0)
-    hh = h * h % P
-    hhh = h * hh % P
-    v = x1 * hh % P
-    x3 = (r * r - hhh - 2 * v) % P
-    y3 = (r * (v - x3) - y1 * hhh) % P
-    return (x3, y3, z1 * h % P)
-
-
-def _mul(pt, k):
-    if pt is None or k == 0:
-        return None
-    acc = (0, 1, 0)
-    for i in range(k.bit_length() - 1, -1, -1):
-        acc = _jac_double(acc)
-        if (k >> i) & 1:
-            acc = _jac_add_affine(acc, pt)
-    if acc[2] == 0:
-        return None
-    zi = pow(acc[2], P - 2, P)
-    zi2 = zi * zi % P
-    return (acc[0] * zi2 % P, acc[1] * zi2 * zi % P)
 
 
 @dataclass(frozen=True)
@@ -135,7 +70,7 @@ def ecdsa_keygen(seed: bytes) -> EcdsaKeyPair:
             hashlib.sha256(b"NOMSIG-ECDSA-KEY" + ctr.to_bytes(4, "big") + seed).digest(), "big"
         )
         if 0 < sk < N:
-            return EcdsaKeyPair(sk=sk, vk=_mul(G, sk))
+            return EcdsaKeyPair(sk=sk, vk=curve.mul(P, G, sk))
         ctr += 1
 
 
@@ -165,7 +100,7 @@ def ecdsa_sign(sk: int, message: bytes) -> EcdsaSignature:
         attempt += 1
         if k == 0:
             continue
-        rx, ry = _mul(G, k)
+        rx, ry = curve.mul(P, G, k)
         r = rx % N
         if r == 0:
             continue
@@ -199,7 +134,9 @@ def ecdsa_recover(sig: EcdsaSignature, message: bytes) -> tuple[int, int]:
     big_r = (x, y)
     z = _msg_hash(message)
     r_inv = pow(sig.r, -1, N)
-    vk = _add(_mul(big_r, sig.s * r_inv % N), _mul((GX, (P - GY) % P), z * r_inv % N))
+    vk = curve.add(
+        P, curve.mul(P, big_r, sig.s * r_inv % N), curve.mul(P, (GX, P - GY), z * r_inv % N)
+    )
     if vk is None:
         raise RecoveryFailed("recovered key is the point at infinity")
     return vk

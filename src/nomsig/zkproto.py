@@ -35,7 +35,7 @@ from .scheme import (
     PublicParams,
     SignerPublicKey,
     derive_values,
-    waters_eval,
+    waters_product,
 )
 
 PEDERSEN_BASE_TAG = b"NOMSIG-PEDERSEN-BASE"
@@ -116,7 +116,7 @@ def derive_statement(
     """Both parties derive the same statement from the same public inputs."""
     e = par.backend.pairing
     d = derive_values(par, pk_s, pk_n, m, sigma)
-    fs_fn = waters_eval(pk_s.u, d.MS) * waters_eval(pk_n.uPrime, d.MNbits)
+    fs_fn = waters_product(pk_s, pk_n, d)
     return ConfirmStatement(
         e1=e(par.g1, sigma.s3),
         e2=e(pk_s.gS, pk_s.hS) * e(pk_n.gN, pk_n.hN),

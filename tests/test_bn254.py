@@ -1,5 +1,9 @@
+import hashlib
 import random
 
+import pytest
+
+from nomsig import bn254, curve
 from nomsig.bn254 import (
     ATE_LOOP,
     F12_ONE,
@@ -16,10 +20,14 @@ from nomsig.bn254 import (
     g1_add,
     g1_is_on_curve,
     g1_mul,
+    g1_mul_base,
+    g1_neg,
     g2_add,
     g2_in_subgroup,
     g2_is_on_curve,
     g2_mul,
+    g2_mul_base,
+    g2_neg,
     pairing,
 )
 
@@ -32,6 +40,53 @@ def naive_g1_mul(pt, k):
     for _ in range(k):
         acc = g1_add(acc, pt)
     return acc
+
+
+def affine_mul(add, pt, k):
+    # independent oracle: double-and-add over affine addition only
+    acc = None
+    for b in bin(k)[2:]:
+        acc = add(acc, acc)
+        if b == "1":
+            acc = add(acc, pt)
+    return acc
+
+
+GROUPS = {
+    "G1": (G1_GEN, g1_add, g1_mul, g1_mul_base, g1_neg),
+    "G2": (G2_GEN, g2_add, g2_mul, g2_mul_base, g2_neg),
+}
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_fixed_variable_and_repeated_addition_agree(group):
+    gen, add, mul, mul_base, neg = GROUPS[group]
+    draws = random.Random(1302)
+    for k in [0, 1, 2, N - 1, N, N + 1] + [draws.randrange(N) for _ in range(4)]:
+        want = affine_mul(add, gen, k % N)
+        assert mul(gen, k) == want
+        assert mul_base(k) == want
+    assert mul(gen, N - 1) == neg(gen)
+    acc = None
+    for k in range(1, 9):
+        acc = add(acc, gen)
+        assert mul(gen, k) == mul_base(k) == acc
+
+
+def test_g2_mul_unreduced_scalars():
+    # the subgroup check and cofactor clearing multiply by k >= N
+    two = g2_add(G2_GEN, G2_GEN)
+    assert g2_mul(G2_GEN, N + 2) == two  # the last mixed addition meets an equal point
+    assert g2_mul(G2_GEN, 2 * N + 1) == G2_GEN
+    assert g2_mul(G2_GEN, -(N + 2)) == g2_neg(two)
+
+
+def test_fp_core_mixed_addition_of_equal_and_opposite_points():
+    two = g1_add(G1_GEN, G1_GEN)
+    assert curve.mul(P, G1_GEN, N + 2) == two
+    assert curve.mul_table(P, [G1_GEN, G1_GEN], 3) == two
+    assert curve.mul_table(P, [G1_GEN, g1_neg(G1_GEN)], 3) is None
+    assert curve.mul(P, None, 5) is None
 
 
 def test_curve_constants():
@@ -85,6 +140,23 @@ def test_pairing_bilinear():
     lhs = pairing(g1_mul(G1_GEN, a), g2_mul(G2_GEN, b))
     rhs = f12_pow(pairing(G1_GEN, G2_GEN), a * b % N)
     assert lhs == rhs
+
+
+def test_miller_loop_inverts_once_per_line(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bn254, "f2_inv", lambda a: calls.append(a) or f2_inv(a))
+    bn254.miller_loop(G2_GEN, G1_GEN)
+    # a line per doubling, per set bit after the leading one, and two Frobenius lines
+    assert len(calls) == ATE_LOOP.bit_length() - 1 + bin(ATE_LOOP).count("1") - 1 + 2
+
+
+def test_pairing_pinned():
+    # digest of e(G1_GEN, G2_GEN): 12 Fp coefficients, 32 bytes big-endian each
+    e = pairing(G1_GEN, G2_GEN)
+    raw = b"".join(c.to_bytes(32, "big") for coeff in e for c in coeff)
+    assert hashlib.sha256(raw).hexdigest() == (
+        "a0ffc0e668848ab9dc71bdd8266d647a346d814b9d2bcfc710c426ffdfd3922c"
+    )
 
 
 def test_pairing_non_degenerate_and_order():

@@ -125,6 +125,32 @@ def test_malformed_envelope_exits_2(workdir, tmp_path):
     assert res.exit_code == 2
 
 
+def test_non_string_scalar_exits_2(workdir, tmp_path):
+    obj = json.loads((workdir / "sigma.json").read_text())
+    obj["payload"]["s"] = 5
+    bad = tmp_path / "sigma_int_s.json"
+    bad.write_text(json.dumps(obj))
+    res = invoke("convert", "--params", workdir / "params.json",
+                 "--signer-pub", workdir / "spk.json",
+                 "--nominee-pub", workdir / "npk.json",
+                 "--nominee-sec", workdir / "nsk.json",
+                 "--message-file", workdir / "m.bin",
+                 "--sigma", bad, "--out", tmp_path / "out.json")
+    assert res.exit_code == 2, res.output
+
+
+def test_wrong_base_count_exits_2(workdir, tmp_path):
+    obj = json.loads((workdir / "spk.json").read_text())
+    obj["payload"]["u"] = obj["payload"]["u"][:10]
+    bad = tmp_path / "spk_10.json"
+    bad.write_text(json.dumps(obj))
+    res = invoke("sign", "--params", workdir / "params.json", "--signer-pub", bad,
+                 "--signer-sec", workdir / "ssk.json", "--nominee-pub", workdir / "npk.json",
+                 "--message-file", workdir / "m.bin", "--seed", 3,
+                 "--out", tmp_path / "delta.json")
+    assert res.exit_code == 2, res.output
+
+
 def test_unknown_schema_version_exits_2(workdir, tmp_path):
     obj = json.loads((workdir / "sigma.json").read_text())
     obj["schema_version"] = 99

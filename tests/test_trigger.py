@@ -1,7 +1,11 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec, utils
 
 from nomsig.trigger import (
     N,
@@ -44,6 +48,22 @@ def test_sign_recover_roundtrip():
         sig = ecdsa_sign(kp.sk, msg)
         assert ecdsa_recover(sig, msg) == kp.vk
         assert verify_against_address(sig, msg, address_of(kp.vk))
+
+
+def test_oracle_agrees_with_cryptography_secp256k1():
+    # independent implementation of the same curve and signature equation
+    rng = random.Random(23)
+    prehashed = ec.ECDSA(utils.Prehashed(hashes.SHA256()))
+    for _ in range(10):
+        kp = ecdsa_keygen(rng.randbytes(16))
+        pub = ec.derive_private_key(kp.sk, ec.SECP256K1()).public_key()
+        assert (pub.public_numbers().x, pub.public_numbers().y) == kp.vk
+        msg = rng.randbytes(rng.randrange(1, 80))
+        sig = ecdsa_sign(kp.sk, msg)
+        der = utils.encode_dss_signature(sig.r, sig.s)
+        pub.verify(der, hashlib.sha256(msg).digest(), prehashed)
+        with pytest.raises(InvalidSignature):
+            pub.verify(der, hashlib.sha256(msg + b"!").digest(), prehashed)
 
 
 def test_signing_is_deterministic(keypair):
