@@ -155,6 +155,13 @@ class Backend:
             raise AlgebraError(f"pairing needs (G1, G2), got ({a.group}, {b.group})")
         return GroupElem(self, "GT", self.pairing_value(a.value, b.value))
 
+    def pairing_check(self, pairs: list[tuple[GroupElem, GroupElem]]) -> bool:
+        """Whether prod_i e(a_i, b_i) is the identity, checked as one batch."""
+        for a, b in pairs:
+            if a.group != "G1" or b.group != "G2":
+                raise AlgebraError(f"pairing needs (G1, G2), got ({a.group}, {b.group})")
+        return self.pairing_check_values([(a.value, b.value) for a, b in pairs])
+
     def element(self, group: str, data: bytes) -> GroupElem:
         return GroupElem(self, group, self.deserialize(group, data))
 
@@ -174,6 +181,7 @@ class Backend:
     def inv(self, group, a): raise NotImplementedError
     def exp(self, group, a, k): raise NotImplementedError
     def pairing_value(self, a, b): raise NotImplementedError
+    def pairing_check_values(self, pairs) -> bool: raise NotImplementedError
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
 
@@ -201,6 +209,9 @@ class MockBackend(Backend):
 
     def pairing_value(self, a, b):
         return a * b % self.order
+
+    def pairing_check_values(self, pairs):
+        return sum(a * b for a, b in pairs) % self.order == 0
 
     def serialize(self, group, a):
         return a.to_bytes(32, "big")
@@ -276,6 +287,9 @@ class RealBackend(Backend):
 
     def pairing_value(self, a, b):
         return bn254.pairing(a, b)
+
+    def pairing_check_values(self, pairs):
+        return bn254.pairing_check(pairs)
 
     def serialize(self, group, a):
         if group == "GT":

@@ -5,7 +5,7 @@ Fp) and on the sextic twist carrying G2 (over Fp2), and the optimal ate
 pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
 
 G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below,
-whose ``_chord`` is also where the Miller loop gets each line's slope.
+whose ``_slope`` and ``_chord_end`` also give the Miller loop each line.
 
 Representation conventions:
   - Fp elements are plain ints in [0, P).
@@ -290,18 +290,25 @@ def g2_neg(pt):
 # The Fp2 copy of the routines in ``curve``.
 
 
-def _chord(p, q):
-    """(p + q, chord or tangent slope) for finite p, q; (None, None) if q = -p."""
+def _slope(p, q):
+    """(numerator, denominator) of the chord or tangent slope through finite p, q.
+
+    None if q = -p, where the line is vertical.
+    """
     x1, y1 = p
     x2, y2 = q
     if x1 == x2:
         if f2_add(y1, y2) == F2_ZERO:
-            return None, None
-        m = f2_mul(f2_muli(f2_sqr(x1), 3), f2_inv(f2_muli(y1, 2)))
-    else:
-        m = f2_mul(f2_sub(y2, y1), f2_inv(f2_sub(x2, x1)))
-    x3 = f2_sub(f2_sub(f2_sqr(m), x1), x2)
-    return (x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1)), m
+            return None
+        return f2_muli(f2_sqr(x1), 3), f2_muli(y1, 2)
+    return f2_sub(y2, y1), f2_sub(x2, x1)
+
+
+def _chord_end(p, q, m):
+    """p + q for finite p, q on a line of slope m."""
+    x1, y1 = p
+    x3 = f2_sub(f2_sub(f2_sqr(m), x1), q[0])
+    return (x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1))
 
 
 def g2_add(p, q):
@@ -309,7 +316,8 @@ def g2_add(p, q):
         return q
     if q is None:
         return p
-    return _chord(p, q)[0]
+    s = _slope(p, q)
+    return None if s is None else _chord_end(p, q, f2_mul(s[0], f2_inv(s[1])))
 
 
 def _jac_double_f2(q):
@@ -405,31 +413,67 @@ def _tw_frob(pt):
     return (f2_mul(f2_conj(pt[0]), _TW_FROB_X), f2_mul(f2_conj(pt[1]), _TW_FROB_Y))
 
 
-def _line_step(f, t, q, xp, yp):
-    """(f times the line through untwisted t, q at the G1 point, t + q)."""
-    s, m = _chord(t, q)
-    x1, y1 = t
-    if m is None:  # vertical: xp - x1*w^2
-        line = ((xp % P, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
-    else:  # m*xp*w - yp + (y1 - m*x1)*w^3
-        line = ((-yp % P, 0), f2_muli(m, xp), F2_ZERO, f2_sub(y1, f2_mul(m, x1)), F2_ZERO, F2_ZERO)
-    return f12_mul(f, line), s
+def _f2_batch_inv(xs):
+    """Inverses of the nonzero xs with one f2_inv (Montgomery's simultaneous inversion)."""
+    if not xs:
+        return []
+    prefix = [xs[0]]
+    for x in xs[1:]:
+        prefix.append(f2_mul(prefix[-1], x))
+    inv = f2_inv(prefix[-1])
+    out = [None] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = f2_mul(inv, prefix[i - 1])
+        inv = f2_mul(inv, xs[i])
+    out[0] = inv
+    return out
+
+
+def _line_steps(f, ts, qs, ps):
+    """(f times the line through each untwisted t, q at its G1 point, the sums t + q).
+
+    ``ps`` holds each G1 point as (xp, -yp). One f2_inv serves every pair.
+    """
+    slopes = [_slope(t, q) for t, q in zip(ts, qs)]
+    invs = iter(_f2_batch_inv([s[1] for s in slopes if s is not None]))
+    sums = []
+    for t, q, (xp, nyp), s in zip(ts, qs, ps, slopes):
+        x1, y1 = t
+        if s is None:  # vertical: xp - x1*w^2
+            line = ((xp, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
+            sums.append(None)
+        else:  # m*xp*w - yp + (y1 - m*x1)*w^3
+            m = f2_mul(s[0], next(invs))
+            line = ((nyp, 0), f2_muli(m, xp), F2_ZERO, f2_sub(y1, f2_mul(m, x1)), F2_ZERO, F2_ZERO)
+            sums.append(_chord_end(t, q, m))
+        f = f12_mul(f, line)
+    return f, sums
+
+
+def multi_miller(pairs):
+    """prod_i f_{6u+2, Q_i}(P_i), with the two Frobenius correction lines, over (P_i, Q_i) pairs.
+
+    The pairs share every squaring of the accumulator and one slope inversion
+    per line step. A pair with None on either side contributes 1.
+    """
+    pairs = [(pt, q) for pt, q in pairs if pt is not None and q is not None]
+    if not pairs:
+        return F12_ONE
+    ps = [(xp, -yp % P) for (xp, yp), _ in pairs]
+    qs = [q for _, q in pairs]
+    f, ts = F12_ONE, qs
+    for i in range(ATE_LOOP.bit_length() - 2, -1, -1):
+        f, ts = _line_steps(f12_sqr(f), ts, ts, ps)
+        if (ATE_LOOP >> i) & 1:
+            f, ts = _line_steps(f, ts, qs, ps)
+    q1s = [_tw_frob(q) for q in qs]
+    f, ts = _line_steps(f, ts, q1s, ps)
+    return _line_steps(f, ts, [g2_neg(_tw_frob(q1)) for q1 in q1s], ps)[0]
 
 
 def miller_loop(q, pt):
-    """f_{6u+2, Q}(P) with the two Frobenius correction lines."""
-    if q is None or pt is None:
-        return F12_ONE
-    xp, yp = pt
-    f = F12_ONE
-    t = q
-    for i in range(ATE_LOOP.bit_length() - 2, -1, -1):
-        f, t = _line_step(f12_sqr(f), t, t, xp, yp)
-        if (ATE_LOOP >> i) & 1:
-            f, t = _line_step(f, t, q, xp, yp)
-    q1 = _tw_frob(q)
-    f, t = _line_step(f, t, q1, xp, yp)
-    return _line_step(f, t, g2_neg(_tw_frob(q1)), xp, yp)[0]
+    """f_{6u+2, Q}(P): the one-pair ``multi_miller``."""
+    return multi_miller([(pt, q)])
 
 
 _HARD_EXP = (P**4 - P**2 + 1) // N
@@ -444,4 +488,9 @@ def final_exp(f):
 def pairing(p1, q2):
     """e(p1, q2) for p1 in G1 (affine/None) and q2 on the twist (affine/None)."""
     return final_exp(miller_loop(q2, p1))
+
+
+def pairing_check(pairs):
+    """Whether prod_i e(P_i, Q_i) = 1 over (G1, twist) pairs: one Miller loop, one final exponentiation."""
+    return final_exp(multi_miller(pairs)) == F12_ONE
 

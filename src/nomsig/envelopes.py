@@ -31,7 +31,6 @@ from .scheme import (
     VerificationToken,
     setup,
 )
-from .trigger import EcdsaSignature
 
 SCHEMA_VERSION = 1
 
@@ -300,14 +299,6 @@ def contract_state_from_payload(payload: dict) -> tuple[ContractState, WalletLed
         {bytes.fromhex(a): int(v) for a, v in payload["ledger"].items()}
     )
     return state, ledger
-
-
-def ecdsa_sig_payload(sig: EcdsaSignature) -> dict:
-    return {"sig": sig.to_bytes().hex()}
-
-
-def ecdsa_sig_from_payload(payload: dict) -> EcdsaSignature:
-    return EcdsaSignature.from_bytes(bytes.fromhex(payload["sig"]))
 
 
 def gas_report_payload(report: GasReport) -> dict:

@@ -2,9 +2,11 @@
 
 Prices only what the priced precompiles charge for: one batched pairing
 check (base + per-pair) plus curve additions, and the ecrecover call on
-the trigger side. Scalar multiplications performed during token
-verification carry no price in the table; they are reported as an
-unpriced count so the report stays honest about what it omits.
+the trigger side. ``tk_verify`` runs exactly that one check, over the 8
+pairs of its three equations combined by hash-derived coefficients. Its
+scalar multiplications (two for M_N, six applying the coefficients) carry
+no price in the table; they are reported as an unpriced count so the
+report stays honest about what it omits.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def price_pairing_call(n: int, table: CostTable = CostTable()) -> int:
 
 
 def meter_tkverify(counts: OpCounts, table: CostTable = CostTable()) -> int:
-    """Gas for an instrumented token verification: all pairings in one batched call."""
+    """Gas for an instrumented token verification: its one batched pairing check plus additions."""
     return price_pairing_call(counts.pairing_pairs, table) + table.ec_add * counts.ec_additions
 
 

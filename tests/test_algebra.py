@@ -146,3 +146,31 @@ def test_hash_to_g2_deterministic_and_in_group():
 
 def test_cross_backend_equality_is_false():
     assert MockBackend().g1() != RealBackend().g1()
+
+
+@pytest.mark.parametrize("backend", [MockBackend(), RealBackend()], ids=["mock", "bn254"])
+def test_pairing_check_agrees_with_separate_pairings(backend):
+    b = backend
+    rng = random.Random(17)
+    g1, g2 = b.g1(), b.g2()
+    a = [b.random_nonzero_scalar(rng) for _ in range(7)]
+    c = [b.random_nonzero_scalar(rng) for _ in range(7)]
+    c[1] = c[0]  # the same G2 point in two pairs
+    a[2] = c[3] = 0  # the identity on either side
+    base = [(g1**x, g2**y) for x, y in zip(a, c)]
+    assert base[2][0].is_identity() and base[3][1].is_identity()
+    separate = [b.pairing(x, y) for x, y in base]
+    for n in range(1, 9):
+        # close the first n - 1 pairs with a pair that cancels them, off by one for odd n
+        s = sum(x * y for x, y in zip(a[: n - 1], c[: n - 1])) + n % 2
+        closing = (g1 ** (-s % b.order), g2)
+        prod = b.pairing(*closing)
+        for e in separate[: n - 1]:
+            prod = prod * e
+        assert b.pairing_check(base[: n - 1] + [closing]) == prod.is_identity() == (n % 2 == 0)
+
+
+def test_pairing_check_needs_g1_g2_pairs():
+    b = MockBackend()
+    with pytest.raises(AlgebraError):
+        b.pairing_check([(b.g2(), b.g1())])

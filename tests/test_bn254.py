@@ -28,7 +28,9 @@ from nomsig.bn254 import (
     g2_mul,
     g2_mul_base,
     g2_neg,
+    multi_miller,
     pairing,
+    pairing_check,
 )
 
 rng = random.Random(1301)
@@ -143,11 +145,51 @@ def test_pairing_bilinear():
 
 
 def test_miller_loop_inverts_once_per_line(monkeypatch):
+    pairs = [(g1_mul(G1_GEN, k), g2_mul(G2_GEN, k + 1)) for k in range(1, 9)]
     calls = []
     monkeypatch.setattr(bn254, "f2_inv", lambda a: calls.append(a) or f2_inv(a))
     bn254.miller_loop(G2_GEN, G1_GEN)
     # a line per doubling, per set bit after the leading one, and two Frobenius lines
-    assert len(calls) == ATE_LOOP.bit_length() - 1 + bin(ATE_LOOP).count("1") - 1 + 2
+    assert len(calls) == ATE_LOOP.bit_length() - 1 + bin(ATE_LOOP).count("1") - 1 + 2 == 102
+    # eight pairs share one inversion per line step
+    calls.clear()
+    multi_miller(pairs)
+    assert len(calls) == 102
+
+
+def _mixed_pairs(draws):
+    """Eight (G1, G2) pairs and the discrete log of their pairing product.
+
+    Pairs 0 and 1 share their G2 point; pairs 2 and 3 have None on one side.
+    """
+    a = [draws.randrange(1, N) for _ in range(8)]
+    b = [draws.randrange(1, N) for _ in range(8)]
+    b[1] = b[0]
+    a[2] = b[3] = 0
+    pairs = [(g1_mul(G1_GEN, x), g2_mul(G2_GEN, y)) for x, y in zip(a, b)]
+    assert pairs[1][1] == pairs[0][1] and pairs[2][0] is None and pairs[3][1] is None
+    return pairs, sum(x * y for x, y in zip(a, b)) % N
+
+
+def test_multi_miller_matches_product_of_pairings():
+    pairs, _ = _mixed_pairs(random.Random(1303))
+    want = F12_ONE
+    for n, (p, q) in enumerate(pairs, 1):
+        want = f12_mul(want, pairing(p, q))
+        assert bn254.final_exp(multi_miller(pairs[:n])) == want
+    assert multi_miller([]) == multi_miller(pairs[2:4]) == F12_ONE
+
+
+def test_pairing_check_verdicts(monkeypatch):
+    pairs, s = _mixed_pairs(random.Random(1304))
+    calls = []
+    final_exp = bn254.final_exp
+    monkeypatch.setattr(bn254, "final_exp", lambda f: calls.append(f) or final_exp(f))
+    assert pairing_check([])
+    assert pairing_check(pairs + [(g1_mul(G1_GEN, -s), G2_GEN)])
+    assert not pairing_check(pairs + [(g1_mul(G1_GEN, -s + 1), G2_GEN)])
+    assert not pairing_check(pairs[:1])
+    assert len(calls) == 4  # one final exponentiation per check, whatever the pair count
 
 
 def test_pairing_pinned():

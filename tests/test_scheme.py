@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from nomsig.scheme import (
     LengthMismatch,
     NomSignature,
     OpCounts,
+    VerificationToken,
     UnsupportedSecurityLevel,
     delta_checks,
     derive_values,
@@ -49,7 +51,8 @@ def test_addition_count_is_hamming_weight_based(mock_pipeline):
     assert ok
     d = derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
     assert counts.ec_additions == hw(d.MS) + hw(d.MNbits) + 2
-    assert counts.scalar_mults == 2
+    # two recompute M_N, six apply the batching coefficients c2 and c3
+    assert counts.scalar_mults == 8
 
 
 def test_waters_eval_against_exponent_oracle():
@@ -89,6 +92,32 @@ def test_tk_verify_equations_match_exponent_oracle(mock_pipeline):
     assert eq1 and eq2 and lhs == rhs
     ok, _ = p.verify()
     assert ok
+
+
+def test_tk_verify_coefficients_catch_cancelling_errors(mock_pipeline):
+    # tk1 * g1^a and tk2 * g1^b with b = -a(x1 + F)/(x2 + F) in exponents: every
+    # equation fails, but the errors cancel in the unweighted product of the pairs
+    p = mock_pipeline
+    b, n, g1, g2 = p.par.backend, p.par.order, p.par.g1, p.par.g2
+    fs_fn = scheme.waters_product(p.pk_s, p.pk_n, derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma))
+    x1, x2, f = p.pk_n.x1.value, p.pk_n.x2.value, fs_fn.value
+    a = 0x5EED
+    e = -a * (x1 + f) * pow(x2 + f, -1, n) % n
+    bad = VerificationToken(tk1=p.tk.tk1 * g1**a, tk2=p.tk.tk2 * g1**e)
+    eqs = [
+        [(p.sigma.s1, g2), (~bad.tk1, p.pk_n.x1)],
+        [(p.sigma.s2, g2), (~bad.tk2, p.pk_n.x2)],
+        [
+            (g1, p.sigma.s3),
+            (~p.pk_s.gS, p.pk_s.hS),
+            (~p.pk_n.gN, p.pk_n.hN),
+            (~(bad.tk1 * bad.tk2), fs_fn),
+        ],
+    ]
+    assert not any(b.pairing_check(eq) for eq in eqs)
+    assert b.pairing_check(eqs[0] + eqs[1] + eqs[2])
+    ok, counts = scheme.tk_verify(p.par, p.pk_s, p.pk_n, p.m, p.sigma, bad)
+    assert not ok and counts.pairing_pairs == 8
 
 
 def test_sigma_components_have_expected_exponents(mock_pipeline):
@@ -161,3 +190,15 @@ def test_real_backend_honest_pipeline(real_pipeline):
     ok, counts = real_pipeline.verify()
     assert ok
     assert counts.pairing_pairs == 8
+
+
+@pytest.mark.parametrize("field", ["tk1", "tk2", "s3"])
+def test_real_tk_verify_rejects_each_tampered_equation(real_pipeline, field):
+    p = real_pipeline
+    sigma, tk = p.sigma, p.tk
+    if field == "s3":
+        sigma = dataclasses.replace(sigma, s3=sigma.s3 * p.par.g2)
+    else:
+        tk = dataclasses.replace(tk, **{field: getattr(tk, field) * p.par.g1})
+    ok, counts = scheme.tk_verify(p.par, p.pk_s, p.pk_n, p.m, sigma, tk)
+    assert not ok and counts.pairing_pairs == 8
