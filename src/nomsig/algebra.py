@@ -15,6 +15,7 @@ and ``~`` (inverse), so scheme code reads like the algebra it implements.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any
 
@@ -162,6 +163,13 @@ class Backend:
                 raise AlgebraError(f"pairing needs (G1, G2), got ({a.group}, {b.group})")
         return self.pairing_check_values([(a.value, b.value) for a, b in pairs])
 
+    def product(self, elems: list[GroupElem]) -> GroupElem:
+        """The group product of one or more elements of one group, in one call."""
+        group = elems[0].group
+        if any(e.group != group for e in elems):
+            raise AlgebraError("product needs elements of one group")
+        return GroupElem(self, group, self.op_all(group, [e.value for e in elems]))
+
     def element(self, group: str, data: bytes) -> GroupElem:
         return GroupElem(self, group, self.deserialize(group, data))
 
@@ -178,6 +186,7 @@ class Backend:
     def generator_value(self, group): raise NotImplementedError
     def identity_value(self, group): raise NotImplementedError
     def op(self, group, a, b): raise NotImplementedError
+    def op_all(self, group, values): raise NotImplementedError
     def inv(self, group, a): raise NotImplementedError
     def exp(self, group, a, k): raise NotImplementedError
     def pairing_value(self, a, b): raise NotImplementedError
@@ -200,6 +209,9 @@ class MockBackend(Backend):
 
     def op(self, group, a, b):
         return (a + b) % self.order
+
+    def op_all(self, group, values):
+        return sum(values) % self.order
 
     def inv(self, group, a):
         return -a % self.order
@@ -271,6 +283,11 @@ class RealBackend(Backend):
             return bn254.g2_add(a, b)
         return bn254.f12_mul(a, b)
 
+    def op_all(self, group, values):
+        if group == "G2":  # Jacobian accumulation, one inversion
+            return bn254.g2_sum(values)
+        return functools.reduce(lambda a, b: self.op(group, a, b), values)
+
     def inv(self, group, a):
         if group == "G1":
             return bn254.g1_neg(a)
@@ -283,7 +300,7 @@ class RealBackend(Backend):
             return bn254.g1_mul_base(k) if a == bn254.G1_GEN else bn254.g1_mul(a, k)
         if group == "G2":
             return bn254.g2_mul_base(k) if a == bn254.G2_GEN else bn254.g2_mul(a, k % self.order)
-        return bn254.f12_pow(a, k % self.order)
+        return bn254.f12_cyc_pow(a, k % self.order)
 
     def pairing_value(self, a, b):
         return bn254.pairing(a, b)
@@ -323,7 +340,9 @@ class RealBackend(Backend):
                     raise MalformedEncoding("GT: coefficient out of range")
                 coeffs.append((c0, c1))
             v = tuple(coeffs)
-            if bn254.f12_pow(v, self.order) != bn254.F12_ONE:
+            # cyclotomic first, so the order check may use cyclotomic squaring;
+            # zero passes the first test and fails the second
+            if not bn254.f12_is_cyclotomic(v) or bn254.f12_cyc_pow(v, self.order) != bn254.F12_ONE:
                 raise NotInSubgroup("GT: not in the order-n subgroup")
             return v
         n = 32 if group == "G1" else 64

@@ -18,6 +18,10 @@ Representation conventions:
 G2 points live on the D-type twist y^2 = x^3 + 3/XI over Fp2; the untwist
 into E(Fp12) is (x*w^2, y*w^3) and only appears implicitly in the sparse
 line evaluations of the Miller loop.
+
+GT, and every value past the easy part of the final exponentiation, lies in
+the cyclotomic subgroup of Fp12*: there ``f12_cyc_pow`` exponentiates with
+cyclotomic squarings, and ``f12_pow`` is the generic square-and-multiply.
 """
 
 from . import curve
@@ -232,6 +236,80 @@ def f12_pow(a, e):
 
 
 # ---------------------------------------------------------------------------
+# The cyclotomic subgroup: a^(p^4 - p^2 + 1) = 1, which holds for every value
+# after the easy part of the final exponentiation and so for all of GT. There
+# the inverse is f12_conj and squaring has a cheaper form.
+# ---------------------------------------------------------------------------
+
+
+def f12_is_cyclotomic(a):
+    """Whether a^(p^4) * a = a^(p^2), i.e. a^(p^4 - p^2 + 1) = 1 for a != 0: no squarings."""
+    a2 = f12_frob(f12_frob(a))
+    return f12_mul(f12_frob(f12_frob(a2)), a) == a2
+
+
+def f12_cyc_sqr(a):
+    """a^2 for a in the cyclotomic subgroup (Granger-Scott, PKC 2010).
+
+    Over Fp4 = Fp2[s] with s = w^3, s^2 = XI, a is A + B*w + C*w^2 with
+    A = a0 + a3*s, B = a1 + a4*s, C = a2 + a5*s, and
+    a^2 = (3A^2 - 2conj(A)) + (3s*C^2 + 2conj(B))*w + (3B^2 - 2conj(C))*w^2,
+    where conj(x + y*s) = x - y*s is the p^2-power Frobenius of Fp4.
+    """
+    a0, a1, a2, a3, a4, a5 = a
+    A0, A1 = _f4_sqr(a0, a3)
+    B0, B1 = _f4_sqr(a1, a4)
+    C0, C1 = _f4_sqr(a2, a5)
+    return (
+        _cyc_coeff(A0, a0, -2),
+        _cyc_coeff(f2_mul_xi(C1), a1, 2),
+        _cyc_coeff(B0, a2, -2),
+        _cyc_coeff(A1, a3, 2),
+        _cyc_coeff(C0, a4, -2),
+        _cyc_coeff(B1, a5, 2),
+    )
+
+
+def _f4_sqr(x, y):
+    """(x + y*s)^2 = (x^2 + XI*y^2) + 2xy*s, from three Fp2 squarings."""
+    t0 = f2_sqr(x)
+    t1 = f2_sqr(y)
+    return f2_add(t0, f2_mul_xi(t1)), f2_sub(f2_sqr(f2_add(x, y)), f2_add(t0, t1))
+
+
+def _cyc_coeff(t, c, k):
+    """3t + k*c in Fp2."""
+    return ((3 * t[0] + k * c[0]) % P, (3 * t[1] + k * c[1]) % P)
+
+
+def _naf(k):
+    """The non-adjacent form of k >= 0: digits in {-1, 0, 1}, least significant first."""
+    digits = []
+    while k:
+        d = 2 - (k & 3) if k & 1 else 0
+        digits.append(d)
+        k = (k - d) >> 1
+    return digits
+
+
+def f12_cyc_pow(a, k):
+    """a^k for a in the cyclotomic subgroup and k >= 0.
+
+    Cyclotomic squarings over the signed digits of k; a -1 digit multiplies
+    by f12_conj(a), the inverse of a there.
+    """
+    a_inv = f12_conj(a)
+    r = F12_ONE
+    for d in reversed(_naf(k)):
+        r = f12_cyc_sqr(r)
+        if d == 1:
+            r = f12_mul(r, a)
+        elif d == -1:
+            r = f12_mul(r, a_inv)
+    return r
+
+
+# ---------------------------------------------------------------------------
 # G1: y^2 = x^3 + 3 over Fp
 # ---------------------------------------------------------------------------
 
@@ -358,7 +436,7 @@ def _to_affine_f2(q):
 
 
 def g2_mul(pt, k):
-    # No reduction mod N here: the subgroup check relies on multiplying by N.
+    # No reduction mod N here: cofactor clearing multiplies points outside G2.
     if k < 0:
         return g2_mul(g2_neg(pt), -k)
     if pt is None:
@@ -372,8 +450,43 @@ def g2_mul(pt, k):
     return _to_affine_f2(acc)
 
 
+# Frobenius on the twist: psi(x, y) = (conj(x)*XI^((p-1)/3), conj(y)*XI^((p-1)/2)).
+_TW_FROB_X = f2_pow(XI, (P - 1) // 3)
+_TW_FROB_Y = f2_pow(XI, (P - 1) // 2)
+
+
+def _tw_frob(pt):
+    return (f2_mul(f2_conj(pt[0]), _TW_FROB_X), f2_mul(f2_conj(pt[1]), _TW_FROB_Y))
+
+
+def g2_sum(pts):
+    """The sum of affine twist points (None for infinity): mixed Jacobian additions, one inversion."""
+    acc = None
+    for pt in pts:
+        if pt is not None:
+            acc = _jac_madd_f2(acc, *pt)
+    return _to_affine_f2(acc)
+
+
 def g2_in_subgroup(pt):
-    return g2_is_on_curve(pt) and g2_mul(pt, N) is None
+    """Whether pt is on the twist and in G2, the order-N subgroup.
+
+    Tests [u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q) with psi the twist
+    Frobenius (Dai-Lin-Zhao-Zhou, ePrint 2022/348): one 63-bit scalar
+    multiplication where [N]Q = O takes a 254-bit one. [u]Q = O only for
+    Q = O, since u < N.
+    """
+    if pt is None:
+        return True
+    if not g2_is_on_curve(pt):
+        return False
+    uq = g2_mul(pt, U)
+    if uq is None:
+        return False
+    psi1 = _tw_frob(uq)
+    psi2 = _tw_frob(psi1)
+    psi3 = g2_neg(_tw_frob(psi2))
+    return g2_sum([pt, uq, psi1, psi2, psi3, psi3]) is None
 
 
 # Fixed-base tables: affine 2^i multiples of the generators.
@@ -393,24 +506,12 @@ def g1_mul_base(k):
 def g2_mul_base(k):
     """k * G2_GEN using the precomputed doubling table."""
     k %= N
-    acc = None
-    for i in range(k.bit_length()):
-        if (k >> i) & 1:
-            acc = _jac_madd_f2(acc, *_G2_POWS[i])
-    return _to_affine_f2(acc)
+    return g2_sum(_G2_POWS[i] for i in range(k.bit_length()) if (k >> i) & 1)
 
 
 # ---------------------------------------------------------------------------
 # Optimal ate pairing
 # ---------------------------------------------------------------------------
-
-# Frobenius on the twist: psi(x, y) = (conj(x)*XI^((p-1)/3), conj(y)*XI^((p-1)/2)).
-_TW_FROB_X = f2_pow(XI, (P - 1) // 3)
-_TW_FROB_Y = f2_pow(XI, (P - 1) // 2)
-
-
-def _tw_frob(pt):
-    return (f2_mul(f2_conj(pt[0]), _TW_FROB_X), f2_mul(f2_conj(pt[1]), _TW_FROB_Y))
 
 
 def _f2_batch_inv(xs):
@@ -476,13 +577,40 @@ def miller_loop(q, pt):
     return multi_miller([(pt, q)])
 
 
-_HARD_EXP = (P**4 - P**2 + 1) // N
+def easy_part(f):
+    """f^((p^6 - 1)(p^2 + 1)), which lies in the cyclotomic subgroup."""
+    f = f12_mul(f12_conj(f), f12_inv(f))  # ^(p^6 - 1)
+    return f12_mul(f12_frob(f12_frob(f)), f)  # ^(p^2 + 1)
 
 
 def final_exp(f):
-    f = f12_mul(f12_conj(f), f12_inv(f))  # ^(p^6 - 1)
-    f = f12_mul(f12_frob(f12_frob(f)), f)  # ^(p^2 + 1)
-    return f12_pow(f, _HARD_EXP)  # ^((p^4 - p^2 + 1) / n)
+    """f^((p^12 - 1) / N): the easy part, then the hard part (p^4 - p^2 + 1) / N.
+
+    The hard exponent is l0 + l1*p + l2*p^2 + p^3 with l2 = 6u^2 + 1,
+    l1 = -36u^3 - 18u^2 - 12u + 1 and l0 = -36u^3 - 30u^2 - 18u - 2. It is
+    raised by three exponentiations by u, Frobenius maps and the addition
+    chain y0 * y1^2 * y2^6 * y3^12 * y4^18 * y5^30 * y6^36 of Scott et al.
+    (Pairing 2009); the inverses are conjugates.
+    """
+    f = easy_part(f)
+    fu = f12_cyc_pow(f, U)
+    fu2 = f12_cyc_pow(fu, U)
+    fu3 = f12_cyc_pow(fu2, U)
+    fp = f12_frob(f)
+    fp2 = f12_frob(fp)
+    y0 = f12_mul(f12_mul(fp, fp2), f12_frob(fp2))  # f^(p + p^2 + p^3)
+    y1 = f12_conj(f)  # f^-1
+    y2 = f12_frob(f12_frob(fu2))  # f^(u^2 p^2)
+    y3 = f12_conj(f12_frob(fu))  # f^(-u p)
+    y4 = f12_conj(f12_mul(fu, f12_frob(fu2)))  # f^(-u - u^2 p)
+    y5 = f12_conj(fu2)  # f^(-u^2)
+    y6 = f12_conj(f12_mul(fu3, f12_frob(fu3)))  # f^(-u^3 - u^3 p)
+    t0 = f12_mul(f12_mul(f12_cyc_sqr(y6), y4), y5)
+    t1 = f12_mul(f12_mul(y3, y5), t0)
+    t0 = f12_mul(t0, y2)
+    t1 = f12_cyc_sqr(f12_mul(f12_cyc_sqr(t1), t0))
+    t0 = f12_cyc_sqr(f12_mul(t1, y1))
+    return f12_mul(t0, f12_mul(t1, y0))
 
 
 def pairing(p1, q2):

@@ -196,20 +196,18 @@ def keygen_nominee(par: PublicParams, rng: Random) -> tuple[NomineePublicKey, No
 
 
 def waters_eval(bases: tuple[GroupElem, ...], mbits: bytes, counts: Optional[OpCounts] = None) -> GroupElem:
-    """u_0 * prod_{i: m_i = 1} u_i for a 256-bit input; counts multiplications."""
+    """u_0 * prod_{i: m_i = 1} u_i for a 256-bit input, as one backend product.
+
+    Counts the multiplications a pairwise fold makes: one per set bit.
+    """
     if len(bases) != ELL + 1:
         raise LengthMismatch(f"need {ELL + 1} bases, got {len(bases)}")
     if len(mbits) * 8 != ELL:
         raise LengthMismatch(f"need a {ELL}-bit input, got {len(mbits) * 8} bits")
-    acc = bases[0]
-    muls = 0
-    for i in range(1, ELL + 1):
-        if bit(mbits, i):
-            acc = acc * bases[i]
-            muls += 1
+    chosen = [bases[0]] + [bases[i] for i in range(1, ELL + 1) if bit(mbits, i)]
     if counts is not None:
-        counts.ec_additions += muls
-    return acc
+        counts.ec_additions += len(chosen) - 1
+    return bases[0].backend.product(chosen)
 
 
 def waters_product(
@@ -223,6 +221,13 @@ def waters_product(
     if counts is not None:
         counts.ec_additions += 1
     return fs_fn
+
+
+def _pow(x: GroupElem, k: int, counts: Optional[OpCounts]) -> GroupElem:
+    """x^k, tallied as one scalar multiplication."""
+    if counts is not None:
+        counts.scalar_mults += 1
+    return x**k
 
 
 def _ms_bits(pk_n: NomineePublicKey, m: bytes) -> bytes:
@@ -243,9 +248,7 @@ def derive_values(
 ) -> DerivedValues:
     """Recompute (M_S, t, M_N, M_N bits) from public data."""
     t = _chal_scalar(par, pk_s, sigma.s1, sigma.s2, m)
-    mn = (par.g2**t) * (pk_n.k**sigma.s)
-    if counts is not None:
-        counts.scalar_mults += 2
+    mn = _pow(par.g2, t, counts) * _pow(pk_n.k, sigma.s, counts)
     return DerivedValues(MS=_ms_bits(pk_n, m), t=t, MN=mn, MNbits=hash_h1(mn.to_bytes()))
 
 
@@ -347,11 +350,12 @@ def _main_pairs(
     tk12: GroupElem,
     fs_fn: GroupElem,
     c: int = 1,
+    counts: Optional[OpCounts] = None,
 ) -> list[tuple[GroupElem, GroupElem]]:
     """The main equation as four pairs whose pairings multiply to 1, raised to c on the G1 side."""
     g1, gs, gn = par.g1, pk_s.gS, pk_n.gN
     if c != 1:
-        g1, gs, gn, tk12 = g1**c, gs**c, gn**c, tk12**c
+        g1, gs, gn, tk12 = (_pow(x, c, counts) for x in (g1, gs, gn, tk12))
     return [(g1, sigma.s3), (~gs, pk_s.hS), (~gn, pk_n.hN), (~tk12, fs_fn)]
 
 
@@ -417,10 +421,9 @@ def tk_verify(
     pairs = [
         (sigma.s1, par.g2),
         (~tk.tk1, pk_n.x1),
-        (sigma.s2**c2, par.g2),
-        (~(tk.tk2**c2), pk_n.x2),
-        *_main_pairs(par, pk_s, pk_n, sigma, tk12, fs_fn, c3),
+        (_pow(sigma.s2, c2, counts), par.g2),
+        (~_pow(tk.tk2, c2, counts), pk_n.x2),
+        *_main_pairs(par, pk_s, pk_n, sigma, tk12, fs_fn, c3, counts),
     ]
-    counts.scalar_mults += 6  # s2, tk2 by c2; g1, gS, gN, tk1 * tk2 by c3
     counts.pairing_pairs += len(pairs)
     return par.backend.pairing_check(pairs), counts

@@ -174,3 +174,42 @@ def test_pairing_check_needs_g1_g2_pairs():
     b = MockBackend()
     with pytest.raises(AlgebraError):
         b.pairing_check([(b.g2(), b.g1())])
+
+
+@pytest.mark.parametrize("backend", [MockBackend(), RealBackend()], ids=["mock", "bn254"])
+def test_product_matches_pairwise_fold(backend):
+    b = backend
+    for group in ("G1", "G2", "GT"):
+        x = getattr(b, group.lower())() ** 5
+        y = getattr(b, group.lower())() ** 9
+        elems = [x, y, ~y, x, x, y]  # through the identity, then equal to the partial sum
+        want = elems[0]
+        for e in elems[1:]:
+            want = want * e
+        assert b.product(elems) == want
+        assert b.product([x, ~x]).is_identity()
+    with pytest.raises(AlgebraError):
+        b.product([b.g1(), b.g2()])
+
+
+def test_real_gt_decode_rejects_non_subgroup_values():
+    from nomsig import bn254
+
+    b = RealBackend()
+    rng = random.Random(19)
+
+    def encode(v):
+        return b.serialize("GT", v)
+
+    f = tuple((rng.randrange(bn254.P), rng.randrange(bn254.P)) for _ in range(6))
+    assert not bn254.f12_is_cyclotomic(f)
+    with pytest.raises(NotInSubgroup):
+        b.element("GT", encode(f))
+    # cyclotomic, but of an order dividing (p^4 - p^2 + 1) / N rather than N
+    g = bn254.f12_pow(bn254.easy_part(f), N)
+    assert bn254.f12_is_cyclotomic(g) and g != bn254.F12_ONE
+    with pytest.raises(NotInSubgroup):
+        b.element("GT", encode(g))
+    e = b.gt() ** 12345
+    assert b.element("GT", e.to_bytes()) == e
+    assert b.element("GT", encode(bn254.F12_ONE)).is_identity()

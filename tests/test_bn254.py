@@ -8,13 +8,22 @@ from nomsig.bn254 import (
     ATE_LOOP,
     F12_ONE,
     G1_GEN,
+    G2_COFACTOR,
     G2_GEN,
+    TW_B,
     N,
     P,
+    U,
+    easy_part,
+    f2_add,
     f2_inv,
     f2_mul,
+    f2_sqr,
     f2_sqrt,
+    f12_cyc_pow,
+    f12_cyc_sqr,
     f12_inv,
+    f12_is_cyclotomic,
     f12_mul,
     f12_pow,
     g1_add,
@@ -28,6 +37,7 @@ from nomsig.bn254 import (
     g2_mul,
     g2_mul_base,
     g2_neg,
+    g2_sum,
     multi_miller,
     pairing,
     pairing_check,
@@ -213,3 +223,114 @@ def test_pairing_linearity_in_first_argument():
     lhs = pairing(g1_add(p7, p11), G2_GEN)
     rhs = f12_mul(pairing(p7, G2_GEN), pairing(p11, G2_GEN))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Final exponentiation, cyclotomic arithmetic and G2 membership against slow oracles
+# ---------------------------------------------------------------------------
+
+HARD_EXP = (P**4 - P**2 + 1) // N
+
+# The prime factors of the G2 cofactor; the last is the 178-bit one.
+COFACTOR_PRIMES = [10069, 5864401, 1875725156269]
+COFACTOR_PRIMES.append(G2_COFACTOR // (COFACTOR_PRIMES[0] * COFACTOR_PRIMES[1] * COFACTOR_PRIMES[2]))
+
+
+def slow_final_exp(f):
+    # oracle: the hard part as one square-and-multiply over the whole exponent
+    return f12_pow(easy_part(f), HARD_EXP)
+
+
+def random_f12(draws):
+    return tuple((draws.randrange(P), draws.randrange(P)) for _ in range(6))
+
+
+def random_twist_point(draws):
+    while True:
+        x = (draws.randrange(P), draws.randrange(P))
+        y = f2_sqrt(f2_add(f2_mul(f2_sqr(x), x), TW_B))
+        if y is not None:
+            return (x, y)
+
+
+def slow_g2_in_subgroup(pt):
+    return g2_is_on_curve(pt) and g2_mul(pt, N) is None
+
+
+def test_hard_exponent_decomposes_in_u():
+    l2 = 6 * U**2 + 1
+    l1 = -36 * U**3 - 18 * U**2 - 12 * U + 1
+    l0 = -36 * U**3 - 30 * U**2 - 18 * U - 2
+    assert (P**4 - P**2 + 1) % N == 0
+    assert l0 + l1 * P + l2 * P**2 + P**3 == HARD_EXP
+
+
+def test_final_exp_matches_square_and_multiply_oracle():
+    draws = random.Random(1305)
+    for _ in range(5):
+        f = random_f12(draws)
+        assert bn254.final_exp(f) == slow_final_exp(f)
+    pairs, _ = _mixed_pairs(random.Random(1306))
+    for n in (1, 2, 8):
+        f = multi_miller(pairs[:n])
+        assert bn254.final_exp(f) == slow_final_exp(f)
+
+
+def test_cyclotomic_squaring_matches_f12_mul():
+    draws = random.Random(1307)
+    assert f12_cyc_sqr(F12_ONE) == F12_ONE
+    for _ in range(5):
+        f = random_f12(draws)
+        g = easy_part(f)
+        assert f12_is_cyclotomic(g) and not f12_is_cyclotomic(f)
+        assert f12_cyc_sqr(g) == f12_mul(g, g)
+
+
+def test_cyclotomic_pow_matches_f12_pow():
+    draws = random.Random(1308)
+    e = pairing(G1_GEN, G2_GEN)
+    g = easy_part(random_f12(draws))  # cyclotomic, not of order N
+    for k in [0, 1, 2, 3, N - 1, N, U] + [draws.randrange(N) for _ in range(3)]:
+        assert f12_cyc_pow(e, k) == f12_pow(e, k)
+        assert f12_cyc_pow(g, k) == f12_pow(g, k)
+    assert f12_cyc_pow(e, N) == F12_ONE and f12_cyc_pow(g, N) != F12_ONE
+
+
+def test_g2_subgroup_check_matches_multiplication_by_n():
+    draws = random.Random(1309)
+    for _ in range(4):
+        q = random_twist_point(draws)
+        assert g2_in_subgroup(q) == slow_g2_in_subgroup(q) is False
+        q = g2_mul(q, G2_COFACTOR)
+        assert g2_in_subgroup(q) == slow_g2_in_subgroup(q) is True
+    assert g2_in_subgroup(None)
+    assert not g2_in_subgroup((G2_GEN[0], G2_GEN[0]))  # off the curve
+
+
+@pytest.mark.parametrize("ell", COFACTOR_PRIMES, ids=lambda ell: f"{ell.bit_length()}bit")
+def test_g2_subgroup_check_rejects_cofactor_torsion(ell):
+    assert G2_COFACTOR % ell == 0
+    draws = random.Random(ell)
+    t = None
+    while t is None:
+        t = g2_mul(random_twist_point(draws), N * (G2_COFACTOR // ell))
+    assert g2_mul(t, ell) is None  # t has order ell
+    for q in (t, g2_add(G2_GEN, t)):
+        assert not g2_in_subgroup(q) and not slow_g2_in_subgroup(q)
+
+
+def test_g2_sum_matches_affine_fold():
+    a, b, c = (g2_mul(G2_GEN, k) for k in (5, 7, 11))
+    cases = [
+        [],
+        [None, a],
+        [a, g2_neg(a), b],  # a partial sum passes through infinity
+        [a, a, a],  # equal to the partial sum: a doubling
+        [a, b, g2_neg(g2_add(a, b))],  # ends at infinity
+        [a, b, a, g2_add(a, b), c, g2_neg(c), b],
+    ]
+    for pts in cases:
+        want = None
+        for pt in pts:
+            want = g2_add(want, pt)
+        assert g2_sum(pts) == want

@@ -202,3 +202,32 @@ def test_real_tk_verify_rejects_each_tampered_equation(real_pipeline, field):
         tk = dataclasses.replace(tk, **{field: getattr(tk, field) * p.par.g1})
     ok, counts = scheme.tk_verify(p.par, p.pk_s, p.pk_n, p.m, sigma, tk)
     assert not ok and counts.pairing_pairs == 8
+
+
+def test_waters_eval_real_matches_affine_fold():
+    # the Jacobian sum against the pairwise affine fold, through infinity and equal bases
+    from nomsig.algebra import RealBackend
+
+    b = RealBackend()
+    g = b.g2()
+    a = g**3
+    # partial sums: a, infinity, a, 2a (a doubling), ...
+    bases = [a, ~a, a, a, g**5, g**8] + [g ** (k + 20) for k in range(251)]
+    mbits = bytes([0b11111000, 0, 0xA5]) + bytes(29)
+    want = bases[0]
+    for i in range(1, 257):
+        if bit(mbits, i):
+            want = want * bases[i]
+    assert bit(mbits, 1) and bit(mbits, 5) and not bit(mbits, 6)
+    counts = OpCounts()
+    assert waters_eval(tuple(bases), mbits, counts) == want
+    assert counts.ec_additions == hw(mbits)
+
+
+def test_scalar_mult_tally_follows_the_exponentiations(mock_pipeline, monkeypatch):
+    p = mock_pipeline
+    calls = []
+    exp = MockBackend.exp
+    monkeypatch.setattr(MockBackend, "exp", lambda self, *a: calls.append(a) or exp(self, *a))
+    ok, counts = p.verify()
+    assert ok and counts.scalar_mults == len(calls) == 8
