@@ -33,19 +33,12 @@ class MalformedInput(click.ClickException):
     exit_code = EXIT_MALFORMED
 
 
-def _load(path: str, kind: str) -> dict:
+def _read(path: str, cls, backend=None):
+    """The ``cls`` in the envelope at path; its group elements must be on ``backend``."""
     try:
-        _, payload = env.read_envelope(path, kind)
-        return payload
-    except (env.EnvelopeError, OSError) as exc:
-        raise MalformedInput(str(exc))
-
-
-def _decode(fn, payload: dict):
-    try:
-        return fn(payload)
-    except (env.EnvelopeError, AlgebraError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad envelope payload: {exc}")
+        return env.read_object(path, cls, backend)
+    except (env.EnvelopeError, AlgebraError, OSError) as exc:
+        raise MalformedInput(f"{path}: {exc}")
 
 
 def _read_message(path: str) -> bytes:
@@ -85,9 +78,9 @@ def cmd_setup(backend, out):
     """Write the public parameter envelope."""
     try:
         par = scheme.setup(backend=backend)
-    except (scheme.SchemeError, ValueError) as exc:
+    except (scheme.SchemeError, AlgebraError) as exc:
         raise MalformedInput(str(exc))
-    env.write_envelope(out, "key", env.params_payload(par))
+    env.write_object(out, par)
     click.echo(f"params written to {out}")
 
 
@@ -97,10 +90,10 @@ def cmd_setup(backend, out):
 @click.option("--pub-out", required=True, type=click.Path())
 @click.option("--sec-out", required=True, type=click.Path())
 def cmd_keygen_signer(params_path, seed, pub_out, sec_out):
-    par = _decode(env.params_from_payload, _load(params_path, "key"))
+    par = _read(params_path, scheme.PublicParams)
     pk, sk = scheme.keygen_signer(par, Random(seed))
-    env.write_envelope(pub_out, "key", env.signer_public_payload(pk))
-    env.write_envelope(sec_out, "key", env.signer_secret_payload(sk))
+    env.write_object(pub_out, pk)
+    env.write_object(sec_out, sk)
     click.echo(f"signer keys written to {pub_out}, {sec_out}")
 
 
@@ -110,17 +103,17 @@ def cmd_keygen_signer(params_path, seed, pub_out, sec_out):
 @click.option("--pub-out", required=True, type=click.Path())
 @click.option("--sec-out", required=True, type=click.Path())
 def cmd_keygen_nominee(params_path, seed, pub_out, sec_out):
-    par = _decode(env.params_from_payload, _load(params_path, "key"))
+    par = _read(params_path, scheme.PublicParams)
     pk, sk = scheme.keygen_nominee(par, Random(seed))
-    env.write_envelope(pub_out, "key", env.nominee_public_payload(pk))
-    env.write_envelope(sec_out, "key", env.nominee_secret_payload(sk))
+    env.write_object(pub_out, pk)
+    env.write_object(sec_out, sk)
     click.echo(f"nominee keys written to {pub_out}, {sec_out}")
 
 
 def _common_scheme_inputs(params_path, signer_pub, nominee_pub):
-    par = _decode(env.params_from_payload, _load(params_path, "key"))
-    pk_s = _decode(env.signer_public_from_payload, _load(signer_pub, "key"))
-    pk_n = _decode(env.nominee_public_from_payload, _load(nominee_pub, "key"))
+    par = _read(params_path, scheme.PublicParams)
+    pk_s = _read(signer_pub, scheme.SignerPublicKey, par.backend)
+    pk_n = _read(nominee_pub, scheme.NomineePublicKey, par.backend)
     return par, pk_s, pk_n
 
 
@@ -135,10 +128,10 @@ def _common_scheme_inputs(params_path, signer_pub, nominee_pub):
 def cmd_sign(params_path, signer_pub, signer_sec, nominee_pub, message_file, seed, out):
     """Produce the signer's partial signature over the program source."""
     par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
-    sk_s = _decode(env.signer_secret_from_payload, _load(signer_sec, "key"))
+    sk_s = _read(signer_sec, scheme.SignerSecretKey)
     m = _read_message(message_file)
     delta = scheme.sign(par, pk_s, pk_n, m, sk_s, Random(seed))
-    env.write_envelope(out, "delta", env.delta_payload(delta))
+    env.write_object(out, delta)
     click.echo(f"delta written to {out}")
 
 
@@ -154,14 +147,14 @@ def cmd_sign(params_path, signer_pub, signer_sec, nominee_pub, message_file, see
 def cmd_receive(params_path, signer_pub, nominee_pub, nominee_sec, message_file, delta_path, seed, out):
     """Nominee check of the partial signature; writes sigma or rejects."""
     par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
-    sk_n = _decode(env.nominee_secret_from_payload, _load(nominee_sec, "key"))
+    sk_n = _read(nominee_sec, scheme.NomineeSecretKey)
     m = _read_message(message_file)
-    delta = _decode(env.delta_from_payload, _load(delta_path, "delta"))
+    delta = _read(delta_path, scheme.DeltaMsg, par.backend)
     sigma = scheme.receive(par, pk_s, pk_n, m, delta, sk_n, Random(seed))
     if sigma is None:
         click.echo("reject: partial signature invalid")
         sys.exit(EXIT_REJECT)
-    env.write_envelope(out, "sigma", env.sigma_payload(sigma))
+    env.write_object(out, sigma)
     click.echo(f"sigma written to {out}")
 
 
@@ -176,14 +169,14 @@ def cmd_receive(params_path, signer_pub, nominee_pub, nominee_sec, message_file,
 def cmd_convert(params_path, signer_pub, nominee_pub, nominee_sec, message_file, sigma_path, out):
     """Derive the public verification token from a valid sigma."""
     par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
-    sk_n = _decode(env.nominee_secret_from_payload, _load(nominee_sec, "key"))
+    sk_n = _read(nominee_sec, scheme.NomineeSecretKey)
     m = _read_message(message_file)
-    sigma = _decode(env.sigma_from_payload, _load(sigma_path, "sigma"))
+    sigma = _read(sigma_path, scheme.NomSignature, par.backend)
     tk = scheme.convert(par, pk_s, pk_n, m, sigma, sk_n)
     if tk is None:
         click.echo("reject: sigma invalid, no token issued")
         sys.exit(EXIT_REJECT)
-    env.write_envelope(out, "token", env.token_payload(tk))
+    env.write_object(out, tk)
     click.echo(f"token written to {out}")
 
 
@@ -191,72 +184,69 @@ def cmd_convert(params_path, signer_pub, nominee_pub, nominee_sec, message_file,
 # Interactive protocols over a file-exchange transport
 # ---------------------------------------------------------------------------
 
+# One file per pass, named by the message type it carries; the verdict is a bool.
 _PASS_FILES = {
-    "commitment": "01-commitment.json",
-    "first": "02-first.json",
-    "opening": "03-opening.json",
-    "response": "04-response.json",
-    "verdict": "05-verdict.json",
+    zkproto.ChallengeCommitment: "01-commitment.json",
+    zkproto.SigmaFirstMsg: "02-first.json",
+    zkproto.ChallengeOpening: "03-opening.json",
+    zkproto.SigmaResponse: "04-response.json",
+    bool: "05-verdict.json",
 }
 
 
-def _send(tdir: Path, backend_name: str, pass_name: str, msg) -> None:
-    payload = env.transcript_msg_payload(backend_name, pass_name, msg)
-    tmp = tdir / (_PASS_FILES[pass_name] + ".tmp")
-    env.write_envelope(str(tmp), "transcript-msg", payload)
-    tmp.rename(tdir / _PASS_FILES[pass_name])
+def _send(tdir: Path, backend, msg) -> None:
+    tmp = tdir / (_PASS_FILES[type(msg)] + ".tmp")
+    env.write_object(str(tmp), msg, backend.name)
+    tmp.rename(tdir / _PASS_FILES[type(msg)])
 
 
-def _recv(tdir: Path, pass_name: str):
-    path = tdir / _PASS_FILES[pass_name]
+def _recv(tdir: Path, backend, cls):
+    path = tdir / _PASS_FILES[cls]
     deadline = time.monotonic() + TRANSPORT_TIMEOUT
     while not path.exists():
         if time.monotonic() > deadline:
             raise MalformedInput(f"timed out waiting for {path.name}")
         time.sleep(0.05)
-    payload = _load(str(path), "transcript-msg")
-    if payload.get("pass") != pass_name:
-        raise MalformedInput(f"{path.name}: expected pass {pass_name!r}")
-    return _decode(env.transcript_msg_from_payload, payload)
+    return _read(str(path), cls, backend)
 
 
 def _interactive(protocol, role, params_path, signer_pub, nominee_pub, nominee_sec,
                  message_file, sigma_path, transport_dir, seed):
     par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
     m = _read_message(message_file)
-    sigma = _decode(env.sigma_from_payload, _load(sigma_path, "sigma"))
+    sigma = _read(sigma_path, scheme.NomSignature, par.backend)
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
     tdir = Path(transport_dir)
     tdir.mkdir(parents=True, exist_ok=True)
     rng = Random(seed)
-    bname = par.backend.name
+    b = par.backend
 
     if role == "verifier":
         cls = zkproto.ConfirmVerifier if protocol == "confirm" else zkproto.DisavowVerifier
         verifier = cls(stmt, rng)
-        _send(tdir, bname, "commitment", verifier.commitment())
-        first = _recv(tdir, "first")
-        _send(tdir, bname, "opening", verifier.opening())
-        response = _recv(tdir, "response")
+        _send(tdir, b, verifier.commitment())
+        first = _recv(tdir, b, zkproto.SigmaFirstMsg)
+        _send(tdir, b, verifier.opening())
+        response = _recv(tdir, b, zkproto.SigmaResponse)
         verdict = verifier.verdict(first, response)
-        _send(tdir, bname, "verdict", verdict)
+        _send(tdir, b, verdict)
         click.echo("verdict accept" if verdict else "verdict reject")
         sys.exit(EXIT_ACCEPT if verdict else EXIT_REJECT)
 
     if nominee_sec is None:
         raise MalformedInput("the prover role requires --nominee-sec")
-    sk_n = _decode(env.nominee_secret_from_payload, _load(nominee_sec, "key"))
+    sk_n = _read(nominee_sec, scheme.NomineeSecretKey)
     cls = zkproto.ConfirmProver if protocol == "confirm" else zkproto.DisavowProver
     prover = cls(stmt, sk_n, rng)
-    commitment = _recv(tdir, "commitment")
-    _send(tdir, bname, "first", prover.first_message(commitment))
-    opening = _recv(tdir, "opening")
+    commitment = _recv(tdir, b, zkproto.ChallengeCommitment)
+    _send(tdir, b, prover.first_message(commitment))
+    opening = _recv(tdir, b, zkproto.ChallengeOpening)
     try:
-        _send(tdir, bname, "response", prover.response(opening))
+        _send(tdir, b, prover.response(opening))
     except zkproto.AbortBadOpening as exc:
         click.echo(f"abort: {exc}")
         sys.exit(EXIT_REJECT)
-    verdict = _recv(tdir, "verdict")
+    verdict = _recv(tdir, b, bool)
     click.echo("verdict accept" if verdict else "verdict reject")
     sys.exit(EXIT_ACCEPT if verdict else EXIT_REJECT)
 
@@ -326,30 +316,22 @@ def cmd_deploy(params_path, signer_pub, nominee_pub, message_file, operator_seed
         ledger = ct.WalletLedger({op_addr: operator_balance, inv_addr: investor_balance})
     except ct.ContractError as exc:
         raise MalformedInput(str(exc))
-    env.write_envelope(state_out, "contract-state", env.contract_state_payload(state, ledger))
+    env.write_object(state_out, state, ledger)
     click.echo(f"contract deployed, state in {state_out}")
     click.echo(f"operator {op_addr.hex()} investor {inv_addr.hex()}")
-
-
-def _load_state(path):
-    return _decode(env.contract_state_from_payload, _load(path, "contract-state"))
-
-
-def _save_state(path, state, ledger):
-    env.write_envelope(path, "contract-state", env.contract_state_payload(state, ledger))
 
 
 @main.command("pay-advance")
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--amount", type=int, required=True)
 def cmd_pay_advance(state_path, amount):
-    state, ledger = _load_state(state_path)
+    state, ledger = _read(state_path, ct.ContractState)
     try:
         ct.pay_advance(state, ledger, amount)
     except (ct.WrongPhase, ct.InsufficientAdvance, ct.InsufficientFunds) as exc:
         click.echo(f"reject: {exc}")
         sys.exit(EXIT_REJECT)
-    _save_state(state_path, state, ledger)
+    env.write_object(state_path, state, ledger)
     click.echo(f"advance of {amount} paid, phase {state.phase.value}")
 
 
@@ -357,14 +339,14 @@ def cmd_pay_advance(state_path, amount):
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--sigma", "sigma_path", required=True, type=click.Path())
 def cmd_store_sig(state_path, sigma_path):
-    state, ledger = _load_state(state_path)
-    sigma = _decode(env.sigma_from_payload, _load(sigma_path, "sigma"))
+    state, ledger = _read(state_path, ct.ContractState)
+    sigma = _read(sigma_path, scheme.NomSignature, state.par.backend)
     try:
         ct.store_signature(state, sigma)
     except ct.WrongPhase as exc:
         click.echo(f"reject: {exc}")
         sys.exit(EXIT_REJECT)
-    _save_state(state_path, state, ledger)
+    env.write_object(state_path, state, ledger)
     click.echo(f"signature stored, phase {state.phase.value}")
 
 
@@ -378,8 +360,8 @@ def cmd_store_sig(state_path, sigma_path):
 @click.option("--receipt-out", default=None, type=click.Path())
 def cmd_trigger(state_path, token_path, investor_seed, nonce, cost_table, gas_price, receipt_out):
     """Submit the verification token plus a signed transfer transaction."""
-    state, ledger = _load_state(state_path)
-    tk = _decode(env.token_from_payload, _load(token_path, "token"))
+    state, ledger = _read(state_path, ct.ContractState)
+    tk = _read(token_path, scheme.VerificationToken, state.par.backend)
     table = _cost_table(cost_table)
     price = _gas_price_opt(gas_price, use_default=False)
     kp = trigger.ecdsa_keygen(investor_seed.encode())
@@ -394,15 +376,15 @@ def cmd_trigger(state_path, token_path, investor_seed, nonce, cost_table, gas_pr
         receipt = ct.submit_trigger(
             state, ledger, ct.TriggerSubmission(tk, tx, sig_e), table, price
         )
-    except (ct.WrongPhase, ct.NonceReplayed) as exc:
+    except (ct.WrongPhase, ct.NonceReplayed, ct.InsufficientFunds) as exc:
         click.echo(f"reject: {exc}")
         sys.exit(EXIT_REJECT)
     except ct.MalformedTransaction as exc:
         raise MalformedInput(str(exc))
     if receipt_out is not None:
-        env.write_envelope(receipt_out, "receipt", env.receipt_payload(receipt))
+        env.write_object(receipt_out, receipt)
     if receipt.verdict:
-        _save_state(state_path, state, ledger)
+        env.write_object(state_path, state, ledger)
         click.echo("accept")
         _echo_gas(receipt.gas)
         sys.exit(EXIT_ACCEPT)
@@ -433,14 +415,16 @@ def cmd_report_gas(receipt_path, pairing_pairs, ec_additions, cost_table, gas_pr
     """Print a gas report, from a receipt or from explicit operation counts."""
     table = _cost_table(cost_table)
     price = _gas_price_opt(gas_price, use_default=True)
-    if receipt_path is not None:
-        payload = _load(receipt_path, "receipt")
-        report = _decode(env.receipt_from_payload, payload).gas
-    else:
-        counts = scheme.OpCounts(pairing_pairs=pairing_pairs, ec_additions=ec_additions)
-        report = gasmodel.build_report(counts, table, price)
+    try:
+        if receipt_path is not None:
+            report = _read(receipt_path, ct.ExecutionReceipt).gas
+        else:
+            counts = scheme.OpCounts(pairing_pairs=pairing_pairs, ec_additions=ec_additions)
+            report = gasmodel.build_report(counts, table, price)
+        ratio = gasmodel.ratio_vs_ecrecover(report)
+    except gasmodel.GasModelError as exc:
+        raise MalformedInput(str(exc))
     _echo_gas(report)
-    ratio = gasmodel.ratio_vs_ecrecover(report)
     click.echo(f"tkverify / ecrecover gas ratio: {float(ratio):.1f}")
 
 
@@ -486,11 +470,9 @@ def cmd_demo(seed, backend, workdir):
 
     outdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="nomsig-demo-"))
     outdir.mkdir(parents=True, exist_ok=True)
-    env.write_envelope(str(outdir / "sigma.json"), "sigma", env.sigma_payload(sigma))
-    env.write_envelope(str(outdir / "token.json"), "token", env.token_payload(tk))
-    env.write_envelope(
-        str(outdir / "receipt.json"), "receipt", env.receipt_payload(receipt)
-    )
+    env.write_object(str(outdir / "sigma.json"), sigma)
+    env.write_object(str(outdir / "token.json"), tk)
+    env.write_object(str(outdir / "receipt.json"), receipt)
 
     click.echo("accept" if receipt.verdict and ok_confirm else "reject")
     _echo_gas(receipt.gas)

@@ -1,9 +1,12 @@
 """Versioned JSON envelopes for every artifact the CLI moves between stages.
 
 Each file is one JSON object: {"schema_version": 1, "kind": ..., payload}.
-Payload group elements are hex of the backend's compressed encoding; the
-backend name rides along so a consumer can rebuild elements in the right
-groups. Unknown schema versions and wrong kinds are rejected outright.
+Keys, signatures, tokens and protocol messages follow one table, ``CODEC``.
+Group elements are hex of the backend's compressed encoding; the backend
+name rides along so a consumer can rebuild elements in the right groups.
+``object_from_payload`` is the one place that checks a payload's shape,
+hex, vector lengths, group membership and backend; malformed input raises
+EnvelopeError, or AlgebraError from the group decoding.
 """
 
 from __future__ import annotations
@@ -13,59 +16,144 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import ELL, Backend, GroupElem, get_backend
-from .contract import (
-    ContractState,
-    ExecutionReceipt,
-    Phase,
-    WalletLedger,
-)
+from .bn254 import N
+from .contract import ContractState, ExecutionReceipt, Phase, WalletLedger
 from .gasmodel import GasReport
-from .scheme import (
-    DeltaMsg,
-    NomSignature,
-    NomineePublicKey,
-    NomineeSecretKey,
-    PublicParams,
-    SignerPublicKey,
-    SignerSecretKey,
-    VerificationToken,
-    setup,
-)
+from .scheme import (DeltaMsg, NomSignature, NomineePublicKey, NomineeSecretKey, PublicParams,
+                     SignerPublicKey, SignerSecretKey, VerificationToken, setup)
+from .zkproto import ChallengeCommitment, ChallengeOpening, SigmaFirstMsg, SigmaResponse
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "key",
-    "delta",
-    "sigma",
-    "token",
-    "transcript-msg",
-    "contract-state",
-    "receipt",
-)
+TRANSPORT = "transcript-msg"
+KINDS = ("key", "delta", "sigma", "token", TRANSPORT, "contract-state", "receipt")
 
 
 class EnvelopeError(Exception):
     pass
 
 
-def _elem_hex(e: GroupElem) -> str:
-    return e.to_bytes().hex()
+# Field types: "G1", "G2", "GT" a group element, "Zn" a scalar in [0, N) and
+# "Zn*" a nonzero one (both backends share the BN254 order N). A "[]" suffix
+# is a list of ELL + 1 entries; a "?" suffix lets the field be null.
+# Transport messages put the protocol pass where keys put their role.
+CODEC = {
+    SignerPublicKey: ("key", "signer-public", {"gS": "G1", "hS": "G2", "u": "G2[]"}),
+    SignerSecretKey: ("key", "signer-secret", {"alphaS": "Zn"}),
+    NomineePublicKey: ("key", "nominee-public", {
+        "gN": "G1", "hN": "G2", "k": "G2", "uPrime": "G2[]", "x1": "G2", "x2": "G2"}),
+    NomineeSecretKey: ("key", "nominee-secret", {
+        "alphaN": "Zn", "vPrime": "Zn[]", "y1": "Zn*", "y2": "Zn*"}),
+    DeltaMsg: ("delta", None, {"d1": "G1", "d2": "G2", "d3": "G2"}),
+    NomSignature: ("sigma", None, {"s1": "G1", "s2": "G1", "s3": "G2", "s": "Zn"}),
+    VerificationToken: ("token", None, {"tk1": "G1", "tk2": "G1"}),
+    ChallengeCommitment: (TRANSPORT, "commitment", {"com": "G2"}),
+    SigmaFirstMsg: (TRANSPORT, "first", {"t1": "G2", "t2": "G2", "t3": "GT", "C": "GT?"}),
+    ChallengeOpening: (TRANSPORT, "opening", {"c": "Zn", "rho": "Zn"}),
+    SigmaResponse: (TRANSPORT, "response", {"z1": "Zn", "z2": "Zn", "z3": "Zn?"}),
+    bool: (TRANSPORT, "verdict", {}),  # body {"verdict": "accept" | "reject"}
+}
 
 
-def _elem(backend: Backend, group: str, hx: str) -> GroupElem:
+def _out(v):
+    if isinstance(v, GroupElem):
+        return v.to_bytes().hex()
+    if isinstance(v, tuple):
+        return [_out(x) for x in v]
+    return None if v is None else hex(v)
+
+
+def _in(ftype: str, v, b: Optional[Backend], name: str):
+    if ftype.endswith("?"):
+        return None if v is None else _in(ftype[:-1], v, b, name)
+    if ftype.endswith("[]"):
+        if not isinstance(v, list) or len(v) != ELL + 1:
+            raise EnvelopeError(f"{name}: need a list of {ELL + 1} entries")
+        return tuple(_in(ftype[:-2], x, b, name) for x in v)
+    if ftype[0] == "G":
+        return b.element(ftype, _bytes(v, name))
+    low = 1 if ftype == "Zn*" else 0
     try:
-        return backend.element(group, bytes.fromhex(hx))
-    except ValueError as exc:
-        raise EnvelopeError(f"bad hex in {group} element") from exc
+        k = int(_of(str, v, name), 16)
+    except ValueError:
+        k = -1
+    if v != hex(k) or not low <= k < N:
+        raise EnvelopeError(f"{name}: need a canonical hex scalar in [{low}, N)")
+    return k
 
 
-def _vector(payload: dict, key: str, decode) -> tuple:
-    """A key's per-bit vector: exactly ELL + 1 entries, each decoded."""
-    items = payload[key]
-    if not isinstance(items, list) or len(items) != ELL + 1:
-        raise EnvelopeError(f"{key}: need a list of {ELL + 1} entries")
-    return tuple(decode(v) for v in items)
+def _of(t: type, v, name: str):
+    if not isinstance(v, t):
+        raise EnvelopeError(f"{name}: need a JSON {t.__name__}, got {v!r}")
+    return v
+
+
+def _bytes(v, name: str) -> bytes:
+    try:
+        return bytes.fromhex(_of(str, v, name))
+    except ValueError:
+        raise EnvelopeError(f"{name}: need a hex string") from None
+
+
+def _int(v, name: str, low: int = 0) -> int:
+    if type(v) is not int or v < low:
+        raise EnvelopeError(f"{name}: need an integer >= {low}, got {v!r}")
+    return v
+
+
+def _backend(payload: dict, expected: Optional[Backend]) -> Backend:
+    name = payload.get("backend")
+    if expected is None:
+        return get_backend(_of(str, name, "backend"))
+    if name != expected.name:
+        raise EnvelopeError(f"backend {name!r} where this command uses {expected.name!r}")
+    return expected
+
+
+def to_payload(obj, context=None) -> dict:
+    """The payload of ``obj``; ``context`` is a contract state's ledger or a
+    transport message's backend name (not every message holds an element)."""
+    if type(obj) in _HAND_WRITTEN:
+        return _HAND_WRITTEN[type(obj)][1](obj, context)
+    if type(obj) not in CODEC:
+        raise EnvelopeError(f"no envelope for {type(obj).__name__}")
+    kind, tag, fields = CODEC[type(obj)]
+    body = {name: _out(getattr(obj, name)) for name in fields}
+    if kind == TRANSPORT:
+        if isinstance(obj, bool):
+            body = {"verdict": "accept" if obj else "reject"}
+        return {"backend": context, "pass": tag, "body": body}
+    head = {} if tag is None else {"role": tag}
+    elems = [getattr(obj, name) for name, ftype in fields.items() if ftype[0] == "G"]
+    if elems:
+        head["backend"] = elems[0].backend.name
+    return {**head, **body}
+
+
+def object_from_payload(cls, payload, backend: Optional[Backend] = None):
+    """Decode ``payload`` as a ``cls``; ``backend``, when given, must be the one it names."""
+    payload = _of(dict, payload, "payload")
+    if cls in _HAND_WRITTEN:
+        return _HAND_WRITTEN[cls][2](payload, backend)
+    kind, tag, fields = CODEC[cls]
+    b = None
+    if kind == TRANSPORT:
+        if payload.get("pass") != tag:
+            raise EnvelopeError(f"expected pass {tag!r}, got {payload.get('pass')!r}")
+        b, payload = _backend(payload, backend), _of(dict, payload.get("body"), "body")
+    elif payload.get("role") != tag:
+        raise EnvelopeError(f"expected key role {tag!r}, got {payload.get('role')!r}")
+    elif any(ftype[0] == "G" for ftype in fields.values()):
+        b = _backend(payload, backend)
+    if cls is bool:
+        if payload.get("verdict") not in ("accept", "reject"):
+            raise EnvelopeError("verdict: need 'accept' or 'reject'")
+        return payload["verdict"] == "accept"
+    return cls(**{name: _in(ftype, payload.get(name), b, name) for name, ftype in fields.items()})
+
+
+def _kind_of(cls) -> str:
+    return (_HAND_WRITTEN.get(cls) or CODEC[cls])[0]
 
 
 def make_envelope(kind: str, payload: dict) -> dict:
@@ -78,17 +166,14 @@ def parse_envelope(obj, expected_kind: Optional[str] = None) -> tuple[str, dict]
     if not isinstance(obj, dict):
         raise EnvelopeError("envelope must be a JSON object")
     version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise EnvelopeError(f"unsupported schema version {version!r}")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise EnvelopeError(f"unknown envelope kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise EnvelopeError(f"expected a {expected_kind} envelope, got {kind}")
-    payload = obj.get("payload")
-    if not isinstance(payload, dict):
-        raise EnvelopeError("envelope payload must be a JSON object")
-    return kind, payload
+    return kind, _of(dict, obj.get("payload"), "envelope payload")
 
 
 def write_envelope(path: str, kind: str, payload: dict) -> None:
@@ -101,161 +186,35 @@ def read_envelope(path: str, expected_kind: Optional[str] = None) -> tuple[str, 
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise EnvelopeError(f"{path}: not valid JSON") from exc
+    except ValueError as exc:
+        raise EnvelopeError("not valid JSON") from exc
     return parse_envelope(obj, expected_kind)
 
 
-# ---- scheme parameters and keys (all under kind "key", tagged by role) ----
+def write_object(path: str, obj, context=None) -> None:
+    """Write ``obj`` in its envelope; ``context`` as for ``to_payload``."""
+    write_envelope(path, _kind_of(type(obj)), to_payload(obj, context))
 
 
-def params_payload(par: PublicParams) -> dict:
+def read_object(path: str, cls, backend: Optional[Backend] = None):
+    """Read a ``cls`` from its envelope; ``backend`` as for ``object_from_payload``."""
+    return object_from_payload(cls, read_envelope(path, _kind_of(cls))[1], backend)
+
+
+# ---- hand-written payloads: parameters, contract state, receipts ----
+
+
+def params_payload(par: PublicParams, _=None) -> dict:
     return {"role": "params", "backend": par.backend.name, "security": 128}
 
 
-def params_from_payload(payload: dict) -> PublicParams:
-    _expect_role(payload, "params")
-    return setup(security=payload.get("security", 128), backend=payload["backend"])
-
-
-def _expect_role(payload: dict, role: str) -> None:
-    if payload.get("role") != role:
-        raise EnvelopeError(f"expected key role {role!r}, got {payload.get('role')!r}")
-
-
-def signer_public_payload(pk: SignerPublicKey) -> dict:
-    return {
-        "role": "signer-public",
-        "backend": pk.gS.backend.name,
-        "gS": _elem_hex(pk.gS),
-        "hS": _elem_hex(pk.hS),
-        "u": [_elem_hex(e) for e in pk.u],
-    }
-
-
-def signer_public_from_payload(payload: dict) -> SignerPublicKey:
-    _expect_role(payload, "signer-public")
-    b = get_backend(payload["backend"])
-    return SignerPublicKey(
-        gS=_elem(b, "G1", payload["gS"]),
-        hS=_elem(b, "G2", payload["hS"]),
-        u=_vector(payload, "u", lambda h: _elem(b, "G2", h)),
-    )
-
-
-def signer_secret_payload(sk: SignerSecretKey) -> dict:
-    return {"role": "signer-secret", "alphaS": hex(sk.alphaS)}
-
-
-def signer_secret_from_payload(payload: dict) -> SignerSecretKey:
-    _expect_role(payload, "signer-secret")
-    return SignerSecretKey(alphaS=int(payload["alphaS"], 16))
-
-
-def nominee_public_payload(pk: NomineePublicKey) -> dict:
-    return {
-        "role": "nominee-public",
-        "backend": pk.gN.backend.name,
-        "gN": _elem_hex(pk.gN),
-        "hN": _elem_hex(pk.hN),
-        "k": _elem_hex(pk.k),
-        "uPrime": [_elem_hex(e) for e in pk.uPrime],
-        "x1": _elem_hex(pk.x1),
-        "x2": _elem_hex(pk.x2),
-    }
-
-
-def nominee_public_from_payload(payload: dict) -> NomineePublicKey:
-    _expect_role(payload, "nominee-public")
-    b = get_backend(payload["backend"])
-    return NomineePublicKey(
-        gN=_elem(b, "G1", payload["gN"]),
-        hN=_elem(b, "G2", payload["hN"]),
-        k=_elem(b, "G2", payload["k"]),
-        uPrime=_vector(payload, "uPrime", lambda h: _elem(b, "G2", h)),
-        x1=_elem(b, "G2", payload["x1"]),
-        x2=_elem(b, "G2", payload["x2"]),
-    )
-
-
-def nominee_secret_payload(sk: NomineeSecretKey) -> dict:
-    return {
-        "role": "nominee-secret",
-        "alphaN": hex(sk.alphaN),
-        "vPrime": [hex(v) for v in sk.vPrime],
-        "y1": hex(sk.y1),
-        "y2": hex(sk.y2),
-    }
-
-
-def nominee_secret_from_payload(payload: dict) -> NomineeSecretKey:
-    _expect_role(payload, "nominee-secret")
-    return NomineeSecretKey(
-        alphaN=int(payload["alphaN"], 16),
-        vPrime=_vector(payload, "vPrime", lambda v: int(v, 16)),
-        y1=int(payload["y1"], 16),
-        y2=int(payload["y2"], 16),
-    )
-
-
-# ---- message-flow artifacts ----
-
-
-def delta_payload(delta: DeltaMsg) -> dict:
-    return {
-        "backend": delta.d1.backend.name,
-        "d1": _elem_hex(delta.d1),
-        "d2": _elem_hex(delta.d2),
-        "d3": _elem_hex(delta.d3),
-    }
-
-
-def delta_from_payload(payload: dict) -> DeltaMsg:
-    b = get_backend(payload["backend"])
-    return DeltaMsg(
-        d1=_elem(b, "G1", payload["d1"]),
-        d2=_elem(b, "G2", payload["d2"]),
-        d3=_elem(b, "G2", payload["d3"]),
-    )
-
-
-def sigma_payload(sigma: NomSignature) -> dict:
-    return {
-        "backend": sigma.s1.backend.name,
-        "s1": _elem_hex(sigma.s1),
-        "s2": _elem_hex(sigma.s2),
-        "s3": _elem_hex(sigma.s3),
-        "s": hex(sigma.s),
-    }
-
-
-def sigma_from_payload(payload: dict) -> NomSignature:
-    b = get_backend(payload["backend"])
-    return NomSignature(
-        s1=_elem(b, "G1", payload["s1"]),
-        s2=_elem(b, "G1", payload["s2"]),
-        s3=_elem(b, "G2", payload["s3"]),
-        s=int(payload["s"], 16),
-    )
-
-
-def token_payload(tk: VerificationToken) -> dict:
-    return {
-        "backend": tk.tk1.backend.name,
-        "tk1": _elem_hex(tk.tk1),
-        "tk2": _elem_hex(tk.tk2),
-    }
-
-
-def token_from_payload(payload: dict) -> VerificationToken:
-    b = get_backend(payload["backend"])
-    return VerificationToken(
-        tk1=_elem(b, "G1", payload["tk1"]),
-        tk2=_elem(b, "G1", payload["tk2"]),
-    )
-
-
-# ---- contract state, ledger, receipts ----
+def params_from_payload(payload: dict, backend: Optional[Backend] = None) -> PublicParams:
+    if payload.get("role") != "params":
+        raise EnvelopeError(f"expected key role 'params', got {payload.get('role')!r}")
+    security = payload.get("security", 128)
+    if type(security) is not int or security != 128:
+        raise EnvelopeError(f"only the 128-bit security level is supported, got {security!r}")
+    return setup(backend=_backend(payload, backend))
 
 
 def contract_state_payload(state: ContractState, ledger: WalletLedger) -> dict:
@@ -267,146 +226,90 @@ def contract_state_payload(state: ContractState, ledger: WalletLedger) -> dict:
         "investor": state.investor.hex(),
         "advance_required": state.advance_required,
         "investment_amount": state.investment_amount,
-        "pk_s": signer_public_payload(state.pk_s),
-        "pk_n": nominee_public_payload(state.pk_n),
-        "sigma": None if state.stored_sigma is None else sigma_payload(state.stored_sigma),
+        "pk_s": to_payload(state.pk_s),
+        "pk_n": to_payload(state.pk_n),
+        "sigma": None if state.stored_sigma is None else to_payload(state.stored_sigma),
         "used_nonces": sorted(state.used_nonces),
         "ledger": {addr.hex(): bal for addr, bal in sorted(ledger.balances.items())},
     }
 
 
-def contract_state_from_payload(payload: dict) -> tuple[ContractState, WalletLedger]:
-    par = setup(backend=payload["backend"])
+def contract_state_from_payload(
+    payload: dict, backend: Optional[Backend] = None
+) -> tuple[ContractState, WalletLedger]:
+    par = setup(backend=_backend(payload, backend))
     try:
-        phase = Phase(payload["phase"])
-    except ValueError as exc:
-        raise EnvelopeError(f"unknown phase {payload['phase']!r}") from exc
-    sigma = payload.get("sigma")
+        phase = Phase(payload.get("phase"))
+    except ValueError:
+        raise EnvelopeError(f"unknown phase {payload.get('phase')!r}") from None
+    sigma, nonces = payload.get("sigma"), _of(list, payload.get("used_nonces"), "used_nonces")
+    if (sigma is None) != (phase in (Phase.DEPLOYED, Phase.ADVANCE_PAID)):
+        raise EnvelopeError(f"phase {phase.value} and the stored signature disagree")
     state = ContractState(
         phase=phase,
-        m=bytes.fromhex(payload["m"]),
-        operator=bytes.fromhex(payload["operator"]),
-        investor=bytes.fromhex(payload["investor"]),
-        advance_required=int(payload["advance_required"]),
-        investment_amount=int(payload["investment_amount"]),
+        **{name: _bytes(payload.get(name), name) for name in ("m", "operator", "investor")},
+        **{name: _int(payload.get(name), name, 1) for name in ("advance_required", "investment_amount")},
         par=par,
-        pk_s=signer_public_from_payload(payload["pk_s"]),
-        pk_n=nominee_public_from_payload(payload["pk_n"]),
-        stored_sigma=None if sigma is None else sigma_from_payload(sigma),
-        used_nonces=set(int(n) for n in payload["used_nonces"]),
+        pk_s=object_from_payload(SignerPublicKey, payload.get("pk_s"), par.backend),
+        pk_n=object_from_payload(NomineePublicKey, payload.get("pk_n"), par.backend),
+        stored_sigma=None if sigma is None else object_from_payload(NomSignature, sigma, par.backend),
+        used_nonces={_int(n, "used_nonces") for n in nonces},
     )
-    ledger = WalletLedger(
-        {bytes.fromhex(a): int(v) for a, v in payload["ledger"].items()}
-    )
+    ledger = WalletLedger({
+        _bytes(a, "ledger"): _int(v, "ledger balance")
+        for a, v in _of(dict, payload.get("ledger"), "ledger").items()
+    })
+    if not {state.operator, state.investor} <= ledger.balances.keys():
+        raise EnvelopeError("ledger: both parties need an account")
     return state, ledger
 
 
+_GAS = ("tkverify_gas", "ecrecover_gas", "total_gas", "pairing_pairs", "ec_additions",
+        "unpriced_scalar_mults")
+
+
 def gas_report_payload(report: GasReport) -> dict:
-    return {
-        "tkverify_gas": report.tkverify_gas,
-        "ecrecover_gas": report.ecrecover_gas,
-        "total_gas": report.total_gas,
-        "pairing_pairs": report.pairing_pairs,
-        "ec_additions": report.ec_additions,
-        "unpriced_scalar_mults": report.unpriced_scalar_mults,
-        "eth_cost": None if report.eth_cost is None else str(report.eth_cost),
-    }
+    eth = None if report.eth_cost is None else str(report.eth_cost)
+    return {**{name: getattr(report, name) for name in _GAS}, "eth_cost": eth}
 
 
 def gas_report_from_payload(payload: dict) -> GasReport:
+    counts = {name: _int(payload.get(name), name) for name in _GAS}
     eth = payload.get("eth_cost")
-    return GasReport(
-        tkverify_gas=int(payload["tkverify_gas"]),
-        ecrecover_gas=int(payload["ecrecover_gas"]),
-        pairing_pairs=int(payload.get("pairing_pairs", 0)),
-        ec_additions=int(payload.get("ec_additions", 0)),
-        unpriced_scalar_mults=int(payload.get("unpriced_scalar_mults", 0)),
-        eth_cost=None if eth is None else Fraction(eth),
-    )
+    try:
+        eth = None if eth is None else Fraction(_of(str, eth, "eth_cost"))
+    except (ValueError, ZeroDivisionError):
+        raise EnvelopeError(f"eth_cost: need a fraction, got {eth!r}") from None
+    total = counts.pop("total_gas")
+    report = GasReport(**counts, eth_cost=eth)
+    if total != report.total_gas:
+        raise EnvelopeError("total_gas is not tkverify_gas + ecrecover_gas")
+    return report
 
 
-def receipt_payload(receipt: ExecutionReceipt) -> dict:
-    transfer = receipt.transfer
+def receipt_payload(receipt: ExecutionReceipt, _=None) -> dict:
+    t = receipt.transfer
     return {
         "verdict": "accept" if receipt.verdict else "reject",
         "gas": gas_report_payload(receipt.gas),
-        "transfer": None
-        if transfer is None
-        else {"from": transfer[0].hex(), "to": transfer[1].hex(), "amount": transfer[2]},
+        "transfer": None if t is None else {"from": t[0].hex(), "to": t[1].hex(), "amount": t[2]},
     }
 
 
-def receipt_from_payload(payload: dict) -> ExecutionReceipt:
-    transfer = payload.get("transfer")
-    return ExecutionReceipt(
-        verdict=payload["verdict"] == "accept",
-        gas=gas_report_from_payload(payload["gas"]),
-        transfer=None
-        if transfer is None
-        else (
-            bytes.fromhex(transfer["from"]),
-            bytes.fromhex(transfer["to"]),
-            int(transfer["amount"]),
-        ),
-    )
+def receipt_from_payload(payload: dict, _=None) -> ExecutionReceipt:
+    verdict, t = payload.get("verdict"), payload.get("transfer")
+    if verdict not in ("accept", "reject") or (t is None) != (verdict == "reject"):
+        raise EnvelopeError("need an accept verdict with a transfer or a reject without one")
+    if t is not None:
+        t = _of(dict, t, "transfer")
+        t = (_bytes(t.get("from"), "from"), _bytes(t.get("to"), "to"), _int(t.get("amount"), "amount"))
+    gas = gas_report_from_payload(_of(dict, payload.get("gas"), "gas"))
+    return ExecutionReceipt(verdict=verdict == "accept", gas=gas, transfer=t)
 
 
-# ---- interactive-protocol transport messages ----
-
-
-def transcript_msg_payload(backend_name: str, pass_name: str, msg) -> dict:
-    from .zkproto import ChallengeCommitment, ChallengeOpening, SigmaFirstMsg, SigmaResponse
-
-    body: dict
-    if isinstance(msg, ChallengeCommitment):
-        body = {"com": _elem_hex(msg.com)}
-    elif isinstance(msg, SigmaFirstMsg):
-        body = {
-            "t1": _elem_hex(msg.t1),
-            "t2": _elem_hex(msg.t2),
-            "t3": _elem_hex(msg.t3),
-            "C": None if msg.C is None else _elem_hex(msg.C),
-        }
-    elif isinstance(msg, ChallengeOpening):
-        body = {"c": hex(msg.c), "rho": hex(msg.rho)}
-    elif isinstance(msg, SigmaResponse):
-        body = {
-            "z1": hex(msg.z1),
-            "z2": hex(msg.z2),
-            "z3": None if msg.z3 is None else hex(msg.z3),
-        }
-    elif isinstance(msg, bool):
-        body = {"verdict": "accept" if msg else "reject"}
-    else:
-        raise EnvelopeError(f"unsupported transcript message {type(msg).__name__}")
-    return {"backend": backend_name, "pass": pass_name, "body": body}
-
-
-def transcript_msg_from_payload(payload: dict):
-    from .zkproto import ChallengeCommitment, ChallengeOpening, SigmaFirstMsg, SigmaResponse
-
-    b = get_backend(payload["backend"])
-    body = payload["body"]
-    pass_name = payload["pass"]
-    if pass_name == "commitment":
-        return ChallengeCommitment(com=_elem(b, "G2", body["com"]))
-    if pass_name == "first":
-        c = body.get("C")
-        return SigmaFirstMsg(
-            t1=_elem(b, "G2", body["t1"]),
-            t2=_elem(b, "G2", body["t2"]),
-            t3=_elem(b, "GT", body["t3"]),
-            C=None if c is None else _elem(b, "GT", c),
-        )
-    if pass_name == "opening":
-        return ChallengeOpening(c=int(body["c"], 16), rho=int(body["rho"], 16))
-    if pass_name == "response":
-        z3 = body.get("z3")
-        return SigmaResponse(
-            z1=int(body["z1"], 16),
-            z2=int(body["z2"], 16),
-            z3=None if z3 is None else int(z3, 16),
-        )
-    if pass_name == "verdict":
-        return body["verdict"] == "accept"
-    raise EnvelopeError(f"unknown transcript pass {pass_name!r}")
+# Artifacts whose payload is not one field map: kind, encoder, decoder.
+_HAND_WRITTEN = {
+    PublicParams: ("key", params_payload, params_from_payload),
+    ContractState: ("contract-state", contract_state_payload, contract_state_from_payload),
+    ExecutionReceipt: ("receipt", receipt_payload, receipt_from_payload),
+}

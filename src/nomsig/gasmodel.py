@@ -48,7 +48,9 @@ class CostTable:
         unknown = set(raw) - known
         if unknown:
             raise GasModelError(f"unknown cost table fields: {sorted(unknown)}")
-        return cls(**{k: int(v) for k, v in raw.items()})
+        if any(type(v) is not int for v in raw.values()):
+            raise GasModelError("cost table values must be integers")
+        return cls(**raw)
 
 
 @dataclass(frozen=True)

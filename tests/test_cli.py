@@ -165,6 +165,120 @@ def test_unknown_schema_version_exits_2(workdir, tmp_path):
     assert res.exit_code == 2
 
 
+def _edited(src, tmp_path, **fields):
+    """A copy of the envelope at src with its payload fields replaced."""
+    obj = json.loads(src.read_text())
+    obj["payload"].update(fields)
+    out = tmp_path / f"edited-{src.name}"
+    out.write_text(json.dumps(obj))
+    return out
+
+
+def _rearmed_state(workdir, tmp_path, **fields):
+    """The contract state as it stood after store-sig, with fields replaced."""
+    return _edited(workdir / "state.json", tmp_path, phase="SignatureStored", used_nonces=[], **fields)
+
+
+def assert_malformed(res):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+
+
+@pytest.mark.parametrize("s", [hex(2**300), "-5", "5", hex(2**254)])
+def test_store_sig_rejects_non_canonical_scalar(workdir, tmp_path, s):
+    state = _edited(workdir / "state.json", tmp_path, phase="AdvancePaid", sigma=None, used_nonces=[])
+    sigma = _edited(workdir / "sigma.json", tmp_path, s=s)
+    assert_malformed(invoke("store-sig", "--state", state, "--sigma", sigma))
+
+
+def test_receive_rejects_zero_nominee_secret(workdir, tmp_path):
+    d = workdir
+    nsk = _edited(d / "nsk.json", tmp_path, y1="0x0")
+    assert_malformed(invoke(
+        "receive", "--params", d / "params.json", "--signer-pub", d / "spk.json",
+        "--nominee-pub", d / "npk.json", "--nominee-sec", nsk, "--message-file", d / "m.bin",
+        "--delta", d / "delta.json", "--seed", 4, "--out", tmp_path / "sigma.json"))
+
+
+def test_sign_rejects_keys_of_another_backend(workdir, tmp_path):
+    d = workdir
+    params = tmp_path / "params-bn254.json"
+    assert invoke("setup", "--backend", "bn254", "--out", params).exit_code == 0
+    assert_malformed(invoke(
+        "sign", "--params", params, "--signer-pub", d / "spk.json", "--signer-sec", d / "ssk.json",
+        "--nominee-pub", d / "npk.json", "--message-file", d / "m.bin", "--seed", 3,
+        "--out", tmp_path / "delta.json"))
+    assert not (tmp_path / "delta.json").exists()
+
+
+def test_trigger_rejects_state_of_another_backend(workdir, tmp_path):
+    state = _rearmed_state(workdir, tmp_path, backend="bn254")
+    assert_malformed(invoke("trigger", "--state", state, "--token", workdir / "token.json",
+                            "--investor-seed", "inv", "--nonce", 5))
+
+
+def test_setup_with_unknown_backend_exits_2(tmp_path):
+    assert_malformed(invoke("setup", "--backend", "foo", "--out", tmp_path / "params.json"))
+
+
+@pytest.mark.parametrize("security", [256, "128"])
+def test_unsupported_security_level_exits_2(workdir, tmp_path, security):
+    params = _edited(workdir / "params.json", tmp_path, security=security)
+    assert_malformed(invoke("keygen-signer", "--params", params, "--seed", 1,
+                            "--pub-out", tmp_path / "spk.json", "--sec-out", tmp_path / "ssk.json"))
+
+
+@pytest.mark.parametrize("ledger", [[], "negative"])
+def test_malformed_ledger_exits_2(workdir, tmp_path, ledger):
+    state = json.loads((workdir / "state.json").read_text())["payload"]
+    if ledger == "negative":
+        ledger = {addr: -1 for addr in state["ledger"]}
+    path = _rearmed_state(workdir, tmp_path, ledger=ledger)
+    assert_malformed(invoke("trigger", "--state", path, "--token", workdir / "token.json",
+                            "--investor-seed", "inv", "--nonce", 5))
+    assert_malformed(invoke("pay-advance", "--state", path, "--amount", 100))
+
+
+def test_trigger_without_funds_is_a_reject(workdir, tmp_path):
+    state = _rearmed_state(workdir, tmp_path, investment_amount=901)
+    res = invoke("trigger", "--state", state, "--token", workdir / "token.json",
+                 "--investor-seed", "inv", "--nonce", 5)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert "reject" in res.output
+
+
+def _receipt(tmp_path, edit_gas):
+    gas = {"tkverify_gas": 355400, "ecrecover_gas": 3000, "total_gas": 358400, "pairing_pairs": 8,
+           "ec_additions": 256, "unpriced_scalar_mults": 8, "eth_cost": None}
+    payload = {"verdict": "reject", "gas": edit_gas(gas), "transfer": None}
+    path = tmp_path / "receipt.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "receipt", "payload": payload}))
+    return path
+
+
+@pytest.mark.parametrize("edit_gas", [
+    lambda gas: [],
+    lambda gas: {**gas, "ecrecover_gas": 0, "total_gas": gas["tkverify_gas"]},
+], ids=["list", "zero-ecrecover"])
+def test_malformed_receipt_gas_exits_2(tmp_path, edit_gas):
+    res = invoke("report-gas", "--receipt", _receipt(tmp_path, edit_gas))
+    assert_malformed(res)
+    assert "tkverify=" not in res.output
+
+
+def test_report_gas_with_zero_ecrecover_cost_exits_2(tmp_path):
+    path = tmp_path / "ct.json"
+    path.write_text(json.dumps({"ecrecover": 0}))
+    assert_malformed(invoke("report-gas", "--cost-table", path))
+
+
+@pytest.mark.parametrize("cost", [None, float("inf"), [1], "3000", True])
+def test_mistyped_cost_table_exits_2(tmp_path, cost):
+    path = tmp_path / "ct.json"
+    path.write_text(json.dumps({"ecrecover": cost}))
+    assert_malformed(invoke("report-gas", "--cost-table", path))
+
+
 def test_receive_rejects_foreign_delta(workdir, tmp_path):
     # delta signed for a different message must exit 1
     d = workdir

@@ -1,12 +1,254 @@
+import dataclasses
+import hashlib
 import json
+import random
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nomsig import contract as ct
 from nomsig import envelopes as env
-from nomsig import trigger
-from nomsig.gasmodel import GasReport, build_report
-from nomsig.scheme import OpCounts
+from nomsig import trigger, zkproto
+from nomsig.algebra import AlgebraError, get_backend
+from nomsig.bn254 import N
+from nomsig.cli import main
+from nomsig.gasmodel import build_report
+from nomsig.scheme import (
+    DeltaMsg,
+    NomSignature,
+    NomineePublicKey,
+    NomineeSecretKey,
+    OpCounts,
+    PublicParams,
+    SignerPublicKey,
+)
+
+PASSES = ("commitment", "first", "opening", "response", "verdict")
+
+# SHA-256 of each envelope file as the encoder wrote it before the table-driven
+# codec replaced the per-type functions: schema-v1 bytes must not move.
+GOLDEN = {
+    "params": "eb9b245344a3ff1129794e8b1a44186ac83369663b1332363fbad2c744b6a3b6",
+    "spk": "27e107fe231fefe27f183480bbd789b9f4ffff8e5d912c795ac21d32e5b38b3d",
+    "ssk": "d2a7f97b49323aa46c7494782148e864d58477474bef936dda24e549ad495e6f",
+    "npk": "53929dc7d94202d5cfa94439eef40cc1d616aa425a8489ab7d2cfb4aa1256811",
+    "nsk": "86e1b429a059877e192c3614504c86889577c8458c982210089e69219c254158",
+    "delta": "166ea41859adfc72417575153f699d04f1415cc83d9550571ba79aaa37b53cea",
+    "sigma": "afe3fe0d78adc94450073cc56b9ef8f4d1379c3d6032b1771a1e258863f5b416",
+    "token": "1c5e337455ac398ae839365d80769013a68413a9c2428516433af805506755d0",
+    "state-deployed": "4ecf4a8ad30f01dda103e1664420a65b10599d99f77149ed52bad6c1197238ed",
+    "state-advance": "e81d089a3c54a4b8e9b89bf24a789a858dae299a0f70f7a21d60ece812768a00",
+    "state-stored": "f0497eaeada6c43fb7702d1b683faa86566b40d975c0265a03eb57b583b66411",
+    "state-executed": "2d698ae0ebcb9db91412b4993c597f4c9fceeee75bfba1c6b509804fa6b953fa",
+    "receipt-reject": "e769977b11b8e95230cca2a750f51a9a065f53d014d0b4f85b04b9fa30b58720",
+    "receipt-accept": "68cf2dd55bf5b374b7e0904f4b5d99a1f896560e08be8eb3248d4894544580a3",
+    "confirm-commitment": "79548860f40116ba79d211803ea68d228fa2928d19551c7eedb0f37d9b883318",
+    "confirm-first": "ec0a889bd9ee33f632772f2df8e3820a3acea263fec81201166fba22c459c50a",
+    "confirm-opening": "17ac14a52317013b653262b6dcc88f83a5026a4f25556a16f68eda59dac76fd6",
+    "confirm-response": "a6ca74907bb9bc660985686c36c0f5eb36cb2d9594a8a104466774cb066b3df4",
+    "confirm-verdict": "3d573459a7bf75fb100d670e980755898b4d1244521d97121046e65f0759e1d6",
+    "disavow-commitment": "79548860f40116ba79d211803ea68d228fa2928d19551c7eedb0f37d9b883318",
+    "disavow-first": "d38fb0885c1909a18c04c2d323553230bbec99af652e91c940342abed45da364",
+    "disavow-opening": "17ac14a52317013b653262b6dcc88f83a5026a4f25556a16f68eda59dac76fd6",
+    "disavow-response": "890621e3b7df8e21c67e92bb2b47ae8b739d16e3b50f9a4caec2caeae9011b20",
+    "disavow-verdict": "3d573459a7bf75fb100d670e980755898b4d1244521d97121046e65f0759e1d6",
+}
+
+GOLDEN_BN254 = {
+    "spk": "bfd8af321125d8484323dd42276ef391f62f79fba4d67f139c4fdef35ce50e9c",
+    "ssk": "aa846c9006b702a8b5ec2bef656dbd186ac1fc3ee53b58979bc1b4430b0de909",
+    "npk": "fcae8ef528ce47f840fc6a0c534ad30965c36a861978b8f35db3d9483a19523d",
+    "nsk": "cc6051214b54dfe68243a24e9269af2c2074dabcdd2f418a0c626b442fda3631",
+    "delta": "75496001b145fa1d857802a4b99b969e498c76e389d2ee2b88f425460c4711af",
+    "sigma": "679080bed7ea60ac3865bc45b0d7246bdc37b45cba771a110e025f021a19c878",
+    "token": "20855d5478fb4c5b9f50d2704475379efb20c5fd4816c72454d254c7f5b50985",
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _run(*args):
+    return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def _commands(d: Path) -> dict:
+    """The non-interactive commands that read the pipeline's envelopes."""
+    keys = ["--params", d / "params.json", "--signer-pub", d / "spk.json",
+            "--nominee-pub", d / "npk.json"]
+    nsec = ["--nominee-sec", d / "nsk.json", "--message-file", d / "m.bin"]
+    trig = ["trigger", "--token", d / "token.json", "--investor-seed", "inv", "--nonce", 9]
+    return {
+        "sign": ["sign", *keys, "--signer-sec", d / "ssk.json", "--message-file", d / "m.bin",
+                 "--seed", 3, "--out", d / "out.json"],
+        "receive": ["receive", *keys, *nsec, "--delta", d / "delta.json", "--seed", 4,
+                    "--out", d / "out.json"],
+        "convert": ["convert", *keys, *nsec, "--sigma", d / "sigma.json", "--out", d / "out.json"],
+        "deploy": ["deploy", *keys, "--message-file", d / "m.bin", "--operator-seed", "op",
+                   "--investor-seed", "inv", "--investor-balance", 1000, "--advance", 100,
+                   "--investment", 700, "--state-out", d / "out.json"],
+        "pay-advance": ["pay-advance", "--state", d / "state-deployed.json", "--amount", 100],
+        "store-sig": ["store-sig", "--state", d / "state-advance.json", "--sigma", d / "sigma.json"],
+        "trigger": [*trig, "--state", d / "state-stored.json"],
+        "trigger-executed": [*trig, "--state", d / "state-executed.json"],
+        "report-accept": ["report-gas", "--receipt", d / "receipt-accept.json"],
+        "report-reject": ["report-gas", "--receipt", d / "receipt-reject.json"],
+    }
+
+
+# Each envelope the CLI writes, the commands that read it, and their exit
+# code on the unmutated files.
+READERS = {
+    "params": ["sign", "deploy"],
+    "spk": ["sign", "deploy"],
+    "ssk": ["sign"],
+    "npk": ["sign", "deploy"],
+    "nsk": ["receive", "convert"],
+    "delta": ["receive"],
+    "sigma": ["convert", "store-sig"],
+    "token": ["trigger"],
+    "state-deployed": ["pay-advance"],
+    "state-advance": ["store-sig"],
+    "state-stored": ["trigger"],
+    "state-executed": ["trigger-executed"],
+    "receipt-accept": ["report-accept"],
+    "receipt-reject": ["report-reject"],
+}
+EXPECTED_EXIT = {"trigger-executed": 1}
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """The mock pipeline through the CLI, with the state saved after each phase."""
+    d = tmp_path_factory.mktemp("golden")
+    (d / "m.bin").write_bytes(b"golden program source")
+
+    def run(*args, code=0):
+        res = _run(*args)
+        assert res.exit_code == code, res.output
+
+    keys = ["--params", d / "params.json", "--signer-pub", d / "spk.json",
+            "--nominee-pub", d / "npk.json"]
+    nsec = ["--nominee-sec", d / "nsk.json", "--message-file", d / "m.bin"]
+    run("setup", "--backend", "mock", "--out", d / "params.json")
+    run("keygen-signer", "--params", d / "params.json", "--seed", 1,
+        "--pub-out", d / "spk.json", "--sec-out", d / "ssk.json")
+    run("keygen-nominee", "--params", d / "params.json", "--seed", 2,
+        "--pub-out", d / "npk.json", "--sec-out", d / "nsk.json")
+    run("sign", *keys, "--signer-sec", d / "ssk.json", "--message-file", d / "m.bin",
+        "--seed", 3, "--out", d / "delta.json")
+    run("receive", *keys, *nsec, "--delta", d / "delta.json", "--seed", 4, "--out", d / "sigma.json")
+    run("convert", *keys, *nsec, "--sigma", d / "sigma.json", "--out", d / "token.json")
+    run("deploy", *keys, "--message-file", d / "m.bin", "--operator-seed", "op",
+        "--investor-seed", "inv", "--investor-balance", 1000, "--advance", 100,
+        "--investment", 700, "--state-out", d / "state.json")
+    shutil.copy(d / "state.json", d / "state-deployed.json")
+    run("pay-advance", "--state", d / "state.json", "--amount", 100)
+    shutil.copy(d / "state.json", d / "state-advance.json")
+    run("store-sig", "--state", d / "state.json", "--sigma", d / "sigma.json")
+    shutil.copy(d / "state.json", d / "state-stored.json")
+    token = json.loads((d / "token.json").read_text())
+    p = token["payload"]
+    p["tk1"], p["tk2"] = p["tk2"], p["tk1"]
+    (d / "token-bad.json").write_text(json.dumps(token))
+    # With a gas price every receipt leaf is set: a null eth_cost replaced by
+    # a numeric string would be a well-formed receipt, not a malformed one.
+    trig = ["trigger", "--state", d / "state.json", "--investor-seed", "inv",
+            "--gas-price", "1/50000000"]
+    run(*trig, "--token", d / "token-bad.json", "--nonce", 1,
+        "--receipt-out", d / "receipt-reject.json", code=1)
+    run(*trig, "--token", d / "token.json", "--nonce", 2, "--receipt-out", d / "receipt-accept.json")
+    shutil.copy(d / "state.json", d / "state-executed.json")
+    return d
+
+
+def test_cli_envelopes_match_golden_digests(cli_dir, tmp_path):
+    d = cli_dir
+    got = {name: _digest(d / f"{name}.json") for name in READERS}
+    # The transport files as the two CLI processes write them: verifier seed
+    # 100, prover seed 101, confirm on sigma and disavow on sigma with s + 1.
+    par = env.read_object(str(d / "params.json"), PublicParams)
+    pk_s = env.read_object(str(d / "spk.json"), SignerPublicKey, par.backend)
+    pk_n = env.read_object(str(d / "npk.json"), NomineePublicKey, par.backend)
+    sk_n = env.read_object(str(d / "nsk.json"), NomineeSecretKey)
+    sigma = env.read_object(str(d / "sigma.json"), NomSignature, par.backend)
+    m = (d / "m.bin").read_bytes()
+    for proto, sig, run in (
+        ("confirm", sigma, zkproto.run_confirm),
+        ("disavow", dataclasses.replace(sigma, s=sigma.s + 1), zkproto.run_disavow),
+    ):
+        stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sig)
+        ok, tr = run(stmt, sk_n, random.Random(101), random.Random(100))
+        assert ok
+        for pass_name, msg in zip(PASSES, tr.messages()):
+            path = tmp_path / f"{proto}-{pass_name}.json"
+            env.write_object(str(path), msg, "mock")
+            got[f"{proto}-{pass_name}"] = _digest(path)
+    assert got == GOLDEN
+
+
+def test_real_backend_envelopes_match_golden_digests(real_pipeline, tmp_path):
+    p = real_pipeline
+    got = {}
+    for name, obj in (("spk", p.pk_s), ("ssk", p.sk_s), ("npk", p.pk_n), ("nsk", p.sk_n),
+                      ("delta", p.delta), ("sigma", p.sigma), ("token", p.tk)):
+        env.write_object(str(tmp_path / name), obj)
+        got[name] = _digest(tmp_path / name)
+    assert got == GOLDEN_BN254
+
+
+@pytest.mark.parametrize("command", sorted({c for cs in READERS.values() for c in cs}))
+def test_reader_commands_run_on_unmutated_envelopes(cli_dir, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(shutil.copytree(cli_dir, Path(tmp) / "d"))
+        res = _run(*_commands(d)[command])
+        assert res.exit_code == EXPECTED_EXIT.get(command, 0), res.output
+
+
+def _leaves(obj, path=()):
+    """Paths to the leaves of a JSON value; a list contributes its first and
+    last entry, so the 257-entry key vectors do not crowd out other fields."""
+    if isinstance(obj, dict) and obj:
+        return [leaf for k, v in obj.items() for leaf in _leaves(v, path + (k,))]
+    if isinstance(obj, list) and obj:
+        return [leaf for i in sorted({0, len(obj) - 1}) for leaf in _leaves(obj[i], path + (i,))]
+    return [path]
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+MUTATIONS = [(name, cmd) for name, cmds in READERS.items() for cmd in cmds]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_mistyped_leaf_exits_2(cli_dir, data):
+    name, command = data.draw(st.sampled_from(MUTATIONS), label="envelope, command")
+    obj = json.loads((cli_dir / f"{name}.json").read_text())
+    path = data.draw(st.sampled_from(_leaves(obj)), label="leaf")
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    # eth_cost may be null, so null is no mistype for it.
+    parent[path[-1]] = data.draw(JSON_VALUES.filter(
+        lambda v: type(v) is not type(old) and not (v is None and path[-1] == "eth_cost")),
+        label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(shutil.copytree(cli_dir, Path(tmp) / "d"))
+        (d / f"{name}.json").write_text(json.dumps(obj))
+        res = _run(*_commands(d)[command])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
 
 
 def test_envelope_version_gate():
@@ -14,6 +256,8 @@ def test_envelope_version_gate():
     assert env.parse_envelope(good) == ("sigma", {})
     for bad in (
         {"schema_version": 2, "kind": "sigma", "payload": {}},
+        {"schema_version": True, "kind": "sigma", "payload": {}},
+        {"schema_version": 1.0, "kind": "sigma", "payload": {}},
         {"kind": "sigma", "payload": {}},
         {"schema_version": 1, "kind": "nope", "payload": {}},
         {"schema_version": 1, "kind": "sigma", "payload": []},
@@ -34,35 +278,76 @@ def test_file_roundtrip(tmp_path):
     (tmp_path / "bad.json").write_text("{nope")
     with pytest.raises(env.EnvelopeError):
         env.read_envelope(str(tmp_path / "bad.json"))
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(env.EnvelopeError):
+        env.read_envelope(str(tmp_path / "binary.json"))
+
+
+def _roundtrip(obj, backend=None, context=None):
+    return env.object_from_payload(type(obj), env.to_payload(obj, context), backend)
 
 
 def test_key_payload_roundtrips(mock_pipeline):
     p = mock_pipeline
-    assert env.signer_public_from_payload(env.signer_public_payload(p.pk_s)) == p.pk_s
-    assert env.signer_secret_from_payload(env.signer_secret_payload(p.sk_s)) == p.sk_s
-    assert env.nominee_public_from_payload(env.nominee_public_payload(p.pk_n)) == p.pk_n
-    assert env.nominee_secret_from_payload(env.nominee_secret_payload(p.sk_n)) == p.sk_n
-    par2 = env.params_from_payload(env.params_payload(p.par))
+    for obj in (p.pk_s, p.sk_s, p.pk_n, p.sk_n):
+        assert _roundtrip(obj) == obj
+        assert _roundtrip(obj, p.par.backend) == obj
+    par2 = _roundtrip(p.par)
     assert par2.backend.name == p.par.backend.name and par2.order == p.par.order
 
 
 def test_key_role_mismatch_rejected(mock_pipeline):
-    payload = env.signer_public_payload(mock_pipeline.pk_s)
+    payload = env.to_payload(mock_pipeline.pk_s)
     with pytest.raises(env.EnvelopeError):
-        env.nominee_public_from_payload(payload)
+        env.object_from_payload(NomineePublicKey, payload)
+    with pytest.raises(env.EnvelopeError):
+        env.object_from_payload(PublicParams, payload)
 
 
 def test_artifact_roundtrips(mock_pipeline):
     p = mock_pipeline
-    assert env.delta_from_payload(env.delta_payload(p.delta)) == p.delta
-    assert env.sigma_from_payload(env.sigma_payload(p.sigma)) == p.sigma
-    assert env.token_from_payload(env.token_payload(p.tk)) == p.tk
+    for obj in (p.delta, p.sigma, p.tk):
+        assert _roundtrip(obj) == obj
 
 
 def test_real_backend_artifact_roundtrips(real_pipeline):
     p = real_pipeline
-    assert env.sigma_from_payload(env.sigma_payload(p.sigma)) == p.sigma
-    assert env.token_from_payload(env.token_payload(p.tk)) == p.tk
+    assert _roundtrip(p.sigma) == p.sigma
+    assert _roundtrip(p.tk, p.par.backend) == p.tk
+
+
+def test_every_codec_type_names_its_dataclass_fields():
+    for cls, (kind, _, fields) in env.CODEC.items():
+        assert kind in env.KINDS
+        if cls is not bool:
+            assert list(fields) == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_scalars_must_be_canonical_and_in_range(mock_pipeline):
+    payload = env.to_payload(mock_pipeline.sigma)
+    for bad in (hex(2**300), hex(N), "-5", "-0x5", "5", "0x05", "0X5", "", 5, None):
+        with pytest.raises(env.EnvelopeError):
+            env.object_from_payload(NomSignature, {**payload, "s": bad})
+    assert env.object_from_payload(NomSignature, {**payload, "s": hex(N - 1)}).s == N - 1
+    secret = env.to_payload(mock_pipeline.sk_n)
+    for field in ("y1", "y2"):
+        with pytest.raises(env.EnvelopeError):
+            env.object_from_payload(NomineeSecretKey, {**secret, field: "0x0"})
+    assert env.object_from_payload(NomineeSecretKey, {**secret, "alphaN": "0x0"}).alphaN == 0
+
+
+def test_backend_must_match_the_commands(mock_pipeline):
+    p = mock_pipeline
+    real = get_backend("bn254")
+    for obj in (p.pk_s, p.delta, p.sigma, p.tk):
+        with pytest.raises(env.EnvelopeError):
+            _roundtrip(obj, real)
+    # A payload that names bn254 but holds mock encodings fails in the group decoding.
+    with pytest.raises(AlgebraError):
+        env.object_from_payload(DeltaMsg, {**env.to_payload(p.delta), "backend": "bn254"})
+    # Secret keys hold no group element and name no backend.
+    assert _roundtrip(p.sk_s, real) == p.sk_s
+    assert "backend" not in env.to_payload(p.sk_s)
 
 
 def test_contract_state_roundtrip(mock_pipeline):
@@ -73,38 +358,60 @@ def test_contract_state_roundtrip(mock_pipeline):
     state = ct.deploy(p.m, op, inv, p.pk_s, p.pk_n, p.par, 5, 300)
     ct.pay_advance(state, ledger, 5)
     ct.store_signature(state, p.sigma)
-    state2, ledger2 = env.contract_state_from_payload(env.contract_state_payload(state, ledger))
+    state2, ledger2 = _roundtrip(state, context=ledger)
     assert state2.phase is state.phase
     assert state2.m == state.m
     assert state2.stored_sigma == state.stored_sigma
     assert state2.pk_s == state.pk_s and state2.pk_n == state.pk_n
     assert ledger2.balances == ledger.balances
+    payload = env.to_payload(state, ledger)
+    for edit in ({"sigma": None}, {"ledger": []}, {"ledger": {op.hex(): -1, inv.hex(): 900}},
+                 {"ledger": {op.hex(): 7}}, {"phase": "Nope"}, {"used_nonces": 3},
+                 {"pk_s": {**payload["pk_s"], "backend": "bn254"}}):
+        with pytest.raises(env.EnvelopeError):
+            env.object_from_payload(ct.ContractState, {**payload, **edit})
 
 
 def test_receipt_roundtrip():
     rep = build_report(OpCounts(8, 256, 2))
     rc = ct.ExecutionReceipt(verdict=True, gas=rep, transfer=(b"a" * 20, b"b" * 20, 5))
-    back = env.receipt_from_payload(env.receipt_payload(rc))
-    assert back == rc
+    assert _roundtrip(rc) == rc
     rc2 = ct.ExecutionReceipt(verdict=False, gas=rep)
-    assert env.receipt_from_payload(env.receipt_payload(rc2)) == rc2
+    assert _roundtrip(rc2) == rc2
+    payload = env.to_payload(rc)
+    for edit in ({"verdict": "maybe"}, {"transfer": None}, {"gas": []},
+                 {"gas": {**payload["gas"], "total_gas": 1}},
+                 {"gas": {**payload["gas"], "eth_cost": 5}}):
+        with pytest.raises(env.EnvelopeError):
+            env.object_from_payload(ct.ExecutionReceipt, {**payload, **edit})
 
 
 def test_transcript_messages_roundtrip(mock_pipeline):
-    import random
-
-    from nomsig import zkproto
-
     p = mock_pipeline
     stmt = zkproto.derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
     ok, tr = zkproto.run_confirm(stmt, p.sk_n, random.Random(1), random.Random(2))
     assert ok
-    for pass_name, msg in zip(
-        ("commitment", "first", "opening", "response", "verdict"), tr.messages()
-    ):
-        payload = env.transcript_msg_payload("mock", pass_name, msg)
-        assert env.transcript_msg_from_payload(payload) == msg
+    for pass_name, msg in zip(PASSES, tr.messages()):
+        payload = env.to_payload(msg, "mock")
+        assert payload["pass"] == pass_name
+        assert env.object_from_payload(type(msg), payload) == msg
+        assert env.object_from_payload(type(msg), payload, p.par.backend) == msg
+        with pytest.raises(env.EnvelopeError):
+            env.object_from_payload(type(msg), payload, get_backend("bn254"))
     with pytest.raises(env.EnvelopeError):
-        env.transcript_msg_payload("mock", "commitment", object())
+        env.to_payload(object(), "mock")
     with pytest.raises(env.EnvelopeError):
-        env.transcript_msg_from_payload({"backend": "mock", "pass": "nope", "body": {}})
+        env.object_from_payload(zkproto.ChallengeCommitment, {"backend": "mock", "pass": "nope", "body": {}})
+    with pytest.raises(env.EnvelopeError):
+        env.object_from_payload(bool, {"backend": "mock", "pass": "verdict", "body": {"verdict": 1}})
+
+
+def test_disavow_messages_roundtrip_with_optional_fields(mock_pipeline):
+    p = mock_pipeline
+    bad = dataclasses.replace(p.sigma, s=(p.sigma.s + 1) % N)
+    stmt = zkproto.derive_statement(p.par, p.pk_s, p.pk_n, p.m, bad)
+    ok, tr = zkproto.run_disavow(stmt, p.sk_n, random.Random(3), random.Random(4))
+    assert ok and tr.first.C is not None and tr.response.z3 is not None
+    for msg in (tr.first, tr.response):
+        assert _roundtrip(msg, context="mock") == msg
+    assert env.to_payload(zkproto.SigmaResponse(1, 2), "mock")["body"]["z3"] is None
