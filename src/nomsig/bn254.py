@@ -17,11 +17,15 @@ Representation conventions:
 
 G2 points live on the D-type twist y^2 = x^3 + 3/XI over Fp2; the untwist
 into E(Fp12) is (x*w^2, y*w^3) and only appears implicitly in the sparse
-line evaluations of the Miller loop.
+line evaluations of the Miller loop, which ``_f12_mul_line`` multiplies in.
+
+Inversions in Fp and Fp2 use Python's extended-Euclid ``pow(x, -1, P)``,
+which raises ValueError on zero. Dense Fp12 products are Karatsuba over
+Fp6 = Fp2[w^2], on plain ints reduced once per output coefficient.
 
 GT, and every value past the easy part of the final exponentiation, lies in
 the cyclotomic subgroup of Fp12*: there ``f12_cyc_pow`` exponentiates with
-cyclotomic squarings, and ``f12_pow`` is the generic square-and-multiply.
+cyclotomic squarings.
 """
 
 from . import curve
@@ -88,7 +92,7 @@ def f2_mul_xi(a):
 
 def f2_inv(a):
     a0, a1 = a
-    d = pow(a0 * a0 + a1 * a1, P - 2, P)
+    d = pow(a0 * a0 + a1 * a1, -1, P)
     return (a0 * d % P, -a1 * d % P)
 
 
@@ -128,76 +132,163 @@ def f2_sqrt(a):
         x0 = _sqrt_fp(d)
         if x0 is None or x0 == 0:
             continue
-        x1 = a1 * pow(2 * x0, P - 2, P) % P
+        x1 = a1 * pow(2 * x0, -1, P) % P
         if f2_sqr((x0, x1)) == a:
             return (x0, x1)
     return None
 
 
 # ---------------------------------------------------------------------------
-# Fp6 = Fp2[v] / (v^3 - XI), used only for Fp12 inversion
+# Fp6 = Fp2[v] / (v^3 - XI) with v = w^2, the middle level of the tower.
+#
+# Here an Fp6 element c0 + c1*v + c2*v^2 is a flat 6-tuple of ints
+# (c0[0], c0[1], c1[0], c1[1], c2[0], c2[1]). The products below take any
+# ints, reduced or not, and return their six coefficients unreduced: each
+# caller reduces each output coefficient mod P once.
 # ---------------------------------------------------------------------------
 
 
 def _f6_mul(a, b):
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    t00 = f2_mul(a0, b0)
-    t11 = f2_mul(a1, b1)
-    t22 = f2_mul(a2, b2)
-    c0 = f2_add(t00, f2_mul_xi(f2_sub(f2_mul(f2_add(a1, a2), f2_add(b1, b2)), f2_add(t11, t22))))
-    c1 = f2_add(f2_sub(f2_mul(f2_add(a0, a1), f2_add(b0, b1)), f2_add(t00, t11)), f2_mul_xi(t22))
-    c2 = f2_add(f2_sub(f2_mul(f2_add(a0, a2), f2_add(b0, b2)), f2_add(t00, t22)), t11)
-    return (c0, c1, c2)
+    """a * b, unreduced, with Karatsuba over Fp6 and within each of its 6 Fp2 products.
+
+    c0 = a0*b0 + XI*(a1*b2 + a2*b1), c1 = a0*b1 + a1*b0 + XI*a2*b2 and
+    c2 = a0*b2 + a2*b0 + a1*b1, each sum of cross terms taken as
+    (ai + aj)(bi + bj) - ai*bi - aj*bj.
+    """
+    a00, a01, a10, a11, a20, a21 = a
+    b00, b01, b10, b11, b20, b21 = b
+    m, n = a00 * b00, a01 * b01
+    t00, t01 = m - n, (a00 + a01) * (b00 + b01) - m - n  # a0*b0
+    m, n = a10 * b10, a11 * b11
+    t10, t11 = m - n, (a10 + a11) * (b10 + b11) - m - n  # a1*b1
+    m, n = a20 * b20, a21 * b21
+    t20, t21 = m - n, (a20 + a21) * (b20 + b21) - m - n  # a2*b2
+    x0, x1, y0, y1 = a10 + a20, a11 + a21, b10 + b20, b11 + b21
+    m, n = x0 * y0, x1 * y1
+    u0, u1 = m - n - t10 - t20, (x0 + x1) * (y0 + y1) - m - n - t11 - t21  # a1*b2 + a2*b1
+    x0, x1, y0, y1 = a00 + a10, a01 + a11, b00 + b10, b01 + b11
+    m, n = x0 * y0, x1 * y1
+    v0, v1 = m - n - t00 - t10, (x0 + x1) * (y0 + y1) - m - n - t01 - t11  # a0*b1 + a1*b0
+    x0, x1, y0, y1 = a00 + a20, a01 + a21, b00 + b20, b01 + b21
+    m, n = x0 * y0, x1 * y1  # for a0*b2 + a2*b0
+    return (
+        t00 + 9 * u0 - u1, t01 + 9 * u1 + u0,
+        v0 + 9 * t20 - t21, v1 + 9 * t21 + t20,
+        m - n - t00 - t20 + t10, (x0 + x1) * (y0 + y1) - m - n - t01 - t21 + t11,
+    )
+
+
+def _f6_mul_01(a, b0, b1):
+    """a * (b0 + b1*v) for Fp2 pairs b0, b1, unreduced: 5 Fp2 products."""
+    a00, a01, a10, a11, a20, a21 = a
+    b00, b01 = b0
+    b10, b11 = b1
+    m, n = a00 * b00, a01 * b01
+    t00, t01 = m - n, (a00 + a01) * (b00 + b01) - m - n  # a0*b0
+    m, n = a10 * b10, a11 * b11
+    t10, t11 = m - n, (a10 + a11) * (b10 + b11) - m - n  # a1*b1
+    m, n = a20 * b10, a21 * b11
+    u0, u1 = m - n, (a20 + a21) * (b10 + b11) - m - n  # a2*b1
+    m, n = a20 * b00, a21 * b01
+    s0, s1 = m - n, (a20 + a21) * (b00 + b01) - m - n  # a2*b0
+    x0, x1, y0, y1 = a00 + a10, a01 + a11, b00 + b10, b01 + b11
+    m, n = x0 * y0, x1 * y1  # for a0*b1 + a1*b0
+    return (
+        t00 + 9 * u0 - u1, t01 + 9 * u1 + u0,
+        m - n - t00 - t10, (x0 + x1) * (y0 + y1) - m - n - t01 - t11,
+        t10 + s0, t11 + s1,
+    )
 
 
 def _f6_inv(a):
-    a0, a1, a2 = a
+    """The inverse of a nonzero Fp6 element a (any ints), reduced."""
+    a0, a1, a2 = (a[0] % P, a[1] % P), (a[2] % P, a[3] % P), (a[4] % P, a[5] % P)
     c0 = f2_sub(f2_sqr(a0), f2_mul_xi(f2_mul(a1, a2)))
     c1 = f2_sub(f2_mul_xi(f2_sqr(a2)), f2_mul(a0, a1))
     c2 = f2_sub(f2_sqr(a1), f2_mul(a0, a2))
     t = f2_add(f2_mul(a0, c0), f2_mul_xi(f2_add(f2_mul(a2, c1), f2_mul(a1, c2))))
     ti = f2_inv(t)
-    return (f2_mul(c0, ti), f2_mul(c1, ti), f2_mul(c2, ti))
-
-
-def _f6_mul_v(a):
-    return (f2_mul_xi(a[2]), a[0], a[1])
-
-
-def _f6_neg(a):
-    return (f2_neg(a[0]), f2_neg(a[1]), f2_neg(a[2]))
-
-
-def _f6_sub(a, b):
-    return (f2_sub(a[0], b[0]), f2_sub(a[1], b[1]), f2_sub(a[2], b[2]))
+    return (*f2_mul(c0, ti), *f2_mul(c1, ti), *f2_mul(c2, ti))
 
 
 # ---------------------------------------------------------------------------
-# Fp12 = Fp2[w] / (w^6 - XI)
+# Fp12 = Fp2[w] / (w^6 - XI) = Fp6[w] / (w^2 - v)
+#
+# a = A0 + A1*w with the Fp6 halves A0 = (a[0], a[2], a[4]) and
+# A1 = (a[1], a[3], a[5]). Karatsuba over this split and over Fp6 gives a
+# dense product of 18 Fp2 products (Devegili, O hEigeartaigh, Scott and
+# Dahab, "Multiplication and Squaring on Pairing-Friendly Fields", 2006).
 # ---------------------------------------------------------------------------
 
 F12_ONE = (F2_ONE, F2_ZERO, F2_ZERO, F2_ZERO, F2_ZERO, F2_ZERO)
 
 
 def f12_mul(a, b):
-    c = [(0, 0)] * 11
-    for i in range(6):
-        ai = a[i]
-        if ai == F2_ZERO:
-            continue
-        for j in range(6):
-            if b[j] == F2_ZERO:
-                continue
-            c[i + j] = f2_add(c[i + j], f2_mul(ai, b[j]))
-    for k in range(10, 5, -1):
-        if c[k] != F2_ZERO:
-            c[k - 6] = f2_add(c[k - 6], f2_mul_xi(c[k]))
-    return tuple(c[:6])
+    """a * b = A0*B0 + v*A1*B1 + ((A0 + A1)(B0 + B1) - A0*B0 - A1*B1)*w."""
+    (a00, a01), (a10, a11), (a20, a21), (a30, a31), (a40, a41), (a50, a51) = a
+    (b00, b01), (b10, b11), (b20, b21), (b30, b31), (b40, b41), (b50, b51) = b
+    t00, t01, t10, t11, t20, t21 = _f6_mul((a00, a01, a20, a21, a40, a41), (b00, b01, b20, b21, b40, b41))
+    s00, s01, s10, s11, s20, s21 = _f6_mul((a10, a11, a30, a31, a50, a51), (b10, b11, b30, b31, b50, b51))
+    u00, u01, u10, u11, u20, u21 = _f6_mul(
+        (a00 + a10, a01 + a11, a20 + a30, a21 + a31, a40 + a50, a41 + a51),
+        (b00 + b10, b01 + b11, b20 + b30, b21 + b31, b40 + b50, b41 + b51),
+    )
+    return (
+        ((t00 + 9 * s20 - s21) % P, (t01 + 9 * s21 + s20) % P),
+        ((u00 - t00 - s00) % P, (u01 - t01 - s01) % P),
+        ((t10 + s00) % P, (t11 + s01) % P),
+        ((u10 - t10 - s10) % P, (u11 - t11 - s11) % P),
+        ((t20 + s10) % P, (t21 + s11) % P),
+        ((u20 - t20 - s20) % P, (u21 - t21 - s21) % P),
+    )
 
 
 def f12_sqr(a):
-    return f12_mul(a, a)
+    """a^2 by the complex method: with t = A0*A1, (A0 + A1)(A0 + v*A1) - t - v*t + 2t*w."""
+    (a00, a01), (a10, a11), (a20, a21), (a30, a31), (a40, a41), (a50, a51) = a
+    t0, t1, t2, t3, t4, t5 = _f6_mul((a00, a01, a20, a21, a40, a41), (a10, a11, a30, a31, a50, a51))
+    u0, u1, u2, u3, u4, u5 = _f6_mul(
+        (a00 + a10, a01 + a11, a20 + a30, a21 + a31, a40 + a50, a41 + a51),
+        (a00 + 9 * a50 - a51, a01 + 9 * a51 + a50, a20 + a10, a21 + a11, a40 + a30, a41 + a31),
+    )
+    return (
+        ((u0 - t0 - 9 * t4 + t5) % P, (u1 - t1 - 9 * t5 - t4) % P),
+        (2 * t0 % P, 2 * t1 % P),
+        ((u2 - t2 - t0) % P, (u3 - t3 - t1) % P),
+        (2 * t2 % P, 2 * t3 % P),
+        ((u4 - t4 - t2) % P, (u5 - t5 - t3) % P),
+        (2 * t4 % P, 2 * t5 % P),
+    )
+
+
+def _f12_mul_line(f, l0, l1, l3):
+    """f * (l0 + l1*w + l3*w^3) for l0 in Fp: the shape of every chord and tangent line.
+
+    The line is L0 + L1*w with L0 = l0 and L1 = l1 + l3*v, so Karatsuba costs
+    6 Fp-scalar products for F0*L0 and two sparse Fp6 products (Aranha et al.,
+    EUROCRYPT 2011).
+    """
+    (a00, a01), (a10, a11), (a20, a21), (a30, a31), (a40, a41), (a50, a51) = f
+    x0, x1, x2, x3, x4, x5 = a00 * l0, a01 * l0, a20 * l0, a21 * l0, a40 * l0, a41 * l0
+    y0, y1, y2, y3, y4, y5 = _f6_mul_01((a10, a11, a30, a31, a50, a51), l1, l3)
+    z0, z1, z2, z3, z4, z5 = _f6_mul_01(
+        (a00 + a10, a01 + a11, a20 + a30, a21 + a31, a40 + a50, a41 + a51), (l0 + l1[0], l1[1]), l3
+    )
+    return (
+        ((x0 + 9 * y4 - y5) % P, (x1 + 9 * y5 + y4) % P),
+        ((z0 - x0 - y0) % P, (z1 - x1 - y1) % P),
+        ((x2 + y0) % P, (x3 + y1) % P),
+        ((z2 - x2 - y2) % P, (z3 - x3 - y3) % P),
+        ((x4 + y2) % P, (x5 + y3) % P),
+        ((z4 - x4 - y4) % P, (z5 - x5 - y5) % P),
+    )
+
+
+def _f12_mul_f6(a, b):
+    """a * b for b in the subfield Fp6, given as a flat tuple: A0*b + A1*b*w."""
+    c = _f6_mul((*a[0], *a[2], *a[4]), b)
+    d = _f6_mul((*a[1], *a[3], *a[5]), b)
+    return tuple((x[k] % P, x[k + 1] % P) for k in (0, 2, 4) for x in (c, d))
 
 
 def f12_conj(a):
@@ -206,13 +297,11 @@ def f12_conj(a):
 
 
 def f12_inv(a):
-    # Split against the subfield Fp6 = Fp2[w^2]: a = a0 + a1*w.
-    a0 = (a[0], a[2], a[4])
-    a1 = (a[1], a[3], a[5])
-    t = _f6_inv(_f6_sub(_f6_mul(a0, a0), _f6_mul_v(_f6_mul(a1, a1))))
-    r0 = _f6_mul(a0, t)
-    r1 = _f6_neg(_f6_mul(a1, t))
-    return (r0[0], r1[0], r0[1], r1[1], r0[2], r1[2])
+    """(A0 - A1*w) / (A0^2 - v*A1^2)."""
+    a0, a1 = (*a[0], *a[2], *a[4]), (*a[1], *a[3], *a[5])
+    s, t = _f6_mul(a0, a0), _f6_mul(a1, a1)
+    d = (s[0] - 9 * t[4] + t[5], s[1] - 9 * t[5] - t[4], s[2] - t[0], s[3] - t[1], s[4] - t[2], s[5] - t[3])
+    return _f12_mul_f6(f12_conj(a), _f6_inv(d))
 
 
 _FROB_GAMMA = tuple(f2_pow(XI, i * (P - 1) // 6) for i in range(6))
@@ -221,18 +310,6 @@ _FROB_GAMMA = tuple(f2_pow(XI, i * (P - 1) // 6) for i in range(6))
 def f12_frob(a):
     """The p-power Frobenius."""
     return tuple(f2_mul(f2_conj(a[i]), _FROB_GAMMA[i]) for i in range(6))
-
-
-def f12_pow(a, e):
-    if e < 0:
-        return f12_pow(f12_inv(a), -e)
-    r = F12_ONE
-    while e:
-        if e & 1:
-            r = f12_mul(r, a)
-        a = f12_mul(a, a)
-        e >>= 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +333,26 @@ def f12_cyc_sqr(a):
     a^2 = (3A^2 - 2conj(A)) + (3s*C^2 + 2conj(B))*w + (3B^2 - 2conj(C))*w^2,
     where conj(x + y*s) = x - y*s is the p^2-power Frobenius of Fp4.
     """
-    a0, a1, a2, a3, a4, a5 = a
-    A0, A1 = _f4_sqr(a0, a3)
-    B0, B1 = _f4_sqr(a1, a4)
-    C0, C1 = _f4_sqr(a2, a5)
+    (a00, a01), (a10, a11), (a20, a21), (a30, a31), (a40, a41), (a50, a51) = a
+    A0, A1, A2, A3 = _f4_sqr(a00, a01, a30, a31)
+    B0, B1, B2, B3 = _f4_sqr(a10, a11, a40, a41)
+    C0, C1, C2, C3 = _f4_sqr(a20, a21, a50, a51)
     return (
-        _cyc_coeff(A0, a0, -2),
-        _cyc_coeff(f2_mul_xi(C1), a1, 2),
-        _cyc_coeff(B0, a2, -2),
-        _cyc_coeff(A1, a3, 2),
-        _cyc_coeff(C0, a4, -2),
-        _cyc_coeff(B1, a5, 2),
+        ((3 * A0 - 2 * a00) % P, (3 * A1 - 2 * a01) % P),
+        ((3 * (9 * C2 - C3) + 2 * a10) % P, (3 * (9 * C3 + C2) + 2 * a11) % P),
+        ((3 * B0 - 2 * a20) % P, (3 * B1 - 2 * a21) % P),
+        ((3 * A2 + 2 * a30) % P, (3 * A3 + 2 * a31) % P),
+        ((3 * C0 - 2 * a40) % P, (3 * C1 - 2 * a41) % P),
+        ((3 * B2 + 2 * a50) % P, (3 * B3 + 2 * a51) % P),
     )
 
 
-def _f4_sqr(x, y):
-    """(x + y*s)^2 = (x^2 + XI*y^2) + 2xy*s, from three Fp2 squarings."""
-    t0 = f2_sqr(x)
-    t1 = f2_sqr(y)
-    return f2_add(t0, f2_mul_xi(t1)), f2_sub(f2_sqr(f2_add(x, y)), f2_add(t0, t1))
-
-
-def _cyc_coeff(t, c, k):
-    """3t + k*c in Fp2."""
-    return ((3 * t[0] + k * c[0]) % P, (3 * t[1] + k * c[1]) % P)
+def _f4_sqr(x0, x1, y0, y1):
+    """(x + y*s)^2 = (x^2 + XI*y^2) + 2xy*s as 4 unreduced ints, from three Fp2 squarings."""
+    t0, t1 = (x0 + x1) * (x0 - x1), 2 * x0 * x1
+    u0, u1 = (y0 + y1) * (y0 - y1), 2 * y0 * y1
+    s0, s1 = x0 + y0, x1 + y1
+    return t0 + 9 * u0 - u1, t1 + 9 * u1 + u0, (s0 + s1) * (s0 - s1) - t0 - u0, 2 * s0 * s1 - t1 - u1
 
 
 def _naf(k):
@@ -315,13 +388,6 @@ def f12_cyc_pow(a, k):
 
 G1_B = 3
 G1_GEN = (1, 2)
-
-
-def g1_is_on_curve(pt):
-    if pt is None:
-        return True
-    x, y = pt
-    return (y * y - x * x * x - G1_B) % P == 0
 
 
 def g1_neg(pt):
@@ -540,14 +606,13 @@ def _line_steps(f, ts, qs, ps):
     sums = []
     for t, q, (xp, nyp), s in zip(ts, qs, ps, slopes):
         x1, y1 = t
-        if s is None:  # vertical: xp - x1*w^2
-            line = ((xp, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
+        if s is None:  # vertical: xp - x1*w^2, which lies in Fp6
+            f = _f12_mul_f6(f, (xp, 0, -x1[0], -x1[1], 0, 0))
             sums.append(None)
         else:  # m*xp*w - yp + (y1 - m*x1)*w^3
             m = f2_mul(s[0], next(invs))
-            line = ((nyp, 0), f2_muli(m, xp), F2_ZERO, f2_sub(y1, f2_mul(m, x1)), F2_ZERO, F2_ZERO)
+            f = _f12_mul_line(f, nyp, f2_muli(m, xp), f2_sub(y1, f2_mul(m, x1)))
             sums.append(_chord_end(t, q, m))
-        f = f12_mul(f, line)
     return f, sums
 
 

@@ -51,9 +51,12 @@ def _read_message(path: str) -> bytes:
 def _gas_price_opt(gas_price, use_default: bool):
     if gas_price is not None:
         try:
-            return Fraction(gas_price)
+            price = Fraction(gas_price)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"bad gas price: {exc}")
+        if price < 0:
+            raise MalformedInput("bad gas price: negative")
+        return price
     return gasmodel.DEFAULT_GAS_PRICE_ETH if use_default else None
 
 

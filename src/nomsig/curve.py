@@ -18,9 +18,9 @@ def add(p, a, b):
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        m = 3 * x1 * x1 * pow(2 * y1, p - 2, p) % p
+        m = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
     else:
-        m = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+        m = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (m * m - x1 - x2) % p
     return (x3, (m * (x1 - x3) - y1) % p)
 
@@ -59,7 +59,7 @@ def jac_madd(p, q, xa, ya):
 def to_affine(p, q):
     if q is None:
         return None
-    zi = pow(q[2], p - 2, p)
+    zi = pow(q[2], -1, p)
     zi2 = zi * zi % p
     return (q[0] * zi2 % p, q[1] * zi2 * zi % p)
 

@@ -76,6 +76,8 @@ def price_pairing_call(n: int, table: CostTable = CostTable()) -> int:
 
 def meter_tkverify(counts: OpCounts, table: CostTable = CostTable()) -> int:
     """Gas for an instrumented token verification: its one batched pairing check plus additions."""
+    if counts.ec_additions < 0:
+        raise GasModelError("addition count must be non-negative")
     return price_pairing_call(counts.pairing_pairs, table) + table.ec_add * counts.ec_additions
 
 

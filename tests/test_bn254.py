@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from nomsig import bn254, curve
+from nomsig import bn254, curve, trigger
 from nomsig.bn254 import (
     ATE_LOOP,
+    F2_ZERO,
     F12_ONE,
     G1_GEN,
     G2_COFACTOR,
@@ -18,6 +19,7 @@ from nomsig.bn254 import (
     f2_add,
     f2_inv,
     f2_mul,
+    f2_neg,
     f2_sqr,
     f2_sqrt,
     f12_cyc_pow,
@@ -25,9 +27,8 @@ from nomsig.bn254 import (
     f12_inv,
     f12_is_cyclotomic,
     f12_mul,
-    f12_pow,
+    f12_sqr,
     g1_add,
-    g1_is_on_curve,
     g1_mul,
     g1_mul_base,
     g1_neg,
@@ -42,6 +43,7 @@ from nomsig.bn254 import (
     pairing,
     pairing_check,
 )
+from oracles import f12_pow, g1_is_on_curve, schoolbook_f12_mul
 
 rng = random.Random(1301)
 
@@ -145,6 +147,82 @@ def test_fp2_arithmetic():
 def test_fp12_inverse():
     e = pairing(G1_GEN, G2_GEN)
     assert f12_mul(e, f12_inv(e)) == F12_ONE
+
+
+# ---------------------------------------------------------------------------
+# Field kernels against the schoolbook product and Fermat inversion
+# ---------------------------------------------------------------------------
+
+
+def _f12_operands(draws):
+    """Dense values, values with zero Fp2 coefficients, all coefficients P - 1, and F12_ONE."""
+    ops = [random_f12(draws) for _ in range(3)]
+    for zeros in ({0}, {1, 3, 5}, {0, 2, 4}, {1, 2, 3, 4, 5}):
+        ops.append(tuple(F2_ZERO if i in zeros else c for i, c in enumerate(random_f12(draws))))
+    return ops + [((P - 1, P - 1),) * 6, F12_ONE]
+
+
+def test_f12_mul_sqr_and_inv_match_schoolbook():
+    ops = _f12_operands(random.Random(1310))
+    for a in ops:
+        assert f12_sqr(a) == schoolbook_f12_mul(a, a)
+        assert schoolbook_f12_mul(a, f12_inv(a)) == F12_ONE
+        for b in ops:
+            assert f12_mul(a, b) == schoolbook_f12_mul(a, b)
+
+
+def test_sparse_line_products_match_schoolbook():
+    draws = random.Random(1311)
+    for f in _f12_operands(draws):
+        l0, x = draws.randrange(P), (draws.randrange(P), draws.randrange(P))
+        l1, l3 = (draws.randrange(P), draws.randrange(P)), (P - 1, draws.randrange(P))
+        line = ((l0, 0), l1, F2_ZERO, l3, F2_ZERO, F2_ZERO)
+        assert bn254._f12_mul_line(f, l0, l1, l3) == schoolbook_f12_mul(f, line)
+        vertical = ((l0, 0), F2_ZERO, f2_neg(x), F2_ZERO, F2_ZERO, F2_ZERO)
+        assert bn254._f12_mul_f6(f, (l0, 0, *f2_neg(x), 0, 0)) == schoolbook_f12_mul(f, vertical)
+
+
+def test_line_steps_match_dense_lines():
+    # chord, tangent and vertical lines at P, built densely from the slope
+    f = random_f12(random.Random(1312))
+    xp, yp = g1_mul(G1_GEN, 5)
+    t = g2_mul(G2_GEN, 3)
+    x1, y1 = t
+    for q in (g2_mul(G2_GEN, 7), t, g2_neg(t)):
+        got, sums = bn254._line_steps(f, [t], [q], [(xp, -yp % P)])
+        assert sums == [g2_add(t, q)]
+        if q == g2_neg(t):
+            line = ((xp, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
+        else:
+            num, den = (f2_mul(f2_sqr(x1), (3, 0)), f2_add(y1, y1)) if q == t else (
+                f2_add(q[1], f2_neg(y1)), f2_add(q[0], f2_neg(x1)))
+            m = f2_mul(num, f2_inv(den))
+            line = ((-yp % P, 0), f2_mul(m, (xp, 0)), F2_ZERO, f2_add(y1, f2_neg(f2_mul(m, x1))),
+                    F2_ZERO, F2_ZERO)
+        assert got == schoolbook_f12_mul(f, line)
+
+
+def test_inversions_match_fermat():
+    draws = random.Random(1313)
+    for a in [(1, 0), (0, 1), (P - 1, P - 1)] + [(draws.randrange(P), draws.randrange(P)) for _ in range(20)]:
+        d = pow(a[0] * a[0] + a[1] * a[1], P - 2, P)
+        assert f2_inv(a) == (a[0] * d % P, -a[1] * d % P)
+    for p in (P, trigger.P):  # the Fp core serves BN254 G1 and secp256k1
+        for _ in range(5):
+            x, y, z = (draws.randrange(1, p) for _ in range(3))
+            zi = pow(z, p - 2, p)
+            assert curve.to_affine(p, (x, y, z)) == (x * zi * zi % p, y * zi * zi * zi % p)
+
+
+def test_zero_has_no_inverse():
+    # extended Euclid raises where Fermat's pow(0, p - 2, p) silently gave 0
+    with pytest.raises(ValueError):
+        f2_inv(F2_ZERO)
+    with pytest.raises(ValueError):
+        f12_inv((F2_ZERO,) * 6)
+    for p in (P, trigger.P):
+        with pytest.raises(ValueError):
+            curve.to_affine(p, (1, 2, 0))
 
 
 def test_pairing_bilinear():

@@ -279,6 +279,18 @@ def test_mistyped_cost_table_exits_2(tmp_path, cost):
     assert_malformed(invoke("report-gas", "--cost-table", path))
 
 
+def test_negative_gas_price_exits_2():
+    res = invoke("report-gas", "--gas-price", "-1")
+    assert_malformed(res)
+    assert "eth=" not in res.output
+
+
+def test_negative_ec_additions_exits_2():
+    res = invoke("report-gas", "--ec-additions", "-3000")
+    assert_malformed(res)
+    assert "tkverify=" not in res.output
+
+
 def test_receive_rejects_foreign_delta(workdir, tmp_path):
     # delta signed for a different message must exit 1
     d = workdir

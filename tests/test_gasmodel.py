@@ -38,6 +38,12 @@ def test_meter_reference_points():
     assert meter_tkverify(OpCounts(pairing_pairs=8, ec_additions=514)) == 394100
 
 
+def test_meter_rejects_negative_counts():
+    for counts in (OpCounts(pairing_pairs=-8), OpCounts(pairing_pairs=8, ec_additions=-1)):
+        with pytest.raises(GasModelError):
+            meter_tkverify(counts)
+
+
 def test_meter_linearity():
     base = meter_tkverify(OpCounts(pairing_pairs=3, ec_additions=10))
     assert meter_tkverify(OpCounts(pairing_pairs=4, ec_additions=10)) == base + 34000
