@@ -298,9 +298,10 @@ class RealBackend(Backend):
     def exp(self, group, a, k):
         if group == "G1":
             return bn254.g1_mul_base(k) if a == bn254.G1_GEN else bn254.g1_mul(a, k)
+        # every G2 and GT value here is in its order-N subgroup, where the GLS split holds
         if group == "G2":
-            return bn254.g2_mul_base(k) if a == bn254.G2_GEN else bn254.g2_mul(a, k % self.order)
-        return bn254.f12_cyc_pow(a, k % self.order)
+            return bn254.g2_mul_base(k) if a == bn254.G2_GEN else bn254.g2_mul_gls(a, k)
+        return bn254.gt_pow_gls(a, k)
 
     def pairing_value(self, a, b):
         return bn254.pairing(a, b)

@@ -7,6 +7,13 @@ pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
 G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below,
 whose ``_slope`` and ``_chord_end`` also give the Miller loop each line.
 
+Scalar multiplication in G1 splits the scalar in two with the cube-root
+endomorphism (``curve.glv_mul``). In the order-N subgroups G2 and GT,
+``g2_mul_gls`` and ``gt_pow_gls`` split it in four with the Frobenius. The
+general ladders ``g2_mul`` and ``f12_cyc_pow`` take any twist point or
+cyclotomic element and any scalar; the subgroup tests, cofactor clearing
+and the final exponentiation use them.
+
 Representation conventions:
   - Fp elements are plain ints in [0, P).
   - Fp2 elements are pairs (a0, a1) meaning a0 + a1*i with i^2 = -1.
@@ -304,7 +311,10 @@ def f12_inv(a):
     return _f12_mul_f6(f12_conj(a), _f6_inv(d))
 
 
-_FROB_GAMMA = tuple(f2_pow(XI, i * (P - 1) // 6) for i in range(6))
+# XI^(i(p-1)/6) for i < 6, as powers of one exponentiation.
+_FROB_GAMMA = [F2_ONE, f2_pow(XI, (P - 1) // 6)]
+for _ in range(4):
+    _FROB_GAMMA.append(f2_mul(_FROB_GAMMA[-1], _FROB_GAMMA[1]))
 
 
 def f12_frob(a):
@@ -398,9 +408,13 @@ def g1_add(p, q):
     return curve.add(P, p, q)
 
 
+# (x, y) -> (beta*x, y) is multiplication by lam on G1, with beta^3 = 1 in Fp.
+G1_GLV = curve.glv(P, N, beta=18 * U**3 + 18 * U**2 + 9 * U + 1, lam=36 * U**3 + 18 * U**2 + 6 * U + 1)
+
+
 def g1_mul(pt, k):
-    """k * pt, with k reduced mod N."""
-    return curve.mul(P, pt, k % N)
+    """k * pt for pt on G1, with k reduced mod N: ``curve.glv_mul``, as G1 is the whole curve."""
+    return curve.glv_mul(G1_GLV, [(pt, k % N)])
 
 
 # ---------------------------------------------------------------------------
@@ -465,32 +479,51 @@ def g2_add(p, q):
 
 
 def _jac_double_f2(q):
+    """2q for Jacobian q, on plain ints: the Fp copy's formulas with each Fp2 product inlined."""
     if q is None:
         return None
-    x, y, z = q
-    a = f2_sqr(x)
-    b = f2_sqr(y)
-    c = f2_sqr(b)
-    d = f2_muli(f2_sub(f2_sub(f2_sqr(f2_add(x, b)), a), c), 2)
-    e = f2_muli(a, 3)
-    x3 = f2_sub(f2_sqr(e), f2_muli(d, 2))
-    return (x3, f2_sub(f2_mul(e, f2_sub(d, x3)), f2_muli(c, 8)), f2_muli(f2_mul(y, z), 2))
+    (x0, x1), (y0, y1), (z0, z1) = q
+    a0, a1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # x^2
+    b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # y^2
+    c0, c1 = (b0 + b1) * (b0 - b1) % P, 2 * b0 * b1 % P  # y^4
+    s0, s1 = x0 + b0, x1 + b1
+    d0, d1 = 2 * ((s0 + s1) * (s0 - s1) - a0 - c0) % P, 2 * (2 * s0 * s1 - a1 - c1) % P
+    e0, e1 = 3 * a0, 3 * a1
+    x30, x31 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P, (2 * e0 * e1 - 2 * d1) % P
+    t0, t1 = d0 - x30, d1 - x31
+    m, n = e0 * t0, e1 * t1
+    y30, y31 = (m - n - 8 * c0) % P, ((e0 + e1) * (t0 + t1) - m - n - 8 * c1) % P
+    m, n = y0 * z0, y1 * z1
+    return ((x30, x31), (y30, y31), (2 * (m - n) % P, 2 * ((y0 + y1) * (z0 + z1) - m - n) % P))
 
 
 def _jac_madd_f2(q, xa, ya):
+    """Jacobian q + affine (xa, ya) on plain ints; doubles when they are equal, None when opposite."""
     if q is None:
         return (xa, ya, F2_ONE)
-    x, y, z = q
-    z2 = f2_sqr(z)
-    h = f2_sub(f2_mul(xa, z2), x)
-    r = f2_sub(f2_mul(f2_mul(ya, z), z2), y)
-    if h == F2_ZERO:
-        return _jac_double_f2(q) if r == F2_ZERO else None
-    hh = f2_sqr(h)
-    hhh = f2_mul(h, hh)
-    v = f2_mul(x, hh)
-    x3 = f2_sub(f2_sub(f2_sqr(r), hhh), f2_muli(v, 2))
-    return (x3, f2_sub(f2_mul(r, f2_sub(v, x3)), f2_mul(y, hhh)), f2_mul(z, h))
+    (x0, x1), (y0, y1), (z0, z1) = q
+    (a0, a1), (b0, b1) = xa, ya
+    s0, s1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # z^2
+    m, n = a0 * s0, a1 * s1
+    h0, h1 = (m - n - x0) % P, ((a0 + a1) * (s0 + s1) - m - n - x1) % P  # xa*z^2 - x
+    m, n = z0 * s0, z1 * s1
+    c0, c1 = (m - n) % P, ((z0 + z1) * (s0 + s1) - m - n) % P  # z^3
+    m, n = b0 * c0, b1 * c1
+    r0, r1 = (m - n - y0) % P, ((b0 + b1) * (c0 + c1) - m - n - y1) % P  # ya*z^3 - y
+    if h0 == h1 == 0:
+        return _jac_double_f2(q) if r0 == r1 == 0 else None
+    u0, u1 = (h0 + h1) * (h0 - h1) % P, 2 * h0 * h1 % P  # h^2
+    m, n = h0 * u0, h1 * u1
+    g0, g1 = (m - n) % P, ((h0 + h1) * (u0 + u1) - m - n) % P  # h^3
+    m, n = x0 * u0, x1 * u1
+    v0, v1 = (m - n) % P, ((x0 + x1) * (u0 + u1) - m - n) % P  # x*h^2
+    x30, x31 = ((r0 + r1) * (r0 - r1) - g0 - 2 * v0) % P, (2 * r0 * r1 - g1 - 2 * v1) % P
+    t0, t1 = v0 - x30, v1 - x31
+    m, n, e, f = r0 * t0, r1 * t1, y0 * g0, y1 * g1
+    y30 = (m - n - e + f) % P
+    y31 = ((r0 + r1) * (t0 + t1) - m - n - (y0 + y1) * (g0 + g1) + e + f) % P
+    m, n = z0 * h0, z1 * h1
+    return ((x30, x31), (y30, y31), ((m - n) % P, ((z0 + z1) * (h0 + h1) - m - n) % P))
 
 
 def _to_affine_f2(q):
@@ -501,24 +534,31 @@ def _to_affine_f2(q):
     return (f2_mul(q[0], zi2), f2_mul(f2_mul(q[1], zi2), zi))
 
 
-def g2_mul(pt, k):
-    # No reduction mod N here: cofactor clearing multiplies points outside G2.
-    if k < 0:
-        return g2_mul(g2_neg(pt), -k)
-    if pt is None:
-        return None
-    xa, ya = pt
+def _g2_straus(bases, scalars):
+    """sum_i scalars[i] * bases[i] for affine twist points and scalars >= 0: ``curve.straus`` over Fp2."""
+    table = curve.subset_sums(bases, g2_add)
     acc = None
-    for i in range(k.bit_length() - 1, -1, -1):
+    for col in curve.columns(scalars):
         acc = _jac_double_f2(acc)
-        if (k >> i) & 1:
-            acc = _jac_madd_f2(acc, xa, ya)
+        if table[col] is not None:
+            acc = _jac_madd_f2(acc, *table[col])
     return _to_affine_f2(acc)
 
 
+def g2_mul(pt, k):
+    """k * pt for any twist point and any k, by a plain double-and-add ladder.
+
+    No reduction mod N here: the subgroup test and cofactor clearing multiply
+    points outside G2, and by scalars of N or more.
+    """
+    if k < 0:
+        return g2_mul(g2_neg(pt), -k)
+    return _g2_straus([pt], [k])
+
+
 # Frobenius on the twist: psi(x, y) = (conj(x)*XI^((p-1)/3), conj(y)*XI^((p-1)/2)).
-_TW_FROB_X = f2_pow(XI, (P - 1) // 3)
-_TW_FROB_Y = f2_pow(XI, (P - 1) // 2)
+_TW_FROB_X = _FROB_GAMMA[2]
+_TW_FROB_Y = _FROB_GAMMA[3]
 
 
 def _tw_frob(pt):
@@ -532,6 +572,61 @@ def g2_sum(pts):
         if pt is not None:
             acc = _jac_madd_f2(acc, *pt)
     return _to_affine_f2(acc)
+
+
+# ---------------------------------------------------------------------------
+# Exponentiation in the order-N subgroups G2 and GT by a 4-dimensional split
+# (Galbraith-Lin-Scott, EUROCRYPT 2009; Galbraith-Scott, Pairing 2008). On G2
+# the twist Frobenius psi, and on GT the p-power Frobenius, act as
+# multiplication by p = 6u^2 mod N. A scalar k becomes k0 + k1*p + k2*p^2 +
+# k3*p^3 mod N with |ki| < 2^65 by Babai rounding against the short basis
+# below, and one joint ladder of at most 65 steps runs over the four
+# conjugates. The rows span a sublattice of index 3 (det 3N); that is
+# enough, since each row alone sums to 0 mod N. Both paths hold only in the
+# order-N subgroup, so the general g2_mul and f12_cyc_pow stay for
+# everything else.
+# ---------------------------------------------------------------------------
+
+GLS_LATTICE = curve.lattice([
+    (U + 1, U, U, -2 * U),
+    (2 * U + 1, -U, -(U + 1), -U),
+    (2 * U, 2 * U + 1, 2 * U + 1, 2 * U + 1),
+    (U - 1, 4 * U + 2, -2 * U + 1, U - 1),
+])
+
+
+def g2_mul_gls(pt, k):
+    """k * pt for pt in G2 only, by the 4-dimensional split over pt, psi(pt), psi^2(pt), psi^3(pt)."""
+    if pt is None:
+        return None
+    parts = curve.split(k % N, GLS_LATTICE)
+    bases = []
+    for c in parts:
+        bases.append(pt if c >= 0 else g2_neg(pt))
+        pt = _tw_frob(pt)
+    return _g2_straus(bases, [abs(c) for c in parts])
+
+
+def gt_pow_gls(a, k):
+    """a^k for a in GT only, by the 4-dimensional split over a and its p-, p^2- and p^3-power Frobenius.
+
+    A negative part takes the conjugate, which is the inverse in GT.
+    """
+    parts = curve.split(k % N, GLS_LATTICE)
+    bases = []
+    for c in parts:
+        bases.append(a if c >= 0 else f12_conj(a))
+        a = f12_frob(a)
+    table = curve.subset_sums(bases, f12_mul)
+    cols = curve.columns([abs(c) for c in parts])
+    if not cols:
+        return F12_ONE
+    r = table[cols[0]]
+    for col in cols[1:]:
+        r = f12_cyc_sqr(r)
+        if col:
+            r = f12_mul(r, table[col])
+    return r
 
 
 def g2_in_subgroup(pt):

@@ -27,6 +27,9 @@ from .scheme import (
 )
 from .trigger import ADDRESS_LEN, EcdsaSignature, verify_against_address
 
+# Amounts and nonces are 256-bit words, as on the chain.
+UINT256_LIMIT = 2**256
+
 
 class ContractError(Exception):
     pass
@@ -109,8 +112,8 @@ class TransactionRecord:
         """Canonical byte form signed by the investor: from, to, amount, nonce."""
         if len(self.frm) != ADDRESS_LEN or len(self.to) != ADDRESS_LEN:
             raise MalformedTransaction("addresses must be 20 bytes")
-        if self.amount < 0 or self.nonce < 0:
-            raise MalformedTransaction("amount and nonce must be non-negative")
+        if not (0 <= self.amount < UINT256_LIMIT and 0 <= self.nonce < UINT256_LIMIT):
+            raise MalformedTransaction("amount and nonce must be in [0, 2^256)")
         return encode_parts(
             self.frm,
             self.to,
@@ -158,8 +161,8 @@ def deploy(
     advance_required: int,
     investment_amount: int,
 ) -> ContractState:
-    if advance_required <= 0 or investment_amount <= 0:
-        raise InvalidAmounts("advance and investment amounts must be positive")
+    if not (0 < advance_required < UINT256_LIMIT and 0 < investment_amount < UINT256_LIMIT):
+        raise InvalidAmounts("advance and investment amounts must be in [1, 2^256)")
     if len(operator) != ADDRESS_LEN or len(investor) != ADDRESS_LEN:
         raise MalformedTransaction("party addresses must be 20 bytes")
     return ContractState(

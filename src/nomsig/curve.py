@@ -4,7 +4,16 @@ Every function takes the modulus p first; b never enters the formulas.
 Points are affine (x, y) or Jacobian (X, Y, Z) for (X/Z^2, Y/Z^3), with
 None as infinity. Both curves have odd order, so no point has y = 0 and
 doubling never reaches infinity. ``bn254`` has the Fp2 copy for the twist.
+
+Scalar multiplication is one joint (Straus) ladder over a table of subset
+sums; ``mul`` is its one-term case. On the order-n group, ``glv_mul``
+first splits each scalar into two parts of half its length with the
+cube-root endomorphism (x, y) -> (beta*x, y) (Gallant-Lambert-Vanstone,
+CRYPTO 2001). The lattice helpers below also split ``bn254``'s scalars in
+four for G2 and GT.
 """
+
+from collections import namedtuple
 
 
 def add(p, a, b):
@@ -64,17 +73,39 @@ def to_affine(p, q):
     return (q[0] * zi2 % p, q[1] * zi2 * zi % p)
 
 
-def mul(p, pt, k):
-    """k * pt for k >= 0, by Jacobian doubling with mixed affine additions."""
-    if pt is None:
-        return None
-    xa, ya = pt
+def subset_sums(bases, add):
+    """All 2^len(bases) sums: entry j is the sum of bases[i] over the set bits i of j; entry 0 is None."""
+    table = [None]
+    for b in bases:
+        table += [b] + [add(t, b) for t in table[1:]]
+    return table
+
+
+def columns(scalars):
+    """The bit columns of scalars >= 0, most significant first: bit j of a column is a bit of scalars[j]."""
+    width = max((k.bit_length() for k in scalars), default=0)
+    rows = [format(k, f"0{width}b") for k in reversed(scalars)]
+    return [int("".join(col), 2) for col in zip(*rows)] if width else []
+
+
+def straus(p, bases, scalars):
+    """sum_i scalars[i] * bases[i] for affine bases and scalars >= 0.
+
+    One Jacobian doubling per bit of the longest scalar and at most one mixed
+    addition of a subset sum per bit (Straus's joint ladder).
+    """
+    table = subset_sums(bases, lambda a, b: add(p, a, b))
     acc = None
-    for i in range(k.bit_length() - 1, -1, -1):
+    for col in columns(scalars):
         acc = jac_double(p, acc)
-        if (k >> i) & 1:
-            acc = jac_madd(p, acc, xa, ya)
+        if table[col] is not None:
+            acc = jac_madd(p, acc, *table[col])
     return to_affine(p, acc)
+
+
+def mul(p, pt, k):
+    """k * pt for any point and any k >= 0: the one-term ``straus``."""
+    return straus(p, [pt], [k])
 
 
 def mul_table(p, table, k):
@@ -84,3 +115,85 @@ def mul_table(p, table, k):
         if (k >> i) & 1:
             acc = jac_madd(p, acc, *table[i])
     return to_affine(p, acc)
+
+
+# ---------------------------------------------------------------------------
+# Scalar splitting by Babai rounding
+# ---------------------------------------------------------------------------
+
+
+# Rows v of the lattice {v : sum_i v[i] * lam^i = 0 mod n}, which need only
+# span a sublattice, and their rounding constants: (k, 0, ..., 0) times the
+# inverse of the row matrix is k * weights / det, with det > 0.
+Lattice = namedtuple("Lattice", "basis weights det")
+
+
+def _det(m):
+    """The determinant of a small square integer matrix, by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m)))
+
+
+def lattice(basis):
+    """The Lattice of a basis, with its rounding constants from the first row of its adjugate."""
+    basis = tuple(tuple(row) for row in basis)
+    det = _det(basis)
+    weights = [(-1) ** j * _det([row[1:] for i, row in enumerate(basis) if i != j]) for j in range(len(basis))]
+    if det < 0:
+        det, weights = -det, [-w for w in weights]
+    return Lattice(basis, tuple(weights), det)
+
+
+def split(k, lat):
+    """Parts with sum_i parts[i] * lam^i = k mod n and |parts[i]| <= sum_j |basis[j][i]| / 2.
+
+    Babai rounding: (k, 0, ..., 0) minus the lattice vector whose coordinates
+    in the rows are those of (k, 0, ..., 0) rounded to integers.
+    """
+    cs = [(2 * k * w + lat.det) // (2 * lat.det) for w in lat.weights]
+    parts = [-sum(c * row[i] for c, row in zip(cs, lat.basis)) for i in range(len(lat.basis))]
+    parts[0] += k
+    return parts
+
+
+def glv_basis(n, lam):
+    """Two short rows (a, b) with a + b*lam = 0 mod n, for prime n and lam^2 + lam + 1 = 0 mod n.
+
+    The extended Euclid on (n, lam) keeps the rows (r_i, -t_i) with
+    r_i = s_i*n + t_i*lam. With r_m the last remainder of at least sqrt(n),
+    the basis is row m+1 and the shorter of rows m and m+2 (GLV, section 4).
+    """
+    rows = [(n, 0), (lam, -1)]
+    while rows[-2][0] ** 2 >= n:
+        (r0, v0), (r1, v1) = rows[-2:]
+        q = r0 // r1
+        rows.append((r0 - q * r1, v0 - q * v1))
+    return rows[-2], min(rows[-3], rows[-1], key=lambda v: v[0] ** 2 + v[1] ** 2)
+
+
+# A curve over Fp of prime order n on which (x, y) -> (beta*x, y) is multiplication by lam.
+Glv = namedtuple("Glv", "p beta lat")
+
+
+def glv(p, n, beta, lam):
+    return Glv(p, beta, lattice(glv_basis(n, lam)))
+
+
+def glv_mul(c, terms):
+    """sum k * pt over (pt, k) terms, for points of the order-n group of the Glv curve c.
+
+    Each k splits into k0 + k1*lam with halves of about log2(n)/2 bits, so m
+    terms make one ``straus`` ladder over 2m bases: pt, (beta*x, y), each
+    negated where its half is negative.
+    """
+    p = c.p
+    bases, scalars = [], []
+    for pt, k in terms:
+        if pt is None:
+            continue
+        x, y = pt
+        for base, part in zip(((x, y), (c.beta * x % p, y)), split(k, c.lat)):
+            bases.append(base if part >= 0 else (base[0], -base[1] % p))
+            scalars.append(abs(part))
+    return straus(p, bases, scalars)

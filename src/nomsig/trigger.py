@@ -7,7 +7,9 @@ are derived deterministically from (sk, message hash) so signing is
 reproducible; s is always normalized to the low half-range, and recovery
 refuses high-s encodings.
 
-The point arithmetic is ``curve``'s, shared with BN254 G1.
+The point arithmetic is ``curve``'s, shared with BN254 G1; every scalar
+multiplication goes through ``curve.glv_mul`` with this curve's cube-root
+endomorphism.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 G = (GX, GY)
+# The standard endomorphism (x, y) -> (BETA*x, y) = LAMBDA * (x, y), with BETA^3 = 1 mod P.
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+GLV = curve.glv(P, N, BETA, LAMBDA)
 
 ADDRESS_LEN = 20
 
@@ -70,7 +76,7 @@ def ecdsa_keygen(seed: bytes) -> EcdsaKeyPair:
             hashlib.sha256(b"NOMSIG-ECDSA-KEY" + ctr.to_bytes(4, "big") + seed).digest(), "big"
         )
         if 0 < sk < N:
-            return EcdsaKeyPair(sk=sk, vk=curve.mul(P, G, sk))
+            return EcdsaKeyPair(sk=sk, vk=curve.glv_mul(GLV, [(G, sk)]))
         ctr += 1
 
 
@@ -100,7 +106,7 @@ def ecdsa_sign(sk: int, message: bytes) -> EcdsaSignature:
         attempt += 1
         if k == 0:
             continue
-        rx, ry = curve.mul(P, G, k)
+        rx, ry = curve.glv_mul(GLV, [(G, k)])
         r = rx % N
         if r == 0:
             continue
@@ -134,9 +140,8 @@ def ecdsa_recover(sig: EcdsaSignature, message: bytes) -> tuple[int, int]:
     big_r = (x, y)
     z = _msg_hash(message)
     r_inv = pow(sig.r, -1, N)
-    vk = curve.add(
-        P, curve.mul(P, big_r, sig.s * r_inv % N), curve.mul(P, (GX, P - GY), z * r_inv % N)
-    )
+    # s/r * R - z/r * G as one joint ladder over R, -G and their endomorphism images
+    vk = curve.glv_mul(GLV, [(big_r, sig.s * r_inv % N), ((GX, P - GY), z * r_inv % N)])
     if vk is None:
         raise RecoveryFailed("recovered key is the point at infinity")
     return vk

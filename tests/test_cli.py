@@ -291,6 +291,30 @@ def test_negative_ec_additions_exits_2():
     assert "tkverify=" not in res.output
 
 
+def test_trigger_with_nonce_of_2_256_exits_2(workdir, tmp_path):
+    # a nonce is a 256-bit word; one more bit used to end in an OverflowError traceback
+    res = invoke("trigger", "--state", _rearmed_state(workdir, tmp_path), "--token",
+                 workdir / "token.json", "--investor-seed", "inv", "--nonce", 2**256)
+    assert_malformed(res)
+    assert "nonce" in res.output
+
+
+@pytest.mark.parametrize("option", ["--advance", "--investment"])
+def test_deploy_with_amount_of_2_256_exits_2(workdir, tmp_path, option):
+    d = workdir
+    amounts = {"--advance": 100, "--investment": 700, option: 2**256}
+    res = invoke("deploy", "--params", d / "params.json", "--signer-pub", d / "spk.json",
+                 "--nominee-pub", d / "npk.json", "--message-file", d / "m.bin",
+                 "--operator-seed", "op", "--investor-seed", "inv", "--investor-balance", 1000,
+                 *[x for kv in amounts.items() for x in kv], "--state-out", tmp_path / "state.json")
+    assert_malformed(res)
+    assert not (tmp_path / "state.json").exists()
+    # a state that already holds such an amount fails its trigger the same way
+    state = _rearmed_state(workdir, tmp_path, investment_amount=2**256)
+    assert_malformed(invoke("trigger", "--state", state, "--token", d / "token.json",
+                            "--investor-seed", "inv", "--nonce", 5))
+
+
 def test_receive_rejects_foreign_delta(workdir, tmp_path):
     # delta signed for a different message must exit 1
     d = workdir
