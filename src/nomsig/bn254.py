@@ -10,9 +10,13 @@ whose ``_slope`` and ``_chord_end`` also give the Miller loop each line.
 Scalar multiplication in G1 splits the scalar in two with the cube-root
 endomorphism (``curve.glv_mul``). In the order-N subgroups G2 and GT,
 ``g2_mul_gls`` and ``gt_pow_gls`` split it in four with the Frobenius. The
-general ladders ``g2_mul`` and ``f12_cyc_pow`` take any twist point or
-cyclotomic element and any scalar; the subgroup tests, cofactor clearing
-and the final exponentiation use them.
+general ladders ``g2_mul`` (width-4 signed digits) and ``f12_cyc_pow`` take
+any twist point or cyclotomic element and any scalar; the subgroup tests,
+cofactor clearing and the final exponentiation use them.
+
+Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the
+subgroup test ``g2_in_subgroup``: 62 doublings and 13 mixed additions for
+[u]Q, then five mixed additions whose Jacobian sum is tested for infinity.
 
 Representation conventions:
   - Fp elements are plain ints in [0, P).
@@ -120,29 +124,30 @@ def _sqrt_fp(a):
 
 
 def f2_sqrt(a):
-    """Square root in Fp2 via the complex method, or None if a is not a QR."""
-    if a == F2_ZERO:
-        return F2_ZERO
+    """A square root of a in Fp2, or None if a is not a square: two Fp exponentiations, no inversion.
+
+    With a = a0 + a1*i and s = sqrt(a0^2 + a1^2) in Fp, a root x0 + x1*i has
+    x0^2 = d = (a0 + s)/2 and x1 = a1/(2*x0). One exponentiation gives
+    g = d^((p-3)/4), which is 1/sqrt(d) when d is a square (Scott, "Tricks of
+    the trade", ePrint 2020/1497): then the root is (d*g, a1*g/2). Otherwise
+    -d is a square, d*g is its root, and the root has x1^2 = -d: it is
+    (a1*g/2, -d*g). For a1 = 0 one exponentiation finds the root of a0 or of
+    -a0. Either root may come back; callers fix the sign.
+    """
     a0, a1 = a
     if a1 == 0:
-        r = _sqrt_fp(a0)
-        if r is not None:
-            return (r, 0)
-        r = _sqrt_fp(-a0 % P)
-        return None if r is None else (0, r)
-    s = _sqrt_fp((a0 * a0 + a1 * a1) % P)
-    if s is None:
+        r = pow(a0, (P + 1) // 4, P)
+        return (r, 0) if r * r % P == a0 else (0, r)
+    n = (a0 * a0 + a1 * a1) % P
+    s = pow(n, (P + 1) // 4, P)
+    if s * s % P != n:
         return None
     inv2 = (P + 1) // 2
-    for sign in (s, -s % P):
-        d = (a0 + sign) * inv2 % P
-        x0 = _sqrt_fp(d)
-        if x0 is None or x0 == 0:
-            continue
-        x1 = a1 * pow(2 * x0, -1, P) % P
-        if f2_sqr((x0, x1)) == a:
-            return (x0, x1)
-    return None
+    d = (a0 + s) * inv2 % P  # nonzero: d = 0 would need a1 = 0
+    g = pow(d, (P - 3) // 4, P)
+    t, v = d * g % P, a1 * g * inv2 % P
+    root = (t, v) if t * t % P == d else (v, -t % P)
+    return root if f2_sqr(root) == a else None
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +370,19 @@ def _f4_sqr(x0, x1, y0, y1):
     return t0 + 9 * u0 - u1, t1 + 9 * u1 + u0, (s0 + s1) * (s0 - s1) - t0 - u0, 2 * s0 * s1 - t1 - u1
 
 
-def _naf(k):
-    """The non-adjacent form of k >= 0: digits in {-1, 0, 1}, least significant first."""
+def _naf(k, w=2):
+    """The width-w non-adjacent form of k >= 0, least significant first.
+
+    Each digit is 0 or odd with |d| < 2^(w-1), and a nonzero digit is followed
+    by at least w - 1 zeros; w = 2 is the plain NAF, with digits in {-1, 0, 1}.
+    """
     digits = []
     while k:
-        d = 2 - (k & 3) if k & 1 else 0
+        d = 0
+        if k & 1:
+            d = k & ((1 << w) - 1)
+            if d >> (w - 1):
+                d -= 1 << w
         digits.append(d)
         k = (k - d) >> 1
     return digits
@@ -526,12 +539,33 @@ def _jac_madd_f2(q, xa, ya):
     return ((x30, x31), (y30, y31), ((m - n) % P, ((z0 + z1) * (h0 + h1) - m - n) % P))
 
 
+def _f2_batch_inv(xs):
+    """Inverses of the nonzero xs with one f2_inv (Montgomery's simultaneous inversion)."""
+    if not xs:
+        return []
+    prefix = [xs[0]]
+    for x in xs[1:]:
+        prefix.append(f2_mul(prefix[-1], x))
+    inv = f2_inv(prefix[-1])
+    out = [None] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = f2_mul(inv, prefix[i - 1])
+        inv = f2_mul(inv, xs[i])
+    out[0] = inv
+    return out
+
+
 def _to_affine_f2(q):
-    if q is None:
-        return None
-    zi = f2_inv(q[2])
-    zi2 = f2_sqr(zi)
-    return (f2_mul(q[0], zi2), f2_mul(f2_mul(q[1], zi2), zi))
+    return None if q is None else _batch_to_affine_f2([q])[0]
+
+
+def _batch_to_affine_f2(qs):
+    """Finite Jacobian points to affine, with one f2_inv for all of them."""
+    out = []
+    for (x, y, _), zi in zip(qs, _f2_batch_inv([q[2] for q in qs])):
+        zi2 = f2_sqr(zi)
+        out.append((f2_mul(x, zi2), f2_mul(f2_mul(y, zi2), zi)))
+    return out
 
 
 def _g2_straus(bases, scalars):
@@ -546,14 +580,32 @@ def _g2_straus(bases, scalars):
 
 
 def g2_mul(pt, k):
-    """k * pt for any twist point and any k, by a plain double-and-add ladder.
+    """k * pt for any twist point and any k, by a width-4 signed-digit (wNAF) ladder.
 
-    No reduction mod N here: the subgroup test and cofactor clearing multiply
-    points outside G2, and by scalars of N or more.
+    The table holds pt, 3pt, 5pt and 7pt: 2pt by one affine doubling, the odd
+    multiples by mixed additions of it, then one batched inversion. A nonzero
+    digit d adds the entry for |d|, negated when d < 0, and is followed by at
+    least three zero digits. No reduction mod N here: the subgroup test and
+    cofactor clearing multiply points outside G2, and by scalars of N or more.
+    The twist's order has no prime factor below 10069, so no table entry is
+    infinity and none meets +-pt in its mixed addition.
     """
     if k < 0:
-        return g2_mul(g2_neg(pt), -k)
-    return _g2_straus([pt], [k])
+        pt, k = g2_neg(pt), -k
+    if pt is None or k == 0:
+        return None
+    two = g2_add(pt, pt)
+    odd = [(*pt, F2_ONE)]
+    for _ in range(3):
+        odd.append(_jac_madd_f2(odd[-1], *two))
+    table = [pt, *_batch_to_affine_f2(odd[1:])]
+    acc = None
+    for d in reversed(_naf(k, 4)):
+        acc = _jac_double_f2(acc)
+        if d:
+            x, y = table[abs(d) >> 1]
+            acc = _jac_madd_f2(acc, x, y if d > 0 else f2_neg(y))
+    return _to_affine_f2(acc)
 
 
 # Frobenius on the twist: psi(x, y) = (conj(x)*XI^((p-1)/3), conj(y)*XI^((p-1)/2)).
@@ -565,13 +617,18 @@ def _tw_frob(pt):
     return (f2_mul(f2_conj(pt[0]), _TW_FROB_X), f2_mul(f2_conj(pt[1]), _TW_FROB_Y))
 
 
-def g2_sum(pts):
-    """The sum of affine twist points (None for infinity): mixed Jacobian additions, one inversion."""
+def _jac_sum_f2(pts):
+    """The sum of affine twist points (None for infinity) as a Jacobian point, by mixed additions."""
     acc = None
     for pt in pts:
         if pt is not None:
             acc = _jac_madd_f2(acc, *pt)
-    return _to_affine_f2(acc)
+    return acc
+
+
+def g2_sum(pts):
+    """The sum of affine twist points (None for infinity): mixed Jacobian additions, one inversion."""
+    return _to_affine_f2(_jac_sum_f2(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +689,12 @@ def gt_pow_gls(a, k):
 def g2_in_subgroup(pt):
     """Whether pt is on the twist and in G2, the order-N subgroup.
 
-    Tests [u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q) with psi the twist
-    Frobenius (Dai-Lin-Zhao-Zhou, ePrint 2022/348): one 63-bit scalar
-    multiplication where [N]Q = O takes a 254-bit one. [u]Q = O only for
-    Q = O, since u < N.
+    Tests Q + R + psi(R) + psi^2(R) - 2psi^3(R) = O for R = [u]Q, with psi the
+    twist Frobenius (Dai-Lin-Zhao-Zhou, ePrint 2022/348): one 63-bit ``g2_mul``
+    (62 doublings, 13 mixed additions, one inversion for its table and one for
+    R) where [N]Q = O takes a 254-bit one. The sum is five mixed additions and
+    stays Jacobian: only its infinity is tested. [u]Q = O only for Q = O,
+    since u < N.
     """
     if pt is None:
         return True
@@ -647,7 +706,7 @@ def g2_in_subgroup(pt):
     psi1 = _tw_frob(uq)
     psi2 = _tw_frob(psi1)
     psi3 = g2_neg(_tw_frob(psi2))
-    return g2_sum([pt, uq, psi1, psi2, psi3, psi3]) is None
+    return _jac_sum_f2([pt, uq, psi1, psi2, psi3, psi3]) is None
 
 
 # Fixed-base tables: affine 2^i multiples of the generators.
@@ -673,22 +732,6 @@ def g2_mul_base(k):
 # ---------------------------------------------------------------------------
 # Optimal ate pairing
 # ---------------------------------------------------------------------------
-
-
-def _f2_batch_inv(xs):
-    """Inverses of the nonzero xs with one f2_inv (Montgomery's simultaneous inversion)."""
-    if not xs:
-        return []
-    prefix = [xs[0]]
-    for x in xs[1:]:
-        prefix.append(f2_mul(prefix[-1], x))
-    inv = f2_inv(prefix[-1])
-    out = [None] * len(xs)
-    for i in range(len(xs) - 1, 0, -1):
-        out[i] = f2_mul(inv, prefix[i - 1])
-        inv = f2_mul(inv, xs[i])
-    out[0] = inv
-    return out
 
 
 def _line_steps(f, ts, qs, ps):

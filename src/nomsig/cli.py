@@ -331,9 +331,11 @@ def cmd_pay_advance(state_path, amount):
     state, ledger = _read(state_path, ct.ContractState)
     try:
         ct.pay_advance(state, ledger, amount)
-    except (ct.WrongPhase, ct.InsufficientAdvance, ct.InsufficientFunds) as exc:
+    except (ct.WrongPhase, ct.InsufficientAdvance, ct.InsufficientFunds, ct.BalanceOverflow) as exc:
         click.echo(f"reject: {exc}")
         sys.exit(EXIT_REJECT)
+    except ct.InvalidAmounts as exc:
+        raise MalformedInput(str(exc))
     env.write_object(state_path, state, ledger)
     click.echo(f"advance of {amount} paid, phase {state.phase.value}")
 
@@ -379,7 +381,7 @@ def cmd_trigger(state_path, token_path, investor_seed, nonce, cost_table, gas_pr
         receipt = ct.submit_trigger(
             state, ledger, ct.TriggerSubmission(tk, tx, sig_e), table, price
         )
-    except (ct.WrongPhase, ct.NonceReplayed, ct.InsufficientFunds) as exc:
+    except (ct.WrongPhase, ct.NonceReplayed, ct.InsufficientFunds, ct.BalanceOverflow) as exc:
         click.echo(f"reject: {exc}")
         sys.exit(EXIT_REJECT)
     except ct.MalformedTransaction as exc:

@@ -51,6 +51,10 @@ class InsufficientFunds(ContractError):
     pass
 
 
+class BalanceOverflow(ContractError):
+    pass
+
+
 class NonceReplayed(ContractError):
     pass
 
@@ -71,13 +75,13 @@ class Phase(enum.Enum):
 
 
 class WalletLedger:
-    """Map of address to non-negative balance with a constant total supply."""
+    """Map of address to balance, a 256-bit word, with a constant total supply."""
 
     def __init__(self, balances: Optional[dict[bytes, int]] = None):
         self.balances: dict[bytes, int] = {}
         for addr, amount in (balances or {}).items():
-            if amount < 0:
-                raise InvalidAmounts(f"negative balance for {addr.hex()}")
+            if not 0 <= amount < UINT256_LIMIT:
+                raise InvalidAmounts(f"balance for {addr.hex()} must be in [0, 2^256)")
             self.balances[addr] = amount
 
     def balance_of(self, addr: bytes) -> int:
@@ -97,6 +101,8 @@ class WalletLedger:
             )
         if to not in self.balances:
             raise UnknownAddress(to.hex())
+        if to != frm and self.balances[to] + amount >= UINT256_LIMIT:
+            raise BalanceOverflow(f"{to.hex()} would hold 2^256 or more")
         self.balances[frm] -= amount
         self.balances[to] += amount
 
@@ -179,6 +185,8 @@ def deploy(
 
 
 def pay_advance(state: ContractState, ledger: WalletLedger, amount: int) -> None:
+    if not 0 <= amount < UINT256_LIMIT:
+        raise InvalidAmounts("the advance must be in [0, 2^256)")
     if state.phase is not Phase.DEPLOYED:
         raise WrongPhase(f"advance not accepted in phase {state.phase.value}")
     if amount < state.advance_required:

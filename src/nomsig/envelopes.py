@@ -17,7 +17,7 @@ from typing import Optional
 
 from .algebra import ELL, Backend, GroupElem, get_backend
 from .bn254 import N
-from .contract import ContractState, ExecutionReceipt, Phase, WalletLedger
+from .contract import UINT256_LIMIT, ContractState, ExecutionReceipt, Phase, WalletLedger
 from .gasmodel import GasReport
 from .scheme import (DeltaMsg, NomSignature, NomineePublicKey, NomineeSecretKey, PublicParams,
                      SignerPublicKey, SignerSecretKey, VerificationToken, setup)
@@ -98,6 +98,13 @@ def _bytes(v, name: str) -> bytes:
 def _int(v, name: str, low: int = 0) -> int:
     if type(v) is not int or v < low:
         raise EnvelopeError(f"{name}: need an integer >= {low}, got {v!r}")
+    return v
+
+
+def _word(v, name: str, low: int = 0) -> int:
+    """An integer in [low, 2^256): amounts, balances and nonces are 256-bit words."""
+    if _int(v, name, low) >= UINT256_LIMIT:
+        raise EnvelopeError(f"{name}: need an integer below 2^256, got {v!r}")
     return v
 
 
@@ -237,6 +244,7 @@ def contract_state_payload(state: ContractState, ledger: WalletLedger) -> dict:
 def contract_state_from_payload(
     payload: dict, backend: Optional[Backend] = None
 ) -> tuple[ContractState, WalletLedger]:
+    # the fields that need no group decoding first, so that a malformed one fails fast
     par = setup(backend=_backend(payload, backend))
     try:
         phase = Phase(payload.get("phase"))
@@ -245,22 +253,25 @@ def contract_state_from_payload(
     sigma, nonces = payload.get("sigma"), _of(list, payload.get("used_nonces"), "used_nonces")
     if (sigma is None) != (phase in (Phase.DEPLOYED, Phase.ADVANCE_PAID)):
         raise EnvelopeError(f"phase {phase.value} and the stored signature disagree")
+    byte_fields = {name: _bytes(payload.get(name), name) for name in ("m", "operator", "investor")}
+    amounts = {name: _word(payload.get(name), name, 1) for name in ("advance_required", "investment_amount")}
+    used_nonces = {_word(n, "used_nonces") for n in nonces}
+    ledger = WalletLedger({
+        _bytes(a, "ledger"): _word(v, "ledger balance")
+        for a, v in _of(dict, payload.get("ledger"), "ledger").items()
+    })
+    if not {byte_fields["operator"], byte_fields["investor"]} <= ledger.balances.keys():
+        raise EnvelopeError("ledger: both parties need an account")
     state = ContractState(
         phase=phase,
-        **{name: _bytes(payload.get(name), name) for name in ("m", "operator", "investor")},
-        **{name: _int(payload.get(name), name, 1) for name in ("advance_required", "investment_amount")},
+        **byte_fields,
+        **amounts,
         par=par,
         pk_s=object_from_payload(SignerPublicKey, payload.get("pk_s"), par.backend),
         pk_n=object_from_payload(NomineePublicKey, payload.get("pk_n"), par.backend),
         stored_sigma=None if sigma is None else object_from_payload(NomSignature, sigma, par.backend),
-        used_nonces={_int(n, "used_nonces") for n in nonces},
+        used_nonces=used_nonces,
     )
-    ledger = WalletLedger({
-        _bytes(a, "ledger"): _int(v, "ledger balance")
-        for a, v in _of(dict, payload.get("ledger"), "ledger").items()
-    })
-    if not {state.operator, state.investor} <= ledger.balances.keys():
-        raise EnvelopeError("ledger: both parties need an account")
     return state, ledger
 
 

@@ -43,7 +43,7 @@ from nomsig.bn254 import (
     pairing,
     pairing_check,
 )
-from oracles import f12_pow, g1_is_on_curve, schoolbook_f12_mul
+from oracles import binary_g2_mul, complex_f2_sqrt, f12_pow, g1_is_on_curve, schoolbook_f12_mul
 
 rng = random.Random(1301)
 
@@ -412,3 +412,119 @@ def test_g2_sum_matches_affine_fold():
         for pt in pts:
             want = g2_add(want, pt)
         assert g2_sum(pts) == want
+
+
+# ---------------------------------------------------------------------------
+# The decoding kernels against the routines they replaced: the signed-window
+# ladder against the binary one, the progenitor square root against the
+# complex method, and the operation counts of one membership test
+# ---------------------------------------------------------------------------
+
+
+def _torsion_point(draws, ell):
+    """A point of order ell, for a prime ell dividing the cofactor."""
+    t = None
+    while t is None:
+        t = g2_mul(random_twist_point(draws), N * (G2_COFACTOR // ell))
+    return t
+
+
+def test_g2_mul_matches_binary_ladder(monkeypatch):
+    draws = random.Random(1321)
+    t = _torsion_point(draws, 10069)
+    pts = [G2_GEN, t, g2_add(G2_GEN, t), random_twist_point(draws), None]
+    ks = [0, 1, 2, 7, 8, 15, 16, U, 2 * U, N - 1, N, N + 1, G2_COFACTOR,
+          N - 2, 10069, 10069 - 10, draws.randrange(N * G2_COFACTOR)]
+    met = set()
+    madd = bn254._jac_madd_f2
+
+    def spy(q, xa, ya):
+        a = bn254._to_affine_f2(q)
+        if a == (xa, ya):
+            met.add("equal")
+        elif a == (xa, f2_neg(ya)):
+            met.add("opposite")
+        return madd(q, xa, ya)
+
+    monkeypatch.setattr(bn254, "_jac_madd_f2", spy)
+    for pt in pts:
+        for k in ks:
+            assert g2_mul(pt, k) == binary_g2_mul(pt, k), (pt, k)
+            assert g2_mul(pt, -k) == binary_g2_mul(pt, -k), (pt, -k)
+    # N - 2 on G2_GEN and 10059 on t end on -G2_GEN + -G2_GEN and -5t + -5t;
+    # N and 10069 end on -dQ + dQ
+    assert met == {"equal", "opposite"}
+
+
+def test_wnaf_digits():
+    draws = random.Random(1322)
+    for w in (2, 3, 4, 5):
+        for k in [0, 1, 7, 8, 15, 16, U, N, G2_COFACTOR] + [draws.randrange(N) for _ in range(20)]:
+            digits = bn254._naf(k, w)
+            assert sum(d << i for i, d in enumerate(digits)) == k
+            assert all(d == 0 or (d % 2 and abs(d) < 1 << (w - 1)) for d in digits)
+            nonzero = [i for i, d in enumerate(digits) if d]
+            assert all(j - i >= w for i, j in zip(nonzero, nonzero[1:]))
+    # the subgroup test's [u]Q: 62 doublings and 13 mixed additions after the first digit
+    assert len(bn254._naf(U, 4)) == 63 and sum(1 for d in bn254._naf(U, 4) if d) == 14
+
+
+def _is_qr(x):
+    return pow(x, (P - 1) // 2, P) == 1
+
+
+def test_f2_sqrt_matches_complex_method_oracle():
+    draws = random.Random(1323)
+    squares = [f2_sqr((draws.randrange(P), draws.randrange(1, P))) for _ in range(40)]
+    squares = [a for a in squares if a[1]]
+    others = [(draws.randrange(P), draws.randrange(1, P)) for _ in range(40)]
+    qr = next(x for x in range(2, 100) if _is_qr(x))
+    nqr = next(x for x in range(2, 100) if not _is_qr(x))
+    reals = [F2_ZERO, (qr, 0), (nqr, 0), (P - qr, 0), (P - nqr, 0), (1, 0), (P - 1, 0)]
+    branches = set()
+    for a in squares + others + reals:
+        want, got = complex_f2_sqrt(a), f2_sqrt(a)
+        if want is None:
+            assert got is None, a
+            continue
+        assert got in (want, f2_neg(want)) and f2_sqr(got) == a, a
+        if a[1]:
+            s = pow((a[0] ** 2 + a[1] ** 2) % P, (P + 1) // 4, P)
+            branches.add(_is_qr((a[0] + s) * ((P + 1) // 2) % P))
+    # both outcomes of the d test, and some non-squares
+    assert branches == {True, False}
+    assert any(complex_f2_sqrt(a) is None for a in others)
+    assert f2_sqrt(F2_ZERO) == F2_ZERO
+    # a1 = 0: a0 a residue has a root in Fp, -a0 a residue a root in i*Fp
+    assert f2_sqrt((qr, 0))[1] == 0 and f2_sqrt((nqr, 0))[0] == 0
+
+
+def test_decode_kernel_operation_counts(monkeypatch):
+    draws = random.Random(1324)
+    counts = {"double": 0, "madd": 0, "inv": 0, "pow": 0}
+    double, madd = bn254._jac_double_f2, bn254._jac_madd_f2
+
+    def count(name, fn, *args):
+        if args[0] is not None:  # an operation on infinity is a copy, not arithmetic
+            counts[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(bn254, "_jac_double_f2", lambda q: count("double", double, q))
+    monkeypatch.setattr(bn254, "_jac_madd_f2", lambda q, x, y: count("madd", madd, q, x, y))
+    monkeypatch.setattr(bn254, "f2_inv", lambda a: count("inv", f2_inv, a))
+    for q in (g2_mul(G2_GEN, draws.randrange(1, N)), random_twist_point(draws)):
+        counts.update(double=0, madd=0, inv=0)
+        bn254.g2_in_subgroup(q)
+        # was 62 doublings, 32 mixed additions and 2 inversions with the binary ladder
+        assert counts["double"] == 62 and counts["madd"] <= 22 and counts["inv"] <= 3, counts
+
+    def counting_pow(x, e, m=None):
+        counts["inv" if e == -1 else "pow"] += 1
+        return pow(x, e, m)
+
+    monkeypatch.setattr(bn254, "pow", counting_pow, raising=False)
+    for _ in range(5):
+        a = f2_sqr((draws.randrange(P), draws.randrange(1, P)))
+        counts.update(inv=0, pow=0)
+        assert f2_sqr(f2_sqrt(a)) == a
+        assert counts["pow"] == 2 and counts["inv"] == 0, counts

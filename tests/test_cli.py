@@ -315,6 +315,51 @@ def test_deploy_with_amount_of_2_256_exits_2(workdir, tmp_path, option):
                             "--investor-seed", "inv", "--nonce", 5))
 
 
+def _deploy(d, state_out, **balances):
+    opts = {"--operator-balance": 0, "--investor-balance": 1000, **balances}
+    return invoke("deploy", "--params", d / "params.json", "--signer-pub", d / "spk.json",
+                  "--nominee-pub", d / "npk.json", "--message-file", d / "m.bin",
+                  "--operator-seed", "op", "--investor-seed", "inv", "--advance", 100,
+                  "--investment", 700, *[x for kv in opts.items() for x in kv], "--state-out", state_out)
+
+
+@pytest.mark.parametrize("option", ["--investor-balance", "--operator-balance"])
+def test_deploy_with_balance_of_2_256_exits_2(workdir, tmp_path, option):
+    res = _deploy(workdir, tmp_path / "state.json", **{option: 2**256 + 5})
+    assert_malformed(res)
+    assert not (tmp_path / "state.json").exists()
+
+
+@pytest.mark.parametrize("amount", [2**300, 2**256, -5], ids=["2^300", "2^256", "-5"])
+def test_pay_advance_with_amount_outside_256_bits_exits_2(workdir, tmp_path, amount):
+    state = tmp_path / "state.json"
+    assert _deploy(workdir, state).exit_code == 0
+    before = state.read_bytes()
+    assert_malformed(invoke("pay-advance", "--state", state, "--amount", amount))
+    assert state.read_bytes() == before
+
+
+def test_pay_advance_that_would_overflow_a_balance_is_a_reject(workdir, tmp_path):
+    state = tmp_path / "state.json"
+    assert _deploy(workdir, state, **{"--operator-balance": 2**256 - 50}).exit_code == 0
+    before = state.read_bytes()
+    res = invoke("pay-advance", "--state", state, "--amount", 100)
+    assert res.exit_code == 1 and "reject" in res.output, res.output
+    assert state.read_bytes() == before
+
+
+@pytest.mark.parametrize("field", ["ledger", "advance_required", "investment_amount", "used_nonces"])
+def test_state_with_a_word_of_2_256_exits_2(workdir, tmp_path, field):
+    payload = json.loads((workdir / "state.json").read_text())["payload"]
+    value = {
+        "ledger": {addr: 2**256 for addr in payload["ledger"]},
+        "used_nonces": [2**256],
+    }.get(field, 2**256)
+    fields = {"phase": "Deployed", "sigma": None, "used_nonces": [], field: value}
+    path = _edited(workdir / "state.json", tmp_path, **fields)
+    assert_malformed(invoke("pay-advance", "--state", path, "--amount", 100))
+
+
 def test_receive_rejects_foreign_delta(workdir, tmp_path):
     # delta signed for a different message must exit 1
     d = workdir

@@ -372,6 +372,28 @@ def test_contract_state_roundtrip(mock_pipeline):
             env.object_from_payload(ct.ContractState, {**payload, **edit})
 
 
+def test_contract_state_checks_its_other_fields_before_decoding_keys(real_pipeline, monkeypatch):
+    # a malformed ledger or amount exits before the ~519 G2 points of the keys are decoded
+    p = real_pipeline
+    op = trigger.address_of(trigger.ecdsa_keygen(b"o").vk)
+    inv = trigger.address_of(trigger.ecdsa_keygen(b"i").vk)
+    state = ct.deploy(p.m, op, inv, p.pk_s, p.pk_n, p.par, 5, 300)
+    payload = env.to_payload(state, ct.WalletLedger({op: 7, inv: 900}))
+
+    def refuse(self, group, data):
+        raise AssertionError(f"decoded a {group} element")
+
+    monkeypatch.setattr(type(p.par.backend), "deserialize", refuse)
+    for edit in ({"ledger": {op.hex(): 2**256, inv.hex(): 900}}, {"ledger": {op.hex(): 7}},
+                 {"ledger": []}, {"advance_required": 2**256}, {"investment_amount": 0},
+                 {"used_nonces": [2**256]}, {"used_nonces": [-1]}, {"operator": "zz"},
+                 {"phase": "SignatureStored"}):
+        with pytest.raises(env.EnvelopeError):
+            env.object_from_payload(ct.ContractState, {**payload, **edit})
+    with pytest.raises(AssertionError, match="decoded a G"):
+        env.object_from_payload(ct.ContractState, payload)
+
+
 def test_receipt_roundtrip():
     rep = build_report(OpCounts(8, 256, 2))
     rc = ct.ExecutionReceipt(verdict=True, gas=rep, transfer=(b"a" * 20, b"b" * 20, 5))
