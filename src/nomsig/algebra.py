@@ -152,16 +152,18 @@ class Backend:
         return GroupElem(self, group, self.identity_value(group))
 
     def pairing(self, a: GroupElem, b: GroupElem) -> GroupElem:
-        if a.group != "G1" or b.group != "G2":
-            raise AlgebraError(f"pairing needs (G1, G2), got ({a.group}, {b.group})")
-        return GroupElem(self, "GT", self.pairing_value(a.value, b.value))
+        return self.pairing_product([(a, b)])
 
-    def pairing_check(self, pairs: list[tuple[GroupElem, GroupElem]]) -> bool:
-        """Whether prod_i e(a_i, b_i) is the identity, checked as one batch."""
+    def pairing_product(self, pairs: list[tuple[GroupElem, GroupElem]]) -> GroupElem:
+        """prod_i e(a_i, b_i) over (G1, G2) pairs, computed as one batch."""
         for a, b in pairs:
             if a.group != "G1" or b.group != "G2":
                 raise AlgebraError(f"pairing needs (G1, G2), got ({a.group}, {b.group})")
-        return self.pairing_check_values([(a.value, b.value) for a, b in pairs])
+        return GroupElem(self, "GT", self.pairing_product_values([(a.value, b.value) for a, b in pairs]))
+
+    def pairing_check(self, pairs: list[tuple[GroupElem, GroupElem]]) -> bool:
+        """Whether prod_i e(a_i, b_i) is the identity, checked as one batch."""
+        return self.pairing_product(pairs).is_identity()
 
     def product(self, elems: list[GroupElem]) -> GroupElem:
         """The group product of one or more elements of one group, in one call."""
@@ -189,8 +191,7 @@ class Backend:
     def op_all(self, group, values): raise NotImplementedError
     def inv(self, group, a): raise NotImplementedError
     def exp(self, group, a, k): raise NotImplementedError
-    def pairing_value(self, a, b): raise NotImplementedError
-    def pairing_check_values(self, pairs) -> bool: raise NotImplementedError
+    def pairing_product_values(self, pairs): raise NotImplementedError
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
 
@@ -219,11 +220,8 @@ class MockBackend(Backend):
     def exp(self, group, a, k):
         return a * k % self.order
 
-    def pairing_value(self, a, b):
-        return a * b % self.order
-
-    def pairing_check_values(self, pairs):
-        return sum(a * b for a, b in pairs) % self.order == 0
+    def pairing_product_values(self, pairs):
+        return sum(a * b for a, b in pairs) % self.order
 
     def serialize(self, group, a):
         return a.to_bytes(32, "big")
@@ -303,11 +301,9 @@ class RealBackend(Backend):
             return bn254.g2_mul_base(k) if a == bn254.G2_GEN else bn254.g2_mul_gls(a, k)
         return bn254.gt_pow_gls(a, k)
 
-    def pairing_value(self, a, b):
-        return bn254.pairing(a, b)
-
-    def pairing_check_values(self, pairs):
-        return bn254.pairing_check(pairs)
+    def pairing_product_values(self, pairs):
+        # one pair goes through bn254.pairing, whose Miller loop keeps its own name in traces
+        return bn254.pairing(*pairs[0]) if len(pairs) == 1 else bn254.pairing_product(pairs)
 
     def serialize(self, group, a):
         if group == "GT":

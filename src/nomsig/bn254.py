@@ -4,8 +4,15 @@ Base field Fp, the tower Fp2 -> Fp6 -> Fp12, point arithmetic on G1 (over
 Fp) and on the sextic twist carrying G2 (over Fp2), and the optimal ate
 pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
 
-G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below,
-whose ``_slope`` and ``_chord_end`` also give the Miller loop each line.
+G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below.
+One affine chord routine, ``_chords``, serves ``g2_add`` and the Miller
+loop: over a list of (t, q) pairs it returns each line's slope, its w^3
+coefficient and the sum t + q, with one batched inversion.
+
+``multi_miller`` walks the signed digits of 6u+2: 65 doublings, 21 additions
+and 2 Frobenius lines, 88 line steps, each with one inversion for all pairs.
+Pairs on one G2 point share its chords, and each chord is evaluated at every
+G1 point paired with that point.
 
 Scalar multiplication in G1 splits the scalar in two with the cube-root
 endomorphism (``curve.glv_mul``). In the order-N subgroups G2 and GT,
@@ -461,34 +468,77 @@ def g2_neg(pt):
 # The Fp2 copy of the routines in ``curve``.
 
 
-def _slope(p, q):
-    """(numerator, denominator) of the chord or tangent slope through finite p, q.
+def _f2_batch_inv(xs):
+    """Inverses of the nonzero Fp2 xs (any ints) with one f2_inv: Montgomery's simultaneous inversion.
 
-    None if q = -p, where the line is vertical.
+    Each of its 3(n - 1) Fp2 products is inlined on plain ints.
     """
-    x1, y1 = p
-    x2, y2 = q
-    if x1 == x2:
-        if f2_add(y1, y2) == F2_ZERO:
-            return None
-        return f2_muli(f2_sqr(x1), 3), f2_muli(y1, 2)
-    return f2_sub(y2, y1), f2_sub(x2, x1)
+    if not xs:
+        return []
+    a0, a1 = xs[0]
+    prefix = [(a0, a1)]
+    for x0, x1 in xs[1:]:
+        m, n = a0 * x0, a1 * x1
+        a0, a1 = (m - n) % P, ((a0 + a1) * (x0 + x1) - m - n) % P
+        prefix.append((a0, a1))
+    i0, i1 = f2_inv((a0 % P, a1 % P))
+    out = [None] * len(xs)
+    for k in range(len(xs) - 1, 0, -1):
+        a0, a1 = prefix[k - 1]
+        m, n = i0 * a0, i1 * a1
+        out[k] = ((m - n) % P, ((i0 + i1) * (a0 + a1) - m - n) % P)
+        x0, x1 = xs[k]
+        m, n = i0 * x0, i1 * x1
+        i0, i1 = (m - n) % P, ((i0 + i1) * (x0 + x1) - m - n) % P
+    out[0] = (i0, i1)
+    return out
 
 
-def _chord_end(p, q, m):
-    """p + q for finite p, q on a line of slope m."""
-    x1, y1 = p
-    x3 = f2_sub(f2_sub(f2_sqr(m), x1), q[0])
-    return (x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1))
+def _chords(pairs):
+    """The line through each pair (t, q) of finite affine twist points, and the sum t + q.
+
+    Returns, per pair, (m, c, t + q): the chord slope m, or the tangent's
+    where t = q, and c = y1 - m*x1 for t = (x1, y1), so the line is
+    y = m*x + c. Where t = -q the line is vertical and the entry is
+    (None, None, None). One f2_inv serves every pair. Beyond its share of
+    that inversion, a pair takes 3 Fp2 products and a squaring, and a
+    tangent one more squaring, on plain ints.
+    """
+    nums, dens = [], []
+    for ((a0, a1), (b0, b1)), ((c0, c1), (d0, d1)) in pairs:
+        if a0 != c0 or a1 != c1:
+            nums.append((d0 - b0, d1 - b1))
+            dens.append((c0 - a0, c1 - a1))
+        elif (b0 + d0) % P or (b1 + d1) % P:  # tangent: 3x1^2 / 2y1
+            nums.append((3 * (a0 + a1) * (a0 - a1), 6 * a0 * a1))
+            dens.append((2 * b0, 2 * b1))
+        else:
+            nums.append(None)
+    invs = iter(_f2_batch_inv(dens))
+    out = []
+    for (((a0, a1), (b0, b1)), ((c0, c1), _)), num in zip(pairs, nums):
+        if num is None:
+            out.append((None, None, None))
+            continue
+        (n0, n1), (i0, i1) = num, next(invs)
+        m, n = n0 * i0, n1 * i1
+        m0, m1 = (m - n) % P, ((n0 + n1) * (i0 + i1) - m - n) % P  # slope
+        x0, x1 = ((m0 + m1) * (m0 - m1) - a0 - c0) % P, (2 * m0 * m1 - a1 - c1) % P  # m^2 - x1 - x2
+        m, n = m0 * a0, m1 * a1
+        e0, e1 = (b0 - m + n) % P, (b1 - (m0 + m1) * (a0 + a1) + m + n) % P  # y1 - m*x1
+        m, n = m0 * x0, m1 * x1
+        out.append(((m0, m1), (e0, e1),
+                    ((x0, x1), ((n - m - e0) % P, (m + n - (m0 + m1) * (x0 + x1) - e1) % P))))
+    return out
 
 
 def g2_add(p, q):
+    """p + q on the twist: the one-pair case of ``_chords``."""
     if p is None:
         return q
     if q is None:
         return p
-    s = _slope(p, q)
-    return None if s is None else _chord_end(p, q, f2_mul(s[0], f2_inv(s[1])))
+    return _chords([(p, q)])[0][2]
 
 
 def _jac_double_f2(q):
@@ -537,22 +587,6 @@ def _jac_madd_f2(q, xa, ya):
     y31 = ((r0 + r1) * (t0 + t1) - m - n - (y0 + y1) * (g0 + g1) + e + f) % P
     m, n = z0 * h0, z1 * h1
     return ((x30, x31), (y30, y31), ((m - n) % P, ((z0 + z1) * (h0 + h1) - m - n) % P))
-
-
-def _f2_batch_inv(xs):
-    """Inverses of the nonzero xs with one f2_inv (Montgomery's simultaneous inversion)."""
-    if not xs:
-        return []
-    prefix = [xs[0]]
-    for x in xs[1:]:
-        prefix.append(f2_mul(prefix[-1], x))
-    inv = f2_inv(prefix[-1])
-    out = [None] * len(xs)
-    for i in range(len(xs) - 1, 0, -1):
-        out[i] = f2_mul(inv, prefix[i - 1])
-        inv = f2_mul(inv, xs[i])
-    out[0] = inv
-    return out
 
 
 def _to_affine_f2(q):
@@ -734,45 +768,51 @@ def g2_mul_base(k):
 # ---------------------------------------------------------------------------
 
 
-def _line_steps(f, ts, qs, ps):
-    """(f times the line through each untwisted t, q at its G1 point, the sums t + q).
+def _line_step(f, ts, qs, groups):
+    """(f times the line through each t, q at each G1 point of its group, the sums t + q).
 
-    ``ps`` holds each G1 point as (xp, -yp). One f2_inv serves every pair.
+    ``groups[i]`` holds the G1 points paired with the i-th G2 point, each as
+    (xp, -yp). The untwisted line through t = (x1, y1) evaluated at (xp, yp)
+    is m*xp*w - yp + c*w^3, or xp - x1*w^2 where it is vertical.
     """
-    slopes = [_slope(t, q) for t, q in zip(ts, qs)]
-    invs = iter(_f2_batch_inv([s[1] for s in slopes if s is not None]))
-    sums = []
-    for t, q, (xp, nyp), s in zip(ts, qs, ps, slopes):
-        x1, y1 = t
-        if s is None:  # vertical: xp - x1*w^2, which lies in Fp6
-            f = _f12_mul_f6(f, (xp, 0, -x1[0], -x1[1], 0, 0))
-            sums.append(None)
-        else:  # m*xp*w - yp + (y1 - m*x1)*w^3
-            m = f2_mul(s[0], next(invs))
-            f = _f12_mul_line(f, nyp, f2_muli(m, xp), f2_sub(y1, f2_mul(m, x1)))
-            sums.append(_chord_end(t, q, m))
-    return f, sums
+    chords = _chords(list(zip(ts, qs)))
+    for (x1, _), (m, c, _), ps in zip(ts, chords, groups):
+        for xp, nyp in ps:
+            if m is None:  # lies in Fp6
+                f = _f12_mul_f6(f, (xp, 0, -x1[0], -x1[1], 0, 0))
+            else:
+                f = _f12_mul_line(f, nyp, (m[0] * xp % P, m[1] * xp % P), c)
+    return f, [s for _, _, s in chords]
 
 
 def multi_miller(pairs):
-    """prod_i f_{6u+2, Q_i}(P_i), with the two Frobenius correction lines, over (P_i, Q_i) pairs.
+    """prod_i f_{6u+2, Q_i}(P_i), up to a factor in Fp6, with the two Frobenius correction lines.
 
-    The pairs share every squaring of the accumulator and one slope inversion
-    per line step. A pair with None on either side contributes 1.
+    The loop walks the signed digits of 6u+2: 65 doublings, 21 additions and
+    the 2 Frobenius lines make 88 line steps. A -1 digit adds -Q; the
+    vertical line Miller's formula then divides by lies in Fp6, which the
+    final exponentiation removes, so it is left out. Pairs on one G2 point
+    share its chords, and each chord is evaluated at each of their G1
+    points. All chords of a step share one inversion, and the pairs share
+    every squaring of the accumulator. A pair with None on either side
+    contributes 1.
     """
-    pairs = [(pt, q) for pt, q in pairs if pt is not None and q is not None]
-    if not pairs:
+    groups = {}
+    for pt, q in pairs:
+        if pt is not None and q is not None:
+            groups.setdefault(q, []).append((pt[0], -pt[1] % P))
+    if not groups:
         return F12_ONE
-    ps = [(xp, -yp % P) for (xp, yp), _ in pairs]
-    qs = [q for _, q in pairs]
+    qs, ps = list(groups), list(groups.values())
+    neg_qs = [g2_neg(q) for q in qs]
     f, ts = F12_ONE, qs
-    for i in range(ATE_LOOP.bit_length() - 2, -1, -1):
-        f, ts = _line_steps(f12_sqr(f), ts, ts, ps)
-        if (ATE_LOOP >> i) & 1:
-            f, ts = _line_steps(f, ts, qs, ps)
+    for d in reversed(_naf(ATE_LOOP)[:-1]):
+        f, ts = _line_step(f12_sqr(f), ts, ts, ps)
+        if d:
+            f, ts = _line_step(f, ts, qs if d > 0 else neg_qs, ps)
     q1s = [_tw_frob(q) for q in qs]
-    f, ts = _line_steps(f, ts, q1s, ps)
-    return _line_steps(f, ts, [g2_neg(_tw_frob(q1)) for q1 in q1s], ps)[0]
+    f, ts = _line_step(f, ts, q1s, ps)
+    return _line_step(f, ts, [g2_neg(_tw_frob(q1)) for q1 in q1s], ps)[0]
 
 
 def miller_loop(q, pt):
@@ -821,7 +861,11 @@ def pairing(p1, q2):
     return final_exp(miller_loop(q2, p1))
 
 
-def pairing_check(pairs):
-    """Whether prod_i e(P_i, Q_i) = 1 over (G1, twist) pairs: one Miller loop, one final exponentiation."""
-    return final_exp(multi_miller(pairs)) == F12_ONE
+def pairing_product(pairs):
+    """prod_i e(P_i, Q_i) over (G1, twist) pairs: one Miller loop, one final exponentiation."""
+    return final_exp(multi_miller(pairs))
 
+
+def pairing_check(pairs):
+    """Whether prod_i e(P_i, Q_i) = 1 over (G1, twist) pairs."""
+    return pairing_product(pairs) == F12_ONE

@@ -21,6 +21,7 @@ from .contract import UINT256_LIMIT, ContractState, ExecutionReceipt, Phase, Wal
 from .gasmodel import GasReport
 from .scheme import (DeltaMsg, NomSignature, NomineePublicKey, NomineeSecretKey, PublicParams,
                      SignerPublicKey, SignerSecretKey, VerificationToken, setup)
+from .trigger import ADDRESS_LEN
 from .zkproto import ChallengeCommitment, ChallengeOpening, SigmaFirstMsg, SigmaResponse
 
 SCHEMA_VERSION = 1
@@ -93,6 +94,13 @@ def _bytes(v, name: str) -> bytes:
         return bytes.fromhex(_of(str, v, name))
     except ValueError:
         raise EnvelopeError(f"{name}: need a hex string") from None
+
+
+def _address(v, name: str) -> bytes:
+    a = _bytes(v, name)
+    if len(a) != ADDRESS_LEN:
+        raise EnvelopeError(f"{name}: need a {ADDRESS_LEN}-byte address, got {len(a)} bytes")
+    return a
 
 
 def _int(v, name: str, low: int = 0) -> int:
@@ -253,11 +261,12 @@ def contract_state_from_payload(
     sigma, nonces = payload.get("sigma"), _of(list, payload.get("used_nonces"), "used_nonces")
     if (sigma is None) != (phase in (Phase.DEPLOYED, Phase.ADVANCE_PAID)):
         raise EnvelopeError(f"phase {phase.value} and the stored signature disagree")
-    byte_fields = {name: _bytes(payload.get(name), name) for name in ("m", "operator", "investor")}
+    byte_fields = {"m": _bytes(payload.get("m"), "m"),
+                   **{name: _address(payload.get(name), name) for name in ("operator", "investor")}}
     amounts = {name: _word(payload.get(name), name, 1) for name in ("advance_required", "investment_amount")}
     used_nonces = {_word(n, "used_nonces") for n in nonces}
     ledger = WalletLedger({
-        _bytes(a, "ledger"): _word(v, "ledger balance")
+        _address(a, "ledger"): _word(v, "ledger balance")
         for a, v in _of(dict, payload.get("ledger"), "ledger").items()
     })
     if not {byte_fields["operator"], byte_fields["investor"]} <= ledger.balances.keys():
@@ -291,6 +300,8 @@ def gas_report_from_payload(payload: dict) -> GasReport:
         eth = None if eth is None else Fraction(_of(str, eth, "eth_cost"))
     except (ValueError, ZeroDivisionError):
         raise EnvelopeError(f"eth_cost: need a fraction, got {eth!r}") from None
+    if eth is not None and eth < 0:
+        raise EnvelopeError(f"eth_cost: need a fraction >= 0, got {eth}")
     total = counts.pop("total_gas")
     report = GasReport(**counts, eth_cost=eth)
     if total != report.total_gas:
@@ -313,7 +324,7 @@ def receipt_from_payload(payload: dict, _=None) -> ExecutionReceipt:
         raise EnvelopeError("need an accept verdict with a transfer or a reject without one")
     if t is not None:
         t = _of(dict, t, "transfer")
-        t = (_bytes(t.get("from"), "from"), _bytes(t.get("to"), "to"), _int(t.get("amount"), "amount"))
+        t = (_address(t.get("from"), "from"), _address(t.get("to"), "to"), _word(t.get("amount"), "amount"))
     gas = gas_report_from_payload(_of(dict, payload.get("gas"), "gas"))
     return ExecutionReceipt(verdict=verdict == "accept", gas=gas, transfer=t)
 

@@ -119,7 +119,7 @@ def derive_statement(
     fs_fn = waters_product(pk_s, pk_n, d)
     return ConfirmStatement(
         e1=e(par.g1, sigma.s3),
-        e2=e(pk_s.gS, pk_s.hS) * e(pk_n.gN, pk_n.hN),
+        e2=par.backend.pairing_product([(pk_s.gS, pk_s.hS), (pk_n.gN, pk_n.hN)]),
         e3=e(sigma.s1, fs_fn),
         e4=e(sigma.s2, fs_fn),
         x1=pk_n.x1,

@@ -3,12 +3,14 @@
 Each routine is the plainest form of what ``nomsig.bn254`` computes faster:
 the schoolbook Fp12 product over the 36 Fp2 products of its coefficients,
 square-and-multiply exponentiation over it, the G1 curve equation, the
-binary double-and-add ladder on the twist and the complex-method Fp2 square
-root with its inversion.
+binary double-and-add ladder on the twist, the complex-method Fp2 square
+root with its inversion, and the Miller loop over the binary digits of 6u+2
+with one inversion per line.
 """
 
-from nomsig.bn254 import (F2_ZERO, F12_ONE, G1_B, P, _jac_double_f2, _jac_madd_f2, _sqrt_fp,
-                          _to_affine_f2, f2_add, f2_mul, f2_mul_xi, f2_sqr, f12_inv, g2_neg)
+from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, P, _f12_mul_f6, _f12_mul_line,
+                          _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob, f2_add,
+                          f2_inv, f2_mul, f2_mul_xi, f2_muli, f2_sqr, f2_sub, f12_inv, f12_sqr, g2_neg)
 
 
 def schoolbook_f12_mul(a, b):
@@ -83,3 +85,44 @@ def complex_f2_sqrt(a):
         if f2_sqr((x0, x1)) == a:
             return (x0, x1)
     return None
+
+
+def _binary_line_steps(f, ts, qs, ps):
+    """(f times the line through each untwisted t, q at its G1 point (xp, -yp), the sums t + q)."""
+    sums = []
+    for (x1, y1), (x2, y2), (xp, nyp) in zip(ts, qs, ps):
+        if x1 == x2 and f2_add(y1, y2) == F2_ZERO:  # vertical: xp - x1*w^2, which lies in Fp6
+            f = _f12_mul_f6(f, (xp, 0, -x1[0], -x1[1], 0, 0))
+            sums.append(None)
+            continue
+        if x1 == x2:
+            m = f2_mul(f2_muli(f2_sqr(x1), 3), f2_inv(f2_muli(y1, 2)))
+        else:
+            m = f2_mul(f2_sub(y2, y1), f2_inv(f2_sub(x2, x1)))
+        f = _f12_mul_line(f, nyp, f2_muli(m, xp), f2_sub(y1, f2_mul(m, x1)))  # m*xp*w - yp + (y1 - m*x1)*w^3
+        x3 = f2_sub(f2_sub(f2_sqr(m), x1), x2)
+        sums.append((x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1)))
+    return f, sums
+
+
+def binary_multi_miller(pairs):
+    """prod_i f_{6u+2, Q_i}(P_i) with the two Frobenius lines, over the binary digits of 6u+2.
+
+    102 line steps: a doubling per bit after the leading one, an addition per
+    set bit after it, and the two Frobenius lines. Each pair's line has its
+    own inversion, and pairs on one G2 point are not grouped. A pair with None
+    on either side contributes 1.
+    """
+    pairs = [(pt, q) for pt, q in pairs if pt is not None and q is not None]
+    if not pairs:
+        return F12_ONE
+    ps = [(xp, -yp % P) for (xp, yp), _ in pairs]
+    qs = [q for _, q in pairs]
+    f, ts = F12_ONE, qs
+    for i in range(ATE_LOOP.bit_length() - 2, -1, -1):
+        f, ts = _binary_line_steps(f12_sqr(f), ts, ts, ps)
+        if (ATE_LOOP >> i) & 1:
+            f, ts = _binary_line_steps(f, ts, qs, ps)
+    q1s = [_tw_frob(q) for q in qs]
+    f, ts = _binary_line_steps(f, ts, q1s, ps)
+    return _binary_line_steps(f, ts, [g2_neg(_tw_frob(q1)) for q1 in q1s], ps)[0]

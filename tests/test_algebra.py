@@ -171,10 +171,31 @@ def test_pairing_check_agrees_with_separate_pairings(backend):
         assert b.pairing_check(base[: n - 1] + [closing]) == prod.is_identity() == (n % 2 == 0)
 
 
+@pytest.mark.parametrize("backend", [MockBackend(), RealBackend()], ids=["mock", "bn254"])
+def test_pairing_product_matches_product_of_separate_pairings(backend):
+    b = backend
+    rng = random.Random(18)
+    g1, g2 = b.g1(), b.g2()
+    a = [b.random_nonzero_scalar(rng) for _ in range(8)]
+    c = [b.random_nonzero_scalar(rng) for _ in range(8)]
+    c[1] = c[0]  # the same G2 point in two pairs
+    a[2] = c[3] = 0  # the identity on either side
+    pairs = [(g1**x, g2**y) for x, y in zip(a, c)]
+    assert b.pairing_product([]).is_identity()
+    want = b.identity("GT")
+    for n in range(1, 9):
+        want = want * b.pairing(*pairs[n - 1])
+        assert b.pairing_product(pairs[:n]) == want
+    assert want == b.gt() ** (sum(x * y for x, y in zip(a, c)) % b.order)
+
+
 def test_pairing_check_needs_g1_g2_pairs():
     b = MockBackend()
+    for call in (b.pairing_check, b.pairing_product):
+        with pytest.raises(AlgebraError):
+            call([(b.g1(), b.g2()), (b.g2(), b.g1())])
     with pytest.raises(AlgebraError):
-        b.pairing_check([(b.g2(), b.g1())])
+        b.pairing(b.g2(), b.g2())
 
 
 @pytest.mark.parametrize("backend", [MockBackend(), RealBackend()], ids=["mock", "bn254"])

@@ -43,7 +43,8 @@ from nomsig.bn254 import (
     pairing,
     pairing_check,
 )
-from oracles import binary_g2_mul, complex_f2_sqrt, f12_pow, g1_is_on_curve, schoolbook_f12_mul
+from oracles import (binary_g2_mul, binary_multi_miller, complex_f2_sqrt, f12_pow, g1_is_on_curve,
+                     schoolbook_f12_mul)
 
 rng = random.Random(1301)
 
@@ -188,18 +189,23 @@ def test_line_steps_match_dense_lines():
     xp, yp = g1_mul(G1_GEN, 5)
     t = g2_mul(G2_GEN, 3)
     x1, y1 = t
-    for q in (g2_mul(G2_GEN, 7), t, g2_neg(t)):
-        got, sums = bn254._line_steps(f, [t], [q], [(xp, -yp % P)])
-        assert sums == [g2_add(t, q)]
+    cases = (g2_mul(G2_GEN, 7), t, g2_neg(t))
+    chords = bn254._chords([(t, q) for q in cases])
+    for q, (m, c, s) in zip(cases, chords):
+        assert s == g2_add(t, q)
+        got, sums = bn254._line_step(f, [t], [q], [[(xp, -yp % P)]])
+        assert sums == [s]
         if q == g2_neg(t):
+            assert m is c is s is None
             line = ((xp, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
         else:
             num, den = (f2_mul(f2_sqr(x1), (3, 0)), f2_add(y1, y1)) if q == t else (
                 f2_add(q[1], f2_neg(y1)), f2_add(q[0], f2_neg(x1)))
-            m = f2_mul(num, f2_inv(den))
-            line = ((-yp % P, 0), f2_mul(m, (xp, 0)), F2_ZERO, f2_add(y1, f2_neg(f2_mul(m, x1))),
-                    F2_ZERO, F2_ZERO)
+            assert m == f2_mul(num, f2_inv(den))
+            assert c == f2_add(y1, f2_neg(f2_mul(m, x1)))
+            line = ((-yp % P, 0), f2_mul(m, (xp, 0)), F2_ZERO, c, F2_ZERO, F2_ZERO)
         assert got == schoolbook_f12_mul(f, line)
+    assert g2_add(t, g2_neg(t)) is None and g2_add(t, None) == g2_add(None, t) == t
 
 
 def test_inversions_match_fermat():
@@ -234,15 +240,24 @@ def test_pairing_bilinear():
 
 def test_miller_loop_inverts_once_per_line(monkeypatch):
     pairs = [(g1_mul(G1_GEN, k), g2_mul(G2_GEN, k + 1)) for k in range(1, 9)]
-    calls = []
+    digits = bn254._naf(ATE_LOOP)
+    # a line per signed digit after the leading one, one more per nonzero digit, and two Frobenius lines
+    steps = len(digits) - 1 + sum(1 for d in digits if d) - 1 + 2
+    assert (len(digits) - 1, sum(1 for d in digits if d) - 1, steps) == (65, 21, 88)
+    calls, batches = [], []
+    chords = bn254._chords
     monkeypatch.setattr(bn254, "f2_inv", lambda a: calls.append(a) or f2_inv(a))
+    monkeypatch.setattr(bn254, "_chords", lambda tqs: batches.append(len(tqs)) or chords(tqs))
     bn254.miller_loop(G2_GEN, G1_GEN)
-    # a line per doubling, per set bit after the leading one, and two Frobenius lines
-    assert len(calls) == ATE_LOOP.bit_length() - 1 + bin(ATE_LOOP).count("1") - 1 + 2 == 102
+    assert len(calls) == len(batches) == steps
     # eight pairs share one inversion per line step
     calls.clear()
     multi_miller(pairs)
-    assert len(calls) == 102
+    assert len(calls) == steps
+    # two pairs on one G2 point share its chord: seven chords per step for eight pairs
+    batches.clear()
+    multi_miller([(g1_mul(G1_GEN, 9), G2_GEN), *pairs[:6], (g1_mul(G1_GEN, 10), G2_GEN)])
+    assert batches == [7] * steps
 
 
 def _mixed_pairs(draws):
@@ -265,7 +280,38 @@ def test_multi_miller_matches_product_of_pairings():
     for n, (p, q) in enumerate(pairs, 1):
         want = f12_mul(want, pairing(p, q))
         assert bn254.final_exp(multi_miller(pairs[:n])) == want
+        assert bn254.pairing_product(pairs[:n]) == want
     assert multi_miller([]) == multi_miller(pairs[2:4]) == F12_ONE
+
+
+def test_multi_miller_matches_binary_loop_oracle(monkeypatch):
+    # pairs 0 and 1 share a G2 point, 2 and 3 have None on one side, 4 pairs with -Q of pair 5,
+    # and 6 and 7 are off G2: an order-10069 point and its sum with a point of G2
+    draws = random.Random(1314)
+    pairs, _ = _mixed_pairs(draws)
+    t = _torsion_point(draws, 10069)
+    pairs[4] = (pairs[4][0], g2_neg(pairs[5][1]))
+    pairs[6] = (pairs[6][0], t)
+    pairs[7] = (pairs[7][0], g2_add(pairs[7][1], t))
+    for n in range(1, 9):
+        assert bn254.final_exp(multi_miller(pairs[:n])) == bn254.final_exp(binary_multi_miller(pairs[:n])), n
+    # a point of each prime order of the twist makes only the 65 tangents of the doublings and
+    # 23 chords, so no twist point meets a vertical line, or a tangent in an addition, in this loop
+    torsion = [_torsion_point(draws, ell) for ell in COFACTOR_PRIMES]
+    kinds = []
+    chords = bn254._chords
+
+    def spy(tqs):
+        out = chords(tqs)
+        kinds.extend("vertical" if m is None else "tangent" if t == q else "chord"
+                     for (t, q), (m, _, _) in zip(tqs, out))
+        return out
+
+    monkeypatch.setattr(bn254, "_chords", spy)
+    for q in [G2_GEN, *torsion]:
+        kinds.clear()
+        multi_miller([(G1_GEN, q)])
+        assert (kinds.count("tangent"), kinds.count("chord"), len(kinds)) == (65, 23, 88)
 
 
 def test_pairing_check_verdicts(monkeypatch):

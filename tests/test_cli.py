@@ -247,10 +247,11 @@ def test_trigger_without_funds_is_a_reject(workdir, tmp_path):
     assert "reject" in res.output
 
 
-def _receipt(tmp_path, edit_gas):
+def _receipt(tmp_path, edit_gas, transfer=None):
     gas = {"tkverify_gas": 355400, "ecrecover_gas": 3000, "total_gas": 358400, "pairing_pairs": 8,
            "ec_additions": 256, "unpriced_scalar_mults": 8, "eth_cost": None}
-    payload = {"verdict": "reject", "gas": edit_gas(gas), "transfer": None}
+    payload = {"verdict": "reject" if transfer is None else "accept", "gas": edit_gas(gas),
+               "transfer": transfer}
     path = tmp_path / "receipt.json"
     path.write_text(json.dumps({"schema_version": 1, "kind": "receipt", "payload": payload}))
     return path
@@ -264,6 +265,30 @@ def test_malformed_receipt_gas_exits_2(tmp_path, edit_gas):
     res = invoke("report-gas", "--receipt", _receipt(tmp_path, edit_gas))
     assert_malformed(res)
     assert "tkverify=" not in res.output
+
+
+def test_receipt_with_negative_eth_cost_exits_2(tmp_path):
+    res = invoke("report-gas", "--receipt", _receipt(tmp_path, lambda gas: {**gas, "eth_cost": "-5"}))
+    assert_malformed(res)
+    assert "eth=" not in res.output
+
+
+@pytest.mark.parametrize("edit", [
+    {"amount": 2**300},
+    {"from": ""},
+    {"to": "ab" * 21},
+], ids=["amount-2^300", "empty-from", "21-byte-to"])
+def test_receipt_with_malformed_transfer_exits_2(tmp_path, edit):
+    transfer = {"from": "11" * 20, "to": "22" * 20, "amount": 700, **edit}
+    res = invoke("report-gas", "--receipt", _receipt(tmp_path, lambda gas: gas, transfer))
+    assert_malformed(res)
+    assert "tkverify=" not in res.output
+
+
+def test_report_gas_from_well_formed_accept_receipt(tmp_path):
+    transfer = {"from": "11" * 20, "to": "22" * 20, "amount": 2**256 - 1}
+    res = invoke("report-gas", "--receipt", _receipt(tmp_path, lambda gas: gas, transfer))
+    assert res.exit_code == 0 and "tkverify=355400" in res.output, res.output
 
 
 def test_report_gas_with_zero_ecrecover_cost_exits_2(tmp_path):
@@ -346,6 +371,22 @@ def test_pay_advance_that_would_overflow_a_balance_is_a_reject(workdir, tmp_path
     res = invoke("pay-advance", "--state", state, "--amount", 100)
     assert res.exit_code == 1 and "reject" in res.output, res.output
     assert state.read_bytes() == before
+
+
+@pytest.mark.parametrize("field", ["operator", "investor", "ledger"])
+def test_state_with_an_address_of_the_wrong_length_exits_2(workdir, tmp_path, field):
+    payload = json.loads((workdir / "state.json").read_text())["payload"]
+    ledger = dict(payload["ledger"])
+    if field == "ledger":
+        ledger["ab" * 19] = 0
+        edits = {}
+    else:  # the party keeps its account under the shortened address
+        short = payload[field][:-2]
+        ledger[short] = ledger.pop(payload[field])
+        edits = {field: short}
+    fields = {"phase": "Deployed", "sigma": None, "used_nonces": [], "ledger": ledger, **edits}
+    path = _edited(workdir / "state.json", tmp_path, **fields)
+    assert_malformed(invoke("pay-advance", "--state", path, "--amount", 100))
 
 
 @pytest.mark.parametrize("field", ["ledger", "advance_required", "investment_amount", "used_nonces"])
