@@ -251,6 +251,12 @@ def _f2_is_high(v) -> bool:
     return _fp_is_high(c1) if c1 != 0 else _fp_is_high(c0)
 
 
+def _g2_lift(x, high: bool):
+    """The twist point with x-coordinate x whose y is high or low, or None if x is not on the twist."""
+    y = bn254.f2_sqrt(bn254.g2_rhs(x))
+    return None if y is None else (x, y if _f2_is_high(y) == high else bn254.f2_neg(y))
+
+
 class RealBackend(Backend):
     """BN254 groups; G2 lives on the sextic twist, GT inside Fp12."""
 
@@ -366,14 +372,9 @@ class RealBackend(Backend):
         c0 = int.from_bytes(body[32:], "big")
         if c0 >= bn254.P or c1 >= bn254.P:
             raise MalformedEncoding("G2: x out of range")
-        x = (c0, c1)
-        rhs = bn254.f2_add(bn254.f2_mul(bn254.f2_sqr(x), x), bn254.TW_B)
-        y = bn254.f2_sqrt(rhs)
-        if y is None:
+        pt = _g2_lift((c0, c1), sign)
+        if pt is None:
             raise NotOnCurve("G2: x not on curve")
-        if _f2_is_high(y) != sign:
-            y = bn254.f2_neg(y)
-        pt = (x, y)
         if not bn254.g2_in_subgroup(pt):
             raise NotInSubgroup("G2: point not in the prime-order subgroup")
         return pt
@@ -385,21 +386,17 @@ class RealBackend(Backend):
             seed = hashlib.sha512(b"NOMSIG-H2G" + ctr.to_bytes(4, "big") + data).digest()
             c0 = int.from_bytes(seed[:32], "big") % bn254.P
             c1 = int.from_bytes(seed[32:], "big") % bn254.P
-            x = (c0, c1)
-            rhs = bn254.f2_add(bn254.f2_mul(bn254.f2_sqr(x), x), bn254.TW_B)
-            y = bn254.f2_sqrt(rhs)
-            if y is not None:
-                if _f2_is_high(y):
-                    y = bn254.f2_neg(y)
-                pt = bn254.g2_mul((x, y), bn254.G2_COFACTOR)
+            pt = _g2_lift((c0, c1), False)
+            if pt is not None:
+                pt = bn254.g2_mul(pt, bn254.G2_COFACTOR)
                 if pt is not None:
                     return GroupElem(self, "G2", pt)
             ctr += 1
 
 
 def get_backend(name: str) -> Backend:
-    if name in ("mock", "mock-exponent"):
+    if name == "mock":
         return MockBackend()
-    if name in ("real", "bn254", "real-curve"):
+    if name in ("real", "bn254"):
         return RealBackend()
     raise AlgebraError(f"unknown backend {name!r}")

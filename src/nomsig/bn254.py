@@ -19,7 +19,8 @@ endomorphism (``curve.glv_mul``). In the order-N subgroups G2 and GT,
 ``g2_mul_gls`` and ``gt_pow_gls`` split it in four with the Frobenius. The
 general ladders ``g2_mul`` (width-4 signed digits) and ``f12_cyc_pow`` take
 any twist point or cyclotomic element and any scalar; the subgroup tests,
-cofactor clearing and the final exponentiation use them.
+cofactor clearing and the final exponentiation use them. Powers of G2_GEN
+take GLS too; only ``g1_mul_base`` keeps a doubling table, which beats GLV.
 
 Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the
 subgroup test ``g2_in_subgroup``: 62 doublings and 13 mixed additions for
@@ -454,11 +455,16 @@ G2_GEN = (
 )
 
 
+def g2_rhs(x):
+    """x^3 + 3/XI, the right side of the twist equation."""
+    return f2_add(f2_mul(f2_sqr(x), x), TW_B)
+
+
 def g2_is_on_curve(pt):
     if pt is None:
         return True
     x, y = pt
-    return f2_sqr(y) == f2_add(f2_mul(f2_sqr(x), x), TW_B)
+    return f2_sqr(y) == g2_rhs(x)
 
 
 def g2_neg(pt):
@@ -743,13 +749,10 @@ def g2_in_subgroup(pt):
     return _jac_sum_f2([pt, uq, psi1, psi2, psi3, psi3]) is None
 
 
-# Fixed-base tables: affine 2^i multiples of the generators.
+# Affine 2^i * G1_GEN: beats GLV on 254-bit scalars (1.0-1.1 vs 1.4-1.8 ms) and 128-bit ones (0.5 vs 1.3-1.6 ms).
 _G1_POWS = [G1_GEN]
 for _ in range(N.bit_length() - 1):
     _G1_POWS.append(g1_add(_G1_POWS[-1], _G1_POWS[-1]))
-_G2_POWS = [G2_GEN]
-for _ in range(N.bit_length() - 1):
-    _G2_POWS.append(g2_add(_G2_POWS[-1], _G2_POWS[-1]))
 
 
 def g1_mul_base(k):
@@ -758,9 +761,8 @@ def g1_mul_base(k):
 
 
 def g2_mul_base(k):
-    """k * G2_GEN using the precomputed doubling table."""
-    k %= N
-    return g2_sum(_G2_POWS[i] for i in range(k.bit_length()) if (k >> i) & 1)
+    """k * G2_GEN, by the GLS split."""
+    return g2_mul_gls(G2_GEN, k)
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,9 @@ def receive(
     d1p = delta.d1 * par.g1**r_prime
     d2p = delta.d2 * par.g2**r_prime
     d3p = delta.d3 * fs**r_prime
-    s1 = (d1p / par.g1**r) ** pow(sk_n.y1, -1, par.order)
-    s2 = (par.g1**r) ** pow(sk_n.y2, -1, par.order)
+    g1r = par.g1**r
+    s1 = (d1p / g1r) ** pow(sk_n.y1, -1, par.order)
+    s2 = g1r ** pow(sk_n.y2, -1, par.order)
     t = _chal_scalar(par, pk_s, s1, s2, m)
     mn = (par.g2**t) * (pk_n.k**s)
     mn_bits = hash_h1(mn.to_bytes())

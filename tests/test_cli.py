@@ -218,7 +218,9 @@ def test_trigger_rejects_state_of_another_backend(workdir, tmp_path):
 
 
 def test_setup_with_unknown_backend_exits_2(tmp_path):
-    assert_malformed(invoke("setup", "--backend", "foo", "--out", tmp_path / "params.json"))
+    for name in ("foo", "real-curve", "mock-exponent"):
+        assert_malformed(invoke("setup", "--backend", name, "--out", tmp_path / "params.json"))
+    assert not (tmp_path / "params.json").exists()
 
 
 @pytest.mark.parametrize("security", [256, "128"])

@@ -231,3 +231,13 @@ def test_scalar_mult_tally_follows_the_exponentiations(mock_pipeline, monkeypatc
     monkeypatch.setattr(MockBackend, "exp", lambda self, *a: calls.append(a) or exp(self, *a))
     ok, counts = p.verify()
     assert ok and counts.scalar_mults == len(calls) == 8
+
+
+def test_receive_makes_four_g1_and_six_g2_exponentiations(mock_pipeline, monkeypatch):
+    p = mock_pipeline
+    groups = []
+    exp = MockBackend.exp
+    monkeypatch.setattr(MockBackend, "exp", lambda self, group, *a: groups.append(group) or exp(self, group, *a))
+    sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, p.sk_n, random.Random(1))
+    assert sigma is not None
+    assert sorted(groups) == ["G1"] * 4 + ["G2"] * 6
