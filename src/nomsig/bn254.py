@@ -14,13 +14,16 @@ and 2 Frobenius lines, 88 line steps, each with one inversion for all pairs.
 Pairs on one G2 point share its chords, and each chord is evaluated at every
 G1 point paired with that point.
 
-Scalar multiplication in G1 splits the scalar in two with the cube-root
-endomorphism (``curve.glv_mul``). In the order-N subgroups G2 and GT,
-``g2_mul_gls`` and ``gt_pow_gls`` split it in four with the Frobenius. The
-general ladders ``g2_mul`` (width-4 signed digits) and ``f12_cyc_pow`` take
-any twist point or cyclotomic element and any scalar; the subgroup tests,
-cofactor clearing and the final exponentiation use them. Powers of G2_GEN
-take GLS too; only ``g1_mul_base`` keeps a doubling table, which beats GLV.
+Every exponentiation runs the one double-and-add loop ``curve.ladder``:
+  - G1 ``g1_mul`` splits the scalar in two with the cube-root endomorphism
+    (``curve.glv_mul``), a joint ladder over subset sums;
+  - in the order-N subgroups, ``g2_mul_gls`` (also for powers of G2_GEN)
+    and ``gt_pow_gls`` split it in four with the Frobenius, the same way;
+  - ``g2_mul`` (width-4 signed digits over pt, 3pt, 5pt, 7pt) and
+    ``f12_cyc_pow`` (NAF digits) take any twist point or cyclotomic element
+    and any scalar, for the subgroup tests, cofactor clearing and the final
+    exponentiation.
+Only ``g1_mul_base`` sums a table of doublings instead, which beats GLV.
 
 Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the
 subgroup test ``g2_in_subgroup``: 62 doublings and 13 mixed additions for
@@ -46,6 +49,8 @@ GT, and every value past the easy part of the final exponentiation, lies in
 the cyclotomic subgroup of Fp12*: there ``f12_cyc_pow`` exponentiates with
 cyclotomic squarings.
 """
+
+from functools import reduce
 
 from . import curve
 
@@ -113,16 +118,6 @@ def f2_inv(a):
     a0, a1 = a
     d = pow(a0 * a0 + a1 * a1, -1, P)
     return (a0 * d % P, -a1 * d % P)
-
-
-def f2_pow(a, e):
-    r = F2_ONE
-    while e:
-        if e & 1:
-            r = f2_mul(r, a)
-        a = f2_sqr(a)
-        e >>= 1
-    return r
 
 
 def _sqrt_fp(a):
@@ -325,7 +320,7 @@ def f12_inv(a):
 
 
 # XI^(i(p-1)/6) for i < 6, as powers of one exponentiation.
-_FROB_GAMMA = [F2_ONE, f2_pow(XI, (P - 1) // 6)]
+_FROB_GAMMA = [F2_ONE, curve.ladder(F2_ONE, curve.columns([(P - 1) // 6]), [None, XI], f2_sqr, f2_mul)]
 for _ in range(4):
     _FROB_GAMMA.append(f2_mul(_FROB_GAMMA[-1], _FROB_GAMMA[1]))
 
@@ -399,18 +394,13 @@ def _naf(k, w=2):
 def f12_cyc_pow(a, k):
     """a^k for a in the cyclotomic subgroup and k >= 0.
 
-    Cyclotomic squarings over the signed digits of k; a -1 digit multiplies
-    by f12_conj(a), the inverse of a there.
+    Cyclotomic squarings over the signed digits of k after the leading 1; a
+    -1 digit multiplies by f12_conj(a), the inverse of a there.
     """
-    a_inv = f12_conj(a)
-    r = F12_ONE
-    for d in reversed(_naf(k)):
-        r = f12_cyc_sqr(r)
-        if d == 1:
-            r = f12_mul(r, a)
-        elif d == -1:
-            r = f12_mul(r, a_inv)
-    return r
+    digits = _naf(k)
+    if not digits:
+        return F12_ONE
+    return curve.ladder(a, reversed(digits[:-1]), {1: a, -1: f12_conj(a)}, f12_cyc_sqr, f12_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +556,14 @@ def _jac_double_f2(q):
     return ((x30, x31), (y30, y31), (2 * (m - n) % P, 2 * ((y0 + y1) * (z0 + z1) - m - n) % P))
 
 
-def _jac_madd_f2(q, xa, ya):
-    """Jacobian q + affine (xa, ya) on plain ints; doubles when they are equal, None when opposite."""
+def _jac_madd_f2(q, a):
+    """Jacobian q + affine a on plain ints; q for a = None, a doubling when they are equal, None when opposite."""
+    if a is None:
+        return q
     if q is None:
-        return (xa, ya, F2_ONE)
+        return (*a, F2_ONE)
     (x0, x1), (y0, y1), (z0, z1) = q
-    (a0, a1), (b0, b1) = xa, ya
+    (a0, a1), (b0, b1) = a
     s0, s1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # z^2
     m, n = a0 * s0, a1 * s1
     h0, h1 = (m - n - x0) % P, ((a0 + a1) * (s0 + s1) - m - n - x1) % P  # xa*z^2 - x
@@ -608,25 +600,15 @@ def _batch_to_affine_f2(qs):
     return out
 
 
-def _g2_straus(bases, scalars):
-    """sum_i scalars[i] * bases[i] for affine twist points and scalars >= 0: ``curve.straus`` over Fp2."""
-    table = curve.subset_sums(bases, g2_add)
-    acc = None
-    for col in curve.columns(scalars):
-        acc = _jac_double_f2(acc)
-        if table[col] is not None:
-            acc = _jac_madd_f2(acc, *table[col])
-    return _to_affine_f2(acc)
-
-
 def g2_mul(pt, k):
     """k * pt for any twist point and any k, by a width-4 signed-digit (wNAF) ladder.
 
-    The table holds pt, 3pt, 5pt and 7pt: 2pt by one affine doubling, the odd
-    multiples by mixed additions of it, then one batched inversion. A nonzero
-    digit d adds the entry for |d|, negated when d < 0, and is followed by at
-    least three zero digits. No reduction mod N here: the subgroup test and
-    cofactor clearing multiply points outside G2, and by scalars of N or more.
+    The table maps the digits 1, 3, 5, 7 to pt, 3pt, 5pt, 7pt (2pt by one
+    affine doubling, the odd multiples by mixed additions of it, then one
+    batched inversion) and -1, -3, -5, -7 to their negatives. A nonzero
+    digit is followed by at least three zero digits. No reduction mod N
+    here: the subgroup test and cofactor clearing multiply points outside
+    G2, and by scalars of N or more.
     The twist's order has no prime factor below 10069, so no table entry is
     infinity and none meets +-pt in its mixed addition.
     """
@@ -637,15 +619,11 @@ def g2_mul(pt, k):
     two = g2_add(pt, pt)
     odd = [(*pt, F2_ONE)]
     for _ in range(3):
-        odd.append(_jac_madd_f2(odd[-1], *two))
-    table = [pt, *_batch_to_affine_f2(odd[1:])]
-    acc = None
-    for d in reversed(_naf(k, 4)):
-        acc = _jac_double_f2(acc)
-        if d:
-            x, y = table[abs(d) >> 1]
-            acc = _jac_madd_f2(acc, x, y if d > 0 else f2_neg(y))
-    return _to_affine_f2(acc)
+        odd.append(_jac_madd_f2(odd[-1], two))
+    table = {}
+    for d, q in zip((1, 3, 5, 7), [pt, *_batch_to_affine_f2(odd[1:])]):
+        table[d], table[-d] = q, g2_neg(q)
+    return _to_affine_f2(curve.ladder(None, reversed(_naf(k, 4)), table, _jac_double_f2, _jac_madd_f2))
 
 
 # Frobenius on the twist: psi(x, y) = (conj(x)*XI^((p-1)/3), conj(y)*XI^((p-1)/2)).
@@ -659,11 +637,7 @@ def _tw_frob(pt):
 
 def _jac_sum_f2(pts):
     """The sum of affine twist points (None for infinity) as a Jacobian point, by mixed additions."""
-    acc = None
-    for pt in pts:
-        if pt is not None:
-            acc = _jac_madd_f2(acc, *pt)
-    return acc
+    return reduce(_jac_madd_f2, pts, None)
 
 
 def g2_sum(pts):
@@ -701,7 +675,8 @@ def g2_mul_gls(pt, k):
     for c in parts:
         bases.append(pt if c >= 0 else g2_neg(pt))
         pt = _tw_frob(pt)
-    return _g2_straus(bases, [abs(c) for c in parts])
+    table, cols = curve.subset_sums(bases, g2_add), curve.columns([abs(c) for c in parts])
+    return _to_affine_f2(curve.ladder(None, cols, table, _jac_double_f2, _jac_madd_f2))
 
 
 def gt_pow_gls(a, k):
@@ -714,16 +689,8 @@ def gt_pow_gls(a, k):
     for c in parts:
         bases.append(a if c >= 0 else f12_conj(a))
         a = f12_frob(a)
-    table = curve.subset_sums(bases, f12_mul)
-    cols = curve.columns([abs(c) for c in parts])
-    if not cols:
-        return F12_ONE
-    r = table[cols[0]]
-    for col in cols[1:]:
-        r = f12_cyc_sqr(r)
-        if col:
-            r = f12_mul(r, table[col])
-    return r
+    table, cols = curve.subset_sums(bases, f12_mul), curve.columns([abs(c) for c in parts])
+    return curve.ladder(table[cols[0]], cols[1:], table, f12_cyc_sqr, f12_mul) if cols else F12_ONE
 
 
 def g2_in_subgroup(pt):

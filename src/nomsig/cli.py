@@ -41,10 +41,33 @@ def _read(path: str, cls, backend=None):
         raise MalformedInput(f"{path}: {exc}")
 
 
+def _write(path: str, obj, context=None) -> None:
+    """Write ``obj`` in its envelope at path; an unwritable path is malformed input."""
+    try:
+        env.write_object(path, obj, context)
+    except OSError as exc:
+        raise MalformedInput(str(exc))
+
+
+def _mkdir(path) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise MalformedInput(str(exc))
+    return Path(path)
+
+
 def _read_message(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
+        raise MalformedInput(str(exc))
+
+
+def _setup(backend: str) -> scheme.PublicParams:
+    try:
+        return scheme.setup(backend=backend)
+    except (scheme.SchemeError, AlgebraError) as exc:
         raise MalformedInput(str(exc))
 
 
@@ -79,11 +102,7 @@ def main():
 @click.option("--out", required=True, type=click.Path())
 def cmd_setup(backend, out):
     """Write the public parameter envelope."""
-    try:
-        par = scheme.setup(backend=backend)
-    except (scheme.SchemeError, AlgebraError) as exc:
-        raise MalformedInput(str(exc))
-    env.write_object(out, par)
+    _write(out, _setup(backend))
     click.echo(f"params written to {out}")
 
 
@@ -95,8 +114,8 @@ def cmd_setup(backend, out):
 def cmd_keygen_signer(params_path, seed, pub_out, sec_out):
     par = _read(params_path, scheme.PublicParams)
     pk, sk = scheme.keygen_signer(par, Random(seed))
-    env.write_object(pub_out, pk)
-    env.write_object(sec_out, sk)
+    _write(pub_out, pk)
+    _write(sec_out, sk)
     click.echo(f"signer keys written to {pub_out}, {sec_out}")
 
 
@@ -108,8 +127,8 @@ def cmd_keygen_signer(params_path, seed, pub_out, sec_out):
 def cmd_keygen_nominee(params_path, seed, pub_out, sec_out):
     par = _read(params_path, scheme.PublicParams)
     pk, sk = scheme.keygen_nominee(par, Random(seed))
-    env.write_object(pub_out, pk)
-    env.write_object(sec_out, sk)
+    _write(pub_out, pk)
+    _write(sec_out, sk)
     click.echo(f"nominee keys written to {pub_out}, {sec_out}")
 
 
@@ -134,7 +153,7 @@ def cmd_sign(params_path, signer_pub, signer_sec, nominee_pub, message_file, see
     sk_s = _read(signer_sec, scheme.SignerSecretKey)
     m = _read_message(message_file)
     delta = scheme.sign(par, pk_s, pk_n, m, sk_s, Random(seed))
-    env.write_object(out, delta)
+    _write(out, delta)
     click.echo(f"delta written to {out}")
 
 
@@ -157,7 +176,7 @@ def cmd_receive(params_path, signer_pub, nominee_pub, nominee_sec, message_file,
     if sigma is None:
         click.echo("reject: partial signature invalid")
         sys.exit(EXIT_REJECT)
-    env.write_object(out, sigma)
+    _write(out, sigma)
     click.echo(f"sigma written to {out}")
 
 
@@ -179,7 +198,7 @@ def cmd_convert(params_path, signer_pub, nominee_pub, nominee_sec, message_file,
     if tk is None:
         click.echo("reject: sigma invalid, no token issued")
         sys.exit(EXIT_REJECT)
-    env.write_object(out, tk)
+    _write(out, tk)
     click.echo(f"token written to {out}")
 
 
@@ -199,7 +218,7 @@ _PASS_FILES = {
 
 def _send(tdir: Path, backend, msg) -> None:
     tmp = tdir / (_PASS_FILES[type(msg)] + ".tmp")
-    env.write_object(str(tmp), msg, backend.name)
+    _write(str(tmp), msg, backend.name)
     tmp.rename(tdir / _PASS_FILES[type(msg)])
 
 
@@ -219,8 +238,7 @@ def _interactive(protocol, role, params_path, signer_pub, nominee_pub, nominee_s
     m = _read_message(message_file)
     sigma = _read(sigma_path, scheme.NomSignature, par.backend)
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
-    tdir = Path(transport_dir)
-    tdir.mkdir(parents=True, exist_ok=True)
+    tdir = _mkdir(transport_dir)
     rng = Random(seed)
     b = par.backend
 
@@ -319,7 +337,7 @@ def cmd_deploy(params_path, signer_pub, nominee_pub, message_file, operator_seed
         ledger = ct.WalletLedger({op_addr: operator_balance, inv_addr: investor_balance})
     except ct.ContractError as exc:
         raise MalformedInput(str(exc))
-    env.write_object(state_out, state, ledger)
+    _write(state_out, state, ledger)
     click.echo(f"contract deployed, state in {state_out}")
     click.echo(f"operator {op_addr.hex()} investor {inv_addr.hex()}")
 
@@ -336,7 +354,7 @@ def cmd_pay_advance(state_path, amount):
         sys.exit(EXIT_REJECT)
     except ct.InvalidAmounts as exc:
         raise MalformedInput(str(exc))
-    env.write_object(state_path, state, ledger)
+    _write(state_path, state, ledger)
     click.echo(f"advance of {amount} paid, phase {state.phase.value}")
 
 
@@ -351,7 +369,7 @@ def cmd_store_sig(state_path, sigma_path):
     except ct.WrongPhase as exc:
         click.echo(f"reject: {exc}")
         sys.exit(EXIT_REJECT)
-    env.write_object(state_path, state, ledger)
+    _write(state_path, state, ledger)
     click.echo(f"signature stored, phase {state.phase.value}")
 
 
@@ -387,9 +405,9 @@ def cmd_trigger(state_path, token_path, investor_seed, nonce, cost_table, gas_pr
     except ct.MalformedTransaction as exc:
         raise MalformedInput(str(exc))
     if receipt_out is not None:
-        env.write_object(receipt_out, receipt)
+        _write(receipt_out, receipt)
     if receipt.verdict:
-        env.write_object(state_path, state, ledger)
+        _write(state_path, state, ledger)
         click.echo("accept")
         _echo_gas(receipt.gas)
         sys.exit(EXIT_ACCEPT)
@@ -442,7 +460,7 @@ def cmd_demo(seed, backend, workdir):
     import tempfile
 
     rng = Random(seed)
-    par = scheme.setup(backend=backend)
+    par = _setup(backend)
     pk_s, sk_s = scheme.keygen_signer(par, rng)
     pk_n, sk_n = scheme.keygen_nominee(par, rng)
     m = b"demo program source seed=%d" % seed
@@ -473,11 +491,10 @@ def cmd_demo(seed, backend, workdir):
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
     ok_confirm, _ = zkproto.run_confirm(stmt, sk_n, Random(rng.random()), Random(rng.random()))
 
-    outdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="nomsig-demo-"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    env.write_object(str(outdir / "sigma.json"), sigma)
-    env.write_object(str(outdir / "token.json"), tk)
-    env.write_object(str(outdir / "receipt.json"), receipt)
+    outdir = _mkdir(workdir) if workdir else Path(tempfile.mkdtemp(prefix="nomsig-demo-"))
+    _write(str(outdir / "sigma.json"), sigma)
+    _write(str(outdir / "token.json"), tk)
+    _write(str(outdir / "receipt.json"), receipt)
 
     click.echo("accept" if receipt.verdict and ok_confirm else "reject")
     _echo_gas(receipt.gas)

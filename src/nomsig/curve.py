@@ -5,15 +5,18 @@ Points are affine (x, y) or Jacobian (X, Y, Z) for (X/Z^2, Y/Z^3), with
 None as infinity. Both curves have odd order, so no point has y = 0 and
 doubling never reaches infinity. ``bn254`` has the Fp2 copy for the twist.
 
-Scalar multiplication is one joint (Straus) ladder over a table of subset
-sums; ``mul`` is its one-term case. On the order-n group, ``glv_mul``
-first splits each scalar into two parts of half its length with the
-cube-root endomorphism (x, y) -> (beta*x, y) (Gallant-Lambert-Vanstone,
-CRYPTO 2001). The lattice helpers below also split ``bn254``'s scalars in
-four for G2 and GT.
+``ladder`` is the one double-and-add loop of the package: every
+exponentiation in G1, G2, GT and secp256k1 runs it, over its own group's
+doubling and addition. Here ``straus`` runs it over a table of subset sums
+(Straus's joint ladder); on the order-n group, ``glv_mul`` first splits
+each scalar into two parts of half its length with the cube-root
+endomorphism (x, y) -> (beta*x, y) (Gallant-Lambert-Vanstone, CRYPTO 2001).
+The lattice helpers below also split ``bn254``'s scalars in four for G2
+and GT.
 """
 
 from collections import namedtuple
+from functools import partial, reduce
 
 
 def add(p, a, b):
@@ -48,8 +51,11 @@ def jac_double(p, q):
     return (x3, (e * (d - x3) - 8 * c) % p, 2 * y * z % p)
 
 
-def jac_madd(p, q, xa, ya):
-    """Jacobian q + affine (xa, ya); doubles when they are equal, None when opposite."""
+def jac_madd(p, q, a):
+    """Jacobian q + affine a; q for a = None, a doubling when they are equal, None when opposite."""
+    if a is None:
+        return q
+    xa, ya = a
     if q is None:
         return (xa, ya, 1)
     x, y, z = q
@@ -88,33 +94,35 @@ def columns(scalars):
     return [int("".join(col), 2) for col in zip(*rows)] if width else []
 
 
+def ladder(acc, steps, table, double, add):
+    """From acc, for each step s: double, then add table[s] if s is nonzero.
+
+    A step is a bit column over a table of subset sums (``straus``) or a
+    signed digit over a table of odd multiples. ``double`` and ``add`` are
+    the group's, so the loop serves every group of the package.
+    """
+    for s in steps:
+        acc = double(acc)
+        if s:
+            acc = add(acc, table[s])
+    return acc
+
+
 def straus(p, bases, scalars):
     """sum_i scalars[i] * bases[i] for affine bases and scalars >= 0.
 
     One Jacobian doubling per bit of the longest scalar and at most one mixed
     addition of a subset sum per bit (Straus's joint ladder).
     """
-    table = subset_sums(bases, lambda a, b: add(p, a, b))
-    acc = None
-    for col in columns(scalars):
-        acc = jac_double(p, acc)
-        if table[col] is not None:
-            acc = jac_madd(p, acc, *table[col])
+    table = subset_sums(bases, partial(add, p))
+    acc = ladder(None, columns(scalars), table, partial(jac_double, p), partial(jac_madd, p))
     return to_affine(p, acc)
-
-
-def mul(p, pt, k):
-    """k * pt for any point and any k >= 0: the one-term ``straus``."""
-    return straus(p, [pt], [k])
 
 
 def mul_table(p, table, k):
     """k * G for k >= 0, summing table[i] = 2^i * G over the set bits of k."""
-    acc = None
-    for i in range(k.bit_length()):
-        if (k >> i) & 1:
-            acc = jac_madd(p, acc, *table[i])
-    return to_affine(p, acc)
+    terms = [t for i, t in enumerate(table[:k.bit_length()]) if (k >> i) & 1]
+    return to_affine(p, reduce(partial(jac_madd, p), terms, None))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 Each routine is the plainest form of what ``nomsig.bn254`` computes faster:
 the schoolbook Fp12 product over the 36 Fp2 products of its coefficients,
-square-and-multiply exponentiation over it, the G1 curve equation, the
-binary double-and-add ladder on the twist, the complex-method Fp2 square
-root with its inversion, and the Miller loop over the binary digits of 6u+2
-with one inversion per line.
+square-and-multiply exponentiation over it, the G1 curve equation, affine
+binary double-and-add over any addition (on the Fp curves, over
+``curve.add`` alone), the binary Jacobian ladder on the twist, the
+complex-method Fp2 square root with its inversion, and the Miller loop over
+the binary digits of 6u+2 with one inversion per line.
 """
 
+from functools import partial
+
+from nomsig import curve
 from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, P, _f12_mul_f6, _f12_mul_line,
                           _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob, f2_add,
                           f2_inv, f2_mul, f2_mul_xi, f2_muli, f2_sqr, f2_sub, f12_inv, f12_sqr, g2_neg)
@@ -44,6 +48,21 @@ def g1_is_on_curve(pt):
     return (y * y - x * x * x - G1_B) % P == 0
 
 
+def affine_mul(add, pt, k):
+    """k * pt for k >= 0 by binary double-and-add over the affine addition ``add`` alone."""
+    acc = None
+    for b in bin(k)[2:]:
+        acc = add(acc, acc)
+        if b == "1":
+            acc = add(acc, pt)
+    return acc
+
+
+def curve_mul(p, pt, k):
+    """k * pt for k >= 0 on a curve over Fp: ``affine_mul`` over ``curve.add``."""
+    return affine_mul(partial(curve.add, p), pt, k)
+
+
 def binary_g2_mul(pt, k):
     """k * pt for any twist point and any k: one Jacobian doubling per bit of |k|, a mixed addition per set bit."""
     if k < 0:
@@ -54,7 +73,7 @@ def binary_g2_mul(pt, k):
     for b in bin(k)[2:]:
         acc = _jac_double_f2(acc)
         if b == "1":
-            acc = _jac_madd_f2(acc, *pt)
+            acc = _jac_madd_f2(acc, pt)
     return _to_affine_f2(acc)
 
 

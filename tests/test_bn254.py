@@ -43,8 +43,8 @@ from nomsig.bn254 import (
     pairing,
     pairing_check,
 )
-from oracles import (binary_g2_mul, binary_multi_miller, complex_f2_sqrt, f12_pow, g1_is_on_curve,
-                     schoolbook_f12_mul)
+from oracles import (affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt, curve_mul, f12_pow,
+                     g1_is_on_curve, schoolbook_f12_mul)
 
 rng = random.Random(1301)
 
@@ -54,16 +54,6 @@ def naive_g1_mul(pt, k):
     acc = None
     for _ in range(k):
         acc = g1_add(acc, pt)
-    return acc
-
-
-def affine_mul(add, pt, k):
-    # independent oracle: double-and-add over affine addition only
-    acc = None
-    for b in bin(k)[2:]:
-        acc = add(acc, acc)
-        if b == "1":
-            acc = add(acc, pt)
     return acc
 
 
@@ -98,10 +88,10 @@ def test_g2_mul_unreduced_scalars():
 
 def test_fp_core_mixed_addition_of_equal_and_opposite_points():
     two = g1_add(G1_GEN, G1_GEN)
-    assert curve.mul(P, G1_GEN, N + 2) == two
+    assert curve.straus(P, [G1_GEN], [N + 2]) == two == curve_mul(P, G1_GEN, N + 2)
     assert curve.mul_table(P, [G1_GEN, G1_GEN], 3) == two
     assert curve.mul_table(P, [G1_GEN, g1_neg(G1_GEN)], 3) is None
-    assert curve.mul(P, None, 5) is None
+    assert curve.straus(P, [None], [5]) is None
 
 
 def test_curve_constants():
@@ -484,13 +474,12 @@ def test_g2_mul_matches_binary_ladder(monkeypatch):
     met = set()
     madd = bn254._jac_madd_f2
 
-    def spy(q, xa, ya):
-        a = bn254._to_affine_f2(q)
-        if a == (xa, ya):
+    def spy(q, a):
+        if bn254._to_affine_f2(q) == a:
             met.add("equal")
-        elif a == (xa, f2_neg(ya)):
+        elif bn254._to_affine_f2(q) == g2_neg(a):
             met.add("opposite")
-        return madd(q, xa, ya)
+        return madd(q, a)
 
     monkeypatch.setattr(bn254, "_jac_madd_f2", spy)
     for pt in pts:
@@ -556,7 +545,7 @@ def test_decode_kernel_operation_counts(monkeypatch):
         return fn(*args)
 
     monkeypatch.setattr(bn254, "_jac_double_f2", lambda q: count("double", double, q))
-    monkeypatch.setattr(bn254, "_jac_madd_f2", lambda q, x, y: count("madd", madd, q, x, y))
+    monkeypatch.setattr(bn254, "_jac_madd_f2", lambda q, a: count("madd", madd, q, a))
     monkeypatch.setattr(bn254, "f2_inv", lambda a: count("inv", f2_inv, a))
     for q in (g2_mul(G2_GEN, draws.randrange(1, N)), random_twist_point(draws)):
         counts.update(double=0, madd=0, inv=0)

@@ -421,6 +421,29 @@ def test_demo_seed_42():
     assert "8 pairings" in res.output
 
 
+def test_demo_with_unknown_backend_exits_2(tmp_path):
+    assert_malformed(invoke("demo", "--backend", "nope", "--workdir", tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["setup", "keygen-signer", "demo", "confirm", "disavow"])
+def test_unwritable_output_exits_2(workdir, tmp_path, case):
+    missing = tmp_path / "missing" / "out.json"
+    a_file = tmp_path / "a-file"
+    a_file.write_text("kept")
+    args = {
+        "setup": ["setup", "--backend", "mock", "--out", missing],
+        "keygen-signer": ["keygen-signer", "--params", workdir / "params.json", "--seed", 1,
+                          "--pub-out", missing, "--sec-out", tmp_path / "ssk.json"],
+        "demo": ["demo", "--workdir", a_file],
+        "confirm": _protocol_args(workdir, "confirm", "verifier", workdir / "sigma.json", a_file, 100)[3:],
+        "disavow": _protocol_args(workdir, "disavow", "verifier", workdir / "sigma.json", a_file, 100)[3:],
+    }[case]
+    assert_malformed(invoke(*args))
+    assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
+    assert a_file.read_text() == "kept"
+
+
 def _protocol_args(d, proto, role, sigma, tdir, seed):
     args = [
         sys.executable, "-m", "nomsig.cli", proto, "--role", role,

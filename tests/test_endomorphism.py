@@ -2,8 +2,10 @@
 
 The 4-dimensional GLS split serves G2 and GT, the 2-dimensional GLV split
 serves BN254 G1 and secp256k1. The oracles are the general ladders
-``bn254.g2_mul``, ``bn254.f12_cyc_pow`` and ``curve.mul``, which take any
-point or cyclotomic element and any scalar.
+``bn254.g2_mul`` and ``bn254.f12_cyc_pow``, which take any point or
+cyclotomic element and any scalar, and on the Fp curves affine binary
+double-and-add over ``curve.add`` (``oracles.curve_mul``), which shares no
+code with ``curve.ladder``.
 """
 
 import random
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from nomsig import bn254, curve, trigger
 from nomsig.algebra import NotInSubgroup, RealBackend
 from nomsig.bn254 import G1_GEN, G2_COFACTOR, G2_GEN, N, P, U, f12_cyc_pow, g2_add, g2_mul, g2_neg
+from oracles import curve_mul
 
 LAMBDA_G1 = 36 * U**3 + 18 * U**2 + 6 * U + 1
 LAMBDA_GLS = 6 * U**2  # p mod N: the eigenvalue of psi on G2 and of the Frobenius on GT
@@ -58,10 +61,10 @@ def test_split_bounds_fix_the_ladder_lengths():
 
 
 def test_endomorphisms_act_as_their_eigenvalues():
-    # the (beta, lam) pairs against the plain ladder, and psi, the Frobenius against p mod N
+    # the (beta, lam) pairs against affine double-and-add, and psi, the Frobenius against p mod N
     for c, n, lam, gen in ((bn254.G1_GLV, N, LAMBDA_G1, G1_GEN), (trigger.GLV, trigger.N, trigger.LAMBDA, trigger.G)):
         assert (lam * lam + lam + 1) % n == 0 and pow(c.beta, 3, c.p) == 1 != c.beta
-        assert curve.mul(c.p, gen, lam) == (c.beta * gen[0] % c.p, gen[1])
+        assert curve_mul(c.p, gen, lam) == (c.beta * gen[0] % c.p, gen[1])
     assert P % N == LAMBDA_GLS
     assert bn254._tw_frob(G2_GEN) == g2_mul(G2_GEN, LAMBDA_GLS)
     e = bn254.pairing(G1_GEN, G2_GEN)
@@ -115,43 +118,53 @@ def test_gt_pow_gls_matches_f12_cyc_pow():
 def test_glv_mul_matches_curve_mul(c):
     draws = random.Random(1403)
     n, lam, gen = (N, LAMBDA_G1, G1_GEN) if c is bn254.G1_GLV else (trigger.N, trigger.LAMBDA, trigger.G)
-    pts = [gen, curve.mul(c.p, gen, draws.randrange(1, n))]
+    pts = [gen, curve_mul(c.p, gen, draws.randrange(1, n))]
     for pt in pts:
         for k in _scalars(n, lam, draws):
-            assert curve.glv_mul(c, [(pt, k)]) == curve.mul(c.p, pt, k)
+            assert curve.glv_mul(c, [(pt, k)]) == curve_mul(c.p, pt, k)
     a, b = (draws.randrange(n) for _ in range(2))
-    want = curve.add(c.p, curve.mul(c.p, pts[0], a), curve.mul(c.p, pts[1], b))
+    want = curve.add(c.p, curve_mul(c.p, pts[0], a), curve_mul(c.p, pts[1], b))
     assert curve.glv_mul(c, [(pts[0], a), (pts[1], b)]) == want
-    assert curve.glv_mul(c, [(None, a), (pts[1], b)]) == curve.mul(c.p, pts[1], b)
+    assert curve.glv_mul(c, [(None, a), (pts[1], b)]) == curve_mul(c.p, pts[1], b)
     assert curve.glv_mul(c, [(pts[0], a), ((pts[0][0], -pts[0][1] % c.p), a)]) is None
     assert curve.glv_mul(c, []) is None
 
 
 def test_g1_mul_matches_curve_mul():
     draws = random.Random(1404)
-    pt = curve.mul(P, G1_GEN, draws.randrange(1, N))
+    pt = curve_mul(P, G1_GEN, draws.randrange(1, N))
     for k in _scalars(N, LAMBDA_G1, draws) + [N, N + 1, 3 * N + 7]:
-        assert bn254.g1_mul(pt, k) == curve.mul(P, pt, k % N)
+        assert bn254.g1_mul(pt, k) == curve_mul(P, pt, k % N)
     assert bn254.g1_mul(None, 9) is None
 
 
-def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point():
+def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypatch):
     # bases (Q, 2Q) with scalars (2, 1): after one doubling the accumulator is 2Q, the next entry
     for p, pt, neg in ((P, G1_GEN, bn254.g1_neg), (trigger.P, trigger.G, lambda q: (q[0], trigger.P - q[1]))):
         two = curve.add(p, pt, pt)
-        assert curve.straus(p, [pt, two], [2, 1]) == curve.mul(p, pt, 4)
+        assert curve.straus(p, [pt, two], [2, 1]) == curve_mul(p, pt, 4)
         assert curve.straus(p, [pt, neg(two)], [2, 1]) is None
         assert curve.straus(p, [pt, neg(pt)], [1, 1]) is None  # the subset sum itself is infinity
         assert curve.straus(p, [pt, neg(pt)], [3, 1]) == two
+        assert curve.straus(p, [], []) is None
+
+    # the same cases on g2_mul_gls's ladder: the split is fixed, and the
+    # twist Frobenius replaced so that the conjugates of Q are 2Q, 4Q, 8Q or -Q, Q, -Q
+    def gls(parts, frob):
+        monkeypatch.setattr(curve, "split", lambda k, lat: list(parts))
+        monkeypatch.setattr(bn254, "_tw_frob", frob)
+        return bn254.g2_mul_gls(G2_GEN, 1)
+
     two = g2_add(G2_GEN, G2_GEN)
-    assert bn254._g2_straus([G2_GEN, two], [2, 1]) == g2_mul(G2_GEN, 4)
-    assert bn254._g2_straus([G2_GEN, g2_neg(two)], [2, 1]) is None
-    assert bn254._g2_straus([G2_GEN, g2_neg(G2_GEN)], [3, 1]) == two
-    assert bn254._g2_straus([], []) is None
+    assert gls([2, 1, 0, 0], lambda q: g2_add(q, q)) == g2_mul(G2_GEN, 4)
+    assert gls([2, -1, 0, 0], lambda q: g2_add(q, q)) is None
+    assert gls([1, 1, 0, 0], g2_neg) is None
+    assert gls([3, 1, 0, 0], g2_neg) == two
+    assert gls([0, 0, 0, 0], g2_neg) is None
 
 
 def _recover_oracle(sig, message):
-    """The recovered key by two plain ladders and one affine addition."""
+    """The recovered key by two affine double-and-add ladders and one affine addition."""
     x = sig.r + (trigger.N if sig.recovery_id >= 2 else 0)
     y = pow((pow(x, 3, trigger.P) + 7) % trigger.P, (trigger.P + 1) // 4, trigger.P)
     if (y & 1) != (sig.recovery_id & 1):
@@ -159,8 +172,8 @@ def _recover_oracle(sig, message):
     z = trigger._msg_hash(message)
     r_inv = pow(sig.r, -1, trigger.N)
     neg_g = (trigger.GX, trigger.P - trigger.GY)
-    return curve.add(trigger.P, curve.mul(trigger.P, (x, y), sig.s * r_inv % trigger.N),
-                     curve.mul(trigger.P, neg_g, z * r_inv % trigger.N))
+    return curve.add(trigger.P, curve_mul(trigger.P, (x, y), sig.s * r_inv % trigger.N),
+                     curve_mul(trigger.P, neg_g, z * r_inv % trigger.N))
 
 
 def test_ecdsa_recover_joint_ladder_matches_two_ladders():
