@@ -49,6 +49,16 @@ def _write(path: str, obj, context=None) -> None:
         raise MalformedInput(str(exc))
 
 
+def _write_keys(pub_out: str, pk, sec_out: str, sk) -> None:
+    """Write the public and the secret key file, or neither."""
+    _write(pub_out, pk)
+    try:
+        _write(sec_out, sk)
+    except MalformedInput:
+        Path(pub_out).unlink()
+        raise
+
+
 def _mkdir(path) -> Path:
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
@@ -114,8 +124,7 @@ def cmd_setup(backend, out):
 def cmd_keygen_signer(params_path, seed, pub_out, sec_out):
     par = _read(params_path, scheme.PublicParams)
     pk, sk = scheme.keygen_signer(par, Random(seed))
-    _write(pub_out, pk)
-    _write(sec_out, sk)
+    _write_keys(pub_out, pk, sec_out, sk)
     click.echo(f"signer keys written to {pub_out}, {sec_out}")
 
 
@@ -127,8 +136,7 @@ def cmd_keygen_signer(params_path, seed, pub_out, sec_out):
 def cmd_keygen_nominee(params_path, seed, pub_out, sec_out):
     par = _read(params_path, scheme.PublicParams)
     pk, sk = scheme.keygen_nominee(par, Random(seed))
-    _write(pub_out, pk)
-    _write(sec_out, sk)
+    _write_keys(pub_out, pk, sec_out, sk)
     click.echo(f"nominee keys written to {pub_out}, {sec_out}")
 
 
@@ -461,6 +469,7 @@ def cmd_demo(seed, backend, workdir):
 
     rng = Random(seed)
     par = _setup(backend)
+    outdir = _mkdir(workdir) if workdir else Path(tempfile.mkdtemp(prefix="nomsig-demo-"))
     pk_s, sk_s = scheme.keygen_signer(par, rng)
     pk_n, sk_n = scheme.keygen_nominee(par, rng)
     m = b"demo program source seed=%d" % seed
@@ -491,7 +500,6 @@ def cmd_demo(seed, backend, workdir):
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
     ok_confirm, _ = zkproto.run_confirm(stmt, sk_n, Random(rng.random()), Random(rng.random()))
 
-    outdir = _mkdir(workdir) if workdir else Path(tempfile.mkdtemp(prefix="nomsig-demo-"))
     _write(str(outdir / "sigma.json"), sigma)
     _write(str(outdir / "token.json"), tk)
     _write(str(outdir / "receipt.json"), receipt)

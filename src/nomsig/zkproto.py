@@ -1,28 +1,39 @@
 """Interactive confirm/disavow proofs for nominative signatures.
 
 Both protocols prove knowledge of the nominee's (y1, y2) relative to the
-public statement
+public statement (d, e3, e4), with f = F_S(M_S) F_N(M_N):
 
-    e1 = e(g1, sigma_3)          e3 = e(sigma_1, F_S(M_S) F_N(M_N))
-    e2 = e(gS, hS) e(gN, hN)     e4 = e(sigma_2, F_S(M_S) F_N(M_N))
+    d  = e(g1, sigma_3) / (e(gS, hS) e(gN, hN))    (one 3-pair product)
+    e3 = e(sigma_1, f)          e4 = e(sigma_2, f)
 
-Confirm shows e1 = e2 * e3^y1 * e4^y2 (the signature is valid), disavow
-shows the inequality. Each runs as a four-pass committed-challenge
-protocol: the verifier first Pedersen-commits to its challenge over G2
-(base derived by hashing to the group), the prover answers the sigma
-protocol only after a valid opening. Committing first is what makes the
-interaction zero-knowledge against arbitrary verifiers, hence
-non-transferable.
+Confirm shows d = e3^y1 * e4^y2 (the signature is valid), disavow shows
+the inequality. Each is one sigma protocol over a relation of three rows
+(Maurer, "Unifying Zero-Knowledge Proofs of Knowledge", 2009): row i says
+that a product of powers of public bases, taken at the secret witness,
+equals the row's image; t_i is the same product taken at the nonces.
+
+    witness (nonce-draw order)         row 1            row 2            row 3              images
+    confirm: z1 = y1, z2 = y2          x1^z1            x2^z2            e3^z1 e4^z2        g2ref, g2ref, d
+    disavow: z3 = beta, z1 = beta*y1,  x1^z1 g2ref^-z3  x2^z2 g2ref^-z3  d^-z3 e3^z1 e4^z2  1, 1, C
+             z2 = beta*y2
 
 Disavow uses the randomized-inequality technique: the prover publishes
-C = (e2 e3^y1 e4^y2 / e1)^beta for fresh beta != 0 and proves consistency
-of (beta, beta*y1, beta*y2) across C and the x1/x2 relations; C collapses
-to the identity exactly when the signature is valid, and the verifier
-rejects that outright.
+its row-3 image C = (e3^y1 e4^y2 / d)^beta for fresh beta != 0; C
+collapses to the identity exactly when the signature is valid, and the
+verifier rejects that outright. Confirm is disavow's relation at beta = 1
+and C = 1.
+
+Each runs as a four-pass committed-challenge protocol: the verifier
+first Pedersen-commits to its challenge over G2 (base derived by hashing
+to the group), the prover answers the sigma protocol only after a valid
+opening. Committing first is what makes the interaction zero-knowledge
+against arbitrary verifiers, hence non-transferable.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Optional
@@ -51,8 +62,7 @@ class AbortBadOpening(ProtocolError):
 
 @dataclass(frozen=True)
 class ConfirmStatement:
-    e1: GroupElem
-    e2: GroupElem
+    d: GroupElem
     e3: GroupElem
     e4: GroupElem
     x1: GroupElem
@@ -64,7 +74,7 @@ class ConfirmStatement:
         return self.g2ref.backend
 
     def holds_for(self, y1: int, y2: int) -> bool:
-        return self.e1 == self.e2 * self.e3**y1 * self.e4**y2
+        return self.d == self.e3**y1 * self.e4**y2
 
 
 @dataclass(frozen=True)
@@ -114,14 +124,12 @@ def derive_statement(
     sigma: NomSignature,
 ) -> ConfirmStatement:
     """Both parties derive the same statement from the same public inputs."""
-    e = par.backend.pairing
-    d = derive_values(par, pk_s, pk_n, m, sigma)
-    fs_fn = waters_product(pk_s, pk_n, d)
+    b = par.backend
+    fs_fn = waters_product(pk_s, pk_n, derive_values(par, pk_s, pk_n, m, sigma))
     return ConfirmStatement(
-        e1=e(par.g1, sigma.s3),
-        e2=par.backend.pairing_product([(pk_s.gS, pk_s.hS), (pk_n.gN, pk_n.hN)]),
-        e3=e(sigma.s1, fs_fn),
-        e4=e(sigma.s2, fs_fn),
+        d=b.pairing_product([(par.g1, sigma.s3), (~pk_s.gS, pk_s.hS), (~pk_n.gN, pk_n.hN)]),
+        e3=b.pairing(sigma.s1, fs_fn),
+        e4=b.pairing(sigma.s2, fs_fn),
         x1=pk_n.x1,
         x2=pk_n.x2,
         g2ref=par.g2,
@@ -144,11 +152,55 @@ def commit_challenge(backend: Backend, c: int, rho: int) -> GroupElem:
 
 
 # ---------------------------------------------------------------------------
-# Verifier side (both protocols share the commitment handling)
+# The relations, and the one sigma protocol over them
 # ---------------------------------------------------------------------------
 
 
-class _VerifierBase:
+def relation(protocol: str, s: ConfirmStatement, C: Optional[GroupElem] = None):
+    """The protocol's response fields in nonce-draw order, and its three rows.
+
+    A row is its ((base, field), ...) terms and its image. Disavow's row-3
+    image is the C its prover publishes, None while there is none other
+    than the identity.
+    """
+    if protocol == "confirm":
+        return ["z1", "z2"], [
+            ([(s.x1, "z1")], s.g2ref),
+            ([(s.x2, "z2")], s.g2ref),
+            ([(s.e3, "z1"), (s.e4, "z2")], s.d),
+        ]
+    if protocol == "disavow":
+        g, one = ~s.g2ref, s.backend.identity("G2")
+        return ["z3", "z1", "z2"], [
+            ([(s.x1, "z1"), (g, "z3")], one),
+            ([(s.x2, "z2"), (g, "z3")], one),
+            ([(~s.d, "z3"), (s.e3, "z1"), (s.e4, "z2")], None if C is None or C.is_identity() else C),
+        ]
+    raise ProtocolError(f"unknown protocol {protocol!r}")
+
+
+def _lhs(terms, w: dict) -> GroupElem:
+    return functools.reduce(operator.mul, [base ** w[field] for base, field in terms])
+
+
+def _t(terms, image: GroupElem, z: dict, c: int) -> GroupElem:
+    """The first message under which responses z answer challenge c: lhs(z) / image^c."""
+    lhs = _lhs(terms, z)
+    return lhs if image.is_identity() else lhs / image**c
+
+
+def check(protocol: str, s: ConfirmStatement, c: int, first: SigmaFirstMsg, resp: SigmaResponse) -> bool:
+    """The verifier's decision on a transcript with challenge c."""
+    fields, rows = relation(protocol, s, first.C)
+    z = {f: getattr(resp, f) for f in fields}
+    if None in z.values() or any(image is None for _, image in rows):
+        return False
+    return all(t == _t(terms, image, z, c) for (terms, image), t in zip(rows, (first.t1, first.t2, first.t3)))
+
+
+class _Verifier:
+    protocol: str
+
     def __init__(self, statement: ConfirmStatement, rng: Random):
         self.stmt = statement
         b = statement.backend
@@ -162,42 +214,13 @@ class _VerifierBase:
     def opening(self) -> ChallengeOpening:
         return ChallengeOpening(self._c, self._rho)
 
-
-def confirm_checks(s: ConfirmStatement, c: int, first: SigmaFirstMsg, resp: SigmaResponse) -> bool:
-    return (
-        s.x1**resp.z1 == first.t1 * s.g2ref**c
-        and s.x2**resp.z2 == first.t2 * s.g2ref**c
-        and s.e3**resp.z1 * s.e4**resp.z2 == first.t3 * (s.e1 / s.e2) ** c
-    )
-
-
-def disavow_checks(s: ConfirmStatement, c: int, first: SigmaFirstMsg, resp: SigmaResponse) -> bool:
-    if first.C is None or resp.z3 is None or first.C.is_identity():
-        return False
-    return (
-        s.x1**resp.z1 / s.g2ref**resp.z3 == first.t1
-        and s.x2**resp.z2 / s.g2ref**resp.z3 == first.t2
-        and s.e2**resp.z3 * s.e3**resp.z1 * s.e4**resp.z2 / s.e1**resp.z3
-        == first.t3 * first.C**c
-    )
-
-
-class ConfirmVerifier(_VerifierBase):
     def verdict(self, first: SigmaFirstMsg, resp: SigmaResponse) -> bool:
-        return confirm_checks(self.stmt, self._c, first, resp)
+        return check(self.protocol, self.stmt, self._c, first, resp)
 
 
-class DisavowVerifier(_VerifierBase):
-    def verdict(self, first: SigmaFirstMsg, resp: SigmaResponse) -> bool:
-        return disavow_checks(self.stmt, self._c, first, resp)
+class _Prover:
+    protocol: str
 
-
-# ---------------------------------------------------------------------------
-# Prover side
-# ---------------------------------------------------------------------------
-
-
-class _ProverBase:
     def __init__(self, statement: ConfirmStatement, sk_n: NomineeSecretKey, rng: Random):
         self.stmt = statement
         self.y1 = sk_n.y1
@@ -205,66 +228,41 @@ class _ProverBase:
         self.rng = rng
         self._com: Optional[ChallengeCommitment] = None
 
-    def _check_opening(self, opening: ChallengeOpening) -> None:
+    def first_message(self, commitment: ChallengeCommitment) -> SigmaFirstMsg:
+        self._com = commitment
+        b = self.stmt.backend
+        n = b.order
+        fields, rows = relation(self.protocol, self.stmt)
+        publishes = rows[2][1] is None
+        # the witness (beta, beta*y1, beta*y2); a relation that publishes no image takes beta = 1
+        beta = b.random_nonzero_scalar(self.rng) if publishes else 1
+        self._w = {"z3": beta, "z1": beta * self.y1 % n, "z2": beta * self.y2 % n}
+        self._a = {f: b.random_scalar(self.rng) for f in fields}
+        t1, t2, t3 = (_lhs(terms, self._a) for terms, _ in rows)
+        return SigmaFirstMsg(t1, t2, t3, _lhs(rows[2][0], self._w) if publishes else None)
+
+    def response(self, opening: ChallengeOpening) -> SigmaResponse:
         expected = commit_challenge(self.stmt.backend, opening.c, opening.rho)
         if self._com is None or expected != self._com.com:
             raise AbortBadOpening("challenge opening does not match the commitment")
-
-
-class ConfirmProver(_ProverBase):
-    def first_message(self, commitment: ChallengeCommitment) -> SigmaFirstMsg:
-        self._com = commitment
-        b = self.stmt.backend
-        self._a1 = b.random_scalar(self.rng)
-        self._a2 = b.random_scalar(self.rng)
-        s = self.stmt
-        return SigmaFirstMsg(
-            t1=s.x1**self._a1,
-            t2=s.x2**self._a2,
-            t3=s.e3**self._a1 * s.e4**self._a2,
-        )
-
-    def response(self, opening: ChallengeOpening) -> SigmaResponse:
-        self._check_opening(opening)
         n = self.stmt.backend.order
-        return SigmaResponse(
-            z1=(self._a1 + opening.c * self.y1) % n,
-            z2=(self._a2 + opening.c * self.y2) % n,
-        )
+        return SigmaResponse(**{f: (a + opening.c * self._w[f]) % n for f, a in self._a.items()})
 
 
-class DisavowProver(_ProverBase):
-    def first_message(self, commitment: ChallengeCommitment) -> SigmaFirstMsg:
-        self._com = commitment
-        b = self.stmt.backend
-        s = self.stmt
-        n = b.order
-        beta = b.random_nonzero_scalar(self.rng)
-        self._beta = beta
-        self._gamma1 = beta * self.y1 % n
-        self._gamma2 = beta * self.y2 % n
-        # C = (e2 e3^y1 e4^y2 / e1)^beta; identity iff the signature is valid.
-        d = s.e2 * s.e3**self.y1 * s.e4**self.y2 / s.e1
-        self._C = d**beta
-        self._a = b.random_scalar(self.rng)
-        self._b1 = b.random_scalar(self.rng)
-        self._b2 = b.random_scalar(self.rng)
-        return SigmaFirstMsg(
-            t1=s.x1**self._b1 / s.g2ref**self._a,
-            t2=s.x2**self._b2 / s.g2ref**self._a,
-            t3=s.e2**self._a * s.e3**self._b1 * s.e4**self._b2 / s.e1**self._a,
-            C=self._C,
-        )
+class ConfirmVerifier(_Verifier):
+    protocol = "confirm"
 
-    def response(self, opening: ChallengeOpening) -> SigmaResponse:
-        self._check_opening(opening)
-        n = self.stmt.backend.order
-        c = opening.c
-        return SigmaResponse(
-            z1=(self._b1 + c * self._gamma1) % n,
-            z2=(self._b2 + c * self._gamma2) % n,
-            z3=(self._a + c * self._beta) % n,
-        )
+
+class DisavowVerifier(_Verifier):
+    protocol = "disavow"
+
+
+class ConfirmProver(_Prover):
+    protocol = "confirm"
+
+
+class DisavowProver(_Prover):
+    protocol = "disavow"
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +310,18 @@ def simulate_transcript(statement: ConfirmStatement, protocol: str, rng: Random)
     zero-knowledge simulator: it learns c before emitting the first message.
     """
     b = statement.backend
-    s = statement
-    n = b.order
     c = b.random_scalar(rng)
     rho = b.random_scalar(rng)
     tr = Transcript(protocol)
     tr.commitment = ChallengeCommitment(commit_challenge(b, c, rho))
     tr.opening = ChallengeOpening(c, rho)
-    if protocol == "confirm":
-        z1, z2 = b.random_scalar(rng), b.random_scalar(rng)
-        tr.first = SigmaFirstMsg(
-            t1=s.x1**z1 / s.g2ref**c,
-            t2=s.x2**z2 / s.g2ref**c,
-            t3=s.e3**z1 * s.e4**z2 / (s.e1 / s.e2) ** c,
-        )
-        tr.response = SigmaResponse(z1=z1, z2=z2)
-        tr.verdict = confirm_checks(s, c, tr.first, tr.response)
-    elif protocol == "disavow":
-        C = b.gt() ** b.random_nonzero_scalar(rng)
-        z1, z2, z3 = b.random_scalar(rng), b.random_scalar(rng), b.random_scalar(rng)
-        tr.first = SigmaFirstMsg(
-            t1=s.x1**z1 / s.g2ref**z3,
-            t2=s.x2**z2 / s.g2ref**z3,
-            t3=(s.e2**z3 * s.e3**z1 * s.e4**z2 / s.e1**z3) / C**c,
-            C=C,
-        )
-        tr.response = SigmaResponse(z1=z1, z2=z2, z3=z3)
-        tr.verdict = disavow_checks(s, c, tr.first, tr.response)
-    else:
-        raise ProtocolError(f"unknown protocol {protocol!r}")
+    _, rows = relation(protocol, statement)
+    C = b.gt() ** b.random_nonzero_scalar(rng) if rows[2][1] is None else None
+    fields, rows = relation(protocol, statement, C)
+    z = {f: b.random_scalar(rng) for f in fields}
+    tr.first = SigmaFirstMsg(*(_t(terms, image, z, c) for terms, image in rows), C)
+    tr.response = SigmaResponse(**z)
+    tr.verdict = check(protocol, statement, c, tr.first, tr.response)
     return tr
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from nomsig import scheme
 from nomsig.cli import main
 
 
@@ -426,7 +427,21 @@ def test_demo_with_unknown_backend_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["setup", "keygen-signer", "demo", "confirm", "disavow"])
+def test_demo_checks_workdir_before_keygen(tmp_path, monkeypatch):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("kept")
+
+    def unreachable(*_):
+        raise AssertionError("keygen ran before --workdir was checked")
+
+    monkeypatch.setattr(scheme, "keygen_signer", unreachable)
+    assert_malformed(invoke("demo", "--workdir", a_file))
+    assert a_file.read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "case", ["setup", "keygen-signer", "keygen-signer-sec", "keygen-nominee-sec", "demo", "confirm", "disavow"]
+)
 def test_unwritable_output_exits_2(workdir, tmp_path, case):
     missing = tmp_path / "missing" / "out.json"
     a_file = tmp_path / "a-file"
@@ -435,6 +450,10 @@ def test_unwritable_output_exits_2(workdir, tmp_path, case):
         "setup": ["setup", "--backend", "mock", "--out", missing],
         "keygen-signer": ["keygen-signer", "--params", workdir / "params.json", "--seed", 1,
                           "--pub-out", missing, "--sec-out", tmp_path / "ssk.json"],
+        "keygen-signer-sec": ["keygen-signer", "--params", workdir / "params.json", "--seed", 1,
+                              "--pub-out", tmp_path / "spk.json", "--sec-out", missing],
+        "keygen-nominee-sec": ["keygen-nominee", "--params", workdir / "params.json", "--seed", 2,
+                               "--pub-out", tmp_path / "npk.json", "--sec-out", missing],
         "demo": ["demo", "--workdir", a_file],
         "confirm": _protocol_args(workdir, "confirm", "verifier", workdir / "sigma.json", a_file, 100)[3:],
         "disavow": _protocol_args(workdir, "disavow", "verifier", workdir / "sigma.json", a_file, 100)[3:],
@@ -456,14 +475,15 @@ def _protocol_args(d, proto, role, sigma, tdir, seed):
     return args
 
 
-def run_two_party(d, proto, sigma, tdir):
+def run_two_party(d, proto, sigma, tdir, prover_proto=None):
+    """Verifier and prover processes; each one's stdout carries its stderr too."""
     verifier = subprocess.Popen(
         _protocol_args(d, proto, "verifier", sigma, tdir, 100),
-        stdout=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     prover = subprocess.run(
-        _protocol_args(d, proto, "prover", sigma, tdir, 101),
-        stdout=subprocess.PIPE, text=True, timeout=60,
+        _protocol_args(d, prover_proto or proto, "prover", sigma, tdir, 101),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
     )
     vout, _ = verifier.communicate(timeout=60)
     return prover, verifier.returncode, vout
@@ -496,3 +516,11 @@ def test_two_process_confirm_rejects_tampered_sigma(workdir, tmp_path):
     prover, vcode, vout = run_two_party(workdir, "confirm", bad, tmp_path / "t3")
     assert prover.returncode == 1 and vcode == 1
     assert "verdict reject" in vout
+
+
+@pytest.mark.parametrize("verifier_proto, prover_proto", [("disavow", "confirm"), ("confirm", "disavow")])
+def test_two_process_protocol_mismatch_rejects(workdir, tmp_path, verifier_proto, prover_proto):
+    prover, vcode, vout = run_two_party(workdir, verifier_proto, workdir / "sigma.json", tmp_path / "t4", prover_proto)
+    assert prover.returncode == 1 and vcode == 1
+    assert "verdict reject" in vout and "verdict reject" in prover.stdout
+    assert "Traceback" not in vout + prover.stdout

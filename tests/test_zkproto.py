@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from nomsig import zkproto
+from nomsig import bn254, zkproto
 from nomsig.scheme import NomSignature, NomineeSecretKey
 from nomsig.zkproto import (
     AbortBadOpening,
     ChallengeOpening,
     ConfirmProver,
     ConfirmVerifier,
+    DisavowProver,
+    DisavowVerifier,
     ProtocolError,
     commit_challenge,
     derive_statement,
@@ -39,6 +41,25 @@ def test_statement_holds_for_witness(stmt, bad_sigma_stmt, mock_pipeline):
     sk = mock_pipeline.sk_n
     assert stmt.holds_for(sk.y1, sk.y2)
     assert not bad_sigma_stmt.holds_for(sk.y1, sk.y2)
+
+
+@pytest.mark.parametrize("pipeline", ["mock_pipeline", "real_pipeline"])
+def test_statement_d_is_e1_over_e2(request, pipeline):
+    # d replaces the pair e1 = e(g1, s3), e2 = e(gS, hS) e(gN, hN) by their ratio
+    p = request.getfixturevalue(pipeline)
+    b = p.par.backend
+    e1 = b.pairing(p.par.g1, p.sigma.s3)
+    e2 = b.pairing(p.pk_s.gS, p.pk_s.hS) * b.pairing(p.pk_n.gN, p.pk_n.hN)
+    assert derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma).d == e1 / e2
+
+
+def test_statement_makes_three_final_exponentiations(real_pipeline, monkeypatch):
+    p = real_pipeline
+    calls = []
+    final_exp = bn254.final_exp
+    monkeypatch.setattr(bn254, "final_exp", lambda f: calls.append(f) or final_exp(f))
+    derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
+    assert len(calls) == 3
 
 
 def test_confirm_completeness(stmt, mock_pipeline):
@@ -87,6 +108,17 @@ def test_prover_aborts_on_bad_opening(stmt, mock_pipeline):
     good = verifier.opening()
     with pytest.raises(AbortBadOpening):
         prover.response(ChallengeOpening(good.c + 1, good.rho))
+
+
+@pytest.mark.parametrize("prover_cls, verifier_cls", [(ConfirmProver, DisavowVerifier), (DisavowProver, ConfirmVerifier)])
+def test_protocol_mismatch_rejects(stmt, bad_sigma_stmt, mock_pipeline, prover_cls, verifier_cls):
+    # a confirm prover sends no C and no z3; a disavow prover answers another relation
+    for s in (stmt, bad_sigma_stmt):
+        rng = random.Random(12)
+        verifier = verifier_cls(s, rng)
+        prover = prover_cls(s, mock_pipeline.sk_n, rng)
+        first = prover.first_message(verifier.commitment())
+        assert not verifier.verdict(first, prover.response(verifier.opening()))
 
 
 def test_commitment_binding_to_base(stmt):
