@@ -19,7 +19,7 @@ import functools
 import hashlib
 from typing import Any
 
-from . import bn254
+from . import bn254, curve
 
 ELL = 256
 
@@ -165,6 +165,13 @@ class Backend:
         """Whether prod_i e(a_i, b_i) is the identity, checked as one batch."""
         return self.pairing_product(pairs).is_identity()
 
+    def multi_exp(self, terms: list[tuple[GroupElem, int]]) -> GroupElem:
+        """prod_i x_i^k_i over one or more (element, scalar) terms of one group, as one joint exponentiation."""
+        group = terms[0][0].group
+        if any(x.group != group for x, _ in terms):
+            raise AlgebraError("multi_exp needs elements of one group")
+        return GroupElem(self, group, self.multi_exp_values(group, [(x.value, k % self.order) for x, k in terms]))
+
     def product(self, elems: list[GroupElem]) -> GroupElem:
         """The group product of one or more elements of one group, in one call."""
         group = elems[0].group
@@ -191,6 +198,7 @@ class Backend:
     def op_all(self, group, values): raise NotImplementedError
     def inv(self, group, a): raise NotImplementedError
     def exp(self, group, a, k): raise NotImplementedError
+    def multi_exp_values(self, group, terms): raise NotImplementedError
     def pairing_product_values(self, pairs): raise NotImplementedError
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
@@ -219,6 +227,9 @@ class MockBackend(Backend):
 
     def exp(self, group, a, k):
         return a * k % self.order
+
+    def multi_exp_values(self, group, terms):
+        return sum(a * k for a, k in terms) % self.order
 
     def pairing_product_values(self, pairs):
         return sum(a * b for a, b in pairs) % self.order
@@ -302,10 +313,15 @@ class RealBackend(Backend):
     def exp(self, group, a, k):
         if group == "G1":
             return bn254.g1_mul_base(k) if a == bn254.G1_GEN else bn254.g1_mul(a, k)
+        if group == "G2" and a == bn254.G2_GEN:
+            return bn254.g2_mul_base(k)
+        return self.multi_exp_values(group, [(a, k)])
+
+    def multi_exp_values(self, group, terms):
+        if group == "G1":
+            return curve.glv_mul(bn254.G1_GLV, terms)
         # every G2 and GT value here is in its order-N subgroup, where the GLS split holds
-        if group == "G2":
-            return bn254.g2_mul_base(k) if a == bn254.G2_GEN else bn254.g2_mul_gls(a, k)
-        return bn254.gt_pow_gls(a, k)
+        return bn254.g2_mul_gls(terms) if group == "G2" else bn254.gt_pow_gls(terms)
 
     def pairing_product_values(self, pairs):
         # one pair goes through bn254.pairing, whose Miller loop keeps its own name in traces

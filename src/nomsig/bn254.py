@@ -5,9 +5,10 @@ Fp) and on the sextic twist carrying G2 (over Fp2), and the optimal ate
 pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
 
 G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below.
-One affine chord routine, ``_chords``, serves ``g2_add`` and the Miller
-loop: over a list of (t, q) pairs it returns each line's slope, its w^3
-coefficient and the sum t + q, with one batched inversion.
+One affine chord routine, ``_chords``, serves ``g2_add``, the tables of
+``g2_mul_gls`` and the Miller loop: over a list of (t, q) pairs it returns
+each line's slope, its w^3 coefficient and the sum t + q, with one batched
+inversion.
 
 ``multi_miller`` walks the signed digits of 6u+2: 65 doublings, 21 additions
 and 2 Frobenius lines, 88 line steps, each with one inversion for all pairs.
@@ -18,7 +19,8 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
   - G1 ``g1_mul`` splits the scalar in two with the cube-root endomorphism
     (``curve.glv_mul``), a joint ladder over subset sums;
   - in the order-N subgroups, ``g2_mul_gls`` (also for powers of G2_GEN)
-    and ``gt_pow_gls`` split it in four with the Frobenius, the same way;
+    and ``gt_pow_gls`` split it in four with the Frobenius, the same way,
+    and run a product of powers as one ladder;
   - ``g2_mul`` (width-4 signed digits over pt, 3pt, 5pt, 7pt) and
     ``f12_cyc_pow`` (NAF digits) take any twist point or cyclotomic element
     and any scalar, for the subgroup tests, cofactor clearing and the final
@@ -528,13 +530,15 @@ def _chords(pairs):
     return out
 
 
+def _g2_add_all(pairs):
+    """p + q for each pair of affine twist points (None for infinity), with one inversion for all."""
+    chords = iter(_chords([(p, q) for p, q in pairs if p is not None and q is not None]))
+    return [q if p is None else p if q is None else next(chords)[2] for p, q in pairs]
+
+
 def g2_add(p, q):
-    """p + q on the twist: the one-pair case of ``_chords``."""
-    if p is None:
-        return q
-    if q is None:
-        return p
-    return _chords([(p, q)])[0][2]
+    """p + q on the twist: the one-pair case of ``_g2_add_all``."""
+    return _g2_add_all([(p, q)])[0]
 
 
 def _jac_double_f2(q):
@@ -646,16 +650,16 @@ def g2_sum(pts):
 
 
 # ---------------------------------------------------------------------------
-# Exponentiation in the order-N subgroups G2 and GT by a 4-dimensional split
-# (Galbraith-Lin-Scott, EUROCRYPT 2009; Galbraith-Scott, Pairing 2008). On G2
-# the twist Frobenius psi, and on GT the p-power Frobenius, act as
+# Products of powers in the order-N subgroups G2 and GT by a 4-dimensional
+# split (Galbraith-Lin-Scott, EUROCRYPT 2009; Galbraith-Scott, Pairing 2008).
+# On G2 the twist Frobenius psi, and on GT the p-power Frobenius, act as
 # multiplication by p = 6u^2 mod N. A scalar k becomes k0 + k1*p + k2*p^2 +
 # k3*p^3 mod N with |ki| < 2^65 by Babai rounding against the short basis
-# below, and one joint ladder of at most 65 steps runs over the four
-# conjugates. The rows span a sublattice of index 3 (det 3N); that is
-# enough, since each row alone sums to 0 mod N. Both paths hold only in the
-# order-N subgroup, so the general g2_mul and f12_cyc_pow stay for
-# everything else.
+# below. A product of powers runs one joint ladder of at most 65 steps over
+# all its terms' parts, so the terms share every doubling or squaring. The
+# rows span a sublattice of index 3 (det 3N); that is enough, since each row
+# alone sums to 0 mod N. Both paths hold only in the order-N subgroup, so
+# the general g2_mul and f12_cyc_pow stay for everything else.
 # ---------------------------------------------------------------------------
 
 GLS_LATTICE = curve.lattice([
@@ -666,30 +670,52 @@ GLS_LATTICE = curve.lattice([
 ])
 
 
-def g2_mul_gls(pt, k):
-    """k * pt for pt in G2 only, by the 4-dimensional split over pt, psi(pt), psi^2(pt), psi^3(pt)."""
-    if pt is None:
-        return None
-    parts = curve.split(k % N, GLS_LATTICE)
-    bases = []
-    for c in parts:
-        bases.append(pt if c >= 0 else g2_neg(pt))
-        pt = _tw_frob(pt)
-    table, cols = curve.subset_sums(bases, g2_add), curve.columns([abs(c) for c in parts])
+def _gls_table(terms, frob, neg, add_all):
+    """The bit columns of one joint ladder for prod x^k over (x, k) terms, and the table they index.
+
+    Each k splits in four parts, over x and its three Frobenius images,
+    negated where the part is negative; each term gets the 16 subset sums of
+    its four bases. The table maps a column, one bit of every part, to the
+    sum of the entries it selects, one per term. ``add_all`` adds pairs,
+    with None as the identity.
+    """
+    bases, parts = [], []
+    for x, k in terms:
+        for i, c in enumerate(curve.split(k % N, GLS_LATTICE)):
+            x = frob(x) if i else x
+            bases.append(x if c >= 0 else neg(x))
+            parts.append(abs(c))
+    sums = [[None] for _ in range(0, len(bases), 4)]
+    for j in range(4):
+        new = iter(add_all([(t, bases[4 * i + j]) for i, table in enumerate(sums) for t in table]))
+        for table in sums:
+            table += [next(new) for _ in table]
+    cols = curve.columns(parts)
+    keys = list(set(cols))
+    acc = [None] * len(keys)
+    for i, table in enumerate(sums):
+        acc = add_all([(a, table[c >> 4 * i & 15]) for a, c in zip(acc, keys)])
+    return cols, dict(zip(keys, acc))
+
+
+def g2_mul_gls(terms):
+    """sum k * pt over (pt, k) terms, for points of G2 only, by one joint ladder.
+
+    The table takes 3 inversions for the subset sums and one per further
+    term; the ladder makes one mixed addition per nonzero column.
+    """
+    cols, table = _gls_table([(pt, k) for pt, k in terms if pt is not None], _tw_frob, g2_neg, _g2_add_all)
     return _to_affine_f2(curve.ladder(None, cols, table, _jac_double_f2, _jac_madd_f2))
 
 
-def gt_pow_gls(a, k):
-    """a^k for a in GT only, by the 4-dimensional split over a and its p-, p^2- and p^3-power Frobenius.
+def gt_pow_gls(terms):
+    """prod a^k over (a, k) terms, for elements of GT only, by one joint ladder of cyclotomic squarings.
 
-    A negative part takes the conjugate, which is the inverse in GT.
+    A negative part takes the conjugate, the inverse in GT. The ladder
+    starts from the first column's entry, so it never squares 1.
     """
-    parts = curve.split(k % N, GLS_LATTICE)
-    bases = []
-    for c in parts:
-        bases.append(a if c >= 0 else f12_conj(a))
-        a = f12_frob(a)
-    table, cols = curve.subset_sums(bases, f12_mul), curve.columns([abs(c) for c in parts])
+    cols, table = _gls_table(terms, f12_frob, f12_conj,
+                             lambda pairs: [b if a is None else a if b is None else f12_mul(a, b) for a, b in pairs])
     return curve.ladder(table[cols[0]], cols[1:], table, f12_cyc_sqr, f12_mul) if cols else F12_ONE
 
 
@@ -729,7 +755,7 @@ def g1_mul_base(k):
 
 def g2_mul_base(k):
     """k * G2_GEN, by the GLS split."""
-    return g2_mul_gls(G2_GEN, k)
+    return g2_mul_gls([(G2_GEN, k)])
 
 
 # ---------------------------------------------------------------------------

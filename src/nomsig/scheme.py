@@ -248,7 +248,9 @@ def derive_values(
 ) -> DerivedValues:
     """Recompute (M_S, t, M_N, M_N bits) from public data."""
     t = _chal_scalar(par, pk_s, sigma.s1, sigma.s2, m)
-    mn = _pow(par.g2, t, counts) * _pow(pk_n.k, sigma.s, counts)
+    if counts is not None:
+        counts.scalar_mults += 2  # g2^t and k^s, in one joint ladder
+    mn = par.backend.multi_exp([(par.g2, t), (pk_n.k, sigma.s)])
     return DerivedValues(MS=_ms_bits(pk_n, m), t=t, MN=mn, MNbits=hash_h1(mn.to_bytes()))
 
 
@@ -265,7 +267,7 @@ def sign(
     return DeltaMsg(
         d1=par.g1**r,
         d2=par.g2**r,
-        d3=(pk_s.hS**sk_s.alphaS) * fs**r,
+        d3=par.backend.multi_exp([(pk_s.hS, sk_s.alphaS), (fs, r)]),
     )
 
 
@@ -308,20 +310,19 @@ def receive(
     r = b.random_scalar(rng)
     r_prime = b.random_scalar(rng)
     s = b.random_scalar(rng)
-    d1p = delta.d1 * par.g1**r_prime
-    d2p = delta.d2 * par.g2**r_prime
-    d3p = delta.d3 * fs**r_prime
-    g1r = par.g1**r
-    s1 = (d1p / g1r) ** pow(sk_n.y1, -1, par.order)
-    s2 = g1r ** pow(sk_n.y2, -1, par.order)
+    # with the re-randomized delta d' = (d1 g1^r', d2 g2^r', d3 F_S^r'):
+    y1_inv = pow(sk_n.y1, -1, par.order)
+    s1 = b.multi_exp([(delta.d1, y1_inv), (par.g1, (r_prime - r) * y1_inv)])  # (d1' / g1^r)^(1/y1)
+    s2 = par.g1 ** (r * pow(sk_n.y2, -1, par.order))  # (g1^r)^(1/y2)
     t = _chal_scalar(par, pk_s, s1, s2, m)
-    mn = (par.g2**t) * (pk_n.k**s)
+    mn = b.multi_exp([(par.g2, t), (pk_n.k, s)])
     mn_bits = hash_h1(mn.to_bytes())
     expo = sk_n.vPrime[0]
     for i in range(1, par.ell + 1):
         if bit(mn_bits, i):
             expo += sk_n.vPrime[i]
-    s3 = d3p * pk_n.hN**sk_n.alphaN * d2p ** (expo % par.order)
+    # d3' hN^alphaN d2'^expo
+    s3 = delta.d3 * b.multi_exp([(fs, r_prime), (pk_n.hN, sk_n.alphaN), (delta.d2, expo), (par.g2, r_prime * expo)])
     return NomSignature(s1=s1, s2=s2, s3=s3, s=s)
 
 

@@ -32,8 +32,6 @@ against arbitrary verifiers, hence non-transferable.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Optional
@@ -74,7 +72,7 @@ class ConfirmStatement:
         return self.g2ref.backend
 
     def holds_for(self, y1: int, y2: int) -> bool:
-        return self.d == self.e3**y1 * self.e4**y2
+        return self.d == self.backend.multi_exp([(self.e3, y1), (self.e4, y2)])
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def pedersen_base(backend: Backend) -> GroupElem:
 
 
 def commit_challenge(backend: Backend, c: int, rho: int) -> GroupElem:
-    return backend.g2() ** c * pedersen_base(backend) ** rho
+    return backend.multi_exp([(backend.g2(), c), (pedersen_base(backend), rho)])
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +178,12 @@ def relation(protocol: str, s: ConfirmStatement, C: Optional[GroupElem] = None):
 
 
 def _lhs(terms, w: dict) -> GroupElem:
-    return functools.reduce(operator.mul, [base ** w[field] for base, field in terms])
+    return terms[0][0].backend.multi_exp([(base, w[field]) for base, field in terms])
 
 
 def _t(terms, image: GroupElem, z: dict, c: int) -> GroupElem:
-    """The first message under which responses z answer challenge c: lhs(z) / image^c."""
-    lhs = _lhs(terms, z)
-    return lhs if image.is_identity() else lhs / image**c
+    """The first message under which responses z answer challenge c: lhs(z) / image^c, one product of powers."""
+    return image.backend.multi_exp([(base, z[field]) for base, field in terms] + [(image, -c)])
 
 
 def check(protocol: str, s: ConfirmStatement, c: int, first: SigmaFirstMsg, resp: SigmaResponse) -> bool:

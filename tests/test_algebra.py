@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomsig.algebra import (
     AlgebraError,
@@ -235,3 +237,49 @@ def test_real_gt_decode_rejects_non_subgroup_values():
     e = b.gt() ** 12345
     assert b.element("GT", e.to_bytes()) == e
     assert b.element("GT", encode(bn254.F12_ONE)).is_identity()
+
+
+# Edge scalars for multi_exp: each is reduced mod N, so -3 is N - 3 and 2^300 wraps.
+EDGE_SCALARS = [0, 1, N - 1, N, N + 5, -3, 2**300]
+
+
+def _separate_powers(b, terms):
+    """prod x^k over the terms, by separate ``**`` powers and products."""
+    out = b.identity(terms[0][0].group)
+    for x, k in terms:
+        out = out * x**k
+    return out
+
+
+@pytest.mark.parametrize("group", ["G1", "G2", "GT"])
+@pytest.mark.parametrize("backend", [MockBackend(), RealBackend()], ids=["mock", "bn254"])
+def test_multi_exp_matches_separate_powers(backend, group):
+    b = backend
+    rng = random.Random(23)
+    gen = getattr(b, group.lower())()
+    x, y = gen**5, gen ** rng.randrange(N)
+    bases = [x, y, gen, gen**9]
+    # every edge scalar, on products of 1 to 4 terms, at every position
+    for i, k in enumerate(EDGE_SCALARS):
+        n = 1 + i % 4
+        terms = [(base, k if j == i % n else rng.randrange(N)) for j, base in enumerate(bases[:n])]
+        assert b.multi_exp(terms) == _separate_powers(b, terms)
+    k = rng.randrange(N)
+    assert b.multi_exp([(x, k), (y, 7), (x, N - 2)]) == _separate_powers(b, [(x, k), (y, 7), (x, N - 2)])
+    assert b.multi_exp([(x, k), (~x, k)]).is_identity()
+    assert b.multi_exp([(y, k), (~y, k), (x, 1)]) == x
+    assert b.multi_exp([(b.identity(group), k), (y, 3)]) == y**3
+    assert b.multi_exp([(b.identity(group), k)]).is_identity()
+    with pytest.raises(AlgebraError):
+        b.multi_exp([(b.g1(), 1), (b.g2(), 1)])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(group=st.sampled_from(["G1", "G2", "GT"]),
+       terms=st.lists(st.tuples(st.integers(0, 2**256), st.integers(-2**300, 2**300)), min_size=1, max_size=4))
+def test_multi_exp_follows_the_mock_exponents(group, terms):
+    # the bases are known powers of the generator, so the mock backend gives the product's exponent
+    real, mock = RealBackend(), MockBackend()
+    gen, mock_gen = getattr(real, group.lower())(), getattr(mock, group.lower())()
+    got = real.multi_exp([(gen**a, k) for a, k in terms])
+    assert got == gen ** mock.multi_exp([(mock_gen**a, k) for a, k in terms]).value

@@ -9,6 +9,7 @@ code with ``curve.ladder``.
 """
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from nomsig import bn254, curve, trigger
 from nomsig.algebra import NotInSubgroup, RealBackend
 from nomsig.bn254 import G1_GEN, G2_COFACTOR, G2_GEN, N, P, U, f12_cyc_pow, g2_add, g2_mul, g2_neg
-from oracles import curve_mul
+from oracles import binary_g2_mul, curve_mul
 
 LAMBDA_G1 = 36 * U**3 + 18 * U**2 + 6 * U + 1
 LAMBDA_GLS = 6 * U**2  # p mod N: the eigenvalue of psi on G2 and of the Frobenius on GT
@@ -99,9 +100,9 @@ def test_g2_mul_gls_matches_g2_mul():
     pts = [G2_GEN, g2_mul(G2_GEN, draws.randrange(N)), g2_mul(G2_GEN, N - 1)]
     for q in pts:
         for k in _scalars(N, LAMBDA_GLS, draws):
-            assert bn254.g2_mul_gls(q, k) == g2_mul(q, k)
-    assert bn254.g2_mul_gls(None, 5) is None
-    assert bn254.g2_mul_gls(G2_GEN, N) is None
+            assert bn254.g2_mul_gls([(q, k)]) == g2_mul(q, k)
+    assert bn254.g2_mul_gls([(None, 5)]) is None
+    assert bn254.g2_mul_gls([(G2_GEN, N)]) is None
 
 
 def test_gt_pow_gls_matches_f12_cyc_pow():
@@ -109,9 +110,9 @@ def test_gt_pow_gls_matches_f12_cyc_pow():
     e = bn254.pairing(G1_GEN, G2_GEN)
     for a in (e, f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)):
         for k in _scalars(N, LAMBDA_GLS, draws):
-            assert bn254.gt_pow_gls(a, k) == f12_cyc_pow(a, k)
-    assert bn254.gt_pow_gls(bn254.F12_ONE, draws.randrange(N)) == bn254.F12_ONE
-    assert bn254.gt_pow_gls(e, N) == bn254.F12_ONE
+            assert bn254.gt_pow_gls([(a, k)]) == f12_cyc_pow(a, k)
+    assert bn254.gt_pow_gls([(bn254.F12_ONE, draws.randrange(N))]) == bn254.F12_ONE
+    assert bn254.gt_pow_gls([(e, N)]) == bn254.F12_ONE
 
 
 @pytest.mark.parametrize("c", [bn254.G1_GLV, trigger.GLV], ids=["bn254-g1", "secp256k1"])
@@ -153,7 +154,7 @@ def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypat
     def gls(parts, frob):
         monkeypatch.setattr(curve, "split", lambda k, lat: list(parts))
         monkeypatch.setattr(bn254, "_tw_frob", frob)
-        return bn254.g2_mul_gls(G2_GEN, 1)
+        return bn254.g2_mul_gls([(G2_GEN, 1)])
 
     two = g2_add(G2_GEN, G2_GEN)
     assert gls([2, 1, 0, 0], lambda q: g2_add(q, q)) == g2_mul(G2_GEN, 4)
@@ -161,6 +162,56 @@ def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypat
     assert gls([1, 1, 0, 0], g2_neg) is None
     assert gls([3, 1, 0, 0], g2_neg) == two
     assert gls([0, 0, 0, 0], g2_neg) is None
+
+
+def test_joint_products_match_the_general_ladders():
+    draws = random.Random(1407)
+    pts = [G2_GEN, g2_mul(G2_GEN, draws.randrange(N)), g2_mul(G2_GEN, N - 1), g2_mul(G2_GEN, 2**200)]
+    e = bn254.pairing(G1_GEN, G2_GEN)
+    els = [e, f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)]
+    for n in range(1, 5):
+        ks = [draws.randrange(N) for _ in range(n)]
+        want = bn254.g2_sum([g2_mul(q, k) for q, k in zip(pts, ks)])
+        assert bn254.g2_mul_gls(list(zip(pts, ks))) == want
+        assert bn254.g2_mul_gls([(None, 3), *zip(pts, ks)]) == want
+    ks = [draws.randrange(N) for _ in els]
+    want = reduce(bn254.f12_mul, [f12_cyc_pow(a, k) for a, k in zip(els, ks)])
+    assert bn254.gt_pow_gls(list(zip(els, ks))) == want
+    assert bn254.g2_mul_gls([]) is None and bn254.gt_pow_gls([]) == bn254.F12_ONE
+
+
+def test_joint_ladder_tables_and_additions_meet_equal_and_opposite_points(monkeypatch):
+    # Two-term G2 products with each term's split fixed and the twist Frobenius
+    # replaced, against the binary Jacobian ladder of the oracles. With psi = -1
+    # a term's subset sums hold Q + (-Q) = O (a vertical chord), sums that add
+    # a base to that O, and Q + Q (a tangent); the sums that combine the two
+    # terms' entries per column meet the same cases, so the ladder adds O
+    # entries; and a column's entry can equal the doubled accumulator or its
+    # negative.
+    def joint(terms, frob):
+        splits = iter([parts for _, parts in terms])
+        monkeypatch.setattr(curve, "split", lambda k, lat: list(next(splits)))
+        monkeypatch.setattr(bn254, "_tw_frob", frob)
+        return bn254.g2_mul_gls([(pt, 1) for pt, _ in terms])
+
+    def double(q):
+        return g2_add(q, q)
+
+    two = double(G2_GEN)
+    cases = [
+        # (terms, psi, k with the product = k * G2_GEN)
+        ([(G2_GEN, [3, 1, 2, 5]), (G2_GEN, [1, 1, 0, 0])], g2_neg, 3 - 1 + 2 - 5),
+        ([(G2_GEN, [3, -1, 2, 5]), (two, [-2, 1, 1, 3])], g2_neg, 3 + 1 + 2 - 5 + 2 * (-2 - 1 + 1 - 3)),
+        ([(G2_GEN, [1, 0, 0, 0]), (G2_GEN, [-1, 0, 0, 0])], double, 0),
+        ([(G2_GEN, [1, 0, 0, 0]), (G2_GEN, [1, 0, 0, 0])], double, 2),
+        ([(G2_GEN, [2, 1, 0, 0]), (two, [1, 0, 0, 0])], double, 4 + 2),
+        ([(G2_GEN, [2, -1, 0, 0]), (two, [-1, 0, 0, 0])], double, 0 - 2),
+        ([(G2_GEN, [0, 1, 0, 0]), (G2_GEN, [2, 0, 0, 0])], double, 2 + 2),
+        ([(G2_GEN, [0, -1, 0, 0]), (G2_GEN, [2, 0, 0, 0])], double, -2 + 2),
+        ([(G2_GEN, [0, 0, 0, 0]), (two, [0, 0, 0, 0])], g2_neg, 0),
+    ]
+    for terms, frob, k in cases:
+        assert joint(terms, frob) == binary_g2_mul(G2_GEN, k), (terms, k)
 
 
 def _recover_oracle(sig, message):

@@ -168,17 +168,17 @@ def cli_dir(tmp_path_factory):
     return d
 
 
-def test_cli_envelopes_match_golden_digests(cli_dir, tmp_path):
-    d = cli_dir
-    got = {name: _digest(d / f"{name}.json") for name in READERS}
-    # The transport files as the two CLI processes write them: verifier seed
-    # 100, prover seed 101, confirm on sigma and disavow on sigma with s + 1.
+def _transcripts(d: Path) -> dict:
+    """{protocol: (sigma, transcript)} as the two CLI processes run them on the
+    pipeline in d: verifier seed 100, prover seed 101, confirm on sigma and
+    disavow on sigma with s + 1."""
     par = env.read_object(str(d / "params.json"), PublicParams)
     pk_s = env.read_object(str(d / "spk.json"), SignerPublicKey, par.backend)
     pk_n = env.read_object(str(d / "npk.json"), NomineePublicKey, par.backend)
     sk_n = env.read_object(str(d / "nsk.json"), NomineeSecretKey)
     sigma = env.read_object(str(d / "sigma.json"), NomSignature, par.backend)
     m = (d / "m.bin").read_bytes()
+    out = {}
     for proto, sig, run in (
         ("confirm", sigma, zkproto.run_confirm),
         ("disavow", dataclasses.replace(sigma, s=sigma.s + 1), zkproto.run_disavow),
@@ -186,6 +186,15 @@ def test_cli_envelopes_match_golden_digests(cli_dir, tmp_path):
         stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sig)
         ok, tr = run(stmt, sk_n, random.Random(101), random.Random(100))
         assert ok
+        out[proto] = sig, tr
+    return out
+
+
+def test_cli_envelopes_match_golden_digests(cli_dir, tmp_path):
+    d = cli_dir
+    got = {name: _digest(d / f"{name}.json") for name in READERS}
+    # The transport files as the two CLI processes write them.
+    for proto, (_, tr) in _transcripts(d).items():
         for pass_name, msg in zip(PASSES, tr.messages()):
             path = tmp_path / f"{proto}-{pass_name}.json"
             env.write_object(str(path), msg, "mock")
@@ -226,6 +235,20 @@ JSON_VALUES = st.one_of(
     st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
 MUTATIONS = [(name, cmd) for name, cmds in READERS.items() for cmd in cmds]
+# Fields that may be null: there null and a string are both of the field's type.
+NULLABLE = {"eth_cost", "C", "z3"}
+
+
+def _mistype_one_leaf(obj, data):
+    """Give one leaf of the JSON value obj a value of another JSON type, in place."""
+    path = data.draw(st.sampled_from(_leaves(obj)), label="leaf")
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    parent[path[-1]] = data.draw(JSON_VALUES.filter(
+        lambda v: type(v) is not type(old) and not (path[-1] in NULLABLE and (v is None or isinstance(v, str)))),
+        label="value")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
@@ -234,21 +257,73 @@ MUTATIONS = [(name, cmd) for name, cmds in READERS.items() for cmd in cmds]
 def test_one_mistyped_leaf_exits_2(cli_dir, data):
     name, command = data.draw(st.sampled_from(MUTATIONS), label="envelope, command")
     obj = json.loads((cli_dir / f"{name}.json").read_text())
-    path = data.draw(st.sampled_from(_leaves(obj)), label="leaf")
-    parent = obj
-    for key in path[:-1]:
-        parent = parent[key]
-    old = parent[path[-1]]
-    # eth_cost may be null, so null is no mistype for it.
-    parent[path[-1]] = data.draw(JSON_VALUES.filter(
-        lambda v: type(v) is not type(old) and not (v is None and path[-1] == "eth_cost")),
-        label="value")
+    _mistype_one_leaf(obj, data)
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(shutil.copytree(cli_dir, Path(tmp) / "d"))
         (d / f"{name}.json").write_text(json.dumps(obj))
         res = _run(*_commands(d)[command])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
+
+
+# Transport files by pass number: the verifier writes the odd passes and
+# reads the even ones, the prover the other way round.
+PASS_FILES = {i: f"{i:02d}-{name}.json" for i, name in enumerate(PASSES, 1)}
+
+
+@pytest.fixture(scope="module")
+def transport_dir(cli_dir, tmp_path_factory):
+    """Each protocol's sigma and its transport files, named {protocol}-{pass file}."""
+    d = tmp_path_factory.mktemp("transport")
+    for proto, (sig, tr) in _transcripts(cli_dir).items():
+        env.write_object(str(d / f"{proto}-sigma.json"), sig)
+        for i, msg in enumerate(tr.messages(), 1):
+            env.write_object(str(d / f"{proto}-{PASS_FILES[i]}"), msg, "mock")
+    return d
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_mistyped_transport_leaf_exits_2(cli_dir, transport_dir, data):
+    # Every file the reading role will read is in --transport-dir before it
+    # starts, one of them with a mistyped leaf, so no role waits on the other.
+    proto, index = data.draw(st.sampled_from([(p, i) for p in ("confirm", "disavow") for i in PASS_FILES]),
+                             label="protocol, pass")
+    role, seed = ("prover", 101) if index % 2 else ("verifier", 100)
+    obj = json.loads((transport_dir / f"{proto}-{PASS_FILES[index]}").read_text())
+    _mistype_one_leaf(obj, data)
+    d = cli_dir
+    args = [proto, "--role", role, "--params", d / "params.json", "--signer-pub", d / "spk.json",
+            "--nominee-pub", d / "npk.json", "--message-file", d / "m.bin",
+            "--sigma", transport_dir / f"{proto}-sigma.json", "--seed", seed]
+    if role == "prover":
+        args += ["--nominee-sec", d / "nsk.json"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in PASS_FILES:
+            if i % 2 == index % 2:
+                shutil.copy(transport_dir / f"{proto}-{PASS_FILES[i]}", Path(tmp) / PASS_FILES[i])
+        (Path(tmp) / PASS_FILES[index]).write_text(json.dumps(obj))
+        res = _run(*args, "--transport-dir", tmp)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+
+
+def test_unmutated_transport_files_run_both_roles(cli_dir, transport_dir):
+    # the campaign's baseline: with every pass file in place, each role finishes with the transcript's verdict
+    d = cli_dir
+    for proto in ("confirm", "disavow"):
+        for role, seed in (("verifier", 100), ("prover", 101)):
+            with tempfile.TemporaryDirectory() as tmp:
+                for i in PASS_FILES:
+                    if i % 2 == (role == "prover"):
+                        shutil.copy(transport_dir / f"{proto}-{PASS_FILES[i]}", Path(tmp) / PASS_FILES[i])
+                res = _run(proto, "--role", role, "--params", d / "params.json", "--signer-pub", d / "spk.json",
+                           "--nominee-pub", d / "npk.json", "--nominee-sec", d / "nsk.json",
+                           "--message-file", d / "m.bin", "--sigma", transport_dir / f"{proto}-sigma.json",
+                           "--seed", seed, "--transport-dir", tmp)
+                assert res.exit_code == 0, res.output
+                assert "verdict accept" in res.output
 
 
 def test_envelope_version_gate():

@@ -224,20 +224,26 @@ def test_waters_eval_real_matches_affine_fold():
     assert counts.ec_additions == hw(mbits)
 
 
+def _exponentiations(monkeypatch):
+    """The group of each power the mock backend takes: one per ``exp``, one per term of a ``multi_exp``."""
+    groups = []
+    exp, multi_exp = MockBackend.exp, MockBackend.multi_exp_values
+    monkeypatch.setattr(MockBackend, "exp", lambda self, group, *a: groups.append(group) or exp(self, group, *a))
+    monkeypatch.setattr(MockBackend, "multi_exp_values", lambda self, group, terms: groups.extend(
+        [group] * len(terms)) or multi_exp(self, group, terms))
+    return groups
+
+
 def test_scalar_mult_tally_follows_the_exponentiations(mock_pipeline, monkeypatch):
     p = mock_pipeline
-    calls = []
-    exp = MockBackend.exp
-    monkeypatch.setattr(MockBackend, "exp", lambda self, *a: calls.append(a) or exp(self, *a))
+    groups = _exponentiations(monkeypatch)
     ok, counts = p.verify()
-    assert ok and counts.scalar_mults == len(calls) == 8
+    assert ok and counts.scalar_mults == len(groups) == 8
 
 
-def test_receive_makes_four_g1_and_six_g2_exponentiations(mock_pipeline, monkeypatch):
+def test_receive_makes_three_g1_and_six_g2_exponentiations(mock_pipeline, monkeypatch):
     p = mock_pipeline
-    groups = []
-    exp = MockBackend.exp
-    monkeypatch.setattr(MockBackend, "exp", lambda self, group, *a: groups.append(group) or exp(self, group, *a))
+    groups = _exponentiations(monkeypatch)
     sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, p.sk_n, random.Random(1))
     assert sigma is not None
-    assert sorted(groups) == ["G1"] * 4 + ["G2"] * 6
+    assert sorted(groups) == ["G1"] * 3 + ["G2"] * 6
