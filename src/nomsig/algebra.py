@@ -172,6 +172,10 @@ class Backend:
             raise AlgebraError("multi_exp needs elements of one group")
         return GroupElem(self, group, self.multi_exp_values(group, [(x.value, k % self.order) for x, k in terms]))
 
+    def base_powers(self, group: str, scalars: list[int]) -> list[GroupElem]:
+        """[g^k for k in scalars], g the group's generator, as one batch."""
+        return [GroupElem(self, group, v) for v in self.base_powers_values(group, [k % self.order for k in scalars])]
+
     def product(self, elems: list[GroupElem]) -> GroupElem:
         """The group product of one or more elements of one group, in one call."""
         group = elems[0].group
@@ -199,6 +203,7 @@ class Backend:
     def inv(self, group, a): raise NotImplementedError
     def exp(self, group, a, k): raise NotImplementedError
     def multi_exp_values(self, group, terms): raise NotImplementedError
+    def base_powers_values(self, group, ks): raise NotImplementedError
     def pairing_product_values(self, pairs): raise NotImplementedError
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
@@ -230,6 +235,9 @@ class MockBackend(Backend):
 
     def multi_exp_values(self, group, terms):
         return sum(a * k for a, k in terms) % self.order
+
+    def base_powers_values(self, group, ks):
+        return ks
 
     def pairing_product_values(self, pairs):
         return sum(a * b for a, b in pairs) % self.order
@@ -322,6 +330,11 @@ class RealBackend(Backend):
             return curve.glv_mul(bn254.G1_GLV, terms)
         # every G2 and GT value here is in its order-N subgroup, where the GLS split holds
         return bn254.g2_mul_gls(terms) if group == "G2" else bn254.gt_pow_gls(terms)
+
+    def base_powers_values(self, group, ks):
+        if group == "G2":
+            return bn254.g2_mul_base_many(ks)
+        return [self.exp(group, self.generator_value(group), k) for k in ks]
 
     def pairing_product_values(self, pairs):
         # one pair goes through bn254.pairing, whose Miller loop keeps its own name in traces

@@ -25,7 +25,9 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
     ``f12_cyc_pow`` (NAF digits) take any twist point or cyclotomic element
     and any scalar, for the subgroup tests, cofactor clearing and the final
     exponentiation.
-Only ``g1_mul_base`` sums a table of doublings instead, which beats GLV.
+Only ``g1_mul_base`` sums a table of doublings instead, which beats GLV, and
+``g2_mul_base_many`` runs a batch of G2 generator powers over one comb table
+built for the batch.
 
 Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the
 subgroup test ``g2_in_subgroup``: 62 doublings and 13 mixed additions for
@@ -756,6 +758,34 @@ def g1_mul_base(k):
 def g2_mul_base(k):
     """k * G2_GEN, by the GLS split."""
     return g2_mul_gls([(G2_GEN, k)])
+
+
+_COMB_TEETH = 8  # of 256 // 8 = 32 rows each, for any scalar below 2^256
+
+
+def g2_mul_base_many(ks):
+    """[k * G2_GEN for k in ks], None where k = 0 mod N, by one Lim-Lee comb (CRYPTO '94) for the batch.
+
+    With k mod N = sum_i k_i * 2^(32i) in 32-bit pieces, k * G2_GEN = sum_i
+    k_i * S_i over the spokes S_i = 2^(32i) * G2_GEN, made by Jacobian
+    doublings. Their 255 subset sums take one batched chord call per tooth.
+    Each k runs one ``curve.ladder`` over its pieces' bit columns, 32 doublings
+    and at most 32 mixed additions (``g2_mul_base``: 64, about 60, and a
+    16-entry table), and one inversion normalizes every output. The table
+    costs about ten single powers, so a single power stays on GLS.
+    """
+    rows = 256 // _COMB_TEETH
+    spokes = [(*G2_GEN, F2_ONE)]
+    for _ in range(_COMB_TEETH - 1):  # a ladder of zero steps only doubles
+        spokes.append(curve.ladder(spokes[-1], [0] * rows, None, _jac_double_f2, _jac_madd_f2))
+    table = [None]
+    for s in _batch_to_affine_f2(spokes):
+        table += [s] + _g2_add_all([(t, s) for t in table[1:]])
+    mask = (1 << rows) - 1
+    outs = [curve.ladder(None, curve.columns([k % N >> rows * i & mask for i in range(_COMB_TEETH)]),
+                         table, _jac_double_f2, _jac_madd_f2) for k in ks]
+    finite = iter(_batch_to_affine_f2([q for q in outs if q is not None]))
+    return [None if q is None else next(finite) for q in outs]
 
 
 # ---------------------------------------------------------------------------

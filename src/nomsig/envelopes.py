@@ -90,10 +90,9 @@ def _of(t: type, v, name: str):
 
 
 def _bytes(v, name: str) -> bytes:
-    try:
-        return bytes.fromhex(_of(str, v, name))
-    except ValueError:
-        raise EnvelopeError(f"{name}: need a hex string") from None
+    if len(_of(str, v, name)) % 2 or v.strip("0123456789abcdef"):  # one string per byte string
+        raise EnvelopeError(f"{name}: need a lowercase hex string")
+    return bytes.fromhex(v)
 
 
 def _address(v, name: str) -> bytes:

@@ -165,33 +165,25 @@ def setup(security: int = 128, backend: Backend | str = "bn254") -> PublicParams
 
 
 def keygen_signer(par: PublicParams, rng: Random) -> tuple[SignerPublicKey, SignerSecretKey]:
+    """The signer's keys; hS and u_0..u_ell come from one ``base_powers`` call, one comb on bn254."""
     b = par.backend
     alpha = b.random_scalar(rng)
     v = [b.random_scalar(rng) for _ in range(par.ell + 1)]
-    hS = par.g2 ** b.random_scalar(rng)
-    pk = SignerPublicKey(
-        gS=par.g1**alpha,
-        hS=hS,
-        u=tuple(par.g2**vi for vi in v),
-    )
+    hS, *u = b.base_powers("G2", [b.random_scalar(rng), *v])
     # v_0..v_ell are only needed to build u and are dropped here.
-    return pk, SignerSecretKey(alphaS=alpha)
+    return SignerPublicKey(gS=par.g1**alpha, hS=hS, u=tuple(u)), SignerSecretKey(alphaS=alpha)
 
 
 def keygen_nominee(par: PublicParams, rng: Random) -> tuple[NomineePublicKey, NomineeSecretKey]:
+    """The nominee's keys; hN, k, x1, x2 and u'_0..u'_ell come from one ``base_powers`` call, one comb on bn254."""
     b = par.backend
     alpha = b.random_scalar(rng)
     y1 = b.random_nonzero_scalar(rng)
     y2 = b.random_nonzero_scalar(rng)
     vp = tuple(b.random_scalar(rng) for _ in range(par.ell + 1))
-    pk = NomineePublicKey(
-        gN=par.g1**alpha,
-        hN=par.g2 ** b.random_scalar(rng),
-        k=par.g2 ** b.random_scalar(rng),
-        uPrime=tuple(par.g2**vi for vi in vp),
-        x1=par.g2 ** pow(y1, -1, par.order),
-        x2=par.g2 ** pow(y2, -1, par.order),
-    )
+    hN, k, x1, x2, *u = b.base_powers("G2", [b.random_scalar(rng), b.random_scalar(rng),
+                                              pow(y1, -1, par.order), pow(y2, -1, par.order), *vp])
+    pk = NomineePublicKey(gN=par.g1**alpha, hN=hN, k=k, uPrime=tuple(u), x1=x1, x2=x2)
     return pk, NomineeSecretKey(alphaN=alpha, vPrime=vp, y1=y1, y2=y2)
 
 

@@ -274,6 +274,18 @@ def test_multi_exp_matches_separate_powers(backend, group):
         b.multi_exp([(b.g1(), 1), (b.g2(), 1)])
 
 
+@pytest.mark.parametrize("group", ["G1", "G2", "GT"])
+@pytest.mark.parametrize("backend", [MockBackend(), RealBackend()], ids=["mock", "bn254"])
+def test_base_powers_match_generator_powers(backend, group):
+    b = backend
+    gen = getattr(b, group.lower())()
+    ks = [*EDGE_SCALARS, 0, 2**32, random.Random(29).randrange(N)]
+    got = b.base_powers(group, ks)
+    assert got == [gen**k for k in ks]
+    assert all(x.group == group for x in got) and got[0].is_identity() and got[1] == gen
+    assert b.base_powers(group, []) == []
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(group=st.sampled_from(["G1", "G2", "GT"]),
        terms=st.lists(st.tuples(st.integers(0, 2**256), st.integers(-2**300, 2**300)), min_size=1, max_size=4))

@@ -37,6 +37,7 @@ from nomsig.bn254 import (
     g2_is_on_curve,
     g2_mul,
     g2_mul_base,
+    g2_mul_base_many,
     g2_neg,
     g2_sum,
     multi_miller,
@@ -489,6 +490,22 @@ def test_g2_mul_matches_binary_ladder(monkeypatch):
     # N - 2 on G2_GEN and 10059 on t end on -G2_GEN + -G2_GEN and -5t + -5t;
     # N and 10069 end on -dQ + dQ
     assert met == {"equal", "opposite"}
+
+
+# Comb edges: the pieces' ends (2^32 - 1, 2^32), the top tooth (2^224, 2^253), the
+# widest scalar and every reduction mod N; 0 between nonzero scalars keeps its None.
+COMB_SCALARS = [0, 1, 2, N - 1, N, N + 1, -1, 2**32 - 1, 2**32, 0, 2**224, 2**253, 2**254 - 1]
+
+
+def test_g2_comb_matches_gls_and_binary_ladder():
+    draws = random.Random(1323)
+    ks = COMB_SCALARS + [draws.randrange(N) for _ in range(50)]
+    got = g2_mul_base_many(ks)
+    assert got == [g2_mul_base(k) for k in ks]
+    assert got == [binary_g2_mul(G2_GEN, k % N) for k in ks]
+    assert got[0] is None and got[9] is None and got[1] == G2_GEN
+    assert g2_mul_base_many([]) == []
+    assert g2_mul_base_many([0, N]) == [None, None]
 
 
 def test_wnaf_digits():

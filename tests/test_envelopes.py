@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nomsig import contract as ct
 from nomsig import envelopes as env
 from nomsig import trigger, zkproto
-from nomsig.algebra import AlgebraError, get_backend
+from nomsig.algebra import ELL, AlgebraError, get_backend
 from nomsig.bn254 import N
 from nomsig.cli import main
 from nomsig.gasmodel import build_report
@@ -239,12 +239,16 @@ MUTATIONS = [(name, cmd) for name, cmds in READERS.items() for cmd in cmds]
 NULLABLE = {"eth_cost", "C", "z3"}
 
 
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 def _mistype_one_leaf(obj, data):
     """Give one leaf of the JSON value obj a value of another JSON type, in place."""
     path = data.draw(st.sampled_from(_leaves(obj)), label="leaf")
-    parent = obj
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _at(obj, path[:-1])
     old = parent[path[-1]]
     parent[path[-1]] = data.draw(JSON_VALUES.filter(
         lambda v: type(v) is not type(old) and not (path[-1] in NULLABLE and (v is None or isinstance(v, str)))),
@@ -264,6 +268,84 @@ def test_one_mistyped_leaf_exits_2(cli_dir, data):
         res = _run(*_commands(d)[command])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
+
+
+# Right JSON type, wrong content: field name -> "G1", "G2", "GT", "Zn" or "Zn*", from the envelope table.
+FIELD_TYPES = {name: ftype.rstrip("[]?") for _, _, fields in env.CODEC.values() for name, ftype in fields.items()}
+ROLES = ["params", "signer-public", "signer-secret", "nominee-public", "nominee-secret"]
+CONTENT_CASES = ["uppercase hex", "leading-zero hex", "N or more", "zero for Zn*", "256 entries", "258 entries",
+                 "swapped role", "other backend", "uppercase enum"]
+
+
+def _targets(obj):
+    """``_leaves`` and the paths to the key vectors, found by their last entry."""
+    leaves = _leaves(obj)
+    return leaves + [path[:-1] for path in leaves if path and path[-1] == ELL]
+
+
+def _field_type(path):
+    """The CODEC type of the field at path; a vector entry has its vector's."""
+    return FIELD_TYPES.get(next((k for k in reversed(path) if isinstance(k, str)), None))
+
+
+def _content_cases(path, old):
+    """The CONTENT_CASES that apply to the value old at path."""
+    if isinstance(old, list):
+        return ["256 entries", "258 entries"] if len(old) == ELL + 1 else []
+    if not isinstance(old, str):
+        return []
+    ftype, digits = _field_type(path), old.removeprefix("0x")
+    if digits and set(digits) <= set("0123456789abcdef"):
+        cases = ["uppercase hex"] if set(digits) & set("abcdef") else []
+    else:
+        cases = ["uppercase enum"] if old.upper() != old else []
+    if ftype in ("Zn", "Zn*"):
+        cases += ["leading-zero hex", "N or more"] + (["zero for Zn*"] if ftype == "Zn*" else [])
+    if ftype in ("G1", "G2"):  # a mock element is its exponent: N or more is out of range
+        cases.append("N or more")
+    return cases + {"role": ["swapped role"], "backend": ["other backend"]}.get(path[-1], [])
+
+
+def _wrong_content(case, path, old, data):
+    if case == "uppercase hex":
+        return "0x" + old[2:].upper() if old.startswith("0x") else old.upper()
+    if case == "uppercase enum":
+        return old.upper()
+    if case == "leading-zero hex":
+        return "0x0" + old[2:]
+    if case == "N or more":
+        k = data.draw(st.integers(N, 2**256 - 1), label="k")
+        return hex(k) if _field_type(path).startswith("Zn") else k.to_bytes(32, "big").hex()
+    if case == "zero for Zn*":
+        return "0x0"
+    if case in ("256 entries", "258 entries"):
+        return old[:-1] if case == "256 entries" else old + old[-1:]
+    if case == "swapped role":
+        return data.draw(st.sampled_from([r for r in ROLES if r != old]), label="role")
+    return "bn254"  # other backend, in a mock run
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_wrong_content_leaf_exits_2_and_writes_nothing(cli_dir, data):
+    # each leaf keeps its JSON type; the command refuses the file before it writes anything
+    case = data.draw(st.sampled_from(CONTENT_CASES), label="case")
+    objs = {name: json.loads((cli_dir / f"{name}.json").read_text()) for name in READERS}
+    name, command, path = data.draw(st.sampled_from([
+        (name, cmd, path) for name, cmd in MUTATIONS for path in _targets(objs[name])
+        if case in _content_cases(path, _at(objs[name], path))]), label="envelope, command, leaf")
+    obj = objs[name]
+    _at(obj, path[:-1])[path[-1]] = _wrong_content(case, path, _at(obj, path), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(shutil.copytree(cli_dir, Path(tmp) / "d"))
+        (d / f"{name}.json").write_text(json.dumps(obj))
+        before = {f.name: f.read_bytes() for f in d.iterdir()}
+        res = _run(*_commands(d)[command])
+        after = {f.name: f.read_bytes() for f in d.iterdir()}
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert after == before
 
 
 # Transport files by pass number: the verifier writes the odd passes and

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from nomsig import scheme
-from nomsig.algebra import MockBackend, hash_h1, bit
+from nomsig import bn254, scheme
+from nomsig.algebra import MockBackend, RealBackend, hash_h1, bit
 from nomsig.scheme import (
     DeltaMsg,
     LengthMismatch,
@@ -222,6 +222,20 @@ def test_waters_eval_real_matches_affine_fold():
     counts = OpCounts()
     assert waters_eval(tuple(bases), mbits, counts) == want
     assert counts.ec_additions == hw(mbits)
+
+
+@pytest.mark.parametrize("keygen, powers", [(scheme.keygen_signer, 258), (scheme.keygen_nominee, 261)],
+                         ids=["signer", "nominee"])
+def test_keygen_takes_its_g2_powers_in_one_batch(keygen, powers, monkeypatch):
+    # one base_powers call, so one comb table; no G2 power of the key goes through g2_mul_base alone
+    par = scheme.setup(backend="bn254")
+    batches, singles = [], []
+    base_powers, g2_mul_base = RealBackend.base_powers, bn254.g2_mul_base
+    monkeypatch.setattr(RealBackend, "base_powers",
+                        lambda self, group, ks: batches.append((group, len(ks))) or base_powers(self, group, ks))
+    monkeypatch.setattr(bn254, "g2_mul_base", lambda k: singles.append(k) or g2_mul_base(k))
+    keygen(par, random.Random(7))
+    assert batches == [("G2", powers)] and singles == []
 
 
 def _exponentiations(monkeypatch):
