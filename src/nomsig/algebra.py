@@ -77,14 +77,20 @@ def bit(bs: bytes, i: int) -> int:
 
 
 class GroupElem:
-    """Immutable element of one of the three pairing groups."""
+    """Immutable element of one of the three pairing groups.
 
-    __slots__ = ("backend", "group", "value")
+    ``lines`` is None until a pairing on the real backend meets the element
+    as a G2 argument; then it holds the element's Miller-loop lines, a
+    function of its value, for the next pairing that meets it.
+    """
+
+    __slots__ = ("backend", "group", "value", "lines")
 
     def __init__(self, backend: "Backend", group: str, value: Any):
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "lines", None)
 
     def __setattr__(self, *_):
         raise AttributeError("group elements are immutable")
@@ -159,11 +165,16 @@ class Backend:
         for a, b in pairs:
             if a.group != "G1" or b.group != "G2":
                 raise AlgebraError(f"pairing needs (G1, G2), got ({a.group}, {b.group})")
-        return GroupElem(self, "GT", self.pairing_product_values([(a.value, b.value) for a, b in pairs]))
+        prepared = self.prepare_g2([b for _, b in pairs])
+        return GroupElem(self, "GT", self.pairing_product_values([(a.value, q) for (a, _), q in zip(pairs, prepared)]))
 
     def pairing_check(self, pairs: list[tuple[GroupElem, GroupElem]]) -> bool:
         """Whether prod_i e(a_i, b_i) is the identity, checked as one batch."""
         return self.pairing_product(pairs).is_identity()
+
+    def prepare_g2(self, elems: list[GroupElem]) -> list:
+        """The G2 side of each pair in the form ``pairing_product_values`` takes: here the value."""
+        return [e.value for e in elems]
 
     def multi_exp(self, terms: list[tuple[GroupElem, int]]) -> GroupElem:
         """prod_i x_i^k_i over one or more (element, scalar) terms of one group, as one joint exponentiation."""
@@ -204,7 +215,7 @@ class Backend:
     def exp(self, group, a, k): raise NotImplementedError
     def multi_exp_values(self, group, terms): raise NotImplementedError
     def base_powers_values(self, group, ks): raise NotImplementedError
-    def pairing_product_values(self, pairs): raise NotImplementedError
+    def pairing_product_values(self, pairs): raise NotImplementedError  # (G1 value, prepare_g2 entry) pairs
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
 
@@ -336,9 +347,21 @@ class RealBackend(Backend):
             return bn254.g2_mul_base_many(ks)
         return [self.exp(group, self.generator_value(group), k) for k in ks]
 
+    def prepare_g2(self, elems):
+        """Each element's Miller-loop lines (None for the identity), kept in its ``lines`` slot.
+
+        The elements that have none yet get them from one ``bn254.g2_lines``
+        batch over their distinct values; the slot is written once.
+        """
+        new = [e for e in elems if e.lines is None and e.value is not None]
+        qs = list(dict.fromkeys(e.value for e in new))
+        lines = dict(zip(qs, bn254.g2_lines(qs)))
+        for e in new:
+            object.__setattr__(e, "lines", lines[e.value])
+        return [e.lines for e in elems]
+
     def pairing_product_values(self, pairs):
-        # one pair goes through bn254.pairing, whose Miller loop keeps its own name in traces
-        return bn254.pairing(*pairs[0]) if len(pairs) == 1 else bn254.pairing_product(pairs)
+        return bn254.final_exp(bn254.miller_eval(pairs))
 
     def serialize(self, group, a):
         if group == "GT":

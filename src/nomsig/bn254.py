@@ -10,10 +10,13 @@ One affine chord routine, ``_chords``, serves ``g2_add``, the tables of
 each line's slope, its w^3 coefficient and the sum t + q, with one batched
 inversion.
 
-``multi_miller`` walks the signed digits of 6u+2: 65 doublings, 21 additions
-and 2 Frobenius lines, 88 line steps, each with one inversion for all pairs.
-Pairs on one G2 point share its chords, and each chord is evaluated at every
-G1 point paired with that point.
+The Miller loop walks the signed digits of 6u+2: 65 doublings, 21 additions
+and 2 Frobenius lines, 88 line steps. ``g2_lines`` computes each G2 point's
+88 lines, one inversion per step for all points, and ``miller_eval``
+evaluates them at the G1 points, sharing the squarings. The lines are a
+function of the point alone, so a caller that keeps them skips the point's
+chords the next time (Costello-Stebila, "Fixed Argument Pairings",
+LATINCRYPT 2010); ``multi_miller`` keeps none.
 
 Every exponentiation runs the one double-and-add loop ``curve.ladder``:
   - G1 ``g1_mul`` splits the scalar in two with the cube-root endomorphism
@@ -792,52 +795,69 @@ def g2_mul_base_many(ks):
 # Optimal ate pairing
 # ---------------------------------------------------------------------------
 
+# The 88 line steps over the signed digits of 6u+2, each named by the addend
+# of the running point T: 0 doubles T, 1 and -1 add Q and -Q, 2 and 3 add
+# the Frobenius images psi(Q) and -psi^2(Q).
+_ATE_STEPS = [s for d in reversed(_naf(ATE_LOOP)[:-1]) for s in ((0, d) if d else (0,))] + [2, 3]
 
-def _line_step(f, ts, qs, groups):
-    """(f times the line through each t, q at each G1 point of its group, the sums t + q).
 
-    ``groups[i]`` holds the G1 points paired with the i-th G2 point, each as
-    (xp, -yp). The untwisted line through t = (x1, y1) evaluated at (xp, yp)
-    is m*xp*w - yp + c*w^3, or xp - x1*w^2 where it is vertical.
+def g2_lines(qs):
+    """The Miller-loop lines of each finite twist point in qs: per point, a tuple of its 88 line steps.
+
+    The steps are 65 doublings, 21 additions (a -1 digit adds -Q) and the 2
+    Frobenius lines. An entry is (m, c) for the line y = m*x + c through the
+    running point T and its addend, or (None, x1) where the line is
+    vertical at T = (x1, y1). Each step makes one ``_chords`` call over
+    every point, so all points share its one inversion.
     """
-    chords = _chords(list(zip(ts, qs)))
-    for (x1, _), (m, c, _), ps in zip(ts, chords, groups):
-        for xp, nyp in ps:
+    if not qs:
+        return []
+    q1s = [_tw_frob(q) for q in qs]
+    addends = {1: qs, -1: [g2_neg(q) for q in qs], 2: q1s, 3: [g2_neg(_tw_frob(q1)) for q1 in q1s]}
+    out = [[] for _ in qs]
+    ts = qs
+    for step in _ATE_STEPS:
+        chords = _chords(list(zip(ts, addends.get(step, ts))))
+        for (x1, _), (m, c, _), lines in zip(ts, chords, out):
+            lines.append((None, x1) if m is None else (m, c))
+        ts = [s for _, _, s in chords]
+    return [tuple(lines) for lines in out]  # kept and shared by elements, so immutable
+
+
+def miller_eval(pairs):
+    """prod_i f_{6u+2, Q_i}(P_i) over (P_i, lines) pairs, the lines of Q_i from ``g2_lines``; up to a factor in Fp6.
+
+    The pairs share every squaring of the accumulator. The untwisted line
+    through T = (x1, y1) evaluated at (xp, yp) is m*xp*w - yp + c*w^3, or
+    xp - x1*w^2 where it is vertical. The vertical line Miller's formula
+    divides by at a -1 digit lies in Fp6, which the final exponentiation
+    removes, so it is left out. A pair with None on either side contributes 1.
+    """
+    ps = [(pt[0], -pt[1] % P, lines) for pt, lines in pairs if pt is not None and lines is not None]
+    f = F12_ONE
+    if not ps:
+        return f
+    for k, step in enumerate(_ATE_STEPS):
+        if step == 0:
+            f = f12_sqr(f)
+        for xp, nyp, lines in ps:
+            m, c = lines[k]
             if m is None:  # lies in Fp6
-                f = _f12_mul_f6(f, (xp, 0, -x1[0], -x1[1], 0, 0))
+                f = _f12_mul_f6(f, (xp, 0, -c[0], -c[1], 0, 0))
             else:
                 f = _f12_mul_line(f, nyp, (m[0] * xp % P, m[1] * xp % P), c)
-    return f, [s for _, _, s in chords]
+    return f
 
 
 def multi_miller(pairs):
-    """prod_i f_{6u+2, Q_i}(P_i), up to a factor in Fp6, with the two Frobenius correction lines.
+    """prod_i f_{6u+2, Q_i}(P_i) over (G1, twist) pairs, with the two Frobenius correction lines.
 
-    The loop walks the signed digits of 6u+2: 65 doublings, 21 additions and
-    the 2 Frobenius lines make 88 line steps. A -1 digit adds -Q; the
-    vertical line Miller's formula then divides by lies in Fp6, which the
-    final exponentiation removes, so it is left out. Pairs on one G2 point
-    share its chords, and each chord is evaluated at each of their G1
-    points. All chords of a step share one inversion, and the pairs share
-    every squaring of the accumulator. A pair with None on either side
-    contributes 1.
+    One ``g2_lines`` batch over the distinct finite Q_i, so pairs on one G2
+    point share its chords, then ``miller_eval``. Nothing is kept.
     """
-    groups = {}
-    for pt, q in pairs:
-        if pt is not None and q is not None:
-            groups.setdefault(q, []).append((pt[0], -pt[1] % P))
-    if not groups:
-        return F12_ONE
-    qs, ps = list(groups), list(groups.values())
-    neg_qs = [g2_neg(q) for q in qs]
-    f, ts = F12_ONE, qs
-    for d in reversed(_naf(ATE_LOOP)[:-1]):
-        f, ts = _line_step(f12_sqr(f), ts, ts, ps)
-        if d:
-            f, ts = _line_step(f, ts, qs if d > 0 else neg_qs, ps)
-    q1s = [_tw_frob(q) for q in qs]
-    f, ts = _line_step(f, ts, q1s, ps)
-    return _line_step(f, ts, [g2_neg(_tw_frob(q1)) for q1 in q1s], ps)[0]
+    qs = list(dict.fromkeys(q for pt, q in pairs if pt is not None and q is not None))
+    lines = dict(zip(qs, g2_lines(qs)))
+    return miller_eval([(pt, lines.get(q)) for pt, q in pairs])
 
 
 def miller_loop(q, pt):
@@ -884,13 +904,3 @@ def final_exp(f):
 def pairing(p1, q2):
     """e(p1, q2) for p1 in G1 (affine/None) and q2 on the twist (affine/None)."""
     return final_exp(miller_loop(q2, p1))
-
-
-def pairing_product(pairs):
-    """prod_i e(P_i, Q_i) over (G1, twist) pairs: one Miller loop, one final exponentiation."""
-    return final_exp(multi_miller(pairs))
-
-
-def pairing_check(pairs):
-    """Whether prod_i e(P_i, Q_i) = 1 over (G1, twist) pairs."""
-    return pairing_product(pairs) == F12_ONE

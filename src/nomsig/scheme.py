@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Optional
 
@@ -74,6 +75,10 @@ class SignerPublicKey:
     u: tuple[GroupElem, ...]  # ell + 1 bases of F_S
 
     def to_bytes(self) -> bytes:
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:  # once per key: about 260 points
         return encode_parts(self.gS.to_bytes(), self.hS.to_bytes(), *(e.to_bytes() for e in self.u))
 
 
@@ -92,6 +97,10 @@ class NomineePublicKey:
     x2: GroupElem  # g2^(1/y2)
 
     def to_bytes(self) -> bytes:
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:  # once per key: about 260 points
         return encode_parts(
             self.gN.to_bytes(),
             self.hN.to_bytes(),

@@ -12,9 +12,10 @@ the binary digits of 6u+2 with one inversion per line.
 from functools import partial
 
 from nomsig import curve
-from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, P, _f12_mul_f6, _f12_mul_line,
-                          _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob, f2_add,
-                          f2_inv, f2_mul, f2_mul_xi, f2_muli, f2_sqr, f2_sub, f12_inv, f12_sqr, g2_neg)
+from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _f12_mul_f6,
+                          _f12_mul_line, _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob,
+                          f2_add, f2_inv, f2_mul, f2_mul_xi, f2_muli, f2_sqr, f2_sqrt, f2_sub, f12_inv,
+                          f12_sqr, g2_mul, g2_neg)
 
 
 def schoolbook_f12_mul(a, b):
@@ -145,3 +146,20 @@ def binary_multi_miller(pairs):
     q1s = [_tw_frob(q) for q in qs]
     f, ts = _binary_line_steps(f, ts, q1s, ps)
     return _binary_line_steps(f, ts, [g2_neg(_tw_frob(q1)) for q1 in q1s], ps)[0]
+
+
+def random_twist_point(draws):
+    """A point of the twist from random x-coordinates, in G2 or not."""
+    while True:
+        x = (draws.randrange(P), draws.randrange(P))
+        y = f2_sqrt(f2_add(f2_mul(f2_sqr(x), x), TW_B))
+        if y is not None:
+            return (x, y)
+
+
+def torsion_point(draws, ell):
+    """A twist point of order ell, for a prime ell dividing the cofactor."""
+    t = None
+    while t is None:
+        t = g2_mul(random_twist_point(draws), N * (G2_COFACTOR // ell))
+    return t

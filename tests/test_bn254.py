@@ -4,6 +4,7 @@ import random
 import pytest
 
 from nomsig import bn254, curve, trigger
+from nomsig.algebra import GroupElem, RealBackend
 from nomsig.bn254 import (
     ATE_LOOP,
     F2_ZERO,
@@ -11,7 +12,6 @@ from nomsig.bn254 import (
     G1_GEN,
     G2_COFACTOR,
     G2_GEN,
-    TW_B,
     N,
     P,
     U,
@@ -42,10 +42,9 @@ from nomsig.bn254 import (
     g2_sum,
     multi_miller,
     pairing,
-    pairing_check,
 )
 from oracles import (affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt, curve_mul, f12_pow,
-                     g1_is_on_curve, schoolbook_f12_mul)
+                     g1_is_on_curve, random_twist_point, schoolbook_f12_mul, torsion_point)
 
 rng = random.Random(1301)
 
@@ -175,8 +174,8 @@ def test_sparse_line_products_match_schoolbook():
 
 
 def test_line_steps_match_dense_lines():
-    # chord, tangent and vertical lines at P, built densely from the slope
-    f = random_f12(random.Random(1312))
+    # chord, tangent and vertical lines at P, built densely from the slope; miller_eval over 88
+    # copies of one line entry squares at each doubling step and multiplies in the line each step
     xp, yp = g1_mul(G1_GEN, 5)
     t = g2_mul(G2_GEN, 3)
     x1, y1 = t
@@ -184,8 +183,7 @@ def test_line_steps_match_dense_lines():
     chords = bn254._chords([(t, q) for q in cases])
     for q, (m, c, s) in zip(cases, chords):
         assert s == g2_add(t, q)
-        got, sums = bn254._line_step(f, [t], [q], [[(xp, -yp % P)]])
-        assert sums == [s]
+        got = bn254.miller_eval([((xp, yp), [(None, x1) if m is None else (m, c)] * 88)])
         if q == g2_neg(t):
             assert m is c is s is None
             line = ((xp, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
@@ -195,7 +193,10 @@ def test_line_steps_match_dense_lines():
             assert m == f2_mul(num, f2_inv(den))
             assert c == f2_add(y1, f2_neg(f2_mul(m, x1)))
             line = ((-yp % P, 0), f2_mul(m, (xp, 0)), F2_ZERO, c, F2_ZERO, F2_ZERO)
-        assert got == schoolbook_f12_mul(f, line)
+        want = F12_ONE
+        for step in bn254._ATE_STEPS:
+            want = schoolbook_f12_mul(schoolbook_f12_mul(want, want) if step == 0 else want, line)
+        assert got == want
     assert g2_add(t, g2_neg(t)) is None and g2_add(t, None) == g2_add(None, t) == t
 
 
@@ -251,6 +252,44 @@ def test_miller_loop_inverts_once_per_line(monkeypatch):
     assert batches == [7] * steps
 
 
+def test_raw_miller_loop_keeps_no_lines(monkeypatch):
+    # on raw tuples every call walks the whole loop: 88 chord batches and 88 inversions
+    calls, batches = [], []
+    chords = bn254._chords
+    monkeypatch.setattr(bn254, "f2_inv", lambda a: calls.append(a) or f2_inv(a))
+    monkeypatch.setattr(bn254, "_chords", lambda tqs: batches.append(len(tqs)) or chords(tqs))
+    q, p = g2_mul(G2_GEN, 0x5EED), g1_mul(G1_GEN, 0xBEEF)
+    for _ in range(2):
+        calls.clear()
+        batches.clear()
+        bn254.miller_loop(q, p)
+        assert len(calls) == 88 and batches == [1] * 88
+
+
+def test_kept_lines_give_the_raw_loop_value(monkeypatch):
+    # Miller values through the real backend, whose G2 elements keep their lines, equal the raw
+    # loop's as Fp12 values: pairs 0 and 1 share a G2 value, 2 and 3 have None on one side,
+    # 4 pairs with -Q of pair 5, and 7 reuses the G2 element of pair 6
+    b = RealBackend()
+    raw, _ = _mixed_pairs(random.Random(1316))
+    raw[4] = (raw[4][0], g2_neg(raw[5][1]))
+    raw[7] = (raw[7][0], raw[6][1])
+    elems = [(GroupElem(b, "G1", p), GroupElem(b, "G2", q)) for p, q in raw]
+    elems[7] = (elems[7][0], elems[6][1])
+    values, batches = [], []
+    final_exp, g2_lines = bn254.final_exp, bn254.g2_lines
+    monkeypatch.setattr(bn254, "final_exp", lambda f: values.append(f) or final_exp(f))
+    monkeypatch.setattr(bn254, "g2_lines", lambda qs: batches.append(qs) or g2_lines(qs))
+    b.pairing(*elems[5])  # first in a one-pair pairing
+    b.pairing_product(elems)  # then in an eight-pair product
+    b.pairing_product(elems)  # every element now has its lines
+    # one batch per product over the distinct values not met before, empty once all are kept
+    assert batches == [[raw[5][1]], [raw[0][1], raw[2][1], raw[4][1], raw[6][1]], []]
+    assert values == [multi_miller(raw[5:6]), multi_miller(raw), multi_miller(raw)]
+    assert elems[3][1].lines is None and all(q.lines is not None for i, (_, q) in enumerate(elems) if i != 3)
+    assert elems[0][1].lines is elems[1][1].lines and elems[7][1].lines == g2_lines([raw[7][1]])[0]
+
+
 def _mixed_pairs(draws):
     """Eight (G1, G2) pairs and the discrete log of their pairing product.
 
@@ -271,7 +310,6 @@ def test_multi_miller_matches_product_of_pairings():
     for n, (p, q) in enumerate(pairs, 1):
         want = f12_mul(want, pairing(p, q))
         assert bn254.final_exp(multi_miller(pairs[:n])) == want
-        assert bn254.pairing_product(pairs[:n]) == want
     assert multi_miller([]) == multi_miller(pairs[2:4]) == F12_ONE
 
 
@@ -280,7 +318,7 @@ def test_multi_miller_matches_binary_loop_oracle(monkeypatch):
     # and 6 and 7 are off G2: an order-10069 point and its sum with a point of G2
     draws = random.Random(1314)
     pairs, _ = _mixed_pairs(draws)
-    t = _torsion_point(draws, 10069)
+    t = torsion_point(draws, 10069)
     pairs[4] = (pairs[4][0], g2_neg(pairs[5][1]))
     pairs[6] = (pairs[6][0], t)
     pairs[7] = (pairs[7][0], g2_add(pairs[7][1], t))
@@ -288,7 +326,7 @@ def test_multi_miller_matches_binary_loop_oracle(monkeypatch):
         assert bn254.final_exp(multi_miller(pairs[:n])) == bn254.final_exp(binary_multi_miller(pairs[:n])), n
     # a point of each prime order of the twist makes only the 65 tangents of the doublings and
     # 23 chords, so no twist point meets a vertical line, or a tangent in an addition, in this loop
-    torsion = [_torsion_point(draws, ell) for ell in COFACTOR_PRIMES]
+    torsion = [torsion_point(draws, ell) for ell in COFACTOR_PRIMES]
     kinds = []
     chords = bn254._chords
 
@@ -306,10 +344,15 @@ def test_multi_miller_matches_binary_loop_oracle(monkeypatch):
 
 
 def test_pairing_check_verdicts(monkeypatch):
+    b = RealBackend()
     pairs, s = _mixed_pairs(random.Random(1304))
     calls = []
     final_exp = bn254.final_exp
     monkeypatch.setattr(bn254, "final_exp", lambda f: calls.append(f) or final_exp(f))
+
+    def pairing_check(raw):
+        return b.pairing_check([(GroupElem(b, "G1", p), GroupElem(b, "G2", q)) for p, q in raw])
+
     assert pairing_check([])
     assert pairing_check(pairs + [(g1_mul(G1_GEN, -s), G2_GEN)])
     assert not pairing_check(pairs + [(g1_mul(G1_GEN, -s + 1), G2_GEN)])
@@ -358,14 +401,6 @@ def slow_final_exp(f):
 
 def random_f12(draws):
     return tuple((draws.randrange(P), draws.randrange(P)) for _ in range(6))
-
-
-def random_twist_point(draws):
-    while True:
-        x = (draws.randrange(P), draws.randrange(P))
-        y = f2_sqrt(f2_add(f2_mul(f2_sqr(x), x), TW_B))
-        if y is not None:
-            return (x, y)
 
 
 def slow_g2_in_subgroup(pt):
@@ -458,17 +493,9 @@ def test_g2_sum_matches_affine_fold():
 # ---------------------------------------------------------------------------
 
 
-def _torsion_point(draws, ell):
-    """A point of order ell, for a prime ell dividing the cofactor."""
-    t = None
-    while t is None:
-        t = g2_mul(random_twist_point(draws), N * (G2_COFACTOR // ell))
-    return t
-
-
 def test_g2_mul_matches_binary_ladder(monkeypatch):
     draws = random.Random(1321)
-    t = _torsion_point(draws, 10069)
+    t = torsion_point(draws, 10069)
     pts = [G2_GEN, t, g2_add(G2_GEN, t), random_twist_point(draws), None]
     ks = [0, 1, 2, 7, 8, 15, 16, U, 2 * U, N - 1, N, N + 1, G2_COFACTOR,
           N - 2, 10069, 10069 - 10, draws.randrange(N * G2_COFACTOR)]

@@ -15,7 +15,7 @@ from nomsig import contract as ct
 from nomsig import envelopes as env
 from nomsig import trigger, zkproto
 from nomsig.algebra import ELL, AlgebraError, get_backend
-from nomsig.bn254 import N
+from nomsig.bn254 import N, P, _sqrt_fp, f2_sqrt, g2_rhs
 from nomsig.cli import main
 from nomsig.gasmodel import build_report
 from nomsig.scheme import (
@@ -27,6 +27,8 @@ from nomsig.scheme import (
     PublicParams,
     SignerPublicKey,
 )
+
+from oracles import torsion_point
 
 PASSES = ("commitment", "first", "opening", "response", "verdict")
 
@@ -406,6 +408,71 @@ def test_unmutated_transport_files_run_both_roles(cli_dir, transport_dir):
                            "--seed", seed, "--transport-dir", tmp)
                 assert res.exit_code == 0, res.output
                 assert "verdict accept" in res.output
+
+
+@pytest.fixture(scope="module")
+def real_dir(real_pipeline, tmp_path_factory):
+    """The bn254 pipeline's envelopes under the names ``_commands`` reads, with the signature stored."""
+    p, d = real_pipeline, tmp_path_factory.mktemp("bn254")
+    (d / "m.bin").write_bytes(p.m)
+    for name, obj in (("params", p.par), ("spk", p.pk_s), ("ssk", p.sk_s), ("npk", p.pk_n),
+                      ("nsk", p.sk_n), ("sigma", p.sigma), ("token", p.tk)):
+        env.write_object(str(d / f"{name}.json"), obj)
+    op, inv = (trigger.address_of(trigger.ecdsa_keygen(s).vk) for s in (b"op", b"inv"))
+    state, ledger = ct.deploy(p.m, op, inv, p.pk_s, p.pk_n, p.par, 100, 700), ct.WalletLedger({op: 0, inv: 1000})
+    ct.pay_advance(state, ledger, 100)
+    ct.store_signature(state, p.sigma)
+    env.write_object(str(d / "state-stored.json"), state, ledger)
+    return d
+
+
+def _bad_point(case, group) -> str:
+    """Hex of a point encoding that must not decode, with the decoder's message for it."""
+    if case == "x of p or more":  # G2 puts c1 first: c1 = 0, c0 = p
+        return (P.to_bytes(32, "big") if group == "G1" else bytes(32) + P.to_bytes(32, "big")).hex()
+    if case == "order 10069":
+        return get_backend("bn254").serialize("G2", torsion_point(random.Random(10069), 10069)).hex()
+    k = 1  # the smallest x = k (G1) or k + 0i (G2) with no point above it
+    while (_sqrt_fp((k**3 + 3) % P) if group == "G1" else f2_sqrt(g2_rhs((k, 0)))) is not None:
+        k += 1
+    return (k.to_bytes(32, "big") if group == "G1" else bytes(32) + k.to_bytes(32, "big")).hex()
+
+
+BOUNDARY_MESSAGES = {"off the curve": "not on curve", "order 10069": "not in the prime-order subgroup",
+                     "x of p or more": "out of range"}
+BOUNDARY_CASES = [
+    ("sigma", "convert", ("s1",), "off the curve"),
+    ("sigma", "convert", ("s2",), "x of p or more"),
+    ("sigma", "convert", ("s3",), "off the curve"),
+    ("sigma", "convert", ("s3",), "order 10069"),
+    ("sigma", "convert", ("s3",), "x of p or more"),
+    ("spk", "sign", ("gS",), "x of p or more"),
+    ("spk", "sign", ("hS",), "order 10069"),
+    ("spk", "sign", ("u", ELL), "off the curve"),
+    ("npk", "deploy", ("gN",), "off the curve"),
+    ("npk", "deploy", ("uPrime", 0), "x of p or more"),
+    ("npk", "deploy", ("x1",), "order 10069"),
+    ("token", "trigger", ("tk1",), "off the curve"),
+    ("token", "trigger", ("tk2",), "x of p or more"),
+]
+
+
+@pytest.mark.parametrize("name, command, path, case", BOUNDARY_CASES,
+                         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_bad_bn254_point_exits_2_and_writes_nothing(real_dir, name, command, path, case):
+    # off the curve, outside G2 or out of range: the decoder refuses it before any pairing sees it
+    obj = json.loads((real_dir / f"{name}.json").read_text())
+    _at(obj["payload"], path[:-1])[path[-1]] = _bad_point(case, FIELD_TYPES[path[0]])
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(shutil.copytree(real_dir, Path(tmp) / "d"))
+        (d / f"{name}.json").write_text(json.dumps(obj))
+        before = {f.name: f.read_bytes() for f in d.iterdir()}
+        res = _run(*_commands(d)[command])
+        after = {f.name: f.read_bytes() for f in d.iterdir()}
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert BOUNDARY_MESSAGES[case] in res.output and "Traceback" not in res.output
+    assert after == before
 
 
 def test_envelope_version_gate():

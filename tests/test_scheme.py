@@ -1,10 +1,11 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
 from nomsig import bn254, scheme
-from nomsig.algebra import MockBackend, RealBackend, hash_h1, bit
+from nomsig.algebra import GroupElem, MockBackend, RealBackend, hash_h1, bit
 from nomsig.scheme import (
     DeltaMsg,
     LengthMismatch,
@@ -261,3 +262,42 @@ def test_receive_makes_three_g1_and_six_g2_exponentiations(mock_pipeline, monkey
     sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, p.sk_n, random.Random(1))
     assert sigma is not None
     assert sorted(groups) == ["G1"] * 3 + ["G2"] * 6
+
+
+def fresh(obj):
+    """A copy of a params, key or sigma object whose group elements are new objects, with no lines kept."""
+    return dataclasses.replace(obj, **{f.name: GroupElem(v.backend, v.group, v.value) for f in dataclasses.fields(obj)
+                                      if isinstance(v := getattr(obj, f.name), GroupElem)})
+
+
+def test_second_tk_verify_computes_only_the_new_chords(real_pipeline, monkeypatch):
+    # the first call computes lines for its 7 distinct G2 values; the second only for F_S * F_N
+    p = real_pipeline
+    par, pk_s, pk_n, sigma = fresh(p.par), fresh(p.pk_s), fresh(p.pk_n), fresh(p.sigma)
+    batches = []
+    chords = bn254._chords
+
+    def spy(tqs):
+        if sys._getframe(1).f_code.co_name == "g2_lines":
+            batches.append(len(tqs))
+        return chords(tqs)
+
+    monkeypatch.setattr(bn254, "_chords", spy)
+    for size in (7, 1):
+        batches.clear()
+        ok, counts = scheme.tk_verify(par, pk_s, pk_n, p.m, sigma, p.tk)
+        assert ok and counts.pairing_pairs == 8
+        assert batches == [size] * 88
+
+
+def test_tk_verify_serializes_each_public_key_once(mock_pipeline, monkeypatch):
+    # two verifications on one key pair encode each key once: 2 + 257 parts for pk_S, 3 + 257 + 2 for pk_N
+    p = mock_pipeline
+    pk_s, pk_n = dataclasses.replace(p.pk_s), dataclasses.replace(p.pk_n)
+    sizes = []
+    encode_parts = scheme.encode_parts
+    monkeypatch.setattr(scheme, "encode_parts", lambda *parts: sizes.append(len(parts)) or encode_parts(*parts))
+    for _ in range(2):
+        assert scheme.tk_verify(p.par, pk_s, pk_n, p.m, p.sigma, p.tk)[0]
+    assert sizes.count(259) == sizes.count(262) == 1
+    assert pk_s.to_bytes() == p.pk_s.to_bytes() and pk_n.to_bytes() == p.pk_n.to_bytes()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nomsig import bn254, zkproto
-from nomsig.scheme import NomSignature, NomineeSecretKey
+from nomsig.scheme import NomSignature, NomineeSecretKey, derive_values, waters_product
 from nomsig.zkproto import (
     AbortBadOpening,
     ChallengeOpening,
@@ -60,6 +60,17 @@ def test_statement_makes_three_final_exponentiations(real_pipeline, monkeypatch)
     monkeypatch.setattr(bn254, "final_exp", lambda f: calls.append(f) or final_exp(f))
     derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
     assert len(calls) == 3
+
+
+def test_statement_computes_the_lines_of_fs_fn_once(real_pipeline, monkeypatch):
+    # e3 = e(s1, F_S F_N) and e4 = e(s2, F_S F_N) share one element, so its 88 lines are computed once
+    p = real_pipeline
+    batches = []
+    g2_lines = bn254.g2_lines
+    monkeypatch.setattr(bn254, "g2_lines", lambda qs: batches.append(qs) or g2_lines(qs))
+    derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
+    fs_fn = waters_product(p.pk_s, p.pk_n, derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma)).value
+    assert [q for qs in batches for q in qs].count(fs_fn) == 1
 
 
 def test_confirm_completeness(stmt, mock_pipeline):
