@@ -287,6 +287,11 @@ def _g2_lift(x, high: bool):
     return None if y is None else (x, y if _f2_is_high(y) == high else bn254.f2_neg(y))
 
 
+@functools.cache
+def _gt_gen():
+    return bn254.pairing(bn254.G1_GEN, bn254.G2_GEN)
+
+
 class RealBackend(Backend):
     """BN254 groups; G2 lives on the sextic twist, GT inside Fp12."""
 
@@ -298,14 +303,7 @@ class RealBackend(Backend):
             return bn254.G1_GEN
         if group == "G2":
             return bn254.G2_GEN
-        return self._gt_gen()
-
-    _gt_gen_cache = None
-
-    def _gt_gen(self):
-        if RealBackend._gt_gen_cache is None:
-            RealBackend._gt_gen_cache = bn254.pairing(bn254.G1_GEN, bn254.G2_GEN)
-        return RealBackend._gt_gen_cache
+        return _gt_gen()
 
     def identity_value(self, group):
         return bn254.F12_ONE if group == "GT" else None

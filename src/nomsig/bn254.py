@@ -16,7 +16,7 @@ and 2 Frobenius lines, 88 line steps. ``g2_lines`` computes each G2 point's
 evaluates them at the G1 points, sharing the squarings. The lines are a
 function of the point alone, so a caller that keeps them skips the point's
 chords the next time (Costello-Stebila, "Fixed Argument Pairings",
-LATINCRYPT 2010); ``multi_miller`` keeps none.
+LATINCRYPT 2010); ``miller_loop`` keeps none.
 
 Every exponentiation runs the one double-and-add loop ``curve.ladder``:
   - G1 ``g1_mul`` splits the scalar in two with the cube-root endomorphism
@@ -108,11 +108,6 @@ def f2_mul(a, b):
 def f2_sqr(a):
     a0, a1 = a
     return ((a0 + a1) * (a0 - a1) % P, 2 * a0 * a1 % P)
-
-
-def f2_muli(a, k):
-    """Multiply by an Fp scalar k."""
-    return (a[0] * k % P, a[1] * k % P)
 
 
 def f2_mul_xi(a):
@@ -849,20 +844,9 @@ def miller_eval(pairs):
     return f
 
 
-def multi_miller(pairs):
-    """prod_i f_{6u+2, Q_i}(P_i) over (G1, twist) pairs, with the two Frobenius correction lines.
-
-    One ``g2_lines`` batch over the distinct finite Q_i, so pairs on one G2
-    point share its chords, then ``miller_eval``. Nothing is kept.
-    """
-    qs = list(dict.fromkeys(q for pt, q in pairs if pt is not None and q is not None))
-    lines = dict(zip(qs, g2_lines(qs)))
-    return miller_eval([(pt, lines.get(q)) for pt, q in pairs])
-
-
 def miller_loop(q, pt):
-    """f_{6u+2, Q}(P): the one-pair ``multi_miller``."""
-    return multi_miller([(pt, q)])
+    """f_{6u+2, Q}(P) with the two Frobenius correction lines, from Q's lines computed afresh and not kept."""
+    return miller_eval([(pt, g2_lines([q])[0] if pt is not None and q is not None else None)])
 
 
 def easy_part(f):

@@ -9,6 +9,7 @@ processes exchanging numbered message files in a transport directory.
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -140,45 +141,49 @@ def cmd_keygen_nominee(params_path, seed, pub_out, sec_out):
     click.echo(f"nominee keys written to {pub_out}, {sec_out}")
 
 
-def _common_scheme_inputs(params_path, signer_pub, nominee_pub):
-    par = _read(params_path, scheme.PublicParams)
-    pk_s = _read(signer_pub, scheme.SignerPublicKey, par.backend)
-    pk_n = _read(nominee_pub, scheme.NomineePublicKey, par.backend)
-    return par, pk_s, pk_n
+def _scheme_inputs(fn):
+    """Give a command the options --params, --signer-pub, --nominee-pub and
+    --message-file, and call it with what they hold, (par, pk_s, pk_n, m)."""
+
+    @functools.wraps(fn)
+    def read(params_path, signer_pub, nominee_pub, message_file, **options):
+        par = _read(params_path, scheme.PublicParams)
+        pk_s = _read(signer_pub, scheme.SignerPublicKey, par.backend)
+        pk_n = _read(nominee_pub, scheme.NomineePublicKey, par.backend)
+        return fn(par, pk_s, pk_n, _read_message(message_file), **options)
+
+    for opt in reversed([
+        click.option("--params", "params_path", required=True, type=click.Path()),
+        click.option("--signer-pub", required=True, type=click.Path()),
+        click.option("--nominee-pub", required=True, type=click.Path()),
+        click.option("--message-file", required=True, type=click.Path()),
+    ]):
+        read = opt(read)
+    return read
 
 
 @main.command("sign")
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--signer-pub", required=True, type=click.Path())
+@_scheme_inputs
 @click.option("--signer-sec", required=True, type=click.Path())
-@click.option("--nominee-pub", required=True, type=click.Path())
-@click.option("--message-file", required=True, type=click.Path())
 @click.option("--seed", type=int, required=True)
 @click.option("--out", required=True, type=click.Path())
-def cmd_sign(params_path, signer_pub, signer_sec, nominee_pub, message_file, seed, out):
+def cmd_sign(par, pk_s, pk_n, m, signer_sec, seed, out):
     """Produce the signer's partial signature over the program source."""
-    par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
     sk_s = _read(signer_sec, scheme.SignerSecretKey)
-    m = _read_message(message_file)
     delta = scheme.sign(par, pk_s, pk_n, m, sk_s, Random(seed))
     _write(out, delta)
     click.echo(f"delta written to {out}")
 
 
 @main.command("receive")
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--signer-pub", required=True, type=click.Path())
-@click.option("--nominee-pub", required=True, type=click.Path())
+@_scheme_inputs
 @click.option("--nominee-sec", required=True, type=click.Path())
-@click.option("--message-file", required=True, type=click.Path())
 @click.option("--delta", "delta_path", required=True, type=click.Path())
 @click.option("--seed", type=int, required=True)
 @click.option("--out", required=True, type=click.Path())
-def cmd_receive(params_path, signer_pub, nominee_pub, nominee_sec, message_file, delta_path, seed, out):
+def cmd_receive(par, pk_s, pk_n, m, nominee_sec, delta_path, seed, out):
     """Nominee check of the partial signature; writes sigma or rejects."""
-    par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
     sk_n = _read(nominee_sec, scheme.NomineeSecretKey)
-    m = _read_message(message_file)
     delta = _read(delta_path, scheme.DeltaMsg, par.backend)
     sigma = scheme.receive(par, pk_s, pk_n, m, delta, sk_n, Random(seed))
     if sigma is None:
@@ -189,18 +194,13 @@ def cmd_receive(params_path, signer_pub, nominee_pub, nominee_sec, message_file,
 
 
 @main.command("convert")
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--signer-pub", required=True, type=click.Path())
-@click.option("--nominee-pub", required=True, type=click.Path())
+@_scheme_inputs
 @click.option("--nominee-sec", required=True, type=click.Path())
-@click.option("--message-file", required=True, type=click.Path())
 @click.option("--sigma", "sigma_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
-def cmd_convert(params_path, signer_pub, nominee_pub, nominee_sec, message_file, sigma_path, out):
+def cmd_convert(par, pk_s, pk_n, m, nominee_sec, sigma_path, out):
     """Derive the public verification token from a valid sigma."""
-    par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
     sk_n = _read(nominee_sec, scheme.NomineeSecretKey)
-    m = _read_message(message_file)
     sigma = _read(sigma_path, scheme.NomSignature, par.backend)
     tk = scheme.convert(par, pk_s, pk_n, m, sigma, sk_n)
     if tk is None:
@@ -240,79 +240,69 @@ def _recv(tdir: Path, backend, cls):
     return _read(str(path), cls, backend)
 
 
-def _interactive(protocol, role, params_path, signer_pub, nominee_pub, nominee_sec,
-                 message_file, sigma_path, transport_dir, seed):
-    par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
-    m = _read_message(message_file)
+def _interactive(protocol, par, pk_s, pk_n, m, role, nominee_sec, sigma_path, transport_dir, seed):
     sigma = _read(sigma_path, scheme.NomSignature, par.backend)
+    sk_n = _read(nominee_sec, scheme.NomineeSecretKey) if role == "prover" else None
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
     tdir = _mkdir(transport_dir)
     rng = Random(seed)
     b = par.backend
 
     if role == "verifier":
-        cls = zkproto.ConfirmVerifier if protocol == "confirm" else zkproto.DisavowVerifier
-        verifier = cls(stmt, rng)
+        verifier = zkproto.Verifier(protocol, stmt, rng)
         _send(tdir, b, verifier.commitment())
         first = _recv(tdir, b, zkproto.SigmaFirstMsg)
         _send(tdir, b, verifier.opening())
-        response = _recv(tdir, b, zkproto.SigmaResponse)
-        verdict = verifier.verdict(first, response)
+        verdict = verifier.verdict(first, _recv(tdir, b, zkproto.SigmaResponse))
         _send(tdir, b, verdict)
-        click.echo("verdict accept" if verdict else "verdict reject")
-        sys.exit(EXIT_ACCEPT if verdict else EXIT_REJECT)
-
-    if nominee_sec is None:
-        raise MalformedInput("the prover role requires --nominee-sec")
-    sk_n = _read(nominee_sec, scheme.NomineeSecretKey)
-    cls = zkproto.ConfirmProver if protocol == "confirm" else zkproto.DisavowProver
-    prover = cls(stmt, sk_n, rng)
-    commitment = _recv(tdir, b, zkproto.ChallengeCommitment)
-    _send(tdir, b, prover.first_message(commitment))
-    opening = _recv(tdir, b, zkproto.ChallengeOpening)
-    try:
-        _send(tdir, b, prover.response(opening))
-    except zkproto.AbortBadOpening as exc:
-        click.echo(f"abort: {exc}")
-        sys.exit(EXIT_REJECT)
-    verdict = _recv(tdir, b, bool)
+    else:
+        prover = zkproto.Prover(protocol, stmt, sk_n, rng)
+        _send(tdir, b, prover.first_message(_recv(tdir, b, zkproto.ChallengeCommitment)))
+        opening = _recv(tdir, b, zkproto.ChallengeOpening)
+        try:
+            _send(tdir, b, prover.response(opening))
+        except zkproto.AbortBadOpening as exc:
+            click.echo(f"abort: {exc}")
+            sys.exit(EXIT_REJECT)
+        verdict = _recv(tdir, b, bool)
     click.echo("verdict accept" if verdict else "verdict reject")
     sys.exit(EXIT_ACCEPT if verdict else EXIT_REJECT)
 
 
 def _protocol_options(fn):
-    opts = [
+    """The other options of confirm and disavow; a prover without --nominee-sec is refused before any input is read."""
+
+    @functools.wraps(fn)
+    def checked(**options):
+        if options["role"] == "prover" and options["nominee_sec"] is None:
+            raise MalformedInput("the prover role requires --nominee-sec")
+        return fn(**options)
+
+    for opt in reversed([
         click.option("--role", type=click.Choice(["prover", "verifier"]), required=True),
-        click.option("--params", "params_path", required=True, type=click.Path()),
-        click.option("--signer-pub", required=True, type=click.Path()),
-        click.option("--nominee-pub", required=True, type=click.Path()),
         click.option("--nominee-sec", default=None, type=click.Path()),
-        click.option("--message-file", required=True, type=click.Path()),
         click.option("--sigma", "sigma_path", required=True, type=click.Path()),
         click.option("--transport-dir", required=True, type=click.Path()),
         click.option("--seed", type=int, required=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+    ]):
+        checked = opt(checked)
+    return checked
 
 
 @main.command("confirm")
 @_protocol_options
-def cmd_confirm(role, params_path, signer_pub, nominee_pub, nominee_sec,
-                message_file, sigma_path, transport_dir, seed):
+@_scheme_inputs
+def cmd_confirm(par, pk_s, pk_n, m, **options):
     """Interactive proof that sigma is the nominee's valid signature."""
-    _interactive("confirm", role, params_path, signer_pub, nominee_pub, nominee_sec,
-                 message_file, sigma_path, transport_dir, seed)
+    _interactive("confirm", par, pk_s, pk_n, m, **options)
 
 
 @main.command("disavow")
 @_protocol_options
-def cmd_disavow(role, params_path, signer_pub, nominee_pub, nominee_sec,
-                message_file, sigma_path, transport_dir, seed):
+@_scheme_inputs
+def cmd_disavow(par, pk_s, pk_n, m, **options):
     """Interactive proof that sigma is not the nominee's valid signature."""
-    _interactive("disavow", role, params_path, signer_pub, nominee_pub, nominee_sec,
-                 message_file, sigma_path, transport_dir, seed)
+    _interactive("disavow", par, pk_s, pk_n, m, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +311,7 @@ def cmd_disavow(role, params_path, signer_pub, nominee_pub, nominee_sec,
 
 
 @main.command("deploy")
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--signer-pub", required=True, type=click.Path())
-@click.option("--nominee-pub", required=True, type=click.Path())
-@click.option("--message-file", required=True, type=click.Path())
+@_scheme_inputs
 @click.option("--operator-seed", required=True, help="wallet seed string for the operator")
 @click.option("--investor-seed", required=True, help="wallet seed string for the investor")
 @click.option("--operator-balance", type=int, default=0, show_default=True)
@@ -332,12 +319,9 @@ def cmd_disavow(role, params_path, signer_pub, nominee_pub, nominee_sec,
 @click.option("--advance", type=int, required=True)
 @click.option("--investment", type=int, required=True)
 @click.option("--state-out", required=True, type=click.Path())
-def cmd_deploy(params_path, signer_pub, nominee_pub, message_file, operator_seed,
-               investor_seed, operator_balance, investor_balance, advance, investment,
-               state_out):
+def cmd_deploy(par, pk_s, pk_n, m, operator_seed, investor_seed, operator_balance, investor_balance,
+               advance, investment, state_out):
     """Create the escrow contract and its wallet ledger."""
-    par, pk_s, pk_n = _common_scheme_inputs(params_path, signer_pub, nominee_pub)
-    m = _read_message(message_file)
     op_addr = trigger.address_of(trigger.ecdsa_keygen(operator_seed.encode()).vk)
     inv_addr = trigger.address_of(trigger.ecdsa_keygen(investor_seed.encode()).vk)
     try:

@@ -12,7 +12,7 @@ report stays honest about what it omits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -34,9 +34,9 @@ class CostTable:
     ecrecover: int = 3000
 
     def __post_init__(self):
-        for name in ("pairing_base", "pairing_per_pair", "ec_add", "ecrecover"):
-            if getattr(self, name) < 0:
-                raise GasModelError(f"negative cost for {name}")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise GasModelError(f"negative cost for {f.name}")
 
     @classmethod
     def from_file(cls, path: str) -> "CostTable":
@@ -44,8 +44,7 @@ class CostTable:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise GasModelError("cost table file must hold a JSON object")
-        known = {"pairing_base", "pairing_per_pair", "ec_add", "ecrecover"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise GasModelError(f"unknown cost table fields: {sorted(unknown)}")
         if any(type(v) is not int for v in raw.values()):

@@ -71,9 +71,6 @@ class ConfirmStatement:
     def backend(self) -> Backend:
         return self.g2ref.backend
 
-    def holds_for(self, y1: int, y2: int) -> bool:
-        return self.d == self.backend.multi_exp([(self.e3, y1), (self.e4, y2)])
-
 
 @dataclass(frozen=True)
 class ChallengeCommitment:
@@ -195,10 +192,11 @@ def check(protocol: str, s: ConfirmStatement, c: int, first: SigmaFirstMsg, resp
     return all(t == _t(terms, image, z, c) for (terms, image), t in zip(rows, (first.t1, first.t2, first.t3)))
 
 
-class _Verifier:
-    protocol: str
+class Verifier:
+    """The verifier of ``protocol``: commits to its challenge, opens it, then decides."""
 
-    def __init__(self, statement: ConfirmStatement, rng: Random):
+    def __init__(self, protocol: str, statement: ConfirmStatement, rng: Random):
+        self.protocol = protocol
         self.stmt = statement
         b = statement.backend
         self._c = b.random_scalar(rng)
@@ -215,10 +213,11 @@ class _Verifier:
         return check(self.protocol, self.stmt, self._c, first, resp)
 
 
-class _Prover:
-    protocol: str
+class Prover:
+    """The nominee's prover of ``protocol``: answers only a challenge that opens the commitment it saw."""
 
-    def __init__(self, statement: ConfirmStatement, sk_n: NomineeSecretKey, rng: Random):
+    def __init__(self, protocol: str, statement: ConfirmStatement, sk_n: NomineeSecretKey, rng: Random):
+        self.protocol = protocol
         self.stmt = statement
         self.y1 = sk_n.y1
         self.y2 = sk_n.y2
@@ -246,28 +245,14 @@ class _Prover:
         return SigmaResponse(**{f: (a + opening.c * self._w[f]) % n for f, a in self._a.items()})
 
 
-class ConfirmVerifier(_Verifier):
-    protocol = "confirm"
-
-
-class DisavowVerifier(_Verifier):
-    protocol = "disavow"
-
-
-class ConfirmProver(_Prover):
-    protocol = "confirm"
-
-
-class DisavowProver(_Prover):
-    protocol = "disavow"
-
-
 # ---------------------------------------------------------------------------
 # In-process orchestration
 # ---------------------------------------------------------------------------
 
 
-def _run(protocol: str, prover, verifier) -> tuple[bool, Transcript]:
+def _run(protocol: str, statement, sk_n, prover_rng, verifier_rng) -> tuple[bool, Transcript]:
+    prover = Prover(protocol, statement, sk_n, prover_rng)
+    verifier = Verifier(protocol, statement, verifier_rng)
     tr = Transcript(protocol)
     tr.commitment = verifier.commitment()
     tr.first = prover.first_message(tr.commitment)
@@ -283,7 +268,7 @@ def run_confirm(
     prover_rng: Random,
     verifier_rng: Random,
 ) -> tuple[bool, Transcript]:
-    return _run("confirm", ConfirmProver(statement, sk_n, prover_rng), ConfirmVerifier(statement, verifier_rng))
+    return _run("confirm", statement, sk_n, prover_rng, verifier_rng)
 
 
 def run_disavow(
@@ -292,50 +277,4 @@ def run_disavow(
     prover_rng: Random,
     verifier_rng: Random,
 ) -> tuple[bool, Transcript]:
-    return _run("disavow", DisavowProver(statement, sk_n, prover_rng), DisavowVerifier(statement, verifier_rng))
-
-
-# ---------------------------------------------------------------------------
-# Zero-knowledge simulator and special-soundness extractor (test machinery)
-# ---------------------------------------------------------------------------
-
-
-def simulate_transcript(statement: ConfirmStatement, protocol: str, rng: Random) -> Transcript:
-    """Accepting transcript built without the witness.
-
-    The simulator exploits exactly what the committed challenge grants a
-    zero-knowledge simulator: it learns c before emitting the first message.
-    """
-    b = statement.backend
-    c = b.random_scalar(rng)
-    rho = b.random_scalar(rng)
-    tr = Transcript(protocol)
-    tr.commitment = ChallengeCommitment(commit_challenge(b, c, rho))
-    tr.opening = ChallengeOpening(c, rho)
-    _, rows = relation(protocol, statement)
-    C = b.gt() ** b.random_nonzero_scalar(rng) if rows[2][1] is None else None
-    fields, rows = relation(protocol, statement, C)
-    z = {f: b.random_scalar(rng) for f in fields}
-    tr.first = SigmaFirstMsg(*(_t(terms, image, z, c) for terms, image in rows), C)
-    tr.response = SigmaResponse(**z)
-    tr.verdict = check(protocol, statement, c, tr.first, tr.response)
-    return tr
-
-
-def extract_confirm_witness(
-    statement: ConfirmStatement,
-    first: SigmaFirstMsg,
-    c1: int,
-    resp1: SigmaResponse,
-    c2: int,
-    resp2: SigmaResponse,
-) -> tuple[int, int]:
-    """Special soundness: two accepting transcripts over one first message
-    with distinct challenges pin down (y1, y2)."""
-    n = statement.backend.order
-    if c1 == c2:
-        raise ProtocolError("challenges must differ")
-    dc_inv = pow((c1 - c2) % n, -1, n)
-    y1 = (resp1.z1 - resp2.z1) * dc_inv % n
-    y2 = (resp1.z2 - resp2.z2) * dc_inv % n
-    return y1, y2
+    return _run("disavow", statement, sk_n, prover_rng, verifier_rng)

@@ -7,14 +7,18 @@ binary double-and-add over any addition (on the Fp curves, over
 ``curve.add`` alone), the binary Jacobian ladder on the twist, the
 complex-method Fp2 square root with its inversion, and the Miller loop over
 the binary digits of 6u+2 with one inversion per line.
+
+For the confirm/disavow protocols it holds what only the proofs of their
+properties need: the witness relation itself, the zero-knowledge simulator
+and the special-soundness extractor.
 """
 
 from functools import partial
 
-from nomsig import curve
+from nomsig import curve, zkproto
 from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _f12_mul_f6,
                           _f12_mul_line, _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob,
-                          f2_add, f2_inv, f2_mul, f2_mul_xi, f2_muli, f2_sqr, f2_sqrt, f2_sub, f12_inv,
+                          f2_add, f2_inv, f2_mul, f2_mul_xi, f2_sqr, f2_sqrt, f2_sub, f12_inv,
                           f12_sqr, g2_mul, g2_neg)
 
 
@@ -116,10 +120,10 @@ def _binary_line_steps(f, ts, qs, ps):
             sums.append(None)
             continue
         if x1 == x2:
-            m = f2_mul(f2_muli(f2_sqr(x1), 3), f2_inv(f2_muli(y1, 2)))
+            m = f2_mul(f2_mul(f2_sqr(x1), (3, 0)), f2_inv(f2_mul(y1, (2, 0))))
         else:
             m = f2_mul(f2_sub(y2, y1), f2_inv(f2_sub(x2, x1)))
-        f = _f12_mul_line(f, nyp, f2_muli(m, xp), f2_sub(y1, f2_mul(m, x1)))  # m*xp*w - yp + (y1 - m*x1)*w^3
+        f = _f12_mul_line(f, nyp, f2_mul(m, (xp, 0)), f2_sub(y1, f2_mul(m, x1)))  # m*xp*w - yp + (y1 - m*x1)*w^3
         x3 = f2_sub(f2_sub(f2_sqr(m), x1), x2)
         sums.append((x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1)))
     return f, sums
@@ -163,3 +167,42 @@ def torsion_point(draws, ell):
     while t is None:
         t = g2_mul(random_twist_point(draws), N * (G2_COFACTOR // ell))
     return t
+
+
+def holds_for(statement, y1, y2):
+    """Whether (y1, y2) is a confirm witness of the statement: d = e3^y1 * e4^y2."""
+    return statement.d == statement.backend.multi_exp([(statement.e3, y1), (statement.e4, y2)])
+
+
+def simulate_transcript(statement, protocol, rng):
+    """Accepting transcript built without the witness.
+
+    The simulator exploits exactly what the committed challenge grants a
+    zero-knowledge simulator: it learns c before emitting the first message.
+    """
+    b = statement.backend
+    c = b.random_scalar(rng)
+    rho = b.random_scalar(rng)
+    tr = zkproto.Transcript(protocol)
+    tr.commitment = zkproto.ChallengeCommitment(zkproto.commit_challenge(b, c, rho))
+    tr.opening = zkproto.ChallengeOpening(c, rho)
+    _, rows = zkproto.relation(protocol, statement)
+    C = b.gt() ** b.random_nonzero_scalar(rng) if rows[2][1] is None else None
+    fields, rows = zkproto.relation(protocol, statement, C)
+    z = {f: b.random_scalar(rng) for f in fields}
+    tr.first = zkproto.SigmaFirstMsg(*(zkproto._t(terms, image, z, c) for terms, image in rows), C)
+    tr.response = zkproto.SigmaResponse(**z)
+    tr.verdict = zkproto.check(protocol, statement, c, tr.first, tr.response)
+    return tr
+
+
+def extract_confirm_witness(statement, first, c1, resp1, c2, resp2):
+    """Special soundness: two accepting transcripts over one first message
+    with distinct challenges pin down (y1, y2)."""
+    n = statement.backend.order
+    if c1 == c2:
+        raise zkproto.ProtocolError("challenges must differ")
+    dc_inv = pow((c1 - c2) % n, -1, n)
+    y1 = (resp1.z1 - resp2.z1) * dc_inv % n
+    y2 = (resp1.z2 - resp2.z2) * dc_inv % n
+    return y1, y2

@@ -19,6 +19,7 @@ from nomsig.gasmodel import CostTable, build_report, meter_tkverify, ratio_vs_ec
 from nomsig.scheme import DeltaMsg, NomSignature, OpCounts, VerificationToken
 
 from conftest import Pipeline
+from oracles import extract_confirm_witness, simulate_transcript
 
 
 def make_pipelines(n, seed0=0, backend="mock", keys_every=100):
@@ -278,14 +279,14 @@ def test_criterion_8_confirm_disavow():
     # special soundness recovers the nominee key
     p, valid, _ = statements[0]
     b = valid.backend
-    prover = zkproto.ConfirmProver(valid, p.sk_n, master)
+    prover = zkproto.Prover("confirm", valid, p.sk_n, master)
     c1, rho1 = b.random_scalar(master), b.random_scalar(master)
     c2, rho2 = b.random_scalar(master), b.random_scalar(master)
     first = prover.first_message(zkproto.ChallengeCommitment(zkproto.commit_challenge(b, c1, rho1)))
     r1 = prover.response(zkproto.ChallengeOpening(c1, rho1))
     prover._com = zkproto.ChallengeCommitment(zkproto.commit_challenge(b, c2, rho2))
     r2 = prover.response(zkproto.ChallengeOpening(c2, rho2))
-    assert zkproto.extract_confirm_witness(valid, first, c1, r1, c2, r2) == (p.sk_n.y1, p.sk_n.y2)
+    assert extract_confirm_witness(valid, first, c1, r1, c2, r2) == (p.sk_n.y1, p.sk_n.y2)
 
     # simulated transcripts verify and are distributed like real ones
     buckets = 16
@@ -296,7 +297,7 @@ def test_criterion_8_confirm_disavow():
         ok, tr = zkproto.run_confirm(valid, p.sk_n, master, master)
         assert ok
         real_counts[tr.response.z1 * buckets // par.order] += 1
-        sim = zkproto.simulate_transcript(valid, "confirm", master)
+        sim = simulate_transcript(valid, "confirm", master)
         assert sim.verdict
         sim_counts[sim.response.z1 * buckets // par.order] += 1
     _, pvalue, _, _ = scipy.stats.chi2_contingency([real_counts, sim_counts])

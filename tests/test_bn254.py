@@ -40,13 +40,19 @@ from nomsig.bn254 import (
     g2_mul_base_many,
     g2_neg,
     g2_sum,
-    multi_miller,
     pairing,
 )
 from oracles import (affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt, curve_mul, f12_pow,
                      g1_is_on_curve, random_twist_point, schoolbook_f12_mul, torsion_point)
 
 rng = random.Random(1301)
+
+
+def multi_miller(pairs):
+    """The raw Miller loop over (G1, twist) pairs: one ``g2_lines`` batch over the distinct finite Q_i, nothing kept."""
+    qs = list(dict.fromkeys(q for pt, q in pairs if pt is not None and q is not None))
+    lines = dict(zip(qs, bn254.g2_lines(qs)))
+    return bn254.miller_eval([(pt, lines.get(q)) for pt, q in pairs])
 
 
 def naive_g1_mul(pt, k):

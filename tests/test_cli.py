@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from nomsig import scheme
+from nomsig import envelopes, scheme
 from nomsig.cli import main
 
 
@@ -524,3 +524,86 @@ def test_two_process_protocol_mismatch_rejects(workdir, tmp_path, verifier_proto
     assert prover.returncode == 1 and vcode == 1
     assert "verdict reject" in vout and "verdict reject" in prover.stdout
     assert "Traceback" not in vout + prover.stdout
+
+
+@pytest.mark.parametrize("protocol", ["confirm", "disavow"])
+def test_prover_without_nominee_secret_exits_2_before_reading_anything(workdir, tmp_path, monkeypatch, protocol):
+    def refuse(*args):
+        raise AssertionError("an input was decoded")
+
+    monkeypatch.setattr(envelopes, "read_object", refuse)
+    d, tdir = workdir, tmp_path / "transport"
+    res = invoke(protocol, "--role", "prover", "--params", d / "params.json", "--signer-pub", d / "spk.json",
+                 "--nominee-pub", d / "npk.json", "--message-file", d / "m.bin", "--sigma", d / "sigma.json",
+                 "--transport-dir", tdir, "--seed", 5)
+    assert_malformed(res)
+    assert "requires --nominee-sec" in res.output
+    assert not tdir.exists()
+
+
+# Each command's options as (name, required, default, type), as the command line has offered them:
+# the commands that read the scheme inputs take them from one decorator, and this pins what they keep.
+COMMAND_OPTIONS = {
+    "confirm": {
+        ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"),
+        ("--nominee-sec", False, None, "path"), ("--params", True, None, "path"),
+        ("--role", True, None, "choice"), ("--seed", True, None, "integer"), ("--sigma", True, None, "path"),
+        ("--signer-pub", True, None, "path"), ("--transport-dir", True, None, "path"),
+    },
+    "convert": {
+        ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"),
+        ("--nominee-sec", True, None, "path"), ("--out", True, None, "path"), ("--params", True, None, "path"),
+        ("--sigma", True, None, "path"), ("--signer-pub", True, None, "path"),
+    },
+    "demo": {("--backend", False, "mock", "text"), ("--seed", False, 42, "integer"), ("--workdir", False, None, "path")},
+    "deploy": {
+        ("--advance", True, None, "integer"), ("--investment", True, None, "integer"),
+        ("--investor-balance", True, None, "integer"), ("--investor-seed", True, None, "text"),
+        ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"),
+        ("--operator-balance", False, 0, "integer"), ("--operator-seed", True, None, "text"),
+        ("--params", True, None, "path"), ("--signer-pub", True, None, "path"), ("--state-out", True, None, "path"),
+    },
+    "disavow": {
+        ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"),
+        ("--nominee-sec", False, None, "path"), ("--params", True, None, "path"),
+        ("--role", True, None, "choice"), ("--seed", True, None, "integer"), ("--sigma", True, None, "path"),
+        ("--signer-pub", True, None, "path"), ("--transport-dir", True, None, "path"),
+    },
+    "keygen-nominee": {
+        ("--params", True, None, "path"), ("--pub-out", True, None, "path"), ("--sec-out", True, None, "path"),
+        ("--seed", True, None, "integer"),
+    },
+    "keygen-signer": {
+        ("--params", True, None, "path"), ("--pub-out", True, None, "path"), ("--sec-out", True, None, "path"),
+        ("--seed", True, None, "integer"),
+    },
+    "pay-advance": {("--amount", True, None, "integer"), ("--state", True, None, "path")},
+    "receive": {
+        ("--delta", True, None, "path"), ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"),
+        ("--nominee-sec", True, None, "path"), ("--out", True, None, "path"), ("--params", True, None, "path"),
+        ("--seed", True, None, "integer"), ("--signer-pub", True, None, "path"),
+    },
+    "report-gas": {
+        ("--cost-table", False, None, "path"), ("--ec-additions", False, 256, "integer"),
+        ("--gas-price", False, None, "text"), ("--pairing-pairs", False, 8, "integer"),
+        ("--receipt", False, None, "path"),
+    },
+    "setup": {("--backend", False, "bn254", "text"), ("--out", True, None, "path")},
+    "sign": {
+        ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"), ("--out", True, None, "path"),
+        ("--params", True, None, "path"), ("--seed", True, None, "integer"), ("--signer-pub", True, None, "path"),
+        ("--signer-sec", True, None, "path"),
+    },
+    "store-sig": {("--sigma", True, None, "path"), ("--state", True, None, "path")},
+    "trigger": {
+        ("--cost-table", False, None, "path"), ("--gas-price", False, None, "text"),
+        ("--investor-seed", True, None, "text"), ("--nonce", False, 1, "integer"),
+        ("--receipt-out", False, None, "path"), ("--state", True, None, "path"), ("--token", True, None, "path"),
+    },
+}
+
+
+def test_every_command_keeps_its_options():
+    got = {name: {(*p.opts, p.required, None if p.required else p.default, p.type.name) for p in cmd.params}
+           for name, cmd in main.commands.items()}
+    assert got == COMMAND_OPTIONS

@@ -412,7 +412,7 @@ def test_unmutated_transport_files_run_both_roles(cli_dir, transport_dir):
 
 @pytest.fixture(scope="module")
 def real_dir(real_pipeline, tmp_path_factory):
-    """The bn254 pipeline's envelopes under the names ``_commands`` reads, with the signature stored."""
+    """The bn254 pipeline's envelopes under the names ``_commands`` reads, with the state after each phase."""
     p, d = real_pipeline, tmp_path_factory.mktemp("bn254")
     (d / "m.bin").write_bytes(p.m)
     for name, obj in (("params", p.par), ("spk", p.pk_s), ("ssk", p.sk_s), ("npk", p.pk_n),
@@ -420,7 +420,9 @@ def real_dir(real_pipeline, tmp_path_factory):
         env.write_object(str(d / f"{name}.json"), obj)
     op, inv = (trigger.address_of(trigger.ecdsa_keygen(s).vk) for s in (b"op", b"inv"))
     state, ledger = ct.deploy(p.m, op, inv, p.pk_s, p.pk_n, p.par, 100, 700), ct.WalletLedger({op: 0, inv: 1000})
+    env.write_object(str(d / "state-deployed.json"), state, ledger)
     ct.pay_advance(state, ledger, 100)
+    env.write_object(str(d / "state-advance.json"), state, ledger)
     ct.store_signature(state, p.sigma)
     env.write_object(str(d / "state-stored.json"), state, ledger)
     return d
@@ -454,6 +456,9 @@ BOUNDARY_CASES = [
     ("npk", "deploy", ("x1",), "order 10069"),
     ("token", "trigger", ("tk1",), "off the curve"),
     ("token", "trigger", ("tk2",), "x of p or more"),
+    ("state-deployed", "pay-advance", ("pk_s", "hS"), "order 10069"),
+    ("state-advance", "store-sig", ("pk_n", "x1"), "off the curve"),
+    ("state-stored", "trigger", ("sigma", "s3"), "x of p or more"),
 ]
 
 
@@ -462,7 +467,8 @@ BOUNDARY_CASES = [
 def test_bad_bn254_point_exits_2_and_writes_nothing(real_dir, name, command, path, case):
     # off the curve, outside G2 or out of range: the decoder refuses it before any pairing sees it
     obj = json.loads((real_dir / f"{name}.json").read_text())
-    _at(obj["payload"], path[:-1])[path[-1]] = _bad_point(case, FIELD_TYPES[path[0]])
+    field = [f for f in path if isinstance(f, str)][-1]  # a state nests the key or sigma field
+    _at(obj["payload"], path[:-1])[path[-1]] = _bad_point(case, FIELD_TYPES[field])
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(shutil.copytree(real_dir, Path(tmp) / "d"))
         (d / f"{name}.json").write_text(json.dumps(obj))

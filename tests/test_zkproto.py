@@ -7,21 +7,18 @@ from nomsig.scheme import NomSignature, NomineeSecretKey, derive_values, waters_
 from nomsig.zkproto import (
     AbortBadOpening,
     ChallengeOpening,
-    ConfirmProver,
-    ConfirmVerifier,
-    DisavowProver,
-    DisavowVerifier,
     ProtocolError,
+    Prover,
+    Verifier,
     commit_challenge,
     derive_statement,
-    extract_confirm_witness,
     pedersen_base,
     run_confirm,
     run_disavow,
-    simulate_transcript,
 )
 
 from conftest import Pipeline
+from oracles import extract_confirm_witness, holds_for, simulate_transcript
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +36,8 @@ def bad_sigma_stmt(mock_pipeline):
 
 def test_statement_holds_for_witness(stmt, bad_sigma_stmt, mock_pipeline):
     sk = mock_pipeline.sk_n
-    assert stmt.holds_for(sk.y1, sk.y2)
-    assert not bad_sigma_stmt.holds_for(sk.y1, sk.y2)
+    assert holds_for(stmt, sk.y1, sk.y2)
+    assert not holds_for(bad_sigma_stmt, sk.y1, sk.y2)
 
 
 @pytest.mark.parametrize("pipeline", ["mock_pipeline", "real_pipeline"])
@@ -113,21 +110,21 @@ def test_wrong_witness_rejected(stmt, mock_pipeline):
 
 def test_prover_aborts_on_bad_opening(stmt, mock_pipeline):
     rng = random.Random(6)
-    verifier = ConfirmVerifier(stmt, rng)
-    prover = ConfirmProver(stmt, mock_pipeline.sk_n, rng)
+    verifier = Verifier("confirm", stmt, rng)
+    prover = Prover("confirm", stmt, mock_pipeline.sk_n, rng)
     prover.first_message(verifier.commitment())
     good = verifier.opening()
     with pytest.raises(AbortBadOpening):
         prover.response(ChallengeOpening(good.c + 1, good.rho))
 
 
-@pytest.mark.parametrize("prover_cls, verifier_cls", [(ConfirmProver, DisavowVerifier), (DisavowProver, ConfirmVerifier)])
-def test_protocol_mismatch_rejects(stmt, bad_sigma_stmt, mock_pipeline, prover_cls, verifier_cls):
+@pytest.mark.parametrize("prover_protocol, verifier_protocol", [("confirm", "disavow"), ("disavow", "confirm")])
+def test_protocol_mismatch_rejects(stmt, bad_sigma_stmt, mock_pipeline, prover_protocol, verifier_protocol):
     # a confirm prover sends no C and no z3; a disavow prover answers another relation
     for s in (stmt, bad_sigma_stmt):
         rng = random.Random(12)
-        verifier = verifier_cls(s, rng)
-        prover = prover_cls(s, mock_pipeline.sk_n, rng)
+        verifier = Verifier(verifier_protocol, s, rng)
+        prover = Prover(prover_protocol, s, mock_pipeline.sk_n, rng)
         first = prover.first_message(verifier.commitment())
         assert not verifier.verdict(first, prover.response(verifier.opening()))
 
@@ -151,7 +148,7 @@ def test_simulated_transcripts_verify(stmt, bad_sigma_stmt):
 
 def test_special_soundness_extracts_witness(stmt, mock_pipeline):
     rng = random.Random(9)
-    prover = ConfirmProver(stmt, mock_pipeline.sk_n, rng)
+    prover = Prover("confirm", stmt, mock_pipeline.sk_n, rng)
     b = stmt.backend
     c1, rho1 = b.random_scalar(rng), b.random_scalar(rng)
     c2, rho2 = b.random_scalar(rng), b.random_scalar(rng)
@@ -170,6 +167,6 @@ def test_statement_agrees_across_backends(real_pipeline):
     # real backend completeness, one run (pairing-heavy)
     p = real_pipeline
     s = derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
-    assert s.holds_for(p.sk_n.y1, p.sk_n.y2)
+    assert holds_for(s, p.sk_n.y1, p.sk_n.y2)
     ok, _ = run_confirm(s, p.sk_n, random.Random(10), random.Random(11))
     assert ok
