@@ -82,15 +82,20 @@ class GroupElem:
     ``lines`` is None until a pairing on the real backend meets the element
     as a G2 argument; then it holds the element's Miller-loop lines, a
     function of its value, for the next pairing that meets it.
+
+    ``comb`` counts the products of powers the element has been a base of on
+    the real backend; at the ``COMB_USES``-th, a G1 or G2 element's comb
+    table, also a function of its value, replaces the count for good.
     """
 
-    __slots__ = ("backend", "group", "value", "lines")
+    __slots__ = ("backend", "group", "value", "lines", "comb")
 
     def __init__(self, backend: "Backend", group: str, value: Any):
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "lines", None)
+        object.__setattr__(self, "comb", 0)
 
     def __setattr__(self, *_):
         raise AttributeError("group elements are immutable")
@@ -104,7 +109,7 @@ class GroupElem:
         return self * ~other
 
     def __pow__(self, k: int) -> "GroupElem":
-        return GroupElem(self.backend, self.group, self.backend.exp(self.group, self.value, k % self.backend.order))
+        return self.backend.multi_exp([(self, k)])
 
     def __invert__(self) -> "GroupElem":
         return GroupElem(self.backend, self.group, self.backend.inv(self.group, self.value))
@@ -152,7 +157,7 @@ class Backend:
 
     def gt(self) -> GroupElem:
         """e(g1, g2), the canonical GT generator."""
-        return self.pairing(self.g1(), self.g2())
+        return GroupElem(self, "GT", self.generator_value("GT"))
 
     def identity(self, group: str) -> GroupElem:
         return GroupElem(self, group, self.identity_value(group))
@@ -178,20 +183,16 @@ class Backend:
 
     def multi_exp(self, terms: list[tuple[GroupElem, int]]) -> GroupElem:
         """prod_i x_i^k_i over one or more (element, scalar) terms of one group, as one joint exponentiation."""
-        group = terms[0][0].group
-        if any(x.group != group for x, _ in terms):
-            raise AlgebraError("multi_exp needs elements of one group")
+        group = _one_group([x for x, _ in terms], "multi_exp")
         return GroupElem(self, group, self.multi_exp_values(group, [(x.value, k % self.order) for x, k in terms]))
 
-    def base_powers(self, group: str, scalars: list[int]) -> list[GroupElem]:
-        """[g^k for k in scalars], g the group's generator, as one batch."""
-        return [GroupElem(self, group, v) for v in self.base_powers_values(group, [k % self.order for k in scalars])]
+    def base_powers(self, base: GroupElem, scalars: list[int]) -> list[GroupElem]:
+        """[base^k for k in scalars]; the real backend takes a batch of G2 powers from one comb."""
+        return [base**k for k in scalars]
 
     def product(self, elems: list[GroupElem]) -> GroupElem:
         """The group product of one or more elements of one group, in one call."""
-        group = elems[0].group
-        if any(e.group != group for e in elems):
-            raise AlgebraError("product needs elements of one group")
+        group = _one_group(elems, "product")
         return GroupElem(self, group, self.op_all(group, [e.value for e in elems]))
 
     def element(self, group: str, data: bytes) -> GroupElem:
@@ -212,12 +213,17 @@ class Backend:
     def op(self, group, a, b): raise NotImplementedError
     def op_all(self, group, values): raise NotImplementedError
     def inv(self, group, a): raise NotImplementedError
-    def exp(self, group, a, k): raise NotImplementedError
-    def multi_exp_values(self, group, terms): raise NotImplementedError
-    def base_powers_values(self, group, ks): raise NotImplementedError
+    def multi_exp_values(self, group, terms): raise NotImplementedError  # or override multi_exp, as RealBackend
     def pairing_product_values(self, pairs): raise NotImplementedError  # (G1 value, prepare_g2 entry) pairs
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
+
+
+def _one_group(elems: list[GroupElem], what: str) -> str:
+    group = elems[0].group
+    if any(e.group != group for e in elems):
+        raise AlgebraError(f"{what} needs elements of one group")
+    return group
 
 
 class MockBackend(Backend):
@@ -241,14 +247,11 @@ class MockBackend(Backend):
     def inv(self, group, a):
         return -a % self.order
 
-    def exp(self, group, a, k):
+    def exp(self, group, a, k):  # unused: kept by name for perfbench's tracer, as RealBackend.exp
         return a * k % self.order
 
     def multi_exp_values(self, group, terms):
         return sum(a * k for a, k in terms) % self.order
-
-    def base_powers_values(self, group, ks):
-        return ks
 
     def pairing_product_values(self, pairs):
         return sum(a * b for a, b in pairs) % self.order
@@ -285,6 +288,11 @@ def _g2_lift(x, high: bool):
     """The twist point with x-coordinate x whose y is high or low, or None if x is not on the twist."""
     y = bn254.f2_sqrt(bn254.g2_rhs(x))
     return None if y is None else (x, y if _f2_is_high(y) == high else bn254.f2_neg(y))
+
+
+# The products of powers a G1 or G2 element meets before it keeps a comb table.
+# A G2 table costs about what 8 comb terms save over GLS ones; a G1 table less.
+COMB_USES = 8
 
 
 @functools.cache
@@ -327,23 +335,50 @@ class RealBackend(Backend):
             return bn254.g2_neg(a)
         return bn254.f12_conj(a)  # GT is cyclotomic: inverse = conjugate
 
-    def exp(self, group, a, k):
-        if group == "G1":
-            return bn254.g1_mul_base(k) if a == bn254.G1_GEN else bn254.g1_mul(a, k)
-        if group == "G2" and a == bn254.G2_GEN:
-            return bn254.g2_mul_base(k)
-        return self.multi_exp_values(group, [(a, k)])
+    def exp(self, group, a, k):  # unused: kept by name for perfbench's tracer; powers go through multi_exp
+        return self.multi_exp([(GroupElem(self, group, a), k)]).value
 
-    def multi_exp_values(self, group, terms):
+    def multi_exp(self, terms):
+        """One joint ladder; a G1 or G2 base with a comb (``comb_of``) enters it by its table."""
+        group = _one_group([x for x, _ in terms], "multi_exp")
+        terms = [(x, k % self.order) for x, k in terms]
+        if group == "GT":  # every GT value here is in the order-N subgroup, where the GLS split holds
+            return GroupElem(self, group, bn254.gt_pow_gls([(x.value, k) for x, k in terms]))
+        plain, combs = [], []
+        for x, k in terms:
+            comb = self.comb_of(x)
+            if comb is None:
+                plain.append((x.value, k))
+            else:
+                combs.append((comb, k))
         if group == "G1":
-            return curve.glv_mul(bn254.G1_GLV, terms)
-        # every G2 and GT value here is in its order-N subgroup, where the GLS split holds
-        return bn254.g2_mul_gls(terms) if group == "G2" else bn254.gt_pow_gls(terms)
+            return GroupElem(self, group, curve.glv_mul(bn254.G1_GLV, plain, combs))
+        return GroupElem(self, group, bn254.g2_mul_gls(plain, combs))
 
-    def base_powers_values(self, group, ks):
-        if group == "G2":
-            return bn254.g2_mul_base_many(ks)
-        return [self.exp(group, self.generator_value(group), k) for k in ks]
+    def comb_of(self, x: GroupElem, now: bool = False):
+        """x's comb table, built at its ``COMB_USES``-th product (or ``now``); None before, and for the identity.
+
+        The table replaces the use count in x's ``comb`` slot, once: it lives
+        exactly as long as the key, sigma or params object holding x. An
+        element made for one op never reaches the count, so it costs nothing.
+        """
+        if x.value is None:
+            return None
+        comb = x.comb
+        if isinstance(comb, int):
+            if comb + 1 < COMB_USES and not now:
+                object.__setattr__(x, "comb", comb + 1)
+                return None
+            comb = curve.comb(bn254.P, x.value) if x.group == "G1" else bn254.g2_comb(x.value)
+            object.__setattr__(x, "comb", comb)
+        return comb
+
+    def base_powers(self, base, scalars):
+        """A batch of G2 powers from base's comb, built now if it has none yet: keygen's u_i and u'_i."""
+        if base.group != "G2" or base.value is None:
+            return super().base_powers(base, scalars)
+        values = bn254.g2_comb_powers(self.comb_of(base, now=True), [k % self.order for k in scalars])
+        return [GroupElem(self, "G2", v) for v in values]
 
     def prepare_g2(self, elems):
         """Each element's Miller-loop lines (None for the identity), kept in its ``lines`` slot.

@@ -24,13 +24,18 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
   - in the order-N subgroups, ``g2_mul_gls`` (also for powers of G2_GEN)
     and ``gt_pow_gls`` split it in four with the Frobenius, the same way,
     and run a product of powers as one ladder;
+  - a G1 or G2 point raised to many powers keeps a Lim-Lee comb of 8 teeth
+    (``curve.comb`` and ``g2_comb``, both ``curve.comb_table``): its terms
+    take 32 steps of at most one table entry each, run as the last steps of
+    the product's ladder beside its split terms (``glv_mul``, ``g2_mul_gls``),
+    and ``g2_comb_powers`` runs a batch of powers of one point over its comb;
+    the backend gives a point a comb at its 8th product, or at once for
+    keygen's batch of powers of g2; GT elements keep none;
   - ``g2_mul`` (width-4 signed digits over pt, 3pt, 5pt, 7pt) and
     ``f12_cyc_pow`` (NAF digits) take any twist point or cyclotomic element
     and any scalar, for the subgroup tests, cofactor clearing and the final
     exponentiation.
-Only ``g1_mul_base`` sums a table of doublings instead, which beats GLV, and
-``g2_mul_base_many`` runs a batch of G2 generator powers over one comb table
-built for the batch.
+The program takes no power through ``g1_mul_base`` or ``g2_mul_base``.
 
 Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the
 subgroup test ``g2_in_subgroup``: 62 doublings and 13 mixed additions for
@@ -698,14 +703,16 @@ def _gls_table(terms, frob, neg, add_all):
     return cols, dict(zip(keys, acc))
 
 
-def g2_mul_gls(terms):
-    """sum k * pt over (pt, k) terms, for points of G2 only, by one joint ladder.
+def g2_mul_gls(terms, combs=()):
+    """sum k * pt over (pt, k) terms, for points of G2 only, plus combs, by one joint ladder.
 
     The table takes 3 inversions for the subset sums and one per further
-    term; the ladder makes one mixed addition per nonzero column.
+    term; the ladder makes one mixed addition per nonzero column. The
+    (``g2_comb`` of pt, k) terms combs, with 0 <= k < 2^256, add theirs in
+    its last 32 steps (``curve.comb_ladder``).
     """
     cols, table = _gls_table([(pt, k) for pt, k in terms if pt is not None], _tw_frob, g2_neg, _g2_add_all)
-    return _to_affine_f2(curve.ladder(None, cols, table, _jac_double_f2, _jac_madd_f2))
+    return _to_affine_f2(curve.comb_ladder(cols, table, combs, _jac_double_f2, _jac_madd_f2))
 
 
 def gt_pow_gls(terms):
@@ -742,15 +749,9 @@ def g2_in_subgroup(pt):
     return _jac_sum_f2([pt, uq, psi1, psi2, psi3, psi3]) is None
 
 
-# Affine 2^i * G1_GEN: beats GLV on 254-bit scalars (1.0-1.1 vs 1.4-1.8 ms) and 128-bit ones (0.5 vs 1.3-1.6 ms).
-_G1_POWS = [G1_GEN]
-for _ in range(N.bit_length() - 1):
-    _G1_POWS.append(g1_add(_G1_POWS[-1], _G1_POWS[-1]))
-
-
 def g1_mul_base(k):
-    """k * G1_GEN using the precomputed doubling table."""
-    return curve.mul_table(P, _G1_POWS, k % N)
+    """k * G1_GEN, by the GLV split."""
+    return g1_mul(G1_GEN, k)
 
 
 def g2_mul_base(k):
@@ -758,30 +759,19 @@ def g2_mul_base(k):
     return g2_mul_gls([(G2_GEN, k)])
 
 
-_COMB_TEETH = 8  # of 256 // 8 = 32 rows each, for any scalar below 2^256
+def g2_comb(pt):
+    """The Lim-Lee comb of a finite point of G2 (``curve.comb_table``): one batched chord call per spoke."""
+    return curve.comb_table(pt, _jac_double_f2, _jac_madd_f2, _batch_to_affine_f2, _g2_add_all)
 
 
-def g2_mul_base_many(ks):
-    """[k * G2_GEN for k in ks], None where k = 0 mod N, by one Lim-Lee comb (CRYPTO '94) for the batch.
+def g2_comb_powers(comb, ks):
+    """[k * pt for k in ks] over the comb of pt, None where k = 0 mod N.
 
-    With k mod N = sum_i k_i * 2^(32i) in 32-bit pieces, k * G2_GEN = sum_i
-    k_i * S_i over the spokes S_i = 2^(32i) * G2_GEN, made by Jacobian
-    doublings. Their 255 subset sums take one batched chord call per tooth.
-    Each k runs one ``curve.ladder`` over its pieces' bit columns, 32 doublings
-    and at most 32 mixed additions (``g2_mul_base``: 64, about 60, and a
-    16-entry table), and one inversion normalizes every output. The table
-    costs about ten single powers, so a single power stays on GLS.
+    Each k runs one ``curve.comb_ladder`` of 32 doublings and at most 32
+    mixed additions (``g2_mul_gls``: about 64 of each, after a 16-entry
+    table), and one inversion normalizes every output.
     """
-    rows = 256 // _COMB_TEETH
-    spokes = [(*G2_GEN, F2_ONE)]
-    for _ in range(_COMB_TEETH - 1):  # a ladder of zero steps only doubles
-        spokes.append(curve.ladder(spokes[-1], [0] * rows, None, _jac_double_f2, _jac_madd_f2))
-    table = [None]
-    for s in _batch_to_affine_f2(spokes):
-        table += [s] + _g2_add_all([(t, s) for t in table[1:]])
-    mask = (1 << rows) - 1
-    outs = [curve.ladder(None, curve.columns([k % N >> rows * i & mask for i in range(_COMB_TEETH)]),
-                         table, _jac_double_f2, _jac_madd_f2) for k in ks]
+    outs = [curve.comb_ladder([], None, [(comb, k % N)], _jac_double_f2, _jac_madd_f2) for k in ks]
     finite = iter(_batch_to_affine_f2([q for q in outs if q is not None]))
     return [None if q is None else next(finite) for q in outs]
 

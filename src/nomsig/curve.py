@@ -13,10 +13,20 @@ each scalar into two parts of half its length with the cube-root
 endomorphism (x, y) -> (beta*x, y) (Gallant-Lambert-Vanstone, CRYPTO 2001).
 The lattice helpers below also split ``bn254``'s scalars in four for G2
 and GT.
+
+A point that is raised to many powers can keep a Lim-Lee comb (CRYPTO '94,
+``comb_table``): with k = sum_i k_i 2^(32i) in eight 32-bit pieces, k * pt
+is 32 doublings and at most 32 additions of table entries. ``comb_ladder``
+runs those 32 steps as the last steps of a product's joint ladder, so comb
+terms and split terms share one ladder. The same code serves G1 here and
+G2 in ``bn254``.
 """
 
 from collections import namedtuple
 from functools import partial, reduce
+
+COMB_TEETH = 8
+COMB_ROWS = 32  # 8 teeth of 32 rows: any scalar below 2^256
 
 
 def add(p, a, b):
@@ -79,11 +89,49 @@ def to_affine(p, q):
     return (q[0] * zi2 % p, q[1] * zi2 * zi % p)
 
 
-def subset_sums(bases, add):
-    """All 2^len(bases) sums: entry j is the sum of bases[i] over the set bits i of j; entry 0 is None."""
+def batch_inv(p, xs):
+    """Inverses of the nonzero xs mod p with one ``pow(., -1, p)``: Montgomery's simultaneous inversion."""
+    prefix, acc = [], 1
+    for x in xs:
+        acc = acc * x % p
+        prefix.append(acc)
+    inv = pow(acc, -1, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % p
+        inv = inv * xs[i] % p
+    if xs:
+        out[0] = inv
+    return out
+
+
+def add_all(p, pairs):
+    """a + b for each pair (a, b) of affine points (None for infinity), as ``add`` with one inversion for all."""
+    dens = [b[0] - a[0] if a[0] != b[0] else 2 * a[1] for a, b in pairs
+            if a is not None and b is not None and (a[0] != b[0] or (a[1] + b[1]) % p)]
+    invs = iter(batch_inv(p, dens))
+    out = []
+    for a, b in pairs:
+        if a is None or b is None:
+            out.append(b if a is None else a)
+        elif a[0] == b[0] and (a[1] + b[1]) % p == 0:
+            out.append(None)
+        else:
+            (x1, y1), (x2, y2) = a, b
+            m = (y2 - y1 if x1 != x2 else 3 * x1 * x1) * next(invs) % p
+            x3 = (m * m - x1 - x2) % p
+            out.append((x3, (m * (x1 - x3) - y1) % p))
+    return out
+
+
+def subset_sums(bases, add_all):
+    """All 2^len(bases) sums: entry j is the sum of bases[i] over the set bits i of j; entry 0 is None.
+
+    ``add_all`` adds a list of pairs; each base's new sums are one call.
+    """
     table = [None]
     for b in bases:
-        table += [b] + [add(t, b) for t in table[1:]]
+        table += [b] + add_all([(t, b) for t in table[1:]])
     return table
 
 
@@ -108,21 +156,57 @@ def ladder(acc, steps, table, double, add):
     return acc
 
 
-def straus(p, bases, scalars):
-    """sum_i scalars[i] * bases[i] for affine bases and scalars >= 0.
+def straus(p, bases, scalars, combs=()):
+    """sum_i scalars[i] * bases[i] for affine bases and scalars >= 0, plus the ``comb_ladder`` terms combs.
 
     One Jacobian doubling per bit of the longest scalar and at most one mixed
     addition of a subset sum per bit (Straus's joint ladder).
     """
-    table = subset_sums(bases, partial(add, p))
-    acc = ladder(None, columns(scalars), table, partial(jac_double, p), partial(jac_madd, p))
+    table = subset_sums(bases, partial(add_all, p))
+    acc = comb_ladder(columns(scalars), table, combs, partial(jac_double, p), partial(jac_madd, p))
     return to_affine(p, acc)
 
 
-def mul_table(p, table, k):
-    """k * G for k >= 0, summing table[i] = 2^i * G over the set bits of k."""
-    terms = [t for i, t in enumerate(table[:k.bit_length()]) if (k >> i) & 1]
-    return to_affine(p, reduce(partial(jac_madd, p), terms, None))
+def comb_table(pt, double, madd, to_affine_all, add_all):
+    """The Lim-Lee comb of the affine point pt: the 256 subset sums of its spokes 2^(32i) * pt, i < 8.
+
+    The spokes take 224 Jacobian doublings and one ``to_affine_all`` call;
+    the sums take one ``add_all`` call per spoke. Entry 0 is None.
+    """
+    spokes = [madd(None, pt)]
+    for _ in range(COMB_TEETH - 1):  # a ladder of zero steps only doubles
+        spokes.append(ladder(spokes[-1], [0] * COMB_ROWS, None, double, madd))
+    return subset_sums(to_affine_all(spokes), add_all)
+
+
+def comb(p, pt):
+    """``comb_table`` of an affine point over Fp."""
+    return comb_table(pt, partial(jac_double, p), partial(jac_madd, p),
+                      lambda qs: [to_affine(p, q) for q in qs], partial(add_all, p))
+
+
+def comb_ladder(steps, table, combs, double, madd):
+    """The Jacobian sum of ``ladder(None, steps, table, double, madd)`` and of k * pt per (comb of pt, k) in combs.
+
+    For 0 <= k < 2^256, step j of a comb term is the bit column j of k's
+    eight 32-bit pieces, an index into the comb. The comb terms take the
+    last 32 steps of the one ladder, or fewer for a short k: each adds at
+    most one entry per step, beside the step's ``table`` entry.
+    """
+    if not combs:
+        return ladder(None, steps, table, double, madd)
+    mask = (1 << COMB_ROWS) - 1
+    cols = [columns([k >> COMB_ROWS * i & mask for i in range(COMB_TEETH)]) for _, k in combs]
+    if not steps and len(combs) == 1:  # one power: its columns index its comb, with no per-step lists
+        return ladder(None, cols[0], combs[0][0], double, madd)
+    n = max(len(steps), *map(len, cols))
+    adds = [[table[s]] if s else [] for s in [0] * (n - len(steps)) + steps]
+    for (sums, _), cs in zip(combs, cols):
+        for entry, c in zip(adds[n - len(cs):], cs):
+            if c:
+                entry.append(sums[c])
+    # the step indices 1..n pick each step's entries, which madd adds one by one
+    return ladder(None, range(1, n + 1), [None, *adds], double, lambda acc, pts: reduce(madd, pts, acc))
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +272,13 @@ def glv(p, n, beta, lam):
     return Glv(p, beta, lattice(glv_basis(n, lam)))
 
 
-def glv_mul(c, terms):
-    """sum k * pt over (pt, k) terms, for points of the order-n group of the Glv curve c.
+def glv_mul(c, terms, combs=()):
+    """sum k * pt over (pt, k) terms, for points of the order-n group of the Glv curve c, plus combs.
 
     Each k splits into k0 + k1*lam with halves of about log2(n)/2 bits, so m
     terms make one ``straus`` ladder over 2m bases: pt, (beta*x, y), each
-    negated where its half is negative.
+    negated where its half is negative. The (comb of pt, k) terms combs, with
+    0 <= k < 2^256, join the same ladder (``comb_ladder``).
     """
     p = c.p
     bases, scalars = [], []
@@ -204,4 +289,4 @@ def glv_mul(c, terms):
         for base, part in zip(((x, y), (c.beta * x % p, y)), split(k, c.lat)):
             bases.append(base if part >= 0 else (base[0], -base[1] % p))
             scalars.append(abs(part))
-    return straus(p, bases, scalars)
+    return straus(p, bases, scalars, combs)

@@ -32,6 +32,7 @@ against arbitrary verifiers, hence non-transferable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from random import Random
 from typing import Optional
@@ -131,19 +132,23 @@ def derive_statement(
     )
 
 
-_PEDERSEN_CACHE: dict[str, GroupElem] = {}
-
-
 def pedersen_base(backend: Backend) -> GroupElem:
-    cached = _PEDERSEN_CACHE.get(backend.name)
-    if cached is None or type(cached.backend) is not type(backend):
-        cached = backend.hash_to_g2(PEDERSEN_BASE_TAG)
-        _PEDERSEN_CACHE[backend.name] = cached
-    return cached
+    return _pedersen_base(type(backend))
 
 
-def commit_challenge(backend: Backend, c: int, rho: int) -> GroupElem:
-    return backend.multi_exp([(backend.g2(), c), (pedersen_base(backend), rho)])
+@functools.cache
+def _pedersen_base(backend_class) -> GroupElem:
+    """The Pedersen base, hashed to G2 once per backend class.
+
+    It is kept for the process, and so is its comb table once it has one:
+    the only comb table that lives as long as the process.
+    """
+    return backend_class().hash_to_g2(PEDERSEN_BASE_TAG)
+
+
+def commit_challenge(g2: GroupElem, c: int, rho: int) -> GroupElem:
+    """g2^c h^rho for a held G2 generator g2 (a statement's ``g2ref``) and the Pedersen base h."""
+    return g2.backend.multi_exp([(g2, c), (pedersen_base(g2.backend), rho)])
 
 
 # ---------------------------------------------------------------------------
@@ -154,33 +159,35 @@ def commit_challenge(backend: Backend, c: int, rho: int) -> GroupElem:
 def relation(protocol: str, s: ConfirmStatement, C: Optional[GroupElem] = None):
     """The protocol's response fields in nonce-draw order, and its three rows.
 
-    A row is its ((base, field), ...) terms and its image. Disavow's row-3
-    image is the C its prover publishes, None while there is none other
-    than the identity.
+    A row is its ((base, sign, field), ...) terms, base^(sign * field) each,
+    and its image. The bases are the statement's own elements, never one
+    made per call, so a statement's bases keep their comb tables. Disavow's
+    row-3 image is the C its prover publishes, None while there is none
+    other than the identity.
     """
     if protocol == "confirm":
         return ["z1", "z2"], [
-            ([(s.x1, "z1")], s.g2ref),
-            ([(s.x2, "z2")], s.g2ref),
-            ([(s.e3, "z1"), (s.e4, "z2")], s.d),
+            ([(s.x1, 1, "z1")], s.g2ref),
+            ([(s.x2, 1, "z2")], s.g2ref),
+            ([(s.e3, 1, "z1"), (s.e4, 1, "z2")], s.d),
         ]
     if protocol == "disavow":
-        g, one = ~s.g2ref, s.backend.identity("G2")
+        one = s.backend.identity("G2")
         return ["z3", "z1", "z2"], [
-            ([(s.x1, "z1"), (g, "z3")], one),
-            ([(s.x2, "z2"), (g, "z3")], one),
-            ([(~s.d, "z3"), (s.e3, "z1"), (s.e4, "z2")], None if C is None or C.is_identity() else C),
+            ([(s.x1, 1, "z1"), (s.g2ref, -1, "z3")], one),
+            ([(s.x2, 1, "z2"), (s.g2ref, -1, "z3")], one),
+            ([(s.d, -1, "z3"), (s.e3, 1, "z1"), (s.e4, 1, "z2")], None if C is None or C.is_identity() else C),
         ]
     raise ProtocolError(f"unknown protocol {protocol!r}")
 
 
 def _lhs(terms, w: dict) -> GroupElem:
-    return terms[0][0].backend.multi_exp([(base, w[field]) for base, field in terms])
+    return terms[0][0].backend.multi_exp([(base, sign * w[field]) for base, sign, field in terms])
 
 
 def _t(terms, image: GroupElem, z: dict, c: int) -> GroupElem:
     """The first message under which responses z answer challenge c: lhs(z) / image^c, one product of powers."""
-    return image.backend.multi_exp([(base, z[field]) for base, field in terms] + [(image, -c)])
+    return image.backend.multi_exp([(base, sign * z[field]) for base, sign, field in terms] + [(image, -c)])
 
 
 def check(protocol: str, s: ConfirmStatement, c: int, first: SigmaFirstMsg, resp: SigmaResponse) -> bool:
@@ -201,7 +208,7 @@ class Verifier:
         b = statement.backend
         self._c = b.random_scalar(rng)
         self._rho = b.random_scalar(rng)
-        self._com = ChallengeCommitment(commit_challenge(b, self._c, self._rho))
+        self._com = ChallengeCommitment(commit_challenge(statement.g2ref, self._c, self._rho))
 
     def commitment(self) -> ChallengeCommitment:
         return self._com
@@ -238,7 +245,7 @@ class Prover:
         return SigmaFirstMsg(t1, t2, t3, _lhs(rows[2][0], self._w) if publishes else None)
 
     def response(self, opening: ChallengeOpening) -> SigmaResponse:
-        expected = commit_challenge(self.stmt.backend, opening.c, opening.rho)
+        expected = commit_challenge(self.stmt.g2ref, opening.c, opening.rho)
         if self._com is None or expected != self._com.com:
             raise AbortBadOpening("challenge opening does not match the commitment")
         n = self.stmt.backend.order

@@ -184,7 +184,7 @@ def simulate_transcript(statement, protocol, rng):
     c = b.random_scalar(rng)
     rho = b.random_scalar(rng)
     tr = zkproto.Transcript(protocol)
-    tr.commitment = zkproto.ChallengeCommitment(zkproto.commit_challenge(b, c, rho))
+    tr.commitment = zkproto.ChallengeCommitment(zkproto.commit_challenge(statement.g2ref, c, rho))
     tr.opening = zkproto.ChallengeOpening(c, rho)
     _, rows = zkproto.relation(protocol, statement)
     C = b.gt() ** b.random_nonzero_scalar(rng) if rows[2][1] is None else None

@@ -282,9 +282,9 @@ def test_criterion_8_confirm_disavow():
     prover = zkproto.Prover("confirm", valid, p.sk_n, master)
     c1, rho1 = b.random_scalar(master), b.random_scalar(master)
     c2, rho2 = b.random_scalar(master), b.random_scalar(master)
-    first = prover.first_message(zkproto.ChallengeCommitment(zkproto.commit_challenge(b, c1, rho1)))
+    first = prover.first_message(zkproto.ChallengeCommitment(zkproto.commit_challenge(valid.g2ref, c1, rho1)))
     r1 = prover.response(zkproto.ChallengeOpening(c1, rho1))
-    prover._com = zkproto.ChallengeCommitment(zkproto.commit_challenge(b, c2, rho2))
+    prover._com = zkproto.ChallengeCommitment(zkproto.commit_challenge(valid.g2ref, c2, rho2))
     r2 = prover.response(zkproto.ChallengeOpening(c2, rho2))
     assert extract_confirm_witness(valid, first, c1, r1, c2, r2) == (p.sk_n.y1, p.sk_n.y2)
 

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nomsig import bn254, curve
 from nomsig.algebra import (
+    COMB_USES,
     AlgebraError,
+    GroupElem,
     MalformedEncoding,
     MockBackend,
     NotInSubgroup,
@@ -280,10 +283,10 @@ def test_base_powers_match_generator_powers(backend, group):
     b = backend
     gen = getattr(b, group.lower())()
     ks = [*EDGE_SCALARS, 0, 2**32, random.Random(29).randrange(N)]
-    got = b.base_powers(group, ks)
+    got = b.base_powers(gen, ks)
     assert got == [gen**k for k in ks]
     assert all(x.group == group for x in got) and got[0].is_identity() and got[1] == gen
-    assert b.base_powers(group, []) == []
+    assert b.base_powers(gen, []) == []
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -295,3 +298,82 @@ def test_multi_exp_follows_the_mock_exponents(group, terms):
     gen, mock_gen = getattr(real, group.lower())(), getattr(mock, group.lower())()
     got = real.multi_exp([(gen**a, k) for a, k in terms])
     assert got == gen ** mock.multi_exp([(mock_gen**a, k) for a, k in terms]).value
+
+
+# ---------------------------------------------------------------------------
+# Comb tables of held elements
+# ---------------------------------------------------------------------------
+
+COMB_EDGES = [0, 1, N - 1, N, N + 1, -1, 2**256 - 1]
+
+
+def _plain(b, terms):
+    """The value of prod x^k by the split ladders alone: ``glv_mul`` on G1, ``g2_mul_gls`` on G2."""
+    values = [(x.value, k % N) for x, k in terms]
+    return curve.glv_mul(bn254.G1_GLV, values) if terms[0][0].group == "G1" else bn254.g2_mul_gls(values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(group=st.sampled_from(["G1", "G2"]),
+       terms=st.lists(st.tuples(st.sampled_from([0, 1]) | st.integers(0, N - 1),
+                                st.sampled_from(COMB_EDGES) | st.integers(-2**300, 2**300),
+                                st.booleans()), min_size=1, max_size=4),
+       again=st.none() | st.sampled_from(COMB_EDGES) | st.integers(0, N - 1))
+def test_comb_products_follow_the_mock_exponents(group, terms, again):
+    # term (a, k, comb): gen^a to the k, by gen^a's comb table where comb is set (none for
+    # the identity, a = 0); ``again`` lists the first element a second time
+    real, mock = RealBackend(), MockBackend()
+    gen, mock_gen = getattr(real, group.lower())(), getattr(mock, group.lower())()
+    elems = [gen**a for a, _, _ in terms]
+    for x, (_, _, comb) in zip(elems, terms):
+        if comb:
+            real.comb_of(x, now=True)
+    pairs = [(x, k) for x, (_, k, _) in zip(elems, terms)]
+    exps = [(a, k) for a, k, _ in terms]
+    if again is not None:
+        pairs.append((elems[0], again))
+        exps.append((terms[0][0], again))
+    got = real.multi_exp(pairs)
+    assert got == getattr(real, group.lower())() ** mock.multi_exp([(mock_gen**a, k) for a, k in exps]).value
+    assert got.value == _plain(real, pairs)
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_comb_products_at_the_edge_scalars(group):
+    # comb alone, comb beside a split term (GLV on G1, GLS on G2) on either side, one element
+    # twice, and beside the identity; the split terms' elements are new each time, so they keep none
+    b = RealBackend()
+    draws = random.Random(31)
+    xv, yv = (getattr(b, group.lower())() ** draws.randrange(N)).value, getattr(b, group.lower())().value
+    x = GroupElem(b, group, xv)
+    assert isinstance(b.comb_of(x, now=True), list)
+    for k in COMB_EDGES:
+        for other in (None, 1, 7, N - 1, 2**256 - 1):
+            y = GroupElem(b, group, yv)
+            shapes = [[(x, k)]] if other is None else [
+                [(x, k), (y, other)], [(y, other), (x, k)], [(x, k), (x, other)], [(x, k), (b.identity(group), other)]]
+            for terms in shapes:
+                assert b.multi_exp(terms).value == _plain(b, terms), (k, other)
+                assert isinstance(y.comb, int)
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_comb_table_is_written_once_at_the_nth_use(group, monkeypatch):
+    b = RealBackend()
+    module, name = (curve, "comb") if group == "G1" else (bn254, "g2_comb")
+    build, builds = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *args: builds.append(args[-1]) or build(*args))
+    x = getattr(b, group.lower())() ** 987654321
+    for uses in range(1, COMB_USES):
+        y = getattr(b, group.lower())() ** uses  # new, so it stays below the count
+        assert (x**uses if uses % 2 else b.multi_exp([(x, uses), (y, 3)])) is not None
+        assert x.comb == uses and builds == []
+    got = x**11
+    assert builds == [x.value] and isinstance(x.comb, list) and len(x.comb) == 256
+    table = x.comb
+    for k in (2, N - 1, 2**256 - 1):
+        b.multi_exp([(x, k), (x, k + 1)])
+    assert x.comb is table and len(builds) == 1
+    assert got == getattr(b, group.lower())() ** (987654321 * 11)
+    with pytest.raises(AttributeError):
+        x.comb = None

@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from nomsig import envelopes, scheme
+from nomsig import bn254, curve, envelopes, scheme
 from nomsig.cli import main
 
 
@@ -607,3 +607,40 @@ def test_every_command_keeps_its_options():
     got = {name: {(*p.opts, p.required, None if p.required else p.default, p.type.name) for p in cmd.params}
            for name, cmd in main.commands.items()}
     assert got == COMMAND_OPTIONS
+
+
+def test_bn254_commands_build_no_comb_and_each_keygen_builds_one(tmp_path, monkeypatch):
+    # the README pipeline on bn254, one command at a time in one process: no element of a
+    # command meets enough products to keep a comb, and each keygen takes its powers from
+    # the one comb of g2 it builds
+    built = []
+    g2_comb, comb = bn254.g2_comb, curve.comb
+    monkeypatch.setattr(bn254, "g2_comb", lambda pt: built.append("G2") or g2_comb(pt))
+    monkeypatch.setattr(curve, "comb", lambda p, pt: built.append("G1") or comb(p, pt))
+    d = tmp_path
+    (d / "m.bin").write_bytes(b"bn254 comb program")
+    keys = ["--params", d / "params.json", "--signer-pub", d / "spk.json", "--nominee-pub", d / "npk.json"]
+    nsec = ["--nominee-sec", d / "nsk.json", "--message-file", d / "m.bin"]
+    commands = [
+        ["setup", "--backend", "bn254", "--out", d / "params.json"],
+        ["keygen-signer", "--params", d / "params.json", "--seed", 1, "--pub-out", d / "spk.json",
+         "--sec-out", d / "ssk.json"],
+        ["keygen-nominee", "--params", d / "params.json", "--seed", 2, "--pub-out", d / "npk.json",
+         "--sec-out", d / "nsk.json"],
+        ["sign", *keys, "--signer-sec", d / "ssk.json", "--message-file", d / "m.bin", "--seed", 3,
+         "--out", d / "delta.json"],
+        ["receive", *keys, *nsec, "--delta", d / "delta.json", "--seed", 4, "--out", d / "sigma.json"],
+        ["convert", *keys, *nsec, "--sigma", d / "sigma.json", "--out", d / "token.json"],
+        ["deploy", *keys, "--message-file", d / "m.bin", "--operator-seed", "op", "--investor-seed", "inv",
+         "--investor-balance", 1000, "--advance", 100, "--investment", 700, "--state-out", d / "state.json"],
+        ["pay-advance", "--state", d / "state.json", "--amount", 100],
+        ["store-sig", "--state", d / "state.json", "--sigma", d / "sigma.json"],
+        ["trigger", "--state", d / "state.json", "--token", d / "token.json", "--investor-seed", "inv",
+         "--nonce", 1, "--receipt-out", d / "receipt.json"],
+    ]
+    for args in commands:
+        built.clear()
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+        assert built == (["G2"] if args[0].startswith("keygen") else []), args[0]
+    assert "accept" in res.output

@@ -164,6 +164,16 @@ def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypat
     assert gls([0, 0, 0, 0], g2_neg) is None
 
 
+def test_batched_affine_additions_match_add():
+    # one inversion for the batch: chords, tangents, opposite points and infinity, on both Fp curves
+    draws = random.Random(1408)
+    for p, pt, n in ((P, G1_GEN, N), (trigger.P, trigger.G, trigger.N)):
+        a, b = curve_mul(p, pt, draws.randrange(1, n)), curve_mul(p, pt, draws.randrange(1, n))
+        pairs = [(a, b), (a, a), (a, (a[0], p - a[1])), (None, b), (a, None), (None, None), (b, a), (b, b)]
+        assert curve.add_all(p, pairs) == [curve.add(p, x, y) for x, y in pairs]
+        assert curve.add_all(p, []) == []
+
+
 def test_joint_products_match_the_general_ladders():
     draws = random.Random(1407)
     pts = [G2_GEN, g2_mul(G2_GEN, draws.randrange(N)), g2_mul(G2_GEN, N - 1), g2_mul(G2_GEN, 2**200)]

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from nomsig import bn254, scheme
-from nomsig.algebra import GroupElem, MockBackend, RealBackend, hash_h1, bit
+from nomsig import bn254, curve, scheme, zkproto
+from nomsig.algebra import COMB_USES, GroupElem, MockBackend, RealBackend, hash_h1, bit
 from nomsig.scheme import (
     DeltaMsg,
     LengthMismatch,
@@ -228,15 +228,15 @@ def test_waters_eval_real_matches_affine_fold():
 @pytest.mark.parametrize("keygen, powers", [(scheme.keygen_signer, 258), (scheme.keygen_nominee, 261)],
                          ids=["signer", "nominee"])
 def test_keygen_takes_its_g2_powers_in_one_batch(keygen, powers, monkeypatch):
-    # one base_powers call, so one comb table; no G2 power of the key goes through g2_mul_base alone
+    # one base_powers call on the held g2, so one comb table; no G2 power of the key goes through g2_mul_base alone
     par = scheme.setup(backend="bn254")
     batches, singles = [], []
     base_powers, g2_mul_base = RealBackend.base_powers, bn254.g2_mul_base
     monkeypatch.setattr(RealBackend, "base_powers",
-                        lambda self, group, ks: batches.append((group, len(ks))) or base_powers(self, group, ks))
+                        lambda self, base, ks: batches.append((base, len(ks))) or base_powers(self, base, ks))
     monkeypatch.setattr(bn254, "g2_mul_base", lambda k: singles.append(k) or g2_mul_base(k))
     keygen(par, random.Random(7))
-    assert batches == [("G2", powers)] and singles == []
+    assert len(batches) == 1 and batches[0][0] is par.g2 and batches[0][1] == powers and singles == []
 
 
 def _exponentiations(monkeypatch):
@@ -301,3 +301,45 @@ def test_tk_verify_serializes_each_public_key_once(mock_pipeline, monkeypatch):
         assert scheme.tk_verify(p.par, pk_s, pk_n, p.m, p.sigma, p.tk)[0]
     assert sizes.count(259) == sizes.count(262) == 1
     assert pk_s.to_bytes() == p.pk_s.to_bytes() and pk_n.to_bytes() == p.pk_n.to_bytes()
+
+
+def _spy_comb_builds(monkeypatch):
+    """The value of each element whose comb table gets built, G1 or G2."""
+    built = []
+    g2_comb, comb = bn254.g2_comb, curve.comb
+    monkeypatch.setattr(bn254, "g2_comb", lambda pt: built.append(pt) or g2_comb(pt))
+    monkeypatch.setattr(curve, "comb", lambda p, pt: built.append(pt) or comb(p, pt))
+    return built
+
+
+def test_both_keygens_take_their_powers_from_one_comb_of_g2(monkeypatch):
+    par = scheme.setup(backend="bn254")
+    built = _spy_comb_builds(monkeypatch)
+    scheme.keygen_signer(par, random.Random(3))
+    scheme.keygen_nominee(par, random.Random(4))
+    assert built == [par.g2.value] and isinstance(par.g2.comb, list)
+
+
+def test_only_held_elements_get_a_comb(real_pipeline, monkeypatch):
+    # sessions on one params and key set: the held elements that recur reach the count and keep a
+    # comb; d2, F_S and sigma, new in each session, never do
+    p = real_pipeline
+    par, pk_s, pk_n = fresh(p.par), fresh(p.pk_s), fresh(p.pk_n)
+    built = _spy_comb_builds(monkeypatch)
+    held = [par.g1, par.g2, pk_s.gS, pk_s.hS, pk_n.gN, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2,
+            zkproto.pedersen_base(par.backend)]
+    rng = random.Random(77)
+    per_op = []
+    for i in range(COMB_USES + 1):
+        m = b"session %d" % i
+        delta = scheme.sign(par, pk_s, pk_n, m, p.sk_s, rng)
+        sigma = scheme.receive(par, pk_s, pk_n, m, delta, p.sk_n, rng)
+        assert sigma is not None and scheme.convert(par, pk_s, pk_n, m, sigma, p.sk_n) is not None
+        stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
+        assert zkproto.run_confirm(stmt, p.sk_n, rng, rng)[0]
+        per_op += [delta.d2, sigma.s1, sigma.s2, sigma.s3]
+        assert all(isinstance(e.comb, int) for e in per_op[-4:])
+        per_op.append(scheme.waters_eval(pk_s.u, scheme._ms_bits(pk_n, m)))
+    assert all(isinstance(e.comb, list) for e in (par.g1, par.g2, pk_s.hS, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2))
+    assert len(built) == len(set(built)) and set(built) <= {e.value for e in held}
+    assert not {e.value for e in per_op} & set(built)

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from nomsig import bn254, zkproto
+from nomsig.algebra import encode_parts
 from nomsig.scheme import NomSignature, NomineeSecretKey, derive_values, waters_product
 from nomsig.zkproto import (
     AbortBadOpening,
@@ -133,8 +135,8 @@ def test_commitment_binding_to_base(stmt):
     b = stmt.backend
     rng = random.Random(7)
     c, rho = b.random_scalar(rng), b.random_scalar(rng)
-    assert commit_challenge(b, c, rho) == b.g2() ** c * pedersen_base(b) ** rho
-    assert commit_challenge(b, c, rho) != commit_challenge(b, c + 1, rho)
+    assert commit_challenge(stmt.g2ref, c, rho) == b.g2() ** c * pedersen_base(b) ** rho
+    assert commit_challenge(stmt.g2ref, c, rho) != commit_challenge(stmt.g2ref, c + 1, rho)
 
 
 def test_simulated_transcripts_verify(stmt, bad_sigma_stmt):
@@ -153,9 +155,9 @@ def test_special_soundness_extracts_witness(stmt, mock_pipeline):
     c1, rho1 = b.random_scalar(rng), b.random_scalar(rng)
     c2, rho2 = b.random_scalar(rng), b.random_scalar(rng)
     # rewind: same first message answered under two different challenges
-    first = prover.first_message(zkproto.ChallengeCommitment(commit_challenge(b, c1, rho1)))
+    first = prover.first_message(zkproto.ChallengeCommitment(commit_challenge(stmt.g2ref, c1, rho1)))
     resp1 = prover.response(ChallengeOpening(c1, rho1))
-    prover._com = zkproto.ChallengeCommitment(commit_challenge(b, c2, rho2))
+    prover._com = zkproto.ChallengeCommitment(commit_challenge(stmt.g2ref, c2, rho2))
     resp2 = prover.response(ChallengeOpening(c2, rho2))
     y1, y2 = extract_confirm_witness(stmt, first, c1, resp1, c2, resp2)
     assert (y1, y2) == (mock_pipeline.sk_n.y1, mock_pipeline.sk_n.y2)
@@ -170,3 +172,33 @@ def test_statement_agrees_across_backends(real_pipeline):
     assert holds_for(s, p.sk_n.y1, p.sk_n.y2)
     ok, _ = run_confirm(s, p.sk_n, random.Random(10), random.Random(11))
     assert ok
+
+
+# sha256 over twelve bn254 transcripts per protocol on one statement each, as the split
+# ladders alone compute them; from a base's 8th product on, the runs take it by its comb.
+TRANSCRIPT_DIGESTS = {
+    "confirm": "7807859e418bcbf64214839551bb9f8e9fd468d10393537dbec2052e07e7a8ff",
+    "disavow": "96f914c9b94386492e526f3c2215730819d263260f1f810341c10dd1accadc40",
+}
+TRANSCRIPT_RUNS = 12
+
+
+def _transcript_parts(tr):
+    first, resp, opening = tr.first, tr.response, tr.opening
+    elems = [tr.commitment.com, first.t1, first.t2, first.t3] + ([first.C] if first.C is not None else [])
+    ints = [opening.c, opening.rho, resp.z1, resp.z2] + ([resp.z3] if resp.z3 is not None else [])
+    return [e.to_bytes() for e in elems] + [k.to_bytes(32, "big") for k in ints] + [bytes([tr.verdict])]
+
+
+@pytest.mark.parametrize("protocol", ["confirm", "disavow"])
+def test_bn254_transcripts_match_pinned_digests(real_pipeline, protocol):
+    p = real_pipeline
+    sigma = p.sigma if protocol == "confirm" else NomSignature(p.sigma.s1, p.sigma.s2, p.sigma.s3 * p.par.g2, p.sigma.s)
+    s = derive_statement(p.par, p.pk_s, p.pk_n, p.m, sigma)
+    run = run_confirm if protocol == "confirm" else run_disavow
+    h = hashlib.sha256()
+    for i in range(TRANSCRIPT_RUNS):
+        ok, tr = run(s, p.sk_n, random.Random(f"{protocol}-prover-{i}"), random.Random(f"{protocol}-verifier-{i}"))
+        assert ok
+        h.update(encode_parts(*_transcript_parts(tr)))
+    assert h.hexdigest() == TRANSCRIPT_DIGESTS[protocol]
