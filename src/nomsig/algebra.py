@@ -183,8 +183,7 @@ class Backend:
 
     def multi_exp(self, terms: list[tuple[GroupElem, int]]) -> GroupElem:
         """prod_i x_i^k_i over one or more (element, scalar) terms of one group, as one joint exponentiation."""
-        group = _one_group([x for x, _ in terms], "multi_exp")
-        return GroupElem(self, group, self.multi_exp_values(group, [(x.value, k % self.order) for x, k in terms]))
+        raise NotImplementedError
 
     def base_powers(self, base: GroupElem, scalars: list[int]) -> list[GroupElem]:
         """[base^k for k in scalars]; the real backend takes a batch of G2 powers from one comb."""
@@ -213,7 +212,6 @@ class Backend:
     def op(self, group, a, b): raise NotImplementedError
     def op_all(self, group, values): raise NotImplementedError
     def inv(self, group, a): raise NotImplementedError
-    def multi_exp_values(self, group, terms): raise NotImplementedError  # or override multi_exp, as RealBackend
     def pairing_product_values(self, pairs): raise NotImplementedError  # (G1 value, prepare_g2 entry) pairs
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
@@ -250,8 +248,9 @@ class MockBackend(Backend):
     def exp(self, group, a, k):  # unused: kept by name for perfbench's tracer, as RealBackend.exp
         return a * k % self.order
 
-    def multi_exp_values(self, group, terms):
-        return sum(a * k for a, k in terms) % self.order
+    def multi_exp(self, terms):
+        group = _one_group([x for x, _ in terms], "multi_exp")
+        return GroupElem(self, group, sum(x.value * k for x, k in terms) % self.order)
 
     def pairing_product_values(self, pairs):
         return sum(a * b for a, b in pairs) % self.order
@@ -324,8 +323,9 @@ class RealBackend(Backend):
         return bn254.f12_mul(a, b)
 
     def op_all(self, group, values):
-        if group == "G2":  # Jacobian accumulation, one inversion
-            return bn254.g2_sum(values)
+        while group == "G2" and len(values) > 1:  # pairwise, one batched inversion per level
+            odd = values[-1:] if len(values) % 2 else []
+            values = bn254._g2_add_all(list(zip(values[::2], values[1::2]))) + odd
         return functools.reduce(lambda a, b: self.op(group, a, b), values)
 
     def inv(self, group, a):

@@ -649,11 +649,6 @@ def _jac_sum_f2(pts):
     return reduce(_jac_madd_f2, pts, None)
 
 
-def g2_sum(pts):
-    """The sum of affine twist points (None for infinity): mixed Jacobian additions, one inversion."""
-    return _to_affine_f2(_jac_sum_f2(pts))
-
-
 # ---------------------------------------------------------------------------
 # Products of powers in the order-N subgroups G2 and GT by a 4-dimensional
 # split (Galbraith-Lin-Scott, EUROCRYPT 2009; Galbraith-Scott, Pairing 2008).

@@ -34,6 +34,32 @@ class MalformedInput(click.ClickException):
     exit_code = EXIT_MALFORMED
 
 
+# Which failure gets which exit code, for every command: a verification or
+# contract reject exits 1 with "reject: <reason>", malformed input exits 2.
+# REJECTS is matched first, since its classes are ContractErrors. Any other
+# exception is a bug and keeps its traceback.
+REJECTS = (ct.WrongPhase, ct.InsufficientAdvance, ct.InsufficientFunds, ct.BalanceOverflow, ct.NonceReplayed)
+MALFORMED = (env.EnvelopeError, AlgebraError, scheme.SchemeError, ct.ContractError, gasmodel.GasModelError,
+             OSError)
+
+
+def _reject(reason) -> None:
+    click.echo(f"reject: {reason}")
+    sys.exit(EXIT_REJECT)
+
+
+class _Commands(click.Group):
+    """A command group that turns the failures in REJECTS and MALFORMED into their exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except REJECTS as exc:
+            _reject(exc)
+        except MALFORMED as exc:
+            raise MalformedInput(str(exc)) from exc
+
+
 def _read(path: str, cls, backend=None):
     """The ``cls`` in the envelope at path; its group elements must be on ``backend``."""
     try:
@@ -42,44 +68,14 @@ def _read(path: str, cls, backend=None):
         raise MalformedInput(f"{path}: {exc}")
 
 
-def _write(path: str, obj, context=None) -> None:
-    """Write ``obj`` in its envelope at path; an unwritable path is malformed input."""
-    try:
-        env.write_object(path, obj, context)
-    except OSError as exc:
-        raise MalformedInput(str(exc))
-
-
 def _write_keys(pub_out: str, pk, sec_out: str, sk) -> None:
     """Write the public and the secret key file, or neither."""
-    _write(pub_out, pk)
+    env.write_object(pub_out, pk)
     try:
-        _write(sec_out, sk)
-    except MalformedInput:
+        env.write_object(sec_out, sk)
+    except OSError:
         Path(pub_out).unlink()
         raise
-
-
-def _mkdir(path) -> Path:
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise MalformedInput(str(exc))
-    return Path(path)
-
-
-def _read_message(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise MalformedInput(str(exc))
-
-
-def _setup(backend: str) -> scheme.PublicParams:
-    try:
-        return scheme.setup(backend=backend)
-    except (scheme.SchemeError, AlgebraError) as exc:
-        raise MalformedInput(str(exc))
 
 
 def _gas_price_opt(gas_price, use_default: bool):
@@ -95,15 +91,10 @@ def _gas_price_opt(gas_price, use_default: bool):
 
 
 def _cost_table(path) -> gasmodel.CostTable:
-    if path is None:
-        return gasmodel.CostTable()
-    try:
-        return gasmodel.CostTable.from_file(path)
-    except (gasmodel.GasModelError, OSError, ValueError) as exc:
-        raise MalformedInput(f"bad cost table: {exc}")
+    return gasmodel.CostTable() if path is None else gasmodel.CostTable.from_file(path)
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Nominative-signature escrow toolkit."""
 
@@ -113,32 +104,26 @@ def main():
 @click.option("--out", required=True, type=click.Path())
 def cmd_setup(backend, out):
     """Write the public parameter envelope."""
-    _write(out, _setup(backend))
+    env.write_object(out, scheme.setup(backend=backend))
     click.echo(f"params written to {out}")
 
 
-@main.command("keygen-signer")
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--seed", type=int, required=True)
-@click.option("--pub-out", required=True, type=click.Path())
-@click.option("--sec-out", required=True, type=click.Path())
-def cmd_keygen_signer(params_path, seed, pub_out, sec_out):
-    par = _read(params_path, scheme.PublicParams)
-    pk, sk = scheme.keygen_signer(par, Random(seed))
-    _write_keys(pub_out, pk, sec_out, sk)
-    click.echo(f"signer keys written to {pub_out}, {sec_out}")
+def _keygen_command(role: str) -> None:
+    """Add keygen-<role>. It looks ``scheme.keygen_<role>`` up when it runs, so a later wrapper on it is called."""
+
+    @main.command(f"keygen-{role}")
+    @click.option("--params", "params_path", required=True, type=click.Path())
+    @click.option("--seed", type=int, required=True)
+    @click.option("--pub-out", required=True, type=click.Path())
+    @click.option("--sec-out", required=True, type=click.Path())
+    def cmd(params_path, seed, pub_out, sec_out):
+        pk, sk = getattr(scheme, f"keygen_{role}")(_read(params_path, scheme.PublicParams), Random(seed))
+        _write_keys(pub_out, pk, sec_out, sk)
+        click.echo(f"{role} keys written to {pub_out}, {sec_out}")
 
 
-@main.command("keygen-nominee")
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--seed", type=int, required=True)
-@click.option("--pub-out", required=True, type=click.Path())
-@click.option("--sec-out", required=True, type=click.Path())
-def cmd_keygen_nominee(params_path, seed, pub_out, sec_out):
-    par = _read(params_path, scheme.PublicParams)
-    pk, sk = scheme.keygen_nominee(par, Random(seed))
-    _write_keys(pub_out, pk, sec_out, sk)
-    click.echo(f"nominee keys written to {pub_out}, {sec_out}")
+_keygen_command("signer")
+_keygen_command("nominee")
 
 
 def _scheme_inputs(fn):
@@ -150,7 +135,7 @@ def _scheme_inputs(fn):
         par = _read(params_path, scheme.PublicParams)
         pk_s = _read(signer_pub, scheme.SignerPublicKey, par.backend)
         pk_n = _read(nominee_pub, scheme.NomineePublicKey, par.backend)
-        return fn(par, pk_s, pk_n, _read_message(message_file), **options)
+        return fn(par, pk_s, pk_n, Path(message_file).read_bytes(), **options)
 
     for opt in reversed([
         click.option("--params", "params_path", required=True, type=click.Path()),
@@ -171,7 +156,7 @@ def cmd_sign(par, pk_s, pk_n, m, signer_sec, seed, out):
     """Produce the signer's partial signature over the program source."""
     sk_s = _read(signer_sec, scheme.SignerSecretKey)
     delta = scheme.sign(par, pk_s, pk_n, m, sk_s, Random(seed))
-    _write(out, delta)
+    env.write_object(out, delta)
     click.echo(f"delta written to {out}")
 
 
@@ -187,9 +172,8 @@ def cmd_receive(par, pk_s, pk_n, m, nominee_sec, delta_path, seed, out):
     delta = _read(delta_path, scheme.DeltaMsg, par.backend)
     sigma = scheme.receive(par, pk_s, pk_n, m, delta, sk_n, Random(seed))
     if sigma is None:
-        click.echo("reject: partial signature invalid")
-        sys.exit(EXIT_REJECT)
-    _write(out, sigma)
+        _reject("partial signature invalid")
+    env.write_object(out, sigma)
     click.echo(f"sigma written to {out}")
 
 
@@ -204,9 +188,8 @@ def cmd_convert(par, pk_s, pk_n, m, nominee_sec, sigma_path, out):
     sigma = _read(sigma_path, scheme.NomSignature, par.backend)
     tk = scheme.convert(par, pk_s, pk_n, m, sigma, sk_n)
     if tk is None:
-        click.echo("reject: sigma invalid, no token issued")
-        sys.exit(EXIT_REJECT)
-    _write(out, tk)
+        _reject("sigma invalid, no token issued")
+    env.write_object(out, tk)
     click.echo(f"token written to {out}")
 
 
@@ -226,7 +209,7 @@ _PASS_FILES = {
 
 def _send(tdir: Path, backend, msg) -> None:
     tmp = tdir / (_PASS_FILES[type(msg)] + ".tmp")
-    _write(str(tmp), msg, backend.name)
+    env.write_object(str(tmp), msg, backend.name)
     tmp.rename(tdir / _PASS_FILES[type(msg)])
 
 
@@ -244,7 +227,8 @@ def _interactive(protocol, par, pk_s, pk_n, m, role, nominee_sec, sigma_path, tr
     sigma = _read(sigma_path, scheme.NomSignature, par.backend)
     sk_n = _read(nominee_sec, scheme.NomineeSecretKey) if role == "prover" else None
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
-    tdir = _mkdir(transport_dir)
+    tdir = Path(transport_dir)
+    tdir.mkdir(parents=True, exist_ok=True)
     rng = Random(seed)
     b = par.backend
 
@@ -324,12 +308,9 @@ def cmd_deploy(par, pk_s, pk_n, m, operator_seed, investor_seed, operator_balanc
     """Create the escrow contract and its wallet ledger."""
     op_addr = trigger.address_of(trigger.ecdsa_keygen(operator_seed.encode()).vk)
     inv_addr = trigger.address_of(trigger.ecdsa_keygen(investor_seed.encode()).vk)
-    try:
-        state = ct.deploy(m, op_addr, inv_addr, pk_s, pk_n, par, advance, investment)
-        ledger = ct.WalletLedger({op_addr: operator_balance, inv_addr: investor_balance})
-    except ct.ContractError as exc:
-        raise MalformedInput(str(exc))
-    _write(state_out, state, ledger)
+    state = ct.deploy(m, op_addr, inv_addr, pk_s, pk_n, par, advance, investment)
+    ledger = ct.WalletLedger({op_addr: operator_balance, inv_addr: investor_balance})
+    env.write_object(state_out, state, ledger)
     click.echo(f"contract deployed, state in {state_out}")
     click.echo(f"operator {op_addr.hex()} investor {inv_addr.hex()}")
 
@@ -339,14 +320,8 @@ def cmd_deploy(par, pk_s, pk_n, m, operator_seed, investor_seed, operator_balanc
 @click.option("--amount", type=int, required=True)
 def cmd_pay_advance(state_path, amount):
     state, ledger = _read(state_path, ct.ContractState)
-    try:
-        ct.pay_advance(state, ledger, amount)
-    except (ct.WrongPhase, ct.InsufficientAdvance, ct.InsufficientFunds, ct.BalanceOverflow) as exc:
-        click.echo(f"reject: {exc}")
-        sys.exit(EXIT_REJECT)
-    except ct.InvalidAmounts as exc:
-        raise MalformedInput(str(exc))
-    _write(state_path, state, ledger)
+    ct.pay_advance(state, ledger, amount)
+    env.write_object(state_path, state, ledger)
     click.echo(f"advance of {amount} paid, phase {state.phase.value}")
 
 
@@ -356,12 +331,8 @@ def cmd_pay_advance(state_path, amount):
 def cmd_store_sig(state_path, sigma_path):
     state, ledger = _read(state_path, ct.ContractState)
     sigma = _read(sigma_path, scheme.NomSignature, state.par.backend)
-    try:
-        ct.store_signature(state, sigma)
-    except ct.WrongPhase as exc:
-        click.echo(f"reject: {exc}")
-        sys.exit(EXIT_REJECT)
-    _write(state_path, state, ledger)
+    ct.store_signature(state, sigma)
+    env.write_object(state_path, state, ledger)
     click.echo(f"signature stored, phase {state.phase.value}")
 
 
@@ -386,20 +357,12 @@ def cmd_trigger(state_path, token_path, investor_seed, nonce, cost_table, gas_pr
         amount=state.investment_amount,
         nonce=nonce,
     )
-    try:
-        sig_e = trigger.ecdsa_sign(kp.sk, tx.serialize())
-        receipt = ct.submit_trigger(
-            state, ledger, ct.TriggerSubmission(tk, tx, sig_e), table, price
-        )
-    except (ct.WrongPhase, ct.NonceReplayed, ct.InsufficientFunds, ct.BalanceOverflow) as exc:
-        click.echo(f"reject: {exc}")
-        sys.exit(EXIT_REJECT)
-    except ct.MalformedTransaction as exc:
-        raise MalformedInput(str(exc))
+    sig_e = trigger.ecdsa_sign(kp.sk, tx.serialize())
+    receipt = ct.submit_trigger(state, ledger, ct.TriggerSubmission(tk, tx, sig_e), table, price)
     if receipt_out is not None:
-        _write(receipt_out, receipt)
+        env.write_object(receipt_out, receipt)
     if receipt.verdict:
-        _write(state_path, state, ledger)
+        env.write_object(state_path, state, ledger)
         click.echo("accept")
         _echo_gas(receipt.gas)
         sys.exit(EXIT_ACCEPT)
@@ -430,15 +393,12 @@ def cmd_report_gas(receipt_path, pairing_pairs, ec_additions, cost_table, gas_pr
     """Print a gas report, from a receipt or from explicit operation counts."""
     table = _cost_table(cost_table)
     price = _gas_price_opt(gas_price, use_default=True)
-    try:
-        if receipt_path is not None:
-            report = _read(receipt_path, ct.ExecutionReceipt).gas
-        else:
-            counts = scheme.OpCounts(pairing_pairs=pairing_pairs, ec_additions=ec_additions)
-            report = gasmodel.build_report(counts, table, price)
-        ratio = gasmodel.ratio_vs_ecrecover(report)
-    except gasmodel.GasModelError as exc:
-        raise MalformedInput(str(exc))
+    if receipt_path is not None:
+        report = _read(receipt_path, ct.ExecutionReceipt).gas
+    else:
+        counts = scheme.OpCounts(pairing_pairs=pairing_pairs, ec_additions=ec_additions)
+        report = gasmodel.build_report(counts, table, price)
+    ratio = gasmodel.ratio_vs_ecrecover(report)
     _echo_gas(report)
     click.echo(f"tkverify / ecrecover gas ratio: {float(ratio):.1f}")
 
@@ -452,20 +412,19 @@ def cmd_demo(seed, backend, workdir):
     import tempfile
 
     rng = Random(seed)
-    par = _setup(backend)
-    outdir = _mkdir(workdir) if workdir else Path(tempfile.mkdtemp(prefix="nomsig-demo-"))
+    par = scheme.setup(backend=backend)
+    outdir = Path(workdir or tempfile.mkdtemp(prefix="nomsig-demo-"))
+    outdir.mkdir(parents=True, exist_ok=True)
     pk_s, sk_s = scheme.keygen_signer(par, rng)
     pk_n, sk_n = scheme.keygen_nominee(par, rng)
     m = b"demo program source seed=%d" % seed
     delta = scheme.sign(par, pk_s, pk_n, m, sk_s, rng)
     sigma = scheme.receive(par, pk_s, pk_n, m, delta, sk_n, rng)
     if sigma is None:
-        click.echo("reject: receive failed")
-        sys.exit(EXIT_REJECT)
+        _reject("receive failed")
     tk = scheme.convert(par, pk_s, pk_n, m, sigma, sk_n)
     if tk is None:
-        click.echo("reject: convert failed")
-        sys.exit(EXIT_REJECT)
+        _reject("convert failed")
 
     op_kp = trigger.ecdsa_keygen(b"demo-operator-%d" % seed)
     inv_kp = trigger.ecdsa_keygen(b"demo-investor-%d" % seed)
@@ -484,9 +443,9 @@ def cmd_demo(seed, backend, workdir):
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
     ok_confirm, _ = zkproto.run_confirm(stmt, sk_n, Random(rng.random()), Random(rng.random()))
 
-    _write(str(outdir / "sigma.json"), sigma)
-    _write(str(outdir / "token.json"), tk)
-    _write(str(outdir / "receipt.json"), receipt)
+    env.write_object(str(outdir / "sigma.json"), sigma)
+    env.write_object(str(outdir / "token.json"), tk)
+    env.write_object(str(outdir / "receipt.json"), receipt)
 
     click.echo("accept" if receipt.verdict and ok_confirm else "reject")
     _echo_gas(receipt.gas)

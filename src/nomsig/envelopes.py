@@ -200,7 +200,7 @@ def read_envelope(path: str, expected_kind: Optional[str] = None) -> tuple[str, 
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting deeper than the parser's stack is invalid too
         raise EnvelopeError("not valid JSON") from exc
     return parse_envelope(obj, expected_kind)
 

@@ -41,7 +41,10 @@ class CostTable:
     @classmethod
     def from_file(cls, path: str) -> "CostTable":
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # nesting deeper than the parser's stack is invalid too
+                raise GasModelError("cost table file is not valid JSON") from exc
         if not isinstance(raw, dict):
             raise GasModelError("cost table file must hold a JSON object")
         unknown = set(raw) - {f.name for f in fields(cls)}

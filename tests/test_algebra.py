@@ -207,13 +207,20 @@ def test_pairing_check_needs_g1_g2_pairs():
 def test_product_matches_pairwise_fold(backend):
     b = backend
     for group in ("G1", "G2", "GT"):
-        x = getattr(b, group.lower())() ** 5
-        y = getattr(b, group.lower())() ** 9
-        elems = [x, y, ~y, x, x, y]  # through the identity, then equal to the partial sum
-        want = elems[0]
-        for e in elems[1:]:
-            want = want * e
-        assert b.product(elems) == want
+        x, y, z = (getattr(b, group.lower())() ** k for k in (5, 9, 11))
+        cases = [
+            [x],
+            [x, y, ~y, x, x, y],  # through the identity, then equal to the partial sum
+            [x, x, x],  # a doubling
+            [x, y, x, y],  # a doubling one level up, where bn254 adds G2 elements pairwise
+            [x, y, ~(x * y)],  # ends at the identity
+            [b.identity(group), x, y, x * y, z, ~z, y],
+        ]
+        for elems in cases:
+            want = elems[0]
+            for e in elems[1:]:
+                want = want * e
+            assert b.product(elems) == want
         assert b.product([x, ~x]).is_identity()
     with pytest.raises(AlgebraError):
         b.product([b.g1(), b.g2()])

@@ -40,7 +40,6 @@ from nomsig.bn254 import (
     g2_mul,
     g2_mul_base,
     g2_neg,
-    g2_sum,
     pairing,
 )
 from oracles import (affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt, curve_mul, f12_pow,
@@ -472,23 +471,6 @@ def test_g2_subgroup_check_rejects_cofactor_torsion(ell):
     assert g2_mul(t, ell) is None  # t has order ell
     for q in (t, g2_add(G2_GEN, t)):
         assert not g2_in_subgroup(q) and not slow_g2_in_subgroup(q)
-
-
-def test_g2_sum_matches_affine_fold():
-    a, b, c = (g2_mul(G2_GEN, k) for k in (5, 7, 11))
-    cases = [
-        [],
-        [None, a],
-        [a, g2_neg(a), b],  # a partial sum passes through infinity
-        [a, a, a],  # equal to the partial sum: a doubling
-        [a, b, g2_neg(g2_add(a, b))],  # ends at infinity
-        [a, b, a, g2_add(a, b), c, g2_neg(c), b],
-    ]
-    for pts in cases:
-        want = None
-        for pt in pts:
-            want = g2_add(want, pt)
-        assert g2_sum(pts) == want
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from nomsig import bn254, curve, envelopes, scheme
-from nomsig.cli import main
+from nomsig import contract as ct
+from nomsig.cli import MALFORMED, REJECTS, main
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +403,39 @@ def test_state_with_a_word_of_2_256_exits_2(workdir, tmp_path, field):
     fields = {"phase": "Deployed", "sigma": None, "used_nonces": [], field: value}
     path = _edited(workdir / "state.json", tmp_path, **fields)
     assert_malformed(invoke("pay-advance", "--state", path, "--amount", 100))
+
+
+@pytest.mark.parametrize(
+    "failure", [*REJECTS, *MALFORMED, ct.InvalidAmounts, ct.MalformedTransaction, ct.UnknownAddress, RuntimeError],
+    ids=lambda cls: cls.__name__,
+)
+def test_one_table_decides_the_exit_code(workdir, monkeypatch, failure):
+    # a reject exits 1, malformed input exits 2, and anything else is a bug that keeps its traceback
+    def fail(*_):
+        raise failure("planted")
+
+    monkeypatch.setattr(ct, "pay_advance", fail)
+    res = invoke("pay-advance", "--state", workdir / "state.json", "--amount", 100)
+    if failure is RuntimeError:
+        assert type(res.exception) is RuntimeError
+    elif issubclass(failure, REJECTS):
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        assert "reject: planted" in res.output
+    else:
+        assert_malformed(res)
+        assert "planted" in res.output and "reject" not in res.output
+
+
+@pytest.mark.parametrize("command", ["store-sig", "report-gas"])
+def test_deeply_nested_json_exits_2(tmp_path, command):
+    # deeper than the JSON parser's stack: invalid JSON, not a RecursionError traceback with exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    args = {"store-sig": ["--state", deep, "--sigma", deep], "report-gas": ["--cost-table", deep]}[command]
+    res = subprocess.run([sys.executable, "-m", "nomsig.cli", command, *map(str, args)],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "not valid JSON" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_receive_rejects_foreign_delta(workdir, tmp_path):

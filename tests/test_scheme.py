@@ -240,12 +240,11 @@ def test_keygen_takes_its_g2_powers_in_one_batch(keygen, powers, monkeypatch):
 
 
 def _exponentiations(monkeypatch):
-    """The group of each power the mock backend takes: one per ``exp``, one per term of a ``multi_exp``."""
+    """The group of each power the mock backend takes: one per term of a ``multi_exp``."""
     groups = []
-    exp, multi_exp = MockBackend.exp, MockBackend.multi_exp_values
-    monkeypatch.setattr(MockBackend, "exp", lambda self, group, *a: groups.append(group) or exp(self, group, *a))
-    monkeypatch.setattr(MockBackend, "multi_exp_values", lambda self, group, terms: groups.extend(
-        [group] * len(terms)) or multi_exp(self, group, terms))
+    multi_exp = MockBackend.multi_exp
+    monkeypatch.setattr(MockBackend, "multi_exp", lambda self, terms: groups.extend(
+        x.group for x, _ in terms) or multi_exp(self, terms))
     return groups
 
 
