@@ -40,6 +40,8 @@ The program takes no power through ``g1_mul_base`` or ``g2_mul_base``.
 Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the
 subgroup test ``g2_in_subgroup``: 62 doublings and 13 mixed additions for
 [u]Q, then five mixed additions whose Jacobian sum is tested for infinity.
+``g2_all_in_subgroup`` tests a batch of points with 10 of those tests, on
+random linear combinations summed by signed-digit buckets.
 
 Representation conventions:
   - Fp elements are plain ints in [0, P).
@@ -62,6 +64,8 @@ the cyclotomic subgroup of Fp12*: there ``f12_cyc_pow`` exponentiates with
 cyclotomic squarings.
 """
 
+import hashlib
+import struct
 from functools import reduce
 
 from . import curve
@@ -644,11 +648,6 @@ def _tw_frob(pt):
     return (f2_mul(f2_conj(pt[0]), _TW_FROB_X), f2_mul(f2_conj(pt[1]), _TW_FROB_Y))
 
 
-def _jac_sum_f2(pts):
-    """The sum of affine twist points (None for infinity) as a Jacobian point, by mixed additions."""
-    return reduce(_jac_madd_f2, pts, None)
-
-
 # ---------------------------------------------------------------------------
 # Products of powers in the order-N subgroups G2 and GT by a 4-dimensional
 # split (Galbraith-Lin-Scott, EUROCRYPT 2009; Galbraith-Scott, Pairing 2008).
@@ -741,7 +740,109 @@ def g2_in_subgroup(pt):
     psi1 = _tw_frob(uq)
     psi2 = _tw_frob(psi1)
     psi3 = g2_neg(_tw_frob(psi2))
-    return _jac_sum_f2([pt, uq, psi1, psi2, psi3, psi3]) is None
+    return reduce(_jac_madd_f2, [pt, uq, psi1, psi2, psi3, psi3], None) is None
+
+
+# ---------------------------------------------------------------------------
+# One subgroup test for a batch of twist points: small-exponent batching
+# (Bellare-Garay-Rabin, EUROCRYPT 1998) of ``g2_in_subgroup``. Its inputs
+# are not known to lie in G2, so only the general group law runs here.
+# ---------------------------------------------------------------------------
+
+BATCH_TAG = b"NOMSIG-G2-BATCH"
+BATCH_PRIME = 10069  # the smallest prime factor of G2_COFACTOR
+BATCH_ROUNDS = 10  # BATCH_PRIME^-10 < 2^-132
+
+
+def g2_all_in_subgroup(pts):
+    """Whether every point of pts, each on the twist or None, is in G2; a wrong yes has probability below 2^-132.
+
+    Each of BATCH_ROUNDS rounds runs ``g2_in_subgroup`` on S = sum r_i * Q_i
+    over the finite points, with fresh coefficients r_i uniform in
+    [0, BATCH_PRIME) (``batch_coefficients``). Write Q_i = G_i + T_i with G_i
+    in G2 and T_i in the torsion of order G2_COFACTOR, prime to N: S is in G2
+    exactly when sum r_i * T_i = O. If T_j != O, its order is a divisor of
+    the cofactor above 1, so at least BATCH_PRIME, and whatever the other
+    r_i, at most one r_j below BATCH_PRIME cancels it. So a round passes
+    with probability at most 1/BATCH_PRIME and all of them with at most
+    BATCH_PRIME^-BATCH_ROUNDS. The coefficients hash the points, so each try
+    at a passing bad batch costs a hash.
+    """
+    pts = [q for q in pts if q is not None]
+    n = len(pts)
+    rs = batch_coefficients(pts, BATCH_ROUNDS * n)
+    return all(g2_in_subgroup(_g2_msm(pts, rs[k * n : (k + 1) * n])) for k in range(BATCH_ROUNDS))
+
+
+def batch_coefficients(pts, count):
+    """count integers uniform in [0, BATCH_PRIME): 14-bit draws below it, from SHAKE-256 over the tag and pts.
+
+    The hash takes every coordinate of every finite point in pts, in order.
+    """
+    h = hashlib.shake_256(BATCH_TAG)
+    for (x0, x1), (y0, y1) in pts:
+        h.update(b"".join(c.to_bytes(32, "big") for c in (x0, x1, y0, y1)))
+    size = 4 * count  # expected to give 1.23 * count
+    while True:
+        draws = (r >> 2 for r in struct.unpack(f">{size // 2}H", h.digest(size)))
+        rs = [r for r in draws if r < BATCH_PRIME]
+        if len(rs) >= count:
+            return rs[:count]
+        size *= 2  # the longer digest extends the shorter one
+
+
+def _g2_sums(lists):
+    """The sum of each list of affine twist points (None for infinity), by pairwise trees.
+
+    Each level of every list's tree goes into one ``_g2_add_all`` call: one
+    inversion per level for all the lists.
+    """
+    while any(len(pts) > 1 for pts in lists):
+        sums = iter(_g2_add_all([pair for pts in lists for pair in zip(pts[::2], pts[1::2])]))
+        lists = [[next(sums) for _ in pts[1::2]] + pts[len(pts) & ~1 :] for pts in lists]
+    return [pts[0] if pts else None for pts in lists]
+
+
+def _g2_msm(pts, ks):
+    """sum k * pt over finite twist points and integers k >= 0, by signed-digit buckets (Pippenger).
+
+    Each k is written in base 2^w with digits in [-2^(w-1), 2^(w-1)), where
+    w grows with log n (6 for a public key's 258 points). In each digit
+    position (window), bucket d gets the points whose digit is d or -d, the
+    latter negated, and ``_g2_sums`` adds up every bucket at once. A window's
+    sum_d d * B_d is sum_d R_d over the running sums R_d = sum_{d' >= d} B_d'
+    (one mixed addition each, then one inversion for all), again by
+    ``_g2_sums``; Horner's rule in 2^w joins the windows.
+    """
+    w = max(3, len(pts).bit_length() - 3)
+    half = 1 << (w - 1)
+    windows = []
+    for pt, k in zip(pts, ks):
+        j = 0
+        while k:
+            d = (k + half) % (2 * half) - half
+            k = (k - d) >> w
+            if j == len(windows):
+                windows.append({})
+            if d:
+                windows[j].setdefault(abs(d), []).append(pt if d > 0 else g2_neg(pt))
+            j += 1
+    sums = iter(_g2_sums([b for buckets in windows for b in buckets.values()]))
+    runs = []
+    for buckets in windows:
+        buckets = {d: next(sums) for d in buckets}
+        acc, run = None, []
+        for d in range(max(buckets, default=0), 0, -1):
+            acc = _jac_madd_f2(acc, buckets.get(d))
+            run.append(acc)
+        runs.append(run)
+    finite = iter(_batch_to_affine_f2([q for run in runs for q in run if q is not None]))
+    acc = None
+    for s in reversed(_g2_sums([[q and next(finite) for q in run] for run in runs])):
+        for _ in range(w):
+            acc = _jac_double_f2(acc)
+        acc = _jac_madd_f2(acc, s)
+    return _to_affine_f2(acc)
 
 
 def g1_mul_base(k):

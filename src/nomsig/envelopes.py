@@ -6,7 +6,10 @@ Group elements are hex of the backend's compressed encoding; the backend
 name rides along so a consumer can rebuild elements in the right groups.
 ``object_from_payload`` is the one place that checks a payload's shape,
 hex, vector lengths, group membership and backend; malformed input raises
-EnvelopeError, or AlgebraError from the group decoding.
+EnvelopeError, or AlgebraError from the group decoding. All G2 points of one
+object are decoded as one batch, with one batched subgroup test on the real
+backend (``Backend.deserialize_all``); a batch that fails is decoded again
+field by field, so the error names the first bad field as before.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import ELL, Backend, GroupElem, get_backend
+from .algebra import ELL, AlgebraError, Backend, GroupElem, get_backend
 from .bn254 import N
 from .contract import UINT256_LIMIT, ContractState, ExecutionReceipt, Phase, WalletLedger
 from .gasmodel import GasReport
@@ -64,15 +67,17 @@ def _out(v):
     return None if v is None else hex(v)
 
 
-def _in(ftype: str, v, b: Optional[Backend], name: str):
+def _in(ftype: str, v, b: Optional[Backend], name: str, g2: dict):
+    """The field value v of type ftype; ``g2`` maps G2 encodings to points already decoded and checked."""
     if ftype.endswith("?"):
-        return None if v is None else _in(ftype[:-1], v, b, name)
+        return None if v is None else _in(ftype[:-1], v, b, name, g2)
     if ftype.endswith("[]"):
         if not isinstance(v, list) or len(v) != ELL + 1:
             raise EnvelopeError(f"{name}: need a list of {ELL + 1} entries")
-        return tuple(_in(ftype[:-2], x, b, name) for x in v)
+        return tuple(_in(ftype[:-2], x, b, name, g2) for x in v)
     if ftype[0] == "G":
-        return b.element(ftype, _bytes(v, name))
+        data = _bytes(v, name)
+        return GroupElem(b, ftype, g2[data]) if ftype == "G2" and data in g2 else b.element(ftype, data)
     low = 1 if ftype == "Zn*" else 0
     try:
         k = int(_of(str, v, name), 16)
@@ -163,7 +168,29 @@ def object_from_payload(cls, payload, backend: Optional[Backend] = None):
         if payload.get("verdict") not in ("accept", "reject"):
             raise EnvelopeError("verdict: need 'accept' or 'reject'")
         return payload["verdict"] == "accept"
-    return cls(**{name: _in(ftype, payload.get(name), b, name) for name, ftype in fields.items()})
+    g2 = _g2_points(fields, payload, b)
+    return cls(**{name: _in(ftype, payload.get(name), b, name, g2) for name, ftype in fields.items()})
+
+
+def _g2_points(fields: dict, payload: dict, b: Optional[Backend]) -> dict:
+    """Every G2 encoding in the payload's fields, mapped to its point by one ``deserialize_all`` batch.
+
+    If any of them fails, or a vector has the wrong length, the map is empty:
+    then ``_in`` decodes the fields one by one, in order, and the first bad
+    one raises its own error.
+    """
+    datas = []
+    for name, ftype in fields.items():
+        v = payload.get(name)
+        if ftype == "G2[]" and not (isinstance(v, list) and len(v) == ELL + 1):
+            return {}
+        if ftype.startswith("G2"):
+            datas += v if ftype == "G2[]" else [v]
+    try:
+        datas = [_bytes(v, "G2") for v in datas]
+        return dict(zip(datas, b.deserialize_all("G2", datas))) if datas else {}
+    except (EnvelopeError, AlgebraError):
+        return {}
 
 
 def _kind_of(cls) -> str:

@@ -407,13 +407,15 @@ def tk_verify(
     with n = 8. c2 and c3 are nonzero 128-bit values hashed from all inputs
     and applied as G1 scalar multiplications (counted, unpriced).
 
-    Soundness: G1 has cofactor 1 and every G2 input is subgroup-checked when
-    it is decoded, so each pair's pairing value lies in the order-N subgroup
-    of GT and the coefficients act on it as exponents. A failing equation i
-    leaves an error E_i != 1 in that prime-order group. E1 * E2^c2 * E3^c3 = 1
-    then fixes c2 given c3 if E2 != 1, fixes c3 if E2 = 1 and E3 != 1, and
-    cannot hold if E1 is the only error; a hash-derived 128-bit coefficient
-    hits the one bad value with probability about 2^-128.
+    Soundness: G1 has cofactor 1 and every G2 input was checked to lie in G2
+    when it was decoded (a public key's points by one batched test that errs
+    with probability below 2^-132, ``bn254.g2_all_in_subgroup``), so each
+    pair's pairing value lies in the order-N subgroup of GT and the
+    coefficients act on it as exponents. A failing equation i leaves an
+    error E_i != 1 in that prime-order group. E1 * E2^c2 * E3^c3 = 1 then
+    fixes c2 given c3 if E2 != 1, fixes c3 if E2 = 1 and E3 != 1, and cannot
+    hold if E1 is the only error; a hash-derived 128-bit coefficient hits the
+    one bad value with probability about 2^-128.
     """
     counts = OpCounts()
     d = derive_values(par, pk_s, pk_n, m, sigma, counts)

@@ -4,22 +4,23 @@ Each routine is the plainest form of what ``nomsig.bn254`` computes faster:
 the schoolbook Fp12 product over the 36 Fp2 products of its coefficients,
 square-and-multiply exponentiation over it, the G1 curve equation, affine
 binary double-and-add over any addition (on the Fp curves, over
-``curve.add`` alone), the binary Jacobian ladder on the twist, the
-complex-method Fp2 square root with its inversion, and the Miller loop over
-the binary digits of 6u+2 with one inversion per line.
+``curve.add`` alone), the binary Jacobian ladder on the twist, a sum of
+multiples of twist points as one ``g2_mul`` per term, the complex-method
+Fp2 square root with its inversion, and the Miller loop over the binary
+digits of 6u+2 with one inversion per line.
 
 For the confirm/disavow protocols it holds what only the proofs of their
 properties need: the witness relation itself, the zero-knowledge simulator
 and the special-soundness extractor.
 """
 
-from functools import partial
+from functools import partial, reduce
 
 from nomsig import curve, zkproto
 from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _f12_mul_f6,
                           _f12_mul_line, _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob,
                           f2_add, f2_inv, f2_mul, f2_mul_xi, f2_sqr, f2_sqrt, f2_sub, f12_inv,
-                          f12_sqr, g2_mul, g2_neg)
+                          f12_sqr, g2_add, g2_mul, g2_neg)
 
 
 def schoolbook_f12_mul(a, b):
@@ -159,6 +160,11 @@ def random_twist_point(draws):
         y = f2_sqrt(f2_add(f2_mul(f2_sqr(x), x), TW_B))
         if y is not None:
             return (x, y)
+
+
+def naive_g2_msm(pts, ks):
+    """sum k * pt over twist points: one ``g2_mul`` per term, folded with affine additions."""
+    return reduce(g2_add, (g2_mul(pt, k) for pt, k in zip(pts, ks)), None)
 
 
 def torsion_point(draws, ell):

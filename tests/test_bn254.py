@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,7 +45,7 @@ from nomsig.bn254 import (
     pairing,
 )
 from oracles import (affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt, curve_mul, f12_pow,
-                     g1_is_on_curve, random_twist_point, schoolbook_f12_mul, torsion_point)
+                     g1_is_on_curve, naive_g2_msm, random_twist_point, schoolbook_f12_mul, torsion_point)
 
 rng = random.Random(1301)
 
@@ -595,3 +597,93 @@ def test_decode_kernel_operation_counts(monkeypatch):
         counts.update(inv=0, pow=0)
         assert f2_sqr(f2_sqrt(a)) == a
         assert counts["pow"] == 2 and counts["inv"] == 0, counts
+
+
+# ---------------------------------------------------------------------------
+# The batched subgroup test: its sums against one g2_mul per term, its
+# verdict against the per-point test, and the arithmetic of its bound
+# ---------------------------------------------------------------------------
+
+
+def _g2_points(draws, n):
+    return [g2_mul(G2_GEN, draws.randrange(1, N)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 80])
+def test_bucket_sums_match_naive_oracle(n):
+    # the window width grows with n; torsion, equal and opposite points meet in the buckets
+    draws = random.Random(1900 + n)
+    pts = _g2_points(draws, n)
+    pts[0] = g2_add(pts[0], torsion_point(draws, 10069))
+    if n > 2:
+        pts[1], pts[2] = pts[0], g2_neg(pts[0])
+    for ks in ([draws.randrange(bn254.BATCH_PRIME) for _ in pts], [bn254.BATCH_PRIME - 1] * n,
+               [0] * n, [draws.randrange(2**40) for _ in pts], [1 << 13] * n):
+        assert bn254._g2_msm(pts, ks) == naive_g2_msm(pts, ks)
+
+
+def _batch_verdicts(pts):
+    return bn254.g2_all_in_subgroup(pts), all(g2_in_subgroup(q) for q in pts)
+
+
+def test_batch_verdict_matches_per_point_on_good_points():
+    draws = random.Random(1901)
+    pts = _g2_points(draws, 40)
+    assert _batch_verdicts(pts) == (True, True)
+    # duplicate and opposite points and infinity entries
+    pts = [pts[0], None, pts[0], g2_neg(pts[0]), *pts[1:20], None, g2_neg(pts[5]), pts[5], pts[5]]
+    assert _batch_verdicts(pts) == (True, True)
+    assert _batch_verdicts([None, None]) == (True, True)
+    assert _batch_verdicts([]) == (True, True)
+
+
+@pytest.mark.parametrize("ell", COFACTOR_PRIMES, ids=lambda ell: f"{ell.bit_length()}bit")
+def test_batch_rejects_a_cofactor_component_anywhere(ell):
+    draws = random.Random(1902 + ell % 1000)
+    pts = _g2_points(draws, 40)
+    t = torsion_point(draws, ell)
+    for i in (0, 20, 39):
+        bad = list(pts)
+        bad[i] = g2_add(bad[i], t)
+        assert _batch_verdicts(bad) == (False, False), i
+
+
+def test_batch_rejects_opposite_torsion_parts():
+    # the two components cancel in an unweighted sum, not in a weighted one
+    draws = random.Random(1903)
+    pts = _g2_points(draws, 40)
+    for ell in (10069, 5864401):
+        t = torsion_point(draws, ell)
+        bad = list(pts)
+        bad[3], bad[30] = g2_add(bad[3], t), g2_add(bad[30], g2_neg(t))
+        assert g2_in_subgroup(g2_add(bad[3], bad[30]))
+        assert _batch_verdicts(bad) == (False, False)
+
+
+def test_batch_coefficients_bind_every_point():
+    draws = random.Random(1904)
+    pts = _g2_points(draws, 12)
+    count = bn254.BATCH_ROUNDS * len(pts)
+    rs = bn254.batch_coefficients(pts, count)
+    assert len(rs) == count and all(0 <= r < bn254.BATCH_PRIME for r in rs)
+    assert max(rs) >= bn254.BATCH_PRIME - 500 and min(rs) < 500
+    assert bn254.batch_coefficients(pts, count) == rs
+    # the first draws of a longer request are the same draws
+    assert bn254.batch_coefficients(pts, 4 * count)[:count] == rs
+    for i in range(len(pts)):
+        for other in (g2_neg(pts[i]), g2_add(pts[i], G2_GEN)):
+            changed = pts[:i] + [other] + pts[i + 1:]
+            assert bn254.batch_coefficients(changed, count) != rs, i
+    assert bn254.batch_coefficients(pts[::-1], count) != rs
+
+
+def test_batch_error_bound_is_below_2_to_the_minus_128():
+    # a nonzero torsion part T_j has order at least the cofactor's smallest prime, so of the
+    # BATCH_PRIME values of r_j at most one cancels it: a round passes with at most 1/BATCH_PRIME
+    assert G2_COFACTOR % bn254.BATCH_PRIME == 0 and math.gcd(G2_COFACTOR, N) == 1
+    assert all(G2_COFACTOR % d for d in range(2, bn254.BATCH_PRIME))
+    assert min(COFACTOR_PRIMES) == bn254.BATCH_PRIME
+    survival = max(Fraction(-(-bn254.BATCH_PRIME // ell), bn254.BATCH_PRIME) for ell in COFACTOR_PRIMES)
+    assert survival == Fraction(1, bn254.BATCH_PRIME)
+    assert survival**bn254.BATCH_ROUNDS <= Fraction(1, 2**128)
+    assert survival**bn254.BATCH_ROUNDS <= Fraction(1, 2**132)

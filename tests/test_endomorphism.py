@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomsig import bn254, curve, trigger
-from nomsig.algebra import NotInSubgroup, RealBackend
+from nomsig.algebra import G2_BATCH_MIN, NotInSubgroup, RealBackend
 from nomsig.bn254 import G1_GEN, G2_COFACTOR, G2_GEN, N, P, U, f12_cyc_pow, g2_add, g2_mul, g2_neg
 from oracles import binary_g2_mul, curve_mul
 
@@ -269,10 +269,12 @@ def test_subgroup_checks_do_not_use_the_split_paths(monkeypatch):
     b = RealBackend()
     gt = b.gt() ** 12345
     g2 = b.g2() ** 678
-    monkeypatch.setattr(bn254, "g2_mul_gls", refuse)
-    monkeypatch.setattr(bn254, "gt_pow_gls", refuse)
+    batch = [(b.g2() ** k).to_bytes() for k in range(1, G2_BATCH_MIN + 1)]
+    for name in ("g2_mul_gls", "gt_pow_gls", "g2_comb", "g2_comb_powers"):
+        monkeypatch.setattr(bn254, name, refuse)
     assert b.element("G2", g2.to_bytes()) == g2
     assert b.element("GT", gt.to_bytes()) == gt
+    assert b.deserialize_all("G2", batch) == [b.deserialize("G2", data) for data in batch]
     h = b.hash_to_g2(b"subgroup-only")
     assert bn254.g2_in_subgroup(h.value)
     f = bn254.miller_loop(G2_GEN, G1_GEN)
@@ -288,6 +290,8 @@ def test_subgroup_checks_do_not_use_the_split_paths(monkeypatch):
     assert torsion is not None and g2_mul(torsion, G2_COFACTOR) is None
     with pytest.raises(NotInSubgroup):
         b.element("G2", b.serialize("G2", g2_add(G2_GEN, torsion)))
+    with pytest.raises(NotInSubgroup):
+        b.deserialize_all("G2", batch[:5] + [b.serialize("G2", g2_add(G2_GEN, torsion))] + batch[5:])
     g = f12_cyc_pow(bn254.easy_part(tuple((draws.randrange(P), draws.randrange(P)) for _ in range(6))), N)
     assert g != bn254.F12_ONE
     with pytest.raises(NotInSubgroup):

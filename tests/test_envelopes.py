@@ -11,11 +11,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nomsig import bn254
 from nomsig import contract as ct
 from nomsig import envelopes as env
 from nomsig import trigger, zkproto
 from nomsig.algebra import ELL, AlgebraError, get_backend
-from nomsig.bn254 import N, P, _sqrt_fp, f2_sqrt, g2_rhs
+from nomsig.bn254 import G2_GEN, N, P, _sqrt_fp, f2_sqrt, g2_add, g2_rhs
 from nomsig.cli import main
 from nomsig.gasmodel import build_report
 from nomsig.scheme import (
@@ -416,7 +417,7 @@ def real_dir(real_pipeline, tmp_path_factory):
     p, d = real_pipeline, tmp_path_factory.mktemp("bn254")
     (d / "m.bin").write_bytes(p.m)
     for name, obj in (("params", p.par), ("spk", p.pk_s), ("ssk", p.sk_s), ("npk", p.pk_n),
-                      ("nsk", p.sk_n), ("sigma", p.sigma), ("token", p.tk)):
+                      ("nsk", p.sk_n), ("delta", p.delta), ("sigma", p.sigma), ("token", p.tk)):
         env.write_object(str(d / f"{name}.json"), obj)
     op, inv = (trigger.address_of(trigger.ecdsa_keygen(s).vk) for s in (b"op", b"inv"))
     state, ledger = ct.deploy(p.m, op, inv, p.pk_s, p.pk_n, p.par, 100, 700), ct.WalletLedger({op: 0, inv: 1000})
@@ -434,6 +435,9 @@ def _bad_point(case, group) -> str:
         return (P.to_bytes(32, "big") if group == "G1" else bytes(32) + P.to_bytes(32, "big")).hex()
     if case == "order 10069":
         return get_backend("bn254").serialize("G2", torsion_point(random.Random(10069), 10069)).hex()
+    if case == "order 5864401 component":
+        pt = g2_add(G2_GEN, torsion_point(random.Random(5864401), 5864401))
+        return get_backend("bn254").serialize("G2", pt).hex()
     k = 1  # the smallest x = k (G1) or k + 0i (G2) with no point above it
     while (_sqrt_fp((k**3 + 3) % P) if group == "G1" else f2_sqrt(g2_rhs((k, 0)))) is not None:
         k += 1
@@ -441,7 +445,7 @@ def _bad_point(case, group) -> str:
 
 
 BOUNDARY_MESSAGES = {"off the curve": "not on curve", "order 10069": "not in the prime-order subgroup",
-                     "x of p or more": "out of range"}
+                     "order 5864401 component": "not in the prime-order subgroup", "x of p or more": "out of range"}
 BOUNDARY_CASES = [
     ("sigma", "convert", ("s1",), "off the curve"),
     ("sigma", "convert", ("s2",), "x of p or more"),
@@ -459,6 +463,10 @@ BOUNDARY_CASES = [
     ("state-deployed", "pay-advance", ("pk_s", "hS"), "order 10069"),
     ("state-advance", "store-sig", ("pk_n", "x1"), "off the curve"),
     ("state-stored", "trigger", ("sigma", "s3"), "x of p or more"),
+    # inside the batches that decode a key's G2 points with one subgroup test
+    ("spk", "sign", ("u", 128), "order 10069"),
+    ("npk", "receive", ("uPrime", ELL), "order 5864401 component"),
+    ("state-advance", "store-sig", ("pk_n", "uPrime", 0), "order 10069"),
 ]
 
 
@@ -479,6 +487,33 @@ def test_bad_bn254_point_exits_2_and_writes_nothing(real_dir, name, command, pat
     assert isinstance(res.exception, SystemExit), repr(res.exception)
     assert BOUNDARY_MESSAGES[case] in res.output and "Traceback" not in res.output
     assert after == before
+
+
+def test_a_key_takes_one_batched_subgroup_test(real_pipeline, monkeypatch):
+    # 258 and 261 G2 points, each key in one batch: its 10 rounds' tests, not one test per point
+    calls = []
+    in_subgroup = bn254.g2_in_subgroup
+    monkeypatch.setattr(bn254, "g2_in_subgroup", lambda pt: calls.append(pt) or in_subgroup(pt))
+    b = real_pipeline.par.backend
+    for key in (real_pipeline.pk_s, real_pipeline.pk_n):
+        calls.clear()
+        assert env.object_from_payload(type(key), env.to_payload(key), b) == key
+        assert len(calls) <= 12, len(calls)
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({("gS",): "off the curve", ("u", 7): "order 10069"}, "G1: x not on curve"),  # G1 before the G2 batch
+    ({("u", 3): "order 10069", ("u", 7): "off the curve"}, "G2: point not in the prime-order subgroup"),
+    ({("u", 3): "off the curve", ("u", 7): "order 10069"}, "G2: x not on curve"),
+    ({("hS",): "order 10069", ("u", 0): "x of p or more"}, "G2: point not in the prime-order subgroup"),
+])
+def test_a_key_with_two_bad_points_names_the_first(real_pipeline, faults, message):
+    # a failed batch is decoded again field by field, so the first bad field in order raises
+    payload = env.to_payload(real_pipeline.pk_s)
+    for path, case in faults.items():
+        _at(payload, path[:-1])[path[-1]] = _bad_point(case, FIELD_TYPES[path[0]])
+    with pytest.raises(AlgebraError, match=message):
+        env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend)
 
 
 def test_envelope_version_gate():
