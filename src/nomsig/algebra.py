@@ -195,6 +195,10 @@ class Backend:
         group = _one_group(elems, "product")
         return GroupElem(self, group, self.op_all(group, [e.value for e in elems]))
 
+    def subset_sums(self, group: str, groups: list[list]) -> list[list]:
+        """``curve.subset_sums`` over lists of values of one group: entry j of a list's table multiplies its values at the set bits of j."""
+        return curve.subset_sums(groups, lambda pairs: [self.op(group, a, b) for a, b in pairs])
+
     def element(self, group: str, data: bytes) -> GroupElem:
         return GroupElem(self, group, self.deserialize(group, data))
 
@@ -300,6 +304,8 @@ G2_BATCH_MIN = 32
 
 # The products of powers a G1 or G2 element meets before it keeps a comb table.
 # A G2 table costs about what 8 comb terms save over GLS ones; a G1 table less.
+# A key's Waters bases keep their nibble table from the same count of
+# evaluations (``scheme.WatersBases``).
 COMB_USES = 8
 
 
@@ -335,6 +341,12 @@ class RealBackend(Backend):
         if group == "G2":  # pairwise, one batched inversion per level
             return bn254._g2_sums([values])[0]
         return functools.reduce(lambda a, b: self.op(group, a, b), values)
+
+    def subset_sums(self, group, groups):
+        """As the default; on G2 the sums of every list's i-th value take one batched inversion."""
+        if group == "G2":
+            return curve.subset_sums(groups, bn254._g2_add_all)
+        return super().subset_sums(group, groups)
 
     def inv(self, group, a):
         if group == "G1":

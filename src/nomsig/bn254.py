@@ -5,10 +5,12 @@ Fp) and on the sextic twist carrying G2 (over Fp2), and the optimal ate
 pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
 
 G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below.
-One affine chord routine, ``_chords``, serves ``g2_add``, the tables of
-``g2_mul_gls`` and the Miller loop: over a list of (t, q) pairs it returns
-each line's slope, its w^3 coefficient and the sum t + q, with one batched
-inversion.
+One slope routine, ``_slopes``, gives the chord or tangent slope of each of
+a list of (t, q) pairs with one batched inversion. Every affine sum on the
+twist takes it through ``_g2_add_all``: ``g2_add``, the pairwise trees of
+``_g2_sums`` (G2 products and the batched subgroup test's buckets), and the
+subset sums of ``g2_mul_gls``, the combs and the Waters tables. Only the
+Miller loop's ``_chords`` also forms each line's w^3 coefficient.
 
 The Miller loop walks the signed digits of 6u+2: 65 doublings, 21 additions
 and 2 Frobenius lines, 88 line steps. ``g2_lines`` computes each G2 point's
@@ -501,15 +503,13 @@ def _f2_batch_inv(xs):
     return out
 
 
-def _chords(pairs):
-    """The line through each pair (t, q) of finite affine twist points, and the sum t + q.
+def _slopes(pairs):
+    """The slope m of the line through each pair (t, q) of finite affine twist points.
 
-    Returns, per pair, (m, c, t + q): the chord slope m, or the tangent's
-    where t = q, and c = y1 - m*x1 for t = (x1, y1), so the line is
-    y = m*x + c. Where t = -q the line is vertical and the entry is
-    (None, None, None). One f2_inv serves every pair. Beyond its share of
-    that inversion, a pair takes 3 Fp2 products and a squaring, and a
-    tangent one more squaring, on plain ints.
+    m is the chord's, or the tangent's where t = q; where t = -q the line is
+    vertical and the entry is None. One f2_inv serves every pair. Beyond its
+    share of that inversion, a slope takes one Fp2 product, and a tangent's
+    a squaring more, on plain ints.
     """
     nums, dens = [], []
     for ((a0, a1), (b0, b1)), ((c0, c1), (d0, d1)) in pairs:
@@ -523,26 +523,59 @@ def _chords(pairs):
             nums.append(None)
     invs = iter(_f2_batch_inv(dens))
     out = []
-    for (((a0, a1), (b0, b1)), ((c0, c1), _)), num in zip(pairs, nums):
+    for num in nums:
         if num is None:
-            out.append((None, None, None))
+            out.append(None)
             continue
         (n0, n1), (i0, i1) = num, next(invs)
         m, n = n0 * i0, n1 * i1
-        m0, m1 = (m - n) % P, ((n0 + n1) * (i0 + i1) - m - n) % P  # slope
-        x0, x1 = ((m0 + m1) * (m0 - m1) - a0 - c0) % P, (2 * m0 * m1 - a1 - c1) % P  # m^2 - x1 - x2
+        out.append(((m - n) % P, ((n0 + n1) * (i0 + i1) - m - n) % P))
+    return out
+
+
+def _chords(pairs):
+    """The line through each pair (t, q) of finite affine twist points, and the sum t + q: the Miller loop's step.
+
+    Returns, per pair, (m, c, t + q): the slope m from ``_slopes`` and
+    c = y1 - m*x1 for t = (x1, y1), so the line is y = m*x + c. Where t = -q
+    the line is vertical and the entry is (None, None, None). Only the lines
+    take c; the sum is ``_g2_add_all``'s, in the same loop.
+    """
+    out = []
+    for (((a0, a1), (b0, b1)), ((c0, c1), _)), sl in zip(pairs, _slopes(pairs)):
+        if sl is None:
+            out.append((None, None, None))
+            continue
+        m0, m1 = sl
         m, n = m0 * a0, m1 * a1
         e0, e1 = (b0 - m + n) % P, (b1 - (m0 + m1) * (a0 + a1) + m + n) % P  # y1 - m*x1
-        m, n = m0 * x0, m1 * x1
-        out.append(((m0, m1), (e0, e1),
-                    ((x0, x1), ((n - m - e0) % P, (m + n - (m0 + m1) * (x0 + x1) - e1) % P))))
+        x0, x1 = ((m0 + m1) * (m0 - m1) - a0 - c0) % P, (2 * m0 * m1 - a1 - c1) % P
+        t0, t1 = a0 - x0, a1 - x1
+        m, n = m0 * t0, m1 * t1
+        out.append((sl, (e0, e1), ((x0, x1), ((m - n - b0) % P, ((m0 + m1) * (t0 + t1) - m - n - b1) % P))))
     return out
 
 
 def _g2_add_all(pairs):
-    """p + q for each pair of affine twist points (None for infinity), with one inversion for all."""
-    chords = iter(_chords([(p, q) for p, q in pairs if p is not None and q is not None]))
-    return [q if p is None else p if q is None else next(chords)[2] for p, q in pairs]
+    """p + q for each pair of affine twist points (None for infinity), with one inversion for all.
+
+    With the slope m of a finite pair from ``_slopes``, the sum of (x1, y1)
+    and (x2, y2) is x3 = m^2 - x1 - x2 and y3 = m(x1 - x3) - y1: a squaring
+    and one Fp2 product more, and no line coefficient.
+    """
+    finite = [(p, q) for p, q in pairs if p is not None and q is not None]
+    sums = []
+    for (((a0, a1), (b0, b1)), ((c0, c1), _)), sl in zip(finite, _slopes(finite)):
+        if sl is None:
+            sums.append(None)
+            continue
+        m0, m1 = sl
+        x0, x1 = ((m0 + m1) * (m0 - m1) - a0 - c0) % P, (2 * m0 * m1 - a1 - c1) % P  # m^2 - x1 - x2
+        t0, t1 = a0 - x0, a1 - x1
+        m, n = m0 * t0, m1 * t1
+        sums.append(((x0, x1), ((m - n - b0) % P, ((m0 + m1) * (t0 + t1) - m - n - b1) % P)))
+    sums = iter(sums)
+    return [q if p is None else p if q is None else next(sums) for p, q in pairs]
 
 
 def g2_add(p, q):
@@ -684,11 +717,7 @@ def _gls_table(terms, frob, neg, add_all):
             x = frob(x) if i else x
             bases.append(x if c >= 0 else neg(x))
             parts.append(abs(c))
-    sums = [[None] for _ in range(0, len(bases), 4)]
-    for j in range(4):
-        new = iter(add_all([(t, bases[4 * i + j]) for i, table in enumerate(sums) for t in table]))
-        for table in sums:
-            table += [next(new) for _ in table]
+    sums = curve.subset_sums([bases[i : i + 4] for i in range(0, len(bases), 4)], add_all)
     cols = curve.columns(parts)
     keys = list(set(cols))
     acc = [None] * len(keys)

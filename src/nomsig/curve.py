@@ -124,15 +124,18 @@ def add_all(p, pairs):
     return out
 
 
-def subset_sums(bases, add_all):
-    """All 2^len(bases) sums: entry j is the sum of bases[i] over the set bits i of j; entry 0 is None.
+def subset_sums(groups, add_all):
+    """Per list of bases in groups, all 2^len(bases) sums: entry j sums bases[i] over the set bits i of j; entry 0 is None.
 
-    ``add_all`` adds a list of pairs; each base's new sums are one call.
+    ``add_all`` adds a list of pairs; the new sums of the i-th bases of
+    every group are one call.
     """
-    table = [None]
-    for b in bases:
-        table += [b] + add_all([(t, b) for t in table[1:]])
-    return table
+    tables = [[None] for _ in groups]
+    for i in range(max(map(len, groups), default=0)):
+        new = iter(add_all([(t, bases[i]) for bases, table in zip(groups, tables) for t in table[1:]]))
+        for bases, table in zip(groups, tables):
+            table += [bases[i]] + [next(new) for _ in table[1:]]
+    return tables
 
 
 def columns(scalars):
@@ -162,7 +165,7 @@ def straus(p, bases, scalars, combs=()):
     One Jacobian doubling per bit of the longest scalar and at most one mixed
     addition of a subset sum per bit (Straus's joint ladder).
     """
-    table = subset_sums(bases, partial(add_all, p))
+    table = subset_sums([bases], partial(add_all, p))[0]
     acc = comb_ladder(columns(scalars), table, combs, partial(jac_double, p), partial(jac_madd, p))
     return to_affine(p, acc)
 
@@ -176,7 +179,7 @@ def comb_table(pt, double, madd, to_affine_all, add_all):
     spokes = [madd(None, pt)]
     for _ in range(COMB_TEETH - 1):  # a ladder of zero steps only doubles
         spokes.append(ladder(spokes[-1], [0] * COMB_ROWS, None, double, madd))
-    return subset_sums(to_affine_all(spokes), add_all)
+    return subset_sums([to_affine_all(spokes)], add_all)[0]
 
 
 def comb(p, pt):

@@ -32,6 +32,7 @@ from random import Random
 from typing import Optional
 
 from .algebra import (
+    COMB_USES,
     ELL,
     Backend,
     GroupElem,
@@ -68,11 +69,41 @@ class PublicParams:
     ell: int = ELL
 
 
+class WatersBases(tuple):
+    """A public key's Waters bases u_0..u_ell: a tuple that keeps a table once it is evaluated often.
+
+    At its ``COMB_USES``-th evaluation it builds, for each 4-bit nibble of
+    the input, the 16 products of the subsets of that nibble's 4 bases
+    (``Backend.subset_sums``): 64 tables, 960 elements. ``waters_eval`` then
+    multiplies u_0 and one entry per nonzero nibble, at most 65 elements
+    where the fold multiplies one per set bit. ``table`` counts the
+    evaluations until then; the table, a function of the bases, replaces the
+    count for good and lives as long as the key that holds the bases.
+    """
+
+    table = 0
+
+    def nibble_table(self):
+        """The nibble tables from the ``COMB_USES``-th call on, values indexed by the nibble; None before."""
+        if isinstance(self.table, int):
+            if self.table + 1 < COMB_USES:
+                self.table += 1
+                return None
+            u = self[0]
+            # nibble j holds the input bits 4j+1..4j+4, the first as its high bit
+            self.table = u.backend.subset_sums(u.group, [[x.value for x in self[i : i + 4][::-1]]
+                                                         for i in range(1, len(self), 4)])
+        return self.table
+
+
 @dataclass(frozen=True)
 class SignerPublicKey:
     gS: GroupElem  # g1^alpha_S
     hS: GroupElem  # random G2
-    u: tuple[GroupElem, ...]  # ell + 1 bases of F_S
+    u: tuple[GroupElem, ...]  # ell + 1 bases of F_S, held as WatersBases
+
+    def __post_init__(self):
+        object.__setattr__(self, "u", WatersBases(self.u))
 
     def to_bytes(self) -> bytes:
         return self._encoded
@@ -92,9 +123,12 @@ class NomineePublicKey:
     gN: GroupElem  # g1^alpha_N
     hN: GroupElem  # random G2
     k: GroupElem  # random G2, blinds M_N
-    uPrime: tuple[GroupElem, ...]  # ell + 1 bases of F_N
+    uPrime: tuple[GroupElem, ...]  # ell + 1 bases of F_N, held as WatersBases
     x1: GroupElem  # g2^(1/y1)
     x2: GroupElem  # g2^(1/y2)
+
+    def __post_init__(self):
+        object.__setattr__(self, "uPrime", WatersBases(self.uPrime))
 
     def to_bytes(self) -> bytes:
         return self._encoded
@@ -199,16 +233,22 @@ def keygen_nominee(par: PublicParams, rng: Random) -> tuple[NomineePublicKey, No
 def waters_eval(bases: tuple[GroupElem, ...], mbits: bytes, counts: Optional[OpCounts] = None) -> GroupElem:
     """u_0 * prod_{i: m_i = 1} u_i for a 256-bit input, as one backend product.
 
+    Bases with a nibble table (``WatersBases``) give u_0 and one entry per
+    nonzero nibble of the input; others give u_0 and one base per set bit.
     Counts the multiplications a pairwise fold makes: one per set bit.
     """
     if len(bases) != ELL + 1:
         raise LengthMismatch(f"need {ELL + 1} bases, got {len(bases)}")
     if len(mbits) * 8 != ELL:
         raise LengthMismatch(f"need a {ELL}-bit input, got {len(mbits) * 8} bits")
-    chosen = [bases[0]] + [bases[i] for i in range(1, ELL + 1) if bit(mbits, i)]
     if counts is not None:
-        counts.ec_additions += len(chosen) - 1
-    return bases[0].backend.product(chosen)
+        counts.ec_additions += int.from_bytes(mbits, "big").bit_count()
+    u = bases[0]
+    table = bases.nibble_table() if isinstance(bases, WatersBases) else None
+    if table is None:
+        return u.backend.product([u] + [bases[i] for i in range(1, ELL + 1) if bit(mbits, i)])
+    entries = [t[v] for t, v in zip(table, (v for byte in mbits for v in (byte >> 4, byte & 15))) if v]
+    return GroupElem(u.backend, u.group, u.backend.op_all(u.group, [u.value, *entries]))
 
 
 def waters_product(

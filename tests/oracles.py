@@ -4,7 +4,8 @@ Each routine is the plainest form of what ``nomsig.bn254`` computes faster:
 the schoolbook Fp12 product over the 36 Fp2 products of its coefficients,
 square-and-multiply exponentiation over it, the G1 curve equation, affine
 binary double-and-add over any addition (on the Fp curves, over
-``curve.add`` alone), the binary Jacobian ladder on the twist, a sum of
+``curve.add`` alone), the textbook chord-and-tangent addition on the twist,
+the binary Jacobian ladder on the twist, a sum of
 multiples of twist points as one ``g2_mul`` per term, the complex-method
 Fp2 square root with its inversion, and the Miller loop over the binary
 digits of 6u+2 with one inversion per line.
@@ -62,6 +63,21 @@ def affine_mul(add, pt, k):
         if b == "1":
             acc = add(acc, pt)
     return acc
+
+
+def affine_add(p, q):
+    """p + q on the twist by the textbook chord and tangent rule, with one ``f2_inv`` per sum."""
+    if p is None or q is None:
+        return q if p is None else p
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2:
+        if f2_add(y1, y2) == F2_ZERO:
+            return None
+        m = f2_mul(f2_mul(f2_sqr(x1), (3, 0)), f2_inv(f2_add(y1, y1)))
+    else:
+        m = f2_mul(f2_sub(y2, y1), f2_inv(f2_sub(x2, x1)))
+    x3 = f2_sub(f2_sub(f2_sqr(m), x1), x2)
+    return (x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1))
 
 
 def curve_mul(p, pt, k):

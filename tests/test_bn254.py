@@ -44,7 +44,7 @@ from nomsig.bn254 import (
     g2_neg,
     pairing,
 )
-from oracles import (affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt, curve_mul, f12_pow,
+from oracles import (affine_add, affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt, curve_mul, f12_pow,
                      g1_is_on_curve, naive_g2_msm, random_twist_point, schoolbook_f12_mul, torsion_point)
 
 rng = random.Random(1301)
@@ -204,6 +204,22 @@ def test_line_steps_match_dense_lines():
             want = schoolbook_f12_mul(schoolbook_f12_mul(want, want) if step == 0 else want, line)
         assert got == want
     assert g2_add(t, g2_neg(t)) is None and g2_add(t, None) == g2_add(None, t) == t
+
+
+def test_sums_match_textbook_addition(monkeypatch):
+    # one batch of chords, doublings, t + (-t), None operands and t with the points that share its x
+    draws = random.Random(1312)
+    t, q = g2_mul(G2_GEN, 11), random_twist_point(draws)
+    pts = [g2_mul(G2_GEN, draws.randrange(1, N)) for _ in range(4)] + [q, torsion_point(draws, 10069)]
+    pairs = [(a, b) for a in pts for b in pts] + [(t, t), (t, g2_neg(t)), (g2_neg(t), t), (g2_neg(t), g2_neg(t))]
+    pairs += [(None, t), (t, None), (None, None), (q, g2_neg(q))]
+    calls = []
+    monkeypatch.setattr(bn254, "f2_inv", lambda a: calls.append(a) or f2_inv(a))
+    sums = bn254._g2_add_all(pairs)
+    assert len(calls) == 1
+    assert sums == [affine_add(a, b) for a, b in pairs]
+    assert sums[-8:] == [g2_mul(G2_GEN, 22), None, None, g2_neg(g2_mul(G2_GEN, 22)), t, t, None, None]
+    assert all(g2_is_on_curve(s) for s in sums)
 
 
 def test_inversions_match_fermat():

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from nomsig import bn254, curve, envelopes, scheme
 from nomsig import contract as ct
+from nomsig.algebra import RealBackend
 from nomsig.cli import MALFORMED, REJECTS, main
 
 
@@ -645,12 +646,14 @@ def test_every_command_keeps_its_options():
 
 def test_bn254_commands_build_no_comb_and_each_keygen_builds_one(tmp_path, monkeypatch):
     # the README pipeline on bn254, one command at a time in one process: no element of a
-    # command meets enough products to keep a comb, and each keygen takes its powers from
-    # the one comb of g2 it builds
+    # command meets enough products to keep a comb, no key's bases enough evaluations to keep
+    # a nibble table, and each keygen takes its powers from the one comb of g2 it builds
     built = []
-    g2_comb, comb = bn254.g2_comb, curve.comb
+    g2_comb, comb, subset_sums = bn254.g2_comb, curve.comb, RealBackend.subset_sums
     monkeypatch.setattr(bn254, "g2_comb", lambda pt: built.append("G2") or g2_comb(pt))
     monkeypatch.setattr(curve, "comb", lambda p, pt: built.append("G1") or comb(p, pt))
+    monkeypatch.setattr(RealBackend, "subset_sums",
+                        lambda self, group, groups: built.append("Waters") or subset_sums(self, group, groups))
     d = tmp_path
     (d / "m.bin").write_bytes(b"bn254 comb program")
     keys = ["--params", d / "params.json", "--signer-pub", d / "spk.json", "--nominee-pub", d / "npk.json"]

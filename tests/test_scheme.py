@@ -206,23 +206,71 @@ def test_real_tk_verify_rejects_each_tampered_equation(real_pipeline, field):
 
 
 def test_waters_eval_real_matches_affine_fold():
-    # the Jacobian sum against the pairwise affine fold, through infinity and equal bases
-    from nomsig.algebra import RealBackend
-
+    # the pairwise sum against the affine fold, through infinity and equal bases, by the fold
+    # of the chosen bases and by a nibble table, whose first nibble's sums meet a + ~a and a + a
     b = RealBackend()
     g = b.g2()
     a = g**3
     # partial sums: a, infinity, a, 2a (a doubling), ...
     bases = [a, ~a, a, a, g**5, g**8] + [g ** (k + 20) for k in range(251)]
-    mbits = bytes([0b11111000, 0, 0xA5]) + bytes(29)
-    want = bases[0]
-    for i in range(1, 257):
-        if bit(mbits, i):
-            want = want * bases[i]
-    assert bit(mbits, 1) and bit(mbits, 5) and not bit(mbits, 6)
-    counts = OpCounts()
-    assert waters_eval(tuple(bases), mbits, counts) == want
-    assert counts.ec_additions == hw(mbits)
+    held = tabled(bases)
+    masks = [bytes([0b11111000, 0, 0xA5]) + bytes(29), b"\xff" * 32, random.Random(2021).randbytes(32)]
+    assert bit(masks[0], 1) and bit(masks[0], 5) and not bit(masks[0], 6)
+    for mbits in masks:
+        want = bases[0]
+        for i in range(1, 257):
+            if bit(mbits, i):
+                want = want * bases[i]
+        for held_or_plain in (tuple(bases), held):
+            counts = OpCounts()
+            assert waters_eval(held_or_plain, mbits, counts) == want
+            assert counts.ec_additions == hw(mbits)
+
+
+def tabled(bases):
+    """New WatersBases over bases that have built their nibble table."""
+    held = scheme.WatersBases(bases)
+    for _ in range(COMB_USES):
+        held.nibble_table()
+    assert isinstance(held.table, list) and len(held.table) == 64
+    return held
+
+
+def _bit_mask(*bits):
+    """The 256-bit input with exactly the given bits set, 1-indexed, MSB of the first byte first."""
+    return sum(1 << (256 - i) for i in bits).to_bytes(32, "big")
+
+
+def test_nibble_table_matches_the_fold(real_pipeline):
+    # all-zero, all-ones, each single bit at a nibble edge and random inputs, on both keys' bases
+    draws = random.Random(2020)
+    masks = [bytes(32), b"\xff" * 32, *(_bit_mask(i) for i in (1, 4, 5, 256))]
+    masks += [draws.randbytes(32) for _ in range(4)]
+    assert [bit(_bit_mask(5), i) for i in (4, 5, 6)] == [0, 1, 0]
+    for bases in (real_pipeline.pk_s.u, real_pipeline.pk_n.uPrime):
+        held = tabled(bases)
+        for mbits in masks:
+            by_table, by_fold = OpCounts(), OpCounts()
+            assert waters_eval(held, mbits, by_table) == waters_eval(tuple(bases), mbits, by_fold)
+            assert by_table.ec_additions == by_fold.ec_additions == hw(mbits)
+
+
+def test_keys_build_one_nibble_table_each_at_the_comb_count(real_pipeline, monkeypatch):
+    # new key objects hold new bases: no table before their COMB_USES-th evaluation, then one
+    # per key, kept for every later verification
+    p = real_pipeline
+    pk_s, pk_n = dataclasses.replace(p.pk_s), dataclasses.replace(p.pk_n)
+    assert pk_s.u is not p.pk_s.u and pk_s.u.table == pk_n.uPrime.table == 0
+    d = derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
+    built = []
+    subset_sums = RealBackend.subset_sums
+    monkeypatch.setattr(RealBackend, "subset_sums",
+                        lambda self, group, groups: built.append(len(groups)) or subset_sums(self, group, groups))
+    for i in range(1, COMB_USES + 3):
+        ok, counts = scheme.tk_verify(p.par, pk_s, pk_n, p.m, p.sigma, p.tk)
+        assert ok and counts.ec_additions == hw(d.MS) + hw(d.MNbits) + 2
+        assert built == ([64, 64] if i >= COMB_USES else []), i
+        assert isinstance(pk_s.u.table, list) is isinstance(pk_n.uPrime.table, list) is (i >= COMB_USES)
 
 
 @pytest.mark.parametrize("keygen, powers", [(scheme.keygen_signer, 258), (scheme.keygen_nominee, 261)],
