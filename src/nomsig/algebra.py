@@ -11,6 +11,9 @@ Two interchangeable backends expose the same surface:
 Scalars are plain ints in [0, order). Group elements are immutable wrapper
 objects supporting ``*`` (group operation), ``**`` (scalar exponent), ``/``
 and ``~`` (inverse), so scheme code reads like the algebra it implements.
+A backend's one group-law hook is ``add_all``, which multiplies each pair of
+a list in one call; ``Backend`` writes ``op``, ``op_all`` and
+``subset_sums`` over it.
 """
 
 from __future__ import annotations
@@ -171,16 +174,11 @@ class Backend:
         for a, b in pairs:
             if a.group != "G1" or b.group != "G2":
                 raise AlgebraError(f"pairing needs (G1, G2), got ({a.group}, {b.group})")
-        prepared = self.prepare_g2([b for _, b in pairs])
-        return GroupElem(self, "GT", self.pairing_product_values([(a.value, q) for (a, _), q in zip(pairs, prepared)]))
+        return GroupElem(self, "GT", self.pairing_product_values(pairs))
 
     def pairing_check(self, pairs: list[tuple[GroupElem, GroupElem]]) -> bool:
         """Whether prod_i e(a_i, b_i) is the identity, checked as one batch."""
         return self.pairing_product(pairs).is_identity()
-
-    def prepare_g2(self, elems: list[GroupElem]) -> list:
-        """The G2 side of each pair in the form ``pairing_product_values`` takes: here the value."""
-        return [e.value for e in elems]
 
     def multi_exp(self, terms: list[tuple[GroupElem, int]]) -> GroupElem:
         """prod_i x_i^k_i over one or more (element, scalar) terms of one group, as one joint exponentiation."""
@@ -197,7 +195,14 @@ class Backend:
 
     def subset_sums(self, group: str, groups: list[list]) -> list[list]:
         """``curve.subset_sums`` over lists of values of one group: entry j of a list's table multiplies its values at the set bits of j."""
-        return curve.subset_sums(groups, lambda pairs: [self.op(group, a, b) for a, b in pairs])
+        return curve.subset_sums(groups, functools.partial(self.add_all, group))
+
+    def op(self, group, a, b):
+        return self.add_all(group, [(a, b)])[0]
+
+    def op_all(self, group, values):
+        """The product of one or more values of one group, by a pairwise tree: one ``add_all`` call per level."""
+        return curve.sums([values], functools.partial(self.add_all, group))[0]
 
     def element(self, group: str, data: bytes) -> GroupElem:
         return GroupElem(self, group, self.deserialize(group, data))
@@ -218,10 +223,9 @@ class Backend:
     # value-level hooks implemented per backend
     def generator_value(self, group): raise NotImplementedError
     def identity_value(self, group): raise NotImplementedError
-    def op(self, group, a, b): raise NotImplementedError
-    def op_all(self, group, values): raise NotImplementedError
+    def add_all(self, group, pairs): raise NotImplementedError  # a * b for each pair (a, b) of values, in one call
     def inv(self, group, a): raise NotImplementedError
-    def pairing_product_values(self, pairs): raise NotImplementedError  # (G1 value, prepare_g2 entry) pairs
+    def pairing_product_values(self, pairs): raise NotImplementedError  # (G1, G2) element pairs
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
 
@@ -245,11 +249,8 @@ class MockBackend(Backend):
     def identity_value(self, group):
         return 0
 
-    def op(self, group, a, b):
-        return (a + b) % self.order
-
-    def op_all(self, group, values):
-        return sum(values) % self.order
+    def add_all(self, group, pairs):
+        return [(a + b) % self.order for a, b in pairs]
 
     def inv(self, group, a):
         return -a % self.order
@@ -262,7 +263,7 @@ class MockBackend(Backend):
         return GroupElem(self, group, sum(x.value * k for x, k in terms) % self.order)
 
     def pairing_product_values(self, pairs):
-        return sum(a * b for a, b in pairs) % self.order
+        return sum(a.value * b.value for a, b in pairs) % self.order
 
     def serialize(self, group, a):
         return a.to_bytes(32, "big")
@@ -330,23 +331,12 @@ class RealBackend(Backend):
     def identity_value(self, group):
         return bn254.F12_ONE if group == "GT" else None
 
-    def op(self, group, a, b):
+    def add_all(self, group, pairs):  # on G1 and G2, one batched inversion for all the pairs
         if group == "G1":
-            return bn254.g1_add(a, b)
+            return curve.add_all(bn254.P, pairs)
         if group == "G2":
-            return bn254.g2_add(a, b)
-        return bn254.f12_mul(a, b)
-
-    def op_all(self, group, values):
-        if group == "G2":  # pairwise, one batched inversion per level
-            return bn254._g2_sums([values])[0]
-        return functools.reduce(lambda a, b: self.op(group, a, b), values)
-
-    def subset_sums(self, group, groups):
-        """As the default; on G2 the sums of every list's i-th value take one batched inversion."""
-        if group == "G2":
-            return curve.subset_sums(groups, bn254._g2_add_all)
-        return super().subset_sums(group, groups)
+            return bn254._g2_add_all(pairs)
+        return [bn254.f12_mul(a, b) for a, b in pairs]
 
     def inv(self, group, a):
         if group == "G1":
@@ -400,21 +390,19 @@ class RealBackend(Backend):
         values = bn254.g2_comb_powers(self.comb_of(base, now=True), [k % self.order for k in scalars])
         return [GroupElem(self, "G2", v) for v in values]
 
-    def prepare_g2(self, elems):
-        """Each element's Miller-loop lines (None for the identity), kept in its ``lines`` slot.
-
-        The elements that have none yet get them from one ``bn254.g2_lines``
-        batch over their distinct values; the slot is written once.
-        """
-        new = [e for e in elems if e.lines is None and e.value is not None]
-        qs = list(dict.fromkeys(e.value for e in new))
-        lines = dict(zip(qs, bn254.g2_lines(qs)))
-        for e in new:
-            object.__setattr__(e, "lines", lines[e.value])
-        return [e.lines for e in elems]
-
     def pairing_product_values(self, pairs):
-        return bn254.final_exp(bn254.miller_eval(pairs))
+        """One Miller evaluation over the pairs' G2 lines, then the final exponentiation.
+
+        A G2 element keeps its lines (None for the identity) in its ``lines``
+        slot, written once: the elements that have none yet get them from one
+        ``bn254.g2_lines`` batch over their distinct values.
+        """
+        new = [b for _, b in pairs if b.lines is None and b.value is not None]
+        qs = list(dict.fromkeys(b.value for b in new))
+        lines = dict(zip(qs, bn254.g2_lines(qs)))
+        for b in new:
+            object.__setattr__(b, "lines", lines[b.value])
+        return bn254.final_exp(bn254.miller_eval([(a.value, b.lines) for a, b in pairs]))
 
     def serialize(self, group, a):
         if group == "GT":

@@ -7,10 +7,10 @@ pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
 G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below.
 One slope routine, ``_slopes``, gives the chord or tangent slope of each of
 a list of (t, q) pairs with one batched inversion. Every affine sum on the
-twist takes it through ``_g2_add_all``: ``g2_add``, the pairwise trees of
-``_g2_sums`` (G2 products and the batched subgroup test's buckets), and the
-subset sums of ``g2_mul_gls``, the combs and the Waters tables. Only the
-Miller loop's ``_chords`` also forms each line's w^3 coefficient.
+twist takes it through ``_g2_add_all``, G2's adder for the batched sums of
+``curve``: ``g2_add``, G2 products, the batched subgroup test's buckets,
+``g2_mul_gls``, the combs and the Waters tables. Only the Miller loop's
+``_chords`` also forms each line's w^3 coefficient.
 
 The Miller loop walks the signed digits of 6u+2: 65 doublings, 21 additions
 and 2 Frobenius lines, 88 line steps. ``g2_lines`` computes each G2 point's
@@ -22,10 +22,10 @@ LATINCRYPT 2010); ``miller_loop`` keeps none.
 
 Every exponentiation runs the one double-and-add loop ``curve.ladder``:
   - G1 ``g1_mul`` splits the scalar in two with the cube-root endomorphism
-    (``curve.glv_mul``), a joint ladder over subset sums;
+    (``curve.glv_mul``);
   - in the order-N subgroups, ``g2_mul_gls`` (also for powers of G2_GEN)
-    and ``gt_pow_gls`` split it in four with the Frobenius, the same way,
-    and run a product of powers as one ladder;
+    and ``gt_pow_gls`` split it in four with the Frobenius; like ``glv_mul``
+    they run a product of powers as one ladder over ``curve.split_table``;
   - a G1 or G2 point raised to many powers keeps a Lim-Lee comb of 8 teeth
     (``curve.comb`` and ``g2_comb``, both ``curve.comb_table``): its terms
     take 32 steps of at most one table entry each, run as the last steps of
@@ -428,10 +428,6 @@ def g1_neg(pt):
     return None if pt is None else (pt[0], -pt[1] % P)
 
 
-def g1_add(p, q):
-    return curve.add(P, p, q)
-
-
 # (x, y) -> (beta*x, y) is multiplication by lam on G1, with beta^3 = 1 in Fp.
 G1_GLV = curve.glv(P, N, beta=18 * U**3 + 18 * U**2 + 9 * U + 1, lam=36 * U**3 + 18 * U**2 + 6 * U + 1)
 
@@ -702,39 +698,15 @@ GLS_LATTICE = curve.lattice([
 ])
 
 
-def _gls_table(terms, frob, neg, add_all):
-    """The bit columns of one joint ladder for prod x^k over (x, k) terms, and the table they index.
-
-    Each k splits in four parts, over x and its three Frobenius images,
-    negated where the part is negative; each term gets the 16 subset sums of
-    its four bases. The table maps a column, one bit of every part, to the
-    sum of the entries it selects, one per term. ``add_all`` adds pairs,
-    with None as the identity.
-    """
-    bases, parts = [], []
-    for x, k in terms:
-        for i, c in enumerate(curve.split(k % N, GLS_LATTICE)):
-            x = frob(x) if i else x
-            bases.append(x if c >= 0 else neg(x))
-            parts.append(abs(c))
-    sums = curve.subset_sums([bases[i : i + 4] for i in range(0, len(bases), 4)], add_all)
-    cols = curve.columns(parts)
-    keys = list(set(cols))
-    acc = [None] * len(keys)
-    for i, table in enumerate(sums):
-        acc = add_all([(a, table[c >> 4 * i & 15]) for a, c in zip(acc, keys)])
-    return cols, dict(zip(keys, acc))
-
-
 def g2_mul_gls(terms, combs=()):
     """sum k * pt over (pt, k) terms, for points of G2 only, plus combs, by one joint ladder.
 
-    The table takes 3 inversions for the subset sums and one per further
-    term; the ladder makes one mixed addition per nonzero column. The
-    (``g2_comb`` of pt, k) terms combs, with 0 <= k < 2^256, add theirs in
-    its last 32 steps (``curve.comb_ladder``).
+    The table takes 3 inversions for the subset sums and one per level of
+    the terms' pairwise tree; the ladder makes one mixed addition per
+    nonzero column. The (``g2_comb`` of pt, k) terms combs, with
+    0 <= k < 2^256, add theirs in its last 32 steps (``curve.comb_ladder``).
     """
-    cols, table = _gls_table([(pt, k) for pt, k in terms if pt is not None], _tw_frob, g2_neg, _g2_add_all)
+    cols, table = curve.split_table([(pt, k % N) for pt, k in terms], GLS_LATTICE, _tw_frob, g2_neg, _g2_add_all)
     return _to_affine_f2(curve.comb_ladder(cols, table, combs, _jac_double_f2, _jac_madd_f2))
 
 
@@ -744,8 +716,8 @@ def gt_pow_gls(terms):
     A negative part takes the conjugate, the inverse in GT. The ladder
     starts from the first column's entry, so it never squares 1.
     """
-    cols, table = _gls_table(terms, f12_frob, f12_conj,
-                             lambda pairs: [b if a is None else a if b is None else f12_mul(a, b) for a, b in pairs])
+    cols, table = curve.split_table([(a, k % N) for a, k in terms], GLS_LATTICE, f12_frob, f12_conj,
+                                    lambda pairs: [f12_mul(a, b) for a, b in pairs])
     return curve.ladder(table[cols[0]], cols[1:], table, f12_cyc_sqr, f12_mul) if cols else F12_ONE
 
 
@@ -820,28 +792,16 @@ def batch_coefficients(pts, count):
         size *= 2  # the longer digest extends the shorter one
 
 
-def _g2_sums(lists):
-    """The sum of each list of affine twist points (None for infinity), by pairwise trees.
-
-    Each level of every list's tree goes into one ``_g2_add_all`` call: one
-    inversion per level for all the lists.
-    """
-    while any(len(pts) > 1 for pts in lists):
-        sums = iter(_g2_add_all([pair for pts in lists for pair in zip(pts[::2], pts[1::2])]))
-        lists = [[next(sums) for _ in pts[1::2]] + pts[len(pts) & ~1 :] for pts in lists]
-    return [pts[0] if pts else None for pts in lists]
-
-
 def _g2_msm(pts, ks):
     """sum k * pt over finite twist points and integers k >= 0, by signed-digit buckets (Pippenger).
 
     Each k is written in base 2^w with digits in [-2^(w-1), 2^(w-1)), where
     w grows with log n (6 for a public key's 258 points). In each digit
     position (window), bucket d gets the points whose digit is d or -d, the
-    latter negated, and ``_g2_sums`` adds up every bucket at once. A window's
-    sum_d d * B_d is sum_d R_d over the running sums R_d = sum_{d' >= d} B_d'
-    (one mixed addition each, then one inversion for all), again by
-    ``_g2_sums``; Horner's rule in 2^w joins the windows.
+    latter negated, and ``curve.sums`` adds up every bucket at once. A
+    window's sum_d d * B_d is sum_d R_d over the running sums
+    R_d = sum_{d' >= d} B_d' (one mixed addition each, then one inversion for
+    all), again by ``curve.sums``; Horner's rule in 2^w joins the windows.
     """
     w = max(3, len(pts).bit_length() - 3)
     half = 1 << (w - 1)
@@ -856,7 +816,7 @@ def _g2_msm(pts, ks):
             if d:
                 windows[j].setdefault(abs(d), []).append(pt if d > 0 else g2_neg(pt))
             j += 1
-    sums = iter(_g2_sums([b for buckets in windows for b in buckets.values()]))
+    sums = iter(curve.sums([b for buckets in windows for b in buckets.values()], _g2_add_all))
     runs = []
     for buckets in windows:
         buckets = {d: next(sums) for d in buckets}
@@ -867,7 +827,7 @@ def _g2_msm(pts, ks):
         runs.append(run)
     finite = iter(_batch_to_affine_f2([q for run in runs for q in run if q is not None]))
     acc = None
-    for s in reversed(_g2_sums([[q and next(finite) for q in run] for run in runs])):
+    for s in reversed(curve.sums([[q and next(finite) for q in run] for run in runs], _g2_add_all)):
         for _ in range(w):
             acc = _jac_double_f2(acc)
         acc = _jac_madd_f2(acc, s)

@@ -7,12 +7,12 @@ doubling never reaches infinity. ``bn254`` has the Fp2 copy for the twist.
 
 ``ladder`` is the one double-and-add loop of the package: every
 exponentiation in G1, G2, GT and secp256k1 runs it, over its own group's
-doubling and addition. Here ``straus`` runs it over a table of subset sums
-(Straus's joint ladder); on the order-n group, ``glv_mul`` first splits
-each scalar into two parts of half its length with the cube-root
-endomorphism (x, y) -> (beta*x, y) (Gallant-Lambert-Vanstone, CRYPTO 2001).
-The lattice helpers below also split ``bn254``'s scalars in four for G2
-and GT.
+doubling and addition. A product of powers is one joint ladder (Straus)
+over ``split_table``, which splits each scalar in short parts with an
+endomorphism: in two for ``glv_mul``, with (x, y) -> (beta*x, y)
+(Gallant-Lambert-Vanstone, CRYPTO 2001), and in four for G2 and GT in
+``bn254``. Every batched sum takes its group's ``add_all``, which adds a
+list of pairs in one call, as do the pairwise trees of ``sums``.
 
 A point that is raised to many powers can keep a Lim-Lee comb (CRYPTO '94,
 ``comb_table``): with k = sum_i k_i 2^(32i) in eight 32-bit pieces, k * pt
@@ -138,6 +138,14 @@ def subset_sums(groups, add_all):
     return tables
 
 
+def sums(lists, add_all):
+    """The sum of each list (None for an empty one) by pairwise trees: one ``add_all`` call per level for all lists."""
+    while any(len(xs) > 1 for xs in lists):
+        new = iter(add_all([pair for xs in lists for pair in zip(xs[::2], xs[1::2])]))
+        lists = [[next(new) for _ in xs[1::2]] + xs[len(xs) & ~1 :] for xs in lists]
+    return [xs[0] if xs else None for xs in lists]
+
+
 def columns(scalars):
     """The bit columns of scalars >= 0, most significant first: bit j of a column is a bit of scalars[j]."""
     width = max((k.bit_length() for k in scalars), default=0)
@@ -148,7 +156,7 @@ def columns(scalars):
 def ladder(acc, steps, table, double, add):
     """From acc, for each step s: double, then add table[s] if s is nonzero.
 
-    A step is a bit column over a table of subset sums (``straus``) or a
+    A step is a bit column over a table of sums (``split_table``) or a
     signed digit over a table of odd multiples. ``double`` and ``add`` are
     the group's, so the loop serves every group of the package.
     """
@@ -157,17 +165,6 @@ def ladder(acc, steps, table, double, add):
         if s:
             acc = add(acc, table[s])
     return acc
-
-
-def straus(p, bases, scalars, combs=()):
-    """sum_i scalars[i] * bases[i] for affine bases and scalars >= 0, plus the ``comb_ladder`` terms combs.
-
-    One Jacobian doubling per bit of the longest scalar and at most one mixed
-    addition of a subset sum per bit (Straus's joint ladder).
-    """
-    table = subset_sums([bases], partial(add_all, p))[0]
-    acc = comb_ladder(columns(scalars), table, combs, partial(jac_double, p), partial(jac_madd, p))
-    return to_affine(p, acc)
 
 
 def comb_table(pt, double, madd, to_affine_all, add_all):
@@ -204,10 +201,10 @@ def comb_ladder(steps, table, combs, double, madd):
         return ladder(None, cols[0], combs[0][0], double, madd)
     n = max(len(steps), *map(len, cols))
     adds = [[table[s]] if s else [] for s in [0] * (n - len(steps)) + steps]
-    for (sums, _), cs in zip(combs, cols):
+    for (table_k, _), cs in zip(combs, cols):
         for entry, c in zip(adds[n - len(cs):], cs):
             if c:
-                entry.append(sums[c])
+                entry.append(table_k[c])
     # the step indices 1..n pick each step's entries, which madd adds one by one
     return ladder(None, range(1, n + 1), [None, *adds], double, lambda acc, pts: reduce(madd, pts, acc))
 
@@ -252,6 +249,30 @@ def split(k, lat):
     return parts
 
 
+def split_table(terms, lat, endo, neg, add_all):
+    """The bit columns of one joint ladder for sum k * x over (x, k) terms with x not None, and their table.
+
+    Each k splits in d = len(lat.basis) parts over x and its images under
+    endo, each negated (neg) where its part is negative, and each term keeps
+    the 2^d subset sums of its d bases. A nonzero column, one bit of every
+    part, maps to the ``sums`` of the entries it selects, one per term.
+    """
+    d = len(lat.basis)
+    bases, parts = [], []
+    for x, k in terms:
+        if x is None:
+            continue
+        for i, c in enumerate(split(k, lat)):
+            x = endo(x) if i else x
+            bases.append(x if c >= 0 else neg(x))
+            parts.append(abs(c))
+    tables = subset_sums([bases[i : i + d] for i in range(0, len(bases), d)], add_all)
+    cols, mask = columns(parts), (1 << d) - 1
+    keys = [c for c in set(cols) if c]
+    entries = [[t[c >> d * i & mask] for i, t in enumerate(tables) if c >> d * i & mask] for c in keys]
+    return cols, dict(zip(keys, sums(entries, add_all)))
+
+
 def glv_basis(n, lam):
     """Two short rows (a, b) with a + b*lam = 0 mod n, for prime n and lam^2 + lam + 1 = 0 mod n.
 
@@ -278,18 +299,11 @@ def glv(p, n, beta, lam):
 def glv_mul(c, terms, combs=()):
     """sum k * pt over (pt, k) terms, for points of the order-n group of the Glv curve c, plus combs.
 
-    Each k splits into k0 + k1*lam with halves of about log2(n)/2 bits, so m
-    terms make one ``straus`` ladder over 2m bases: pt, (beta*x, y), each
-    negated where its half is negative. The (comb of pt, k) terms combs, with
+    Each k splits into k0 + k1*lam, halves of about log2(n)/2 bits, over pt
+    and (beta*x, y) (``split_table``). The (comb of pt, k) terms combs, with
     0 <= k < 2^256, join the same ladder (``comb_ladder``).
     """
     p = c.p
-    bases, scalars = [], []
-    for pt, k in terms:
-        if pt is None:
-            continue
-        x, y = pt
-        for base, part in zip(((x, y), (c.beta * x % p, y)), split(k, c.lat)):
-            bases.append(base if part >= 0 else (base[0], -base[1] % p))
-            scalars.append(abs(part))
-    return straus(p, bases, scalars, combs)
+    cols, table = split_table(terms, c.lat, lambda pt: (c.beta * pt[0] % p, pt[1]), lambda pt: (pt[0], -pt[1] % p),
+                              partial(add_all, p))
+    return to_affine(p, comb_ladder(cols, table, combs, partial(jac_double, p), partial(jac_madd, p)))

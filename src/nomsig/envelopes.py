@@ -21,7 +21,7 @@ from typing import Optional
 from .algebra import ELL, AlgebraError, Backend, GroupElem, get_backend
 from .bn254 import N
 from .contract import UINT256_LIMIT, ContractState, ExecutionReceipt, Phase, WalletLedger
-from .gasmodel import GasReport
+from .gasmodel import REPORT_COUNTS, GasModelError, GasReport
 from .scheme import (DeltaMsg, NomSignature, NomineePublicKey, NomineeSecretKey, PublicParams,
                      SignerPublicKey, SignerSecretKey, VerificationToken, setup)
 from .trigger import ADDRESS_LEN
@@ -310,26 +310,23 @@ def contract_state_from_payload(
     return state, ledger
 
 
-_GAS = ("tkverify_gas", "ecrecover_gas", "total_gas", "pairing_pairs", "ec_additions",
-        "unpriced_scalar_mults")
-
-
 def gas_report_payload(report: GasReport) -> dict:
     eth = None if report.eth_cost is None else str(report.eth_cost)
-    return {**{name: getattr(report, name) for name in _GAS}, "eth_cost": eth}
+    return {**{name: getattr(report, name) for name in REPORT_COUNTS}, "eth_cost": eth}
 
 
 def gas_report_from_payload(payload: dict) -> GasReport:
-    counts = {name: _int(payload.get(name), name) for name in _GAS}
+    counts = {name: _int(payload.get(name), name) for name in REPORT_COUNTS}
     eth = payload.get("eth_cost")
     try:
         eth = None if eth is None else Fraction(_of(str, eth, "eth_cost"))
     except (ValueError, ZeroDivisionError):
         raise EnvelopeError(f"eth_cost: need a fraction, got {eth!r}") from None
-    if eth is not None and eth < 0:
-        raise EnvelopeError(f"eth_cost: need a fraction >= 0, got {eth}")
     total = counts.pop("total_gas")
-    report = GasReport(**counts, eth_cost=eth)
+    try:
+        report = GasReport(**counts, eth_cost=eth)
+    except GasModelError as exc:
+        raise EnvelopeError(str(exc)) from None
     if total != report.total_gas:
         raise EnvelopeError("total_gas is not tkverify_gas + ecrecover_gas")
     return report

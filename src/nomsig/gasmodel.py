@@ -21,6 +21,10 @@ from .scheme import OpCounts
 # ETH per gas unit snapshot: 0.00629058 ETH for a 355,400 gas verification
 DEFAULT_GAS_PRICE_ETH = Fraction(629058, 10**8) / 355400
 
+# A gas report's integer figures in receipt order: each is below 2^64, as EVM gas is.
+REPORT_COUNTS = ("tkverify_gas", "ecrecover_gas", "total_gas", "pairing_pairs", "ec_additions",
+                 "unpriced_scalar_mults")
+
 
 class GasModelError(Exception):
     pass
@@ -63,6 +67,13 @@ class GasReport:
     ec_additions: int = 0
     unpriced_scalar_mults: int = 0
     eth_cost: Optional[Fraction] = None
+
+    def __post_init__(self):
+        for name in REPORT_COUNTS:
+            if not 0 <= getattr(self, name) < 2**64:
+                raise GasModelError(f"{name} is outside [0, 2^64)")
+        if self.eth_cost is not None and not 0 <= self.eth_cost < 2**256:  # bounded as a 256-bit word is
+            raise GasModelError("eth_cost is outside [0, 2^256)")
 
     @property
     def total_gas(self) -> int:

@@ -66,7 +66,6 @@ class PublicParams:
     g1: GroupElem
     g2: GroupElem
     order: int
-    ell: int = ELL
 
 
 class WatersBases(tuple):
@@ -211,7 +210,7 @@ def keygen_signer(par: PublicParams, rng: Random) -> tuple[SignerPublicKey, Sign
     """The signer's keys; hS and u_0..u_ell come from one ``base_powers`` call, from g2's comb on bn254."""
     b = par.backend
     alpha = b.random_scalar(rng)
-    v = [b.random_scalar(rng) for _ in range(par.ell + 1)]
+    v = [b.random_scalar(rng) for _ in range(ELL + 1)]
     hS, *u = b.base_powers(par.g2, [b.random_scalar(rng), *v])
     # v_0..v_ell are only needed to build u and are dropped here.
     return SignerPublicKey(gS=par.g1**alpha, hS=hS, u=tuple(u)), SignerSecretKey(alphaS=alpha)
@@ -223,7 +222,7 @@ def keygen_nominee(par: PublicParams, rng: Random) -> tuple[NomineePublicKey, No
     alpha = b.random_scalar(rng)
     y1 = b.random_nonzero_scalar(rng)
     y2 = b.random_nonzero_scalar(rng)
-    vp = tuple(b.random_scalar(rng) for _ in range(par.ell + 1))
+    vp = tuple(b.random_scalar(rng) for _ in range(ELL + 1))
     hN, k, x1, x2, *u = b.base_powers(par.g2, [b.random_scalar(rng), b.random_scalar(rng),
                                                pow(y1, -1, par.order), pow(y2, -1, par.order), *vp])
     pk = NomineePublicKey(gN=par.g1**alpha, hN=hN, k=k, uPrime=tuple(u), x1=x1, x2=x2)
@@ -359,7 +358,7 @@ def receive(
     mn = b.multi_exp([(par.g2, t), (pk_n.k, s)])
     mn_bits = hash_h1(mn.to_bytes())
     expo = sk_n.vPrime[0]
-    for i in range(1, par.ell + 1):
+    for i in range(1, ELL + 1):
         if bit(mn_bits, i):
             expo += sk_n.vPrime[i]
     # d3' hN^alphaN d2'^expo

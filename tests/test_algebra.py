@@ -226,6 +226,21 @@ def test_product_matches_pairwise_fold(backend):
         b.product([b.g1(), b.g2()])
 
 
+@pytest.mark.parametrize("backend", [MockBackend(), RealBackend()], ids=["mock", "bn254"])
+def test_add_all_matches_op_one_pair_at_a_time(backend):
+    # the one group-law hook of a backend, over pairs gen^a * gen^c in one call: the identity
+    # on either side, equal pairs and opposite pairs
+    b = backend
+    cases = [(5, 9), (5, 5), (5, -5), (0, 9), (5, 0), (0, 0), (9, 5), (-9, -9), (7, 11)]
+    for group in ("G1", "G2", "GT"):
+        gen = getattr(b, group.lower())()
+        pairs = [((gen**a).value, (gen**c).value) for a, c in cases]
+        got = b.add_all(group, pairs)
+        assert got == [b.op(group, x, y) for x, y in pairs]
+        assert got == [(gen ** (a + c)).value for a, c in cases]
+        assert b.add_all(group, []) == []
+
+
 def test_real_gt_decode_rejects_non_subgroup_values():
     from nomsig import bn254
 

@@ -30,7 +30,6 @@ from nomsig.bn254 import (
     f12_is_cyclotomic,
     f12_mul,
     f12_sqr,
-    g1_add,
     g1_mul,
     g1_mul_base,
     g1_neg,
@@ -61,12 +60,12 @@ def naive_g1_mul(pt, k):
     # independent oracle: repeated affine addition
     acc = None
     for _ in range(k):
-        acc = g1_add(acc, pt)
+        acc = curve.add(P, acc, pt)
     return acc
 
 
 GROUPS = {
-    "G1": (G1_GEN, g1_add, g1_mul, g1_mul_base, g1_neg),
+    "G1": (G1_GEN, lambda a, b: curve.add(P, a, b), g1_mul, g1_mul_base, g1_neg),
     "G2": (G2_GEN, g2_add, g2_mul, g2_mul_base, g2_neg),
 }
 
@@ -94,10 +93,13 @@ def test_g2_mul_unreduced_scalars():
     assert g2_mul(G2_GEN, -(N + 2)) == g2_neg(two)
 
 
-def test_fp_core_mixed_addition_of_equal_and_opposite_points():
-    two = g1_add(G1_GEN, G1_GEN)
-    assert curve.straus(P, [G1_GEN], [N + 2]) == two == curve_mul(P, G1_GEN, N + 2)
-    assert curve.straus(P, [None], [5]) is None
+def test_fp_core_mixed_addition_of_equal_and_opposite_points(monkeypatch):
+    # glv_mul's joint ladder with the split fixed to (N + 2, 0): an unreduced part, so the
+    # last mixed addition meets a point equal to the accumulator
+    monkeypatch.setattr(curve, "split", lambda k, lat: [N + 2, 0])
+    two = curve.add(P, G1_GEN, G1_GEN)
+    assert curve.glv_mul(bn254.G1_GLV, [(G1_GEN, 1)]) == two == curve_mul(P, G1_GEN, N + 2)
+    assert curve.glv_mul(bn254.G1_GLV, [(None, 5)]) is None
 
 
 def test_curve_constants():
@@ -400,7 +402,7 @@ def test_pairing_non_degenerate_and_order():
 def test_pairing_linearity_in_first_argument():
     p7 = g1_mul(G1_GEN, 7)
     p11 = g1_mul(G1_GEN, 11)
-    lhs = pairing(g1_add(p7, p11), G2_GEN)
+    lhs = pairing(curve.add(P, p7, p11), G2_GEN)
     rhs = f12_mul(pairing(p7, G2_GEN), pairing(p11, G2_GEN))
     assert lhs == rhs
 

@@ -321,6 +321,33 @@ def test_negative_ec_additions_exits_2():
     assert "tkverify=" not in res.output
 
 
+def _json_file(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+HUGE = 10**400  # 401 digits
+
+
+@pytest.mark.parametrize("args", [
+    lambda d, tmp: ["report-gas", "--gas-price", "1e999999"],
+    lambda d, tmp: ["report-gas", "--cost-table", _json_file(tmp / "ct.json", {"pairing_base": HUGE})],
+    lambda d, tmp: ["report-gas", "--receipt", _receipt(tmp, lambda gas: {**gas, "eth_cost": str(HUGE)})],
+    lambda d, tmp: ["report-gas", "--pairing-pairs", 10**300],
+    lambda d, tmp: ["trigger", "--state", _rearmed_state(d, tmp), "--token", d / "token.json",
+                    "--investor-seed", "inv", "--nonce", 5, "--gas-price", "1e305"],
+], ids=["gas-price", "cost-table", "receipt-eth-cost", "pairing-pairs", "trigger-gas-price"])
+def test_gas_figure_out_of_range_exits_2_and_writes_nothing(workdir, tmp_path, args):
+    # gas figures are 64-bit and ETH costs below 2^256; each case used to end in an
+    # OverflowError traceback where the figure was printed, the trigger after writing its state
+    args = args(workdir, tmp_path)
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    res = invoke(*args)
+    assert_malformed(res)
+    assert "accept" not in res.output and "tkverify=" not in res.output
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 def test_trigger_with_nonce_of_2_256_exits_2(workdir, tmp_path):
     # a nonce is a 256-bit word; one more bit used to end in an OverflowError traceback
     res = invoke("trigger", "--state", _rearmed_state(workdir, tmp_path), "--token",

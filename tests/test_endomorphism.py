@@ -126,6 +126,9 @@ def test_glv_mul_matches_curve_mul(c):
     a, b = (draws.randrange(n) for _ in range(2))
     want = curve.add(c.p, curve_mul(c.p, pts[0], a), curve_mul(c.p, pts[1], b))
     assert curve.glv_mul(c, [(pts[0], a), (pts[1], b)]) == want
+    # a comb term joins the two split terms' ladder
+    assert curve.glv_mul(c, [(pts[0], a), (pts[1], b)], [(curve.comb(c.p, pts[1]), a)]) == \
+        curve.add(c.p, want, curve_mul(c.p, pts[1], a))
     assert curve.glv_mul(c, [(None, a), (pts[1], b)]) == curve_mul(c.p, pts[1], b)
     assert curve.glv_mul(c, [(pts[0], a), ((pts[0][0], -pts[0][1] % c.p), a)]) is None
     assert curve.glv_mul(c, []) is None
@@ -140,14 +143,21 @@ def test_g1_mul_matches_curve_mul():
 
 
 def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypatch):
+    # the joint ladder over the subset sums of the bases, as glv_mul and g2_mul_gls run it
+    def joint(p, bases, scalars):
+        table = curve.subset_sums([bases], lambda pairs: curve.add_all(p, pairs))[0]
+        steps = curve.columns(scalars)
+        return curve.to_affine(p, curve.comb_ladder(steps, table, (), lambda q: curve.jac_double(p, q),
+                                                    lambda q, a: curve.jac_madd(p, q, a)))
+
     # bases (Q, 2Q) with scalars (2, 1): after one doubling the accumulator is 2Q, the next entry
     for p, pt, neg in ((P, G1_GEN, bn254.g1_neg), (trigger.P, trigger.G, lambda q: (q[0], trigger.P - q[1]))):
         two = curve.add(p, pt, pt)
-        assert curve.straus(p, [pt, two], [2, 1]) == curve_mul(p, pt, 4)
-        assert curve.straus(p, [pt, neg(two)], [2, 1]) is None
-        assert curve.straus(p, [pt, neg(pt)], [1, 1]) is None  # the subset sum itself is infinity
-        assert curve.straus(p, [pt, neg(pt)], [3, 1]) == two
-        assert curve.straus(p, [], []) is None
+        assert joint(p, [pt, two], [2, 1]) == curve_mul(p, pt, 4)
+        assert joint(p, [pt, neg(two)], [2, 1]) is None
+        assert joint(p, [pt, neg(pt)], [1, 1]) is None  # the subset sum itself is infinity
+        assert joint(p, [pt, neg(pt)], [3, 1]) == two
+        assert joint(p, [], []) is None
 
     # the same cases on g2_mul_gls's ladder: the split is fixed, and the
     # twist Frobenius replaced so that the conjugates of Q are 2Q, 4Q, 8Q or -Q, Q, -Q
@@ -187,6 +197,8 @@ def test_joint_products_match_the_general_ladders():
     ks = [draws.randrange(N) for _ in els]
     want = reduce(bn254.f12_mul, [f12_cyc_pow(a, k) for a, k in zip(els, ks)])
     assert bn254.gt_pow_gls(list(zip(els, ks))) == want
+    # three terms whose column entries meet 1: e^k * e^-k * a
+    assert bn254.gt_pow_gls([(e, ks[0]), (bn254.f12_conj(e), ks[0]), (els[1], 1)]) == els[1]
     assert bn254.g2_mul_gls([]) is None and bn254.gt_pow_gls([]) == bn254.F12_ONE
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from nomsig import bn254, curve, scheme, zkproto
-from nomsig.algebra import COMB_USES, GroupElem, MockBackend, RealBackend, hash_h1, bit
+from nomsig.algebra import COMB_USES, ELL, GroupElem, MockBackend, RealBackend, hash_h1, bit
 from nomsig.scheme import (
     DeltaMsg,
     LengthMismatch,
@@ -32,9 +32,9 @@ def test_setup_rejects_other_levels():
 
 def test_keygen_shapes(mock_pipeline):
     p = mock_pipeline
-    assert len(p.pk_s.u) == p.par.ell + 1
-    assert len(p.pk_n.uPrime) == p.par.ell + 1
-    assert len(p.sk_n.vPrime) == p.par.ell + 1
+    assert len(p.pk_s.u) == ELL + 1
+    assert len(p.pk_n.uPrime) == ELL + 1
+    assert len(p.sk_n.vPrime) == ELL + 1
     # x1, x2 invert y1, y2 against g2
     assert p.pk_n.x1 ** p.sk_n.y1 == p.par.g2
     assert p.pk_n.x2 ** p.sk_n.y2 == p.par.g2
