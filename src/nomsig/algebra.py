@@ -169,16 +169,16 @@ class Backend:
     def pairing(self, a: GroupElem, b: GroupElem) -> GroupElem:
         return self.pairing_product([(a, b)])
 
-    def pairing_product(self, pairs: list[tuple[GroupElem, GroupElem]]) -> GroupElem:
-        """prod_i e(a_i, b_i) over (G1, G2) pairs, computed as one batch."""
+    def pairing_product(self, pairs: list[tuple[GroupElem, GroupElem]], held=()) -> GroupElem:
+        """prod_i e(a_i, b_i) over (G1, G2) pairs, times the pairings of the ``miller_value`` results held, as one batch."""
         for a, b in pairs:
             if a.group != "G1" or b.group != "G2":
                 raise AlgebraError(f"pairing needs (G1, G2), got ({a.group}, {b.group})")
-        return GroupElem(self, "GT", self.pairing_product_values(pairs))
+        return GroupElem(self, "GT", self.pairing_product_values(pairs, held))
 
-    def pairing_check(self, pairs: list[tuple[GroupElem, GroupElem]]) -> bool:
-        """Whether prod_i e(a_i, b_i) is the identity, checked as one batch."""
-        return self.pairing_product(pairs).is_identity()
+    def pairing_check(self, pairs: list[tuple[GroupElem, GroupElem]], held=()) -> bool:
+        """Whether prod_i e(a_i, b_i) times the held pairs' pairings is the identity, checked as one batch."""
+        return self.pairing_product(pairs, held).is_identity()
 
     def multi_exp(self, terms: list[tuple[GroupElem, int]]) -> GroupElem:
         """prod_i x_i^k_i over one or more (element, scalar) terms of one group, as one joint exponentiation."""
@@ -225,7 +225,8 @@ class Backend:
     def identity_value(self, group): raise NotImplementedError
     def add_all(self, group, pairs): raise NotImplementedError  # a * b for each pair (a, b) of values, in one call
     def inv(self, group, a): raise NotImplementedError
-    def pairing_product_values(self, pairs): raise NotImplementedError  # (G1, G2) element pairs
+    def miller_value(self, a, b): raise NotImplementedError  # of one (G1, G2) element pair, kept by its holder
+    def pairing_product_values(self, pairs, held): raise NotImplementedError  # (G1, G2) element pairs
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
 
@@ -262,8 +263,11 @@ class MockBackend(Backend):
         group = _one_group([x for x, _ in terms], "multi_exp")
         return GroupElem(self, group, sum(x.value * k for x, k in terms) % self.order)
 
-    def pairing_product_values(self, pairs):
-        return sum(a.value * b.value for a, b in pairs) % self.order
+    def miller_value(self, a, b):
+        return a.value * b.value % self.order
+
+    def pairing_product_values(self, pairs, held):
+        return (sum(a.value * b.value for a, b in pairs) + sum(held)) % self.order
 
     def serialize(self, group, a):
         return a.to_bytes(32, "big")
@@ -390,8 +394,12 @@ class RealBackend(Backend):
         values = bn254.g2_comb_powers(self.comb_of(base, now=True), [k % self.order for k in scalars])
         return [GroupElem(self, "G2", v) for v in values]
 
-    def pairing_product_values(self, pairs):
-        """One Miller evaluation over the pairs' G2 lines, then the final exponentiation.
+    def miller_value(self, a, b):
+        """f_{6u+2, b}(a) from b's lines computed afresh and not kept: its holder keeps the value."""
+        return bn254.miller_loop(b.value, a.value)
+
+    def pairing_product_values(self, pairs, held):
+        """One Miller evaluation over the pairs' G2 lines, times each held value, then the final exponentiation.
 
         A G2 element keeps its lines (None for the identity) in its ``lines``
         slot, written once: the elements that have none yet get them from one
@@ -402,7 +410,8 @@ class RealBackend(Backend):
         lines = dict(zip(qs, bn254.g2_lines(qs)))
         for b in new:
             object.__setattr__(b, "lines", lines[b.value])
-        return bn254.final_exp(bn254.miller_eval([(a.value, b.lines) for a, b in pairs]))
+        f = bn254.miller_eval([(a.value, b.lines) for a, b in pairs])
+        return bn254.final_exp(functools.reduce(bn254.f12_mul, held, f))
 
     def serialize(self, group, a):
         if group == "GT":

@@ -10,6 +10,7 @@ processes exchanging numbered message files in a transport directory.
 from __future__ import annotations
 
 import functools
+import re
 import sys
 import time
 from fractions import Fraction
@@ -80,6 +81,10 @@ def _write_keys(pub_out: str, pk, sec_out: str, sk) -> None:
 
 def _gas_price_opt(gas_price, use_default: bool):
     if gas_price is not None:
+        # Fraction expands a decimal exponent into a full integer: refuse one of 1000 or more in size first
+        exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", gas_price)
+        if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 3:
+            raise MalformedInput("bad gas price: exponent out of range")
         try:
             price = Fraction(gas_price)
         except (ValueError, ZeroDivisionError) as exc:

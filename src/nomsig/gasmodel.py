@@ -4,7 +4,7 @@ Prices only what the priced precompiles charge for: one batched pairing
 check (base + per-pair) plus curve additions, and the ecrecover call on
 the trigger side. ``tk_verify`` runs exactly that one check, over the 8
 pairs of its three equations combined by hash-derived coefficients. Its
-scalar multiplications (two for M_N, six applying the coefficients) carry
+scalar multiplications (two for M_N, four applying the coefficients) carry
 no price in the table; they are reported as an unpriced count so the
 report stays honest about what it omits.
 """

@@ -111,6 +111,10 @@ class SignerPublicKey:
     def _encoded(self) -> bytes:  # once per key: about 260 points
         return encode_parts(self.gS.to_bytes(), self.hS.to_bytes(), *(e.to_bytes() for e in self.u))
 
+    @cached_property
+    def miller(self):  # once per key: the Miller value of e(gS^-1, hS), a held value of pairing_product
+        return self.gS.backend.miller_value(~self.gS, self.hS)
+
 
 @dataclass(frozen=True)
 class SignerSecretKey:
@@ -142,6 +146,10 @@ class NomineePublicKey:
             self.x1.to_bytes(),
             self.x2.to_bytes(),
         )
+
+    @cached_property
+    def miller(self):  # once per key: the Miller value of e(gN^-1, hN), a held value of pairing_product
+        return self.gN.backend.miller_value(~self.gN, self.hN)
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,8 @@ class OpCounts:
 
     ``pairing_pairs`` is the number of pairs in the one batched pairing check,
     ``ec_additions`` the curve additions of the Waters products and tk1 * tk2.
-    ``scalar_mults`` counts the two that recompute M_N and the six that apply
-    the batching coefficients; the cost table does not price them.
+    ``scalar_mults`` counts the scalar multiplications: two recompute M_N,
+    four apply c1 and c2; the cost table does not price them.
     """
 
     pairing_pairs: int = 0
@@ -326,8 +334,8 @@ def _delta_checks(
     par: PublicParams, pk_s: SignerPublicKey, delta: DeltaMsg, fs: GroupElem
 ) -> tuple[bool, bool]:
     check = par.backend.pairing_check
-    # e(gS, hS) * e(d1, F_S) = e(g1, d3) and e(d1, g2) = e(g1, d2), each as prod e = 1
-    waters_ok = check([(pk_s.gS, pk_s.hS), (delta.d1, fs), (~par.g1, delta.d3)])
+    # e(gS, hS) * e(d1, F_S) = e(g1, d3) as e(gS^-1, hS) * e(d1^-1, F_S) * e(g1, d3) = 1, and e(d1, g2) = e(g1, d2)
+    waters_ok = check([(~delta.d1, fs), (par.g1, delta.d3)], [pk_s.miller])
     consistent = check([(delta.d1, par.g2), (~par.g1, delta.d2)])
     return waters_ok, consistent
 
@@ -378,27 +386,14 @@ def convert(
     d = derive_values(par, pk_s, pk_n, m, sigma)
     fs_fn = waters_product(pk_s, pk_n, d)
     tk = VerificationToken(tk1=sigma.s1**sk_n.y1, tk2=sigma.s2**sk_n.y2)
-    # e(g1, s3) = e(gS, hS) * e(gN, hN) * e(tk1 * tk2, F_S * F_N), as prod e = 1
-    if not par.backend.pairing_check(_main_pairs(par, pk_s, pk_n, sigma, tk.tk1 * tk.tk2, fs_fn)):
+    if not par.backend.pairing_check(*_main_equation(par, pk_s, pk_n, sigma, tk.tk1 * tk.tk2, fs_fn)):
         return None
     return tk
 
 
-def _main_pairs(
-    par: PublicParams,
-    pk_s: SignerPublicKey,
-    pk_n: NomineePublicKey,
-    sigma: NomSignature,
-    tk12: GroupElem,
-    fs_fn: GroupElem,
-    c: int = 1,
-    counts: Optional[OpCounts] = None,
-) -> list[tuple[GroupElem, GroupElem]]:
-    """The main equation as four pairs whose pairings multiply to 1, raised to c on the G1 side."""
-    g1, gs, gn = par.g1, pk_s.gS, pk_n.gN
-    if c != 1:
-        g1, gs, gn, tk12 = (_pow(x, c, counts) for x in (g1, gs, gn, tk12))
-    return [(g1, sigma.s3), (~gs, pk_s.hS), (~gn, pk_n.hN), (~tk12, fs_fn)]
+def _main_equation(par, pk_s, pk_n, sigma, tk12, fs_fn) -> tuple[list, list]:
+    """e(g1, s3) = e(gS, hS) * e(gN, hN) * e(tk1 * tk2, F_S * F_N) as prod e = 1: two pairs and the keys' held values."""
+    return [(par.g1, sigma.s3), (~tk12, fs_fn)], [pk_s.miller, pk_n.miller]
 
 
 def _batch_coefficients(
@@ -440,34 +435,33 @@ def tk_verify(
       (1) e(s1, g2) = e(tk1, x1)
       (2) e(s2, g2) = e(tk2, x2)
       (3) e(g1, s3) = e(gS, hS) * e(gN, hN) * e(tk1 * tk2, F_S * F_N)
-    are moved to the form prod e = 1 and combined with coefficients 1, c2 and
-    c3 into one check over eight pairs: one Miller loop, one final
+    are moved to the form prod e = 1 and combined with coefficients c1, c2
+    and 1 into one check over their eight pairs: one Miller loop, one final
     exponentiation. This is the gas model's single batched precompile call
-    with n = 8. c2 and c3 are nonzero 128-bit values hashed from all inputs
-    and applied as G1 scalar multiplications (counted, unpriced).
+    with n = 8. c1 and c2 are nonzero 128-bit values hashed from all inputs
+    and applied as G1 scalar multiplications (counted, unpriced). The engine
+    evaluates five pairs: e(gS, hS) and e(gN, hN) enter as the keys' held
+    Miller values, and the g2 pairs of (1) and (2) join as e(s1^c1 s2^c2, g2).
 
     Soundness: G1 has cofactor 1 and every G2 input was checked to lie in G2
     when it was decoded (a public key's points by one batched test that errs
     with probability below 2^-132, ``bn254.g2_all_in_subgroup``), so each
     pair's pairing value lies in the order-N subgroup of GT and the
     coefficients act on it as exponents. A failing equation i leaves an
-    error E_i != 1 in that prime-order group. E1 * E2^c2 * E3^c3 = 1 then
-    fixes c2 given c3 if E2 != 1, fixes c3 if E2 = 1 and E3 != 1, and cannot
-    hold if E1 is the only error; a hash-derived 128-bit coefficient hits the
-    one bad value with probability about 2^-128.
+    error E_i != 1 in that prime-order group. E1^c1 * E2^c2 * E3 = 1 then
+    cannot hold if E3 is the only error, fixes c1 given c2 if E1 != 1, and
+    fixes c2 if E1 = 1 and E2 != 1; a hash-derived 128-bit coefficient hits
+    the one bad value with probability about 2^-128.
     """
     counts = OpCounts()
     d = derive_values(par, pk_s, pk_n, m, sigma, counts)
     fs_fn = waters_product(pk_s, pk_n, d, counts)
-    tk12 = tk.tk1 * tk.tk2
+    main, held = _main_equation(par, pk_s, pk_n, sigma, tk.tk1 * tk.tk2, fs_fn)
     counts.ec_additions += 1  # tk1 * tk2
-    c2, c3 = _batch_coefficients(pk_s, pk_n, m, sigma, tk)
-    pairs = [
-        (sigma.s1, par.g2),
-        (~tk.tk1, pk_n.x1),
-        (_pow(sigma.s2, c2, counts), par.g2),
-        (~_pow(tk.tk2, c2, counts), pk_n.x2),
-        *_main_pairs(par, pk_s, pk_n, sigma, tk12, fs_fn, c3, counts),
-    ]
-    counts.pairing_pairs += len(pairs)
-    return par.backend.pairing_check(pairs), counts
+    c1, c2 = _batch_coefficients(pk_s, pk_n, m, sigma, tk)
+    eqs = [(c1, sigma.s1, tk.tk1, pk_n.x1), (c2, sigma.s2, tk.tk2, pk_n.x2)]  # (i): e(s_i, g2) = e(tk_i, x_i)
+    counts.pairing_pairs += 2 * len(eqs) + len(main) + len(held)  # the pairings of (1), (2) and (3) as written
+    counts.scalar_mults += len(eqs)  # s1^c1 * s2^c2, one joint ladder
+    pairs = [(par.backend.multi_exp([(s, c) for c, s, _, _ in eqs]), par.g2),
+             *((~_pow(t, c, counts), x) for c, _, t, x in eqs), *main]
+    return par.backend.pairing_check(pairs, held), counts

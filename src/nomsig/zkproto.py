@@ -3,7 +3,7 @@
 Both protocols prove knowledge of the nominee's (y1, y2) relative to the
 public statement (d, e3, e4), with f = F_S(M_S) F_N(M_N):
 
-    d  = e(g1, sigma_3) / (e(gS, hS) e(gN, hN))    (one 3-pair product)
+    d  = e(g1, sigma_3) / (e(gS, hS) e(gN, hN))    (one pair and the keys' held Miller values)
     e3 = e(sigma_1, f)          e4 = e(sigma_2, f)
 
 Confirm shows d = e3^y1 * e4^y2 (the signature is valid), disavow shows
@@ -123,7 +123,7 @@ def derive_statement(
     b = par.backend
     fs_fn = waters_product(pk_s, pk_n, derive_values(par, pk_s, pk_n, m, sigma))
     return ConfirmStatement(
-        d=b.pairing_product([(par.g1, sigma.s3), (~pk_s.gS, pk_s.hS), (~pk_n.gN, pk_n.hN)]),
+        d=b.pairing_product([(par.g1, sigma.s3)], [pk_s.miller, pk_n.miller]),
         e3=b.pairing(sigma.s1, fs_fn),
         e4=b.pairing(sigma.s2, fs_fn),
         x1=pk_n.x1,

@@ -192,6 +192,8 @@ def test_pairing_product_matches_product_of_separate_pairings(backend):
         want = want * b.pairing(*pairs[n - 1])
         assert b.pairing_product(pairs[:n]) == want
     assert want == b.gt() ** (sum(x * y for x, y in zip(a, c)) % b.order)
+    for k in (1, 4, 8):  # the first k pairs held as Miller values, the identity on either side among them
+        assert b.pairing_product(pairs[k:], [b.miller_value(x, y) for x, y in pairs[:k]]) == want
 
 
 def test_pairing_check_needs_g1_g2_pairs():

@@ -314,6 +314,18 @@ def test_kept_lines_give_the_raw_loop_value(monkeypatch):
     assert elems[0][1].lines is elems[1][1].lines and elems[7][1].lines == g2_lines([raw[7][1]])[0]
 
 
+def test_held_miller_value_times_the_rest_is_the_joint_value():
+    # a pair's raw loop value, held apart, times the Miller evaluation of the other pairs equals the
+    # evaluation of all of them as an Fp12 value: for a finite pair, a None one and two held at once
+    raw, _ = _mixed_pairs(random.Random(2201))
+    joint = multi_miller(raw)
+    for held in ([0], [2], [4, 7]):
+        f = multi_miller([pq for i, pq in enumerate(raw) if i not in held])
+        for i in held:
+            f = f12_mul(bn254.miller_loop(raw[i][1], raw[i][0]), f)
+        assert f == joint
+
+
 def _mixed_pairs(draws):
     """Eight (G1, G2) pairs and the discrete log of their pairing product.
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -313,6 +314,18 @@ def test_negative_gas_price_exits_2():
     res = invoke("report-gas", "--gas-price", "-1")
     assert_malformed(res)
     assert "eth=" not in res.output
+
+
+@pytest.mark.parametrize("price, code", [("1e9999999", 2), ("1e-9999999", 2), ("1E+0_001_000", 2), ("1e-999", 0),
+                                         ("3/4", 0)])
+def test_gas_price_exponent_is_bounded_before_parsing(price, code):
+    # an exponent of 1000 or more in size exits 2 at once; the first two used to take seconds
+    # expanding 10^9999999, and the second then exited 0 with eth=0.00000000
+    start = time.perf_counter()
+    res = invoke("report-gas", "--gas-price", price)
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == code, res.output
+    assert ("exponent out of range" in res.output) == (code == 2) and "Traceback" not in res.output
 
 
 def test_negative_ec_additions_exits_2():

@@ -4,6 +4,7 @@ import json
 import random
 import shutil
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -48,8 +49,8 @@ GOLDEN = {
     "state-advance": "e81d089a3c54a4b8e9b89bf24a789a858dae299a0f70f7a21d60ece812768a00",
     "state-stored": "f0497eaeada6c43fb7702d1b683faa86566b40d975c0265a03eb57b583b66411",
     "state-executed": "2d698ae0ebcb9db91412b4993c597f4c9fceeee75bfba1c6b509804fa6b953fa",
-    "receipt-reject": "e769977b11b8e95230cca2a750f51a9a065f53d014d0b4f85b04b9fa30b58720",
-    "receipt-accept": "68cf2dd55bf5b374b7e0904f4b5d99a1f896560e08be8eb3248d4894544580a3",
+    "receipt-reject": "ae4ea48b2c79b6c0d2d2ee047f73160605dfe142e783611cd4541b9db8422f76",
+    "receipt-accept": "2e721c476ee132ec2037ec25993d146d920f399902e514e038e3fe939b4c0d63",
     "confirm-commitment": "79548860f40116ba79d211803ea68d228fa2928d19551c7eedb0f37d9b883318",
     "confirm-first": "ec0a889bd9ee33f632772f2df8e3820a3acea263fec81201166fba22c459c50a",
     "confirm-opening": "17ac14a52317013b653262b6dcc88f83a5026a4f25556a16f68eda59dac76fd6",
@@ -203,6 +204,15 @@ def test_cli_envelopes_match_golden_digests(cli_dir, tmp_path):
             env.write_object(str(path), msg, "mock")
             got[f"{proto}-{pass_name}"] = _digest(path)
     assert got == GOLDEN
+
+
+def test_accept_receipt_holds_the_gas_figures(cli_dir):
+    # 8 priced pairs at 45,000 + 34,000 each, 150 per addition, and the unpriced count of 6:
+    # two scalar multiplications recompute M_N, four apply the batching coefficients
+    gas = json.loads((cli_dir / "receipt-accept.json").read_text())["payload"]["gas"]
+    tkv = 317_000 + 150 * 276
+    assert gas == {"tkverify_gas": tkv, "ecrecover_gas": 3000, "total_gas": tkv + 3000, "pairing_pairs": 8,
+                   "ec_additions": 276, "unpriced_scalar_mults": 6, "eth_cost": str(Fraction(tkv + 3000, 50_000_000))}
 
 
 def test_real_backend_envelopes_match_golden_digests(real_pipeline, tmp_path):

@@ -52,8 +52,8 @@ def test_addition_count_is_hamming_weight_based(mock_pipeline):
     assert ok
     d = derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
     assert counts.ec_additions == hw(d.MS) + hw(d.MNbits) + 2
-    # two recompute M_N, six apply the batching coefficients c2 and c3
-    assert counts.scalar_mults == 8
+    # two recompute M_N, four apply the batching coefficients c1 and c2
+    assert counts.scalar_mults == 6
 
 
 def test_waters_eval_against_exponent_oracle():
@@ -118,6 +118,26 @@ def test_tk_verify_coefficients_catch_cancelling_errors(mock_pipeline):
     assert not any(b.pairing_check(eq) for eq in eqs)
     assert b.pairing_check(eqs[0] + eqs[1] + eqs[2])
     ok, counts = scheme.tk_verify(p.par, p.pk_s, p.pk_n, p.m, p.sigma, bad)
+    assert not ok and counts.pairing_pairs == 8
+
+
+def test_tk_verify_coefficients_catch_token_errors_that_cancel_each_other(mock_pipeline):
+    # tk1 * g1^a and tk2 * g1^b with a * x1 = -b * x2 in exponents, so E1 = E2^-1, and s3 * g2^((a + b) F),
+    # which keeps the main equation: (1) and (2) fail, and their errors cancel under c1 = c2 = 1
+    p = mock_pipeline
+    b, n, g1, g2 = p.par.backend, p.par.order, p.par.g1, p.par.g2
+    fs_fn = scheme.waters_product(p.pk_s, p.pk_n, derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma))
+    x1, x2 = p.pk_n.x1.value, p.pk_n.x2.value
+    a = 0x5EED
+    e = -a * x1 * pow(x2, -1, n) % n
+    bad = VerificationToken(tk1=p.tk.tk1 * g1**a, tk2=p.tk.tk2 * g1**e)
+    sigma = dataclasses.replace(p.sigma, s3=p.sigma.s3 * fs_fn ** (a + e))
+    eq1 = [(sigma.s1, g2), (~bad.tk1, p.pk_n.x1)]
+    eq2 = [(sigma.s2, g2), (~bad.tk2, p.pk_n.x2)]
+    eq3 = [(g1, sigma.s3), (~p.pk_s.gS, p.pk_s.hS), (~p.pk_n.gN, p.pk_n.hN), (~(bad.tk1 * bad.tk2), fs_fn)]
+    assert not b.pairing_check(eq1) and not b.pairing_check(eq2) and b.pairing_check(eq3)
+    assert b.pairing_product(eq1) == ~b.pairing_product(eq2) and b.pairing_check(eq1 + eq2 + eq3)
+    ok, counts = scheme.tk_verify(p.par, p.pk_s, p.pk_n, p.m, sigma, bad)
     assert not ok and counts.pairing_pairs == 8
 
 
@@ -197,7 +217,7 @@ def test_real_backend_honest_pipeline(real_pipeline):
 def test_real_tk_verify_rejects_each_tampered_equation(real_pipeline, field):
     p = real_pipeline
     sigma, tk = p.sigma, p.tk
-    if field == "s3":
+    if field == "s3":  # an error in the main equation alone, which takes the coefficient 1
         sigma = dataclasses.replace(sigma, s3=sigma.s3 * p.par.g2)
     else:
         tk = dataclasses.replace(tk, **{field: getattr(tk, field) * p.par.g1})
@@ -300,7 +320,7 @@ def test_scalar_mult_tally_follows_the_exponentiations(mock_pipeline, monkeypatc
     p = mock_pipeline
     groups = _exponentiations(monkeypatch)
     ok, counts = p.verify()
-    assert ok and counts.scalar_mults == len(groups) == 8
+    assert ok and counts.scalar_mults == len(groups) == 6
 
 
 def test_receive_makes_three_g1_and_six_g2_exponentiations(mock_pipeline, monkeypatch):
@@ -318,7 +338,8 @@ def fresh(obj):
 
 
 def test_second_tk_verify_computes_only_the_new_chords(real_pipeline, monkeypatch):
-    # the first call computes lines for its 7 distinct G2 values; the second only for F_S * F_N
+    # the first call computes the lines of hS and of hN once each, for the keys' held Miller values, then
+    # one batch for its 5 distinct G2 values (g2, x1, x2, s3, F_S * F_N); the second only for F_S * F_N
     p = real_pipeline
     par, pk_s, pk_n, sigma = fresh(p.par), fresh(p.pk_s), fresh(p.pk_n), fresh(p.sigma)
     batches = []
@@ -330,11 +351,23 @@ def test_second_tk_verify_computes_only_the_new_chords(real_pipeline, monkeypatc
         return chords(tqs)
 
     monkeypatch.setattr(bn254, "_chords", spy)
-    for size in (7, 1):
+    for sizes in ((1, 1, 5), (1,)):
         batches.clear()
         ok, counts = scheme.tk_verify(par, pk_s, pk_n, p.m, sigma, p.tk)
         assert ok and counts.pairing_pairs == 8
-        assert batches == [size] * 88
+        assert batches == [size for size in sizes for _ in range(88)]
+
+
+def test_tk_verify_computes_each_key_miller_value_once(mock_pipeline, monkeypatch):
+    # two verifications on one key pair: one miller_value call per key, for (gS^-1, hS) and (gN^-1, hN)
+    p = mock_pipeline
+    pk_s, pk_n = dataclasses.replace(p.pk_s), dataclasses.replace(p.pk_n)
+    calls = []
+    miller_value = MockBackend.miller_value
+    monkeypatch.setattr(MockBackend, "miller_value", lambda self, a, b: calls.append((a, b)) or miller_value(self, a, b))
+    for _ in range(2):
+        assert scheme.tk_verify(p.par, pk_s, pk_n, p.m, p.sigma, p.tk)[0]
+    assert calls == [(~pk_s.gS, pk_s.hS), (~pk_n.gN, pk_n.hN)]
 
 
 def test_tk_verify_serializes_each_public_key_once(mock_pipeline, monkeypatch):
