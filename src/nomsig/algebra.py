@@ -18,7 +18,6 @@ a list in one call; ``Backend`` writes ``op``, ``op_all`` and
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 from typing import Any
@@ -288,19 +287,29 @@ _FLAG_SIGN = 0x80
 _FLAG_INF = 0x40
 
 
-def _fp_is_high(v: int) -> bool:
-    return v > (bn254.P - 1) // 2
+# Per curve group: the encoding's length, y^2 as a function of x, and the square root and negation of
+# its field, Fp for G1 and Fp2 for the twist.
+_CURVES = {
+    "G1": (32, lambda x: (x * x * x + bn254.G1_B) % bn254.P, bn254._sqrt_fp, lambda y: -y % bn254.P),
+    "G2": (64, bn254.g2_rhs, bn254.f2_sqrt, bn254.f2_neg),
+}
 
 
-def _f2_is_high(v) -> bool:
-    c0, c1 = v
-    return _fp_is_high(c1) if c1 != 0 else _fp_is_high(c0)
+def _coeffs(v) -> tuple:
+    """An Fp or Fp2 coordinate as Fp coefficients in encoding order: c1 first for c0 + c1*i."""
+    return (v,) if isinstance(v, int) else (v[1], v[0])
 
 
-def _g2_lift(x, high: bool):
-    """The twist point with x-coordinate x whose y is high or low, or None if x is not on the twist."""
-    y = bn254.f2_sqrt(bn254.g2_rhs(x))
-    return None if y is None else (x, y if _f2_is_high(y) == high else bn254.f2_neg(y))
+def _is_high(y) -> bool:
+    """The sign bit of y: whether its first nonzero coefficient in encoding order exceeds (p - 1)/2."""
+    return next((c for c in _coeffs(y) if c), 0) > (bn254.P - 1) // 2
+
+
+def _lift(group: str, x, high: bool):
+    """The G1 or twist point with x-coordinate x whose y is high or low, or None if x is not on the curve."""
+    _, rhs, sqrt, neg = _CURVES[group]
+    y = sqrt(rhs(x))
+    return None if y is None else (x, y if _is_high(y) == high else neg(y))
 
 
 # The G2 batch from which one batched subgroup test beats a test per point:
@@ -414,23 +423,13 @@ class RealBackend(Backend):
         return bn254.final_exp(functools.reduce(bn254.f12_mul, held, f))
 
     def serialize(self, group, a):
+        """GT as its 12 Fp coefficients; a G1 or G2 point as x's ``_coeffs``, flagged with y's sign or as infinity."""
         if group == "GT":
-            out = bytearray()
-            for c in a:
-                out += c[0].to_bytes(32, "big") + c[1].to_bytes(32, "big")
-            return bytes(out)
+            return b"".join(c.to_bytes(32, "big") for pair in a for c in pair)
         if a is None:
-            n = 32 if group == "G1" else 64
-            return bytes([_FLAG_INF]) + bytes(n - 1)
-        x, y = a
-        if group == "G1":
-            buf = bytearray(x.to_bytes(32, "big"))
-            if _fp_is_high(y):
-                buf[0] |= _FLAG_SIGN
-            return bytes(buf)
-        buf = bytearray(x[1].to_bytes(32, "big") + x[0].to_bytes(32, "big"))
-        if _f2_is_high(y):
-            buf[0] |= _FLAG_SIGN
+            return bytes([_FLAG_INF]) + bytes(_CURVES[group][0] - 1)
+        buf = bytearray(b"".join(c.to_bytes(32, "big") for c in _coeffs(a[0])))
+        buf[0] |= _FLAG_SIGN if _is_high(a[1]) else 0
         return bytes(buf)
 
     def deserialize(self, group, data):
@@ -459,22 +458,23 @@ class RealBackend(Backend):
         """As the default, but a batch of G2 points takes one subgroup test, ``bn254.g2_all_in_subgroup``.
 
         Each point is range-checked and lifted onto the twist as by
-        ``deserialize``. The batch test lets a point outside G2 through with
-        probability below 2^-132. A batch that fails is decoded again one
-        point at a time, so the error is ``deserialize``'s for the first bad
-        point. Below G2_BATCH_MIN points, the batch test's own 10 subgroup
-        tests cost more than it saves.
+        ``deserialize``, and the first that fails there raises its own
+        error. The batch test lets a point outside G2 through with
+        probability below 2^-132. A batch that fails it raises NotInSubgroup
+        without naming the point: a caller that needs the first bad entry
+        decodes the entries one by one. Below G2_BATCH_MIN points, the batch
+        test's own 10 subgroup tests cost more than it saves.
         """
-        if group == "G2" and len(datas) >= G2_BATCH_MIN:
-            with contextlib.suppress(AlgebraError):
-                pts = [self._point(group, d) for d in datas]
-                if bn254.g2_all_in_subgroup(pts):
-                    return pts
-        return super().deserialize_all(group, datas)
+        if group != "G2" or len(datas) < G2_BATCH_MIN:
+            return super().deserialize_all(group, datas)
+        pts = [self._point(group, d) for d in datas]
+        if not bn254.g2_all_in_subgroup(pts):
+            raise NotInSubgroup("G2: point not in the prime-order subgroup")
+        return pts
 
     def _point(self, group, data):
         """The G1 or G2 point that data encodes, range-checked and on its curve, before any subgroup test."""
-        n = 32 if group == "G1" else 64
+        n = _CURVES[group][0]
         if len(data) != n:
             raise MalformedEncoding(f"{group}: expected {n} bytes, got {len(data)}")
         flags = data[0] & (_FLAG_SIGN | _FLAG_INF)
@@ -483,24 +483,12 @@ class RealBackend(Backend):
             if flags & _FLAG_SIGN or any(body):
                 raise MalformedEncoding(f"{group}: bad infinity encoding")
             return None
-        sign = bool(flags & _FLAG_SIGN)
-        if group == "G1":
-            x = int.from_bytes(body, "big")
-            if x >= bn254.P:
-                raise MalformedEncoding("G1: x out of range")
-            y = bn254._sqrt_fp((x * x * x + bn254.G1_B) % bn254.P)
-            if y is None:
-                raise NotOnCurve("G1: x not on curve")
-            if _fp_is_high(y) != sign:
-                y = -y % bn254.P
-            return (x, y)
-        c1 = int.from_bytes(body[:32], "big")
-        c0 = int.from_bytes(body[32:], "big")
-        if c0 >= bn254.P or c1 >= bn254.P:
-            raise MalformedEncoding("G2: x out of range")
-        pt = _g2_lift((c0, c1), sign)
+        cs = [int.from_bytes(body[i : i + 32], "big") for i in range(0, n, 32)]
+        if max(cs) >= bn254.P:
+            raise MalformedEncoding(f"{group}: x out of range")
+        pt = _lift(group, cs[0] if n == 32 else (cs[1], cs[0]), bool(flags & _FLAG_SIGN))
         if pt is None:
-            raise NotOnCurve("G2: x not on curve")
+            raise NotOnCurve(f"{group}: x not on curve")
         return pt
 
     def hash_to_g2(self, data: bytes) -> GroupElem:
@@ -510,7 +498,7 @@ class RealBackend(Backend):
             seed = hashlib.sha512(b"NOMSIG-H2G" + ctr.to_bytes(4, "big") + data).digest()
             c0 = int.from_bytes(seed[:32], "big") % bn254.P
             c1 = int.from_bytes(seed[32:], "big") % bn254.P
-            pt = _g2_lift((c0, c1), False)
+            pt = _lift("G2", (c0, c1), False)
             if pt is not None:
                 pt = bn254.g2_mul(pt, bn254.G2_COFACTOR)
                 if pt is not None:

@@ -4,13 +4,14 @@ Base field Fp, the tower Fp2 -> Fp6 -> Fp12, point arithmetic on G1 (over
 Fp) and on the sextic twist carrying G2 (over Fp2), and the optimal ate
 pairing e: G1 x G2 -> GT (a subgroup of Fp12*).
 
-G1 uses the Fp point arithmetic in ``curve``; G2 uses its Fp2 copy below.
-One slope routine, ``_slopes``, gives the chord or tangent slope of each of
-a list of (t, q) pairs with one batched inversion. Every affine sum on the
-twist takes it through ``_g2_add_all``, G2's adder for the batched sums of
-``curve``: ``g2_add``, G2 products, the batched subgroup test's buckets,
-``g2_mul_gls``, the combs and the Waters tables. Only the Miller loop's
-``_chords`` also forms each line's w^3 coefficient.
+G1 uses the Fp point arithmetic in ``curve``; G2 has Fp2 versions of its
+point formulas below and shares the rest of ``curve``. One slope routine,
+``_slopes``, gives the chord or tangent slope of each of a list of (t, q)
+pairs with one batched inversion, and ``_chord_sum`` each sum. Every affine
+sum on the twist takes them through ``_g2_add_all``, G2's adder for the
+batched sums of ``curve``: ``g2_add``, G2 products, the batched subgroup
+test's buckets, ``g2_mul_gls``, the combs and the Waters tables. Only the
+Miller loop's ``_chords`` also forms each line's w^3 coefficient.
 
 The Miller loop walks the signed digits of 6u+2: 65 doublings, 21 additions
 and 2 Frobenius lines, 88 line steps. ``g2_lines`` computes each G2 point's
@@ -57,9 +58,11 @@ G2 points live on the D-type twist y^2 = x^3 + 3/XI over Fp2; the untwist
 into E(Fp12) is (x*w^2, y*w^3) and only appears implicitly in the sparse
 line evaluations of the Miller loop, which ``_f12_mul_line`` multiplies in.
 
-Inversions in Fp and Fp2 use Python's extended-Euclid ``pow(x, -1, P)``,
-which raises ValueError on zero. Dense Fp12 products are Karatsuba over
-Fp6 = Fp2[w^2], on plain ints reduced once per output coefficient.
+Inversions use Python's extended-Euclid ``pow(x, -1, P)``, which raises
+ValueError on zero. An Fp2 x is conj(x) over its norm in Fp, and a batch of
+them takes one ``curve.batch_inv`` over the norms. Dense Fp12 products are
+Karatsuba over Fp6 = Fp2[w^2], on plain ints reduced once per output
+coefficient.
 
 GT, and every value past the easy part of the final exponentiation, lies in
 the cyclotomic subgroup of Fp12*: there ``f12_cyc_pow`` exponentiates with
@@ -474,38 +477,18 @@ def g2_neg(pt):
 
 
 def _f2_batch_inv(xs):
-    """Inverses of the nonzero Fp2 xs (any ints) with one f2_inv: Montgomery's simultaneous inversion.
-
-    Each of its 3(n - 1) Fp2 products is inlined on plain ints.
-    """
-    if not xs:
-        return []
-    a0, a1 = xs[0]
-    prefix = [(a0, a1)]
-    for x0, x1 in xs[1:]:
-        m, n = a0 * x0, a1 * x1
-        a0, a1 = (m - n) % P, ((a0 + a1) * (x0 + x1) - m - n) % P
-        prefix.append((a0, a1))
-    i0, i1 = f2_inv((a0 % P, a1 % P))
-    out = [None] * len(xs)
-    for k in range(len(xs) - 1, 0, -1):
-        a0, a1 = prefix[k - 1]
-        m, n = i0 * a0, i1 * a1
-        out[k] = ((m - n) % P, ((i0 + i1) * (a0 + a1) - m - n) % P)
-        x0, x1 = xs[k]
-        m, n = i0 * x0, i1 * x1
-        i0, i1 = (m - n) % P, ((i0 + i1) * (x0 + x1) - m - n) % P
-    out[0] = (i0, i1)
-    return out
+    """Inverses of the nonzero Fp2 xs (any ints): conj(x) / (x0^2 + x1^2), the norms by ``curve.batch_inv``."""
+    ds = curve.batch_inv(P, [x0 * x0 + x1 * x1 for x0, x1 in xs])
+    return [(x0 * d % P, -x1 * d % P) for (x0, x1), d in zip(xs, ds)]
 
 
 def _slopes(pairs):
     """The slope m of the line through each pair (t, q) of finite affine twist points.
 
     m is the chord's, or the tangent's where t = q; where t = -q the line is
-    vertical and the entry is None. One f2_inv serves every pair. Beyond its
-    share of that inversion, a slope takes one Fp2 product, and a tangent's
-    a squaring more, on plain ints.
+    vertical and the entry is None. One batched inversion serves every pair.
+    Beyond its share of that inversion, a slope takes one Fp2 product, and a
+    tangent's a squaring more, on plain ints.
     """
     nums, dens = [], []
     for ((a0, a1), (b0, b1)), ((c0, c1), (d0, d1)) in pairs:
@@ -529,48 +512,37 @@ def _slopes(pairs):
     return out
 
 
+def _chord_sum(t, q, sl):
+    """t + q for finite affine twist points from their line's slope sl = m: x3 = m^2 - x1 - x2, y3 = m(x1 - x3) - y1."""
+    ((a0, a1), (b0, b1)), ((c0, c1), _), (m0, m1) = t, q, sl
+    x0, x1 = ((m0 + m1) * (m0 - m1) - a0 - c0) % P, (2 * m0 * m1 - a1 - c1) % P
+    t0, t1 = a0 - x0, a1 - x1
+    m, n = m0 * t0, m1 * t1
+    return ((x0, x1), ((m - n - b0) % P, ((m0 + m1) * (t0 + t1) - m - n - b1) % P))
+
+
 def _chords(pairs):
     """The line through each pair (t, q) of finite affine twist points, and the sum t + q: the Miller loop's step.
 
     Returns, per pair, (m, c, t + q): the slope m from ``_slopes`` and
     c = y1 - m*x1 for t = (x1, y1), so the line is y = m*x + c. Where t = -q
-    the line is vertical and the entry is (None, None, None). Only the lines
-    take c; the sum is ``_g2_add_all``'s, in the same loop.
+    the line is vertical and the entry is (None, None, None).
     """
     out = []
-    for (((a0, a1), (b0, b1)), ((c0, c1), _)), sl in zip(pairs, _slopes(pairs)):
+    for (t, q), sl in zip(pairs, _slopes(pairs)):
         if sl is None:
             out.append((None, None, None))
             continue
-        m0, m1 = sl
+        ((a0, a1), (b0, b1)), (m0, m1) = t, sl
         m, n = m0 * a0, m1 * a1
-        e0, e1 = (b0 - m + n) % P, (b1 - (m0 + m1) * (a0 + a1) + m + n) % P  # y1 - m*x1
-        x0, x1 = ((m0 + m1) * (m0 - m1) - a0 - c0) % P, (2 * m0 * m1 - a1 - c1) % P
-        t0, t1 = a0 - x0, a1 - x1
-        m, n = m0 * t0, m1 * t1
-        out.append((sl, (e0, e1), ((x0, x1), ((m - n - b0) % P, ((m0 + m1) * (t0 + t1) - m - n - b1) % P))))
+        out.append((sl, ((b0 - m + n) % P, (b1 - (m0 + m1) * (a0 + a1) + m + n) % P), _chord_sum(t, q, sl)))
     return out
 
 
 def _g2_add_all(pairs):
-    """p + q for each pair of affine twist points (None for infinity), with one inversion for all.
-
-    With the slope m of a finite pair from ``_slopes``, the sum of (x1, y1)
-    and (x2, y2) is x3 = m^2 - x1 - x2 and y3 = m(x1 - x3) - y1: a squaring
-    and one Fp2 product more, and no line coefficient.
-    """
+    """p + q for each pair of affine twist points (None for infinity), with one inversion for all and no lines."""
     finite = [(p, q) for p, q in pairs if p is not None and q is not None]
-    sums = []
-    for (((a0, a1), (b0, b1)), ((c0, c1), _)), sl in zip(finite, _slopes(finite)):
-        if sl is None:
-            sums.append(None)
-            continue
-        m0, m1 = sl
-        x0, x1 = ((m0 + m1) * (m0 - m1) - a0 - c0) % P, (2 * m0 * m1 - a1 - c1) % P  # m^2 - x1 - x2
-        t0, t1 = a0 - x0, a1 - x1
-        m, n = m0 * t0, m1 * t1
-        sums.append(((x0, x1), ((m - n - b0) % P, ((m0 + m1) * (t0 + t1) - m - n - b1) % P)))
-    sums = iter(sums)
+    sums = iter([sl and _chord_sum(p, q, sl) for (p, q), sl in zip(finite, _slopes(finite))])
     return [q if p is None else p if q is None else next(sums) for p, q in pairs]
 
 
@@ -634,7 +606,7 @@ def _to_affine_f2(q):
 
 
 def _batch_to_affine_f2(qs):
-    """Finite Jacobian points to affine, with one f2_inv for all of them."""
+    """Finite Jacobian points to affine, with one batched inversion for all of them."""
     out = []
     for (x, y, _), zi in zip(qs, _f2_batch_inv([q[2] for q in qs])):
         zi2 = f2_sqr(zi)

@@ -362,9 +362,7 @@ def receive(
     y1_inv = pow(sk_n.y1, -1, par.order)
     s1 = b.multi_exp([(delta.d1, y1_inv), (par.g1, (r_prime - r) * y1_inv)])  # (d1' / g1^r)^(1/y1)
     s2 = par.g1 ** (r * pow(sk_n.y2, -1, par.order))  # (g1^r)^(1/y2)
-    t = _chal_scalar(par, pk_s, s1, s2, m)
-    mn = b.multi_exp([(par.g2, t), (pk_n.k, s)])
-    mn_bits = hash_h1(mn.to_bytes())
+    mn_bits = derive_values(par, pk_s, pk_n, m, NomSignature(s1=s1, s2=s2, s3=None, s=s)).MNbits  # t excludes s3
     expo = sk_n.vPrime[0]
     for i in range(1, ELL + 1):
         if bit(mn_bits, i):

@@ -21,7 +21,7 @@ from nomsig import curve, zkproto
 from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _f12_mul_f6,
                           _f12_mul_line, _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob,
                           f2_add, f2_inv, f2_mul, f2_mul_xi, f2_sqr, f2_sqrt, f2_sub, f12_inv,
-                          f12_sqr, g2_add, g2_mul, g2_neg)
+                          f12_sqr, g2_add, g2_mul, g2_neg, g2_rhs)
 
 
 def schoolbook_f12_mul(a, b):
@@ -176,6 +176,14 @@ def random_twist_point(draws):
         y = f2_sqrt(f2_add(f2_mul(f2_sqr(x), x), TW_B))
         if y is not None:
             return (x, y)
+
+
+def off_curve_x(group):
+    """The encoding of the smallest x = k (G1) or k + 0i (G2) with no point above it, as the decoder reads it."""
+    k = 1
+    while (_sqrt_fp((k**3 + G1_B) % P) if group == "G1" else f2_sqrt(g2_rhs((k, 0)))) is not None:
+        k += 1
+    return k.to_bytes(32, "big") if group == "G1" else bytes(32) + k.to_bytes(32, "big")
 
 
 def naive_g2_msm(pts, ks):

@@ -21,7 +21,7 @@ from nomsig.algebra import (
     hash_h2,
 )
 from nomsig.bn254 import N
-from oracles import f12_pow
+from oracles import f12_pow, off_curve_x
 
 
 def test_hash_h1_pinned():
@@ -401,3 +401,48 @@ def test_comb_table_is_written_once_at_the_nth_use(group, monkeypatch):
     assert got == getattr(b, group.lower())() ** (987654321 * 11)
     with pytest.raises(AttributeError):
         x.comb = None
+
+
+CODEC_REFUSALS = [
+    ("G1", lambda: bytes(31), MalformedEncoding, "G1: expected 32 bytes, got 31"),
+    ("G1", lambda: bytes(64), MalformedEncoding, "G1: expected 32 bytes, got 64"),
+    ("G2", lambda: bytes(32), MalformedEncoding, "G2: expected 64 bytes, got 32"),
+    ("G2", lambda: bytes(65), MalformedEncoding, "G2: expected 64 bytes, got 65"),
+    ("G1", lambda: bytes([0xC0]) + bytes(31), MalformedEncoding, "G1: bad infinity encoding"),
+    ("G2", lambda: bytes([0xC0]) + bytes(63), MalformedEncoding, "G2: bad infinity encoding"),
+    ("G1", lambda: bytes([0x40]) + bytes(30) + b"\x01", MalformedEncoding, "G1: bad infinity encoding"),
+    ("G2", lambda: bytes([0x41]) + bytes(63), MalformedEncoding, "G2: bad infinity encoding"),
+    ("G1", lambda: bn254.P.to_bytes(32, "big"), MalformedEncoding, "G1: x out of range"),
+    ("G2", lambda: bytes(32) + bn254.P.to_bytes(32, "big"), MalformedEncoding, "G2: x out of range"),  # c0 = p
+    ("G2", lambda: bn254.P.to_bytes(32, "big") + bytes(32), MalformedEncoding, "G2: x out of range"),  # c1 = p
+    ("G1", lambda: off_curve_x("G1"), NotOnCurve, "G1: x not on curve"),
+    ("G2", lambda: off_curve_x("G2"), NotOnCurve, "G2: x not on curve"),
+    ("GT", lambda: bytes(383), MalformedEncoding, "GT: expected 384 bytes"),
+    ("GT", lambda: bytes(352) + bn254.P.to_bytes(32, "big"), MalformedEncoding, "GT: coefficient out of range"),
+    ("GT", lambda: bytes(384), NotInSubgroup, "GT: not in the order-n subgroup"),
+]
+
+
+@pytest.mark.parametrize("group, data, error, message", CODEC_REFUSALS,
+                         ids=[f"{g}-{m}-{i}" for i, (g, _, _, m) in enumerate(CODEC_REFUSALS)])
+def test_real_codec_refusals_and_their_messages(group, data, error, message):
+    with pytest.raises(AlgebraError) as info:
+        RealBackend().deserialize(group, data())
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_real_codec_sign_bit_round_trips(group):
+    # the sign bit is set for the larger y: y > (p-1)/2 on G1, and on G2 the test of y's c1, or of c0 where c1 = 0
+    b = RealBackend()
+    pt = b.g1() if group == "G1" else b.g2()
+    seen = set()
+    for el in (pt**5, ~pt**5):
+        y = el.value[1]
+        lead = y if group == "G1" else (y[1] or y[0])
+        high = lead > (bn254.P - 1) // 2
+        data = el.to_bytes()
+        assert bool(data[0] & 0x80) == high and not data[0] & 0x40
+        assert b.deserialize(group, data) == el.value
+        seen.add(high)
+    assert seen == {True, False}

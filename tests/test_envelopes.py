@@ -17,7 +17,7 @@ from nomsig import contract as ct
 from nomsig import envelopes as env
 from nomsig import trigger, zkproto
 from nomsig.algebra import ELL, AlgebraError, get_backend
-from nomsig.bn254 import G2_GEN, N, P, _sqrt_fp, f2_sqrt, g2_add, g2_rhs
+from nomsig.bn254 import G2_GEN, N, P, g2_add
 from nomsig.cli import main
 from nomsig.gasmodel import build_report
 from nomsig.scheme import (
@@ -30,7 +30,7 @@ from nomsig.scheme import (
     SignerPublicKey,
 )
 
-from oracles import torsion_point
+from oracles import off_curve_x, torsion_point
 
 PASSES = ("commitment", "first", "opening", "response", "verdict")
 
@@ -448,10 +448,7 @@ def _bad_point(case, group) -> str:
     if case == "order 5864401 component":
         pt = g2_add(G2_GEN, torsion_point(random.Random(5864401), 5864401))
         return get_backend("bn254").serialize("G2", pt).hex()
-    k = 1  # the smallest x = k (G1) or k + 0i (G2) with no point above it
-    while (_sqrt_fp((k**3 + 3) % P) if group == "G1" else f2_sqrt(g2_rhs((k, 0)))) is not None:
-        k += 1
-    return (k.to_bytes(32, "big") if group == "G1" else bytes(32) + k.to_bytes(32, "big")).hex()
+    return off_curve_x(group).hex()
 
 
 BOUNDARY_MESSAGES = {"off the curve": "not on curve", "order 10069": "not in the prime-order subgroup",
@@ -524,6 +521,19 @@ def test_a_key_with_two_bad_points_names_the_first(real_pipeline, faults, messag
         _at(payload, path[:-1])[path[-1]] = _bad_point(case, FIELD_TYPES[path[0]])
     with pytest.raises(AlgebraError, match=message):
         env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend)
+
+
+def test_a_failed_key_batch_is_decoded_once_more_field_by_field(real_pipeline, monkeypatch):
+    # an order-10069 point at u[200]: the batch's rounds, then one field-by-field pass up to it
+    # (hS and u[0..200]), and no per-point pass of the batch's own before that
+    payload = env.to_payload(real_pipeline.pk_s)
+    payload["u"][200] = _bad_point("order 10069", "G2")
+    calls = []
+    in_subgroup = bn254.g2_in_subgroup
+    monkeypatch.setattr(bn254, "g2_in_subgroup", lambda pt: calls.append(pt) or in_subgroup(pt))
+    with pytest.raises(AlgebraError, match="G2: point not in the prime-order subgroup"):
+        env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend)
+    assert len(calls) <= bn254.BATCH_ROUNDS + 202, len(calls)
 
 
 def test_envelope_version_gate():
