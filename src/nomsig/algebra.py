@@ -207,8 +207,8 @@ class Backend:
         return GroupElem(self, group, self.deserialize(group, data))
 
     def deserialize_all(self, group: str, datas: list[bytes]) -> list:
-        """[deserialize(group, d) for d in datas]: the first entry that fails raises its own error."""
-        return [self.deserialize(group, d) for d in datas]
+        """The values of datas up to the first entry that ``deserialize`` refuses, which a caller decodes for its error."""
+        return _decoded(functools.partial(self.deserialize, group), datas)
 
     def random_scalar(self, rng) -> int:
         return rng.randrange(self.order)
@@ -228,6 +228,17 @@ class Backend:
     def pairing_product_values(self, pairs, held): raise NotImplementedError  # (G1, G2) element pairs
     def serialize(self, group, a) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes): raise NotImplementedError
+
+
+def _decoded(decode, datas: list[bytes]) -> list:
+    """decode(d) for each entry d of datas, up to the first that raises AlgebraError."""
+    values = []
+    for d in datas:
+        try:
+            values.append(decode(d))
+        except AlgebraError:
+            break
+    return values
 
 
 def _one_group(elems: list[GroupElem], what: str) -> str:
@@ -455,22 +466,27 @@ class RealBackend(Backend):
         return pt
 
     def deserialize_all(self, group, datas):
-        """As the default, but a batch of G2 points takes one subgroup test, ``bn254.g2_all_in_subgroup``.
+        """As the default, but a list of G2 points takes batched subgroup tests, ``bn254.g2_all_in_subgroup``.
 
         Each point is range-checked and lifted onto the twist as by
-        ``deserialize``, and the first that fails there raises its own
-        error. The batch test lets a point outside G2 through with
-        probability below 2^-132. A batch that fails it raises NotInSubgroup
-        without naming the point: a caller that needs the first bad entry
-        decodes the entries one by one. Below G2_BATCH_MIN points, the batch
-        test's own 10 subgroup tests cost more than it saves.
+        ``deserialize``, up to the first that fails there. The lifted points
+        take one batch test, which lets a point outside G2 through with
+        probability below 2^-132. If it fails, the range that holds the first
+        bad point is halved with one batch test per step, going left while the
+        left half fails, down to G2_BATCH_MIN points, which are tested one by
+        one. Below G2_BATCH_MIN points, a batch test's own 10 subgroup tests
+        cost more than it saves.
         """
         if group != "G2" or len(datas) < G2_BATCH_MIN:
             return super().deserialize_all(group, datas)
-        pts = [self._point(group, d) for d in datas]
-        if not bn254.g2_all_in_subgroup(pts):
-            raise NotInSubgroup("G2: point not in the prime-order subgroup")
-        return pts
+        pts = _decoded(functools.partial(self._point, group), datas)
+        if bn254.g2_all_in_subgroup(pts):
+            return pts
+        lo, hi = 0, len(pts)  # pts[:lo] passed and pts[lo:hi] failed
+        while hi - lo > G2_BATCH_MIN:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if bn254.g2_all_in_subgroup(pts[lo:mid]) else (lo, mid)
+        return pts[:next((i for i in range(lo, hi) if not bn254.g2_in_subgroup(pts[i])), hi)]
 
     def _point(self, group, data):
         """The G1 or G2 point that data encodes, range-checked and on its curve, before any subgroup test."""

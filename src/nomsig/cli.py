@@ -61,14 +61,6 @@ class _Commands(click.Group):
             raise MalformedInput(str(exc)) from exc
 
 
-def _read(path: str, cls, backend=None):
-    """The ``cls`` in the envelope at path; its group elements must be on ``backend``."""
-    try:
-        return env.read_object(path, cls, backend)
-    except (env.EnvelopeError, AlgebraError, OSError) as exc:
-        raise MalformedInput(f"{path}: {exc}")
-
-
 def _write_keys(pub_out: str, pk, sec_out: str, sk) -> None:
     """Write the public and the secret key file, or neither."""
     env.write_object(pub_out, pk)
@@ -122,7 +114,7 @@ def _keygen_command(role: str) -> None:
     @click.option("--pub-out", required=True, type=click.Path())
     @click.option("--sec-out", required=True, type=click.Path())
     def cmd(params_path, seed, pub_out, sec_out):
-        pk, sk = getattr(scheme, f"keygen_{role}")(_read(params_path, scheme.PublicParams), Random(seed))
+        pk, sk = getattr(scheme, f"keygen_{role}")(env.read_object(params_path, scheme.PublicParams), Random(seed))
         _write_keys(pub_out, pk, sec_out, sk)
         click.echo(f"{role} keys written to {pub_out}, {sec_out}")
 
@@ -137,9 +129,9 @@ def _scheme_inputs(fn):
 
     @functools.wraps(fn)
     def read(params_path, signer_pub, nominee_pub, message_file, **options):
-        par = _read(params_path, scheme.PublicParams)
-        pk_s = _read(signer_pub, scheme.SignerPublicKey, par.backend)
-        pk_n = _read(nominee_pub, scheme.NomineePublicKey, par.backend)
+        par = env.read_object(params_path, scheme.PublicParams)
+        keys = [(signer_pub, scheme.SignerPublicKey), (nominee_pub, scheme.NomineePublicKey)]
+        pk_s, pk_n = env.read_objects(keys, par.backend)  # both keys' G2 points in one batch
         return fn(par, pk_s, pk_n, Path(message_file).read_bytes(), **options)
 
     for opt in reversed([
@@ -159,7 +151,7 @@ def _scheme_inputs(fn):
 @click.option("--out", required=True, type=click.Path())
 def cmd_sign(par, pk_s, pk_n, m, signer_sec, seed, out):
     """Produce the signer's partial signature over the program source."""
-    sk_s = _read(signer_sec, scheme.SignerSecretKey)
+    sk_s = env.read_object(signer_sec, scheme.SignerSecretKey)
     delta = scheme.sign(par, pk_s, pk_n, m, sk_s, Random(seed))
     env.write_object(out, delta)
     click.echo(f"delta written to {out}")
@@ -173,8 +165,8 @@ def cmd_sign(par, pk_s, pk_n, m, signer_sec, seed, out):
 @click.option("--out", required=True, type=click.Path())
 def cmd_receive(par, pk_s, pk_n, m, nominee_sec, delta_path, seed, out):
     """Nominee check of the partial signature; writes sigma or rejects."""
-    sk_n = _read(nominee_sec, scheme.NomineeSecretKey)
-    delta = _read(delta_path, scheme.DeltaMsg, par.backend)
+    sk_n = env.read_object(nominee_sec, scheme.NomineeSecretKey)
+    delta = env.read_object(delta_path, scheme.DeltaMsg, par.backend)
     sigma = scheme.receive(par, pk_s, pk_n, m, delta, sk_n, Random(seed))
     if sigma is None:
         _reject("partial signature invalid")
@@ -189,8 +181,8 @@ def cmd_receive(par, pk_s, pk_n, m, nominee_sec, delta_path, seed, out):
 @click.option("--out", required=True, type=click.Path())
 def cmd_convert(par, pk_s, pk_n, m, nominee_sec, sigma_path, out):
     """Derive the public verification token from a valid sigma."""
-    sk_n = _read(nominee_sec, scheme.NomineeSecretKey)
-    sigma = _read(sigma_path, scheme.NomSignature, par.backend)
+    sk_n = env.read_object(nominee_sec, scheme.NomineeSecretKey)
+    sigma = env.read_object(sigma_path, scheme.NomSignature, par.backend)
     tk = scheme.convert(par, pk_s, pk_n, m, sigma, sk_n)
     if tk is None:
         _reject("sigma invalid, no token issued")
@@ -225,12 +217,12 @@ def _recv(tdir: Path, backend, cls):
         if time.monotonic() > deadline:
             raise MalformedInput(f"timed out waiting for {path.name}")
         time.sleep(0.05)
-    return _read(str(path), cls, backend)
+    return env.read_object(str(path), cls, backend)
 
 
 def _interactive(protocol, par, pk_s, pk_n, m, role, nominee_sec, sigma_path, transport_dir, seed):
-    sigma = _read(sigma_path, scheme.NomSignature, par.backend)
-    sk_n = _read(nominee_sec, scheme.NomineeSecretKey) if role == "prover" else None
+    sigma = env.read_object(sigma_path, scheme.NomSignature, par.backend)
+    sk_n = env.read_object(nominee_sec, scheme.NomineeSecretKey) if role == "prover" else None
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
     tdir = Path(transport_dir)
     tdir.mkdir(parents=True, exist_ok=True)
@@ -324,7 +316,7 @@ def cmd_deploy(par, pk_s, pk_n, m, operator_seed, investor_seed, operator_balanc
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--amount", type=int, required=True)
 def cmd_pay_advance(state_path, amount):
-    state, ledger = _read(state_path, ct.ContractState)
+    state, ledger = env.read_object(state_path, ct.ContractState)
     ct.pay_advance(state, ledger, amount)
     env.write_object(state_path, state, ledger)
     click.echo(f"advance of {amount} paid, phase {state.phase.value}")
@@ -334,8 +326,8 @@ def cmd_pay_advance(state_path, amount):
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--sigma", "sigma_path", required=True, type=click.Path())
 def cmd_store_sig(state_path, sigma_path):
-    state, ledger = _read(state_path, ct.ContractState)
-    sigma = _read(sigma_path, scheme.NomSignature, state.par.backend)
+    state, ledger = env.read_object(state_path, ct.ContractState)
+    sigma = env.read_object(sigma_path, scheme.NomSignature, state.par.backend)
     ct.store_signature(state, sigma)
     env.write_object(state_path, state, ledger)
     click.echo(f"signature stored, phase {state.phase.value}")
@@ -351,8 +343,8 @@ def cmd_store_sig(state_path, sigma_path):
 @click.option("--receipt-out", default=None, type=click.Path())
 def cmd_trigger(state_path, token_path, investor_seed, nonce, cost_table, gas_price, receipt_out):
     """Submit the verification token plus a signed transfer transaction."""
-    state, ledger = _read(state_path, ct.ContractState)
-    tk = _read(token_path, scheme.VerificationToken, state.par.backend)
+    state, ledger = env.read_object(state_path, ct.ContractState)
+    tk = env.read_object(token_path, scheme.VerificationToken, state.par.backend)
     table = _cost_table(cost_table)
     price = _gas_price_opt(gas_price, use_default=False)
     kp = trigger.ecdsa_keygen(investor_seed.encode())
@@ -399,7 +391,7 @@ def cmd_report_gas(receipt_path, pairing_pairs, ec_additions, cost_table, gas_pr
     table = _cost_table(cost_table)
     price = _gas_price_opt(gas_price, use_default=True)
     if receipt_path is not None:
-        report = _read(receipt_path, ct.ExecutionReceipt).gas
+        report = env.read_object(receipt_path, ct.ExecutionReceipt).gas
     else:
         counts = scheme.OpCounts(pairing_pairs=pairing_pairs, ec_additions=ec_additions)
         report = gasmodel.build_report(counts, table, price)

@@ -4,12 +4,16 @@ Each file is one JSON object: {"schema_version": 1, "kind": ..., payload}.
 Keys, signatures, tokens and protocol messages follow one table, ``CODEC``.
 Group elements are hex of the backend's compressed encoding; the backend
 name rides along so a consumer can rebuild elements in the right groups.
-``object_from_payload`` is the one place that checks a payload's shape,
+``objects_from_payloads`` is the one place that checks a payload's shape,
 hex, vector lengths, group membership and backend; malformed input raises
-EnvelopeError, or AlgebraError from the group decoding. All G2 points of one
-object are decoded as one batch, with one batched subgroup test on the real
-backend (``Backend.deserialize_all``); a batch that fails is decoded again
-field by field, so the error names the first bad field as before.
+EnvelopeError, or AlgebraError from the group decoding. The objects read
+together (a command's two public keys, or a contract state's keys and
+stored signature) have all their G2 points decoded as one batch, with one
+batched subgroup test on the real backend (``Backend.deserialize_all``).
+The batch only caches the points it checked: the fields are then decoded
+in order, each bad one by itself, so the error names the first bad field,
+whatever the batch held. ``read_objects`` reads the files of one batch and
+names the first that fails.
 """
 
 from __future__ import annotations
@@ -72,9 +76,7 @@ def _in(ftype: str, v, b: Optional[Backend], name: str, g2: dict):
     if ftype.endswith("?"):
         return None if v is None else _in(ftype[:-1], v, b, name, g2)
     if ftype.endswith("[]"):
-        if not isinstance(v, list) or len(v) != ELL + 1:
-            raise EnvelopeError(f"{name}: need a list of {ELL + 1} entries")
-        return tuple(_in(ftype[:-2], x, b, name, g2) for x in v)
+        return tuple(_in(ftype[:-2], x, b, name, g2) for x in _entries(ftype, v, name))
     if ftype[0] == "G":
         data = _bytes(v, name)
         return GroupElem(b, ftype, g2[data]) if ftype == "G2" and data in g2 else b.element(ftype, data)
@@ -86,6 +88,15 @@ def _in(ftype: str, v, b: Optional[Backend], name: str, g2: dict):
     if v != hex(k) or not low <= k < N:
         raise EnvelopeError(f"{name}: need a canonical hex scalar in [{low}, N)")
     return k
+
+
+def _entries(ftype: str, v, name: str) -> list:
+    """The entries of a field value: the list of ELL + 1 that a "[]" type needs, or [v]."""
+    if not ftype.endswith("[]"):
+        return [v]
+    if not isinstance(v, list) or len(v) != ELL + 1:
+        raise EnvelopeError(f"{name}: need a list of {ELL + 1} entries")
+    return v
 
 
 def _of(t: type, v, name: str):
@@ -151,9 +162,20 @@ def to_payload(obj, context=None) -> dict:
 
 def object_from_payload(cls, payload, backend: Optional[Backend] = None):
     """Decode ``payload`` as a ``cls``; ``backend``, when given, must be the one it names."""
+    return next(objects_from_payloads([(cls, payload)], backend))
+
+
+def objects_from_payloads(items, backend: Optional[Backend] = None):
+    """Yield each (cls, payload) of items decoded, in order, as ``object_from_payload`` decodes it: the
+    first bad field of the first bad item raises. The G2 points of all the items are decoded first, as one batch."""
+    g2 = _g2_points(items, backend)
+    for cls, payload in items:
+        yield _decode(cls, payload, backend, g2)
+
+
+def _head(cls, payload, backend: Optional[Backend]) -> tuple[dict, Optional[Backend], dict]:
+    """The field types, backend and field values of a CODEC payload whose role or pass and backend check out."""
     payload = _of(dict, payload, "payload")
-    if cls in _HAND_WRITTEN:
-        return _HAND_WRITTEN[cls][2](payload, backend)
     kind, tag, fields = CODEC[cls]
     b = None
     if kind == TRANSPORT:
@@ -164,33 +186,43 @@ def object_from_payload(cls, payload, backend: Optional[Backend] = None):
         raise EnvelopeError(f"expected key role {tag!r}, got {payload.get('role')!r}")
     elif any(ftype[0] == "G" for ftype in fields.values()):
         b = _backend(payload, backend)
+    return fields, b, payload
+
+
+def _decode(cls, payload, backend: Optional[Backend], g2: dict):
+    if cls in _HAND_WRITTEN:
+        return _HAND_WRITTEN[cls][2](_of(dict, payload, "payload"), backend)
+    fields, b, payload = _head(cls, payload, backend)
     if cls is bool:
         if payload.get("verdict") not in ("accept", "reject"):
             raise EnvelopeError("verdict: need 'accept' or 'reject'")
         return payload["verdict"] == "accept"
-    g2 = _g2_points(fields, payload, b)
     return cls(**{name: _in(ftype, payload.get(name), b, name, g2) for name, ftype in fields.items()})
 
 
-def _g2_points(fields: dict, payload: dict, b: Optional[Backend]) -> dict:
-    """Every G2 encoding in the payload's fields, mapped to its point by one ``deserialize_all`` batch.
+def _g2_points(items, backend: Optional[Backend]) -> dict:
+    """The G2 encodings in the items' fields, mapped to their points by one ``deserialize_all`` batch.
 
-    If any of them fails, or a vector has the wrong length, the map is empty:
-    then ``_in`` decodes the fields one by one, in order, and the first bad
-    one raises its own error.
+    The batch takes the encodings in order up to the first malformed item
+    head, vector or hex string, and the map keeps only the points it
+    decoded: a cache of checked points. ``_in`` decodes any other encoding
+    itself, so the first bad field raises its own error, as if each item
+    were decoded alone.
     """
-    datas = []
-    for name, ftype in fields.items():
-        v = payload.get(name)
-        if ftype == "G2[]" and not (isinstance(v, list) and len(v) == ELL + 1):
-            return {}
-        if ftype.startswith("G2"):
-            datas += v if ftype == "G2[]" else [v]
+    datas, b = [], None
     try:
-        datas = [_bytes(v, "G2") for v in datas]
-        return dict(zip(datas, b.deserialize_all("G2", datas))) if datas else {}
+        for cls, payload in items:
+            if cls not in CODEC:
+                continue
+            fields, item_b, payload = _head(cls, payload, backend)
+            b = item_b or b
+            for name, ftype in fields.items():
+                if ftype.startswith("G2"):
+                    for v in _entries(ftype, payload.get(name), name):
+                        datas.append(_bytes(v, name))
     except (EnvelopeError, AlgebraError):
-        return {}
+        pass
+    return dict(zip(datas, b.deserialize_all("G2", datas))) if datas else {}
 
 
 def _kind_of(cls) -> str:
@@ -238,8 +270,28 @@ def write_object(path: str, obj, context=None) -> None:
 
 
 def read_object(path: str, cls, backend: Optional[Backend] = None):
-    """Read a ``cls`` from its envelope; ``backend`` as for ``object_from_payload``."""
-    return object_from_payload(cls, read_envelope(path, _kind_of(cls))[1], backend)
+    """Read a ``cls`` from its envelope, as ``read_objects`` reads one."""
+    return read_objects([(path, cls)], backend)[0]
+
+
+def read_objects(reads, backend: Optional[Backend] = None) -> list:
+    """The object in the envelope of each (path, cls) of reads, decoded by ``objects_from_payloads``.
+    The first file that fails, as if each were read and decoded alone, raises an EnvelopeError that
+    starts with its path: the files before one that does not parse are decoded before its error."""
+    payloads, objs, unread = [], [], None
+    try:
+        for path, cls in reads:
+            payloads.append(read_envelope(path, _kind_of(cls))[1])
+    except (EnvelopeError, OSError) as exc:
+        unread = exc
+    try:
+        for obj in objects_from_payloads([(cls, p) for (_, cls), p in zip(reads, payloads)], backend):
+            objs.append(obj)
+        if unread is not None:
+            raise unread
+    except (EnvelopeError, AlgebraError, OSError) as exc:
+        raise EnvelopeError(f"{reads[len(objs)][0]}: {exc}") from exc
+    return objs
 
 
 # ---- hand-written payloads: parameters, contract state, receipts ----
@@ -297,14 +349,18 @@ def contract_state_from_payload(
     })
     if not {byte_fields["operator"], byte_fields["investor"]} <= ledger.balances.keys():
         raise EnvelopeError("ledger: both parties need an account")
+    items = [(SignerPublicKey, payload.get("pk_s")), (NomineePublicKey, payload.get("pk_n"))]
+    if sigma is not None:
+        items.append((NomSignature, sigma))
+    pk_s, pk_n, *stored = objects_from_payloads(items, par.backend)
     state = ContractState(
         phase=phase,
         **byte_fields,
         **amounts,
         par=par,
-        pk_s=object_from_payload(SignerPublicKey, payload.get("pk_s"), par.backend),
-        pk_n=object_from_payload(NomineePublicKey, payload.get("pk_n"), par.backend),
-        stored_sigma=None if sigma is None else object_from_payload(NomSignature, sigma, par.backend),
+        pk_s=pk_s,
+        pk_n=pk_n,
+        stored_sigma=stored[0] if stored else None,
         used_nonces=used_nonces,
     )
     return state, ledger

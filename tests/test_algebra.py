@@ -21,7 +21,7 @@ from nomsig.algebra import (
     hash_h2,
 )
 from nomsig.bn254 import N
-from oracles import f12_pow, off_curve_x
+from oracles import f12_pow, off_curve_x, torsion_point
 
 
 def test_hash_h1_pinned():
@@ -446,3 +446,27 @@ def test_real_codec_sign_bit_round_trips(group):
         assert b.deserialize(group, data) == el.value
         seen.add(high)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("subgroup_bad, curve_bad, decoded", [
+    (None, None, 257), (0, None, 0), (31, None, 31), (32, None, 32), (128, None, 128), (256, None, 256),
+    (100, 200, 100), (200, 100, 100), (None, 0, 0),
+])
+def test_deserialize_all_returns_the_points_before_the_first_bad_entry(real_pipeline, subgroup_bad, curve_bad,
+                                                                       decoded):
+    # a key's 257 Waters bases with a point of order 10069 and an x off the curve: a failed batch is
+    # halved towards the first bad entry, and only the points lifted before an off-curve x are searched
+    b = real_pipeline.par.backend
+    datas = [u.to_bytes() for u in real_pipeline.pk_s.u]
+    if subgroup_bad is not None:
+        datas[subgroup_bad] = b.serialize("G2", torsion_point(random.Random(10069), 10069))
+    if curve_bad is not None:
+        datas[curve_bad] = off_curve_x("G2")
+    assert b.deserialize_all("G2", datas) == [u.value for u in real_pipeline.pk_s.u[:decoded]]
+
+
+def test_mock_deserialize_all_stops_at_the_first_bad_entry():
+    b = MockBackend()
+    datas = [b.serialize("G2", k) for k in range(1, 9)]
+    datas[5] = N.to_bytes(32, "big")
+    assert b.deserialize_all("G2", datas) == list(range(1, 6))

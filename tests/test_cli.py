@@ -684,21 +684,12 @@ def test_every_command_keeps_its_options():
     assert got == COMMAND_OPTIONS
 
 
-def test_bn254_commands_build_no_comb_and_each_keygen_builds_one(tmp_path, monkeypatch):
-    # the README pipeline on bn254, one command at a time in one process: no element of a
-    # command meets enough products to keep a comb, no key's bases enough evaluations to keep
-    # a nibble table, and each keygen takes its powers from the one comb of g2 it builds
-    built = []
-    g2_comb, comb, subset_sums = bn254.g2_comb, curve.comb, RealBackend.subset_sums
-    monkeypatch.setattr(bn254, "g2_comb", lambda pt: built.append("G2") or g2_comb(pt))
-    monkeypatch.setattr(curve, "comb", lambda p, pt: built.append("G1") or comb(p, pt))
-    monkeypatch.setattr(RealBackend, "subset_sums",
-                        lambda self, group, groups: built.append("Waters") or subset_sums(self, group, groups))
-    d = tmp_path
+def _bn254_pipeline(d):
+    """The README pipeline's commands on bn254, in order, on files in d."""
     (d / "m.bin").write_bytes(b"bn254 comb program")
     keys = ["--params", d / "params.json", "--signer-pub", d / "spk.json", "--nominee-pub", d / "npk.json"]
     nsec = ["--nominee-sec", d / "nsk.json", "--message-file", d / "m.bin"]
-    commands = [
+    return [
         ["setup", "--backend", "bn254", "--out", d / "params.json"],
         ["keygen-signer", "--params", d / "params.json", "--seed", 1, "--pub-out", d / "spk.json",
          "--sec-out", d / "ssk.json"],
@@ -715,9 +706,47 @@ def test_bn254_commands_build_no_comb_and_each_keygen_builds_one(tmp_path, monke
         ["trigger", "--state", d / "state.json", "--token", d / "token.json", "--investor-seed", "inv",
          "--nonce", 1, "--receipt-out", d / "receipt.json"],
     ]
-    for args in commands:
+
+
+def test_bn254_commands_build_no_comb_and_each_keygen_builds_one(tmp_path, monkeypatch):
+    # the README pipeline on bn254, one command at a time in one process: no element of a
+    # command meets enough products to keep a comb, no key's bases enough evaluations to keep
+    # a nibble table, and each keygen takes its powers from the one comb of g2 it builds
+    built = []
+    g2_comb, comb, subset_sums = bn254.g2_comb, curve.comb, RealBackend.subset_sums
+    monkeypatch.setattr(bn254, "g2_comb", lambda pt: built.append("G2") or g2_comb(pt))
+    monkeypatch.setattr(curve, "comb", lambda p, pt: built.append("G1") or comb(p, pt))
+    monkeypatch.setattr(RealBackend, "subset_sums",
+                        lambda self, group, groups: built.append("Waters") or subset_sums(self, group, groups))
+    for args in _bn254_pipeline(tmp_path):
         built.clear()
         res = invoke(*args)
         assert res.exit_code == 0, res.output
         assert built == (["G2"] if args[0].startswith("keygen") else []), args[0]
     assert "accept" in res.output
+
+
+def test_each_bn254_command_takes_at_most_one_batched_subgroup_test(tmp_path, monkeypatch):
+    # a command's two public keys (258 + 261 G2 points), or a contract state's keys and stored
+    # signature, share one batch; the commands that read no key take none
+    batches, tests = [], []
+    all_in, in_subgroup = bn254.g2_all_in_subgroup, bn254.g2_in_subgroup
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", lambda pts: batches.append(len(pts)) or all_in(pts))
+    monkeypatch.setattr(bn254, "g2_in_subgroup", lambda pt: tests.append(pt) or in_subgroup(pt))
+    d = tmp_path
+    truncated = ["sign", "--params", d / "params.json", "--signer-pub", d / "spk-truncated.json",
+                 "--signer-sec", d / "ssk.json", "--nominee-pub", d / "npk.json", "--message-file", d / "m.bin",
+                 "--seed", 5, "--out", d / "delta2.json"]
+    for args in [*_bn254_pipeline(d), ["report-gas", "--receipt", d / "receipt.json"], truncated]:
+        if args is truncated:
+            raw = (d / "spk.json").read_bytes()
+            (d / "spk-truncated.json").write_bytes(raw[: len(raw) // 2])
+        batches.clear()
+        tests.clear()
+        res = invoke(*args)
+        assert res.exit_code == (2 if args is truncated else 0), res.output
+        if args[0] in ("setup", "keygen-signer", "keygen-nominee", "report-gas") or args is truncated:
+            assert batches == [] and tests == [], args[0]
+        else:
+            assert len(batches) == 1 and batches[0] >= 519, (args[0], batches)
+            assert len(tests) <= bn254.BATCH_ROUNDS + 3, (args[0], len(tests))

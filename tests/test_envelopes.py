@@ -16,7 +16,7 @@ from nomsig import bn254
 from nomsig import contract as ct
 from nomsig import envelopes as env
 from nomsig import trigger, zkproto
-from nomsig.algebra import ELL, AlgebraError, get_backend
+from nomsig.algebra import ELL, AlgebraError, RealBackend, get_backend
 from nomsig.bn254 import G2_GEN, N, P, g2_add
 from nomsig.cli import main
 from nomsig.gasmodel import build_report
@@ -474,6 +474,8 @@ BOUNDARY_CASES = [
     ("spk", "sign", ("u", 128), "order 10069"),
     ("npk", "receive", ("uPrime", ELL), "order 5864401 component"),
     ("state-advance", "store-sig", ("pk_n", "uPrime", 0), "order 10069"),
+    # inside the batch that decodes a stored state's keys and signature together
+    ("state-stored", "trigger", ("sigma", "s3"), "order 10069"),
 ]
 
 
@@ -494,6 +496,35 @@ def test_bad_bn254_point_exits_2_and_writes_nothing(real_dir, name, command, pat
     assert isinstance(res.exception, SystemExit), repr(res.exception)
     assert BOUNDARY_MESSAGES[case] in res.output and "Traceback" not in res.output
     assert after == before
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"npk"}, "npk.json: G2: point not in the prime-order subgroup"),
+    ({"spk", "npk"}, "spk.json: G2: point not in the prime-order subgroup"),
+    ({"spk-truncated", "npk"}, "spk.json: not valid JSON"),
+], ids=["npk", "both", "truncated-spk"])
+def test_a_bad_key_names_its_file_though_both_keys_share_a_batch(real_dir, bad, message, monkeypatch):
+    # an order-10069 point at u[100] or uPrime[100]: the fields are decoded in order from the joint
+    # batch's checked points, so the first bad file in the command's order is the one named, and
+    # each of the 519 G2 points is lifted once, the bad one once more for its own error
+    lifts, point = [], RealBackend._point
+    monkeypatch.setattr(RealBackend, "_point",
+                        lambda self, group, data: lifts.append(group) or point(self, group, data))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(shutil.copytree(real_dir, Path(tmp) / "d"))
+        for name, vector in (("spk", "u"), ("npk", "uPrime")):
+            obj = json.loads((d / f"{name}.json").read_text())
+            if name in bad:
+                obj["payload"][vector][100] = _bad_point("order 10069", "G2")
+            text = json.dumps(obj)
+            (d / f"{name}.json").write_text(text[: len(text) // 2] if f"{name}-truncated" in bad else text)
+        res = _run(*_commands(d)["sign"])
+        assert not (d / "out.json").exists()
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert message in res.output and "Traceback" not in res.output
+    assert ("npk.json" in res.output) == (bad == {"npk"})
+    assert lifts.count("G2") == (0 if "spk-truncated" in bad else 520), lifts.count("G2")
 
 
 def test_a_key_takes_one_batched_subgroup_test(real_pipeline, monkeypatch):
@@ -524,8 +555,10 @@ def test_a_key_with_two_bad_points_names_the_first(real_pipeline, faults, messag
 
 
 def test_a_failed_key_batch_is_decoded_once_more_field_by_field(real_pipeline, monkeypatch):
-    # an order-10069 point at u[200]: the batch's rounds, then one field-by-field pass up to it
-    # (hS and u[0..200]), and no per-point pass of the batch's own before that
+    # an order-10069 point at u[200], index 201 of the key's 258 G2 points: the failed batch's first
+    # round, the passing halves [0, 129) and [129, 193) with all their rounds, the failing [193, 225)'s
+    # first round, exact tests on 193..201, then the field-by-field pass, which finds hS and u[0..199]
+    # decoded and tests u[200] once more
     payload = env.to_payload(real_pipeline.pk_s)
     payload["u"][200] = _bad_point("order 10069", "G2")
     calls = []
@@ -533,7 +566,7 @@ def test_a_failed_key_batch_is_decoded_once_more_field_by_field(real_pipeline, m
     monkeypatch.setattr(bn254, "g2_in_subgroup", lambda pt: calls.append(pt) or in_subgroup(pt))
     with pytest.raises(AlgebraError, match="G2: point not in the prime-order subgroup"):
         env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend)
-    assert len(calls) <= bn254.BATCH_ROUNDS + 202, len(calls)
+    assert len(calls) <= 2 * bn254.BATCH_ROUNDS + 12, len(calls)
 
 
 def test_envelope_version_gate():
