@@ -34,10 +34,10 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
     and ``g2_comb_powers`` runs a batch of powers of one point over its comb;
     the backend gives a point a comb at its 8th product, or at once for
     keygen's batch of powers of g2; GT elements keep none;
-  - ``g2_mul`` (width-4 signed digits over pt, 3pt, 5pt, 7pt) and
-    ``f12_cyc_pow`` (NAF digits) take any twist point or cyclotomic element
-    and any scalar, for the subgroup tests, cofactor clearing and the final
-    exponentiation.
+  - ``g2_mul`` and ``f12_cyc_pow`` (width-4 signed digits over pt, 3pt,
+    5pt, 7pt or a, a^3, a^5, a^7) take any twist point or cyclotomic
+    element and any scalar, for the subgroup tests, cofactor clearing, the
+    final exponentiation and the order check of a decoded GT element.
 The program takes no power through ``g1_mul_base`` or ``g2_mul_base``.
 
 Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the
@@ -66,7 +66,7 @@ coefficient.
 
 GT, and every value past the easy part of the final exponentiation, lies in
 the cyclotomic subgroup of Fp12*: there ``f12_cyc_pow`` exponentiates with
-cyclotomic squarings.
+cyclotomic squarings over width-4 signed digits.
 """
 
 import hashlib
@@ -408,15 +408,27 @@ def _naf(k, w=2):
 
 
 def f12_cyc_pow(a, k):
-    """a^k for a in the cyclotomic subgroup and k >= 0.
+    """a^k for a in the cyclotomic subgroup and k >= 0, by a width-4 signed-digit (wNAF) ladder.
 
-    Cyclotomic squarings over the signed digits of k after the leading 1; a
-    -1 digit multiplies by f12_conj(a), the inverse of a there.
+    The table maps the digits 1, 3, 5, 7 to a, a^3, a^5, a^7 (one cyclotomic
+    squaring and three products) and -1, -3, -5, -7 to their conjugates,
+    the inverses there. The ladder starts from the leading digit's entry and
+    makes one cyclotomic squaring per later digit: for k = u, 63 squarings
+    and 16 products in all, where plain NAF digits took 62 and 23.
     """
-    digits = _naf(k)
+    digits = _naf(k, 4)
     if not digits:
         return F12_ONE
-    return curve.ladder(a, reversed(digits[:-1]), {1: a, -1: f12_conj(a)}, f12_cyc_sqr, f12_mul)
+    a2, odd = f12_cyc_sqr(a), [a]
+    for _ in range(3):
+        odd.append(f12_mul(odd[-1], a2))
+    table = _digit_table(odd, f12_conj)
+    return curve.ladder(table[digits[-1]], reversed(digits[:-1]), table, f12_cyc_sqr, f12_mul)
+
+
+def _digit_table(odd, inv):
+    """A width-4 ladder's table: the digits 1, 3, 5, 7 to the four odd powers, -1, -3, -5, -7 to their inverses."""
+    return {s * d: x if s > 0 else inv(x) for d, x in zip((1, 3, 5, 7), odd) for s in (1, -1)}
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +646,7 @@ def g2_mul(pt, k):
     odd = [(*pt, F2_ONE)]
     for _ in range(3):
         odd.append(_jac_madd_f2(odd[-1], two))
-    table = {}
-    for d, q in zip((1, 3, 5, 7), [pt, *_batch_to_affine_f2(odd[1:])]):
-        table[d], table[-d] = q, g2_neg(q)
+    table = _digit_table([pt, *_batch_to_affine_f2(odd[1:])], g2_neg)
     return _to_affine_f2(curve.ladder(None, reversed(_naf(k, 4)), table, _jac_double_f2, _jac_madd_f2))
 
 
@@ -907,8 +917,9 @@ def final_exp(f):
 
     The hard exponent is l0 + l1*p + l2*p^2 + p^3 with l2 = 6u^2 + 1,
     l1 = -36u^3 - 18u^2 - 12u + 1 and l0 = -36u^3 - 30u^2 - 18u - 2. It is
-    raised by three exponentiations by u, Frobenius maps and the addition
-    chain y0 * y1^2 * y2^6 * y3^12 * y4^18 * y5^30 * y6^36 of Scott et al.
+    raised by three exponentiations by u (``f12_cyc_pow``, 63 cyclotomic
+    squarings and 16 products each), Frobenius maps and the addition chain
+    y0 * y1^2 * y2^6 * y3^12 * y4^18 * y5^30 * y6^36 of Scott et al.
     (Pairing 2009); the inverses are conjugates.
     """
     f = easy_part(f)

@@ -205,9 +205,7 @@ _PASS_FILES = {
 
 
 def _send(tdir: Path, backend, msg) -> None:
-    tmp = tdir / (_PASS_FILES[type(msg)] + ".tmp")
-    env.write_object(str(tmp), msg, backend.name)
-    tmp.rename(tdir / _PASS_FILES[type(msg)])
+    env.write_object(str(tdir / _PASS_FILES[type(msg)]), msg, backend.name)
 
 
 def _recv(tdir: Path, backend, cls):

@@ -18,7 +18,9 @@ names the first that fails.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from fractions import Fraction
 from typing import Optional
 
@@ -250,9 +252,28 @@ def parse_envelope(obj, expected_kind: Optional[str] = None) -> tuple[str, dict]
 
 
 def write_envelope(path: str, kind: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(make_envelope(kind, payload), fh, indent=2)
-        fh.write("\n")
+    """Write the envelope to a new file beside ``path``, then move it over ``path`` in one step.
+
+    A write that fails midway (a full disk, an error in the dump) removes the
+    new file and leaves ``path`` as it was; a killed process leaves at most a
+    stray ``.tmp`` file. The new file is created as ``open(path, "w")`` would
+    create it: mode 0o666 less the umask.
+    """
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:  # a missing or unwritable directory: name the file asked for
+        exc.filename = path
+        raise
+    try:
+        with fh:
+            json.dump(make_envelope(kind, payload), fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_envelope(path: str, expected_kind: Optional[str] = None) -> tuple[str, dict]:

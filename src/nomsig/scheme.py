@@ -13,7 +13,8 @@ Conventions pinned here, applied consistently in every algorithm:
     H1(serialize(M_N)).
   * The exponent applied to delta'_2 in receive is the sum
     v'_0 + sum_i v'_i * M_N[i], matching F_N's definition.
-  * receive rejects unless BOTH of its pairing checks hold.
+  * receive rejects unless BOTH of its checks hold; they run as one
+    batched pairing check, and apart only when that fails.
 
 All hash inputs over multiple fields use length-prefixed concatenation of
 canonical serializations.
@@ -44,8 +45,9 @@ from .algebra import (
 )
 
 
-# Domain tag of the hash that derives tk_verify's batching coefficients.
+# Domain tags of the hashes that derive the batching coefficients of tk_verify and of receive's checks.
 TK_BATCH_TAG = b"NOMSIG-TKV-BATCH"
+DELTA_BATCH_TAG = b"NOMSIG-RCV-BATCH"
 
 
 class SchemeError(Exception):
@@ -327,17 +329,38 @@ def delta_checks(
     delta: DeltaMsg,
 ) -> tuple[bool, bool]:
     """The two receive-side checks: the Waters equation and the d1/d2 consistency."""
-    return _delta_checks(par, pk_s, delta, waters_eval(pk_s.u, _ms_bits(pk_n, m)))
+    return _delta_checks(par, pk_s, pk_n, m, delta, waters_eval(pk_s.u, _ms_bits(pk_n, m)))
 
 
 def _delta_checks(
-    par: PublicParams, pk_s: SignerPublicKey, delta: DeltaMsg, fs: GroupElem
+    par: PublicParams, pk_s: SignerPublicKey, pk_n: NomineePublicKey, m: bytes, delta: DeltaMsg, fs: GroupElem
 ) -> tuple[bool, bool]:
+    """The verdicts of the Waters equation and of the d1/d2 consistency, both True from one batched check.
+
+    The two equations
+      (W) e(gS, hS) * e(d1, F_S) = e(g1, d3)
+      (C) e(d1, g2) = e(g1, d2)
+    are moved to the form prod e = 1 and combined with coefficients 1 and c
+    into one check over e(gS^-1, hS) (the signer key's held Miller value),
+    e(d1^-1, F_S), e(g1, d3), e(d1^c, g2) and e(g1^-c, d2): one Miller
+    evaluation over the lines of F_S, d3 and d2, one final exponentiation.
+    c is a nonzero 128-bit value hashed from the keys, m and delta, drawn
+    from no random source. Only when the batch fails are (W) and (C) checked
+    apart, for the two verdicts.
+
+    Soundness, as in ``tk_verify``: G1 has cofactor 1 and every G2 input was
+    subgroup-checked when it was decoded, so each pairing value lies in the
+    order-N subgroup of GT. With errors E_W and E_C there, E_W * E_C^c = 1
+    cannot hold if E_C = 1 and E_W != 1, and fixes c if E_C != 1; a
+    hash-derived 128-bit c hits that one value with probability about 2^-128.
+    """
     check = par.backend.pairing_check
-    # e(gS, hS) * e(d1, F_S) = e(g1, d3) as e(gS^-1, hS) * e(d1^-1, F_S) * e(g1, d3) = 1, and e(d1, g2) = e(g1, d2)
-    waters_ok = check([(~delta.d1, fs), (par.g1, delta.d3)], [pk_s.miller])
-    consistent = check([(delta.d1, par.g2), (~par.g1, delta.d2)])
-    return waters_ok, consistent
+    waters = [(~delta.d1, fs), (par.g1, delta.d3)]
+    c, _ = _batch_coefficients(DELTA_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m,
+                               delta.d1.to_bytes(), delta.d2.to_bytes(), delta.d3.to_bytes())
+    if check([*waters, (delta.d1**c, par.g2), (par.g1**-c, delta.d2)], [pk_s.miller]):
+        return True, True
+    return check(waters, [pk_s.miller]), check([(delta.d1, par.g2), (~par.g1, delta.d2)])
 
 
 def receive(
@@ -351,7 +374,7 @@ def receive(
 ) -> Optional[NomSignature]:
     """Nominee half of signing; None means the delta message was rejected."""
     fs = waters_eval(pk_s.u, _ms_bits(pk_n, m))
-    waters_ok, consistent = _delta_checks(par, pk_s, delta, fs)
+    waters_ok, consistent = _delta_checks(par, pk_s, pk_n, m, delta, fs)
     if not (waters_ok and consistent):
         return None
     b = par.backend
@@ -394,28 +417,9 @@ def _main_equation(par, pk_s, pk_n, sigma, tk12, fs_fn) -> tuple[list, list]:
     return [(par.g1, sigma.s3), (~tk12, fs_fn)], [pk_s.miller, pk_n.miller]
 
 
-def _batch_coefficients(
-    pk_s: SignerPublicKey,
-    pk_n: NomineePublicKey,
-    m: bytes,
-    sigma: NomSignature,
-    tk: VerificationToken,
-) -> tuple[int, int]:
-    """Two nonzero 128-bit coefficients hashed from every tk_verify input."""
-    digest = hashlib.sha256(
-        TK_BATCH_TAG
-        + encode_parts(
-            pk_s.to_bytes(),
-            pk_n.to_bytes(),
-            m,
-            sigma.s1.to_bytes(),
-            sigma.s2.to_bytes(),
-            sigma.s3.to_bytes(),
-            sigma.s.to_bytes(32, "big"),
-            tk.tk1.to_bytes(),
-            tk.tk2.to_bytes(),
-        )
-    ).digest()
+def _batch_coefficients(tag: bytes, *parts: bytes) -> tuple[int, int]:
+    """Two nonzero 128-bit coefficients hashed from every input of a batched check, under its domain tag."""
+    digest = hashlib.sha256(tag + encode_parts(*parts)).digest()
     return int.from_bytes(digest[:16], "big") or 1, int.from_bytes(digest[16:], "big") or 1
 
 
@@ -456,7 +460,9 @@ def tk_verify(
     fs_fn = waters_product(pk_s, pk_n, d, counts)
     main, held = _main_equation(par, pk_s, pk_n, sigma, tk.tk1 * tk.tk2, fs_fn)
     counts.ec_additions += 1  # tk1 * tk2
-    c1, c2 = _batch_coefficients(pk_s, pk_n, m, sigma, tk)
+    c1, c2 = _batch_coefficients(TK_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m, sigma.s1.to_bytes(),
+                                 sigma.s2.to_bytes(), sigma.s3.to_bytes(), sigma.s.to_bytes(32, "big"),
+                                 tk.tk1.to_bytes(), tk.tk2.to_bytes())
     eqs = [(c1, sigma.s1, tk.tk1, pk_n.x1), (c2, sigma.s2, tk.tk2, pk_n.x2)]  # (i): e(s_i, g2) = e(tk_i, x_i)
     counts.pairing_pairs += 2 * len(eqs) + len(main) + len(held)  # the pairings of (1), (2) and (3) as written
     counts.scalar_mults += len(eqs)  # s1^c1 * s2^c2, one joint ladder

@@ -491,10 +491,26 @@ def test_cyclotomic_pow_matches_f12_pow():
     draws = random.Random(1308)
     e = pairing(G1_GEN, G2_GEN)
     g = easy_part(random_f12(draws))  # cyclotomic, not of order N
-    for k in [0, 1, 2, 3, N - 1, N, U] + [draws.randrange(N) for _ in range(3)]:
+    # 5, 7, 49, 83 and 119 lead with the width-4 digits 5, 7, 3, 5 and 7, the longer ones with 3, 5 and 7
+    wide = [5, 7, 11, 13, 49, 83, 119, 2**64 - 1, 3 << 70 | 12345, 5 << 100 | 7, 7 << 200 | 99]
+    assert {bn254._naf(k, 4)[-1] for k in wide} == {1, 3, 5, 7}
+    for k in [0, 1, 2, 3, N - 1, N, U] + wide + [draws.randrange(N) for _ in range(3)]:
         assert f12_cyc_pow(e, k) == f12_pow(e, k)
         assert f12_cyc_pow(g, k) == f12_pow(g, k)
     assert f12_cyc_pow(e, N) == F12_ONE and f12_cyc_pow(g, N) != F12_ONE
+
+
+def test_cyclotomic_pow_by_u_operation_counts(monkeypatch):
+    # the table a^2, a^3, a^5, a^7 takes one squaring and 3 products, then 62 squarings and 13 products
+    # for the digits after the leading one; plain NAF digits took 62 squarings and 23 products
+    counts = {"sqr": 0, "mul": 0}
+    sqr, mul = bn254.f12_cyc_sqr, bn254.f12_mul
+    monkeypatch.setattr(bn254, "f12_cyc_sqr", lambda a: counts.update(sqr=counts["sqr"] + 1) or sqr(a))
+    monkeypatch.setattr(bn254, "f12_mul", lambda a, b: counts.update(mul=counts["mul"] + 1) or mul(a, b))
+    e = pairing(G1_GEN, G2_GEN)
+    counts.update(sqr=0, mul=0)
+    assert f12_cyc_pow(e, U) == f12_pow(e, U)
+    assert counts == {"sqr": 63, "mul": 16}
 
 
 def test_g2_subgroup_check_matches_multiplication_by_n():

@@ -418,6 +418,25 @@ def test_pay_advance_that_would_overflow_a_balance_is_a_reject(workdir, tmp_path
     assert state.read_bytes() == before
 
 
+def test_pay_advance_whose_write_fails_midway_keeps_the_state(workdir, tmp_path, monkeypatch):
+    # the new state is half written when the disk fills: the old state stays, and no temporary file is left
+    state = tmp_path / "state.json"
+    assert _deploy(workdir, state).exit_code == 0
+    before = state.read_bytes()
+
+    def dump_then_fail(obj, fh, **_):
+        fh.write('{"schema_version": 1, "ki')
+        fh.flush()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(envelopes.json, "dump", dump_then_fail)
+    res = invoke("pay-advance", "--state", state, "--amount", 100)
+    assert_malformed(res)
+    assert "No space left on device" in res.output
+    assert state.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [state]
+
+
 @pytest.mark.parametrize("field", ["operator", "investor", "ledger"])
 def test_state_with_an_address_of_the_wrong_length_exits_2(workdir, tmp_path, field):
     payload = json.loads((workdir / "state.json").read_text())["payload"]
@@ -533,7 +552,10 @@ def test_unwritable_output_exits_2(workdir, tmp_path, case):
         "confirm": _protocol_args(workdir, "confirm", "verifier", workdir / "sigma.json", a_file, 100)[3:],
         "disavow": _protocol_args(workdir, "disavow", "verifier", workdir / "sigma.json", a_file, 100)[3:],
     }[case]
-    assert_malformed(invoke(*args))
+    res = invoke(*args)
+    assert_malformed(res)
+    if missing in args:  # the error names the file asked for, not the temporary file written first
+        assert f"No such file or directory: '{missing}'" in res.output, res.output
     assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
     assert a_file.read_text() == "kept"
 

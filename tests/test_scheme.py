@@ -323,12 +323,63 @@ def test_scalar_mult_tally_follows_the_exponentiations(mock_pipeline, monkeypatc
     assert ok and counts.scalar_mults == len(groups) == 6
 
 
-def test_receive_makes_three_g1_and_six_g2_exponentiations(mock_pipeline, monkeypatch):
+def test_receive_makes_five_g1_and_six_g2_exponentiations(mock_pipeline, monkeypatch):
+    # the batched check's d1^c and g1^-c, then s1 (two terms), s2, M_N (two terms) and s3 (four terms)
     p = mock_pipeline
     groups = _exponentiations(monkeypatch)
     sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, p.sk_n, random.Random(1))
     assert sigma is not None
-    assert sorted(groups) == ["G1"] * 3 + ["G2"] * 6
+    assert sorted(groups) == ["G1"] * 5 + ["G2"] * 6
+
+
+def _deltas(p):
+    """(delta, its two verdicts): honest, bad in the Waters equation only, in the consistency only, in both.
+
+    The last is bad in both with errors e(g1, g2) and e(g1, g2)^-1, which cancel in a product of the two
+    checks without a coefficient.
+    """
+    d1, d2, d3 = p.delta.d1, p.delta.d2, p.delta.d3
+    other_d2 = p.par.g2 ** random.Random(41).randrange(1, p.par.order)
+    assert other_d2 != d2
+    return [
+        (p.delta, (True, True)),
+        (DeltaMsg(d1, d2, d3 * p.par.g2), (False, True)),
+        (DeltaMsg(d1, other_d2, d3), (True, False)),
+        (DeltaMsg(d1, other_d2, d3 * p.par.g2), (False, False)),
+        (DeltaMsg(d1, d2 * p.par.g2, d3 * p.par.g2), (False, False)),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["mock", "bn254"])
+def test_batched_delta_checks_give_both_verdicts(mock_pipeline, real_pipeline, backend):
+    # each verdict is also the one of its own pairing check, as the two checks ran before they were batched
+    p = mock_pipeline if backend == "mock" else real_pipeline
+    check = p.par.backend.pairing_check
+    fs = waters_eval(p.pk_s.u, scheme._ms_bits(p.pk_n, p.m))
+    for delta, verdicts in _deltas(p):
+        apart = (check([(~delta.d1, fs), (p.par.g1, delta.d3)], [p.pk_s.miller]),
+                 check([(delta.d1, p.par.g2), (~p.par.g1, delta.d2)]))
+        assert delta_checks(p.par, p.pk_s, p.pk_n, p.m, delta) == apart == verdicts
+        assert (scheme.receive(p.par, p.pk_s, p.pk_n, p.m, delta, p.sk_n, random.Random(2)) is None) == (
+            verdicts != (True, True))
+
+
+def test_delta_checks_take_one_final_exponentiation_on_accept(real_pipeline, monkeypatch):
+    # the batch alone on accept; on reject the batch, then the Waters and the consistency check apart
+    p = real_pipeline
+    calls = []
+    final_exp = bn254.final_exp
+    monkeypatch.setattr(bn254, "final_exp", lambda f: calls.append(f) or final_exp(f))
+    for delta, verdicts in _deltas(p):
+        calls.clear()
+        assert delta_checks(p.par, p.pk_s, p.pk_n, p.m, delta) == verdicts
+        assert len(calls) == (1 if verdicts == (True, True) else 3)
+    batches = []
+    g2_lines = bn254.g2_lines
+    monkeypatch.setattr(bn254, "g2_lines", lambda qs: batches.append(len(qs)) or g2_lines(qs))
+    calls.clear()
+    assert delta_checks(p.par, p.pk_s, p.pk_n, p.m, fresh(p.delta)) == (True, True)
+    assert len(calls) == 1 and batches == [3]  # the lines of F_S, d3 and d2 in one batch; g2 keeps its own
 
 
 def fresh(obj):
