@@ -455,9 +455,10 @@ class RealBackend(Backend):
                     raise MalformedEncoding("GT: coefficient out of range")
                 coeffs.append((c0, c1))
             v = tuple(coeffs)
-            # cyclotomic first, so the order check may use cyclotomic squaring;
-            # zero passes the first test and fails the second
-            if not bn254.f12_is_cyclotomic(v) or bn254.f12_cyc_pow(v, self.order) != bn254.F12_ONE:
+            # nonzero a has a^N = 1 exactly when a^p = a^(p - N), and p - N = 6u^2 has 127 bits to N's 254;
+            # cyclotomic first, so that power may square cyclotomically. Zero passes both, so it is named.
+            if (v == (bn254.F2_ZERO,) * 6 or not bn254.f12_is_cyclotomic(v)
+                    or bn254.f12_frob(v) != bn254.f12_cyc_pow(v, bn254.P - self.order)):
                 raise NotInSubgroup("GT: not in the order-n subgroup")
             return v
         pt = self._point(group, data)

@@ -37,7 +37,7 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
   - ``g2_mul`` and ``f12_cyc_pow`` (width-4 signed digits over pt, 3pt,
     5pt, 7pt or a, a^3, a^5, a^7) take any twist point or cyclotomic
     element and any scalar, for the subgroup tests, cofactor clearing, the
-    final exponentiation and the order check of a decoded GT element.
+    final exponentiation and a decoded GT element's membership test.
 The program takes no power through ``g1_mul_base`` or ``g2_mul_base``.
 
 Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the

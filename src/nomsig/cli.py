@@ -10,10 +10,8 @@ processes exchanging numbered message files in a transport directory.
 from __future__ import annotations
 
 import functools
-import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -69,22 +67,6 @@ def _write_keys(pub_out: str, pk, sec_out: str, sk) -> None:
     except OSError:
         Path(pub_out).unlink()
         raise
-
-
-def _gas_price_opt(gas_price, use_default: bool):
-    if gas_price is not None:
-        # Fraction expands a decimal exponent into a full integer: refuse one of 1000 or more in size first
-        exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", gas_price)
-        if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 3:
-            raise MalformedInput("bad gas price: exponent out of range")
-        try:
-            price = Fraction(gas_price)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInput(f"bad gas price: {exc}")
-        if price < 0:
-            raise MalformedInput("bad gas price: negative")
-        return price
-    return gasmodel.DEFAULT_GAS_PRICE_ETH if use_default else None
 
 
 def _cost_table(path) -> gasmodel.CostTable:
@@ -344,7 +326,7 @@ def cmd_trigger(state_path, token_path, investor_seed, nonce, cost_table, gas_pr
     state, ledger = env.read_object(state_path, ct.ContractState)
     tk = env.read_object(token_path, scheme.VerificationToken, state.par.backend)
     table = _cost_table(cost_table)
-    price = _gas_price_opt(gas_price, use_default=False)
+    price = None if gas_price is None else gasmodel.parse_fraction(gas_price, "gas price")
     kp = trigger.ecdsa_keygen(investor_seed.encode())
     tx = ct.TransactionRecord(
         frm=trigger.address_of(kp.vk),
@@ -387,7 +369,7 @@ def _echo_gas(report: gasmodel.GasReport) -> None:
 def cmd_report_gas(receipt_path, pairing_pairs, ec_additions, cost_table, gas_price):
     """Print a gas report, from a receipt or from explicit operation counts."""
     table = _cost_table(cost_table)
-    price = _gas_price_opt(gas_price, use_default=True)
+    price = gasmodel.DEFAULT_GAS_PRICE_ETH if gas_price is None else gasmodel.parse_fraction(gas_price, "gas price")
     if receipt_path is not None:
         report = env.read_object(receipt_path, ct.ExecutionReceipt).gas
     else:

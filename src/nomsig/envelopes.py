@@ -21,13 +21,12 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import ELL, AlgebraError, Backend, GroupElem, get_backend
 from .bn254 import N
 from .contract import UINT256_LIMIT, ContractState, ExecutionReceipt, Phase, WalletLedger
-from .gasmodel import REPORT_COUNTS, GasModelError, GasReport
+from .gasmodel import REPORT_COUNTS, GasModelError, GasReport, parse_fraction
 from .scheme import (DeltaMsg, NomSignature, NomineePublicKey, NomineeSecretKey, PublicParams,
                      SignerPublicKey, SignerSecretKey, VerificationToken, setup)
 from .trigger import ADDRESS_LEN
@@ -395,12 +394,9 @@ def gas_report_payload(report: GasReport) -> dict:
 def gas_report_from_payload(payload: dict) -> GasReport:
     counts = {name: _int(payload.get(name), name) for name in REPORT_COUNTS}
     eth = payload.get("eth_cost")
-    try:
-        eth = None if eth is None else Fraction(_of(str, eth, "eth_cost"))
-    except (ValueError, ZeroDivisionError):
-        raise EnvelopeError(f"eth_cost: need a fraction, got {eth!r}") from None
     total = counts.pop("total_gas")
     try:
+        eth = None if eth is None else parse_fraction(_of(str, eth, "eth_cost"), "eth_cost")
         report = GasReport(**counts, eth_cost=eth)
     except GasModelError as exc:
         raise EnvelopeError(str(exc)) from None

@@ -3,15 +3,16 @@
 Prices only what the priced precompiles charge for: one batched pairing
 check (base + per-pair) plus curve additions, and the ecrecover call on
 the trigger side. ``tk_verify`` runs exactly that one check, over the 8
-pairs of its three equations combined by hash-derived coefficients. Its
-scalar multiplications (two for M_N, four applying the coefficients) carry
-no price in the table; they are reported as an unpriced count so the
-report stays honest about what it omits.
+pairs of its three equations combined by hash-derived coefficients, and
+reports its tallies in ``OpCounts``. Its scalar multiplications carry no
+price in the table; they are reported as an unpriced count so the report
+stays honest about what it omits.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
@@ -28,6 +29,21 @@ REPORT_COUNTS = ("tkverify_gas", "ecrecover_gas", "total_gas", "pairing_pairs", 
 
 class GasModelError(Exception):
     pass
+
+
+def parse_fraction(text: str, what: str) -> Fraction:
+    """A non-negative decimal or n/d string, such as a gas price or an ETH cost, as a Fraction."""
+    # Fraction expands a decimal exponent into a full integer: refuse one of 1000 or more in size first
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
+    if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 3:
+        raise GasModelError(f"bad {what}: exponent out of range")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GasModelError(f"bad {what}: {exc}") from None
+    if value < 0:
+        raise GasModelError(f"bad {what}: negative")
+    return value
 
 
 @dataclass(frozen=True)

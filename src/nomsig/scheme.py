@@ -199,8 +199,8 @@ class OpCounts:
 
     ``pairing_pairs`` is the number of pairs in the one batched pairing check,
     ``ec_additions`` the curve additions of the Waters products and tk1 * tk2.
-    ``scalar_mults`` counts the scalar multiplications: two recompute M_N,
-    four apply c1 and c2; the cost table does not price them.
+    ``scalar_mults`` counts the scalar multiplications: two recompute M_N, the
+    rest apply the batch coefficients; the cost table does not price them.
     """
 
     pairing_pairs: int = 0
@@ -239,19 +239,16 @@ def keygen_nominee(par: PublicParams, rng: Random) -> tuple[NomineePublicKey, No
     return pk, NomineeSecretKey(alphaN=alpha, vPrime=vp, y1=y1, y2=y2)
 
 
-def waters_eval(bases: tuple[GroupElem, ...], mbits: bytes, counts: Optional[OpCounts] = None) -> GroupElem:
+def waters_eval(bases: tuple[GroupElem, ...], mbits: bytes) -> GroupElem:
     """u_0 * prod_{i: m_i = 1} u_i for a 256-bit input, as one backend product.
 
     Bases with a nibble table (``WatersBases``) give u_0 and one entry per
     nonzero nibble of the input; others give u_0 and one base per set bit.
-    Counts the multiplications a pairwise fold makes: one per set bit.
     """
     if len(bases) != ELL + 1:
         raise LengthMismatch(f"need {ELL + 1} bases, got {len(bases)}")
     if len(mbits) * 8 != ELL:
         raise LengthMismatch(f"need a {ELL}-bit input, got {len(mbits) * 8} bits")
-    if counts is not None:
-        counts.ec_additions += int.from_bytes(mbits, "big").bit_count()
     u = bases[0]
     table = bases.nibble_table() if isinstance(bases, WatersBases) else None
     if table is None:
@@ -260,24 +257,9 @@ def waters_eval(bases: tuple[GroupElem, ...], mbits: bytes, counts: Optional[OpC
     return GroupElem(u.backend, u.group, u.backend.op_all(u.group, [u.value, *entries]))
 
 
-def waters_product(
-    pk_s: SignerPublicKey,
-    pk_n: NomineePublicKey,
-    d: DerivedValues,
-    counts: Optional[OpCounts] = None,
-) -> GroupElem:
+def waters_product(pk_s: SignerPublicKey, pk_n: NomineePublicKey, d: DerivedValues) -> GroupElem:
     """F_S(M_S) * F_N(M_N), the G2 side of the main verification equation."""
-    fs_fn = waters_eval(pk_s.u, d.MS, counts) * waters_eval(pk_n.uPrime, d.MNbits, counts)
-    if counts is not None:
-        counts.ec_additions += 1
-    return fs_fn
-
-
-def _pow(x: GroupElem, k: int, counts: Optional[OpCounts]) -> GroupElem:
-    """x^k, tallied as one scalar multiplication."""
-    if counts is not None:
-        counts.scalar_mults += 1
-    return x**k
+    return waters_eval(pk_s.u, d.MS) * waters_eval(pk_n.uPrime, d.MNbits)
 
 
 def _ms_bits(pk_n: NomineePublicKey, m: bytes) -> bytes:
@@ -294,12 +276,9 @@ def derive_values(
     pk_n: NomineePublicKey,
     m: bytes,
     sigma: NomSignature,
-    counts: Optional[OpCounts] = None,
 ) -> DerivedValues:
-    """Recompute (M_S, t, M_N, M_N bits) from public data."""
+    """Recompute (M_S, t, M_N, M_N bits) from public data; g2^t * k^s is one joint ladder."""
     t = _chal_scalar(par, pk_s, sigma.s1, sigma.s2, m)
-    if counts is not None:
-        counts.scalar_mults += 2  # g2^t and k^s, in one joint ladder
     mn = par.backend.multi_exp([(par.g2, t), (pk_n.k, sigma.s)])
     return DerivedValues(MS=_ms_bits(pk_n, m), t=t, MN=mn, MNbits=hash_h1(mn.to_bytes()))
 
@@ -335,32 +314,12 @@ def delta_checks(
 def _delta_checks(
     par: PublicParams, pk_s: SignerPublicKey, pk_n: NomineePublicKey, m: bytes, delta: DeltaMsg, fs: GroupElem
 ) -> tuple[bool, bool]:
-    """The verdicts of the Waters equation and of the d1/d2 consistency, both True from one batched check.
-
-    The two equations
-      (W) e(gS, hS) * e(d1, F_S) = e(g1, d3)
-      (C) e(d1, g2) = e(g1, d2)
-    are moved to the form prod e = 1 and combined with coefficients 1 and c
-    into one check over e(gS^-1, hS) (the signer key's held Miller value),
-    e(d1^-1, F_S), e(g1, d3), e(d1^c, g2) and e(g1^-c, d2): one Miller
-    evaluation over the lines of F_S, d3 and d2, one final exponentiation.
-    c is a nonzero 128-bit value hashed from the keys, m and delta, drawn
-    from no random source. Only when the batch fails are (W) and (C) checked
-    apart, for the two verdicts.
-
-    Soundness, as in ``tk_verify``: G1 has cofactor 1 and every G2 input was
-    subgroup-checked when it was decoded, so each pairing value lies in the
-    order-N subgroup of GT. With errors E_W and E_C there, E_W * E_C^c = 1
-    cannot hold if E_C = 1 and E_W != 1, and fixes c if E_C != 1; a
-    hash-derived 128-bit c hits that one value with probability about 2^-128.
-    """
-    check = par.backend.pairing_check
-    waters = [(~delta.d1, fs), (par.g1, delta.d3)]
-    c, _ = _batch_coefficients(DELTA_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m,
-                               delta.d1.to_bytes(), delta.d2.to_bytes(), delta.d3.to_bytes())
-    if check([*waters, (delta.d1**c, par.g2), (par.g1**-c, delta.d2)], [pk_s.miller]):
+    """The verdicts of (W) and (C), both True from one batched check, c on (C) and 1 on (W); apart if it fails."""
+    w, c = _waters(par, pk_s, delta, fs), _consistency(par, delta)
+    if _check(par, [c, w], DELTA_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m,
+              delta.d1.to_bytes(), delta.d2.to_bytes(), delta.d3.to_bytes())[0]:
         return True, True
-    return check(waters, [pk_s.miller]), check([(delta.d1, par.g2), (~par.g1, delta.d2)])
+    return _check(par, [w])[0], _check(par, [c])[0]
 
 
 def receive(
@@ -403,24 +362,10 @@ def convert(
     sigma: NomSignature,
     sk_n: NomineeSecretKey,
 ) -> Optional[VerificationToken]:
-    """Produce the public verification token; None if sigma does not verify."""
-    d = derive_values(par, pk_s, pk_n, m, sigma)
-    fs_fn = waters_product(pk_s, pk_n, d)
+    """Produce the public verification token; None if sigma does not verify by (3)."""
+    fs_fn = waters_product(pk_s, pk_n, derive_values(par, pk_s, pk_n, m, sigma))
     tk = VerificationToken(tk1=sigma.s1**sk_n.y1, tk2=sigma.s2**sk_n.y2)
-    if not par.backend.pairing_check(*_main_equation(par, pk_s, pk_n, sigma, tk.tk1 * tk.tk2, fs_fn)):
-        return None
-    return tk
-
-
-def _main_equation(par, pk_s, pk_n, sigma, tk12, fs_fn) -> tuple[list, list]:
-    """e(g1, s3) = e(gS, hS) * e(gN, hN) * e(tk1 * tk2, F_S * F_N) as prod e = 1: two pairs and the keys' held values."""
-    return [(par.g1, sigma.s3), (~tk12, fs_fn)], [pk_s.miller, pk_n.miller]
-
-
-def _batch_coefficients(tag: bytes, *parts: bytes) -> tuple[int, int]:
-    """Two nonzero 128-bit coefficients hashed from every input of a batched check, under its domain tag."""
-    digest = hashlib.sha256(tag + encode_parts(*parts)).digest()
-    return int.from_bytes(digest[:16], "big") or 1, int.from_bytes(digest[16:], "big") or 1
+    return tk if _check(par, [_main(par, pk_s, pk_n, sigma.s3, tk.tk1 * tk.tk2, fs_fn)])[0] else None
 
 
 def tk_verify(
@@ -433,39 +378,81 @@ def tk_verify(
 ) -> tuple[bool, OpCounts]:
     """Public verification of (sigma, tk); returns the verdict and op tallies.
 
-    The three equations
-      (1) e(s1, g2) = e(tk1, x1)
-      (2) e(s2, g2) = e(tk2, x2)
-      (3) e(g1, s3) = e(gS, hS) * e(gN, hN) * e(tk1 * tk2, F_S * F_N)
-    are moved to the form prod e = 1 and combined with coefficients c1, c2
-    and 1 into one check over their eight pairs: one Miller loop, one final
-    exponentiation. This is the gas model's single batched precompile call
-    with n = 8. c1 and c2 are nonzero 128-bit values hashed from all inputs
-    and applied as G1 scalar multiplications (counted, unpriced). The engine
+    Equations (1), (2) and (3) run as one batched check (``_check``) with
+    coefficients c1, c2 and 1 hashed from all inputs: one Miller evaluation
+    and one final exponentiation. This is the gas model's single precompile
+    call over the n = 8 pairs and held values as written. The engine
     evaluates five pairs: e(gS, hS) and e(gN, hN) enter as the keys' held
     Miller values, and the g2 pairs of (1) and (2) join as e(s1^c1 s2^c2, g2).
-
-    Soundness: G1 has cofactor 1 and every G2 input was checked to lie in G2
-    when it was decoded (a public key's points by one batched test that errs
-    with probability below 2^-132, ``bn254.g2_all_in_subgroup``), so each
-    pair's pairing value lies in the order-N subgroup of GT and the
-    coefficients act on it as exponents. A failing equation i leaves an
-    error E_i != 1 in that prime-order group. E1^c1 * E2^c2 * E3 = 1 then
-    cannot hold if E3 is the only error, fixes c1 given c2 if E1 != 1, and
-    fixes c2 if E1 = 1 and E2 != 1; a hash-derived 128-bit coefficient hits
-    the one bad value with probability about 2^-128.
     """
-    counts = OpCounts()
-    d = derive_values(par, pk_s, pk_n, m, sigma, counts)
-    fs_fn = waters_product(pk_s, pk_n, d, counts)
-    main, held = _main_equation(par, pk_s, pk_n, sigma, tk.tk1 * tk.tk2, fs_fn)
-    counts.ec_additions += 1  # tk1 * tk2
-    c1, c2 = _batch_coefficients(TK_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m, sigma.s1.to_bytes(),
-                                 sigma.s2.to_bytes(), sigma.s3.to_bytes(), sigma.s.to_bytes(32, "big"),
-                                 tk.tk1.to_bytes(), tk.tk2.to_bytes())
-    eqs = [(c1, sigma.s1, tk.tk1, pk_n.x1), (c2, sigma.s2, tk.tk2, pk_n.x2)]  # (i): e(s_i, g2) = e(tk_i, x_i)
-    counts.pairing_pairs += 2 * len(eqs) + len(main) + len(held)  # the pairings of (1), (2) and (3) as written
-    counts.scalar_mults += len(eqs)  # s1^c1 * s2^c2, one joint ladder
-    pairs = [(par.backend.multi_exp([(s, c) for c, s, _, _ in eqs]), par.g2),
-             *((~_pow(t, c, counts), x) for c, _, t, x in eqs), *main]
-    return par.backend.pairing_check(pairs, held), counts
+    d = derive_values(par, pk_s, pk_n, m, sigma)
+    fs_fn = waters_product(pk_s, pk_n, d)
+    relations = [_token(par, sigma.s1, tk.tk1, pk_n.x1), _token(par, sigma.s2, tk.tk2, pk_n.x2),
+                 _main(par, pk_s, pk_n, sigma.s3, tk.tk1 * tk.tk2, fs_fn)]
+    ok, pairs, powers = _check(par, relations, TK_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m,
+                               sigma.s1.to_bytes(), sigma.s2.to_bytes(), sigma.s3.to_bytes(),
+                               sigma.s.to_bytes(32, "big"), tk.tk1.to_bytes(), tk.tk2.to_bytes())
+    additions = int.from_bytes(d.MS + d.MNbits, "big").bit_count() + 2
+    return ok, OpCounts(pairing_pairs=pairs, ec_additions=additions, scalar_mults=2 + powers)
+
+
+# The five relations, each written once as ([(a, sign, b), ...], held): it holds when prod e(a, b)^sign
+# times the pairings of its held Miller values is 1. A key's held value ``miller`` is that of e(g^-1, h).
+
+
+def _waters(par, pk_s, delta, fs):  # (W) e(gS, hS) * e(d1, F_S) = e(g1, d3)
+    return [(delta.d1, -1, fs), (par.g1, 1, delta.d3)], [pk_s.miller]
+
+
+def _consistency(par, delta):  # (C) e(d1, g2) = e(g1, d2)
+    return [(delta.d1, 1, par.g2), (par.g1, -1, delta.d2)], []
+
+
+def _token(par, s, tk, x):  # (1) e(s1, g2) = e(tk1, x1), or (2) e(s2, g2) = e(tk2, x2)
+    return [(s, 1, par.g2), (tk, -1, x)], []
+
+
+def _main(par, pk_s, pk_n, s3, tk12, fs_fn):  # (3) e(g1, s3) = e(gS, hS) * e(gN, hN) * e(tk1 * tk2, F_S * F_N)
+    return [(par.g1, 1, s3), (tk12, -1, fs_fn)], [pk_s.miller, pk_n.miller]
+
+
+def _check(par: PublicParams, relations: list, tag: bytes = b"", *parts: bytes) -> tuple[bool, int, int]:
+    """Whether all the relations hold, as one pairing check; with its priced pair count and the powers it took.
+
+    Relation i is raised to c_i, where (c_1, ..., c_{n-1}, 1) are the
+    ``_batch_coefficients`` of the tag and parts, so only the last may hold
+    Miller values. A term's written G1 element is raised to sign * c_i, not
+    a fresh inverse to c_i, so an element that keeps a comb enters by it.
+
+    Soundness (small-exponent batching, Bellare-Garay-Rabin, EUROCRYPT 1998):
+    G1 has cofactor 1 and every G2 input was checked to lie in G2 when it was
+    decoded (a public key's points by one batched test that errs with
+    probability below 2^-132, ``bn254.g2_all_in_subgroup``), so each
+    relation's value E_i lies in the order-N subgroup of GT, where the
+    coefficients act as exponents. prod E_i^c_i = 1 cannot hold if E_n is
+    the only error, and if E_i != 1 for some i < n it fixes c_i given the
+    other coefficients; a hash-derived 128-bit coefficient hits that one
+    value with probability about 2^-128.
+    """
+    by_g2, held = {}, []
+    for (terms, h), c in zip(relations, _batch_coefficients(len(relations), tag, *parts)):
+        assert c == 1 or not h, "a held Miller value cannot be raised to a coefficient"
+        held += h
+        for a, sign, b in terms:
+            by_g2.setdefault(b, []).append((a, sign * c))
+    pairs, powers = [], 0
+    for b, terms in by_g2.items():
+        if len(terms) == 1 and terms[0][1] in (1, -1):
+            a, k = terms[0]
+            pairs.append((a if k == 1 else ~a, b))
+        else:
+            pairs.append((par.backend.multi_exp(terms), b))
+            powers += len(terms)
+    return par.backend.pairing_check(pairs, held), sum(len(t) + len(h) for t, h in relations), powers
+
+
+def _batch_coefficients(count: int, tag: bytes = b"", *parts: bytes) -> list[int]:
+    """count - 1 nonzero 128-bit coefficients hashed from every input of a batched check under its tag, then 1."""
+    assert count <= 3, "one SHA-256 digest gives two coefficients"
+    digest = hashlib.sha256(tag + encode_parts(*parts)).digest() if count > 1 else b""
+    return [int.from_bytes(digest[16 * i : 16 * i + 16], "big") or 1 for i in range(count - 1)] + [1]

@@ -266,6 +266,25 @@ def test_real_gt_decode_rejects_non_subgroup_values():
     assert b.element("GT", encode(bn254.F12_ONE)).is_identity()
 
 
+def test_gt_membership_by_frobenius_agrees_with_the_order_check():
+    # p - N = 6u^2, so a nonzero a has a^p = a^(6u^2) exactly when a^N = 1: the decoder accepts just
+    # what a^N = 1 accepts, on GT elements, on 1, on cyclotomic values outside GT and on raw values
+    assert bn254.P - N == 6 * bn254.U**2
+    b, rng = RealBackend(), random.Random(23)
+    raw = [tuple((rng.randrange(bn254.P), rng.randrange(bn254.P)) for _ in range(6)) for _ in range(3)]
+    cyclotomic = [bn254.easy_part(f) for f in raw]
+    assert all(map(bn254.f12_is_cyclotomic, cyclotomic))
+    members = [bn254.F12_ONE, *((b.gt() ** rng.randrange(1, N)).value for _ in range(3))]
+    verdicts = []
+    for v in members + cyclotomic + raw:
+        try:
+            verdicts.append(b.element("GT", b.serialize("GT", v)).value == v)
+        except NotInSubgroup:
+            verdicts.append(False)
+    assert verdicts == [f12_pow(v, N) == bn254.F12_ONE for v in members + cyclotomic + raw]
+    assert verdicts == [True] * len(members) + [False] * (len(cyclotomic) + len(raw))
+
+
 # Edge scalars for multi_exp: each is reduced mod N, so -3 is N - 3 and 2^300 wraps.
 EDGE_SCALARS = [0, 1, N - 1, N, N + 5, -3, 2**300]
 

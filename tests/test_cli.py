@@ -328,6 +328,18 @@ def test_gas_price_exponent_is_bounded_before_parsing(price, code):
     assert ("exponent out of range" in res.output) == (code == 2) and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("eth, code", [("1e9999999", 2), ("1e-9999999", 2), ("1E+0_001_000", 2), ("3/4", 0)])
+def test_receipt_eth_cost_exponent_is_bounded_before_parsing(tmp_path, eth, code):
+    # a receipt's eth_cost takes the --gas-price rule: the first case used to run for over a minute
+    path = _receipt(tmp_path, lambda gas: {**gas, "eth_cost": eth})
+    start = time.perf_counter()
+    res = invoke("report-gas", "--receipt", path)
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == code, res.output
+    assert ("exponent out of range" in res.output) == (code == 2) and "Traceback" not in res.output
+    assert ("eth=0.75000000" in res.output) == (code == 0)
+
+
 def test_negative_ec_additions_exits_2():
     res = invoke("report-gas", "--ec-additions", "-3000")
     assert_malformed(res)

@@ -1,16 +1,16 @@
 import dataclasses
+import hashlib
 import random
 import sys
 
 import pytest
 
 from nomsig import bn254, curve, scheme, zkproto
-from nomsig.algebra import COMB_USES, ELL, GroupElem, MockBackend, RealBackend, hash_h1, bit
+from nomsig.algebra import COMB_USES, ELL, GroupElem, MockBackend, RealBackend, encode_parts, hash_h1, bit
 from nomsig.scheme import (
     DeltaMsg,
     LengthMismatch,
     NomSignature,
-    OpCounts,
     VerificationToken,
     UnsupportedSecurityLevel,
     delta_checks,
@@ -242,9 +242,7 @@ def test_waters_eval_real_matches_affine_fold():
             if bit(mbits, i):
                 want = want * bases[i]
         for held_or_plain in (tuple(bases), held):
-            counts = OpCounts()
-            assert waters_eval(held_or_plain, mbits, counts) == want
-            assert counts.ec_additions == hw(mbits)
+            assert waters_eval(held_or_plain, mbits) == want
 
 
 def tabled(bases):
@@ -270,9 +268,7 @@ def test_nibble_table_matches_the_fold(real_pipeline):
     for bases in (real_pipeline.pk_s.u, real_pipeline.pk_n.uPrime):
         held = tabled(bases)
         for mbits in masks:
-            by_table, by_fold = OpCounts(), OpCounts()
-            assert waters_eval(held, mbits, by_table) == waters_eval(tuple(bases), mbits, by_fold)
-            assert by_table.ec_additions == by_fold.ec_additions == hw(mbits)
+            assert waters_eval(held, mbits) == waters_eval(tuple(bases), mbits)
 
 
 def test_keys_build_one_nibble_table_each_at_the_comb_count(real_pipeline, monkeypatch):
@@ -474,3 +470,80 @@ def test_only_held_elements_get_a_comb(real_pipeline, monkeypatch):
     assert all(isinstance(e.comb, list) for e in (par.g1, par.g2, pk_s.hS, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2))
     assert len(built) == len(set(built)) and set(built) <= {e.value for e in held}
     assert not {e.value for e in per_op} & set(built)
+
+
+@pytest.mark.parametrize("backend", ["mock", "bn254"])
+def test_each_tamper_fails_exactly_its_relations(mock_pipeline, real_pipeline, backend):
+    # the trigger workload's pairing tampers of tk1, tk2 and s3: checked alone, equations (1), (2) and (3)
+    # fail just where a tamper touches them, and the batch rejects each
+    p = mock_pipeline if backend == "mock" else real_pipeline
+    fs_fn = scheme.waters_product(p.pk_s, p.pk_n, derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma))
+    for sigma, tk, failing in [(p.sigma, p.tk, set()),
+                               (p.sigma, dataclasses.replace(p.tk, tk1=p.tk.tk1 * p.par.g1), {1, 3}),
+                               (p.sigma, dataclasses.replace(p.tk, tk2=p.tk.tk2 * p.par.g1), {2, 3}),
+                               (dataclasses.replace(p.sigma, s3=p.sigma.s3 * p.par.g2), p.tk, {3})]:
+        relations = {1: scheme._token(p.par, sigma.s1, tk.tk1, p.pk_n.x1),
+                     2: scheme._token(p.par, sigma.s2, tk.tk2, p.pk_n.x2),
+                     3: scheme._main(p.par, p.pk_s, p.pk_n, sigma.s3, tk.tk1 * tk.tk2, fs_fn)}
+        assert {i for i, rel in relations.items() if not scheme._check(p.par, [rel])[0]} == failing
+        assert scheme.tk_verify(p.par, p.pk_s, p.pk_n, p.m, sigma, tk)[0] == (not failing)
+
+
+@pytest.mark.parametrize("backend", [MockBackend, RealBackend], ids=["mock", "bn254"])
+def test_each_check_evaluates_its_pairs_and_held_values(mock_pipeline, real_pipeline, backend, monkeypatch):
+    # tk_verify: 5 pairs for its 8 priced ones and both keys' held values; receive on accept: (C) and (W)
+    # in one batch, 4 pairs and the signer key's; convert: (3) alone, 2 pairs and both keys'
+    p = mock_pipeline if backend is MockBackend else real_pipeline
+    seen = []
+    product = backend.pairing_product_values
+    monkeypatch.setattr(backend, "pairing_product_values",
+                        lambda self, pairs, held: seen.append((len(pairs), len(held))) or product(self, pairs, held))
+    assert p.verify()[0]
+    sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, p.sk_n, random.Random(3))
+    assert sigma is not None and scheme.convert(p.par, p.pk_s, p.pk_n, p.m, sigma, p.sk_n) is not None
+    assert seen == [(5, 2), (4, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("backend", ["mock", "bn254"])
+def test_op_counts_are_the_priced_pairs_the_additions_and_the_powers(mock_pipeline, real_pipeline, backend):
+    p = mock_pipeline if backend == "mock" else real_pipeline
+    d = derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
+    ok, counts = p.verify()
+    assert ok and dataclasses.astuple(counts) == (8, hw(d.MS) + hw(d.MNbits) + 2, 6)
+
+
+def test_coefficients_raise_the_written_elements(mock_pipeline, monkeypatch):
+    # c1 and c2 are the two halves of one SHA-256 digest under TK_BATCH_TAG, c those of DELTA_BATCH_TAG;
+    # tk1 is raised to -c1 and g1 to -c, not their inverses to c1 and c
+    p = mock_pipeline
+    powers = []
+    multi_exp = MockBackend.multi_exp
+    monkeypatch.setattr(MockBackend, "multi_exp", lambda self, terms: powers.append(terms) or multi_exp(self, terms))
+
+    def halves(tag, *parts):
+        digest = hashlib.sha256(tag + encode_parts(*parts)).digest()
+        return int.from_bytes(digest[:16], "big"), int.from_bytes(digest[16:], "big")
+
+    sigma, tk = p.sigma, p.tk
+    c1, c2 = halves(scheme.TK_BATCH_TAG, p.pk_s.to_bytes(), p.pk_n.to_bytes(), p.m, sigma.s1.to_bytes(),
+                    sigma.s2.to_bytes(), sigma.s3.to_bytes(), sigma.s.to_bytes(32, "big"), tk.tk1.to_bytes(),
+                    tk.tk2.to_bytes())
+    assert p.verify()[0]
+    assert powers[1:] == [[(sigma.s1, c1), (sigma.s2, c2)], [(tk.tk1, -c1)], [(tk.tk2, -c2)]]
+    assert all(x is y for (x, _), y in zip(powers[1] + powers[2] + powers[3], (sigma.s1, sigma.s2, tk.tk1, tk.tk2)))
+    powers.clear()
+    d = p.delta
+    c, _ = halves(scheme.DELTA_BATCH_TAG, p.pk_s.to_bytes(), p.pk_n.to_bytes(), p.m, d.d1.to_bytes(),
+                  d.d2.to_bytes(), d.d3.to_bytes())
+    assert delta_checks(p.par, p.pk_s, p.pk_n, p.m, d) == (True, True)
+    assert powers == [[(d.d1, c)], [(p.par.g1, -c)]] and powers[1][0][0] is p.par.g1
+
+
+def test_repeated_tk_verify_gives_sigma_and_token_a_comb(real_pipeline):
+    # tk1 and tk2 enter their powers as written, so like s1 and s2 they reach the comb count and keep a
+    # table, as the trigger workload's reused (sigma, tk) triples do; an inverse made per call never would
+    p = real_pipeline
+    sigma, tk = fresh(p.sigma), fresh(p.tk)
+    for _ in range(COMB_USES + 1):
+        assert scheme.tk_verify(p.par, p.pk_s, p.pk_n, p.m, sigma, tk)[0]
+    assert all(isinstance(e.comb, list) for e in (tk.tk1, tk.tk2, sigma.s1, sigma.s2))
