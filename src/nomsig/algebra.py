@@ -203,12 +203,13 @@ class Backend:
         """The product of one or more values of one group, by a pairwise tree: one ``add_all`` call per level."""
         return curve.sums([values], functools.partial(self.add_all, group))[0]
 
-    def element(self, group: str, data: bytes) -> GroupElem:
-        return GroupElem(self, group, self.deserialize(group, data))
+    def element(self, group: str, data: bytes, compressed: bool = True) -> GroupElem:
+        return GroupElem(self, group, self.deserialize(group, data, compressed))
 
-    def deserialize_all(self, group: str, datas: list[bytes]) -> list:
-        """The values of datas up to the first entry that ``deserialize`` refuses, which a caller decodes for its error."""
-        return _decoded(functools.partial(self.deserialize, group), datas)
+    def deserialize_all(self, group: str, encodings: list[tuple[bytes, bool]]) -> list:
+        """The values of the (data, compressed) encodings up to the first that ``deserialize`` refuses, which a
+        caller decodes for its error."""
+        return _decoded(lambda e: self.deserialize(group, *e), encodings)
 
     def random_scalar(self, rng) -> int:
         return rng.randrange(self.order)
@@ -226,14 +227,16 @@ class Backend:
     def inv(self, group, a): raise NotImplementedError
     def miller_value(self, a, b): raise NotImplementedError  # of one (G1, G2) element pair, kept by its holder
     def pairing_product_values(self, pairs, held): raise NotImplementedError  # (G1, G2) element pairs
-    def serialize(self, group, a) -> bytes: raise NotImplementedError
-    def deserialize(self, group, data: bytes): raise NotImplementedError
+    # A G1 or G2 point's encoding is compressed or, for compressed=False, its ``point_words``; the scheme's
+    # hashes take the compressed one, ``GroupElem.to_bytes``. Mock elements and GT have one encoding each.
+    def serialize(self, group, a, compressed=True) -> bytes: raise NotImplementedError
+    def deserialize(self, group, data: bytes, compressed=True): raise NotImplementedError
 
 
-def _decoded(decode, datas: list[bytes]) -> list:
-    """decode(d) for each entry d of datas, up to the first that raises AlgebraError."""
+def _decoded(decode, items: list) -> list:
+    """decode(d) for each entry d of items, up to the first that raises AlgebraError."""
     values = []
-    for d in datas:
+    for d in items:
         try:
             values.append(decode(d))
         except AlgebraError:
@@ -279,10 +282,10 @@ class MockBackend(Backend):
     def pairing_product_values(self, pairs, held):
         return (sum(a.value * b.value for a, b in pairs) + sum(held)) % self.order
 
-    def serialize(self, group, a):
+    def serialize(self, group, a, compressed=True):
         return a.to_bytes(32, "big")
 
-    def deserialize(self, group, data):
+    def deserialize(self, group, data, compressed=True):
         if len(data) != 32:
             raise MalformedEncoding(f"{group}: expected 32 bytes, got {len(data)}")
         v = int.from_bytes(data, "big")
@@ -298,11 +301,12 @@ _FLAG_SIGN = 0x80
 _FLAG_INF = 0x40
 
 
-# Per curve group: the encoding's length, y^2 as a function of x, and the square root and negation of
-# its field, Fp for G1 and Fp2 for the twist.
+# Per curve group: the compressed encoding's length, y^2 as a function of x and as a function of y, and
+# the square root and negation of its field, Fp for G1 and Fp2 for the twist.
 _CURVES = {
-    "G1": (32, lambda x: (x * x * x + bn254.G1_B) % bn254.P, bn254._sqrt_fp, lambda y: -y % bn254.P),
-    "G2": (64, bn254.g2_rhs, bn254.f2_sqrt, bn254.f2_neg),
+    "G1": (32, lambda x: (x * x * x + bn254.G1_B) % bn254.P, lambda y: y * y % bn254.P, bn254._sqrt_fp,
+           lambda y: -y % bn254.P),
+    "G2": (64, bn254.g2_rhs, bn254.f2_sqr, bn254.f2_sqrt, bn254.f2_neg),
 }
 
 
@@ -318,9 +322,34 @@ def _is_high(y) -> bool:
 
 def _lift(group: str, x, high: bool):
     """The G1 or twist point with x-coordinate x whose y is high or low, or None if x is not on the curve."""
-    _, rhs, sqrt, neg = _CURVES[group]
+    _, rhs, _, sqrt, neg = _CURVES[group]
     y = sqrt(rhs(x))
     return None if y is None else (x, y if _is_high(y) == high else neg(y))
+
+
+def point_words(group: str, pt) -> bytes:
+    """A G1 or G2 point as the EIP-197 precompiles read it: 32-byte big-endian words, G1 (x, y) and G2
+    (x_im, x_re, y_im, y_re), each coordinate's ``_coeffs`` in turn; the point at infinity is all zeros."""
+    if pt is None:
+        return bytes(2 * _CURVES[group][0])
+    return b"".join(c.to_bytes(32, "big") for v in pt for c in _coeffs(v))
+
+
+def words_point(group: str, data: bytes):
+    """The G1 or G2 point whose ``point_words`` data is, range-checked and on its curve, before any subgroup test."""
+    n = 2 * _CURVES[group][0]
+    if len(data) != n:
+        raise MalformedEncoding(f"{group}: expected {n} bytes, got {len(data)}")
+    cs = [int.from_bytes(data[i : i + 32], "big") for i in range(0, n, 32)]
+    if max(cs) >= bn254.P:
+        raise MalformedEncoding(f"{group}: coordinate out of range")
+    if not any(cs):  # (0, 0) is on neither curve
+        return None
+    x, y = cs if group == "G1" else ((cs[1], cs[0]), (cs[3], cs[2]))
+    _, rhs, sqr, _, _ = _CURVES[group]
+    if sqr(y) != rhs(x):
+        raise NotOnCurve(f"{group}: point not on curve")
+    return x, y
 
 
 # The G2 batch from which one batched subgroup test beats a test per point:
@@ -433,17 +462,19 @@ class RealBackend(Backend):
         f = bn254.miller_eval([(a.value, b.lines) for a, b in pairs])
         return bn254.final_exp(functools.reduce(bn254.f12_mul, held, f))
 
-    def serialize(self, group, a):
+    def serialize(self, group, a, compressed=True):
         """GT as its 12 Fp coefficients; a G1 or G2 point as x's ``_coeffs``, flagged with y's sign or as infinity."""
         if group == "GT":
             return b"".join(c.to_bytes(32, "big") for pair in a for c in pair)
+        if not compressed:
+            return point_words(group, a)
         if a is None:
             return bytes([_FLAG_INF]) + bytes(_CURVES[group][0] - 1)
         buf = bytearray(b"".join(c.to_bytes(32, "big") for c in _coeffs(a[0])))
         buf[0] |= _FLAG_SIGN if _is_high(a[1]) else 0
         return bytes(buf)
 
-    def deserialize(self, group, data):
+    def deserialize(self, group, data, compressed=True):
         if group == "GT":
             if len(data) != 384:
                 raise MalformedEncoding("GT: expected 384 bytes")
@@ -461,26 +492,26 @@ class RealBackend(Backend):
                     or bn254.f12_frob(v) != bn254.f12_cyc_pow(v, bn254.P - self.order)):
                 raise NotInSubgroup("GT: not in the order-n subgroup")
             return v
-        pt = self._point(group, data)
+        pt = self._point(group, data, compressed)
         if group == "G2" and not bn254.g2_in_subgroup(pt):
             raise NotInSubgroup("G2: point not in the prime-order subgroup")
         return pt
 
-    def deserialize_all(self, group, datas):
+    def deserialize_all(self, group, encodings):
         """As the default, but a list of G2 points takes batched subgroup tests, ``bn254.g2_all_in_subgroup``.
 
-        Each point is range-checked and lifted onto the twist as by
-        ``deserialize``, up to the first that fails there. The lifted points
-        take one batch test, which lets a point outside G2 through with
-        probability below 2^-132. If it fails, the range that holds the first
-        bad point is halved with one batch test per step, going left while the
-        left half fails, down to G2_BATCH_MIN points, which are tested one by
-        one. Below G2_BATCH_MIN points, a batch test's own 10 subgroup tests
-        cost more than it saves.
+        Each point is range-checked and put on the twist as by ``deserialize``
+        (lifted if compressed, tested if not), up to the first that fails
+        there. These points take one batch test, which lets a point outside
+        G2 through with probability below 2^-132. If it fails, the range that
+        holds the first bad point is halved with one batch test per step,
+        going left while the left half fails, down to G2_BATCH_MIN points,
+        which are tested one by one. Below G2_BATCH_MIN points, a batch test's
+        own 10 subgroup tests cost more than it saves.
         """
-        if group != "G2" or len(datas) < G2_BATCH_MIN:
-            return super().deserialize_all(group, datas)
-        pts = _decoded(functools.partial(self._point, group), datas)
+        if group != "G2" or len(encodings) < G2_BATCH_MIN:
+            return super().deserialize_all(group, encodings)
+        pts = _decoded(lambda e: self._point(group, *e), encodings)
         if bn254.g2_all_in_subgroup(pts):
             return pts
         lo, hi = 0, len(pts)  # pts[:lo] passed and pts[lo:hi] failed
@@ -489,8 +520,10 @@ class RealBackend(Backend):
             lo, hi = (mid, hi) if bn254.g2_all_in_subgroup(pts[lo:mid]) else (lo, mid)
         return pts[:next((i for i in range(lo, hi) if not bn254.g2_in_subgroup(pts[i])), hi)]
 
-    def _point(self, group, data):
+    def _point(self, group, data, compressed):
         """The G1 or G2 point that data encodes, range-checked and on its curve, before any subgroup test."""
+        if not compressed:
+            return words_point(group, data)
         n = _CURVES[group][0]
         if len(data) != n:
             raise MalformedEncoding(f"{group}: expected {n} bytes, got {len(data)}")

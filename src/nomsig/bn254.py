@@ -40,9 +40,10 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
     final exponentiation and a decoded GT element's membership test.
 The program takes no power through ``g1_mul_base`` or ``g2_mul_base``.
 
-Decoding a G2 point costs two Fp exponentiations in ``f2_sqrt`` and the
-subgroup test ``g2_in_subgroup``: 62 doublings and 13 mixed additions for
-[u]Q, then five mixed additions whose Jacobian sum is tested for infinity.
+Decoding a G2 point costs an on-curve check of its (x, y), or for a
+compressed x two Fp exponentiations in ``f2_sqrt``, and the subgroup test
+``g2_in_subgroup``: 62 doublings and 13 mixed additions for [u]Q, then
+five mixed additions whose Jacobian sum is tested for infinity.
 ``g2_all_in_subgroup`` tests a batch of points with 10 of those tests, on
 random linear combinations summed by signed-digit buckets.
 

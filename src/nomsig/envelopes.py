@@ -1,9 +1,13 @@
 """Versioned JSON envelopes for every artifact the CLI moves between stages.
 
-Each file is one JSON object: {"schema_version": 1, "kind": ..., payload}.
+Each file is one JSON object: {"schema_version": 2, "kind": ..., payload}.
 Keys, signatures, tokens and protocol messages follow one table, ``CODEC``.
-Group elements are hex of the backend's compressed encoding; the backend
+Group elements are lowercase hex of the backend's encoding; the backend
 name rides along so a consumer can rebuild elements in the right groups.
+Each file's version decides its bn254 G1 and G2 point codec: version 2 has
+the EIP-197 words (``algebra.point_words``), version 1, still read, the
+compressed encoding, whose decoding takes a square root per point. Only
+those points differ, so an envelope without one is written as version 1.
 ``objects_from_payloads`` is the one place that checks a payload's shape,
 hex, vector lengths, group membership and backend; malformed input raises
 EnvelopeError, or AlgebraError from the group decoding. The objects read
@@ -32,7 +36,9 @@ from .scheme import (DeltaMsg, NomSignature, NomineePublicKey, NomineeSecretKey,
 from .trigger import ADDRESS_LEN
 from .zkproto import ChallengeCommitment, ChallengeOpening, SigmaFirstMsg, SigmaResponse
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# Per readable schema version, whether its G1 and G2 points are compressed.
+COMPRESSED = {1: True, 2: False}
 
 TRANSPORT = "transcript-msg"
 KINDS = ("key", "delta", "sigma", "token", TRANSPORT, "contract-state", "receipt")
@@ -66,21 +72,22 @@ CODEC = {
 
 def _out(v):
     if isinstance(v, GroupElem):
-        return v.to_bytes().hex()
+        return v.backend.serialize(v.group, v.value, compressed=False).hex()
     if isinstance(v, tuple):
         return [_out(x) for x in v]
     return None if v is None else hex(v)
 
 
-def _in(ftype: str, v, b: Optional[Backend], name: str, g2: dict):
-    """The field value v of type ftype; ``g2`` maps G2 encodings to points already decoded and checked."""
+def _in(ftype: str, v, b: Optional[Backend], name: str, g2: dict, compressed: bool):
+    """The field value v of type ftype; ``g2`` maps G2 (data, compressed) encodings to points already decoded
+    and checked."""
     if ftype.endswith("?"):
-        return None if v is None else _in(ftype[:-1], v, b, name, g2)
+        return None if v is None else _in(ftype[:-1], v, b, name, g2, compressed)
     if ftype.endswith("[]"):
-        return tuple(_in(ftype[:-2], x, b, name, g2) for x in _entries(ftype, v, name))
+        return tuple(_in(ftype[:-2], x, b, name, g2, compressed) for x in _entries(ftype, v, name))
     if ftype[0] == "G":
-        data = _bytes(v, name)
-        return GroupElem(b, ftype, g2[data]) if ftype == "G2" and data in g2 else b.element(ftype, data)
+        e = (_bytes(v, name), compressed)
+        return GroupElem(b, ftype, g2[e]) if ftype == "G2" and e in g2 else b.element(ftype, *e)
     low = 1 if ftype == "Zn*" else 0
     try:
         k = int(_of(str, v, name), 16)
@@ -161,17 +168,18 @@ def to_payload(obj, context=None) -> dict:
     return {**head, **body}
 
 
-def object_from_payload(cls, payload, backend: Optional[Backend] = None):
-    """Decode ``payload`` as a ``cls``; ``backend``, when given, must be the one it names."""
-    return next(objects_from_payloads([(cls, payload)], backend))
+def object_from_payload(cls, payload, backend: Optional[Backend] = None, version: int = SCHEMA_VERSION):
+    """Decode ``payload``, of the given schema version, as a ``cls``; ``backend``, when given, must be the one
+    it names."""
+    return next(objects_from_payloads([(cls, payload, version)], backend))
 
 
 def objects_from_payloads(items, backend: Optional[Backend] = None):
-    """Yield each (cls, payload) of items decoded, in order, as ``object_from_payload`` decodes it: the
+    """Yield each (cls, payload, version) of items decoded, in order, as ``object_from_payload`` decodes it: the
     first bad field of the first bad item raises. The G2 points of all the items are decoded first, as one batch."""
     g2 = _g2_points(items, backend)
-    for cls, payload in items:
-        yield _decode(cls, payload, backend, g2)
+    for cls, payload, version in items:
+        yield _decode(cls, payload, backend, g2, version)
 
 
 def _head(cls, payload, backend: Optional[Backend]) -> tuple[dict, Optional[Backend], dict]:
@@ -190,19 +198,21 @@ def _head(cls, payload, backend: Optional[Backend]) -> tuple[dict, Optional[Back
     return fields, b, payload
 
 
-def _decode(cls, payload, backend: Optional[Backend], g2: dict):
+def _decode(cls, payload, backend: Optional[Backend], g2: dict, version: int):
     if cls in _HAND_WRITTEN:
-        return _HAND_WRITTEN[cls][2](_of(dict, payload, "payload"), backend)
+        return _HAND_WRITTEN[cls][2](_of(dict, payload, "payload"), backend, version)
     fields, b, payload = _head(cls, payload, backend)
     if cls is bool:
         if payload.get("verdict") not in ("accept", "reject"):
             raise EnvelopeError("verdict: need 'accept' or 'reject'")
         return payload["verdict"] == "accept"
-    return cls(**{name: _in(ftype, payload.get(name), b, name, g2) for name, ftype in fields.items()})
+    return cls(**{name: _in(ftype, payload.get(name), b, name, g2, COMPRESSED[version])
+                  for name, ftype in fields.items()})
 
 
 def _g2_points(items, backend: Optional[Backend]) -> dict:
-    """The G2 encodings in the items' fields, mapped to their points by one ``deserialize_all`` batch.
+    """The G2 (data, compressed) encodings in the items' fields, mapped to their points by one
+    ``deserialize_all`` batch, whatever mix of schema versions the items have.
 
     The batch takes the encodings in order up to the first malformed item
     head, vector or hex string, and the map keeps only the points it
@@ -210,9 +220,9 @@ def _g2_points(items, backend: Optional[Backend]) -> dict:
     itself, so the first bad field raises its own error, as if each item
     were decoded alone.
     """
-    datas, b = [], None
+    encodings, b = [], None
     try:
-        for cls, payload in items:
+        for cls, payload, version in items:
             if cls not in CODEC:
                 continue
             fields, item_b, payload = _head(cls, payload, backend)
@@ -220,37 +230,46 @@ def _g2_points(items, backend: Optional[Backend]) -> dict:
             for name, ftype in fields.items():
                 if ftype.startswith("G2"):
                     for v in _entries(ftype, payload.get(name), name):
-                        datas.append(_bytes(v, name))
+                        encodings.append((_bytes(v, name), COMPRESSED[version]))
     except (EnvelopeError, AlgebraError):
         pass
-    return dict(zip(datas, b.deserialize_all("G2", datas))) if datas else {}
+    return dict(zip(encodings, b.deserialize_all("G2", encodings))) if encodings else {}
 
 
 def _kind_of(cls) -> str:
     return (_HAND_WRITTEN.get(cls) or CODEC[cls])[0]
 
 
-def make_envelope(kind: str, payload: dict) -> dict:
+def _version_of(cls) -> int:
+    """The schema version an object of cls is written at: 1, whose bytes are version 2's, if it holds no G1
+    or G2 point."""
+    fields = CODEC[cls][2] if cls in CODEC else {}
+    points = cls is ContractState or any(ftype[:2] in ("G1", "G2") for ftype in fields.values())
+    return SCHEMA_VERSION if points else 1
+
+
+def make_envelope(kind: str, payload: dict, version: int = SCHEMA_VERSION) -> dict:
     if kind not in KINDS:
         raise EnvelopeError(f"unknown envelope kind {kind!r}")
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
+    return {"schema_version": version, "kind": kind, "payload": payload}
 
 
-def parse_envelope(obj, expected_kind: Optional[str] = None) -> tuple[str, dict]:
+def parse_envelope(obj, expected_kind: Optional[str] = None) -> tuple[str, dict, int]:
+    """The kind, payload and schema version of an envelope."""
     if not isinstance(obj, dict):
         raise EnvelopeError("envelope must be a JSON object")
     version = obj.get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:
+    if type(version) is not int or version not in COMPRESSED:
         raise EnvelopeError(f"unsupported schema version {version!r}")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise EnvelopeError(f"unknown envelope kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise EnvelopeError(f"expected a {expected_kind} envelope, got {kind}")
-    return kind, _of(dict, obj.get("payload"), "envelope payload")
+    return kind, _of(dict, obj.get("payload"), "envelope payload"), version
 
 
-def write_envelope(path: str, kind: str, payload: dict) -> None:
+def write_envelope(path: str, kind: str, payload: dict, version: int = SCHEMA_VERSION) -> None:
     """Write the envelope to a new file beside ``path``, then move it over ``path`` in one step.
 
     A write that fails midway (a full disk, an error in the dump) removes the
@@ -266,7 +285,7 @@ def write_envelope(path: str, kind: str, payload: dict) -> None:
         raise
     try:
         with fh:
-            json.dump(make_envelope(kind, payload), fh, indent=2)
+            json.dump(make_envelope(kind, payload, version), fh, indent=2)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -275,7 +294,7 @@ def write_envelope(path: str, kind: str, payload: dict) -> None:
         raise
 
 
-def read_envelope(path: str, expected_kind: Optional[str] = None) -> tuple[str, dict]:
+def read_envelope(path: str, expected_kind: Optional[str] = None) -> tuple[str, dict, int]:
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -286,7 +305,7 @@ def read_envelope(path: str, expected_kind: Optional[str] = None) -> tuple[str, 
 
 def write_object(path: str, obj, context=None) -> None:
     """Write ``obj`` in its envelope; ``context`` as for ``to_payload``."""
-    write_envelope(path, _kind_of(type(obj)), to_payload(obj, context))
+    write_envelope(path, _kind_of(type(obj)), to_payload(obj, context), _version_of(type(obj)))
 
 
 def read_object(path: str, cls, backend: Optional[Backend] = None):
@@ -298,14 +317,14 @@ def read_objects(reads, backend: Optional[Backend] = None) -> list:
     """The object in the envelope of each (path, cls) of reads, decoded by ``objects_from_payloads``.
     The first file that fails, as if each were read and decoded alone, raises an EnvelopeError that
     starts with its path: the files before one that does not parse are decoded before its error."""
-    payloads, objs, unread = [], [], None
+    items, objs, unread = [], [], None
     try:
         for path, cls in reads:
-            payloads.append(read_envelope(path, _kind_of(cls))[1])
+            items.append((cls, *read_envelope(path, _kind_of(cls))[1:]))
     except (EnvelopeError, OSError) as exc:
         unread = exc
     try:
-        for obj in objects_from_payloads([(cls, p) for (_, cls), p in zip(reads, payloads)], backend):
+        for obj in objects_from_payloads(items, backend):
             objs.append(obj)
         if unread is not None:
             raise unread
@@ -321,7 +340,7 @@ def params_payload(par: PublicParams, _=None) -> dict:
     return {"role": "params", "backend": par.backend.name, "security": 128}
 
 
-def params_from_payload(payload: dict, backend: Optional[Backend] = None) -> PublicParams:
+def params_from_payload(payload: dict, backend: Optional[Backend] = None, *_) -> PublicParams:
     if payload.get("role") != "params":
         raise EnvelopeError(f"expected key role 'params', got {payload.get('role')!r}")
     security = payload.get("security", 128)
@@ -348,7 +367,7 @@ def contract_state_payload(state: ContractState, ledger: WalletLedger) -> dict:
 
 
 def contract_state_from_payload(
-    payload: dict, backend: Optional[Backend] = None
+    payload: dict, backend: Optional[Backend] = None, version: int = SCHEMA_VERSION
 ) -> tuple[ContractState, WalletLedger]:
     # the fields that need no group decoding first, so that a malformed one fails fast
     par = setup(backend=_backend(payload, backend))
@@ -369,9 +388,9 @@ def contract_state_from_payload(
     })
     if not {byte_fields["operator"], byte_fields["investor"]} <= ledger.balances.keys():
         raise EnvelopeError("ledger: both parties need an account")
-    items = [(SignerPublicKey, payload.get("pk_s")), (NomineePublicKey, payload.get("pk_n"))]
+    items = [(SignerPublicKey, payload.get("pk_s"), version), (NomineePublicKey, payload.get("pk_n"), version)]
     if sigma is not None:
-        items.append((NomSignature, sigma))
+        items.append((NomSignature, sigma, version))
     pk_s, pk_n, *stored = objects_from_payloads(items, par.backend)
     state = ContractState(
         phase=phase,
@@ -414,7 +433,7 @@ def receipt_payload(receipt: ExecutionReceipt, _=None) -> dict:
     }
 
 
-def receipt_from_payload(payload: dict, _=None) -> ExecutionReceipt:
+def receipt_from_payload(payload: dict, *_) -> ExecutionReceipt:
     verdict, t = payload.get("verdict"), payload.get("transfer")
     if verdict not in ("accept", "reject") or (t is None) != (verdict == "reject"):
         raise EnvelopeError("need an accept verdict with a transfer or a reject without one")

@@ -13,11 +13,16 @@ digits of 6u+2 with one inversion per line.
 For the confirm/disavow protocols it holds what only the proofs of their
 properties need: the witness relation itself, the zero-knowledge simulator
 and the special-soundness extractor.
+
+For the envelopes it holds the schema-v1 writer, which the program no
+longer has: it rewrites an envelope with each G1 and G2 point compressed.
 """
 
+import json
 from functools import partial, reduce
 
-from nomsig import curve, zkproto
+from nomsig import curve, envelopes, zkproto
+from nomsig.algebra import get_backend
 from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _f12_mul_f6,
                           _f12_mul_line, _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob,
                           f2_add, f2_inv, f2_mul, f2_mul_xi, f2_sqr, f2_sqrt, f2_sub, f12_inv,
@@ -236,3 +241,42 @@ def extract_confirm_witness(statement, first, c1, resp1, c2, resp2):
     y1 = (resp1.z1 - resp2.z1) * dc_inv % n
     y2 = (resp1.z2 - resp2.z2) * dc_inv % n
     return y1, y2
+
+
+# The CODEC fields that hold G1 or G2 points, and their group; a contract state nests key and sigma payloads.
+POINT_FIELDS = {name: ftype[:2] for _, _, fields in envelopes.CODEC.values()
+                for name, ftype in fields.items() if ftype[:2] in ("G1", "G2")}
+
+
+def _compressed(group, hexdata, backend):
+    """Hex of the backend's compressed encoding of the point whose schema-v2 words are hexdata."""
+    data = bytes.fromhex(hexdata)
+    if backend.name == "mock":
+        return backend.serialize(group, int.from_bytes(data, "big")).hex()
+    ws = [int.from_bytes(data[i : i + 32], "big") for i in range(0, len(data), 32)]
+    pt = None if not any(ws) else tuple(ws) if group == "G1" else ((ws[1], ws[0]), (ws[3], ws[2]))
+    return backend.serialize(group, pt).hex()
+
+
+def v1_payload(payload, backend=None):
+    """A schema-v2 payload with each G1 and G2 point re-encoded as schema v1 holds it, compressed."""
+    if not isinstance(payload, dict):
+        return payload
+    backend = get_backend(payload["backend"]) if "backend" in payload else backend
+    out = {}
+    for key, v in payload.items():
+        if key in POINT_FIELDS and v is not None:
+            one = partial(_compressed, POINT_FIELDS[key], backend=backend)
+            out[key] = [one(x) for x in v] if isinstance(v, list) else one(v)
+        else:
+            out[key] = v1_payload(v, backend)
+    return out
+
+
+def rewrite_as_v1(path):
+    """Rewrite the envelope file at path as the schema-v1 writer wrote it: the points compressed, version 1."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({**obj, "schema_version": 1, "payload": v1_payload(obj["payload"])}, fh, indent=2)
+        fh.write("\n")

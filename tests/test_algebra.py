@@ -19,6 +19,8 @@ from nomsig.algebra import (
     get_backend,
     hash_h1,
     hash_h2,
+    point_words,
+    words_point,
 )
 from nomsig.bn254 import N
 from oracles import f12_pow, off_curve_x, torsion_point
@@ -450,6 +452,49 @@ def test_real_codec_refusals_and_their_messages(group, data, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+def _w(*ints) -> bytes:
+    return b"".join(k.to_bytes(32, "big") for k in ints)
+
+
+# The EIP-197 word codec: G1 (x, y), G2 (x_im, x_re, y_im, y_re), infinity all zeros.
+WORD_REFUSALS = [
+    ("G1", lambda: bytes(32), MalformedEncoding, "G1: expected 64 bytes, got 32"),
+    ("G1", lambda: bytes(65), MalformedEncoding, "G1: expected 64 bytes, got 65"),
+    ("G2", lambda: bytes(64), MalformedEncoding, "G2: expected 128 bytes, got 64"),
+    ("G2", lambda: bytes(127), MalformedEncoding, "G2: expected 128 bytes, got 127"),
+    ("G1", lambda: _w(bn254.P, 2), MalformedEncoding, "G1: coordinate out of range"),
+    ("G1", lambda: _w(1, 2 + bn254.P), MalformedEncoding, "G1: coordinate out of range"),
+    ("G2", lambda: _w(0, 0, 2**256 - 1, 0), MalformedEncoding, "G2: coordinate out of range"),
+    ("G2", lambda: _w(0, 0, 0, bn254.P), MalformedEncoding, "G2: coordinate out of range"),
+    ("G1", lambda: _w(1, 3), NotOnCurve, "G1: point not on curve"),  # x of a point, another y
+    ("G1", lambda: _w(0, 1), NotOnCurve, "G1: point not on curve"),  # a zero x is no infinity
+    ("G1", lambda: _w(2**200, 0), NotOnCurve, "G1: point not on curve"),
+    ("G2", lambda: point_words("G2", bn254.G2_GEN)[:96] + _w(bn254.G2_GEN[1][0] + 1), NotOnCurve,
+     "G2: point not on curve"),
+    ("G2", lambda: _w(0, 0, 0, 1), NotOnCurve, "G2: point not on curve"),
+    ("G2", lambda: off_curve_x("G2") + _w(0, 1), NotOnCurve, "G2: point not on curve"),
+]
+
+
+@pytest.mark.parametrize("group, data, error, message", WORD_REFUSALS,
+                         ids=[f"{g}-{m}-{i}" for i, (g, _, _, m) in enumerate(WORD_REFUSALS)])
+def test_real_word_codec_refusals_and_their_messages(group, data, error, message):
+    with pytest.raises(AlgebraError) as info:
+        RealBackend().deserialize(group, data(), compressed=False)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_point_words_follow_the_eip197_layout():
+    (x_re, x_im), (y_re, y_im) = bn254.G2_GEN
+    assert point_words("G1", bn254.G1_GEN) == _w(1, 2)
+    assert point_words("G2", bn254.G2_GEN) == _w(x_im, x_re, y_im, y_re)
+    assert point_words("G1", None) == bytes(64) and point_words("G2", None) == bytes(128)
+    assert words_point("G1", bytes(64)) is None and words_point("G2", bytes(128)) is None
+    b = RealBackend()
+    assert b.serialize("G2", bn254.G2_GEN, compressed=False) == point_words("G2", bn254.G2_GEN)
+    assert b.serialize("GT", b.gt().value, compressed=False) == b.gt().to_bytes()  # one GT encoding
+
+
 @pytest.mark.parametrize("group", ["G1", "G2"])
 def test_real_codec_sign_bit_round_trips(group):
     # the sign bit is set for the larger y: y > (p-1)/2 on G1, and on G2 the test of y's c1, or of c0 where c1 = 0
@@ -473,19 +518,23 @@ def test_real_codec_sign_bit_round_trips(group):
 ])
 def test_deserialize_all_returns_the_points_before_the_first_bad_entry(real_pipeline, subgroup_bad, curve_bad,
                                                                        decoded):
-    # a key's 257 Waters bases with a point of order 10069 and an x off the curve: a failed batch is
-    # halved towards the first bad entry, and only the points lifted before an off-curve x are searched
+    # a key's 257 Waters bases with a point of order 10069 and a point off the curve, compressed or as
+    # words: a failed batch is halved towards the first bad entry, and only the points decoded before an
+    # off-curve one are searched
     b = real_pipeline.par.backend
-    datas = [u.to_bytes() for u in real_pipeline.pk_s.u]
-    if subgroup_bad is not None:
-        datas[subgroup_bad] = b.serialize("G2", torsion_point(random.Random(10069), 10069))
-    if curve_bad is not None:
-        datas[curve_bad] = off_curve_x("G2")
-    assert b.deserialize_all("G2", datas) == [u.value for u in real_pipeline.pk_s.u[:decoded]]
+    for compressed in (True, False):
+        datas = [b.serialize("G2", u.value, compressed) for u in real_pipeline.pk_s.u]
+        if subgroup_bad is not None:
+            datas[subgroup_bad] = b.serialize("G2", torsion_point(random.Random(10069), 10069), compressed)
+        if curve_bad is not None:
+            datas[curve_bad] = off_curve_x("G2") + (b"" if compressed else (1).to_bytes(64, "big"))
+        got = b.deserialize_all("G2", [(d, compressed) for d in datas])
+        assert got == [u.value for u in real_pipeline.pk_s.u[:decoded]]
 
 
 def test_mock_deserialize_all_stops_at_the_first_bad_entry():
     b = MockBackend()
     datas = [b.serialize("G2", k) for k in range(1, 9)]
     datas[5] = N.to_bytes(32, "big")
-    assert b.deserialize_all("G2", datas) == list(range(1, 6))
+    for compressed in (True, False):  # one encoding of mock elements
+        assert b.deserialize_all("G2", [(d, compressed) for d in datas]) == list(range(1, 6))

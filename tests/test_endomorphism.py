@@ -281,12 +281,13 @@ def test_subgroup_checks_do_not_use_the_split_paths(monkeypatch):
     b = RealBackend()
     gt = b.gt() ** 12345
     g2 = b.g2() ** 678
-    batch = [(b.g2() ** k).to_bytes() for k in range(1, G2_BATCH_MIN + 1)]
+    batch = [(b.serialize("G2", (b.g2() ** k).value, c), c) for k in range(1, G2_BATCH_MIN + 1) for c in (True, False)]
     for name in ("g2_mul_gls", "gt_pow_gls", "g2_comb", "g2_comb_powers"):
         monkeypatch.setattr(bn254, name, refuse)
     assert b.element("G2", g2.to_bytes()) == g2
+    assert b.element("G2", b.serialize("G2", g2.value, compressed=False), compressed=False) == g2
     assert b.element("GT", gt.to_bytes()) == gt
-    assert b.deserialize_all("G2", batch) == [b.deserialize("G2", data) for data in batch]
+    assert b.deserialize_all("G2", batch) == [b.deserialize("G2", *e) for e in batch]
     h = b.hash_to_g2(b"subgroup-only")
     assert bn254.g2_in_subgroup(h.value)
     f = bn254.miller_loop(G2_GEN, G1_GEN)
@@ -302,8 +303,8 @@ def test_subgroup_checks_do_not_use_the_split_paths(monkeypatch):
     assert torsion is not None and g2_mul(torsion, G2_COFACTOR) is None
     with pytest.raises(NotInSubgroup):
         b.element("G2", b.serialize("G2", g2_add(G2_GEN, torsion)))
-    bad = b.serialize("G2", g2_add(G2_GEN, torsion))
-    assert b.deserialize_all("G2", batch[:5] + [bad] + batch[5:]) == [b.deserialize("G2", d) for d in batch[:5]]
+    bad = (b.serialize("G2", g2_add(G2_GEN, torsion), compressed=False), False)
+    assert b.deserialize_all("G2", batch[:5] + [bad] + batch[5:]) == [b.deserialize("G2", *e) for e in batch[:5]]
     g = f12_cyc_pow(bn254.easy_part(tuple((draws.randrange(P), draws.randrange(P)) for _ in range(6))), N)
     assert g != bn254.F12_ONE
     with pytest.raises(NotInSubgroup):

@@ -12,12 +12,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nomsig import bn254
+from nomsig import algebra, bn254
 from nomsig import contract as ct
 from nomsig import envelopes as env
 from nomsig import trigger, zkproto
 from nomsig.algebra import ELL, AlgebraError, RealBackend, get_backend
-from nomsig.bn254 import G2_GEN, N, P, g2_add
+from nomsig.bn254 import G1_GEN, G2_GEN, N, P, g2_add
 from nomsig.cli import main
 from nomsig.gasmodel import build_report
 from nomsig.scheme import (
@@ -30,12 +30,13 @@ from nomsig.scheme import (
     SignerPublicKey,
 )
 
-from oracles import off_curve_x, torsion_point
+from oracles import off_curve_x, rewrite_as_v1, torsion_point, v1_payload
 
 PASSES = ("commitment", "first", "opening", "response", "verdict")
 
 # SHA-256 of each envelope file as the encoder wrote it before the table-driven
-# codec replaced the per-type functions: schema-v1 bytes must not move.
+# codec replaced the per-type functions: schema-v1 bytes, which the v1 writer
+# of ``oracles`` must still give, must not move.
 GOLDEN = {
     "params": "eb9b245344a3ff1129794e8b1a44186ac83369663b1332363fbad2c744b6a3b6",
     "spk": "27e107fe231fefe27f183480bbd789b9f4ffff8e5d912c795ac21d32e5b38b3d",
@@ -71,6 +72,32 @@ GOLDEN_BN254 = {
     "delta": "75496001b145fa1d857802a4b99b969e498c76e389d2ee2b88f425460c4711af",
     "sigma": "679080bed7ea60ac3865bc45b0d7246bdc37b45cba771a110e025f021a19c878",
     "token": "20855d5478fb4c5b9f50d2704475379efb20c5fd4816c72454d254c7f5b50985",
+}
+
+# The schema-v2 bytes of the envelopes that hold G1 or G2 points; every other
+# envelope is written as version 1, with its GOLDEN bytes.
+GOLDEN_V2 = {
+    "spk": "168d68d3ad324355f7fdc1374874e2cdeefd87f5bc8fdb04a475e03e95d6a3b2",
+    "npk": "278aeea76c07389fc16f0d5b356d481a1fd12df73eb2f44b6edcfefc0bea5087",
+    "delta": "7fcfc2353551fb92c15c46b28479be0aa0710a9a6bf402e5bd2118c04761046a",
+    "sigma": "e3e843d3679a9c004f54d1def8d3621ffa846f1d073fb2604c332b2f9a37ac99",
+    "token": "71b6cb005d8ae37fc45a2ab0b4696f7d0ee663e1c7aab2d36fd9a83ad83d1ae2",
+    "state-deployed": "3dd8ba894ef1a7a505abfedc81ee4a8ce870f52c79b0b635f45c2d0ba3c42778",
+    "state-advance": "eb259e584ae32585af1c05841842a9444ff0a32d4803ae52d96373c8078a169b",
+    "state-stored": "03b06513b694acc0f8b544c1c43f29daf67898959db1fdd60aac954de5a6fe7c",
+    "state-executed": "6f88b0134cddbdeba895d5bc4bacf045b4c3f0a96324d3e40f29085bc4d5ce49",
+    "confirm-commitment": "190e227da08946bebc10eef8b137d92f5e49ca42484f6087eab1582d8f8fff4d",
+    "confirm-first": "3d5828b46a5a81c1bbcf609cac3b0c49b256b2eb46638883600725cd24723f7a",
+    "disavow-commitment": "190e227da08946bebc10eef8b137d92f5e49ca42484f6087eab1582d8f8fff4d",
+    "disavow-first": "0570f3054b20642aeb6e1708515ec8c68cb80c9c537d72c4780b55ae7933cbef",
+}
+
+GOLDEN_BN254_V2 = {
+    "spk": "6b241fc2c06a7571136947bec037936cc24f6b406a8db93d8826beb3b2e7539d",
+    "npk": "4758c18531af1d23febb2a97df6e94888afe340321520d8d8d3fad48a5055f76",
+    "delta": "42779aca407e667cecf4bd41e78a7133936998712daf8c7fc6d53718e79af75b",
+    "sigma": "cef8e1991408f40e54de7258bfd5b2d93cf4f1a12c76439d7f02bb24e0c8849f",
+    "token": "b6d2ab08945e05fe33cc4d2bc5d9a37f9fee7338845a9c275266bda53b63f26e",
 }
 
 
@@ -195,15 +222,25 @@ def _transcripts(d: Path) -> dict:
 
 
 def test_cli_envelopes_match_golden_digests(cli_dir, tmp_path):
-    d = cli_dir
-    got = {name: _digest(d / f"{name}.json") for name in READERS}
+    # the files as written, and as the v1 writer rewrites them
+    paths = {name: cli_dir / f"{name}.json" for name in READERS}
     # The transport files as the two CLI processes write them.
-    for proto, (_, tr) in _transcripts(d).items():
+    for proto, (_, tr) in _transcripts(cli_dir).items():
         for pass_name, msg in zip(PASSES, tr.messages()):
-            path = tmp_path / f"{proto}-{pass_name}.json"
-            env.write_object(str(path), msg, "mock")
-            got[f"{proto}-{pass_name}"] = _digest(path)
-    assert got == GOLDEN
+            paths[f"{proto}-{pass_name}"] = tmp_path / f"{proto}-{pass_name}.json"
+            env.write_object(str(paths[f"{proto}-{pass_name}"]), msg, "mock")
+    assert {name: _digest(path) for name, path in paths.items()} == {**GOLDEN, **GOLDEN_V2}
+    assert _v1_digests(paths, tmp_path) == GOLDEN
+
+
+def _v1_digests(paths: dict, tmp_path) -> dict:
+    """The digest of each envelope of {name: path} as the v1 writer rewrites a copy of it."""
+    out = {}
+    for name, path in paths.items():
+        v1 = shutil.copy(path, tmp_path / f"v1-{name}.json")
+        rewrite_as_v1(v1)
+        out[name] = _digest(v1)
+    return out
 
 
 def test_accept_receipt_holds_the_gas_figures(cli_dir):
@@ -217,12 +254,13 @@ def test_accept_receipt_holds_the_gas_figures(cli_dir):
 
 def test_real_backend_envelopes_match_golden_digests(real_pipeline, tmp_path):
     p = real_pipeline
-    got = {}
+    paths = {}
     for name, obj in (("spk", p.pk_s), ("ssk", p.sk_s), ("npk", p.pk_n), ("nsk", p.sk_n),
                       ("delta", p.delta), ("sigma", p.sigma), ("token", p.tk)):
-        env.write_object(str(tmp_path / name), obj)
-        got[name] = _digest(tmp_path / name)
-    assert got == GOLDEN_BN254
+        paths[name] = tmp_path / f"{name}.json"
+        env.write_object(str(paths[name]), obj)
+    assert {name: _digest(path) for name, path in paths.items()} == {**GOLDEN_BN254, **GOLDEN_BN254_V2}
+    assert _v1_digests(paths, tmp_path) == GOLDEN_BN254
 
 
 @pytest.mark.parametrize("command", sorted({c for cs in READERS.values() for c in cs}))
@@ -439,20 +477,51 @@ def real_dir(real_pipeline, tmp_path_factory):
     return d
 
 
-def _bad_point(case, group) -> str:
-    """Hex of a point encoding that must not decode, with the decoder's message for it."""
-    if case == "x of p or more":  # G2 puts c1 first: c1 = 0, c0 = p
-        return (P.to_bytes(32, "big") if group == "G1" else bytes(32) + P.to_bytes(32, "big")).hex()
+@pytest.fixture(scope="module")
+def real_dir_v1(real_dir, tmp_path_factory):
+    """``real_dir`` with every envelope as the schema-v1 writer wrote it."""
+    d = Path(shutil.copytree(real_dir, tmp_path_factory.mktemp("bn254-v1") / "d"))
+    for path in d.glob("*.json"):
+        rewrite_as_v1(path)
+    return d
+
+
+def _words(*ints) -> bytes:
+    return b"".join(k.to_bytes(32, "big") for k in ints)
+
+
+def _bad_point(case, group, compressed=True) -> str:
+    """Hex of a point encoding that must not decode, in a v1 (compressed) or a v2 file."""
+    b, gen = get_backend("bn254"), G1_GEN if group == "G1" else G2_GEN
+    y = gen[1] if group == "G1" else gen[1][0]  # the generator's y, or its real part
+    words = algebra.point_words(group, gen)
     if case == "order 10069":
-        return get_backend("bn254").serialize("G2", torsion_point(random.Random(10069), 10069)).hex()
+        return b.serialize("G2", torsion_point(random.Random(10069), 10069), compressed).hex()
     if case == "order 5864401 component":
-        pt = g2_add(G2_GEN, torsion_point(random.Random(5864401), 5864401))
-        return get_backend("bn254").serialize("G2", pt).hex()
-    return off_curve_x(group).hex()
+        return b.serialize("G2", g2_add(G2_GEN, torsion_point(random.Random(5864401), 5864401)), compressed).hex()
+    if case == "x of p or more":  # G2 puts x's imaginary part first: c1 = 0, c0 = p
+        x = _words(P) if group == "G1" else _words(0, P)
+        return (x if compressed else x + bytes(len(x))).hex()
+    if case == "off the curve":  # an x with no point above it, and y = 1
+        x, one = off_curve_x(group), _words(1) if group == "G1" else _words(0, 1)
+        return (x if compressed else x + one).hex()
+    if case == "y that does not match x":  # the generator's x with y + 1
+        return (words[:-32] + _words(y + 1)).hex()
+    if case == "y of p or more":  # the generator with y + p
+        return (words[:-32] + _words(y + P)).hex()
+    if case == "zero x, y off the curve":
+        return (bytes(len(words) - 32) + _words(1)).hex()
+    if case == "v1 length":
+        return b.serialize(group, gen).hex()
+    assert case == "v2 length"
+    return words.hex()
 
 
 BOUNDARY_MESSAGES = {"off the curve": "not on curve", "order 10069": "not in the prime-order subgroup",
-                     "order 5864401 component": "not in the prime-order subgroup", "x of p or more": "out of range"}
+                     "order 5864401 component": "not in the prime-order subgroup", "x of p or more": "out of range",
+                     "y that does not match x": "point not on curve", "y of p or more": "coordinate out of range",
+                     "zero x, y off the curve": "point not on curve", "v1 length": "bytes, got",
+                     "v2 length": "bytes, got"}
 BOUNDARY_CASES = [
     ("sigma", "convert", ("s1",), "off the curve"),
     ("sigma", "convert", ("s2",), "x of p or more"),
@@ -477,15 +546,47 @@ BOUNDARY_CASES = [
     # inside the batch that decodes a stored state's keys and signature together
     ("state-stored", "trigger", ("sigma", "s3"), "order 10069"),
 ]
+# A point of the other version's length, in each version's files.
+V1_CASES = [
+    ("spk", "sign", ("gS",), "v2 length"),
+    ("npk", "sign", ("uPrime", 7), "v2 length"),
+    ("state-stored", "trigger", ("sigma", "s3"), "v2 length"),
+]
+V2_CASES = [
+    ("sigma", "convert", ("s1",), "y that does not match x"),
+    ("sigma", "convert", ("s3",), "y that does not match x"),
+    ("npk", "deploy", ("uPrime", 9), "y that does not match x"),
+    ("spk", "sign", ("gS",), "y of p or more"),
+    ("token", "trigger", ("tk2",), "y of p or more"),
+    ("state-advance", "store-sig", ("pk_s", "u", 5), "y of p or more"),
+    ("token", "trigger", ("tk1",), "zero x, y off the curve"),
+    ("delta", "receive", ("d2",), "zero x, y off the curve"),
+    ("npk", "convert", ("uPrime", 200), "order 10069"),
+    ("spk", "sign", ("u", 3), "v1 length"),
+    ("sigma", "convert", ("s2",), "v1 length"),
+    ("state-deployed", "pay-advance", ("pk_n", "hN"), "v1 length"),
+]
+_CASE_IDS = dict(ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
 
 
-@pytest.mark.parametrize("name, command, path, case", BOUNDARY_CASES,
-                         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
-def test_bad_bn254_point_exits_2_and_writes_nothing(real_dir, name, command, path, case):
-    # off the curve, outside G2 or out of range: the decoder refuses it before any pairing sees it
+@pytest.mark.parametrize("name, command, path, case", BOUNDARY_CASES + V1_CASES, **_CASE_IDS)
+def test_bad_bn254_point_exits_2_and_writes_nothing(real_dir_v1, name, command, path, case):
+    # off the curve, outside G2 or out of range, in a v1 file: refused before any pairing sees it
+    _exits_2_and_writes_nothing(real_dir_v1, name, command, path, _bad_point(case, _group(path)), case)
+
+
+@pytest.mark.parametrize("name, command, path, case", BOUNDARY_CASES + V2_CASES, **_CASE_IDS)
+def test_bad_bn254_point_in_a_v2_file_exits_2_and_writes_nothing(real_dir, name, command, path, case):
+    _exits_2_and_writes_nothing(real_dir, name, command, path, _bad_point(case, _group(path), False), case)
+
+
+def _group(path) -> str:
+    return FIELD_TYPES[[f for f in path if isinstance(f, str)][-1]]  # a state nests the key or sigma field
+
+
+def _exits_2_and_writes_nothing(real_dir, name, command, path, bad, case):
     obj = json.loads((real_dir / f"{name}.json").read_text())
-    field = [f for f in path if isinstance(f, str)][-1]  # a state nests the key or sigma field
-    _at(obj["payload"], path[:-1])[path[-1]] = _bad_point(case, FIELD_TYPES[field])
+    _at(obj["payload"], path[:-1])[path[-1]] = bad
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(shutil.copytree(real_dir, Path(tmp) / "d"))
         (d / f"{name}.json").write_text(json.dumps(obj))
@@ -506,16 +607,17 @@ def test_bad_bn254_point_exits_2_and_writes_nothing(real_dir, name, command, pat
 def test_a_bad_key_names_its_file_though_both_keys_share_a_batch(real_dir, bad, message, monkeypatch):
     # an order-10069 point at u[100] or uPrime[100]: the fields are decoded in order from the joint
     # batch's checked points, so the first bad file in the command's order is the one named, and
-    # each of the 519 G2 points is lifted once, the bad one once more for its own error
-    lifts, point = [], RealBackend._point
+    # each of the 519 G2 points is decoded once, the bad one once more for its own error, and none lifted
+    decodes, point, lifts, lift = [], RealBackend._point, [], algebra._lift
     monkeypatch.setattr(RealBackend, "_point",
-                        lambda self, group, data: lifts.append(group) or point(self, group, data))
+                        lambda self, group, *a: decodes.append(group) or point(self, group, *a))
+    monkeypatch.setattr(algebra, "_lift", lambda *a: lifts.append(a) or lift(*a))
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(shutil.copytree(real_dir, Path(tmp) / "d"))
         for name, vector in (("spk", "u"), ("npk", "uPrime")):
             obj = json.loads((d / f"{name}.json").read_text())
             if name in bad:
-                obj["payload"][vector][100] = _bad_point("order 10069", "G2")
+                obj["payload"][vector][100] = _bad_point("order 10069", "G2", False)
             text = json.dumps(obj)
             (d / f"{name}.json").write_text(text[: len(text) // 2] if f"{name}-truncated" in bad else text)
         res = _run(*_commands(d)["sign"])
@@ -524,7 +626,72 @@ def test_a_bad_key_names_its_file_though_both_keys_share_a_batch(real_dir, bad, 
     assert isinstance(res.exception, SystemExit), repr(res.exception)
     assert message in res.output and "Traceback" not in res.output
     assert ("npk.json" in res.output) == (bad == {"npk"})
-    assert lifts.count("G2") == (0 if "spk-truncated" in bad else 520), lifts.count("G2")
+    assert decodes.count("G2") == (0 if "spk-truncated" in bad else 520), decodes.count("G2")
+    assert lifts == []
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(ks=st.lists(st.one_of(st.just(0), st.integers(1, N - 1)), min_size=3, max_size=3))
+def test_points_roundtrip_through_v2_payloads(real_pipeline, ks):
+    # random G1 and G2 points, the identity among them, come back equal and hash to the same bytes
+    b = real_pipeline.par.backend
+    delta = DeltaMsg(b.g1() ** ks[0], b.g2() ** ks[1], b.g2() ** ks[2])
+    payload = env.to_payload(delta)
+    assert [len(payload[f]) for f in ("d1", "d2", "d3")] == [128, 256, 256]
+    back = env.object_from_payload(DeltaMsg, payload, b)
+    assert back == delta
+    assert all(getattr(back, f).to_bytes() == getattr(delta, f).to_bytes() for f in ("d1", "d2", "d3"))
+
+
+def test_keys_read_from_v1_and_v2_give_the_same_hash_inputs(real_pipeline):
+    b = real_pipeline.par.backend
+    for key in (real_pipeline.pk_s, real_pipeline.pk_n):
+        payload = env.to_payload(key)
+        for p, version in ((payload, 2), (v1_payload(payload), 1)):
+            back = env.object_from_payload(type(key), p, b, version)
+            assert back == key and back.to_bytes() == key.to_bytes()
+
+
+# Each command whose output holds points, and the file it writes.
+OUTPUTS = {"sign": "out.json", "receive": "out.json", "convert": "out.json", "deploy": "out.json",
+           "pay-advance": "state-deployed.json", "store-sig": "state-advance.json", "trigger": "state-stored.json"}
+
+
+def test_v1_inputs_give_the_bytes_that_v2_inputs_give(real_dir, real_dir_v1):
+    # the bn254 pipeline's delta, sigma, token and states, from v1 files and from v2 files: v2 bytes both times
+    outs = {}
+    for src in (real_dir, real_dir_v1):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(shutil.copytree(src, Path(tmp) / "d"))
+            for command, output in OUTPUTS.items():
+                res = _run(*_commands(d)[command])
+                assert res.exit_code == 0, res.output
+                outs.setdefault(command, []).append((d / output).read_bytes())
+    for command, (v2, v1) in outs.items():
+        assert v1 == v2, command
+        assert json.loads(v1)["schema_version"] == 2, command
+
+
+@pytest.mark.parametrize("v1_key", ["spk", "npk"])
+def test_a_v1_key_and_a_v2_key_share_one_batch(real_dir, real_dir_v1, v1_key, monkeypatch):
+    batches, all_in = [], bn254.g2_all_in_subgroup
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", lambda pts: batches.append(len(pts)) or all_in(pts))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(shutil.copytree(real_dir, Path(tmp) / "d"))
+        shutil.copy(real_dir_v1 / f"{v1_key}.json", d / f"{v1_key}.json")
+        res = _run(*_commands(d)["sign"])
+        assert res.exit_code == 0, res.output
+    assert batches == [258 + 261]
+
+
+def test_pay_advance_rewrites_a_v1_state_as_v2(real_dir_v1, tmp_path):
+    path = shutil.copy(real_dir_v1 / "state-deployed.json", tmp_path / "state.json")
+    state, ledger = env.read_object(str(path), ct.ContractState)
+    ct.pay_advance(state, ledger, 100)
+    res = _run("pay-advance", "--state", path, "--amount", 100)
+    assert res.exit_code == 0, res.output
+    assert json.loads(path.read_text())["schema_version"] == 2
+    assert env.to_payload(*env.read_object(str(path), ct.ContractState)) == env.to_payload(state, ledger)
 
 
 def test_a_key_takes_one_batched_subgroup_test(real_pipeline, monkeypatch):
@@ -546,12 +713,15 @@ def test_a_key_takes_one_batched_subgroup_test(real_pipeline, monkeypatch):
     ({("hS",): "order 10069", ("u", 0): "x of p or more"}, "G2: point not in the prime-order subgroup"),
 ])
 def test_a_key_with_two_bad_points_names_the_first(real_pipeline, faults, message):
-    # a failed batch is decoded again field by field, so the first bad field in order raises
-    payload = env.to_payload(real_pipeline.pk_s)
-    for path, case in faults.items():
-        _at(payload, path[:-1])[path[-1]] = _bad_point(case, FIELD_TYPES[path[0]])
-    with pytest.raises(AlgebraError, match=message):
-        env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend)
+    # a failed batch is decoded again field by field, so the first bad field in order raises, in v1 and v2
+    for version, compressed in env.COMPRESSED.items():
+        payload = env.to_payload(real_pipeline.pk_s)
+        if compressed:
+            payload = v1_payload(payload)
+        for path, case in faults.items():
+            _at(payload, path[:-1])[path[-1]] = _bad_point(case, FIELD_TYPES[path[0]], compressed)
+        with pytest.raises(AlgebraError, match=message if compressed else message.replace("x not", "point not")):
+            env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend, version)
 
 
 def test_a_failed_key_batch_is_decoded_once_more_field_by_field(real_pipeline, monkeypatch):
@@ -560,7 +730,7 @@ def test_a_failed_key_batch_is_decoded_once_more_field_by_field(real_pipeline, m
     # first round, exact tests on 193..201, then the field-by-field pass, which finds hS and u[0..199]
     # decoded and tests u[200] once more
     payload = env.to_payload(real_pipeline.pk_s)
-    payload["u"][200] = _bad_point("order 10069", "G2")
+    payload["u"][200] = _bad_point("order 10069", "G2", False)
     calls = []
     in_subgroup = bn254.g2_in_subgroup
     monkeypatch.setattr(bn254, "g2_in_subgroup", lambda pt: calls.append(pt) or in_subgroup(pt))
@@ -571,11 +741,16 @@ def test_a_failed_key_batch_is_decoded_once_more_field_by_field(real_pipeline, m
 
 def test_envelope_version_gate():
     good = env.make_envelope("sigma", {})
-    assert env.parse_envelope(good) == ("sigma", {})
+    assert good["schema_version"] == 2
+    assert env.parse_envelope(good) == ("sigma", {}, 2)
+    assert env.parse_envelope({**good, "schema_version": 1}) == ("sigma", {}, 1)
     for bad in (
-        {"schema_version": 2, "kind": "sigma", "payload": {}},
+        {"schema_version": 3, "kind": "sigma", "payload": {}},
+        {"schema_version": 0, "kind": "sigma", "payload": {}},
         {"schema_version": True, "kind": "sigma", "payload": {}},
+        {"schema_version": 2.0, "kind": "sigma", "payload": {}},
         {"schema_version": 1.0, "kind": "sigma", "payload": {}},
+        {"schema_version": "2", "kind": "sigma", "payload": {}},
         {"kind": "sigma", "payload": {}},
         {"schema_version": 1, "kind": "nope", "payload": {}},
         {"schema_version": 1, "kind": "sigma", "payload": []},
@@ -592,7 +767,9 @@ def test_envelope_version_gate():
 def test_file_roundtrip(tmp_path):
     path = str(tmp_path / "x.json")
     env.write_envelope(path, "token", {"a": 1})
-    assert env.read_envelope(path, "token") == ("token", {"a": 1})
+    assert env.read_envelope(path, "token") == ("token", {"a": 1}, 2)
+    env.write_envelope(path, "token", {"a": 1}, 1)
+    assert env.read_envelope(path, "token") == ("token", {"a": 1}, 1)
     (tmp_path / "bad.json").write_text("{nope")
     with pytest.raises(env.EnvelopeError):
         env.read_envelope(str(tmp_path / "bad.json"))
@@ -698,7 +875,7 @@ def test_contract_state_checks_its_other_fields_before_decoding_keys(real_pipeli
     state = ct.deploy(p.m, op, inv, p.pk_s, p.pk_n, p.par, 5, 300)
     payload = env.to_payload(state, ct.WalletLedger({op: 7, inv: 900}))
 
-    def refuse(self, group, data):
+    def refuse(self, group, *_):
         raise AssertionError(f"decoded a {group} element")
 
     monkeypatch.setattr(type(p.par.backend), "deserialize", refuse)
