@@ -31,7 +31,8 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
     (``curve.comb`` and ``g2_comb``, both ``curve.comb_table``): its terms
     take 32 steps of at most one table entry each, run as the last steps of
     the product's ladder beside its split terms (``glv_mul``, ``g2_mul_gls``),
-    and ``g2_comb_powers`` runs a batch of powers of one point over its comb;
+    and ``g2_comb_powers`` steps a batch of powers of one point over its
+    comb together, one batched doubling and one batched addition per row;
     the backend gives a point a comb at its 8th product, or at once for
     keygen's batch of powers of g2; GT elements keep none;
   - ``g2_mul`` and ``f12_cyc_pow`` (width-4 signed digits over pt, 3pt,
@@ -45,7 +46,8 @@ compressed x two Fp exponentiations in ``f2_sqrt``, and the subgroup test
 ``g2_in_subgroup``: 62 doublings and 13 mixed additions for [u]Q, then
 five mixed additions whose Jacobian sum is tested for infinity.
 ``g2_all_in_subgroup`` tests a batch of points with 10 of those tests, on
-random linear combinations summed by signed-digit buckets.
+random linear combinations with coefficients centred on 0, summed by
+signed-digit buckets whose reductions the 10 rounds run in lockstep.
 
 Representation conventions:
   - Fp elements are plain ints in [0, P).
@@ -742,20 +744,22 @@ def g2_all_in_subgroup(pts):
     """Whether every point of pts, each on the twist or None, is in G2; a wrong yes has probability below 2^-132.
 
     Each of BATCH_ROUNDS rounds runs ``g2_in_subgroup`` on S = sum r_i * Q_i
-    over the finite points, with fresh coefficients r_i uniform in
-    [0, BATCH_PRIME) (``batch_coefficients``). Write Q_i = G_i + T_i with G_i
-    in G2 and T_i in the torsion of order G2_COFACTOR, prime to N: S is in G2
-    exactly when sum r_i * T_i = O. If T_j != O, its order is a divisor of
-    the cofactor above 1, so at least BATCH_PRIME, and whatever the other
-    r_i, at most one r_j below BATCH_PRIME cancels it. So a round passes
-    with probability at most 1/BATCH_PRIME and all of them with at most
-    BATCH_PRIME^-BATCH_ROUNDS. The coefficients hash the points, so each try
-    at a passing bad batch costs a hash.
+    over the finite points, with fresh coefficients r_i uniform over the
+    BATCH_PRIME consecutive integers centred on 0, [-5034, 5034]
+    (``batch_coefficients`` less BATCH_PRIME // 2). Write Q_i = G_i + T_i
+    with G_i in G2 and T_i in the torsion of order G2_COFACTOR, prime to N:
+    S is in G2 exactly when sum r_i * T_i = O. If T_j != O, its order is a
+    divisor of the cofactor above 1, so at least BATCH_PRIME, and the
+    BATCH_PRIME values of r_j are distinct modulo it: whatever the other
+    r_i, at most one r_j cancels it. So a round passes with probability at
+    most 1/BATCH_PRIME and all of them with at most BATCH_PRIME^-BATCH_ROUNDS.
+    The coefficients hash the points, so each try at a passing bad batch
+    costs a hash. The rounds' sums come from one ``_g2_msm`` call.
     """
     pts = [q for q in pts if q is not None]
-    n = len(pts)
-    rs = batch_coefficients(pts, BATCH_ROUNDS * n)
-    return all(g2_in_subgroup(_g2_msm(pts, rs[k * n : (k + 1) * n])) for k in range(BATCH_ROUNDS))
+    n, mid = len(pts), BATCH_PRIME // 2
+    rs = [r - mid for r in batch_coefficients(pts, BATCH_ROUNDS * n)]
+    return all(map(g2_in_subgroup, _g2_msm(pts, [rs[k * n : (k + 1) * n] for k in range(BATCH_ROUNDS)])))
 
 
 def batch_coefficients(pts, count):
@@ -775,46 +779,53 @@ def batch_coefficients(pts, count):
         size *= 2  # the longer digest extends the shorter one
 
 
-def _g2_msm(pts, ks):
-    """sum k * pt over finite twist points and integers k >= 0, by signed-digit buckets (Pippenger).
+def _g2_msm(pts, rounds):
+    """Per list ks of rounds, sum k * pt over finite twist points pts and integers k of any sign (Pippenger).
 
     Each k is written in base 2^w with digits in [-2^(w-1), 2^(w-1)), where
-    w grows with log n (6 for a public key's 258 points). In each digit
+    w grows with log n (7 for two public keys' 519 points, where a
+    coefficient of ``g2_all_in_subgroup`` has two digits). In each digit
     position (window), bucket d gets the points whose digit is d or -d, the
-    latter negated, and ``curve.sums`` adds up every bucket at once. A
-    window's sum_d d * B_d is sum_d R_d over the running sums
-    R_d = sum_{d' >= d} B_d' (one mixed addition each, then one inversion for
-    all), again by ``curve.sums``; Horner's rule in 2^w joins the windows.
+    latter negated, each point at most once per call. Each round's buckets
+    are added up by one ``curve.sums`` call, and only their sums are kept.
+    A window's sum_d d * B_d is the sum of its running sums
+    R_d = sum_{d' >= d} B_d'. The windows of all rounds take them in
+    lockstep: from the top bucket index d down to 0, one ``_g2_add_all``
+    call adds B_d to every window's R_(d+1) and R_(d+1) to its total.
+    Horner's rule in 2^w then joins each round's windows, by w batched
+    affine doublings and one batched addition per window, for all rounds.
     """
     w = max(3, len(pts).bit_length() - 3)
     half = 1 << (w - 1)
-    windows = []
-    for pt, k in zip(pts, ks):
-        j = 0
-        while k:
-            d = (k + half) % (2 * half) - half
-            k = (k - d) >> w
-            if j == len(windows):
-                windows.append({})
-            if d:
-                windows[j].setdefault(abs(d), []).append(pt if d > 0 else g2_neg(pt))
-            j += 1
-    sums = iter(curve.sums([b for buckets in windows for b in buckets.values()], _g2_add_all))
-    runs = []
-    for buckets in windows:
-        buckets = {d: next(sums) for d in buckets}
-        acc, run = None, []
-        for d in range(max(buckets, default=0), 0, -1):
-            acc = _jac_madd_f2(acc, buckets.get(d))
-            run.append(acc)
-        runs.append(run)
-    finite = iter(_batch_to_affine_f2([q for run in runs for q in run if q is not None]))
-    acc = None
-    for s in reversed(curve.sums([[q and next(finite) for q in run] for run in runs], _g2_add_all)):
+    negs = [g2_neg(pt) for pt in pts]
+    buckets, sizes = [], []  # every round's windows from the lowest, each {d: B_d}; each round's window count
+    for ks in rounds:
+        windows = []
+        for pt, neg, k in zip(pts, negs, ks):
+            j = 0
+            while k:
+                d = (k + half) % (2 * half) - half
+                k = (k - d) >> w
+                if j == len(windows):
+                    windows.append({})
+                if d:
+                    windows[j].setdefault(abs(d), []).append(pt if d > 0 else neg)
+                j += 1
+        sums = iter(curve.sums([b for bs in windows for b in bs.values()], _g2_add_all))
+        buckets += [{d: next(sums) for d in bs} for bs in windows]
+        sizes.append(len(windows))
+    runs = totals = [None] * len(buckets)
+    for d in range(max((max(bs, default=0) for bs in buckets), default=0), -1, -1):
+        out = _g2_add_all([pair for r, t, bs in zip(runs, totals, buckets) for pair in ((r, bs.get(d)), (t, r))])
+        runs, totals = out[::2], out[1::2]
+    flat = iter(totals)
+    totals = [[next(flat) for _ in range(size)] for size in sizes]  # per round
+    accs = [None] * len(rounds)
+    for j in reversed(range(max(sizes, default=0))):
         for _ in range(w):
-            acc = _jac_double_f2(acc)
-        acc = _jac_madd_f2(acc, s)
-    return _to_affine_f2(acc)
+            accs = _g2_add_all([(a, a) for a in accs])
+        accs = _g2_add_all([(a, ts[j] if j < len(ts) else None) for a, ts in zip(accs, totals)])
+    return accs
 
 
 def g1_mul_base(k):
@@ -833,15 +844,21 @@ def g2_comb(pt):
 
 
 def g2_comb_powers(comb, ks):
-    """[k * pt for k in ks] over the comb of pt, None where k = 0 mod N.
+    """[k * pt for k in ks] over the comb of pt, None where k = 0 mod N, by one lockstep comb ladder.
 
-    Each k runs one ``curve.comb_ladder`` of 32 doublings and at most 32
-    mixed additions (``g2_mul_gls``: about 64 of each, after a 16-entry
-    table), and one inversion normalizes every output.
+    Every k takes the 32 steps of ``curve.comb_columns``, fewer if every k
+    is short. Each step is one batched affine doubling of every power and
+    one batched addition of each power's comb entry: two ``_g2_add_all``
+    calls for all of ks. A power costs at most 32 doublings and 32
+    additions (``g2_mul_gls``: about 64 of each, after a 16-entry table).
     """
-    outs = [curve.comb_ladder([], None, [(comb, k % N)], _jac_double_f2, _jac_madd_f2) for k in ks]
-    finite = iter(_batch_to_affine_f2([q for q in outs if q is not None]))
-    return [None if q is None else next(finite) for q in outs]
+    cols = [curve.comb_columns(k % N) for k in ks]
+    rows = max(map(len, cols), default=0)
+    accs = [None] * len(ks)
+    for row in zip(*([0] * (rows - len(c)) + c for c in cols)):
+        accs = _g2_add_all([(a, a) for a in accs])
+        accs = _g2_add_all([(a, comb[c]) for a, c in zip(accs, row)])
+    return accs
 
 
 # ---------------------------------------------------------------------------

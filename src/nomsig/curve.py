@@ -19,7 +19,8 @@ A point that is raised to many powers can keep a Lim-Lee comb (CRYPTO '94,
 is 32 doublings and at most 32 additions of table entries. ``comb_ladder``
 runs those 32 steps as the last steps of a product's joint ladder, so comb
 terms and split terms share one ladder. The same code serves G1 here and
-G2 in ``bn254``.
+G2 in ``bn254``, where ``g2_comb_powers`` steps many powers' comb ladders
+together over the same steps, ``comb_columns``.
 """
 
 from collections import namedtuple
@@ -185,18 +186,26 @@ def comb(p, pt):
                       lambda qs: [to_affine(p, q) for q in qs], partial(add_all, p))
 
 
+def comb_columns(k):
+    """The steps of a comb term k * pt for 0 <= k < 2^256: step j is the bit column j of k's eight 32-bit pieces.
+
+    Each step indexes the comb of pt. There are at most 32 steps, fewer for
+    a short k, most significant first.
+    """
+    mask = (1 << COMB_ROWS) - 1
+    return columns([k >> COMB_ROWS * i & mask for i in range(COMB_TEETH)])
+
+
 def comb_ladder(steps, table, combs, double, madd):
     """The Jacobian sum of ``ladder(None, steps, table, double, madd)`` and of k * pt per (comb of pt, k) in combs.
 
-    For 0 <= k < 2^256, step j of a comb term is the bit column j of k's
-    eight 32-bit pieces, an index into the comb. The comb terms take the
-    last 32 steps of the one ladder, or fewer for a short k: each adds at
-    most one entry per step, beside the step's ``table`` entry.
+    The comb terms (``comb_columns``) take the last 32 steps of the one
+    ladder, or fewer for a short k: each adds at most one entry per step,
+    beside the step's ``table`` entry.
     """
     if not combs:
         return ladder(None, steps, table, double, madd)
-    mask = (1 << COMB_ROWS) - 1
-    cols = [columns([k >> COMB_ROWS * i & mask for i in range(COMB_TEETH)]) for _, k in combs]
+    cols = [comb_columns(k) for _, k in combs]
     if not steps and len(combs) == 1:  # one power: its columns index its comb, with no per-step lists
         return ladder(None, cols[0], combs[0][0], double, madd)
     n = max(len(steps), *map(len, cols))

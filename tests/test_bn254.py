@@ -586,6 +586,21 @@ def test_g2_comb_matches_gls_and_binary_ladder():
     assert g2_comb_powers(comb, [0, N]) == [None, None]
 
 
+@pytest.mark.parametrize("count", [1, 300])
+def test_g2_comb_powers_step_every_ladder_together(count, monkeypatch):
+    # one batched doubling and one batched addition per comb row, whatever the number of powers
+    draws = random.Random(1325)
+    comb = g2_comb(G2_GEN)
+    ks = [draws.randrange(N) for _ in range(count)]
+    calls = []
+    add_all = bn254._g2_add_all
+    monkeypatch.setattr(bn254, "_g2_add_all", lambda pairs: calls.append(len(pairs)) or add_all(pairs))
+    got = g2_comb_powers(comb, ks)
+    assert len(calls) <= 2 * curve.COMB_ROWS and set(calls) == {count}
+    monkeypatch.undo()
+    assert got == [g2_mul_base(k) for k in ks]
+
+
 def test_wnaf_digits():
     draws = random.Random(1322)
     for w in (2, 3, 4, 5):
@@ -678,9 +693,18 @@ def test_bucket_sums_match_naive_oracle(n):
     pts[0] = g2_add(pts[0], torsion_point(draws, 10069))
     if n > 2:
         pts[1], pts[2] = pts[0], g2_neg(pts[0])
-    for ks in ([draws.randrange(bn254.BATCH_PRIME) for _ in pts], [bn254.BATCH_PRIME - 1] * n,
-               [0] * n, [draws.randrange(2**40) for _ in pts], [1 << 13] * n):
-        assert bn254._g2_msm(pts, ks) == naive_g2_msm(pts, ks)
+    half = bn254.BATCH_PRIME // 2
+    rounds = [[draws.randrange(bn254.BATCH_PRIME) for _ in pts], [bn254.BATCH_PRIME - 1] * n,
+              [0] * n, [draws.randrange(2**40) for _ in pts], [1 << 13] * n,
+              # the centred coefficients of the batched subgroup test: both ends, mixed signs
+              [half] * n, [-half] * n, [draws.randrange(-half, half + 1) for _ in pts],
+              [(-1) ** i * half for i in range(n)], [-(2**40) + draws.randrange(2**41) for _ in pts]]
+    want = [naive_g2_msm(pts, ks) for ks in rounds]
+    for ks, sum_ in zip(rounds, want):
+        assert bn254._g2_msm(pts, [ks]) == [sum_]
+    # the rounds share their reductions, which must not mix them, an all-zero round included
+    assert bn254._g2_msm(pts, rounds) == want
+    assert bn254._g2_msm(pts, []) == [] and bn254._g2_msm([], [[], []]) == [None, None]
 
 
 def _batch_verdicts(pts):
@@ -721,13 +745,19 @@ def test_batch_rejects_opposite_torsion_parts():
         assert _batch_verdicts(bad) == (False, False)
 
 
-def test_batch_coefficients_bind_every_point():
+def test_batch_coefficients_bind_every_point(monkeypatch):
     draws = random.Random(1904)
     pts = _g2_points(draws, 12)
     count = bn254.BATCH_ROUNDS * len(pts)
     rs = bn254.batch_coefficients(pts, count)
     assert len(rs) == count and all(0 <= r < bn254.BATCH_PRIME for r in rs)
     assert max(rs) >= bn254.BATCH_PRIME - 500 and min(rs) < 500
+    # the batch test takes them centred on 0, all its rounds in one sum call
+    calls, msm = [], bn254._g2_msm
+    monkeypatch.setattr(bn254, "_g2_msm", lambda qs, rounds: calls.append(rounds) or msm(qs, rounds))
+    assert bn254.g2_all_in_subgroup([None, *pts])
+    assert len(calls) == 1 and len(calls[0]) == bn254.BATCH_ROUNDS
+    assert [r for ks in calls[0] for r in ks] == [r - bn254.BATCH_PRIME // 2 for r in rs]
     assert bn254.batch_coefficients(pts, count) == rs
     # the first draws of a longer request are the same draws
     assert bn254.batch_coefficients(pts, 4 * count)[:count] == rs
@@ -744,6 +774,11 @@ def test_batch_error_bound_is_below_2_to_the_minus_128():
     assert G2_COFACTOR % bn254.BATCH_PRIME == 0 and math.gcd(G2_COFACTOR, N) == 1
     assert all(G2_COFACTOR % d for d in range(2, bn254.BATCH_PRIME))
     assert min(COFACTOR_PRIMES) == bn254.BATCH_PRIME
+    # the coefficients are BATCH_PRIME consecutive integers centred on 0, distinct mod every prime
+    half = bn254.BATCH_PRIME // 2
+    centred = range(-half, half + 1)
+    assert len(centred) == bn254.BATCH_PRIME
+    assert all(len({r % ell for r in centred}) == bn254.BATCH_PRIME for ell in COFACTOR_PRIMES)
     survival = max(Fraction(-(-bn254.BATCH_PRIME // ell), bn254.BATCH_PRIME) for ell in COFACTOR_PRIMES)
     assert survival == Fraction(1, bn254.BATCH_PRIME)
     assert survival**bn254.BATCH_ROUNDS <= Fraction(1, 2**128)
