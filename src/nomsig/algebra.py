@@ -88,7 +88,8 @@ class GroupElem:
 
     ``comb`` counts the products of powers the element has been a base of on
     the real backend; at the ``COMB_USES``-th, a G1 or G2 element's comb
-    table, also a function of its value, replaces the count for good.
+    table, also a function of its value, replaces the count for good
+    (``kept``).
     """
 
     __slots__ = ("backend", "group", "value", "lines", "comb")
@@ -363,6 +364,22 @@ G2_BATCH_MIN = 32
 COMB_USES = 8
 
 
+def kept(holder, slot, build, now=False):
+    """The table in holder's slot, built by build() at the ``COMB_USES``-th call (or ``now``); None before.
+
+    The slot counts the calls until then; the table replaces the count for
+    good, so it lives exactly as long as its holder.
+    """
+    table = getattr(holder, slot)
+    if isinstance(table, int):
+        if table + 1 < COMB_USES and not now:
+            object.__setattr__(holder, slot, table + 1)
+            return None
+        table = build()
+        object.__setattr__(holder, slot, table)
+    return table
+
+
 @functools.cache
 def _gt_gen():
     return bn254.pairing(bn254.G1_GEN, bn254.G2_GEN)
@@ -419,22 +436,15 @@ class RealBackend(Backend):
         return GroupElem(self, group, bn254.g2_mul_gls(plain, combs))
 
     def comb_of(self, x: GroupElem, now: bool = False):
-        """x's comb table, built at its ``COMB_USES``-th product (or ``now``); None before, and for the identity.
+        """x's comb table, ``kept`` in its ``comb`` slot from its ``COMB_USES``-th product (or ``now``); None before.
 
-        The table replaces the use count in x's ``comb`` slot, once: it lives
-        exactly as long as the key, sigma or params object holding x. An
-        element made for one op never reaches the count, so it costs nothing.
+        The identity keeps none. An element made for one op never reaches the
+        count, so it costs nothing.
         """
         if x.value is None:
             return None
-        comb = x.comb
-        if isinstance(comb, int):
-            if comb + 1 < COMB_USES and not now:
-                object.__setattr__(x, "comb", comb + 1)
-                return None
-            comb = curve.comb(bn254.P, x.value) if x.group == "G1" else bn254.g2_comb(x.value)
-            object.__setattr__(x, "comb", comb)
-        return comb
+        build = (lambda: curve.comb(bn254.P, x.value)) if x.group == "G1" else (lambda: bn254.g2_comb(x.value))
+        return kept(x, "comb", build, now)
 
     def base_powers(self, base, scalars):
         """A batch of G2 powers from base's comb, built now if it has none yet: keygen's u_i and u'_i."""

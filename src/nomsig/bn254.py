@@ -28,13 +28,14 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
     and ``gt_pow_gls`` split it in four with the Frobenius; like ``glv_mul``
     they run a product of powers as one ladder over ``curve.split_table``;
   - a G1 or G2 point raised to many powers keeps a Lim-Lee comb of 8 teeth
-    (``curve.comb`` and ``g2_comb``, both ``curve.comb_table``): its terms
-    take 32 steps of at most one table entry each, run as the last steps of
-    the product's ladder beside its split terms (``glv_mul``, ``g2_mul_gls``),
-    and ``g2_comb_powers`` steps a batch of powers of one point over its
-    comb together, one batched doubling and one batched addition per row;
-    the backend gives a point a comb at its 8th product, or at once for
-    keygen's batch of powers of g2; GT elements keep none;
+    (``curve.comb`` and ``g2_comb``, both ``curve.comb_table``), a kept
+    ``curve.split_table`` table: a comb term's parts are k's eight 32-bit
+    pieces, so it joins the product's columns beside its split terms
+    (``glv_mul``, ``g2_mul_gls``), and ``g2_comb_powers`` steps a batch of
+    powers of one point over its comb together, one batched doubling and
+    one batched addition per row; the backend gives a point a comb at its
+    8th product, or at once for keygen's batch of powers of g2; GT elements
+    keep none;
   - ``g2_mul`` and ``f12_cyc_pow`` (width-4 signed digits over pt, 3pt,
     5pt, 7pt or a, a^3, a^5, a^7) take any twist point or cyclotomic
     element and any scalar, for the subgroup tests, cofactor clearing, the
@@ -687,12 +688,13 @@ def g2_mul_gls(terms, combs=()):
     """sum k * pt over (pt, k) terms, for points of G2 only, plus combs, by one joint ladder.
 
     The table takes 3 inversions for the subset sums and one per level of
-    the terms' pairwise tree; the ladder makes one mixed addition per
-    nonzero column. The (``g2_comb`` of pt, k) terms combs, with
-    0 <= k < 2^256, add theirs in its last 32 steps (``curve.comb_ladder``).
+    the pairwise tree of each column's entries, the (``g2_comb`` of pt, k)
+    terms combs, with 0 <= k < 2^256, among them (``curve.split_table``);
+    the ladder makes one mixed addition per nonzero column.
     """
-    cols, table = curve.split_table([(pt, k % N) for pt, k in terms], GLS_LATTICE, _tw_frob, g2_neg, _g2_add_all)
-    return _to_affine_f2(curve.comb_ladder(cols, table, combs, _jac_double_f2, _jac_madd_f2))
+    cols, table = curve.split_table([(pt, k % N) for pt, k in terms], GLS_LATTICE, _tw_frob, g2_neg, _g2_add_all,
+                                    combs)
+    return _to_affine_f2(curve.ladder(None, cols, table, _jac_double_f2, _jac_madd_f2))
 
 
 def gt_pow_gls(terms):
@@ -846,13 +848,13 @@ def g2_comb(pt):
 def g2_comb_powers(comb, ks):
     """[k * pt for k in ks] over the comb of pt, None where k = 0 mod N, by one lockstep comb ladder.
 
-    Every k takes the 32 steps of ``curve.comb_columns``, fewer if every k
-    is short. Each step is one batched affine doubling of every power and
-    one batched addition of each power's comb entry: two ``_g2_add_all``
-    calls for all of ks. A power costs at most 32 doublings and 32
+    Every k takes the 32 bit columns of its ``curve.comb_pieces``, fewer if
+    every k is short. Each step is one batched affine doubling of every
+    power and one batched addition of each power's comb entry: two
+    ``_g2_add_all`` calls for all of ks. A power costs at most 32 doublings and 32
     additions (``g2_mul_gls``: about 64 of each, after a 16-entry table).
     """
-    cols = [curve.comb_columns(k % N) for k in ks]
+    cols = [curve.columns(curve.comb_pieces(k % N)) for k in ks]
     rows = max(map(len, cols), default=0)
     accs = [None] * len(ks)
     for row in zip(*([0] * (rows - len(c)) + c for c in cols)):

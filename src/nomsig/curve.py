@@ -15,37 +15,20 @@ endomorphism: in two for ``glv_mul``, with (x, y) -> (beta*x, y)
 list of pairs in one call, as do the pairwise trees of ``sums``.
 
 A point that is raised to many powers can keep a Lim-Lee comb (CRYPTO '94,
-``comb_table``): with k = sum_i k_i 2^(32i) in eight 32-bit pieces, k * pt
-is 32 doublings and at most 32 additions of table entries. ``comb_ladder``
-runs those 32 steps as the last steps of a product's joint ladder, so comb
-terms and split terms share one ladder. The same code serves G1 here and
-G2 in ``bn254``, where ``g2_comb_powers`` steps many powers' comb ladders
-together over the same steps, ``comb_columns``.
+``comb_table``): with k = sum_i k_i 2^(32i) in its eight 32-bit pieces
+(``comb_pieces``), k * pt is 32 doublings and at most 32 additions of table
+entries. A comb is a kept ``split_table`` table: a comb term's parts are
+its pieces, so it joins the columns of a product's one ladder beside the
+split terms. The same code serves G1 here and G2 in ``bn254``, where
+``g2_comb_powers`` steps many powers over one comb together.
 """
 
 from collections import namedtuple
-from functools import partial, reduce
+from functools import partial
+from itertools import accumulate
 
 COMB_TEETH = 8
 COMB_ROWS = 32  # 8 teeth of 32 rows: any scalar below 2^256
-
-
-def add(p, a, b):
-    """Affine a + b, with the chord (or tangent) slope and one inversion."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        m = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
-    else:
-        m = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (m * m - x1 - x2) % p
-    return (x3, (m * (x1 - x3) - y1) % p)
 
 
 def jac_double(p, q):
@@ -186,36 +169,10 @@ def comb(p, pt):
                       lambda qs: [to_affine(p, q) for q in qs], partial(add_all, p))
 
 
-def comb_columns(k):
-    """The steps of a comb term k * pt for 0 <= k < 2^256: step j is the bit column j of k's eight 32-bit pieces.
-
-    Each step indexes the comb of pt. There are at most 32 steps, fewer for
-    a short k, most significant first.
-    """
+def comb_pieces(k):
+    """The eight 32-bit pieces k_i of 0 <= k < 2^256, k = sum_i k_i 2^(32i): a comb term's parts."""
     mask = (1 << COMB_ROWS) - 1
-    return columns([k >> COMB_ROWS * i & mask for i in range(COMB_TEETH)])
-
-
-def comb_ladder(steps, table, combs, double, madd):
-    """The Jacobian sum of ``ladder(None, steps, table, double, madd)`` and of k * pt per (comb of pt, k) in combs.
-
-    The comb terms (``comb_columns``) take the last 32 steps of the one
-    ladder, or fewer for a short k: each adds at most one entry per step,
-    beside the step's ``table`` entry.
-    """
-    if not combs:
-        return ladder(None, steps, table, double, madd)
-    cols = [comb_columns(k) for _, k in combs]
-    if not steps and len(combs) == 1:  # one power: its columns index its comb, with no per-step lists
-        return ladder(None, cols[0], combs[0][0], double, madd)
-    n = max(len(steps), *map(len, cols))
-    adds = [[table[s]] if s else [] for s in [0] * (n - len(steps)) + steps]
-    for (table_k, _), cs in zip(combs, cols):
-        for entry, c in zip(adds[n - len(cs):], cs):
-            if c:
-                entry.append(table_k[c])
-    # the step indices 1..n pick each step's entries, which madd adds one by one
-    return ladder(None, range(1, n + 1), [None, *adds], double, lambda acc, pts: reduce(madd, pts, acc))
+    return [k >> COMB_ROWS * i & mask for i in range(COMB_TEETH)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +215,15 @@ def split(k, lat):
     return parts
 
 
-def split_table(terms, lat, endo, neg, add_all):
+def split_table(terms, lat, endo, neg, add_all, combs=()):
     """The bit columns of one joint ladder for sum k * x over (x, k) terms with x not None, and their table.
 
     Each k splits in d = len(lat.basis) parts over x and its images under
     endo, each negated (neg) where its part is negative, and each term keeps
-    the 2^d subset sums of its d bases. A nonzero column, one bit of every
-    part, maps to the ``sums`` of the entries it selects, one per term.
+    the 2^d subset sums of its d bases. A (comb of x, k) term in combs, with
+    0 <= k < 2^256, has its ``comb_pieces`` for parts and its comb for table.
+    A nonzero column, one bit of every part, maps to the ``sums`` of the
+    entries it selects, at most one per term.
     """
     d = len(lat.basis)
     bases, parts = [], []
@@ -276,9 +235,13 @@ def split_table(terms, lat, endo, neg, add_all):
             bases.append(x if c >= 0 else neg(x))
             parts.append(abs(c))
     tables = subset_sums([bases[i : i + d] for i in range(0, len(bases), d)], add_all)
-    cols, mask = columns(parts), (1 << d) - 1
+    widths = [d] * len(tables) + [COMB_TEETH] * len(combs)
+    tables += [comb for comb, _ in combs]
+    parts += [piece for _, k in combs for piece in comb_pieces(k)]
+    cols, shifts = columns(parts), [0, *accumulate(widths)]
     keys = [c for c in set(cols) if c]
-    entries = [[t[c >> d * i & mask] for i, t in enumerate(tables) if c >> d * i & mask] for c in keys]
+    # a column's bits shifts[j] .. shifts[j] + widths[j] - 1 index term j's table
+    entries = [[t[i] for t, at, w in zip(tables, shifts, widths) if (i := c >> at & (1 << w) - 1)] for c in keys]
     return cols, dict(zip(keys, sums(entries, add_all)))
 
 
@@ -309,10 +272,10 @@ def glv_mul(c, terms, combs=()):
     """sum k * pt over (pt, k) terms, for points of the order-n group of the Glv curve c, plus combs.
 
     Each k splits into k0 + k1*lam, halves of about log2(n)/2 bits, over pt
-    and (beta*x, y) (``split_table``). The (comb of pt, k) terms combs, with
-    0 <= k < 2^256, join the same ladder (``comb_ladder``).
+    and (beta*x, y); the (comb of pt, k) terms combs, with 0 <= k < 2^256,
+    take k's pieces. All join one ladder over ``split_table``.
     """
     p = c.p
     cols, table = split_table(terms, c.lat, lambda pt: (c.beta * pt[0] % p, pt[1]), lambda pt: (pt[0], -pt[1] % p),
-                              partial(add_all, p))
-    return to_affine(p, comb_ladder(cols, table, combs, partial(jac_double, p), partial(jac_madd, p)))
+                              partial(add_all, p), combs)
+    return to_affine(p, ladder(None, cols, table, partial(jac_double, p), partial(jac_madd, p)))

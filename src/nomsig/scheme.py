@@ -33,7 +33,6 @@ from random import Random
 from typing import Optional
 
 from .algebra import (
-    COMB_USES,
     ELL,
     Backend,
     GroupElem,
@@ -42,6 +41,7 @@ from .algebra import (
     get_backend,
     hash_h1,
     hash_h2,
+    kept,
 )
 
 
@@ -79,22 +79,18 @@ class WatersBases(tuple):
     multiplies u_0 and one entry per nonzero nibble, at most 65 elements
     where the fold multiplies one per set bit. ``table`` counts the
     evaluations until then; the table, a function of the bases, replaces the
-    count for good and lives as long as the key that holds the bases.
+    count for good (``algebra.kept``) and lives as long as the key that
+    holds the bases.
     """
 
     table = 0
 
     def nibble_table(self):
         """The nibble tables from the ``COMB_USES``-th call on, values indexed by the nibble; None before."""
-        if isinstance(self.table, int):
-            if self.table + 1 < COMB_USES:
-                self.table += 1
-                return None
-            u = self[0]
-            # nibble j holds the input bits 4j+1..4j+4, the first as its high bit
-            self.table = u.backend.subset_sums(u.group, [[x.value for x in self[i : i + 4][::-1]]
-                                                         for i in range(1, len(self), 4)])
-        return self.table
+        u = self[0]
+        # nibble j holds the input bits 4j+1..4j+4, the first as its high bit
+        return kept(self, "table", lambda: u.backend.subset_sums(u.group, [[x.value for x in self[i : i + 4][::-1]]
+                                                                           for i in range(1, len(self), 4)]))
 
 
 @dataclass(frozen=True)

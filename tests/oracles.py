@@ -4,7 +4,8 @@ Each routine is the plainest form of what ``nomsig.bn254`` computes faster:
 the schoolbook Fp12 product over the 36 Fp2 products of its coefficients,
 square-and-multiply exponentiation over it, the G1 curve equation, affine
 binary double-and-add over any addition (on the Fp curves, over
-``curve.add`` alone), the textbook chord-and-tangent addition on the twist,
+``curve_add``, the affine addition the batched ``curve.add_all`` is checked
+against), the textbook chord-and-tangent addition on the twist,
 the binary Jacobian ladder on the twist, a sum of
 multiples of twist points as one ``g2_mul`` per term, the complex-method
 Fp2 square root with its inversion, and the Miller loop over the binary
@@ -21,7 +22,7 @@ longer has: it rewrites an envelope with each G1 and G2 point compressed.
 import json
 from functools import partial, reduce
 
-from nomsig import curve, envelopes, zkproto
+from nomsig import envelopes, zkproto
 from nomsig.algebra import get_backend
 from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _f12_mul_f6,
                           _f12_mul_line, _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob,
@@ -85,9 +86,27 @@ def affine_add(p, q):
     return (x3, f2_sub(f2_mul(m, f2_sub(x1, x3)), y1))
 
 
+def curve_add(p, a, b):
+    """Affine a + b on a curve over Fp, with the chord (or tangent) slope and one inversion."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    x1, y1 = a
+    x2, y2 = b
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        m = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
+    else:
+        m = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (m * m - x1 - x2) % p
+    return (x3, (m * (x1 - x3) - y1) % p)
+
+
 def curve_mul(p, pt, k):
-    """k * pt for k >= 0 on a curve over Fp: ``affine_mul`` over ``curve.add``."""
-    return affine_mul(partial(curve.add, p), pt, k)
+    """k * pt for k >= 0 on a curve over Fp: ``affine_mul`` over ``curve_add``."""
+    return affine_mul(partial(curve_add, p), pt, k)
 
 
 def binary_g2_mul(pt, k):

@@ -424,6 +424,34 @@ def test_comb_table_is_written_once_at_the_nth_use(group, monkeypatch):
         x.comb = None
 
 
+@pytest.mark.parametrize("group", ["G1", "G2"])
+@pytest.mark.parametrize("combs, splits", [(2, 0), (1, 1), (2, 2)])
+def test_a_product_with_comb_terms_is_one_split_table_and_one_ladder(group, combs, splits, monkeypatch):
+    # comb terms are terms of split_table: each nonzero step of the one ladder makes one mixed
+    # addition, however many comb terms the product has
+    b = RealBackend()
+    draws = random.Random(29 + 3 * combs + splits)
+    gen = getattr(b, group.lower())()
+    terms = [(gen ** draws.randrange(1, N), draws.randrange(N)) for _ in range(combs + splits)]
+    for x, _ in terms[:combs]:
+        b.comb_of(x, now=True)
+    want = b.multi_exp(terms)
+    module, name = (curve, "jac_madd") if group == "G1" else (bn254, "_jac_madd_f2")
+    madd, ladder, split_table = getattr(module, name), curve.ladder, curve.split_table
+    adds, walks, tables = [], [], []
+    monkeypatch.setattr(module, name, lambda *args: adds.append(1) or madd(*args))
+    monkeypatch.setattr(curve, "split_table", lambda *args: tables.append(1) or split_table(*args))
+
+    def walk(acc, steps, *args):
+        steps = list(steps)
+        walks.append(sum(1 for s in steps if s))
+        return ladder(acc, steps, *args)
+
+    monkeypatch.setattr(curve, "ladder", walk)
+    assert b.multi_exp(terms) == want
+    assert len(tables) == len(walks) == 1 and 0 < len(adds) <= walks[0], (len(adds), walks)
+
+
 CODEC_REFUSALS = [
     ("G1", lambda: bytes(31), MalformedEncoding, "G1: expected 32 bytes, got 31"),
     ("G1", lambda: bytes(64), MalformedEncoding, "G1: expected 32 bytes, got 64"),

@@ -4,7 +4,7 @@ The 4-dimensional GLS split serves G2 and GT, the 2-dimensional GLV split
 serves BN254 G1 and secp256k1. The oracles are the general ladders
 ``bn254.g2_mul`` and ``bn254.f12_cyc_pow``, which take any point or
 cyclotomic element and any scalar, and on the Fp curves affine binary
-double-and-add over ``curve.add`` (``oracles.curve_mul``), which shares no
+double-and-add over ``oracles.curve_add`` (``oracles.curve_mul``), which shares no
 code with ``curve.ladder``.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from nomsig import bn254, curve, trigger
 from nomsig.algebra import G2_BATCH_MIN, NotInSubgroup, RealBackend
 from nomsig.bn254 import G1_GEN, G2_COFACTOR, G2_GEN, N, P, U, f12_cyc_pow, g2_add, g2_mul, g2_neg
-from oracles import binary_g2_mul, curve_mul
+from oracles import binary_g2_mul, curve_add, curve_mul
 
 LAMBDA_G1 = 36 * U**3 + 18 * U**2 + 6 * U + 1
 LAMBDA_GLS = 6 * U**2  # p mod N: the eigenvalue of psi on G2 and of the Frobenius on GT
@@ -124,11 +124,11 @@ def test_glv_mul_matches_curve_mul(c):
         for k in _scalars(n, lam, draws):
             assert curve.glv_mul(c, [(pt, k)]) == curve_mul(c.p, pt, k)
     a, b = (draws.randrange(n) for _ in range(2))
-    want = curve.add(c.p, curve_mul(c.p, pts[0], a), curve_mul(c.p, pts[1], b))
+    want = curve_add(c.p, curve_mul(c.p, pts[0], a), curve_mul(c.p, pts[1], b))
     assert curve.glv_mul(c, [(pts[0], a), (pts[1], b)]) == want
     # a comb term joins the two split terms' ladder
     assert curve.glv_mul(c, [(pts[0], a), (pts[1], b)], [(curve.comb(c.p, pts[1]), a)]) == \
-        curve.add(c.p, want, curve_mul(c.p, pts[1], a))
+        curve_add(c.p, want, curve_mul(c.p, pts[1], a))
     assert curve.glv_mul(c, [(None, a), (pts[1], b)]) == curve_mul(c.p, pts[1], b)
     assert curve.glv_mul(c, [(pts[0], a), ((pts[0][0], -pts[0][1] % c.p), a)]) is None
     assert curve.glv_mul(c, []) is None
@@ -147,12 +147,12 @@ def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypat
     def joint(p, bases, scalars):
         table = curve.subset_sums([bases], lambda pairs: curve.add_all(p, pairs))[0]
         steps = curve.columns(scalars)
-        return curve.to_affine(p, curve.comb_ladder(steps, table, (), lambda q: curve.jac_double(p, q),
-                                                    lambda q, a: curve.jac_madd(p, q, a)))
+        return curve.to_affine(p, curve.ladder(None, steps, table, lambda q: curve.jac_double(p, q),
+                                               lambda q, a: curve.jac_madd(p, q, a)))
 
     # bases (Q, 2Q) with scalars (2, 1): after one doubling the accumulator is 2Q, the next entry
     for p, pt, neg in ((P, G1_GEN, bn254.g1_neg), (trigger.P, trigger.G, lambda q: (q[0], trigger.P - q[1]))):
-        two = curve.add(p, pt, pt)
+        two = curve_add(p, pt, pt)
         assert joint(p, [pt, two], [2, 1]) == curve_mul(p, pt, 4)
         assert joint(p, [pt, neg(two)], [2, 1]) is None
         assert joint(p, [pt, neg(pt)], [1, 1]) is None  # the subset sum itself is infinity
@@ -180,7 +180,7 @@ def test_batched_affine_additions_match_add():
     for p, pt, n in ((P, G1_GEN, N), (trigger.P, trigger.G, trigger.N)):
         a, b = curve_mul(p, pt, draws.randrange(1, n)), curve_mul(p, pt, draws.randrange(1, n))
         pairs = [(a, b), (a, a), (a, (a[0], p - a[1])), (None, b), (a, None), (None, None), (b, a), (b, b)]
-        assert curve.add_all(p, pairs) == [curve.add(p, x, y) for x, y in pairs]
+        assert curve.add_all(p, pairs) == [curve_add(p, x, y) for x, y in pairs]
         assert curve.add_all(p, []) == []
 
 
@@ -245,7 +245,7 @@ def _recover_oracle(sig, message):
     z = trigger._msg_hash(message)
     r_inv = pow(sig.r, -1, trigger.N)
     neg_g = (trigger.GX, trigger.P - trigger.GY)
-    return curve.add(trigger.P, curve_mul(trigger.P, (x, y), sig.s * r_inv % trigger.N),
+    return curve_add(trigger.P, curve_mul(trigger.P, (x, y), sig.s * r_inv % trigger.N),
                      curve_mul(trigger.P, neg_g, z * r_inv % trigger.N))
 
 

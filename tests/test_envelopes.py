@@ -100,6 +100,18 @@ GOLDEN_BN254_V2 = {
     "token": "b6d2ab08945e05fe33cc4d2bc5d9a37f9fee7338845a9c275266bda53b63f26e",
 }
 
+# SHA-256 of the v2 file each bn254 command of ``OUTPUTS`` writes from ``real_dir``
+# (or from ``real_dir_v1``), taken before comb terms joined ``curve.split_table``.
+GOLDEN_BN254_CLI = {
+    "sign": "da705eb42c7622ad566beb53ace2da1d57ba52a693fa38859a6741ba0f23ced5",
+    "receive": "b2ac9d301936c206faba729704b30ac3732f738f52a2db56fb8be945cc02d98b",
+    "convert": "b6d2ab08945e05fe33cc4d2bc5d9a37f9fee7338845a9c275266bda53b63f26e",
+    "deploy": "8cb0bb74e96ca2ac226ff85d522d765392beed98dbed5e9a694ce492a6f998ef",
+    "pay-advance": "b7e1c7a952e223a5567241b4fafcc0631b69455e8b669947912fda282616be14",
+    "store-sig": "2e804ef441add280dd1792196133080d5a86cb64fff2d6937e25eda88be6dad9",
+    "trigger": "4310f20aa253cda97c43ba13899cd5f9e4904ed97a15da185642ae4fc6c5b893",
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -670,6 +682,7 @@ def test_v1_inputs_give_the_bytes_that_v2_inputs_give(real_dir, real_dir_v1):
     for command, (v2, v1) in outs.items():
         assert v1 == v2, command
         assert json.loads(v1)["schema_version"] == 2, command
+        assert hashlib.sha256(v2).hexdigest() == GOLDEN_BN254_CLI[command], command
 
 
 @pytest.mark.parametrize("v1_key", ["spk", "npk"])
