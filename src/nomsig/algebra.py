@@ -207,11 +207,6 @@ class Backend:
     def element(self, group: str, data: bytes, compressed: bool = True) -> GroupElem:
         return GroupElem(self, group, self.deserialize(group, data, compressed))
 
-    def deserialize_all(self, group: str, encodings: list[tuple[bytes, bool]]) -> list:
-        """The values of the (data, compressed) encodings up to the first that ``deserialize`` refuses, which a
-        caller decodes for its error."""
-        return _decoded(lambda e: self.deserialize(group, *e), encodings)
-
     def random_scalar(self, rng) -> int:
         return rng.randrange(self.order)
 
@@ -232,17 +227,10 @@ class Backend:
     # hashes take the compressed one, ``GroupElem.to_bytes``. Mock elements and GT have one encoding each.
     def serialize(self, group, a, compressed=True) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes, compressed=True): raise NotImplementedError
-
-
-def _decoded(decode, items: list) -> list:
-    """decode(d) for each entry d of items, up to the first that raises AlgebraError."""
-    values = []
-    for d in items:
-        try:
-            values.append(decode(d))
-        except AlgebraError:
-            break
-    return values
+    # ``deserialize`` of a G2 point is two hooks: ``point`` puts the encoding on the twist, and
+    # ``first_outside_g2`` gives the index of the first of a list of such points outside G2, or None.
+    def point(self, group, data: bytes, compressed=True): raise NotImplementedError
+    def first_outside_g2(self, values): raise NotImplementedError
 
 
 def _one_group(elems: list[GroupElem], what: str) -> str:
@@ -293,6 +281,11 @@ class MockBackend(Backend):
         if v >= self.order:
             raise MalformedEncoding(f"{group}: exponent out of range")
         return v
+
+    point = deserialize
+
+    def first_outside_g2(self, values):
+        return None
 
     def hash_to_g2(self, data: bytes) -> GroupElem:
         return GroupElem(self, "G2", hash_h2(b"mock-h2g" + data, self.order))
@@ -502,35 +495,33 @@ class RealBackend(Backend):
                     or bn254.f12_frob(v) != bn254.f12_cyc_pow(v, bn254.P - self.order)):
                 raise NotInSubgroup("GT: not in the order-n subgroup")
             return v
-        pt = self._point(group, data, compressed)
-        if group == "G2" and not bn254.g2_in_subgroup(pt):
+        pt = self.point(group, data, compressed)
+        if group == "G2" and self.first_outside_g2([pt]) is not None:
             raise NotInSubgroup("G2: point not in the prime-order subgroup")
         return pt
 
-    def deserialize_all(self, group, encodings):
-        """As the default, but a list of G2 points takes batched subgroup tests, ``bn254.g2_all_in_subgroup``.
+    def first_outside_g2(self, values):
+        """The index of the first of the twist points outside G2, or None, by batched subgroup tests from
+        G2_BATCH_MIN points up (``bn254.g2_all_in_subgroup``).
 
-        Each point is range-checked and put on the twist as by ``deserialize``
-        (lifted if compressed, tested if not), up to the first that fails
-        there. These points take one batch test, which lets a point outside
-        G2 through with probability below 2^-132. If it fails, the range that
+        One batch test takes all the points, and lets a point outside G2
+        through with probability below 2^-132. If it fails, the range that
         holds the first bad point is halved with one batch test per step,
         going left while the left half fails, down to G2_BATCH_MIN points,
         which are tested one by one. Below G2_BATCH_MIN points, a batch test's
         own 10 subgroup tests cost more than it saves.
         """
-        if group != "G2" or len(encodings) < G2_BATCH_MIN:
-            return super().deserialize_all(group, encodings)
-        pts = _decoded(lambda e: self._point(group, *e), encodings)
-        if bn254.g2_all_in_subgroup(pts):
-            return pts
-        lo, hi = 0, len(pts)  # pts[:lo] passed and pts[lo:hi] failed
-        while hi - lo > G2_BATCH_MIN:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if bn254.g2_all_in_subgroup(pts[lo:mid]) else (lo, mid)
-        return pts[:next((i for i in range(lo, hi) if not bn254.g2_in_subgroup(pts[i])), hi)]
+        lo, hi = 0, len(values)  # values[:lo] passed and values[lo:hi] failed
+        if hi >= G2_BATCH_MIN:
+            if bn254.g2_all_in_subgroup(values):
+                return None
+            while hi - lo > G2_BATCH_MIN:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if bn254.g2_all_in_subgroup(values[lo:mid]) else (lo, mid)
+        # on past hi should none fail: only a half whose batch test passed wrongly leaves values[lo:hi] in G2
+        return next((i for i in range(lo, len(values)) if not bn254.g2_in_subgroup(values[i])), None)
 
-    def _point(self, group, data, compressed):
+    def point(self, group, data, compressed=True):
         """The G1 or G2 point that data encodes, range-checked and on its curve, before any subgroup test."""
         if not compressed:
             return words_point(group, data)

@@ -10,13 +10,14 @@ compressed encoding, whose decoding takes a square root per point. Only
 those points differ, so an envelope without one is written as version 1.
 ``objects_from_payloads`` is the one place that checks a payload's shape,
 hex, vector lengths, group membership and backend; malformed input raises
-EnvelopeError, or AlgebraError from the group decoding. The objects read
-together (a command's two public keys, or a contract state's keys and
-stored signature) have all their G2 points decoded as one batch, with one
-batched subgroup test on the real backend (``Backend.deserialize_all``).
-The batch only caches the points it checked: the fields are then decoded
-in order, each bad one by itself, so the error names the first bad field,
-whatever the batch held. ``read_objects`` reads the files of one batch and
+EnvelopeError, or AlgebraError from the group decoding. It decodes each
+field once, in order, a G2 point only onto the twist (``Backend.point``).
+The G2 points of the objects read together (a command's two public keys,
+or a contract state's keys and stored signature), up to the first bad
+field, then take one subgroup test (``Backend.first_outside_g2``, batched
+on the real backend). A point outside G2 raises in place of any later
+field's error, so the error names the first bad field, as if each object
+were decoded alone. ``read_objects`` reads the files of one batch and
 names the first that fails.
 """
 
@@ -27,7 +28,7 @@ import json
 import os
 from typing import Optional
 
-from .algebra import ELL, AlgebraError, Backend, GroupElem, get_backend
+from .algebra import ELL, AlgebraError, Backend, GroupElem, NotInSubgroup, get_backend
 from .bn254 import N
 from .contract import UINT256_LIMIT, ContractState, ExecutionReceipt, Phase, WalletLedger
 from .gasmodel import REPORT_COUNTS, GasModelError, GasReport, parse_fraction
@@ -78,16 +79,20 @@ def _out(v):
     return None if v is None else hex(v)
 
 
-def _in(ftype: str, v, b: Optional[Backend], name: str, g2: dict, compressed: bool):
-    """The field value v of type ftype; ``g2`` maps G2 (data, compressed) encodings to points already decoded
-    and checked."""
+def _in(ftype: str, v, b: Optional[Backend], name: str, g2: list, compressed: bool):
+    """The field value v of type ftype; a G2 point is only put on the twist, and appended to ``g2`` for its
+    subgroup test."""
     if ftype.endswith("?"):
         return None if v is None else _in(ftype[:-1], v, b, name, g2, compressed)
     if ftype.endswith("[]"):
-        return tuple(_in(ftype[:-2], x, b, name, g2, compressed) for x in _entries(ftype, v, name))
+        if not isinstance(v, list) or len(v) != ELL + 1:
+            raise EnvelopeError(f"{name}: need a list of {ELL + 1} entries")
+        return tuple(_in(ftype[:-2], x, b, name, g2, compressed) for x in v)
+    if ftype == "G2":
+        g2.append(GroupElem(b, ftype, b.point(ftype, _bytes(v, name), compressed)))
+        return g2[-1]
     if ftype[0] == "G":
-        e = (_bytes(v, name), compressed)
-        return GroupElem(b, ftype, g2[e]) if ftype == "G2" and e in g2 else b.element(ftype, *e)
+        return b.element(ftype, _bytes(v, name), compressed)
     low = 1 if ftype == "Zn*" else 0
     try:
         k = int(_of(str, v, name), 16)
@@ -96,15 +101,6 @@ def _in(ftype: str, v, b: Optional[Backend], name: str, g2: dict, compressed: bo
     if v != hex(k) or not low <= k < N:
         raise EnvelopeError(f"{name}: need a canonical hex scalar in [{low}, N)")
     return k
-
-
-def _entries(ftype: str, v, name: str) -> list:
-    """The entries of a field value: the list of ELL + 1 that a "[]" type needs, or [v]."""
-    if not ftype.endswith("[]"):
-        return [v]
-    if not isinstance(v, list) or len(v) != ELL + 1:
-        raise EnvelopeError(f"{name}: need a list of {ELL + 1} entries")
-    return v
 
 
 def _of(t: type, v, name: str):
@@ -176,15 +172,41 @@ def object_from_payload(cls, payload, backend: Optional[Backend] = None, version
 
 def objects_from_payloads(items, backend: Optional[Backend] = None):
     """Yield each (cls, payload, version) of items decoded, in order, as ``object_from_payload`` decodes it: the
-    first bad field of the first bad item raises. The G2 points of all the items are decoded first, as one batch."""
-    g2 = _g2_points(items, backend)
-    for cls, payload, version in items:
-        yield _decode(cls, payload, backend, g2, version)
+    first bad field of the first bad item raises.
+
+    The G2 points of the items, up to that field, take one subgroup test
+    after the pass, each by its own element's backend; a point outside G2
+    raises after the objects before its own, in place of any later error.
+    """
+    g2, decoded, error = [], [], None
+    try:
+        for cls, payload, version in items:
+            decoded.append((_decode(cls, payload, backend, g2, version), len(g2)))
+    except (EnvelopeError, AlgebraError) as exc:
+        error = exc
+    bad = _first_outside_g2(g2)
+    yield from (obj for obj, end in decoded if bad is None or end <= bad)
+    if bad is not None:
+        raise NotInSubgroup("G2: point not in the prime-order subgroup")
+    if error is not None:
+        raise error
 
 
-def _head(cls, payload, backend: Optional[Backend]) -> tuple[dict, Optional[Backend], dict]:
-    """The field types, backend and field values of a CODEC payload whose role or pass and backend check out."""
+def _first_outside_g2(points: list[GroupElem]) -> Optional[int]:
+    """The index of the first of the G2 elements outside G2, or None; the elements of each backend take
+    one ``first_outside_g2`` test by it."""
+    by_backend = {}
+    for i, e in enumerate(points):
+        by_backend.setdefault(e.backend.name, (e.backend, []))[1].append(i)
+    found = [ix[k] for b, ix in by_backend.values()
+             if (k := b.first_outside_g2([points[i].value for i in ix])) is not None]
+    return min(found, default=None)
+
+
+def _decode(cls, payload, backend: Optional[Backend], g2: list, version: int):
     payload = _of(dict, payload, "payload")
+    if cls in _HAND_WRITTEN:
+        return _HAND_WRITTEN[cls][2](payload, backend, version)
     kind, tag, fields = CODEC[cls]
     b = None
     if kind == TRANSPORT:
@@ -195,45 +217,12 @@ def _head(cls, payload, backend: Optional[Backend]) -> tuple[dict, Optional[Back
         raise EnvelopeError(f"expected key role {tag!r}, got {payload.get('role')!r}")
     elif any(ftype[0] == "G" for ftype in fields.values()):
         b = _backend(payload, backend)
-    return fields, b, payload
-
-
-def _decode(cls, payload, backend: Optional[Backend], g2: dict, version: int):
-    if cls in _HAND_WRITTEN:
-        return _HAND_WRITTEN[cls][2](_of(dict, payload, "payload"), backend, version)
-    fields, b, payload = _head(cls, payload, backend)
     if cls is bool:
         if payload.get("verdict") not in ("accept", "reject"):
             raise EnvelopeError("verdict: need 'accept' or 'reject'")
         return payload["verdict"] == "accept"
     return cls(**{name: _in(ftype, payload.get(name), b, name, g2, COMPRESSED[version])
                   for name, ftype in fields.items()})
-
-
-def _g2_points(items, backend: Optional[Backend]) -> dict:
-    """The G2 (data, compressed) encodings in the items' fields, mapped to their points by one
-    ``deserialize_all`` batch, whatever mix of schema versions the items have.
-
-    The batch takes the encodings in order up to the first malformed item
-    head, vector or hex string, and the map keeps only the points it
-    decoded: a cache of checked points. ``_in`` decodes any other encoding
-    itself, so the first bad field raises its own error, as if each item
-    were decoded alone.
-    """
-    encodings, b = [], None
-    try:
-        for cls, payload, version in items:
-            if cls not in CODEC:
-                continue
-            fields, item_b, payload = _head(cls, payload, backend)
-            b = item_b or b
-            for name, ftype in fields.items():
-                if ftype.startswith("G2"):
-                    for v in _entries(ftype, payload.get(name), name):
-                        encodings.append((_bytes(v, name), COMPRESSED[version]))
-    except (EnvelopeError, AlgebraError):
-        pass
-    return dict(zip(encodings, b.deserialize_all("G2", encodings))) if encodings else {}
 
 
 def _kind_of(cls) -> str:

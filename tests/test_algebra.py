@@ -540,29 +540,34 @@ def test_real_codec_sign_bit_round_trips(group):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("subgroup_bad, curve_bad, decoded", [
-    (None, None, 257), (0, None, 0), (31, None, 31), (32, None, 32), (128, None, 128), (256, None, 256),
-    (100, 200, 100), (200, 100, 100), (None, 0, 0),
-])
-def test_deserialize_all_returns_the_points_before_the_first_bad_entry(real_pipeline, subgroup_bad, curve_bad,
-                                                                       decoded):
-    # a key's 257 Waters bases with a point of order 10069 and a point off the curve, compressed or as
-    # words: a failed batch is halved towards the first bad entry, and only the points decoded before an
-    # off-curve one are searched
+@pytest.mark.parametrize("subgroup_bad", [(), (0,), (31,), (32,), (128,), (256,), (100, 200)])
+def test_first_outside_g2_finds_the_first_bad_point(real_pipeline, subgroup_bad):
+    # a key's 257 Waters bases, put on the twist from compressed points or words, with points of order
+    # 10069: a failed batch is halved towards the first of them
     b = real_pipeline.par.backend
     for compressed in (True, False):
         datas = [b.serialize("G2", u.value, compressed) for u in real_pipeline.pk_s.u]
-        if subgroup_bad is not None:
-            datas[subgroup_bad] = b.serialize("G2", torsion_point(random.Random(10069), 10069), compressed)
-        if curve_bad is not None:
-            datas[curve_bad] = off_curve_x("G2") + (b"" if compressed else (1).to_bytes(64, "big"))
-        got = b.deserialize_all("G2", [(d, compressed) for d in datas])
-        assert got == [u.value for u in real_pipeline.pk_s.u[:decoded]]
+        for i in subgroup_bad:
+            datas[i] = b.serialize("G2", torsion_point(random.Random(10069), 10069), compressed)
+        assert b.first_outside_g2([b.point("G2", d, compressed) for d in datas]) == min(subgroup_bad, default=None)
 
 
-def test_mock_deserialize_all_stops_at_the_first_bad_entry():
+def test_first_outside_g2_tests_on_past_a_half_that_passed_wrongly(real_pipeline, monkeypatch):
+    # points of order 10069 at 10 and 256: the batch and its left half [0, 128) fail, then [0, 64) and
+    # [64, 96) are made to pass wrongly, so [96, 128) is all in G2 and the exact tests go on to 256
+    values = [u.value for u in real_pipeline.pk_s.u]
+    values[10] = values[256] = torsion_point(random.Random(10069), 10069)
+    calls, all_in = [], bn254.g2_all_in_subgroup
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup",
+                        lambda pts: calls.append(len(pts)) or len(calls) > 2 or all_in(pts))
+    assert real_pipeline.par.backend.first_outside_g2(values) == 256
+    assert calls == [257, 128, 64, 32]
+
+
+def test_mock_point_checks_the_range_and_every_point_is_in_g2():
     b = MockBackend()
-    datas = [b.serialize("G2", k) for k in range(1, 9)]
-    datas[5] = N.to_bytes(32, "big")
     for compressed in (True, False):  # one encoding of mock elements
-        assert b.deserialize_all("G2", [(d, compressed) for d in datas]) == list(range(1, 6))
+        assert b.point("G2", b.serialize("G2", 5), compressed) == 5
+        with pytest.raises(MalformedEncoding, match="exponent out of range"):
+            b.point("G2", N.to_bytes(32, "big"), compressed)
+    assert b.first_outside_g2(list(range(1, 9))) is None

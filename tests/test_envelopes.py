@@ -611,35 +611,62 @@ def _exits_2_and_writes_nothing(real_dir, name, command, path, bad, case):
     assert after == before
 
 
-@pytest.mark.parametrize("bad, message", [
-    ({"npk"}, "npk.json: G2: point not in the prime-order subgroup"),
-    ({"spk", "npk"}, "spk.json: G2: point not in the prime-order subgroup"),
-    ({"spk-truncated", "npk"}, "spk.json: not valid JSON"),
-], ids=["npk", "both", "truncated-spk"])
-def test_a_bad_key_names_its_file_though_both_keys_share_a_batch(real_dir, bad, message, monkeypatch):
-    # an order-10069 point at u[100] or uPrime[100]: the fields are decoded in order from the joint
-    # batch's checked points, so the first bad file in the command's order is the one named, and
-    # each of the 519 G2 points is decoded once, the bad one once more for its own error, and none lifted
-    decodes, point, lifts, lift = [], RealBackend._point, [], algebra._lift
-    monkeypatch.setattr(RealBackend, "_point",
-                        lambda self, group, *a: decodes.append(group) or point(self, group, *a))
+@pytest.mark.parametrize("faults, message, decodes", [
+    ({("npk", 100): "order 10069"}, "npk.json: G2: point not in the prime-order subgroup", 519),
+    ({("spk", 100): "order 10069", ("npk", 100): "order 10069"},
+     "spk.json: G2: point not in the prime-order subgroup", 519),
+    ({("spk", 200): "off the curve", ("npk", 100): "order 10069"}, "spk.json: G2: point not on curve", 202),
+    ({("spk", 100): "order 10069", ("npk", 0): "off the curve"},
+     "spk.json: G2: point not in the prime-order subgroup", 261),
+    ({("spk", None): "truncated", ("npk", 100): "order 10069"}, "spk.json: not valid JSON", 0),
+], ids=["npk", "both", "off-curve-spk", "off-curve-npk", "truncated-spk"])
+def test_a_bad_key_names_its_file_though_both_keys_share_a_batch(real_dir, faults, message, decodes, monkeypatch):
+    # faults at u[i] or uPrime[i]: each field is decoded once, in order, up to the first that does not
+    # decode, and the points before it take one subgroup test, so the first bad field in the command's
+    # order is the one named, whether in that batch or not; no point is lifted or decoded twice
+    seen, point, lifts, lift = [], RealBackend.point, [], algebra._lift
+    monkeypatch.setattr(RealBackend, "point", lambda self, group, *a: seen.append(group) or point(self, group, *a))
     monkeypatch.setattr(algebra, "_lift", lambda *a: lifts.append(a) or lift(*a))
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(shutil.copytree(real_dir, Path(tmp) / "d"))
-        for name, vector in (("spk", "u"), ("npk", "uPrime")):
+        for (name, i), case in faults.items():
             obj = json.loads((d / f"{name}.json").read_text())
-            if name in bad:
-                obj["payload"][vector][100] = _bad_point("order 10069", "G2", False)
+            if i is not None:
+                obj["payload"]["u" if name == "spk" else "uPrime"][i] = _bad_point(case, "G2", False)
             text = json.dumps(obj)
-            (d / f"{name}.json").write_text(text[: len(text) // 2] if f"{name}-truncated" in bad else text)
+            (d / f"{name}.json").write_text(text if i is not None else text[: len(text) // 2])
         res = _run(*_commands(d)["sign"])
         assert not (d / "out.json").exists()
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
     assert message in res.output and "Traceback" not in res.output
-    assert ("npk.json" in res.output) == (bad == {"npk"})
-    assert decodes.count("G2") == (0 if "spk-truncated" in bad else 520), decodes.count("G2")
+    assert ("npk.json" in res.output) == message.startswith("npk.json")
+    assert seen.count("G2") == decodes, seen.count("G2")
     assert lifts == []
+
+
+@pytest.mark.parametrize("mock_first", [True, False])
+def test_keys_of_two_backends_take_their_subgroup_tests_apart(mock_pipeline, real_dir, tmp_path, mock_first):
+    # with no backend given, a mock signer key and a bn254 nominee key with an order-10069 point are read
+    # together: each point takes its own backend's test, so the bn254 one is caught in either order
+    env.write_object(str(tmp_path / "spk.json"), mock_pipeline.pk_s)
+    obj = json.loads((real_dir / "npk.json").read_text())
+    obj["payload"]["uPrime"][100] = _bad_point("order 10069", "G2", False)
+    (tmp_path / "npk.json").write_text(json.dumps(obj))
+    reads = [(str(tmp_path / "spk.json"), SignerPublicKey), (str(tmp_path / "npk.json"), NomineePublicKey)]
+    with pytest.raises(env.EnvelopeError, match="npk.json: G2: point not in the prime-order subgroup"):
+        env.read_objects(reads if mock_first else reads[::-1])
+
+
+def test_a_bad_first_field_costs_no_batch(real_pipeline, monkeypatch):
+    # gS, the signer key's one G1 field, comes before its 258 G2 points: none is decoded or tested
+    batches, all_in = [], bn254.g2_all_in_subgroup
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", lambda pts: batches.append(len(pts)) or all_in(pts))
+    payload = env.to_payload(real_pipeline.pk_s)
+    payload["gS"] = _bad_point("off the curve", "G1", False)
+    with pytest.raises(AlgebraError, match="G1: point not on curve"):
+        env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend)
+    assert batches == []
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -726,7 +753,8 @@ def test_a_key_takes_one_batched_subgroup_test(real_pipeline, monkeypatch):
     ({("hS",): "order 10069", ("u", 0): "x of p or more"}, "G2: point not in the prime-order subgroup"),
 ])
 def test_a_key_with_two_bad_points_names_the_first(real_pipeline, faults, message):
-    # a failed batch is decoded again field by field, so the first bad field in order raises, in v1 and v2
+    # the points before the first field that does not decode take the subgroup test, so the first bad
+    # field in order raises, in v1 and v2
     for version, compressed in env.COMPRESSED.items():
         payload = env.to_payload(real_pipeline.pk_s)
         if compressed:
@@ -737,19 +765,20 @@ def test_a_key_with_two_bad_points_names_the_first(real_pipeline, faults, messag
             env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend, version)
 
 
-def test_a_failed_key_batch_is_decoded_once_more_field_by_field(real_pipeline, monkeypatch):
+def test_a_failed_key_batch_tests_its_bad_point_once(real_pipeline, monkeypatch):
     # an order-10069 point at u[200], index 201 of the key's 258 G2 points: the failed batch's first
     # round, the passing halves [0, 129) and [129, 193) with all their rounds, the failing [193, 225)'s
-    # first round, exact tests on 193..201, then the field-by-field pass, which finds hS and u[0..199]
-    # decoded and tests u[200] once more
+    # first round and exact tests on 193..201, the last of them u[200]'s only one
     payload = env.to_payload(real_pipeline.pk_s)
     payload["u"][200] = _bad_point("order 10069", "G2", False)
+    bad = algebra.words_point("G2", bytes.fromhex(payload["u"][200]))
     calls = []
     in_subgroup = bn254.g2_in_subgroup
     monkeypatch.setattr(bn254, "g2_in_subgroup", lambda pt: calls.append(pt) or in_subgroup(pt))
     with pytest.raises(AlgebraError, match="G2: point not in the prime-order subgroup"):
         env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend)
-    assert len(calls) <= 2 * bn254.BATCH_ROUNDS + 12, len(calls)
+    assert len(calls) == 2 * bn254.BATCH_ROUNDS + 2 + 9, len(calls)
+    assert calls.count(bad) == 1 and calls[-1] == bad
 
 
 def test_envelope_version_gate():
@@ -892,6 +921,7 @@ def test_contract_state_checks_its_other_fields_before_decoding_keys(real_pipeli
         raise AssertionError(f"decoded a {group} element")
 
     monkeypatch.setattr(type(p.par.backend), "deserialize", refuse)
+    monkeypatch.setattr(type(p.par.backend), "point", refuse)
     for edit in ({"ledger": {op.hex(): 2**256, inv.hex(): 900}}, {"ledger": {op.hex(): 7}},
                  {"ledger": []}, {"advance_required": 2**256}, {"investment_amount": 0},
                  {"used_nonces": [2**256]}, {"used_nonces": [-1]}, {"operator": "zz"},
