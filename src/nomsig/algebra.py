@@ -87,9 +87,8 @@ class GroupElem:
     function of its value, for the next pairing that meets it.
 
     ``comb`` counts the products of powers the element has been a base of on
-    the real backend; at the ``COMB_USES``-th, a G1 or G2 element's comb
-    table, also a function of its value, replaces the count for good
-    (``kept``).
+    the real backend; at the ``COMB_USES``-th, the element's comb table, also
+    a function of its value, replaces the count for good (``kept``).
     """
 
     __slots__ = ("backend", "group", "value", "lines", "comb")
@@ -350,8 +349,9 @@ def words_point(group: str, data: bytes):
 # the measured break-even is 28-32 points.
 G2_BATCH_MIN = 32
 
-# The products of powers a G1 or G2 element meets before it keeps a comb table.
-# A G2 table costs about what 8 comb terms save over GLS ones; a G1 table less.
+# The products of powers an element meets before it keeps a comb table.
+# A G2 table costs about what 8 comb terms save over GLS ones; a G1 table less,
+# and a GT table (224 cyclotomic squarings, 247 products) what 6 or 7 save.
 # A key's Waters bases keep their nibble table from the same count of
 # evaluations (``scheme.WatersBases``).
 COMB_USES = 8
@@ -399,7 +399,7 @@ class RealBackend(Backend):
             return curve.add_all(bn254.P, pairs)
         if group == "G2":
             return bn254._g2_add_all(pairs)
-        return [bn254.f12_mul(a, b) for a, b in pairs]
+        return bn254.f12_mul_all(pairs)
 
     def inv(self, group, a):
         if group == "G1":
@@ -412,11 +412,12 @@ class RealBackend(Backend):
         return self.multi_exp([(GroupElem(self, group, a), k)]).value
 
     def multi_exp(self, terms):
-        """One joint ladder; a G1 or G2 base with a comb (``comb_of``) enters it by its table."""
+        """One joint ladder; a base with a comb (``comb_of``) enters it by its table.
+
+        Every GT value here is in the order-N subgroup, where the GLS split holds.
+        """
         group = _one_group([x for x, _ in terms], "multi_exp")
         terms = [(x, k % self.order) for x, k in terms]
-        if group == "GT":  # every GT value here is in the order-N subgroup, where the GLS split holds
-            return GroupElem(self, group, bn254.gt_pow_gls([(x.value, k) for x, k in terms]))
         plain, combs = [], []
         for x, k in terms:
             comb = self.comb_of(x)
@@ -426,7 +427,9 @@ class RealBackend(Backend):
                 combs.append((comb, k))
         if group == "G1":
             return GroupElem(self, group, curve.glv_mul(bn254.G1_GLV, plain, combs))
-        return GroupElem(self, group, bn254.g2_mul_gls(plain, combs))
+        if group == "G2":
+            return GroupElem(self, group, bn254.g2_mul_gls(plain, combs))
+        return GroupElem(self, group, bn254.gt_pow_gls(plain, combs))
 
     def comb_of(self, x: GroupElem, now: bool = False):
         """x's comb table, ``kept`` in its ``comb`` slot from its ``COMB_USES``-th product (or ``now``); None before.
@@ -434,9 +437,10 @@ class RealBackend(Backend):
         The identity keeps none. An element made for one op never reaches the
         count, so it costs nothing.
         """
-        if x.value is None:
+        if x.is_identity():
             return None
-        build = (lambda: curve.comb(bn254.P, x.value)) if x.group == "G1" else (lambda: bn254.g2_comb(x.value))
+        build = {"G1": lambda: curve.comb(bn254.P, x.value), "G2": lambda: bn254.g2_comb(x.value),
+                 "GT": lambda: bn254.gt_comb(x.value)}[x.group]
         return kept(x, "comb", build, now)
 
     def base_powers(self, base, scalars):

@@ -27,15 +27,16 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
   - in the order-N subgroups, ``g2_mul_gls`` (also for powers of G2_GEN)
     and ``gt_pow_gls`` split it in four with the Frobenius; like ``glv_mul``
     they run a product of powers as one ladder over ``curve.split_table``;
-  - a G1 or G2 point raised to many powers keeps a Lim-Lee comb of 8 teeth
-    (``curve.comb`` and ``g2_comb``, both ``curve.comb_table``), a kept
-    ``curve.split_table`` table: a comb term's parts are k's eight 32-bit
-    pieces, so it joins the product's columns beside its split terms
-    (``glv_mul``, ``g2_mul_gls``), and ``g2_comb_powers`` steps a batch of
-    powers of one point over its comb together, one batched doubling and
-    one batched addition per row; the backend gives a point a comb at its
-    8th product, or at once for keygen's batch of powers of g2; GT elements
-    keep none;
+  - an element of G1, G2 or GT raised to many powers keeps a Lim-Lee comb
+    of 8 teeth (``curve.comb``, ``g2_comb`` and ``gt_comb``, all
+    ``curve.comb_table``), a kept ``curve.split_table`` table: a comb
+    term's parts are k's eight 32-bit pieces, so it joins the product's
+    columns beside its split terms (``glv_mul``, ``g2_mul_gls``,
+    ``gt_pow_gls``), and ``g2_comb_powers`` steps a batch of powers of one
+    point over its comb together, one batched doubling and one batched
+    addition per row; the backend gives an element a comb at its 8th
+    product, or at once for keygen's batch of powers of g2, so a key's
+    e(g^-1, h) in GT keeps one from the confirm and disavow proofs;
   - ``g2_mul`` and ``f12_cyc_pow`` (width-4 signed digits over pt, 3pt,
     5pt, 7pt or a, a^3, a^5, a^7) take any twist point or cyclotomic
     element and any scalar, for the subgroup tests, cofactor clearing, the
@@ -276,6 +277,11 @@ def f12_mul(a, b):
         ((t20 + s10) % P, (t21 + s11) % P),
         ((u20 - t20 - s20) % P, (u21 - t21 - s21) % P),
     )
+
+
+def f12_mul_all(pairs):
+    """a * b for each pair (a, b) of Fp12 elements: GT's ``add_all``."""
+    return [f12_mul(a, b) for a, b in pairs]
 
 
 def f12_sqr(a):
@@ -697,15 +703,22 @@ def g2_mul_gls(terms, combs=()):
     return _to_affine_f2(curve.ladder(None, cols, table, _jac_double_f2, _jac_madd_f2))
 
 
-def gt_pow_gls(terms):
-    """prod a^k over (a, k) terms, for elements of GT only, by one joint ladder of cyclotomic squarings.
+def gt_pow_gls(terms, combs=()):
+    """prod a^k over (a, k) terms, for elements of GT only, plus combs, by one joint ladder of cyclotomic squarings.
 
-    A negative part takes the conjugate, the inverse in GT. The ladder
-    starts from the first column's entry, so it never squares 1.
+    A negative part takes the conjugate, the inverse in GT. The (``gt_comb``
+    of a, k) terms combs, with 0 <= k < 2^256, join the columns by k's
+    pieces, as in ``g2_mul_gls``. The ladder starts from the first column's
+    entry, so it never squares 1.
     """
-    cols, table = curve.split_table([(a, k % N) for a, k in terms], GLS_LATTICE, f12_frob, f12_conj,
-                                    lambda pairs: [f12_mul(a, b) for a, b in pairs])
+    cols, table = curve.split_table([(a, k % N) for a, k in terms], GLS_LATTICE, f12_frob, f12_conj, f12_mul_all,
+                                    combs)
     return curve.ladder(table[cols[0]], cols[1:], table, f12_cyc_sqr, f12_mul) if cols else F12_ONE
+
+
+def gt_comb(a):
+    """The Lim-Lee comb of an element of GT (``curve.comb_table``): its spokes by cyclotomic squarings, no inversion."""
+    return curve.comb_table(a, f12_cyc_sqr, lambda f, b: b if f is None else f12_mul(f, b), list, f12_mul_all)
 
 
 def g2_in_subgroup(pt):

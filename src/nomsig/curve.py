@@ -19,7 +19,7 @@ A point that is raised to many powers can keep a Lim-Lee comb (CRYPTO '94,
 (``comb_pieces``), k * pt is 32 doublings and at most 32 additions of table
 entries. A comb is a kept ``split_table`` table: a comb term's parts are
 its pieces, so it joins the columns of a product's one ladder beside the
-split terms. The same code serves G1 here and G2 in ``bn254``, where
+split terms. The same code serves G1 here and G2 and GT in ``bn254``, where
 ``g2_comb_powers`` steps many powers over one comb together.
 """
 
@@ -155,7 +155,9 @@ def comb_table(pt, double, madd, to_affine_all, add_all):
     """The Lim-Lee comb of the affine point pt: the 256 subset sums of its spokes 2^(32i) * pt, i < 8.
 
     The spokes take 224 Jacobian doublings and one ``to_affine_all`` call;
-    the sums take one ``add_all`` call per spoke. Entry 0 is None.
+    the sums take one ``add_all`` call per spoke. Entry 0 is None. A group
+    with no projective form (GT in ``bn254``) passes a ``madd`` that takes
+    None for the identity and an identity ``to_affine_all``.
     """
     spokes = [madd(None, pt)]
     for _ in range(COMB_TEETH - 1):  # a ladder of zero steps only doubles

@@ -113,6 +113,10 @@ class SignerPublicKey:
     def miller(self):  # once per key: the Miller value of e(gS^-1, hS), a held value of pairing_product
         return self.gS.backend.miller_value(~self.gS, self.hS)
 
+    @cached_property
+    def K(self):  # once per key: e(gS^-1, hS) in GT, the final exponentiation of miller
+        return self.gS.backend.pairing_product([], [self.miller])
+
 
 @dataclass(frozen=True)
 class SignerSecretKey:
@@ -148,6 +152,10 @@ class NomineePublicKey:
     @cached_property
     def miller(self):  # once per key: the Miller value of e(gN^-1, hN), a held value of pairing_product
         return self.gN.backend.miller_value(~self.gN, self.hN)
+
+    @cached_property
+    def K(self):  # once per key: e(gN^-1, hN) in GT, the final exponentiation of miller
+        return self.gN.backend.pairing_product([], [self.miller])
 
 
 @dataclass(frozen=True)
@@ -430,21 +438,33 @@ def _check(par: PublicParams, relations: list, tag: bytes = b"", *parts: bytes) 
     other coefficients; a hash-derived 128-bit coefficient hits that one
     value with probability about 2^-128.
     """
-    by_g2, held = {}, []
-    for (terms, h), c in zip(relations, _batch_coefficients(len(relations), tag, *parts)):
+    terms, held = [], []
+    for (rel, h), c in zip(relations, _batch_coefficients(len(relations), tag, *parts)):
         assert c == 1 or not h, "a held Miller value cannot be raised to a coefficient"
         held += h
-        for a, sign, b in terms:
-            by_g2.setdefault(b, []).append((a, sign * c))
+        terms += [(a, sign * c, b) for a, sign, b in rel]
+    pairs, powers = pairs_by_g2(par.backend, terms)
+    return par.backend.pairing_check(pairs, held), sum(len(t) + len(h) for t, h in relations), powers
+
+
+def pairs_by_g2(backend: Backend, terms) -> tuple[list, int]:
+    """(G1, G2) pairs whose pairings multiply to prod e(a, b)^k over (a, k, b) terms, and the powers they took.
+
+    By bilinearity the terms that share b take one ``multi_exp`` of their a's
+    (a lone a^(+-1) takes none), so each distinct G2 element is one pair.
+    """
+    by_g2 = {}
+    for a, k, b in terms:
+        by_g2.setdefault(b, []).append((a, k))
     pairs, powers = [], 0
-    for b, terms in by_g2.items():
-        if len(terms) == 1 and terms[0][1] in (1, -1):
-            a, k = terms[0]
+    for b, ts in by_g2.items():
+        if len(ts) == 1 and ts[0][1] in (1, -1):
+            a, k = ts[0]
             pairs.append((a if k == 1 else ~a, b))
         else:
-            pairs.append((par.backend.multi_exp(terms), b))
-            powers += len(terms)
-    return par.backend.pairing_check(pairs, held), sum(len(t) + len(h) for t, h in relations), powers
+            pairs.append((backend.multi_exp(ts), b))
+            powers += len(ts)
+    return pairs, powers
 
 
 def _batch_coefficients(count: int, tag: bytes = b"", *parts: bytes) -> list[int]:

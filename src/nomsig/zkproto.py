@@ -3,8 +3,11 @@
 Both protocols prove knowledge of the nominee's (y1, y2) relative to the
 public statement (d, e3, e4), with f = F_S(M_S) F_N(M_N):
 
-    d  = e(g1, sigma_3) / (e(gS, hS) e(gN, hN))    (one pair and the keys' held Miller values)
+    d  = e(g1, sigma_3) / (e(gS, hS) e(gN, hN)) = e(g1, sigma_3) K_S K_N
     e3 = e(sigma_1, f)          e4 = e(sigma_2, f)
+
+where K_S = e(gS^-1, hS) and K_N = e(gN^-1, hN) are the keys' held GT
+values (``K``), one final exponentiation each per key.
 
 Confirm shows d = e3^y1 * e4^y2 (the signature is valid), disavow shows
 the inequality. Each is one sigma protocol over a relation of three rows
@@ -22,6 +25,19 @@ its row-3 image C = (e3^y1 e4^y2 / d)^beta for fresh beta != 0; C
 collapses to the identity exactly when the signature is valid, and the
 verifier rejects that outright. Confirm is disavow's relation at beta = 1
 and C = 1.
+
+The statement keeps the pairing inputs of d, e3 and e4 and computes none
+of them. Row 3 takes their powers by bilinearity (``power_product``):
+
+    d^a e3^b e4^c = e(sigma_1^b sigma_2^c, f) e(g1^a, sigma_3) K_S^a K_N^a
+
+one Miller evaluation over at most two pairs and one final exponentiation,
+times one GT product of powers of K_S and K_N, which keep comb tables, and
+of the row's GT elements (C^-c in disavow's check). These are the same GT
+elements as the powers of d, e3 and e4 themselves (Pointcheval-Sanders,
+CT-RSA 2016, take their proofs' GT commitments this way), so every
+message is too. A confirm run makes two final exponentiations (the
+prover's t3, the verifier's check), a disavow run three (t3, C, check).
 
 Each runs as a four-pass committed-challenge protocol: the verifier
 first Pedersen-commits to its challenge over G2 (base derived by hashing
@@ -45,6 +61,7 @@ from .scheme import (
     PublicParams,
     SignerPublicKey,
     derive_values,
+    pairs_by_g2,
     waters_product,
 )
 
@@ -61,16 +78,42 @@ class AbortBadOpening(ProtocolError):
 
 @dataclass(frozen=True)
 class ConfirmStatement:
-    d: GroupElem
-    e3: GroupElem
-    e4: GroupElem
-    x1: GroupElem
-    x2: GroupElem
+    """The pairing inputs of d, e3 and e4, kept as the public inputs held them, so they keep their lines and combs.
+
+    d, e3 and e4 themselves are computed only when read; the protocols never
+    read them (``power_product``).
+    """
+
+    g1: GroupElem
+    s1: GroupElem
+    s2: GroupElem
+    s3: GroupElem
+    fs_fn: GroupElem  # F_S(M_S) F_N(M_N)
+    pk_s: SignerPublicKey
+    pk_n: NomineePublicKey
     g2ref: GroupElem
 
     @property
     def backend(self) -> Backend:
         return self.g2ref.backend
+
+    def form(self, name: str):
+        """The named GT value as ([(a, b), ...], held): the product of e(a, b) over its pairs and of its held GT values."""
+        if name == "d":
+            return [(self.g1, self.s3)], [self.pk_s.K, self.pk_n.K]
+        return [(self.s1 if name == "e3" else self.s2, self.fs_fn)], []
+
+    @functools.cached_property
+    def d(self) -> GroupElem:  # e(g1, s3) / (e(gS, hS) e(gN, hN)): one pair and the keys' held Miller values
+        return self.backend.pairing_product([(self.g1, self.s3)], [self.pk_s.miller, self.pk_n.miller])
+
+    @functools.cached_property
+    def e3(self) -> GroupElem:
+        return self.backend.pairing(self.s1, self.fs_fn)
+
+    @functools.cached_property
+    def e4(self) -> GroupElem:
+        return self.backend.pairing(self.s2, self.fs_fn)
 
 
 @dataclass(frozen=True)
@@ -119,17 +162,9 @@ def derive_statement(
     m: bytes,
     sigma: NomSignature,
 ) -> ConfirmStatement:
-    """Both parties derive the same statement from the same public inputs."""
-    b = par.backend
+    """Both parties derive the same statement from the same public inputs: F_S F_N, and no pairing."""
     fs_fn = waters_product(pk_s, pk_n, derive_values(par, pk_s, pk_n, m, sigma))
-    return ConfirmStatement(
-        d=b.pairing_product([(par.g1, sigma.s3)], [pk_s.miller, pk_n.miller]),
-        e3=b.pairing(sigma.s1, fs_fn),
-        e4=b.pairing(sigma.s2, fs_fn),
-        x1=pk_n.x1,
-        x2=pk_n.x2,
-        g2ref=par.g2,
-    )
+    return ConfirmStatement(par.g1, sigma.s1, sigma.s2, sigma.s3, fs_fn, pk_s, pk_n, par.g2)
 
 
 def pedersen_base(backend: Backend) -> GroupElem:
@@ -160,34 +195,58 @@ def relation(protocol: str, s: ConfirmStatement, C: Optional[GroupElem] = None):
     """The protocol's response fields in nonce-draw order, and its three rows.
 
     A row is its ((base, sign, field), ...) terms, base^(sign * field) each,
-    and its image. The bases are the statement's own elements, never one
-    made per call, so a statement's bases keep their comb tables. Disavow's
-    row-3 image is the C its prover publishes, None while there is none
-    other than the identity.
+    and its image. A base is one of the statement's own elements, never one
+    made per call, so it keeps its comb table, or the name of one of its GT
+    values d, e3 and e4 (``power_product``). Disavow's row-3 image is the C
+    its prover publishes, None while there is none other than the identity.
     """
     if protocol == "confirm":
         return ["z1", "z2"], [
-            ([(s.x1, 1, "z1")], s.g2ref),
-            ([(s.x2, 1, "z2")], s.g2ref),
-            ([(s.e3, 1, "z1"), (s.e4, 1, "z2")], s.d),
+            ([(s.pk_n.x1, 1, "z1")], s.g2ref),
+            ([(s.pk_n.x2, 1, "z2")], s.g2ref),
+            ([("e3", 1, "z1"), ("e4", 1, "z2")], "d"),
         ]
     if protocol == "disavow":
         one = s.backend.identity("G2")
         return ["z3", "z1", "z2"], [
-            ([(s.x1, 1, "z1"), (s.g2ref, -1, "z3")], one),
-            ([(s.x2, 1, "z2"), (s.g2ref, -1, "z3")], one),
-            ([(s.d, -1, "z3"), (s.e3, 1, "z1"), (s.e4, 1, "z2")], None if C is None or C.is_identity() else C),
+            ([(s.pk_n.x1, 1, "z1"), (s.g2ref, -1, "z3")], one),
+            ([(s.pk_n.x2, 1, "z2"), (s.g2ref, -1, "z3")], one),
+            ([("d", -1, "z3"), ("e3", 1, "z1"), ("e4", 1, "z2")], None if C is None or C.is_identity() else C),
         ]
     raise ProtocolError(f"unknown protocol {protocol!r}")
 
 
-def _lhs(terms, w: dict) -> GroupElem:
-    return terms[0][0].backend.multi_exp([(base, sign * w[field]) for base, sign, field in terms])
+def power_product(s: ConfirmStatement, terms) -> GroupElem:
+    """prod x^k over (x, k) terms of one group, x a group element or the name of one of s's GT values.
+
+    Elements take one ``multi_exp``. A named value enters by bilinearity,
+    e(a, b)^k = e(a^k, b) over its ``form``: its pairs join one pairing
+    product (``pairs_by_g2``), and its held GT values the elements' product.
+    """
+    b = s.backend
+    powers, elems = [], []
+    for x, k in terms:
+        if isinstance(x, GroupElem):
+            elems.append((x, k))
+            continue
+        pairs, held = s.form(x)
+        powers += [(a, k, g2) for a, g2 in pairs]
+        elems += [(h, k) for h in held]
+    out = []
+    if powers:
+        out.append(b.pairing_product(pairs_by_g2(b, powers)[0]))
+    if elems:
+        out.append(b.multi_exp(elems))
+    return b.product(out)
 
 
-def _t(terms, image: GroupElem, z: dict, c: int) -> GroupElem:
+def _lhs(s: ConfirmStatement, terms, w: dict) -> GroupElem:
+    return power_product(s, [(base, sign * w[field]) for base, sign, field in terms])
+
+
+def _t(s: ConfirmStatement, terms, image, z: dict, c: int) -> GroupElem:
     """The first message under which responses z answer challenge c: lhs(z) / image^c, one product of powers."""
-    return image.backend.multi_exp([(base, sign * z[field]) for base, sign, field in terms] + [(image, -c)])
+    return power_product(s, [(base, sign * z[field]) for base, sign, field in terms] + [(image, -c)])
 
 
 def check(protocol: str, s: ConfirmStatement, c: int, first: SigmaFirstMsg, resp: SigmaResponse) -> bool:
@@ -196,7 +255,7 @@ def check(protocol: str, s: ConfirmStatement, c: int, first: SigmaFirstMsg, resp
     z = {f: getattr(resp, f) for f in fields}
     if None in z.values() or any(image is None for _, image in rows):
         return False
-    return all(t == _t(terms, image, z, c) for (terms, image), t in zip(rows, (first.t1, first.t2, first.t3)))
+    return all(t == _t(s, terms, image, z, c) for (terms, image), t in zip(rows, (first.t1, first.t2, first.t3)))
 
 
 class Verifier:
@@ -241,8 +300,8 @@ class Prover:
         beta = b.random_nonzero_scalar(self.rng) if publishes else 1
         self._w = {"z3": beta, "z1": beta * self.y1 % n, "z2": beta * self.y2 % n}
         self._a = {f: b.random_scalar(self.rng) for f in fields}
-        t1, t2, t3 = (_lhs(terms, self._a) for terms, _ in rows)
-        return SigmaFirstMsg(t1, t2, t3, _lhs(rows[2][0], self._w) if publishes else None)
+        t1, t2, t3 = (_lhs(self.stmt, terms, self._a) for terms, _ in rows)
+        return SigmaFirstMsg(t1, t2, t3, _lhs(self.stmt, rows[2][0], self._w) if publishes else None)
 
     def response(self, opening: ChallengeOpening) -> SigmaResponse:
         expected = commit_challenge(self.stmt.g2ref, opening.c, opening.rho)

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from nomsig import scheme
+from nomsig.algebra import GroupElem
 
 
 class Pipeline:
@@ -29,6 +31,12 @@ class Pipeline:
 
     def verify(self):
         return scheme.tk_verify(self.par, self.pk_s, self.pk_n, self.m, self.sigma, self.tk)
+
+
+def fresh(obj):
+    """A copy of a params, key or sigma object whose group elements are new objects, with no lines kept."""
+    return dataclasses.replace(obj, **{f.name: GroupElem(v.backend, v.group, v.value) for f in dataclasses.fields(obj)
+                                      if isinstance(v := getattr(obj, f.name), GroupElem)})
 
 
 @pytest.fixture(scope="session")

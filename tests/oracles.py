@@ -13,7 +13,9 @@ digits of 6u+2 with one inversion per line.
 
 For the confirm/disavow protocols it holds what only the proofs of their
 properties need: the witness relation itself, the zero-knowledge simulator
-and the special-soundness extractor.
+and the special-soundness extractor; and the protocols with every relation
+row over the statement's GT values d, e3 and e4 themselves, one product of
+powers each, which the program's rows by bilinearity must match.
 
 For the envelopes it holds the schema-v1 writer, which the program no
 longer has: it rewrites an envelope with each G1 and G2 point compressed.
@@ -244,7 +246,7 @@ def simulate_transcript(statement, protocol, rng):
     C = b.gt() ** b.random_nonzero_scalar(rng) if rows[2][1] is None else None
     fields, rows = zkproto.relation(protocol, statement, C)
     z = {f: b.random_scalar(rng) for f in fields}
-    tr.first = zkproto.SigmaFirstMsg(*(zkproto._t(terms, image, z, c) for terms, image in rows), C)
+    tr.first = zkproto.SigmaFirstMsg(*(zkproto._t(statement, terms, image, z, c) for terms, image in rows), C)
     tr.response = zkproto.SigmaResponse(**z)
     tr.verdict = zkproto.check(protocol, statement, c, tr.first, tr.response)
     return tr
@@ -260,6 +262,48 @@ def extract_confirm_witness(statement, first, c1, resp1, c2, resp2):
     y1 = (resp1.z1 - resp2.z1) * dc_inv % n
     y2 = (resp1.z2 - resp2.z2) * dc_inv % n
     return y1, y2
+
+
+def gt_relation(protocol, s, C=None):
+    """``zkproto.relation`` with row 3 over the GT values d, e3 and e4 themselves, each row one ``multi_exp``."""
+    if protocol == "confirm":
+        return ["z1", "z2"], [
+            ([(s.pk_n.x1, 1, "z1")], s.g2ref),
+            ([(s.pk_n.x2, 1, "z2")], s.g2ref),
+            ([(s.e3, 1, "z1"), (s.e4, 1, "z2")], s.d),
+        ]
+    one = s.backend.identity("G2")
+    return ["z3", "z1", "z2"], [
+        ([(s.pk_n.x1, 1, "z1"), (s.g2ref, -1, "z3")], one),
+        ([(s.pk_n.x2, 1, "z2"), (s.g2ref, -1, "z3")], one),
+        ([(s.d, -1, "z3"), (s.e3, 1, "z1"), (s.e4, 1, "z2")], None if C is None or C.is_identity() else C),
+    ]
+
+
+def _gt_row(terms, w, extra=()):
+    return terms[0][0].backend.multi_exp([(x, sign * w[f]) for x, sign, f in terms] + list(extra))
+
+
+def gt_run(protocol, s, sk_n, prover_rng, verifier_rng):
+    """The transcript of ``zkproto.run_confirm`` or ``run_disavow`` on the same draws, in the same order (the
+    verifier's c and rho, then the prover's beta and nonces), with every row from ``gt_relation``."""
+    b, n = s.backend, s.backend.order
+    c, rho = b.random_scalar(verifier_rng), b.random_scalar(verifier_rng)
+    fields, rows = gt_relation(protocol, s)
+    beta = b.random_nonzero_scalar(prover_rng) if protocol == "disavow" else 1
+    w = {"z3": beta, "z1": beta * sk_n.y1 % n, "z2": beta * sk_n.y2 % n}
+    a = {f: b.random_scalar(prover_rng) for f in fields}
+    tr = zkproto.Transcript(protocol)
+    tr.commitment = zkproto.ChallengeCommitment(zkproto.commit_challenge(s.g2ref, c, rho))
+    C = _gt_row(rows[2][0], w) if protocol == "disavow" else None
+    tr.first = zkproto.SigmaFirstMsg(*(_gt_row(terms, a) for terms, _ in rows), C)
+    tr.opening = zkproto.ChallengeOpening(c, rho)
+    z = {f: (a[f] + c * w[f]) % n for f in fields}
+    tr.response = zkproto.SigmaResponse(**z)
+    _, rows = gt_relation(protocol, s, C)
+    tr.verdict = all(image is not None and t == _gt_row(terms, z, [(image, -c)])
+                     for (terms, image), t in zip(rows, (tr.first.t1, tr.first.t2, tr.first.t3)))
+    return tr
 
 
 # The CODEC fields that hold G1 or G2 points, and their group; a contract state nests key and sigma payloads.

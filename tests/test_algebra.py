@@ -353,13 +353,14 @@ COMB_EDGES = [0, 1, N - 1, N, N + 1, -1, 2**256 - 1]
 
 
 def _plain(b, terms):
-    """The value of prod x^k by the split ladders alone: ``glv_mul`` on G1, ``g2_mul_gls`` on G2."""
+    """The value of prod x^k by the split ladders alone: ``glv_mul`` on G1, ``g2_mul_gls`` on G2, ``gt_pow_gls`` on GT."""
     values = [(x.value, k % N) for x, k in terms]
-    return curve.glv_mul(bn254.G1_GLV, values) if terms[0][0].group == "G1" else bn254.g2_mul_gls(values)
+    split = {"G1": lambda v: curve.glv_mul(bn254.G1_GLV, v), "G2": bn254.g2_mul_gls, "GT": bn254.gt_pow_gls}
+    return split[terms[0][0].group](values)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(group=st.sampled_from(["G1", "G2"]),
+@given(group=st.sampled_from(["G1", "G2", "GT"]),
        terms=st.lists(st.tuples(st.sampled_from([0, 1]) | st.integers(0, N - 1),
                                 st.sampled_from(COMB_EDGES) | st.integers(-2**300, 2**300),
                                 st.booleans()), min_size=1, max_size=4),
@@ -383,7 +384,7 @@ def test_comb_products_follow_the_mock_exponents(group, terms, again):
     assert got.value == _plain(real, pairs)
 
 
-@pytest.mark.parametrize("group", ["G1", "G2"])
+@pytest.mark.parametrize("group", ["G1", "G2", "GT"])
 def test_comb_products_at_the_edge_scalars(group):
     # comb alone, comb beside a split term (GLV on G1, GLS on G2) on either side, one element
     # twice, and beside the identity; the split terms' elements are new each time, so they keep none
@@ -402,10 +403,10 @@ def test_comb_products_at_the_edge_scalars(group):
                 assert isinstance(y.comb, int)
 
 
-@pytest.mark.parametrize("group", ["G1", "G2"])
+@pytest.mark.parametrize("group", ["G1", "G2", "GT"])
 def test_comb_table_is_written_once_at_the_nth_use(group, monkeypatch):
     b = RealBackend()
-    module, name = (curve, "comb") if group == "G1" else (bn254, "g2_comb")
+    module, name = {"G1": (curve, "comb"), "G2": (bn254, "g2_comb"), "GT": (bn254, "gt_comb")}[group]
     build, builds = getattr(module, name), []
     monkeypatch.setattr(module, name, lambda *args: builds.append(args[-1]) or build(*args))
     x = getattr(b, group.lower())() ** 987654321
@@ -422,6 +423,16 @@ def test_comb_table_is_written_once_at_the_nth_use(group, monkeypatch):
     assert got == getattr(b, group.lower())() ** (987654321 * 11)
     with pytest.raises(AttributeError):
         x.comb = None
+
+
+@pytest.mark.parametrize("group", ["G1", "G2", "GT"])
+def test_the_identity_keeps_no_comb(group):
+    b = RealBackend()
+    gen = getattr(b, group.lower())()
+    one = b.identity(group)
+    for k in range(COMB_USES + 1):
+        assert b.multi_exp([(one, k + 5), (gen, 3)]) == gen**3
+    assert b.comb_of(one, now=True) is None and one.comb == 0
 
 
 @pytest.mark.parametrize("group", ["G1", "G2"])

@@ -115,6 +115,22 @@ def test_gt_pow_gls_matches_f12_cyc_pow():
     assert bn254.gt_pow_gls([(e, N)]) == bn254.F12_ONE
 
 
+def test_gt_pow_gls_with_comb_terms_matches_f12_cyc_pow():
+    # comb terms alone, two together and beside a split term, against one f12_cyc_pow per term; a comb
+    # term's k is not reduced, so 2^255 > N takes all eight pieces
+    draws = random.Random(1408)
+    e = bn254.pairing(G1_GEN, G2_GEN)
+    a, b = f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)
+    ca, cb = bn254.gt_comb(a), bn254.gt_comb(b)
+    assert len(ca) == 256 and ca[0] is None and ca[1] == a
+    for k in (0, 1, N - 1, 2**255, draws.randrange(N)):
+        other = draws.randrange(N)
+        assert bn254.gt_pow_gls([], [(ca, k)]) == f12_cyc_pow(a, k)
+        assert bn254.gt_pow_gls([], [(ca, k), (cb, other)]) == bn254.f12_mul(f12_cyc_pow(a, k), f12_cyc_pow(b, other))
+        assert bn254.gt_pow_gls([(e, other)], [(ca, k)]) == bn254.f12_mul(f12_cyc_pow(e, other), f12_cyc_pow(a, k))
+        assert bn254.gt_pow_gls([(a, other)], [(ca, k)]) == f12_cyc_pow(a, (k + other) % N)
+
+
 @pytest.mark.parametrize("c", [bn254.G1_GLV, trigger.GLV], ids=["bn254-g1", "secp256k1"])
 def test_glv_mul_matches_curve_mul(c):
     draws = random.Random(1403)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from nomsig import bn254, curve, scheme, zkproto
-from nomsig.algebra import COMB_USES, ELL, GroupElem, MockBackend, RealBackend, encode_parts, hash_h1, bit
+from nomsig.algebra import COMB_USES, ELL, MockBackend, RealBackend, encode_parts, hash_h1, bit
 from nomsig.scheme import (
     DeltaMsg,
     LengthMismatch,
@@ -18,7 +18,7 @@ from nomsig.scheme import (
     waters_eval,
 )
 
-from conftest import Pipeline
+from conftest import Pipeline, fresh
 
 
 def hw(data: bytes) -> int:
@@ -378,12 +378,6 @@ def test_delta_checks_take_one_final_exponentiation_on_accept(real_pipeline, mon
     assert len(calls) == 1 and batches == [3]  # the lines of F_S, d3 and d2 in one batch; g2 keeps its own
 
 
-def fresh(obj):
-    """A copy of a params, key or sigma object whose group elements are new objects, with no lines kept."""
-    return dataclasses.replace(obj, **{f.name: GroupElem(v.backend, v.group, v.value) for f in dataclasses.fields(obj)
-                                      if isinstance(v := getattr(obj, f.name), GroupElem)})
-
-
 def test_second_tk_verify_computes_only_the_new_chords(real_pipeline, monkeypatch):
     # the first call computes the lines of hS and of hN once each, for the keys' held Miller values, then
     # one batch for its 5 distinct G2 values (g2, x1, x2, s3, F_S * F_N); the second only for F_S * F_N
@@ -431,10 +425,11 @@ def test_tk_verify_serializes_each_public_key_once(mock_pipeline, monkeypatch):
 
 
 def _spy_comb_builds(monkeypatch):
-    """The value of each element whose comb table gets built, G1 or G2."""
+    """The value of each element whose comb table gets built, G1, G2 or GT."""
     built = []
-    g2_comb, comb = bn254.g2_comb, curve.comb
+    g2_comb, gt_comb, comb = bn254.g2_comb, bn254.gt_comb, curve.comb
     monkeypatch.setattr(bn254, "g2_comb", lambda pt: built.append(pt) or g2_comb(pt))
+    monkeypatch.setattr(bn254, "gt_comb", lambda a: built.append(a) or gt_comb(a))
     monkeypatch.setattr(curve, "comb", lambda p, pt: built.append(pt) or comb(p, pt))
     return built
 
@@ -449,11 +444,11 @@ def test_both_keygens_take_their_powers_from_one_comb_of_g2(monkeypatch):
 
 def test_only_held_elements_get_a_comb(real_pipeline, monkeypatch):
     # sessions on one params and key set: the held elements that recur reach the count and keep a
-    # comb; d2, F_S and sigma, new in each session, never do
+    # comb, the keys' K in GT among them; d2, F_S and sigma, new in each session, never do
     p = real_pipeline
     par, pk_s, pk_n = fresh(p.par), fresh(p.pk_s), fresh(p.pk_n)
     built = _spy_comb_builds(monkeypatch)
-    held = [par.g1, par.g2, pk_s.gS, pk_s.hS, pk_n.gN, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2,
+    held = [par.g1, par.g2, pk_s.gS, pk_s.hS, pk_n.gN, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2, pk_s.K, pk_n.K,
             zkproto.pedersen_base(par.backend)]
     rng = random.Random(77)
     per_op = []
@@ -467,7 +462,8 @@ def test_only_held_elements_get_a_comb(real_pipeline, monkeypatch):
         per_op += [delta.d2, sigma.s1, sigma.s2, sigma.s3]
         assert all(isinstance(e.comb, int) for e in per_op[-4:])
         per_op.append(scheme.waters_eval(pk_s.u, scheme._ms_bits(pk_n, m)))
-    assert all(isinstance(e.comb, list) for e in (par.g1, par.g2, pk_s.hS, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2))
+    assert all(isinstance(e.comb, list) for e in (par.g1, par.g2, pk_s.hS, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2, pk_s.K,
+                                                  pk_n.K))
     assert len(built) == len(set(built)) and set(built) <= {e.value for e in held}
     assert not {e.value for e in per_op} & set(built)
 

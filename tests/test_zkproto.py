@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
-from nomsig import bn254, zkproto
+from nomsig import bn254, scheme, zkproto
 from nomsig.algebra import encode_parts
 from nomsig.scheme import NomSignature, NomineeSecretKey, derive_values, waters_product
 from nomsig.zkproto import (
@@ -19,8 +20,8 @@ from nomsig.zkproto import (
     run_disavow,
 )
 
-from conftest import Pipeline
-from oracles import extract_confirm_witness, holds_for, simulate_transcript
+from conftest import Pipeline, fresh
+from oracles import extract_confirm_witness, gt_run, holds_for, simulate_transcript
 
 
 @pytest.fixture(scope="module")
@@ -52,24 +53,78 @@ def test_statement_d_is_e1_over_e2(request, pipeline):
     assert derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma).d == e1 / e2
 
 
-def test_statement_makes_three_final_exponentiations(real_pipeline, monkeypatch):
+def test_a_statement_makes_no_final_exponentiation_and_a_run_two_or_three(real_pipeline, monkeypatch):
+    # confirm: the prover's t3 and the verifier's check; disavow: t3, C and the check; before the first
+    # run that needs them, each key's K once
     p = real_pipeline
+    pk_s, pk_n = fresh(p.pk_s), fresh(p.pk_n)
     calls = []
     final_exp = bn254.final_exp
     monkeypatch.setattr(bn254, "final_exp", lambda f: calls.append(f) or final_exp(f))
-    derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
-    assert len(calls) == 3
+    s = derive_statement(p.par, pk_s, pk_n, p.m, p.sigma)
+    bad = derive_statement(p.par, pk_s, pk_n, p.m, _tampered(p, "s3"))
+    assert calls == []
+    rng = random.Random(13)
+    counts = []
+    for run, statement in ((run_confirm, s), (run_confirm, s), (run_disavow, bad), (run_disavow, bad)):
+        assert run(statement, p.sk_n, rng, rng)[0]
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [2 + 2, 2, 3, 3]
 
 
 def test_statement_computes_the_lines_of_fs_fn_once(real_pipeline, monkeypatch):
-    # e3 = e(s1, F_S F_N) and e4 = e(s2, F_S F_N) share one element, so its 88 lines are computed once
+    # every row-3 value pairs F_S F_N, which the statement holds, so its 88 lines are computed once per
+    # statement however many runs it serves
     p = real_pipeline
     batches = []
     g2_lines = bn254.g2_lines
     monkeypatch.setattr(bn254, "g2_lines", lambda qs: batches.append(qs) or g2_lines(qs))
-    derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
+    s = derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
+    rng = random.Random(14)
+    for run in (run_confirm, run_disavow, run_confirm):
+        run(s, p.sk_n, rng, rng)
     fs_fn = waters_product(p.pk_s, p.pk_n, derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma)).value
     assert [q for qs in batches for q in qs].count(fs_fn) == 1
+
+
+def _tampered(p, kind):
+    """sigma with one component moved, as the issue workload tampers it."""
+    if kind == "s":
+        return dataclasses.replace(p.sigma, s=(p.sigma.s + 1) % p.par.order)
+    return dataclasses.replace(p.sigma, **{kind: getattr(p.sigma, kind) * (p.par.g2 if kind == "s3" else p.par.g1)})
+
+
+def test_the_keys_k_values_keep_combs_by_the_second_issue_op(real_pipeline):
+    # an issue op takes four products of powers of K_S and K_N: the confirm check, the disavow t3, C and check
+    p = real_pipeline
+    pk_s, pk_n = fresh(p.pk_s), fresh(p.pk_n)
+    rng = random.Random(15)
+    for op in range(2):
+        m = b"issue op %d" % op
+        sigma = scheme.receive(p.par, pk_s, pk_n, m, scheme.sign(p.par, pk_s, pk_n, m, p.sk_s, rng), p.sk_n, rng)
+        assert run_confirm(derive_statement(p.par, pk_s, pk_n, m, sigma), p.sk_n, rng, rng)[0]
+        bad = dataclasses.replace(sigma, s3=sigma.s3 * p.par.g2)
+        assert run_disavow(derive_statement(p.par, pk_s, pk_n, m, bad), p.sk_n, rng, rng)[0]
+        if op == 0:
+            assert pk_s.K.comb == pk_n.K.comb == 4
+    assert all(isinstance(pk.K.comb, list) and len(pk.K.comb) == 256 for pk in (pk_s, pk_n))
+
+
+@pytest.mark.parametrize("pipeline", ["mock_pipeline", "real_pipeline"])
+@pytest.mark.parametrize("kind", [None, "s1", "s2", "s3", "s"])
+def test_runs_match_the_rows_over_gt_values(request, pipeline, kind):
+    # every first message, response and verdict as the oracle computes them from d, e3 and e4 in GT:
+    # confirm accepts and disavow rejects (C = 1) the honest sigma, and the other way round each tamper
+    p = request.getfixturevalue(pipeline)
+    s = derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma if kind is None else _tampered(p, kind))
+    for protocol, run in (("confirm", run_confirm), ("disavow", run_disavow)):
+        seed = f"{protocol}-{kind}"
+        ok, tr = run(s, p.sk_n, random.Random(seed + "-prover"), random.Random(seed + "-verifier"))
+        want = gt_run(protocol, s, p.sk_n, random.Random(seed + "-prover"), random.Random(seed + "-verifier"))
+        assert tr == want
+        assert ok is tr.verdict is ((kind is None) == (protocol == "confirm"))
+        assert (tr.first.C is not None and tr.first.C.is_identity()) == (protocol == "disavow" and kind is None)
 
 
 def test_confirm_completeness(stmt, mock_pipeline):
