@@ -227,9 +227,9 @@ class Backend:
     def serialize(self, group, a, compressed=True) -> bytes: raise NotImplementedError
     def deserialize(self, group, data: bytes, compressed=True): raise NotImplementedError
     # ``deserialize`` of a G2 point is two hooks: ``point`` puts the encoding on the twist, and
-    # ``first_outside_g2`` gives the index of the first of a list of such points outside G2, or None.
+    # ``first_outside_g2`` takes a list of such points per object: the index of the first with one outside G2, or None.
     def point(self, group, data: bytes, compressed=True): raise NotImplementedError
-    def first_outside_g2(self, values): raise NotImplementedError
+    def first_outside_g2(self, groups): raise NotImplementedError
 
 
 def _one_group(elems: list[GroupElem], what: str) -> str:
@@ -283,7 +283,7 @@ class MockBackend(Backend):
 
     point = deserialize
 
-    def first_outside_g2(self, values):
+    def first_outside_g2(self, groups):
         return None
 
     def hash_to_g2(self, data: bytes) -> GroupElem:
@@ -348,6 +348,12 @@ def words_point(group: str, data: bytes):
 # The G2 batch from which one batched subgroup test beats a test per point:
 # the measured break-even is 28-32 points.
 G2_BATCH_MIN = 32
+
+
+def _all_in_g2(pts) -> bool:
+    """Whether every twist point of pts is in G2: one batched test from G2_BATCH_MIN points up, else one per point."""
+    return bn254.g2_all_in_subgroup(pts) if len(pts) >= G2_BATCH_MIN else all(map(bn254.g2_in_subgroup, pts))
+
 
 # The products of powers an element meets before it keeps a comb table.
 # A G2 table costs about what 8 comb terms save over GLS ones; a G1 table less,
@@ -500,30 +506,24 @@ class RealBackend(Backend):
                 raise NotInSubgroup("GT: not in the order-n subgroup")
             return v
         pt = self.point(group, data, compressed)
-        if group == "G2" and self.first_outside_g2([pt]) is not None:
+        if group == "G2" and not bn254.g2_in_subgroup(pt):
             raise NotInSubgroup("G2: point not in the prime-order subgroup")
         return pt
 
-    def first_outside_g2(self, values):
-        """The index of the first of the twist points outside G2, or None, by batched subgroup tests from
-        G2_BATCH_MIN points up (``bn254.g2_all_in_subgroup``).
+    def first_outside_g2(self, groups):
+        """The index of the first of the lists of twist points that holds a point outside G2, or None.
 
-        One batch test takes all the points, and lets a point outside G2
-        through with probability below 2^-132. If it fails, the range that
-        holds the first bad point is halved with one batch test per step,
-        going left while the left half fails, down to G2_BATCH_MIN points,
-        which are tested one by one. Below G2_BATCH_MIN points, a batch test's
-        own 10 subgroup tests cost more than it saves.
+        One test takes all the points (``bn254.g2_all_in_subgroup`` from
+        G2_BATCH_MIN points up, which lets a point outside G2 through with
+        probability below 2^-132). One that fails proves a point outside G2,
+        so only its list is sought: the lists before the last non-empty one
+        are tested in order, and that one is named with no test of its own.
+        Should an earlier list's test pass wrongly, a later one is named.
         """
-        lo, hi = 0, len(values)  # values[:lo] passed and values[lo:hi] failed
-        if hi >= G2_BATCH_MIN:
-            if bn254.g2_all_in_subgroup(values):
-                return None
-            while hi - lo > G2_BATCH_MIN:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if bn254.g2_all_in_subgroup(values[lo:mid]) else (lo, mid)
-        # on past hi should none fail: only a half whose batch test passed wrongly leaves values[lo:hi] in G2
-        return next((i for i in range(lo, len(values)) if not bn254.g2_in_subgroup(values[i])), None)
+        if _all_in_g2([q for g in groups for q in g]):
+            return None
+        last = max(i for i, g in enumerate(groups) if g)
+        return next((i for i, g in enumerate(groups[:last]) if not _all_in_g2(g)), last)
 
     def point(self, group, data, compressed=True):
         """The G1 or G2 point that data encodes, range-checked and on its curve, before any subgroup test."""

@@ -11,14 +11,15 @@ those points differ, so an envelope without one is written as version 1.
 ``objects_from_payloads`` is the one place that checks a payload's shape,
 hex, vector lengths, group membership and backend; malformed input raises
 EnvelopeError, or AlgebraError from the group decoding. It decodes each
-field once, in order, a G2 point only onto the twist (``Backend.point``).
-The G2 points of the objects read together (a command's two public keys,
-or a contract state's keys and stored signature), up to the first bad
-field, then take one subgroup test (``Backend.first_outside_g2``, batched
-on the real backend). A point outside G2 raises in place of any later
-field's error, so the error names the first bad field, as if each object
-were decoded alone. ``read_objects`` reads the files of one batch and
-names the first that fails.
+field once, in order, a G2 point only onto the twist (``Backend.point``)
+and into its object's list (a contract state's takes its keys' and its
+signature's). The lists of the objects read together (a command's two
+public keys), up to the first bad field, then take one subgroup test,
+batched on bn254 (``Backend.first_outside_g2``): a failed batch proves a
+point outside G2, so at most one more test per earlier object names the
+object. A point outside G2 raises in place of any later field's error, so
+the error names the first bad field, as if each object were decoded alone.
+``read_objects`` reads the files of one batch and names the first that fails.
 """
 
 from __future__ import annotations
@@ -174,39 +175,38 @@ def objects_from_payloads(items, backend: Optional[Backend] = None):
     """Yield each (cls, payload, version) of items decoded, in order, as ``object_from_payload`` decodes it: the
     first bad field of the first bad item raises.
 
-    The G2 points of the items, up to that field, take one subgroup test
-    after the pass, each by its own element's backend; a point outside G2
-    raises after the objects before its own, in place of any later error.
+    Each item's G2 points, up to that field, form a list; the lists take one
+    subgroup test after the pass, each point by its element's backend, and a
+    point outside G2 raises after the objects before its own, not a later error.
     """
-    g2, decoded, error = [], [], None
+    groups, decoded, error = [], [], None
     try:
         for cls, payload, version in items:
-            decoded.append((_decode(cls, payload, backend, g2, version), len(g2)))
+            groups.append([])
+            decoded.append(_decode(cls, payload, backend, groups[-1], version))
     except (EnvelopeError, AlgebraError) as exc:
         error = exc
-    bad = _first_outside_g2(g2)
-    yield from (obj for obj, end in decoded if bad is None or end <= bad)
+    bad = _first_outside_g2(groups)
+    yield from decoded[:bad]
     if bad is not None:
         raise NotInSubgroup("G2: point not in the prime-order subgroup")
     if error is not None:
         raise error
 
 
-def _first_outside_g2(points: list[GroupElem]) -> Optional[int]:
-    """The index of the first of the G2 elements outside G2, or None; the elements of each backend take
-    one ``first_outside_g2`` test by it."""
-    by_backend = {}
-    for i, e in enumerate(points):
-        by_backend.setdefault(e.backend.name, (e.backend, []))[1].append(i)
-    found = [ix[k] for b, ix in by_backend.values()
-             if (k := b.first_outside_g2([points[i].value for i in ix])) is not None]
-    return min(found, default=None)
+def _first_outside_g2(groups: list[list[GroupElem]]) -> Optional[int]:
+    """The index of the first of the lists of G2 elements that holds one outside G2, or None; each backend
+    takes one ``first_outside_g2`` call over the lists, with other backends' elements left out."""
+    backends = {e.backend.name: e.backend for g in groups for e in g}
+    found = (b.first_outside_g2([[e.value for e in g if e.backend.name == name] for g in groups])
+             for name, b in backends.items())
+    return min((k for k in found if k is not None), default=None)
 
 
 def _decode(cls, payload, backend: Optional[Backend], g2: list, version: int):
     payload = _of(dict, payload, "payload")
     if cls in _HAND_WRITTEN:
-        return _HAND_WRITTEN[cls][2](payload, backend, version)
+        return _HAND_WRITTEN[cls][2](payload, backend, g2, version)
     kind, tag, fields = CODEC[cls]
     b = None
     if kind == TRANSPORT:
@@ -356,9 +356,9 @@ def contract_state_payload(state: ContractState, ledger: WalletLedger) -> dict:
 
 
 def contract_state_from_payload(
-    payload: dict, backend: Optional[Backend] = None, version: int = SCHEMA_VERSION
+    payload: dict, backend: Optional[Backend], g2: list, version: int
 ) -> tuple[ContractState, WalletLedger]:
-    # the fields that need no group decoding first, so that a malformed one fails fast
+    # the fields that need no group decoding first, so that a malformed one fails fast; then keys and signature
     par = setup(backend=_backend(payload, backend))
     try:
         phase = Phase(payload.get("phase"))
@@ -377,10 +377,8 @@ def contract_state_from_payload(
     })
     if not {byte_fields["operator"], byte_fields["investor"]} <= ledger.balances.keys():
         raise EnvelopeError("ledger: both parties need an account")
-    items = [(SignerPublicKey, payload.get("pk_s"), version), (NomineePublicKey, payload.get("pk_n"), version)]
-    if sigma is not None:
-        items.append((NomSignature, sigma, version))
-    pk_s, pk_n, *stored = objects_from_payloads(items, par.backend)
+    pk_s, pk_n = (_decode(cls, payload.get(name), par.backend, g2, version)
+                  for cls, name in ((SignerPublicKey, "pk_s"), (NomineePublicKey, "pk_n")))
     state = ContractState(
         phase=phase,
         **byte_fields,
@@ -388,7 +386,7 @@ def contract_state_from_payload(
         par=par,
         pk_s=pk_s,
         pk_n=pk_n,
-        stored_sigma=stored[0] if stored else None,
+        stored_sigma=None if sigma is None else _decode(NomSignature, sigma, par.backend, g2, version),
         used_nonces=used_nonces,
     )
     return state, ledger

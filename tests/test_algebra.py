@@ -551,28 +551,40 @@ def test_real_codec_sign_bit_round_trips(group):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("subgroup_bad", [(), (0,), (31,), (32,), (128,), (256,), (100, 200)])
-def test_first_outside_g2_finds_the_first_bad_point(real_pipeline, subgroup_bad):
-    # a key's 257 Waters bases, put on the twist from compressed points or words, with points of order
-    # 10069: a failed batch is halved towards the first of them
-    b = real_pipeline.par.backend
+@pytest.mark.parametrize("bad", [(), ((0, 0),), ((2, 100),), ((3, 1),), ((0, 200), (2, 5)), ((2, 5), (3, 0))],
+                         ids=["none", "first", "middle", "last", "first-and-middle", "middle-and-last"])
+def test_first_outside_g2_finds_the_first_bad_group(real_pipeline, bad, monkeypatch):
+    # the two keys' Waters bases, an empty list and the keys' other G2 points, put on the twist from
+    # compressed points or words, with points of order 10069 at (list, index): one batch over all, then
+    # the lists before the last in order, up to the first that fails
+    b, p = real_pipeline.par.backend, real_pipeline
+    batches, all_in = [], bn254.g2_all_in_subgroup
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", lambda pts: batches.append(len(pts)) or all_in(pts))
     for compressed in (True, False):
-        datas = [b.serialize("G2", u.value, compressed) for u in real_pipeline.pk_s.u]
-        for i in subgroup_bad:
-            datas[i] = b.serialize("G2", torsion_point(random.Random(10069), 10069), compressed)
-        assert b.first_outside_g2([b.point("G2", d, compressed) for d in datas]) == min(subgroup_bad, default=None)
+        datas = [[b.serialize("G2", e.value, compressed) for e in g]
+                 for g in (p.pk_s.u, (), p.pk_n.uPrime, (p.pk_s.hS, p.pk_n.hN, p.pk_n.k, p.pk_n.x1, p.pk_n.x2))]
+        for g, i in bad:
+            datas[g][i] = b.serialize("G2", torsion_point(random.Random(10069), 10069), compressed)
+        batches.clear()
+        first = min((g for g, _ in bad), default=None)
+        assert b.first_outside_g2([[b.point("G2", d, compressed) for d in g] for g in datas]) == first
+        assert batches == {None: [519], 0: [519, 257], 2: [519, 257, 257], 3: [519, 257, 257]}[first], batches
 
 
-def test_first_outside_g2_tests_on_past_a_half_that_passed_wrongly(real_pipeline, monkeypatch):
-    # points of order 10069 at 10 and 256: the batch and its left half [0, 128) fail, then [0, 64) and
-    # [64, 96) are made to pass wrongly, so [96, 128) is all in G2 and the exact tests go on to 256
-    values = [u.value for u in real_pipeline.pk_s.u]
-    values[10] = values[256] = torsion_point(random.Random(10069), 10069)
+def test_a_failed_batch_names_the_last_group_with_no_test_of_its_own(real_pipeline, monkeypatch):
+    # a failed batch proves some point is outside G2: with the whole batch made to fail and the first
+    # list passing, the second, the last non-empty one, is named untested; likewise when the first
+    # list's own batch is made to pass wrongly over its order-10069 point
+    b, p = real_pipeline.par.backend, real_pipeline
+    values = [[u.value for u in p.pk_s.u], [u.value for u in p.pk_n.uPrime], []]
     calls, all_in = [], bn254.g2_all_in_subgroup
-    monkeypatch.setattr(bn254, "g2_all_in_subgroup",
-                        lambda pts: calls.append(len(pts)) or len(calls) > 2 or all_in(pts))
-    assert real_pipeline.par.backend.first_outside_g2(values) == 256
-    assert calls == [257, 128, 64, 32]
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", lambda pts: calls.append(len(pts)) or len(calls) > 1)
+    assert b.first_outside_g2(values) == 1 and calls == [514, 257]
+    values[0][10] = torsion_point(random.Random(10069), 10069)
+    calls.clear()
+    assert b.first_outside_g2(values) == 1 and calls == [514, 257]
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", all_in)
+    assert b.first_outside_g2(values) == 0
 
 
 def test_mock_point_checks_the_range_and_every_point_is_in_g2():
@@ -581,4 +593,4 @@ def test_mock_point_checks_the_range_and_every_point_is_in_g2():
         assert b.point("G2", b.serialize("G2", 5), compressed) == 5
         with pytest.raises(MalformedEncoding, match="exponent out of range"):
             b.point("G2", N.to_bytes(32, "big"), compressed)
-    assert b.first_outside_g2(list(range(1, 9))) is None
+    assert b.first_outside_g2([list(range(1, 9)), [], [9]]) is None

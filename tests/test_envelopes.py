@@ -743,7 +743,7 @@ def test_a_key_takes_one_batched_subgroup_test(real_pipeline, monkeypatch):
     for key in (real_pipeline.pk_s, real_pipeline.pk_n):
         calls.clear()
         assert env.object_from_payload(type(key), env.to_payload(key), b) == key
-        assert len(calls) <= 12, len(calls)
+        assert len(calls) == bn254.BATCH_ROUNDS, len(calls)
 
 
 @pytest.mark.parametrize("faults, message", [
@@ -766,19 +766,49 @@ def test_a_key_with_two_bad_points_names_the_first(real_pipeline, faults, messag
 
 
 def test_a_failed_key_batch_tests_its_bad_point_once(real_pipeline, monkeypatch):
-    # an order-10069 point at u[200], index 201 of the key's 258 G2 points: the failed batch's first
-    # round, the passing halves [0, 129) and [129, 193) with all their rounds, the failing [193, 225)'s
-    # first round and exact tests on 193..201, the last of them u[200]'s only one
+    # an order-10069 point at u[200] of the key's 258 G2 points: one batch, whose first round fails, and
+    # no test of its own, since the key is the one object read
     payload = env.to_payload(real_pipeline.pk_s)
     payload["u"][200] = _bad_point("order 10069", "G2", False)
-    bad = algebra.words_point("G2", bytes.fromhex(payload["u"][200]))
-    calls = []
-    in_subgroup = bn254.g2_in_subgroup
+    batches, calls = [], []
+    all_in, in_subgroup = bn254.g2_all_in_subgroup, bn254.g2_in_subgroup
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", lambda pts: batches.append(len(pts)) or all_in(pts))
     monkeypatch.setattr(bn254, "g2_in_subgroup", lambda pt: calls.append(pt) or in_subgroup(pt))
     with pytest.raises(AlgebraError, match="G2: point not in the prime-order subgroup"):
         env.object_from_payload(SignerPublicKey, payload, real_pipeline.par.backend)
-    assert len(calls) == 2 * bn254.BATCH_ROUNDS + 2 + 9, len(calls)
-    assert calls.count(bad) == 1 and calls[-1] == bad
+    assert batches == [258] and len(calls) == 1, (batches, len(calls))
+
+
+@pytest.mark.parametrize("key, i, ell", [("pk_n", 0, 10069), ("pk_n", 250, 10069), ("pk_s", 128, 5864401)],
+                         ids=["uPrime0", "uPrime250", "u128"])
+def test_a_bad_state_takes_one_batch(real_dir, tmp_path, key, i, ell, monkeypatch):
+    # the CI exit-2 loop's torsion states: the state is one object, so its failed batch names it
+    obj = json.loads((real_dir / "state-advance.json").read_text())
+    field = obj["payload"][key]["uPrime" if key == "pk_n" else "u"]
+    pt = g2_add(algebra.words_point("G2", bytes.fromhex(field[i])), torsion_point(random.Random(ell), ell))
+    field[i] = algebra.point_words("G2", pt).hex()
+    (tmp_path / "state.json").write_text(json.dumps(obj))
+    batches, all_in = [], bn254.g2_all_in_subgroup
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", lambda pts: batches.append(len(pts)) or all_in(pts))
+    with pytest.raises(env.EnvelopeError, match="state.json: G2: point not in the prime-order subgroup"):
+        env.read_object(str(tmp_path / "state.json"), ct.ContractState)
+    assert batches == [258 + 261], batches
+
+
+@pytest.mark.parametrize("bad_key", ["spk", "npk"])
+def test_two_keys_with_a_bad_point_take_two_batches(real_dir, tmp_path, bad_key, monkeypatch):
+    # the failed batch of both keys, then the signer key's own batch, which names the file either way
+    for name in ("spk", "npk"):
+        obj = json.loads((real_dir / f"{name}.json").read_text())
+        if name == bad_key:
+            obj["payload"]["u" if name == "spk" else "uPrime"][100] = _bad_point("order 10069", "G2", False)
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    batches, all_in = [], bn254.g2_all_in_subgroup
+    monkeypatch.setattr(bn254, "g2_all_in_subgroup", lambda pts: batches.append(len(pts)) or all_in(pts))
+    reads = [(str(tmp_path / "spk.json"), SignerPublicKey), (str(tmp_path / "npk.json"), NomineePublicKey)]
+    with pytest.raises(env.EnvelopeError, match=f"{bad_key}.json: G2: point not in the prime-order subgroup"):
+        env.read_objects(reads, get_backend("bn254"))
+    assert batches == [519, 258], batches
 
 
 def test_envelope_version_gate():
