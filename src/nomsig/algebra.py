@@ -465,7 +465,10 @@ class RealBackend(Backend):
 
         A G2 element keeps its lines (None for the identity) in its ``lines``
         slot, written once: the elements that have none yet get them from one
-        ``bn254.g2_lines`` batch over their distinct values.
+        ``bn254.g2_lines`` batch over their distinct values, one Jacobian walk
+        each with no inversion. Each line is scaled by a factor in Fp, so the
+        Miller value is defined up to a subfield factor, which the final
+        exponentiation removes.
         """
         new = [b for _, b in pairs if b.lines is None and b.value is not None]
         qs = list(dict.fromkeys(b.value for b in new))

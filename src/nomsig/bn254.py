@@ -10,15 +10,20 @@ point formulas below and shares the rest of ``curve``. One slope routine,
 pairs with one batched inversion, and ``_chord_sum`` each sum. Every affine
 sum on the twist takes them through ``_g2_add_all``, G2's adder for the
 batched sums of ``curve``: ``g2_add``, G2 products, the batched subgroup
-test's buckets, ``g2_mul_gls``, the combs and the Waters tables. Only the
-Miller loop's ``_chords`` also forms each line's w^3 coefficient.
+test's buckets, ``g2_mul_gls``, the combs and the Waters tables. The Miller
+loop's lines take neither.
 
 The Miller loop walks the signed digits of 6u+2: 65 doublings, 21 additions
-and 2 Frobenius lines, 88 line steps. ``g2_lines`` computes each G2 point's
-88 lines, one inversion per step for all points, and ``miller_eval``
-evaluates them at the G1 points, sharing the squarings. The lines are a
+and 2 Frobenius lines, 88 line steps. ``g2_lines`` walks each G2 point in
+Jacobian coordinates with no inversion (Costello-Lange-Naehrig, PKC 2010):
+a step's line is lam times the affine line for some lam in Fp2*, and it
+keeps conj(lam) times that, n times the affine line for n = lam*conj(lam)
+in Fp, so its w^0 coefficient stays in Fp and the sparse product
+``_f12_mul_line`` keeps its shape (Aranha et al., EUROCRYPT 2011).
+``miller_eval`` evaluates the lines at the G1 points, sharing the
+squarings; the factors n fall to the final exponentiation. The lines are a
 function of the point alone, so a caller that keeps them skips the point's
-chords the next time (Costello-Stebila, "Fixed Argument Pairings",
+walk the next time (Costello-Stebila, "Fixed Argument Pairings",
 LATINCRYPT 2010); ``miller_loop`` keeps none.
 
 Every exponentiation runs the one double-and-add loop ``curve.ladder``:
@@ -57,7 +62,8 @@ Representation conventions:
   - Fp12 elements are 6-tuples of Fp2 coefficients in w, with w^6 = XI
     where XI = 9 + i is the sextic non-residue.
   - Curve points are affine (x, y) tuples, or Jacobian (X, Y, Z) inside
-    scalar multiplication; None is the point at infinity in both.
+    scalar multiplication and the Miller loop's walk; None is the point at
+    infinity in both.
 
 G2 points live on the D-type twist y^2 = x^3 + 3/XI over Fp2; the untwist
 into E(Fp12) is (x*w^2, y*w^3) and only appears implicitly in the sparse
@@ -543,24 +549,6 @@ def _chord_sum(t, q, sl):
     return ((x0, x1), ((m - n - b0) % P, ((m0 + m1) * (t0 + t1) - m - n - b1) % P))
 
 
-def _chords(pairs):
-    """The line through each pair (t, q) of finite affine twist points, and the sum t + q: the Miller loop's step.
-
-    Returns, per pair, (m, c, t + q): the slope m from ``_slopes`` and
-    c = y1 - m*x1 for t = (x1, y1), so the line is y = m*x + c. Where t = -q
-    the line is vertical and the entry is (None, None, None).
-    """
-    out = []
-    for (t, q), sl in zip(pairs, _slopes(pairs)):
-        if sl is None:
-            out.append((None, None, None))
-            continue
-        ((a0, a1), (b0, b1)), (m0, m1) = t, sl
-        m, n = m0 * a0, m1 * a1
-        out.append((sl, ((b0 - m + n) % P, (b1 - (m0 + m1) * (a0 + a1) + m + n) % P), _chord_sum(t, q, sl)))
-    return out
-
-
 def _g2_add_all(pairs):
     """p + q for each pair of affine twist points (None for infinity), with one inversion for all and no lines."""
     finite = [(p, q) for p, q in pairs if p is not None and q is not None]
@@ -886,37 +874,115 @@ def g2_comb_powers(comb, ks):
 _ATE_STEPS = [s for d in reversed(_naf(ATE_LOOP)[:-1]) for s in ((0, d) if d else (0,))] + [2, 3]
 
 
+def _tangent_step(t):
+    """2t for a finite Jacobian twist point t = (X, Y, Z), and the tangent at t as a line entry (n, M, C).
+
+    The tangent y = m*x + c has m = 3X^2 / (2Y*Z). Scaled by lam = 2Y*Z^3,
+    the sum's Z3 times Z^2, it takes no division: lam*m = 3X^2*Z^2 and
+    lam*c = 2Y^2 - 3X^3. Scaled once more by conj(lam), n = lam*conj(lam)
+    lies in Fp and (M, C) = n*(m, c). The twist's order is odd, so Y != 0
+    and n != 0. The doubling is ``_jac_double_f2``'s, inlined as the line
+    shares its X^2 and Y^2.
+    """
+    (x0, x1), (y0, y1), (z0, z1) = t
+    a0, a1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # X^2
+    b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # Y^2
+    c0, c1 = (b0 + b1) * (b0 - b1) % P, 2 * b0 * b1 % P  # Y^4
+    s0, s1 = x0 + b0, x1 + b1
+    d0, d1 = 2 * ((s0 + s1) * (s0 - s1) - a0 - c0) % P, 2 * (2 * s0 * s1 - a1 - c1) % P
+    e0, e1 = 3 * a0, 3 * a1  # 3X^2
+    x30, x31 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P, (2 * e0 * e1 - 2 * d1) % P
+    t0, t1 = d0 - x30, d1 - x31
+    m, n = e0 * t0, e1 * t1
+    y30, y31 = (m - n - 8 * c0) % P, ((e0 + e1) * (t0 + t1) - m - n - 8 * c1) % P
+    m, n = y0 * z0, y1 * z1
+    w0, w1 = 2 * (m - n) % P, 2 * ((y0 + y1) * (z0 + z1) - m - n) % P  # Z3 = 2YZ
+    u0, u1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
+    m, n = w0 * u0, w1 * u1
+    l0, l1 = (m - n) % P, ((w0 + w1) * (u0 + u1) - m - n) % P  # lam
+    m, n = e0 * u0, e1 * u1
+    g0, g1 = m - n, (e0 + e1) * (u0 + u1) - m - n  # lam*m
+    m, n = e0 * x0, e1 * x1
+    h0, h1 = 2 * b0 - m + n, 2 * b1 - (e0 + e1) * (x0 + x1) + m + n  # lam*c
+    m, n = l0 * g0, l1 * g1
+    M = ((m + n) % P, ((l0 - l1) * (g0 + g1) - m + n) % P)  # conj(lam)*lam*m
+    m, n = l0 * h0, l1 * h1
+    C = ((m + n) % P, ((l0 - l1) * (h0 + h1) - m + n) % P)  # conj(lam)*lam*c
+    return ((x30, x31), (y30, y31), (w0, w1)), ((l0 * l0 + l1 * l1) % P, M, C)
+
+
+def _chord_step(t, q):
+    """t + q for a finite Jacobian twist point t = (X, Y, Z) and an affine q, and their chord as a line entry (n, M, C).
+
+    With h = xq*Z^2 - X and r = yq*Z^3 - Y, the chord y = m*x + c has
+    m = r / (Z*h). Scaled by lam = Z*h, the sum's Z3, lam*m = r and
+    lam*c = lam*yq - r*xq; scaled by conj(lam) as in ``_tangent_step``,
+    M = conj(lam)*r and C = n*yq - M*xq. Where h = 0, t = q or t = -q and
+    the line is a tangent or vertical: no step of the loop meets either on
+    a finite twist point, so the step raises. The sum is
+    ``_jac_madd_f2``'s, inlined as the line shares its h and r.
+    """
+    (x0, x1), (y0, y1), (z0, z1) = t
+    (a0, a1), (b0, b1) = q
+    s0, s1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
+    m, n = a0 * s0, a1 * s1
+    h0, h1 = (m - n - x0) % P, ((a0 + a1) * (s0 + s1) - m - n - x1) % P  # xq*Z^2 - X
+    m, n = z0 * s0, z1 * s1
+    c0, c1 = (m - n) % P, ((z0 + z1) * (s0 + s1) - m - n) % P  # Z^3
+    m, n = b0 * c0, b1 * c1
+    r0, r1 = (m - n - y0) % P, ((b0 + b1) * (c0 + c1) - m - n - y1) % P  # yq*Z^3 - Y
+    if h0 == h1 == 0:
+        raise ValueError(f"Miller addition step meets {'T = Q' if r0 == r1 == 0 else 'T = -Q'}")
+    u0, u1 = (h0 + h1) * (h0 - h1) % P, 2 * h0 * h1 % P  # h^2
+    m, n = h0 * u0, h1 * u1
+    g0, g1 = (m - n) % P, ((h0 + h1) * (u0 + u1) - m - n) % P  # h^3
+    m, n = x0 * u0, x1 * u1
+    v0, v1 = (m - n) % P, ((x0 + x1) * (u0 + u1) - m - n) % P  # X*h^2
+    x30, x31 = ((r0 + r1) * (r0 - r1) - g0 - 2 * v0) % P, (2 * r0 * r1 - g1 - 2 * v1) % P
+    t0, t1 = v0 - x30, v1 - x31
+    m, n, e, f = r0 * t0, r1 * t1, y0 * g0, y1 * g1
+    y30 = (m - n - e + f) % P
+    y31 = ((r0 + r1) * (t0 + t1) - m - n - (y0 + y1) * (g0 + g1) + e + f) % P
+    m, n = z0 * h0, z1 * h1
+    l0, l1 = (m - n) % P, ((z0 + z1) * (h0 + h1) - m - n) % P  # lam = Z3
+    k = (l0 * l0 + l1 * l1) % P  # n
+    m, n = l0 * r0, l1 * r1
+    M0, M1 = (m + n) % P, ((l0 - l1) * (r0 + r1) - m + n) % P  # conj(lam)*r
+    m, n = M0 * a0, M1 * a1
+    C = ((k * b0 - m + n) % P, (k * b1 - (M0 + M1) * (a0 + a1) + m + n) % P)  # n*yq - M*xq
+    return ((x30, x31), (y30, y31), (l0, l1)), (k, (M0, M1), C)
+
+
 def g2_lines(qs):
     """The Miller-loop lines of each finite twist point in qs: per point, a tuple of its 88 line steps.
 
     The steps are 65 doublings, 21 additions (a -1 digit adds -Q) and the 2
-    Frobenius lines. An entry is (m, c) for the line y = m*x + c through the
-    running point T and its addend, or (None, x1) where the line is
-    vertical at T = (x1, y1). Each step makes one ``_chords`` call over
-    every point, so all points share its one inversion.
+    Frobenius lines. Each point walks its running point T from Q in
+    Jacobian coordinates, with no inversion: an entry is (n, M, C) from
+    ``_tangent_step`` or ``_chord_step``, the line y = m*x + c through T
+    and its addend scaled by n in Fp*, with M = n*m and C = n*c.
     """
-    if not qs:
-        return []
-    q1s = [_tw_frob(q) for q in qs]
-    addends = {1: qs, -1: [g2_neg(q) for q in qs], 2: q1s, 3: [g2_neg(_tw_frob(q1)) for q1 in q1s]}
-    out = [[] for _ in qs]
-    ts = qs
-    for step in _ATE_STEPS:
-        chords = _chords(list(zip(ts, addends.get(step, ts))))
-        for (x1, _), (m, c, _), lines in zip(ts, chords, out):
-            lines.append((None, x1) if m is None else (m, c))
-        ts = [s for _, _, s in chords]
-    return [tuple(lines) for lines in out]  # kept and shared by elements, so immutable
+    out = []
+    for q in qs:
+        q1 = _tw_frob(q)
+        addends = {1: q, -1: g2_neg(q), 2: q1, 3: g2_neg(_tw_frob(q1))}
+        t, lines = (*q, F2_ONE), []
+        for step in _ATE_STEPS:
+            t, line = _chord_step(t, addends[step]) if step else _tangent_step(t)
+            lines.append(line)
+        out.append(tuple(lines))  # kept and shared by elements, so immutable
+    return out
 
 
 def miller_eval(pairs):
     """prod_i f_{6u+2, Q_i}(P_i) over (P_i, lines) pairs, the lines of Q_i from ``g2_lines``; up to a factor in Fp6.
 
     The pairs share every squaring of the accumulator. The untwisted line
-    through T = (x1, y1) evaluated at (xp, yp) is m*xp*w - yp + c*w^3, or
-    xp - x1*w^2 where it is vertical. The vertical line Miller's formula
-    divides by at a -1 digit lies in Fp6, which the final exponentiation
-    removes, so it is left out. A pair with None on either side contributes 1.
+    through T = (x1, y1) evaluated at (xp, yp) is m*xp*w - yp + c*w^3, so an
+    entry (n, M, C) multiplies in n*(-yp) + M*xp*w + C*w^3, n times that
+    line. The factor n lies in Fp, and the vertical line Miller's formula
+    divides by at a -1 digit in Fp6: the final exponentiation removes both,
+    so they are left out. A pair with None on either side contributes 1.
     """
     ps = [(pt[0], -pt[1] % P, lines) for pt, lines in pairs if pt is not None and lines is not None]
     f = F12_ONE
@@ -926,11 +992,8 @@ def miller_eval(pairs):
         if step == 0:
             f = f12_sqr(f)
         for xp, nyp, lines in ps:
-            m, c = lines[k]
-            if m is None:  # lies in Fp6
-                f = _f12_mul_f6(f, (xp, 0, -c[0], -c[1], 0, 0))
-            else:
-                f = _f12_mul_line(f, nyp, (m[0] * xp % P, m[1] * xp % P), c)
+            n, (m0, m1), c = lines[k]
+            f = _f12_mul_line(f, n * nyp % P, (m0 * xp % P, m1 * xp % P), c)
     return f
 
 

@@ -8,7 +8,8 @@ binary double-and-add over any addition (on the Fp curves, over
 against), the textbook chord-and-tangent addition on the twist,
 the binary Jacobian ladder on the twist, a sum of
 multiples of twist points as one ``g2_mul`` per term, the complex-method
-Fp2 square root with its inversion, and the Miller loop over the binary
+Fp2 square root with its inversion, the affine Miller-loop lines with one
+batched inversion per line step, and the Miller loop over the binary
 digits of 6u+2 with one inversion per line.
 
 For the confirm/disavow protocols it holds what only the proofs of their
@@ -26,8 +27,9 @@ from functools import partial, reduce
 
 from nomsig import envelopes, zkproto
 from nomsig.algebra import get_backend
-from nomsig.bn254 import (ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _f12_mul_f6,
-                          _f12_mul_line, _jac_double_f2, _jac_madd_f2, _sqrt_fp, _to_affine_f2, _tw_frob,
+from nomsig.bn254 import (_ATE_STEPS, ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _chord_sum,
+                          _f12_mul_f6, _f12_mul_line, _jac_double_f2, _jac_madd_f2, _slopes, _sqrt_fp,
+                          _to_affine_f2, _tw_frob,
                           f2_add, f2_inv, f2_mul, f2_mul_xi, f2_sqr, f2_sqrt, f2_sub, f12_inv,
                           f12_sqr, g2_add, g2_mul, g2_neg, g2_rhs)
 
@@ -152,6 +154,29 @@ def complex_f2_sqrt(a):
         if f2_sqr((x0, x1)) == a:
             return (x0, x1)
     return None
+
+
+def affine_g2_lines(qs):
+    """The affine Miller-loop lines of each finite twist point in qs: per point, a tuple of its 88 line steps.
+
+    The steps of ``bn254.g2_lines`` with T kept affine: an entry is (m, c)
+    for the line y = m*x + c through T and its addend, or (None, x1) where
+    the line is vertical at T = (x1, y1). Each step takes the slopes of
+    every point from one ``bn254._slopes`` call, so one batched inversion.
+    """
+    if not qs:
+        return []
+    q1s = [_tw_frob(q) for q in qs]
+    addends = {1: qs, -1: [g2_neg(q) for q in qs], 2: q1s, 3: [g2_neg(_tw_frob(q1)) for q1 in q1s]}
+    out = [[] for _ in qs]
+    ts = qs
+    for step in _ATE_STEPS:
+        pairs = list(zip(ts, addends.get(step, ts)))
+        ts = []
+        for (t, q), m, lines in zip(pairs, _slopes(pairs), out):
+            lines.append((None, t[0]) if m is None else (m, f2_sub(t[1], f2_mul(m, t[0]))))
+            ts.append(m and _chord_sum(t, q, m))
+    return [tuple(lines) for lines in out]
 
 
 def _binary_line_steps(f, ts, qs, ps):

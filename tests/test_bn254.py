@@ -43,8 +43,9 @@ from nomsig.bn254 import (
     g2_neg,
     pairing,
 )
-from oracles import (affine_add, affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt, curve_add, curve_mul,
-                     f12_pow, g1_is_on_curve, naive_g2_msm, random_twist_point, schoolbook_f12_mul, torsion_point)
+from oracles import (affine_add, affine_g2_lines, affine_mul, binary_g2_mul, binary_multi_miller, complex_f2_sqrt,
+                     curve_add, curve_mul, f12_pow, g1_is_on_curve, naive_g2_msm, random_twist_point,
+                     schoolbook_f12_mul, torsion_point)
 
 rng = random.Random(1301)
 
@@ -181,31 +182,59 @@ def test_sparse_line_products_match_schoolbook():
         assert bn254._f12_mul_f6(f, (l0, 0, *f2_neg(x), 0, 0)) == schoolbook_f12_mul(f, vertical)
 
 
+def _jacobian(pt, z):
+    """The affine twist point pt as Jacobian (x*z^2, y*z^3, z)."""
+    z2 = f2_sqr(z)
+    return (f2_mul(pt[0], z2), f2_mul(pt[1], f2_mul(z2, z)), z)
+
+
 def test_line_steps_match_dense_lines():
-    # chord, tangent and vertical lines at P, built densely from the slope; miller_eval over 88
-    # copies of one line entry squares at each doubling step and multiplies in the line each step
+    # the tangent at T and the chord through T and Q, from a Jacobian T with Z != 1: each step gives the
+    # affine sum and (n, M, C) = n*(m, c) for the dense line's slope m and c, with n in Fp*; miller_eval
+    # over 88 copies of one entry squares at each doubling step and multiplies in n times the line each step
     xp, yp = g1_mul(G1_GEN, 5)
     t = g2_mul(G2_GEN, 3)
     x1, y1 = t
-    cases = (g2_mul(G2_GEN, 7), t, g2_neg(t))
-    chords = bn254._chords([(t, q) for q in cases])
-    for q, (m, c, s) in zip(cases, chords):
-        assert s == g2_add(t, q)
-        got = bn254.miller_eval([((xp, yp), [(None, x1) if m is None else (m, c)] * 88)])
-        if q == g2_neg(t):
-            assert m is c is s is None
-            line = ((xp, 0), F2_ZERO, f2_neg(x1), F2_ZERO, F2_ZERO, F2_ZERO)
-        else:
-            num, den = (f2_mul(f2_sqr(x1), (3, 0)), f2_add(y1, y1)) if q == t else (
-                f2_add(q[1], f2_neg(y1)), f2_add(q[0], f2_neg(x1)))
-            assert m == f2_mul(num, f2_inv(den))
-            assert c == f2_add(y1, f2_neg(f2_mul(m, x1)))
-            line = ((-yp % P, 0), f2_mul(m, (xp, 0)), F2_ZERO, c, F2_ZERO, F2_ZERO)
+    jt = _jacobian(t, (rng.randrange(1, P), rng.randrange(P)))
+    q7 = g2_mul(G2_GEN, 7)
+    for q, (s, (n, big_m, big_c)) in ((t, bn254._tangent_step(jt)), (q7, bn254._chord_step(jt, q7))):
+        assert bn254._to_affine_f2(s) == g2_add(t, q)
+        num, den = (f2_mul(f2_sqr(x1), (3, 0)), f2_add(y1, y1)) if q == t else (
+            f2_add(q[1], f2_neg(y1)), f2_add(q[0], f2_neg(x1)))
+        m = f2_mul(num, f2_inv(den))
+        c = f2_add(y1, f2_neg(f2_mul(m, x1)))
+        assert 0 < n < P and big_m == f2_mul(m, (n, 0)) and big_c == f2_mul(c, (n, 0))
+        line = tuple(f2_mul(a, (n, 0)) for a in ((-yp % P, 0), f2_mul(m, (xp, 0)), F2_ZERO, c, F2_ZERO, F2_ZERO))
         want = F12_ONE
         for step in bn254._ATE_STEPS:
             want = schoolbook_f12_mul(schoolbook_f12_mul(want, want) if step == 0 else want, line)
-        assert got == want
+        assert bn254.miller_eval([((xp, yp), [(n, big_m, big_c)] * 88)]) == want
     assert g2_add(t, g2_neg(t)) is None and g2_add(t, None) == g2_add(None, t) == t
+
+
+def test_chord_step_raises_where_its_line_is_vertical_or_a_tangent():
+    # T = -Q has a vertical line and T = Q a tangent, which an addition step does not form: both raise
+    t = g2_mul(G2_GEN, 3)
+    jt = _jacobian(t, (rng.randrange(1, P), rng.randrange(P)))
+    with pytest.raises(ValueError, match="T = -Q"):
+        bn254._chord_step(jt, g2_neg(t))
+    with pytest.raises(ValueError, match="T = Q"):
+        bn254._chord_step(jt, t)
+
+
+def test_g2_lines_are_the_affine_lines_scaled_by_fp():
+    # every step's (n, M, C) is the affine walk's (m, c) scaled by its n in Fp*: for G2_GEN, random points of
+    # G2, and a point of each prime order of the twist with its sum with a point of G2
+    draws = random.Random(1340)
+    g2 = [g2_mul(G2_GEN, draws.randrange(1, N)) for _ in range(2)]
+    torsion = [torsion_point(draws, ell) for ell in COFACTOR_PRIMES]
+    qs = [G2_GEN, *g2, *torsion, *(g2_add(t, g2[0]) for t in torsion)]
+    got, want = bn254.g2_lines(qs), affine_g2_lines(qs)
+    assert len(got) == len(want) == len(qs)
+    for lines, affine in zip(got, want):
+        assert len(lines) == len(affine) == 88
+        for (n, big_m, big_c), (m, c) in zip(lines, affine):
+            assert 0 < n < P and big_m == f2_mul(m, (n, 0)) and big_c == f2_mul(c, (n, 0))
 
 
 def test_sums_match_textbook_addition(monkeypatch):
@@ -269,40 +298,53 @@ def test_pairing_bilinear():
     assert lhs == rhs
 
 
-def test_miller_loop_inverts_once_per_line(monkeypatch):
+def _spy_steps(monkeypatch):
+    """A list that records "tangent" or "chord" for each Miller step ``g2_lines`` takes from here on."""
+    kinds = []
+    tangent, chord = bn254._tangent_step, bn254._chord_step
+    monkeypatch.setattr(bn254, "_tangent_step", lambda t: kinds.append("tangent") or tangent(t))
+    monkeypatch.setattr(bn254, "_chord_step", lambda t, q: kinds.append("chord") or chord(t, q))
+    return kinds
+
+
+def test_miller_loop_makes_no_inversion(monkeypatch):
     pairs = [(g1_mul(G1_GEN, k), g2_mul(G2_GEN, k + 1)) for k in range(1, 9)]
     digits = bn254._naf(ATE_LOOP)
     # a line per signed digit after the leading one, one more per nonzero digit, and two Frobenius lines
     steps = len(digits) - 1 + sum(1 for d in digits if d) - 1 + 2
     assert (len(digits) - 1, sum(1 for d in digits if d) - 1, steps) == (65, 21, 88)
-    calls, batches = [], []
-    chords, batch_inv = bn254._chords, curve.batch_inv
-    monkeypatch.setattr(curve, "batch_inv", lambda p, xs: calls.append(xs) or batch_inv(p, xs))
-    monkeypatch.setattr(bn254, "_chords", lambda tqs: batches.append(len(tqs)) or chords(tqs))
-    bn254.miller_loop(G2_GEN, G1_GEN)
-    assert len(calls) == len(batches) == steps
-    # eight pairs share one inversion per line step
-    calls.clear()
-    multi_miller(pairs)
-    assert len(calls) == steps
-    # two pairs on one G2 point share its chord: seven chords per step for eight pairs
-    batches.clear()
-    multi_miller([(g1_mul(G1_GEN, 9), G2_GEN), *pairs[:6], (g1_mul(G1_GEN, 10), G2_GEN)])
-    assert batches == [7] * steps
+    # no batched inversion and no pow(., -1, .) in bn254 or curve; the spies see the one f2_inv makes
+    inversions = []
+
+    def spy_pow(x, e, m=None):
+        if e < 0:
+            inversions.append(x)
+        return pow(x, e, m)
+
+    for module in (bn254, curve):
+        monkeypatch.setattr(module, "pow", spy_pow, raising=False)
+    monkeypatch.setattr(curve, "batch_inv", lambda p, xs: inversions.append(xs) or [pow(x, -1, p) for x in xs])
+    bn254.f2_inv((1, 2))
+    assert len(inversions) == 1
+    kinds = _spy_steps(monkeypatch)
+    shared = [(g1_mul(G1_GEN, 9), G2_GEN), *pairs[:6], (g1_mul(G1_GEN, 10), G2_GEN)]
+    # one pair, eight, and eight of which two share a G2 point and so its lines: seven walks
+    for run, walks in ((lambda: bn254.miller_loop(G2_GEN, G1_GEN), 1), (lambda: multi_miller(pairs), 8),
+                       (lambda: multi_miller(shared), 7)):
+        inversions.clear()
+        kinds.clear()
+        run()
+        assert not inversions and len(kinds) == walks * steps
 
 
 def test_raw_miller_loop_keeps_no_lines(monkeypatch):
-    # on raw tuples every call walks the whole loop: 88 chord batches and 88 inversions
-    calls, batches = [], []
-    chords, batch_inv = bn254._chords, curve.batch_inv
-    monkeypatch.setattr(curve, "batch_inv", lambda p, xs: calls.append(xs) or batch_inv(p, xs))
-    monkeypatch.setattr(bn254, "_chords", lambda tqs: batches.append(len(tqs)) or chords(tqs))
+    # on raw tuples every call walks the whole loop: 88 line steps per call
+    kinds = _spy_steps(monkeypatch)
     q, p = g2_mul(G2_GEN, 0x5EED), g1_mul(G1_GEN, 0xBEEF)
     for _ in range(2):
-        calls.clear()
-        batches.clear()
+        kinds.clear()
         bn254.miller_loop(q, p)
-        assert len(calls) == 88 and batches == [1] * 88
+        assert len(kinds) == 88
 
 
 def test_kept_lines_give_the_raw_loop_value(monkeypatch):
@@ -375,19 +417,10 @@ def test_multi_miller_matches_binary_loop_oracle(monkeypatch):
     pairs[7] = (pairs[7][0], g2_add(pairs[7][1], t))
     for n in range(1, 9):
         assert bn254.final_exp(multi_miller(pairs[:n])) == bn254.final_exp(binary_multi_miller(pairs[:n])), n
-    # a point of each prime order of the twist makes only the 65 tangents of the doublings and
-    # 23 chords, so no twist point meets a vertical line, or a tangent in an addition, in this loop
+    # a point of each prime order of the twist makes the 65 tangents of the doublings and 23 chords, and
+    # no step raises, so no twist point meets a vertical line, or a tangent in an addition, in this loop
     torsion = [torsion_point(draws, ell) for ell in COFACTOR_PRIMES]
-    kinds = []
-    chords = bn254._chords
-
-    def spy(tqs):
-        out = chords(tqs)
-        kinds.extend("vertical" if m is None else "tangent" if t == q else "chord"
-                     for (t, q), (m, _, _) in zip(tqs, out))
-        return out
-
-    monkeypatch.setattr(bn254, "_chords", spy)
+    kinds = _spy_steps(monkeypatch)
     for q in [G2_GEN, *torsion]:
         kinds.clear()
         multi_miller([(G1_GEN, q)])

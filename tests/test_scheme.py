@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import random
-import sys
 
 import pytest
 
@@ -378,25 +377,24 @@ def test_delta_checks_take_one_final_exponentiation_on_accept(real_pipeline, mon
     assert len(calls) == 1 and batches == [3]  # the lines of F_S, d3 and d2 in one batch; g2 keeps its own
 
 
-def test_second_tk_verify_computes_only_the_new_chords(real_pipeline, monkeypatch):
+def test_second_tk_verify_computes_only_the_new_lines(real_pipeline, monkeypatch):
     # the first call computes the lines of hS and of hN once each, for the keys' held Miller values, then
-    # one batch for its 5 distinct G2 values (g2, x1, x2, s3, F_S * F_N); the second only for F_S * F_N
+    # one batch for its 5 distinct G2 values (g2, x1, x2, s3, F_S * F_N); the second walks F_S * F_N alone
     p = real_pipeline
     par, pk_s, pk_n, sigma = fresh(p.par), fresh(p.pk_s), fresh(p.pk_n), fresh(p.sigma)
-    batches = []
-    chords = bn254._chords
-
-    def spy(tqs):
-        if sys._getframe(1).f_code.co_name == "g2_lines":
-            batches.append(len(tqs))
-        return chords(tqs)
-
-    monkeypatch.setattr(bn254, "_chords", spy)
+    batches, steps = [], []
+    g2_lines, tangent, chord = bn254.g2_lines, bn254._tangent_step, bn254._chord_step
+    monkeypatch.setattr(bn254, "g2_lines", lambda qs: batches.append(qs) or g2_lines(qs))
+    monkeypatch.setattr(bn254, "_tangent_step", lambda t: steps.append(t) or tangent(t))
+    monkeypatch.setattr(bn254, "_chord_step", lambda t, q: steps.append(t) or chord(t, q))
     for sizes in ((1, 1, 5), (1,)):
         batches.clear()
+        steps.clear()
         ok, counts = scheme.tk_verify(par, pk_s, pk_n, p.m, sigma, p.tk)
         assert ok and counts.pairing_pairs == 8
-        assert batches == [size for size in sizes for _ in range(88)]
+        assert [len(qs) for qs in batches] == list(sizes) and len(steps) == 88 * sum(sizes)
+    fs_fn = scheme.waters_product(p.pk_s, p.pk_n, derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma))
+    assert batches == [[fs_fn.value]]
 
 
 def test_tk_verify_computes_each_key_miller_value_once(mock_pipeline, monkeypatch):
