@@ -356,8 +356,9 @@ def _all_in_g2(pts) -> bool:
 
 
 # The products of powers an element meets before it keeps a comb table.
-# A G2 table costs about what 8 comb terms save over GLS ones; a G1 table less,
-# and a GT table (224 cyclotomic squarings, 247 products) what 6 or 7 save.
+# A G2 table (240 doublings, 494 additions) costs about what 6 lone comb terms
+# save over GLS ones, or 15 beside a split term; a G1 table what 4 lone terms
+# save, and a GT table (240 cyclotomic squarings, 494 products) what 10 save.
 # A key's Waters bases keep their nibble table from the same count of
 # evaluations (``scheme.WatersBases``).
 COMB_USES = 8

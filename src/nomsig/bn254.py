@@ -33,15 +33,16 @@ Every exponentiation runs the one double-and-add loop ``curve.ladder``:
     and ``gt_pow_gls`` split it in four with the Frobenius; like ``glv_mul``
     they run a product of powers as one ladder over ``curve.split_table``;
   - an element of G1, G2 or GT raised to many powers keeps a Lim-Lee comb
-    of 8 teeth (``curve.comb``, ``g2_comb`` and ``gt_comb``, all
-    ``curve.comb_table``), a kept ``curve.split_table`` table: a comb
-    term's parts are k's eight 32-bit pieces, so it joins the product's
-    columns beside its split terms (``glv_mul``, ``g2_mul_gls``,
-    ``gt_pow_gls``), and ``g2_comb_powers`` steps a batch of powers of one
-    point over its comb together, one batched doubling and one batched
-    addition per row; the backend gives an element a comb at its 8th
-    product, or at once for keygen's batch of powers of g2, so a key's
-    e(g^-1, h) in GT keeps one from the confirm and disavow proofs;
+    of 16 teeth (``curve.comb``, ``g2_comb`` and ``gt_comb``, all
+    ``curve.comb_table``), two kept ``curve.split_table`` tables of 8
+    teeth each: a comb term's parts are k's sixteen 16-bit pieces, so it
+    joins the product's 16 columns beside its split terms (``glv_mul``,
+    ``g2_mul_gls``, ``gt_pow_gls``), and ``g2_comb_powers`` steps a batch
+    of powers of one point over its comb together, one batched doubling
+    and one batched addition per table per row; the backend gives an
+    element a comb at its 8th product, or at once for keygen's batch of
+    powers of g2, so a key's e(g^-1, h) in GT keeps one from the confirm
+    and disavow proofs;
   - ``g2_mul`` and ``f12_cyc_pow`` (width-4 signed digits over pt, 3pt,
     5pt, 7pt or a, a^3, a^5, a^7) take any twist point or cyclotomic
     element and any scalar, for the subgroup tests, cofactor clearing, the
@@ -842,25 +843,28 @@ def g2_mul_base(k):
 
 
 def g2_comb(pt):
-    """The Lim-Lee comb of a finite point of G2 (``curve.comb_table``): one batched chord call per spoke."""
+    """The Lim-Lee comb of a finite point of G2 (``curve.comb_table``): one batched chord call per spoke of a table."""
     return curve.comb_table(pt, _jac_double_f2, _jac_madd_f2, _batch_to_affine_f2, _g2_add_all)
 
 
 def g2_comb_powers(comb, ks):
     """[k * pt for k in ks] over the comb of pt, None where k = 0 mod N, by one lockstep comb ladder.
 
-    Every k takes the 32 bit columns of its ``curve.comb_pieces``, fewer if
+    Every k takes the 16 bit columns of its ``curve.comb_pieces``, fewer if
     every k is short. Each step is one batched affine doubling of every
-    power and one batched addition of each power's comb entry: two
-    ``_g2_add_all`` calls for all of ks. A power costs at most 32 doublings and 32
-    additions (``g2_mul_gls``: about 64 of each, after a 16-entry table).
+    power and one batched addition of each power's entry of each of the
+    comb's two tables: three ``_g2_add_all`` calls for all of ks. A power
+    costs at most 16 doublings and 32 additions (``g2_mul_gls``: about 64
+    of each, after a 16-entry table); a k below 2^128 adds no high entry.
     """
+    low, high = comb
     cols = [curve.columns(curve.comb_pieces(k % N)) for k in ks]
     rows = max(map(len, cols), default=0)
     accs = [None] * len(ks)
     for row in zip(*([0] * (rows - len(c)) + c for c in cols)):
         accs = _g2_add_all([(a, a) for a in accs])
-        accs = _g2_add_all([(a, comb[c]) for a, c in zip(accs, row)])
+        accs = _g2_add_all([(a, low[c & 255]) for a, c in zip(accs, row)])
+        accs = _g2_add_all([(a, high[c >> 8]) for a, c in zip(accs, row)])
     return accs
 
 

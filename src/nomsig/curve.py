@@ -15,11 +15,13 @@ endomorphism: in two for ``glv_mul``, with (x, y) -> (beta*x, y)
 list of pairs in one call, as do the pairwise trees of ``sums``.
 
 A point that is raised to many powers can keep a Lim-Lee comb (CRYPTO '94,
-``comb_table``): with k = sum_i k_i 2^(32i) in its eight 32-bit pieces
-(``comb_pieces``), k * pt is 32 doublings and at most 32 additions of table
-entries. A comb is a kept ``split_table`` table: a comb term's parts are
-its pieces, so it joins the columns of a product's one ladder beside the
-split terms. The same code serves G1 here and G2 and GT in ``bn254``, where
+``comb_table``): with k = sum_i k_i 2^(16i) in its sixteen 16-bit pieces
+(``comb_pieces``), k * pt is 16 doublings and at most 32 additions of
+entries of two 256-entry tables, one over the spokes of bits 0-127 and one
+over those of bits 128-255; a k below 2^128 reads the low table alone. A
+comb is two kept ``split_table`` tables: a comb term's parts are its
+pieces, so it joins the columns of a product's one ladder beside the split
+terms. The same code serves G1 here and G2 and GT in ``bn254``, where
 ``g2_comb_powers`` steps many powers over one comb together.
 """
 
@@ -27,8 +29,8 @@ from collections import namedtuple
 from functools import partial
 from itertools import accumulate
 
-COMB_TEETH = 8
-COMB_ROWS = 32  # 8 teeth of 32 rows: any scalar below 2^256
+COMB_TEETH = 16
+COMB_ROWS = 16  # 16 teeth of 16 rows: any scalar below 2^256, in two tables of 8 teeth
 
 
 def jac_double(p, q):
@@ -152,17 +154,19 @@ def ladder(acc, steps, table, double, add):
 
 
 def comb_table(pt, double, madd, to_affine_all, add_all):
-    """The Lim-Lee comb of the affine point pt: the 256 subset sums of its spokes 2^(32i) * pt, i < 8.
+    """The Lim-Lee comb of the affine point pt: the 256 subset sums of its spokes 2^(16i) * pt, i < 8, and of i = 8 .. 15.
 
-    The spokes take 224 Jacobian doublings and one ``to_affine_all`` call;
-    the sums take one ``add_all`` call per spoke. Entry 0 is None. A group
-    with no projective form (GT in ``bn254``) passes a ``madd`` that takes
-    None for the identity and an identity ``to_affine_all``.
+    The spokes take 240 Jacobian doublings and one ``to_affine_all`` call;
+    the sums take one ``add_all`` call per spoke of a half, 494 additions
+    in 8 calls. Entry 0 of each table is None. A group with no projective
+    form (GT in ``bn254``) passes a ``madd`` that takes None for the
+    identity and an identity ``to_affine_all``.
     """
     spokes = [madd(None, pt)]
     for _ in range(COMB_TEETH - 1):  # a ladder of zero steps only doubles
         spokes.append(ladder(spokes[-1], [0] * COMB_ROWS, None, double, madd))
-    return subset_sums([to_affine_all(spokes)], add_all)[0]
+    spokes = to_affine_all(spokes)
+    return subset_sums([spokes[: COMB_TEETH // 2], spokes[COMB_TEETH // 2 :]], add_all)
 
 
 def comb(p, pt):
@@ -172,7 +176,7 @@ def comb(p, pt):
 
 
 def comb_pieces(k):
-    """The eight 32-bit pieces k_i of 0 <= k < 2^256, k = sum_i k_i 2^(32i): a comb term's parts."""
+    """The sixteen 16-bit pieces k_i of 0 <= k < 2^256, k = sum_i k_i 2^(16i): a comb term's parts."""
     mask = (1 << COMB_ROWS) - 1
     return [k >> COMB_ROWS * i & mask for i in range(COMB_TEETH)]
 
@@ -223,9 +227,10 @@ def split_table(terms, lat, endo, neg, add_all, combs=()):
     Each k splits in d = len(lat.basis) parts over x and its images under
     endo, each negated (neg) where its part is negative, and each term keeps
     the 2^d subset sums of its d bases. A (comb of x, k) term in combs, with
-    0 <= k < 2^256, has its ``comb_pieces`` for parts and its comb for table.
-    A nonzero column, one bit of every part, maps to the ``sums`` of the
-    entries it selects, at most one per term.
+    0 <= k < 2^256, has its ``comb_pieces`` for parts and its comb's two
+    tables, each indexed by 8 pieces. A nonzero column, one bit of every
+    part, maps to the ``sums`` of the entries it selects, at most one per
+    table: a lone comb term with k < 2^128 selects one and needs no sum.
     """
     d = len(lat.basis)
     bases, parts = [], []
@@ -237,12 +242,12 @@ def split_table(terms, lat, endo, neg, add_all, combs=()):
             bases.append(x if c >= 0 else neg(x))
             parts.append(abs(c))
     tables = subset_sums([bases[i : i + d] for i in range(0, len(bases), d)], add_all)
-    widths = [d] * len(tables) + [COMB_TEETH] * len(combs)
-    tables += [comb for comb, _ in combs]
+    widths = [d] * len(tables) + [COMB_TEETH // 2] * (2 * len(combs))
+    tables += [table for comb, _ in combs for table in comb]
     parts += [piece for _, k in combs for piece in comb_pieces(k)]
     cols, shifts = columns(parts), [0, *accumulate(widths)]
     keys = [c for c in set(cols) if c]
-    # a column's bits shifts[j] .. shifts[j] + widths[j] - 1 index term j's table
+    # a column's bits shifts[j] .. shifts[j] + widths[j] - 1 index table j
     entries = [[t[i] for t, at, w in zip(tables, shifts, widths) if (i := c >> at & (1 << w) - 1)] for c in keys]
     return cols, dict(zip(keys, sums(entries, add_all)))
 

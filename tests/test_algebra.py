@@ -349,7 +349,8 @@ def test_multi_exp_follows_the_mock_exponents(group, terms):
 # Comb tables of held elements
 # ---------------------------------------------------------------------------
 
-COMB_EDGES = [0, 1, N - 1, N, N + 1, -1, 2**256 - 1]
+# the ends of a 16-bit piece and of the low table (bits 0-127), the top bit and every reduction mod N
+COMB_EDGES = [0, 1, N - 1, N, N + 1, -1, 2**256 - 1, 2**16 - 1, 2**16, 2**128 - 1, 2**128, 2**255]
 
 
 def _plain(b, terms):
@@ -415,7 +416,7 @@ def test_comb_table_is_written_once_at_the_nth_use(group, monkeypatch):
         assert (x**uses if uses % 2 else b.multi_exp([(x, uses), (y, 3)])) is not None
         assert x.comb == uses and builds == []
     got = x**11
-    assert builds == [x.value] and isinstance(x.comb, list) and len(x.comb) == 256
+    assert builds == [x.value] and isinstance(x.comb, list) and [len(t) for t in x.comb] == [256, 256]
     table = x.comb
     for k in (2, N - 1, 2**256 - 1):
         b.multi_exp([(x, k), (x, k + 1)])
@@ -461,6 +462,27 @@ def test_a_product_with_comb_terms_is_one_split_table_and_one_ladder(group, comb
     monkeypatch.setattr(curve, "ladder", walk)
     assert b.multi_exp(terms) == want
     assert len(tables) == len(walks) == 1 and 0 < len(adds) <= walks[0], (len(adds), walks)
+
+
+@pytest.mark.parametrize("group", ["G1", "G2", "GT"])
+def test_a_lone_comb_term_below_2_128_makes_no_column_sum(group, monkeypatch):
+    # each column of a lone comb term selects one entry of each table it reads; below 2^128 it reads
+    # only the low table, so no column takes a sum and the group adder is never called
+    b = RealBackend()
+    x = getattr(b, group.lower())() ** 987654321
+    b.comb_of(x, now=True)
+    module, name = {"G1": (curve, "add_all"), "G2": (bn254, "_g2_add_all"), "GT": (bn254, "f12_mul_all")}[group]
+    add_all, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(len(args[-1])) or add_all(*args))
+    for k in (1, 2**16 - 1, 2**16, 2**128 - 1, 2**128, random.Random(34).randrange(2**128)):
+        calls.clear()
+        got = b.multi_exp([(x, k)])
+        assert calls == [], (k, calls)
+        assert got.value == _plain(b, [(x, k)])
+    # one column selects both tables' entry 1: one sum of one pair
+    calls.clear()
+    b.multi_exp([(x, 2**128 + 1)])
+    assert calls == [1]
 
 
 CODEC_REFUSALS = [

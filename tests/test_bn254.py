@@ -602,9 +602,11 @@ def test_g2_mul_matches_binary_ladder(monkeypatch):
     assert met == {"equal", "opposite"}
 
 
-# Comb edges: the pieces' ends (2^32 - 1, 2^32), the top tooth (2^224, 2^253), the
-# widest scalar and every reduction mod N; 0 between nonzero scalars keeps its None.
-COMB_SCALARS = [0, 1, 2, N - 1, N, N + 1, -1, 2**32 - 1, 2**32, 0, 2**224, 2**253, 2**254 - 1]
+# Comb edges: the pieces' ends (2^16 - 1, 2^16, 2^32 - 1, 2^32), the low table's end
+# (2^128 - 1, 2^128), the top teeth (2^224, 2^240, 2^253), the widest scalar and every
+# reduction mod N; 0 between nonzero scalars keeps its None.
+COMB_SCALARS = [0, 1, 2, N - 1, N, N + 1, -1, 2**32 - 1, 2**32, 0, 2**224, 2**253, 2**254 - 1,
+                2**16 - 1, 2**16, 2**128 - 1, 2**128, 2**240]
 
 
 def test_g2_comb_matches_gls_and_binary_ladder():
@@ -619,17 +621,24 @@ def test_g2_comb_matches_gls_and_binary_ladder():
     assert g2_comb_powers(comb, [0, N]) == [None, None]
 
 
-@pytest.mark.parametrize("count", [1, 300])
-def test_g2_comb_powers_step_every_ladder_together(count, monkeypatch):
-    # one batched doubling and one batched addition per comb row, whatever the number of powers
+@pytest.mark.parametrize("count, top", [(1, N), (300, N), (20, 2**128)], ids=["1", "300", "20-below-2^128"])
+def test_g2_comb_powers_step_every_ladder_together(count, top, monkeypatch):
+    # per comb row, one batched doubling, then one batched addition of an entry of the low table and
+    # one of the high table, whatever the number of powers; top - 1 has a piece of 16 bits, so 16 rows,
+    # and powers below 2^128 add no entry of the high table
     draws = random.Random(1325)
     comb = g2_comb(G2_GEN)
-    ks = [draws.randrange(N) for _ in range(count)]
+    low, high = ({id(e) for e in table} for table in comb)
+    ks = [top - 1] + [draws.randrange(top) for _ in range(count - 1)]
     calls = []
     add_all = bn254._g2_add_all
-    monkeypatch.setattr(bn254, "_g2_add_all", lambda pairs: calls.append(len(pairs)) or add_all(pairs))
+    monkeypatch.setattr(bn254, "_g2_add_all", lambda pairs: calls.append(pairs) or add_all(pairs))
     got = g2_comb_powers(comb, ks)
-    assert len(calls) <= 2 * curve.COMB_ROWS and set(calls) == {count}
+    assert len(calls) == 3 * curve.COMB_ROWS == 48 and {len(pairs) for pairs in calls} == {count}
+    assert all(a is b for pairs in calls[0::3] for a, b in pairs)
+    for adds, table in ((calls[1::3], low), (calls[2::3], high)):
+        entries = [b for pairs in adds for _, b in pairs if b is not None]
+        assert all(id(b) in table for b in entries) and bool(entries) == (table is low or top > 2**128)
     monkeypatch.undo()
     assert got == [g2_mul_base(k) for k in ks]
 

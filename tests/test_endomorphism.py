@@ -117,12 +117,13 @@ def test_gt_pow_gls_matches_f12_cyc_pow():
 
 def test_gt_pow_gls_with_comb_terms_matches_f12_cyc_pow():
     # comb terms alone, two together and beside a split term, against one f12_cyc_pow per term; a comb
-    # term's k is not reduced, so 2^255 > N takes all eight pieces
+    # term's k is not reduced, so 2^255 > N takes all sixteen pieces, the high table's among them
     draws = random.Random(1408)
     e = bn254.pairing(G1_GEN, G2_GEN)
     a, b = f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)
     ca, cb = bn254.gt_comb(a), bn254.gt_comb(b)
-    assert len(ca) == 256 and ca[0] is None and ca[1] == a
+    assert [len(t) for t in ca] == [256, 256] and ca[0][0] is ca[1][0] is None
+    assert ca[0][1] == a and ca[1][1] == f12_cyc_pow(a, 2**128)
     for k in (0, 1, N - 1, 2**255, draws.randrange(N)):
         other = draws.randrange(N)
         assert bn254.gt_pow_gls([], [(ca, k)]) == f12_cyc_pow(a, k)
