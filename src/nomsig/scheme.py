@@ -425,17 +425,23 @@ def _check(par: PublicParams, relations: list, tag: bytes = b"", *parts: bytes) 
 
     Relation i is raised to c_i, where (c_1, ..., c_{n-1}, 1) are the
     ``_batch_coefficients`` of the tag and parts, so only the last may hold
-    Miller values. A term's written G1 element is raised to sign * c_i, not
-    a fresh inverse to c_i, so an element that keeps a comb enters by it.
+    Miller values. ``pairs_by_smaller_side`` groups the terms by the side
+    with fewer distinct elements, and the other side takes sign * c_i: the
+    G1 side when grouped by G2 element (``tk_verify``, ``convert``), the G2
+    side when grouped by G1 element (``receive``, whose d1 and g1 each meet
+    two G2 elements). Either way a term's written element is raised, not a
+    fresh inverse, so an element that keeps a comb enters by it.
 
     Soundness (small-exponent batching, Bellare-Garay-Rabin, EUROCRYPT 1998):
     G1 has cofactor 1 and every G2 input was checked to lie in G2 when it was
     decoded (a public key's points by one batched test that errs with
     probability below 2^-132, ``bn254.g2_all_in_subgroup``), so each
     relation's value E_i lies in the order-N subgroup of GT, where the
-    coefficients act as exponents. prod E_i^c_i = 1 cannot hold if E_n is
-    the only error, and if E_i != 1 for some i < n it fixes c_i given the
-    other coefficients; a hash-derived 128-bit coefficient hits that one
+    coefficients act as exponents. The side that takes c_i does not change
+    the value checked: e(a^k, b) = e(a, b^k) = e(a, b)^k, so the pairs
+    multiply to prod E_i^c_i either way. prod E_i^c_i = 1 cannot hold if
+    E_n is the only error, and if E_i != 1 for some i < n it fixes c_i given
+    the other coefficients; a hash-derived 128-bit coefficient hits that one
     value with probability about 2^-128.
     """
     terms, held = [], []
@@ -443,27 +449,35 @@ def _check(par: PublicParams, relations: list, tag: bytes = b"", *parts: bytes) 
         assert c == 1 or not h, "a held Miller value cannot be raised to a coefficient"
         held += h
         terms += [(a, sign * c, b) for a, sign, b in rel]
-    pairs, powers = pairs_by_g2(par.backend, terms)
+    pairs, powers = pairs_by_smaller_side(par.backend, terms)
     return par.backend.pairing_check(pairs, held), sum(len(t) + len(h) for t, h in relations), powers
 
 
-def pairs_by_g2(backend: Backend, terms) -> tuple[list, int]:
+def pairs_by_smaller_side(backend: Backend, terms) -> tuple[list, int]:
     """(G1, G2) pairs whose pairings multiply to prod e(a, b)^k over (a, k, b) terms, and the powers they took.
 
-    By bilinearity the terms that share b take one ``multi_exp`` of their a's
-    (a lone a^(+-1) takes none), so each distinct G2 element is one pair.
+    By bilinearity the terms that share an element of one side take one
+    pair, whose other side is the product of their elements there raised to
+    their k: exponents +-1 by the group operation, the rest by one
+    ``multi_exp``, whose terms are the powers taken. The terms share their G1
+    elements when those are strictly fewer than their G2 elements, and their
+    G2 elements otherwise, so each distinct element of the smaller side is
+    one pair, and a pair's lone element of exponent 1 is the term's own.
     """
-    by_g2 = {}
+    by_g1 = len({a for a, _, _ in terms}) < len({b for _, _, b in terms})
+    groups = {}
     for a, k, b in terms:
-        by_g2.setdefault(b, []).append((a, k))
+        key, x = (a, b) if by_g1 else (b, a)
+        groups.setdefault(key, []).append((x, k))
     pairs, powers = [], 0
-    for b, ts in by_g2.items():
-        if len(ts) == 1 and ts[0][1] in (1, -1):
-            a, k = ts[0]
-            pairs.append((a if k == 1 else ~a, b))
-        else:
-            pairs.append((backend.multi_exp(ts), b))
-            powers += len(ts)
+    for key, ts in groups.items():
+        side = [x if k == 1 else ~x for x, k in ts if k in (1, -1)]
+        rest = [(x, k) for x, k in ts if k not in (1, -1)]
+        if rest:
+            side.append(backend.multi_exp(rest))
+            powers += len(rest)
+        side = side[0] if len(side) == 1 else backend.product(side)
+        pairs.append((key, side) if by_g1 else (side, key))
     return pairs, powers
 
 

@@ -61,7 +61,7 @@ from .scheme import (
     PublicParams,
     SignerPublicKey,
     derive_values,
-    pairs_by_g2,
+    pairs_by_smaller_side,
     waters_product,
 )
 
@@ -221,7 +221,8 @@ def power_product(s: ConfirmStatement, terms) -> GroupElem:
 
     Elements take one ``multi_exp``. A named value enters by bilinearity,
     e(a, b)^k = e(a^k, b) over its ``form``: its pairs join one pairing
-    product (``pairs_by_g2``), and its held GT values the elements' product.
+    product (``pairs_by_smaller_side``), and its held GT values the
+    elements' product.
     """
     b = s.backend
     powers, elems = [], []
@@ -234,7 +235,7 @@ def power_product(s: ConfirmStatement, terms) -> GroupElem:
         elems += [(h, k) for h in held]
     out = []
     if powers:
-        out.append(b.pairing_product(pairs_by_g2(b, powers)[0]))
+        out.append(b.pairing_product(pairs_by_smaller_side(b, powers)[0]))
     if elems:
         out.append(b.multi_exp(elems))
     return b.product(out)

@@ -318,13 +318,13 @@ def test_scalar_mult_tally_follows_the_exponentiations(mock_pipeline, monkeypatc
     assert ok and counts.scalar_mults == len(groups) == 6
 
 
-def test_receive_makes_five_g1_and_six_g2_exponentiations(mock_pipeline, monkeypatch):
-    # the batched check's d1^c and g1^-c, then s1 (two terms), s2, M_N (two terms) and s3 (four terms)
+def test_receive_makes_three_g1_and_eight_g2_exponentiations(mock_pipeline, monkeypatch):
+    # the batched check's g2^c and d2^-c, then s1 (two terms), s2, M_N (two terms) and s3 (four terms)
     p = mock_pipeline
     groups = _exponentiations(monkeypatch)
     sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, p.sk_n, random.Random(1))
     assert sigma is not None
-    assert sorted(groups) == ["G1"] * 5 + ["G2"] * 6
+    assert sorted(groups) == ["G1"] * 3 + ["G2"] * 8
 
 
 def _deltas(p):
@@ -369,12 +369,14 @@ def test_delta_checks_take_one_final_exponentiation_on_accept(real_pipeline, mon
         calls.clear()
         assert delta_checks(p.par, p.pk_s, p.pk_n, p.m, delta) == verdicts
         assert len(calls) == (1 if verdicts == (True, True) else 3)
-    batches = []
-    g2_lines = bn254.g2_lines
+    batches, evaluated = [], []
+    g2_lines, miller_eval = bn254.g2_lines, bn254.miller_eval
     monkeypatch.setattr(bn254, "g2_lines", lambda qs: batches.append(len(qs)) or g2_lines(qs))
+    monkeypatch.setattr(bn254, "miller_eval", lambda pairs: evaluated.append(len(pairs)) or miller_eval(pairs))
     calls.clear()
     assert delta_checks(p.par, p.pk_s, p.pk_n, p.m, fresh(p.delta)) == (True, True)
-    assert len(calls) == 1 and batches == [3]  # the lines of F_S, d3 and d2 in one batch; g2 keeps its own
+    # two Miller pairs, (d1, F_S^-1 g2^c) and (g1, d3 d2^-c), whose G2 sides are walked in one batch
+    assert len(calls) == 1 and batches == [2] and evaluated == [2]
 
 
 def test_second_tk_verify_computes_only_the_new_lines(real_pipeline, monkeypatch):
@@ -485,17 +487,66 @@ def test_each_tamper_fails_exactly_its_relations(mock_pipeline, real_pipeline, b
 
 @pytest.mark.parametrize("backend", [MockBackend, RealBackend], ids=["mock", "bn254"])
 def test_each_check_evaluates_its_pairs_and_held_values(mock_pipeline, real_pipeline, backend, monkeypatch):
-    # tk_verify: 5 pairs for its 8 priced ones and both keys' held values; receive on accept: (C) and (W)
-    # in one batch, 4 pairs and the signer key's; convert: (3) alone, 2 pairs and both keys'
+    # tk_verify: 5 pairs (6 G1 against 5 G2 elements, grouped by G2) for its 8 priced ones and both keys'
+    # held values; receive on accept: (C) and (W) in one batch, 2 pairs (2 G1 against 4 G2 elements,
+    # grouped by G1) and the signer key's; convert: (3) alone, 2 pairs (a tie, grouped by G2) and both keys'
     p = mock_pipeline if backend is MockBackend else real_pipeline
     seen = []
     product = backend.pairing_product_values
     monkeypatch.setattr(backend, "pairing_product_values",
                         lambda self, pairs, held: seen.append((len(pairs), len(held))) or product(self, pairs, held))
-    assert p.verify()[0]
+    ok, counts = p.verify()
+    assert ok and counts.pairing_pairs == 8 and counts.scalar_mults == 6
     sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, p.sk_n, random.Random(3))
     assert sigma is not None and scheme.convert(p.par, p.pk_s, p.pk_n, p.m, sigma, p.sk_n) is not None
-    assert seen == [(5, 2), (4, 1), (2, 2)]
+    assert seen == [(5, 2), (2, 1), (2, 2)]
+
+
+def _grouping_cases(p):
+    """(terms, the group whose elements key the pairs) for ``pairs_by_smaller_side``."""
+    b = p.par.backend
+    rng = random.Random(43)
+
+    def k():  # neither 1 nor -1
+        return rng.randrange(2, p.par.order - 1)
+
+    a1, a2, a3 = (p.par.g1 ** k() for _ in range(3))
+    b1, b2, b3 = (p.par.g2 ** k() for _ in range(3))
+    o1, o2 = b.identity("G1"), b.identity("G2")
+    return [
+        # repeated G1 elements, 2 against 3, each beside an exponent -1 or 1
+        ([(a1, k(), b1), (a1, -1, b2), (a2, 1, b3), (a2, k(), b1)], "G1"),
+        # receive's batch: d1 and g1 against g2, d2, F_S and d3
+        ([(a1, k(), p.par.g2), (p.par.g1, k(), b2), (a1, -1, b3), (p.par.g1, 1, b1)], "G1"),
+        # repeated G2 elements, 3 against 2
+        ([(a1, k(), b1), (a2, 1, b1), (a3, -1, b2), (a1, k(), b2)], "G2"),
+        # a tie, 2 against 2, with lone exponents 1 and -1
+        ([(a1, 1, b1), (a2, -1, b2)], "G2"),
+        # a tie, 1 against 1, whose G1 side is the identity
+        ([(a1, 1, b1), (a1, -1, b1)], "G2"),
+        # the identity on either side, grouped by G1 and by G2
+        ([(o1, k(), b1), (a1, 1, o2), (a1, k(), b2)], "G1"),
+        ([(a1, k(), o2), (a2, -1, o2), (o1, 1, b1)], "G2"),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["mock", "bn254"])
+def test_pairs_by_smaller_side_match_one_pairing_per_term(mock_pipeline, real_pipeline, backend):
+    # the pairs multiply to prod e(a, b)^k taken one term per pair, one pair per distinct element of the
+    # side with strictly fewer (G2 on a tie); exponents +-1 take no power, and a lone exponent 1 keeps
+    # the term's own element, so its lines or comb
+    p = mock_pipeline if backend == "mock" else real_pipeline
+    b = p.par.backend
+    for terms, by in _grouping_cases(p):
+        pairs, powers = scheme.pairs_by_smaller_side(b, terms)
+        side = 0 if by == "G1" else 1
+        assert [pair[side] for pair in pairs] == list(dict.fromkeys(t[2 * side] for t in terms)), terms
+        assert powers == sum(k not in (1, -1) for _, k, _ in terms)
+        assert b.pairing_product(pairs) == b.product([b.pairing(a, x) ** k for a, k, x in terms])
+        for pair in pairs:
+            mine = [t for t in terms if t[2 * side] == pair[side]]
+            if len(mine) == 1 and mine[0][1] == 1:
+                assert pair[1 - side] is mine[0][2 - 2 * side]
 
 
 @pytest.mark.parametrize("backend", ["mock", "bn254"])
@@ -508,7 +559,8 @@ def test_op_counts_are_the_priced_pairs_the_additions_and_the_powers(mock_pipeli
 
 def test_coefficients_raise_the_written_elements(mock_pipeline, monkeypatch):
     # c1 and c2 are the two halves of one SHA-256 digest under TK_BATCH_TAG, c those of DELTA_BATCH_TAG;
-    # tk1 is raised to -c1 and g1 to -c, not their inverses to c1 and c
+    # tk1 is raised to -c1 and d2 to -c, not their inverses to c1 and c; receive's terms group by G1, so
+    # its G2 side, g2 and d2, takes the coefficient
     p = mock_pipeline
     powers = []
     multi_exp = MockBackend.multi_exp
@@ -530,7 +582,7 @@ def test_coefficients_raise_the_written_elements(mock_pipeline, monkeypatch):
     c, _ = halves(scheme.DELTA_BATCH_TAG, p.pk_s.to_bytes(), p.pk_n.to_bytes(), p.m, d.d1.to_bytes(),
                   d.d2.to_bytes(), d.d3.to_bytes())
     assert delta_checks(p.par, p.pk_s, p.pk_n, p.m, d) == (True, True)
-    assert powers == [[(d.d1, c)], [(p.par.g1, -c)]] and powers[1][0][0] is p.par.g1
+    assert powers == [[(p.par.g2, c)], [(d.d2, -c)]] and powers[0][0][0] is p.par.g2 and powers[1][0][0] is d.d2
 
 
 def test_repeated_tk_verify_gives_sigma_and_token_a_comb(real_pipeline):
