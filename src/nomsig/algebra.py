@@ -380,6 +380,19 @@ def kept(holder, slot, build, now=False):
     return table
 
 
+def held_for(holder, slot, partner, build):
+    """The value holder keeps in slot for partner, built by build() unless partner is the one it was last built for.
+
+    The slot holds (partner, value), or None. Partners are compared by
+    identity, never by hashing their points; another one replaces the last.
+    """
+    last = getattr(holder, slot)
+    if last is None or last[0] is not partner:
+        last = (partner, build())
+        object.__setattr__(holder, slot, last)
+    return last[1]
+
+
 @functools.cache
 def _gt_gen():
     return bn254.pairing(bn254.G1_GEN, bn254.G2_GEN)

@@ -41,6 +41,7 @@ from .algebra import (
     get_backend,
     hash_h1,
     hash_h2,
+    held_for,
     kept,
 )
 
@@ -113,14 +114,16 @@ class SignerPublicKey:
     def miller(self):  # once per key: the Miller value of e(gS^-1, hS), a held value of pairing_product
         return self.gS.backend.miller_value(~self.gS, self.hS)
 
-    @cached_property
-    def K(self):  # once per key: e(gS^-1, hS) in GT, the final exponentiation of miller
-        return self.gS.backend.pairing_product([], [self.miller])
-
 
 @dataclass(frozen=True)
 class SignerSecretKey:
     alphaS: int
+
+    h = None  # (pk_s, hS^alphaS), ``held_for``
+
+    def H(self, pk_s: SignerPublicKey) -> GroupElem:
+        """H_S = hS^alphaS, the Waters signing key of pk_s, kept for the pk_s object it was last used with."""
+        return held_for(self, "h", pk_s, lambda: pk_s.hS**self.alphaS)
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,11 @@ class NomineePublicKey:
     def miller(self):  # once per key: the Miller value of e(gN^-1, hN), a held value of pairing_product
         return self.gN.backend.miller_value(~self.gN, self.hN)
 
-    @cached_property
-    def K(self):  # once per key: e(gN^-1, hN) in GT, the final exponentiation of miller
-        return self.gN.backend.pairing_product([], [self.miller])
+    pair = None  # (pk_s, K), ``held_for``
+
+    def pair_K(self, pk_s: SignerPublicKey) -> GroupElem:
+        """K = e(gS^-1, hS) e(gN^-1, hN) in GT, one final exponentiation of both keys' ``miller``, kept for pk_s."""
+        return held_for(self, "pair", pk_s, lambda: self.gN.backend.pairing_product([], [pk_s.miller, self.miller]))
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,12 @@ class NomineeSecretKey:
     vPrime: tuple[int, ...]
     y1: int
     y2: int
+
+    h = None  # (pk_n, hN^alphaN), ``held_for``
+
+    def H(self, pk_n: NomineePublicKey) -> GroupElem:
+        """H_N = hN^alphaN for pk_n, kept for the pk_n object it was last used with."""
+        return held_for(self, "h", pk_n, lambda: pk_n.hN**self.alphaN)
 
 
 @dataclass(frozen=True)
@@ -297,11 +308,7 @@ def sign(
 ) -> DeltaMsg:
     r = par.backend.random_scalar(rng)
     fs = waters_eval(pk_s.u, _ms_bits(pk_n, m))
-    return DeltaMsg(
-        d1=par.g1**r,
-        d2=par.g2**r,
-        d3=par.backend.multi_exp([(pk_s.hS, sk_s.alphaS), (fs, r)]),
-    )
+    return DeltaMsg(d1=par.g1**r, d2=par.g2**r, d3=sk_s.H(pk_s) * fs**r)
 
 
 def delta_checks(
@@ -354,7 +361,7 @@ def receive(
         if bit(mn_bits, i):
             expo += sk_n.vPrime[i]
     # d3' hN^alphaN d2'^expo
-    s3 = delta.d3 * b.multi_exp([(fs, r_prime), (pk_n.hN, sk_n.alphaN), (delta.d2, expo), (par.g2, r_prime * expo)])
+    s3 = delta.d3 * sk_n.H(pk_n) * b.multi_exp([(fs, r_prime), (delta.d2, expo), (par.g2, r_prime * expo)])
     return NomSignature(s1=s1, s2=s2, s3=s3, s=s)
 
 
@@ -430,7 +437,10 @@ def _check(par: PublicParams, relations: list, tag: bytes = b"", *parts: bytes) 
     G1 side when grouped by G2 element (``tk_verify``, ``convert``), the G2
     side when grouped by G1 element (``receive``, whose d1 and g1 each meet
     two G2 elements). Either way a term's written element is raised, not a
-    fresh inverse, so an element that keeps a comb enters by it.
+    fresh inverse, so an element that keeps a comb enters by it. A side whose
+    exponents are all negative is the inverted result of the positive powers:
+    tk1^-c1 is (tk1^c1)^-1 and d2^-c is (d2^c)^-1, whose 128-bit exponents
+    read only the low table of a comb, where N - c1 reads both.
 
     Soundness (small-exponent batching, Bellare-Garay-Rabin, EUROCRYPT 1998):
     G1 has cofactor 1 and every G2 input was checked to lie in G2 when it was
@@ -459,10 +469,11 @@ def pairs_by_smaller_side(backend: Backend, terms) -> tuple[list, int]:
     By bilinearity the terms that share an element of one side take one
     pair, whose other side is the product of their elements there raised to
     their k: exponents +-1 by the group operation, the rest by one
-    ``multi_exp``, whose terms are the powers taken. The terms share their G1
-    elements when those are strictly fewer than their G2 elements, and their
-    G2 elements otherwise, so each distinct element of the smaller side is
-    one pair, and a pair's lone element of exponent 1 is the term's own.
+    ``multi_exp``, whose terms are the powers taken (to -k, then inverted,
+    when every k is negative). The terms share their G1 elements when those
+    are strictly fewer than their G2 elements, and their G2 elements
+    otherwise, so each distinct element of the smaller side is one pair, and
+    a pair's lone element of exponent 1 is the term's own.
     """
     by_g1 = len({a for a, _, _ in terms}) < len({b for _, _, b in terms})
     groups = {}
@@ -474,7 +485,9 @@ def pairs_by_smaller_side(backend: Backend, terms) -> tuple[list, int]:
         side = [x if k == 1 else ~x for x, k in ts if k in (1, -1)]
         rest = [(x, k) for x, k in ts if k not in (1, -1)]
         if rest:
-            side.append(backend.multi_exp(rest))
+            neg = all(k < 0 for _, k in rest)
+            power = backend.multi_exp([(x, -k) for x, k in rest] if neg else rest)
+            side.append(~power if neg else power)
             powers += len(rest)
         side = side[0] if len(side) == 1 else backend.product(side)
         pairs.append((key, side) if by_g1 else (side, key))

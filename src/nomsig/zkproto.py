@@ -3,11 +3,12 @@
 Both protocols prove knowledge of the nominee's (y1, y2) relative to the
 public statement (d, e3, e4), with f = F_S(M_S) F_N(M_N):
 
-    d  = e(g1, sigma_3) / (e(gS, hS) e(gN, hN)) = e(g1, sigma_3) K_S K_N
+    d  = e(g1, sigma_3) / (e(gS, hS) e(gN, hN)) = e(g1, sigma_3) K
     e3 = e(sigma_1, f)          e4 = e(sigma_2, f)
 
-where K_S = e(gS^-1, hS) and K_N = e(gN^-1, hN) are the keys' held GT
-values (``K``), one final exponentiation each per key.
+where K = e(gS^-1, hS) e(gN^-1, hN) is the key pair's GT value, which the
+nominee's public key holds for the signer's (``pair_K``): one final
+exponentiation per pair.
 
 Confirm shows d = e3^y1 * e4^y2 (the signature is valid), disavow shows
 the inequality. Each is one sigma protocol over a relation of three rows
@@ -29,15 +30,16 @@ and C = 1.
 The statement keeps the pairing inputs of d, e3 and e4 and computes none
 of them. Row 3 takes their powers by bilinearity (``power_product``):
 
-    d^a e3^b e4^c = e(sigma_1^b sigma_2^c, f) e(g1^a, sigma_3) K_S^a K_N^a
+    d^a e3^b e4^c = e(sigma_1^b sigma_2^c, f) e(g1^a, sigma_3) K^a
 
 one Miller evaluation over at most two pairs and one final exponentiation,
-times one GT product of powers of K_S and K_N, which keep comb tables, and
-of the row's GT elements (C^-c in disavow's check). These are the same GT
+times one GT product of a power of K, which keeps a comb table, and of the
+row's GT elements (C^-c in disavow's check). These are the same GT
 elements as the powers of d, e3 and e4 themselves (Pointcheval-Sanders,
 CT-RSA 2016, take their proofs' GT commitments this way), so every
 message is too. A confirm run makes two final exponentiations (the
-prover's t3, the verifier's check), a disavow run three (t3, C, check).
+prover's t3, the verifier's check), a disavow run three (t3, C, check),
+and the first run over a key pair one more, for K.
 
 Each runs as a four-pass committed-challenge protocol: the verifier
 first Pedersen-commits to its challenge over G2 (base derived by hashing
@@ -100,7 +102,7 @@ class ConfirmStatement:
     def form(self, name: str):
         """The named GT value as ([(a, b), ...], held): the product of e(a, b) over its pairs and of its held GT values."""
         if name == "d":
-            return [(self.g1, self.s3)], [self.pk_s.K, self.pk_n.K]
+            return [(self.g1, self.s3)], [self.pk_n.pair_K(self.pk_s)]
         return [(self.s1 if name == "e3" else self.s2, self.fs_fn)], []
 
     @functools.cached_property

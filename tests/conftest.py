@@ -34,7 +34,7 @@ class Pipeline:
 
 
 def fresh(obj):
-    """A copy of a params, key or sigma object whose group elements are new objects, with no lines kept."""
+    """A copy of a params, key or sigma object whose group elements are new objects: no lines or held values."""
     return dataclasses.replace(obj, **{f.name: GroupElem(v.backend, v.group, v.value) for f in dataclasses.fields(obj)
                                       if isinstance(v := getattr(obj, f.name), GroupElem)})
 

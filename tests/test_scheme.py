@@ -319,12 +319,16 @@ def test_scalar_mult_tally_follows_the_exponentiations(mock_pipeline, monkeypatc
 
 
 def test_receive_makes_three_g1_and_eight_g2_exponentiations(mock_pipeline, monkeypatch):
-    # the batched check's g2^c and d2^-c, then s1 (two terms), s2, M_N (two terms) and s3 (four terms)
+    # the batched check's g2^c and d2^c, then s1 (two terms), s2, M_N (two terms) and s3 (three terms); and
+    # on a secret key's first call the lone hN^alphaN it keeps
     p = mock_pipeline
     groups = _exponentiations(monkeypatch)
-    sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, p.sk_n, random.Random(1))
-    assert sigma is not None
-    assert sorted(groups) == ["G1"] * 3 + ["G2"] * 8
+    sk_n = fresh(p.sk_n)
+    for g2_powers in (8, 7):
+        sigma = scheme.receive(p.par, p.pk_s, p.pk_n, p.m, p.delta, sk_n, random.Random(1))
+        assert sigma is not None
+        assert sorted(groups) == ["G1"] * 3 + ["G2"] * g2_powers
+        groups.clear()
 
 
 def _deltas(p):
@@ -444,28 +448,95 @@ def test_both_keygens_take_their_powers_from_one_comb_of_g2(monkeypatch):
 
 def test_only_held_elements_get_a_comb(real_pipeline, monkeypatch):
     # sessions on one params and key set: the held elements that recur reach the count and keep a
-    # comb, the keys' K in GT among them; d2, F_S and sigma, new in each session, never do
+    # comb, the key pair's K in GT among them; hS and hN, raised once per secret key, d2, F_S and sigma,
+    # new in each session, never do
     p = real_pipeline
-    par, pk_s, pk_n = fresh(p.par), fresh(p.pk_s), fresh(p.pk_n)
+    par, pk_s, pk_n, sk_s, sk_n = fresh(p.par), fresh(p.pk_s), fresh(p.pk_n), fresh(p.sk_s), fresh(p.sk_n)
     built = _spy_comb_builds(monkeypatch)
-    held = [par.g1, par.g2, pk_s.gS, pk_s.hS, pk_n.gN, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2, pk_s.K, pk_n.K,
+    held = [par.g1, par.g2, pk_s.gS, pk_n.gN, pk_n.k, pk_n.x1, pk_n.x2, pk_n.pair_K(pk_s),
             zkproto.pedersen_base(par.backend)]
     rng = random.Random(77)
     per_op = []
     for i in range(COMB_USES + 1):
         m = b"session %d" % i
-        delta = scheme.sign(par, pk_s, pk_n, m, p.sk_s, rng)
-        sigma = scheme.receive(par, pk_s, pk_n, m, delta, p.sk_n, rng)
-        assert sigma is not None and scheme.convert(par, pk_s, pk_n, m, sigma, p.sk_n) is not None
+        delta = scheme.sign(par, pk_s, pk_n, m, sk_s, rng)
+        sigma = scheme.receive(par, pk_s, pk_n, m, delta, sk_n, rng)
+        assert sigma is not None and scheme.convert(par, pk_s, pk_n, m, sigma, sk_n) is not None
         stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
-        assert zkproto.run_confirm(stmt, p.sk_n, rng, rng)[0]
+        assert zkproto.run_confirm(stmt, sk_n, rng, rng)[0]
         per_op += [delta.d2, sigma.s1, sigma.s2, sigma.s3]
         assert all(isinstance(e.comb, int) for e in per_op[-4:])
         per_op.append(scheme.waters_eval(pk_s.u, scheme._ms_bits(pk_n, m)))
-    assert all(isinstance(e.comb, list) for e in (par.g1, par.g2, pk_s.hS, pk_n.hN, pk_n.k, pk_n.x1, pk_n.x2, pk_s.K,
-                                                  pk_n.K))
+    assert all(isinstance(e.comb, list) for e in (par.g1, par.g2, pk_n.k, pk_n.x1, pk_n.x2, pk_n.pair_K(pk_s)))
     assert len(built) == len(set(built)) and set(built) <= {e.value for e in held}
-    assert not {e.value for e in per_op} & set(built)
+    assert not {e.value for e in per_op + [pk_s.hS, pk_n.hN]} & set(built)
+
+
+@pytest.mark.parametrize("backend", ["mock", "bn254"])
+def test_the_pairs_k_is_the_product_of_its_two_one_pair_values(mock_pipeline, real_pipeline, backend):
+    # one final exponentiation of both keys' held Miller values, where each key took its own
+    p = mock_pipeline if backend == "mock" else real_pipeline
+    b, pk_s, pk_n = p.par.backend, fresh(p.pk_s), fresh(p.pk_n)
+    apart = b.pairing_product([], [pk_s.miller]) * b.pairing_product([], [pk_n.miller])
+    assert pk_n.pair_K(pk_s) == apart == b.pairing(~pk_s.gS, pk_s.hS) * b.pairing(~pk_n.gN, pk_n.hN)
+
+
+@pytest.mark.parametrize("backend", ["mock", "bn254"])
+def test_the_pairs_k_is_kept_for_the_signer_key_object(mock_pipeline, real_pipeline, backend):
+    # the same key objects give the same K object; another signer key object, even a copy, gives a new
+    # one, and a copy of the nominee key or of a secret key holds nothing
+    p = mock_pipeline if backend == "mock" else real_pipeline
+    pk_s, pk_n = fresh(p.pk_s), fresh(p.pk_n)
+    K = pk_n.pair_K(pk_s)
+    assert pk_n.pair_K(pk_s) is K
+    copy = fresh(pk_s)
+    assert pk_n.pair_K(copy) is not K and pk_n.pair_K(copy) == K
+    other = dataclasses.replace(pk_s, gS=pk_s.gS * p.par.g1)
+    assert pk_n.pair_K(other) is pk_n.pair_K(other) != K
+    assert pk_n.pair_K(pk_s) is not K and pk_n.pair_K(pk_s) == K
+    sk_s, sk_n = fresh(p.sk_s), fresh(p.sk_n)
+    assert sk_s.H(pk_s) is sk_s.h[1] and sk_n.H(pk_n) is sk_n.h[1]
+    assert fresh(pk_n).pair is fresh(sk_s).h is fresh(sk_n).h is None
+
+
+@pytest.mark.parametrize("backend", ["mock", "bn254"])
+def test_d3_and_s3_equal_the_joint_products(mock_pipeline, real_pipeline, backend):
+    # d3 = H_S F_S^r and s3 = d3 H_N (F_S^r' d2^expo g2^(r' expo)) are the points that one product of
+    # powers with the terms (hS, alphaS) and (hN, alphaN) gives
+    p = mock_pipeline if backend == "mock" else real_pipeline
+    b, par, pk_s, pk_n = p.par.backend, p.par, p.pk_s, p.pk_n
+    for seed in range(3):
+        m = b"joint products %d" % seed
+        fs = waters_eval(pk_s.u, scheme._ms_bits(pk_n, m))
+        delta = scheme.sign(par, pk_s, pk_n, m, p.sk_s, random.Random(seed))
+        r = b.random_scalar(random.Random(seed))
+        assert delta.d3 == b.multi_exp([(pk_s.hS, p.sk_s.alphaS), (fs, r)])
+        sigma = scheme.receive(par, pk_s, pk_n, m, delta, p.sk_n, random.Random(seed + 100))
+        rng = random.Random(seed + 100)
+        _, r_prime, s = (b.random_scalar(rng) for _ in range(3))
+        mn_bits = derive_values(par, pk_s, pk_n, m, sigma).MNbits
+        expo = p.sk_n.vPrime[0] + sum(p.sk_n.vPrime[i] for i in range(1, ELL + 1) if bit(mn_bits, i))
+        assert sigma.s == s and sigma.s3 == delta.d3 * b.multi_exp(
+            [(fs, r_prime), (pk_n.hN, p.sk_n.alphaN), (delta.d2, expo), (par.g2, r_prime * expo)])
+
+
+@pytest.mark.parametrize("backend", [MockBackend, RealBackend], ids=["mock", "bn254"])
+def test_each_secret_key_object_raises_its_h_once(mock_pipeline, real_pipeline, backend, monkeypatch):
+    # sign and receive take H_S = hS^alphaS and H_N = hN^alphaN from the secret key, which raises each
+    # once for its public key; a copy of the secret key raises it again
+    p = mock_pipeline if backend is MockBackend else real_pipeline
+    raised = []
+    multi_exp = backend.multi_exp
+    monkeypatch.setattr(backend, "multi_exp", lambda self, terms: raised.extend(
+        x for x, _ in terms if x is p.pk_s.hS or x is p.pk_n.hN) or multi_exp(self, terms))
+    keys = [(fresh(p.sk_s), fresh(p.sk_n)) for _ in range(2)]
+    for i, (sk_s, sk_n) in enumerate(keys[:1] * 3 + keys[1:]):
+        m = b"held h %d" % i
+        delta = scheme.sign(p.par, p.pk_s, p.pk_n, m, sk_s, random.Random(1))
+        assert scheme.receive(p.par, p.pk_s, p.pk_n, m, delta, sk_n, random.Random(2)) is not None
+    assert len(raised) == 4 and all(x is y for x, y in zip(raised, [p.pk_s.hS, p.pk_n.hN] * 2))
+    assert all(sk_s.H(p.pk_s) == p.pk_s.hS**sk_s.alphaS and sk_n.H(p.pk_n) == p.pk_n.hN**sk_n.alphaN
+               for sk_s, sk_n in keys)
 
 
 @pytest.mark.parametrize("backend", ["mock", "bn254"])
@@ -559,8 +630,8 @@ def test_op_counts_are_the_priced_pairs_the_additions_and_the_powers(mock_pipeli
 
 def test_coefficients_raise_the_written_elements(mock_pipeline, monkeypatch):
     # c1 and c2 are the two halves of one SHA-256 digest under TK_BATCH_TAG, c those of DELTA_BATCH_TAG;
-    # tk1 is raised to -c1 and d2 to -c, not their inverses to c1 and c; receive's terms group by G1, so
-    # its G2 side, g2 and d2, takes the coefficient
+    # tk1^-c1 and d2^-c are tk1 and d2 raised to the 128-bit c1 and c, then inverted, not their inverses
+    # raised; receive's terms group by G1, so its G2 side, g2 and d2, takes the coefficient
     p = mock_pipeline
     powers = []
     multi_exp = MockBackend.multi_exp
@@ -575,14 +646,14 @@ def test_coefficients_raise_the_written_elements(mock_pipeline, monkeypatch):
                     sigma.s2.to_bytes(), sigma.s3.to_bytes(), sigma.s.to_bytes(32, "big"), tk.tk1.to_bytes(),
                     tk.tk2.to_bytes())
     assert p.verify()[0]
-    assert powers[1:] == [[(sigma.s1, c1), (sigma.s2, c2)], [(tk.tk1, -c1)], [(tk.tk2, -c2)]]
+    assert powers[1:] == [[(sigma.s1, c1), (sigma.s2, c2)], [(tk.tk1, c1)], [(tk.tk2, c2)]]
     assert all(x is y for (x, _), y in zip(powers[1] + powers[2] + powers[3], (sigma.s1, sigma.s2, tk.tk1, tk.tk2)))
     powers.clear()
     d = p.delta
     c, _ = halves(scheme.DELTA_BATCH_TAG, p.pk_s.to_bytes(), p.pk_n.to_bytes(), p.m, d.d1.to_bytes(),
                   d.d2.to_bytes(), d.d3.to_bytes())
     assert delta_checks(p.par, p.pk_s, p.pk_n, p.m, d) == (True, True)
-    assert powers == [[(p.par.g2, c)], [(d.d2, -c)]] and powers[0][0][0] is p.par.g2 and powers[1][0][0] is d.d2
+    assert powers == [[(p.par.g2, c)], [(d.d2, c)]] and powers[0][0][0] is p.par.g2 and powers[1][0][0] is d.d2
 
 
 def test_repeated_tk_verify_gives_sigma_and_token_a_comb(real_pipeline):

@@ -55,7 +55,7 @@ def test_statement_d_is_e1_over_e2(request, pipeline):
 
 def test_a_statement_makes_no_final_exponentiation_and_a_run_two_or_three(real_pipeline, monkeypatch):
     # confirm: the prover's t3 and the verifier's check; disavow: t3, C and the check; before the first
-    # run that needs them, each key's K once
+    # run that needs it, the key pair's K once
     p = real_pipeline
     pk_s, pk_n = fresh(p.pk_s), fresh(p.pk_n)
     calls = []
@@ -70,7 +70,7 @@ def test_a_statement_makes_no_final_exponentiation_and_a_run_two_or_three(real_p
         assert run(statement, p.sk_n, rng, rng)[0]
         counts.append(len(calls))
         calls.clear()
-    assert counts == [2 + 2, 2, 3, 3]
+    assert counts == [2 + 1, 2, 3, 3]
 
 
 def test_statement_computes_the_lines_of_fs_fn_once(real_pipeline, monkeypatch):
@@ -96,19 +96,19 @@ def _tampered(p, kind):
 
 
 def test_the_keys_k_values_keep_combs_by_the_second_issue_op(real_pipeline):
-    # an issue op takes four products of powers of K_S and K_N: the confirm check, the disavow t3, C and check
+    # an issue op takes four products of powers of the pair's K: the confirm check, the disavow t3, C and check
     p = real_pipeline
-    pk_s, pk_n = fresh(p.pk_s), fresh(p.pk_n)
+    pk_s, pk_n, sk_s, sk_n = fresh(p.pk_s), fresh(p.pk_n), fresh(p.sk_s), fresh(p.sk_n)
     rng = random.Random(15)
     for op in range(2):
         m = b"issue op %d" % op
-        sigma = scheme.receive(p.par, pk_s, pk_n, m, scheme.sign(p.par, pk_s, pk_n, m, p.sk_s, rng), p.sk_n, rng)
-        assert run_confirm(derive_statement(p.par, pk_s, pk_n, m, sigma), p.sk_n, rng, rng)[0]
+        sigma = scheme.receive(p.par, pk_s, pk_n, m, scheme.sign(p.par, pk_s, pk_n, m, sk_s, rng), sk_n, rng)
+        assert run_confirm(derive_statement(p.par, pk_s, pk_n, m, sigma), sk_n, rng, rng)[0]
         bad = dataclasses.replace(sigma, s3=sigma.s3 * p.par.g2)
-        assert run_disavow(derive_statement(p.par, pk_s, pk_n, m, bad), p.sk_n, rng, rng)[0]
+        assert run_disavow(derive_statement(p.par, pk_s, pk_n, m, bad), sk_n, rng, rng)[0]
         if op == 0:
-            assert pk_s.K.comb == pk_n.K.comb == 4
-    assert all(isinstance(pk.K.comb, list) and [len(t) for t in pk.K.comb] == [256, 256] for pk in (pk_s, pk_n))
+            assert pk_n.pair_K(pk_s).comb == 4
+    assert [len(t) for t in pk_n.pair_K(pk_s).comb] == [256, 256]
 
 
 @pytest.mark.parametrize("pipeline", ["mock_pipeline", "real_pipeline"])
