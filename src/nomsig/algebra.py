@@ -165,9 +165,6 @@ class Backend:
     def identity(self, group: str) -> GroupElem:
         return GroupElem(self, group, self.identity_value(group))
 
-    def pairing(self, a: GroupElem, b: GroupElem) -> GroupElem:
-        return self.pairing_product([(a, b)])
-
     def pairing_product(self, pairs: list[tuple[GroupElem, GroupElem]], held=()) -> GroupElem:
         """prod_i e(a_i, b_i) over (G1, G2) pairs, times the pairings of the ``miller_value`` results held, as one batch."""
         for a, b in pairs:

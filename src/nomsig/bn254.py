@@ -15,7 +15,9 @@ loop's lines take neither.
 
 The Miller loop walks the signed digits of 6u+2: 65 doublings, 21 additions
 and 2 Frobenius lines, 88 line steps. ``g2_lines`` walks each G2 point in
-Jacobian coordinates with no inversion (Costello-Lange-Naehrig, PKC 2010):
+Jacobian coordinates with no inversion (Costello-Lange-Naehrig, PKC 2010),
+by the ladders' own doubling and mixed addition (``_jac_double`` and
+``_jac_madd``, which also give the values a line takes from its step):
 a step's line is lam times the affine line for some lam in Fp2*, and it
 keeps conj(lam) times that, n times the affine line for n = lam*conj(lam)
 in Fp, so its w^0 coefficient stays in Fp and the sparse product
@@ -562,23 +564,54 @@ def g2_add(p, q):
     return _g2_add_all([(p, q)])[0]
 
 
-def _jac_double_f2(q):
-    """2q for Jacobian q, on plain ints: the Fp copy's formulas with each Fp2 product inlined."""
-    if q is None:
-        return None
+def _jac_double(q):
+    """2q for a finite Jacobian q on plain ints, and the Y^2 and 3X^2 of its tangent: the Fp copy's formulas."""
     (x0, x1), (y0, y1), (z0, z1) = q
-    a0, a1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # x^2
-    b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # y^2
-    c0, c1 = (b0 + b1) * (b0 - b1) % P, 2 * b0 * b1 % P  # y^4
+    a0, a1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # X^2
+    b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # Y^2
+    c0, c1 = (b0 + b1) * (b0 - b1) % P, 2 * b0 * b1 % P  # Y^4
     s0, s1 = x0 + b0, x1 + b1
     d0, d1 = 2 * ((s0 + s1) * (s0 - s1) - a0 - c0) % P, 2 * (2 * s0 * s1 - a1 - c1) % P
-    e0, e1 = 3 * a0, 3 * a1
+    e0, e1 = 3 * a0, 3 * a1  # 3X^2
     x30, x31 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P, (2 * e0 * e1 - 2 * d1) % P
     t0, t1 = d0 - x30, d1 - x31
     m, n = e0 * t0, e1 * t1
     y30, y31 = (m - n - 8 * c0) % P, ((e0 + e1) * (t0 + t1) - m - n - 8 * c1) % P
     m, n = y0 * z0, y1 * z1
-    return ((x30, x31), (y30, y31), (2 * (m - n) % P, 2 * ((y0 + y1) * (z0 + z1) - m - n) % P))
+    z3 = (2 * (m - n) % P, 2 * ((y0 + y1) * (z0 + z1) - m - n) % P)  # 2YZ
+    return ((x30, x31), (y30, y31), z3), b0, b1, e0, e1
+
+
+def _jac_double_f2(q):
+    """2q for Jacobian q, on plain ints (``_jac_double``'s point)."""
+    return None if q is None else _jac_double(q)[0]
+
+
+def _jac_madd(q, a):
+    """Finite Jacobian q + affine a on plain ints, or None where h = xa*Z^2 - X is 0 (a = +-q), and r = ya*Z^3 - Y."""
+    (x0, x1), (y0, y1), (z0, z1) = q
+    (a0, a1), (b0, b1) = a
+    s0, s1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
+    m, n = a0 * s0, a1 * s1
+    h0, h1 = (m - n - x0) % P, ((a0 + a1) * (s0 + s1) - m - n - x1) % P  # xa*Z^2 - X
+    m, n = z0 * s0, z1 * s1
+    c0, c1 = (m - n) % P, ((z0 + z1) * (s0 + s1) - m - n) % P  # Z^3
+    m, n = b0 * c0, b1 * c1
+    r0, r1 = (m - n - y0) % P, ((b0 + b1) * (c0 + c1) - m - n - y1) % P  # ya*Z^3 - Y
+    if h0 == h1 == 0:
+        return None, r0, r1
+    u0, u1 = (h0 + h1) * (h0 - h1) % P, 2 * h0 * h1 % P  # h^2
+    m, n = h0 * u0, h1 * u1
+    g0, g1 = (m - n) % P, ((h0 + h1) * (u0 + u1) - m - n) % P  # h^3
+    m, n = x0 * u0, x1 * u1
+    v0, v1 = (m - n) % P, ((x0 + x1) * (u0 + u1) - m - n) % P  # X*h^2
+    x30, x31 = ((r0 + r1) * (r0 - r1) - g0 - 2 * v0) % P, (2 * r0 * r1 - g1 - 2 * v1) % P
+    t0, t1 = v0 - x30, v1 - x31
+    m, n, e, f = r0 * t0, r1 * t1, y0 * g0, y1 * g1
+    y30 = (m - n - e + f) % P
+    y31 = ((r0 + r1) * (t0 + t1) - m - n - (y0 + y1) * (g0 + g1) + e + f) % P
+    m, n = z0 * h0, z1 * h1
+    return ((x30, x31), (y30, y31), ((m - n) % P, ((z0 + z1) * (h0 + h1) - m - n) % P)), r0, r1
 
 
 def _jac_madd_f2(q, a):
@@ -587,29 +620,8 @@ def _jac_madd_f2(q, a):
         return q
     if q is None:
         return (*a, F2_ONE)
-    (x0, x1), (y0, y1), (z0, z1) = q
-    (a0, a1), (b0, b1) = a
-    s0, s1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # z^2
-    m, n = a0 * s0, a1 * s1
-    h0, h1 = (m - n - x0) % P, ((a0 + a1) * (s0 + s1) - m - n - x1) % P  # xa*z^2 - x
-    m, n = z0 * s0, z1 * s1
-    c0, c1 = (m - n) % P, ((z0 + z1) * (s0 + s1) - m - n) % P  # z^3
-    m, n = b0 * c0, b1 * c1
-    r0, r1 = (m - n - y0) % P, ((b0 + b1) * (c0 + c1) - m - n - y1) % P  # ya*z^3 - y
-    if h0 == h1 == 0:
-        return _jac_double_f2(q) if r0 == r1 == 0 else None
-    u0, u1 = (h0 + h1) * (h0 - h1) % P, 2 * h0 * h1 % P  # h^2
-    m, n = h0 * u0, h1 * u1
-    g0, g1 = (m - n) % P, ((h0 + h1) * (u0 + u1) - m - n) % P  # h^3
-    m, n = x0 * u0, x1 * u1
-    v0, v1 = (m - n) % P, ((x0 + x1) * (u0 + u1) - m - n) % P  # x*h^2
-    x30, x31 = ((r0 + r1) * (r0 - r1) - g0 - 2 * v0) % P, (2 * r0 * r1 - g1 - 2 * v1) % P
-    t0, t1 = v0 - x30, v1 - x31
-    m, n, e, f = r0 * t0, r1 * t1, y0 * g0, y1 * g1
-    y30 = (m - n - e + f) % P
-    y31 = ((r0 + r1) * (t0 + t1) - m - n - (y0 + y1) * (g0 + g1) + e + f) % P
-    m, n = z0 * h0, z1 * h1
-    return ((x30, x31), (y30, y31), ((m - n) % P, ((z0 + z1) * (h0 + h1) - m - n) % P))
+    s, r0, r1 = _jac_madd(q, a)
+    return s or (_jac_double_f2(q) if r0 == r1 == 0 else None)
 
 
 def _to_affine_f2(q):
@@ -885,22 +897,12 @@ def _tangent_step(t):
     the sum's Z3 times Z^2, it takes no division: lam*m = 3X^2*Z^2 and
     lam*c = 2Y^2 - 3X^3. Scaled once more by conj(lam), n = lam*conj(lam)
     lies in Fp and (M, C) = n*(m, c). The twist's order is odd, so Y != 0
-    and n != 0. The doubling is ``_jac_double_f2``'s, inlined as the line
-    shares its X^2 and Y^2.
+    and n != 0. The doubling, its Y^2 and 3X^2 are ``_jac_double``'s, the
+    formulas ``_jac_double_f2`` shares.
     """
-    (x0, x1), (y0, y1), (z0, z1) = t
-    a0, a1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # X^2
-    b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # Y^2
-    c0, c1 = (b0 + b1) * (b0 - b1) % P, 2 * b0 * b1 % P  # Y^4
-    s0, s1 = x0 + b0, x1 + b1
-    d0, d1 = 2 * ((s0 + s1) * (s0 - s1) - a0 - c0) % P, 2 * (2 * s0 * s1 - a1 - c1) % P
-    e0, e1 = 3 * a0, 3 * a1  # 3X^2
-    x30, x31 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P, (2 * e0 * e1 - 2 * d1) % P
-    t0, t1 = d0 - x30, d1 - x31
-    m, n = e0 * t0, e1 * t1
-    y30, y31 = (m - n - 8 * c0) % P, ((e0 + e1) * (t0 + t1) - m - n - 8 * c1) % P
-    m, n = y0 * z0, y1 * z1
-    w0, w1 = 2 * (m - n) % P, 2 * ((y0 + y1) * (z0 + z1) - m - n) % P  # Z3 = 2YZ
+    (x0, x1), _, (z0, z1) = t
+    s, b0, b1, e0, e1 = _jac_double(t)
+    w0, w1 = s[2]  # Z3 = 2YZ
     u0, u1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
     m, n = w0 * u0, w1 * u1
     l0, l1 = (m - n) % P, ((w0 + w1) * (u0 + u1) - m - n) % P  # lam
@@ -912,7 +914,7 @@ def _tangent_step(t):
     M = ((m + n) % P, ((l0 - l1) * (g0 + g1) - m + n) % P)  # conj(lam)*lam*m
     m, n = l0 * h0, l1 * h1
     C = ((m + n) % P, ((l0 - l1) * (h0 + h1) - m + n) % P)  # conj(lam)*lam*c
-    return ((x30, x31), (y30, y31), (w0, w1)), ((l0 * l0 + l1 * l1) % P, M, C)
+    return s, ((l0 * l0 + l1 * l1) % P, M, C)
 
 
 def _chord_step(t, q):
@@ -923,38 +925,20 @@ def _chord_step(t, q):
     lam*c = lam*yq - r*xq; scaled by conj(lam) as in ``_tangent_step``,
     M = conj(lam)*r and C = n*yq - M*xq. Where h = 0, t = q or t = -q and
     the line is a tangent or vertical: no step of the loop meets either on
-    a finite twist point, so the step raises. The sum is
-    ``_jac_madd_f2``'s, inlined as the line shares its h and r.
+    a finite twist point, so the step raises. The sum and r are
+    ``_jac_madd``'s, the formulas ``_jac_madd_f2`` shares.
     """
-    (x0, x1), (y0, y1), (z0, z1) = t
-    (a0, a1), (b0, b1) = q
-    s0, s1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
-    m, n = a0 * s0, a1 * s1
-    h0, h1 = (m - n - x0) % P, ((a0 + a1) * (s0 + s1) - m - n - x1) % P  # xq*Z^2 - X
-    m, n = z0 * s0, z1 * s1
-    c0, c1 = (m - n) % P, ((z0 + z1) * (s0 + s1) - m - n) % P  # Z^3
-    m, n = b0 * c0, b1 * c1
-    r0, r1 = (m - n - y0) % P, ((b0 + b1) * (c0 + c1) - m - n - y1) % P  # yq*Z^3 - Y
-    if h0 == h1 == 0:
+    s, r0, r1 = _jac_madd(t, q)
+    if s is None:
         raise ValueError(f"Miller addition step meets {'T = Q' if r0 == r1 == 0 else 'T = -Q'}")
-    u0, u1 = (h0 + h1) * (h0 - h1) % P, 2 * h0 * h1 % P  # h^2
-    m, n = h0 * u0, h1 * u1
-    g0, g1 = (m - n) % P, ((h0 + h1) * (u0 + u1) - m - n) % P  # h^3
-    m, n = x0 * u0, x1 * u1
-    v0, v1 = (m - n) % P, ((x0 + x1) * (u0 + u1) - m - n) % P  # X*h^2
-    x30, x31 = ((r0 + r1) * (r0 - r1) - g0 - 2 * v0) % P, (2 * r0 * r1 - g1 - 2 * v1) % P
-    t0, t1 = v0 - x30, v1 - x31
-    m, n, e, f = r0 * t0, r1 * t1, y0 * g0, y1 * g1
-    y30 = (m - n - e + f) % P
-    y31 = ((r0 + r1) * (t0 + t1) - m - n - (y0 + y1) * (g0 + g1) + e + f) % P
-    m, n = z0 * h0, z1 * h1
-    l0, l1 = (m - n) % P, ((z0 + z1) * (h0 + h1) - m - n) % P  # lam = Z3
+    (a0, a1), (b0, b1) = q
+    l0, l1 = s[2]  # lam = Z3
     k = (l0 * l0 + l1 * l1) % P  # n
     m, n = l0 * r0, l1 * r1
     M0, M1 = (m + n) % P, ((l0 - l1) * (r0 + r1) - m + n) % P  # conj(lam)*r
     m, n = M0 * a0, M1 * a1
     C = ((k * b0 - m + n) % P, (k * b1 - (M0 + M1) * (a0 + a1) + m + n) % P)  # n*yq - M*xq
-    return ((x30, x31), (y30, y31), (l0, l1)), (k, (M0, M1), C)
+    return s, (k, (M0, M1), C)
 
 
 def g2_lines(qs):

@@ -82,8 +82,8 @@ class AbortBadOpening(ProtocolError):
 class ConfirmStatement:
     """The pairing inputs of d, e3 and e4, kept as the public inputs held them, so they keep their lines and combs.
 
-    d, e3 and e4 themselves are computed only when read; the protocols never
-    read them (``power_product``).
+    d, e3 and e4 themselves are never computed: the protocols take only
+    their powers (``power_product``).
     """
 
     g1: GroupElem
@@ -104,18 +104,6 @@ class ConfirmStatement:
         if name == "d":
             return [(self.g1, self.s3)], [self.pk_n.pair_K(self.pk_s)]
         return [(self.s1 if name == "e3" else self.s2, self.fs_fn)], []
-
-    @functools.cached_property
-    def d(self) -> GroupElem:  # e(g1, s3) / (e(gS, hS) e(gN, hN)): one pair and the keys' held Miller values
-        return self.backend.pairing_product([(self.g1, self.s3)], [self.pk_s.miller, self.pk_n.miller])
-
-    @functools.cached_property
-    def e3(self) -> GroupElem:
-        return self.backend.pairing(self.s1, self.fs_fn)
-
-    @functools.cached_property
-    def e4(self) -> GroupElem:
-        return self.backend.pairing(self.s2, self.fs_fn)
 
 
 @dataclass(frozen=True)

@@ -250,9 +250,17 @@ def torsion_point(draws, ell):
     return t
 
 
+def gt_values(s):
+    """The statement's GT values d = e(g1, s3) / (e(gS, hS) e(gN, hN)), e3 and e4, one pairing product each."""
+    b = s.backend
+    return (b.pairing_product([(s.g1, s.s3)], [s.pk_s.miller, s.pk_n.miller]),
+            b.pairing_product([(s.s1, s.fs_fn)]), b.pairing_product([(s.s2, s.fs_fn)]))
+
+
 def holds_for(statement, y1, y2):
     """Whether (y1, y2) is a confirm witness of the statement: d = e3^y1 * e4^y2."""
-    return statement.d == statement.backend.multi_exp([(statement.e3, y1), (statement.e4, y2)])
+    d, e3, e4 = gt_values(statement)
+    return d == statement.backend.multi_exp([(e3, y1), (e4, y2)])
 
 
 def simulate_transcript(statement, protocol, rng):
@@ -289,19 +297,20 @@ def extract_confirm_witness(statement, first, c1, resp1, c2, resp2):
     return y1, y2
 
 
-def gt_relation(protocol, s, C=None):
-    """``zkproto.relation`` with row 3 over the GT values d, e3 and e4 themselves, each row one ``multi_exp``."""
+def gt_relation(protocol, s, values, C=None):
+    """``zkproto.relation`` with row 3 over the GT values (d, e3, e4) themselves, each row one ``multi_exp``."""
+    d, e3, e4 = values
     if protocol == "confirm":
         return ["z1", "z2"], [
             ([(s.pk_n.x1, 1, "z1")], s.g2ref),
             ([(s.pk_n.x2, 1, "z2")], s.g2ref),
-            ([(s.e3, 1, "z1"), (s.e4, 1, "z2")], s.d),
+            ([(e3, 1, "z1"), (e4, 1, "z2")], d),
         ]
     one = s.backend.identity("G2")
     return ["z3", "z1", "z2"], [
         ([(s.pk_n.x1, 1, "z1"), (s.g2ref, -1, "z3")], one),
         ([(s.pk_n.x2, 1, "z2"), (s.g2ref, -1, "z3")], one),
-        ([(s.d, -1, "z3"), (s.e3, 1, "z1"), (s.e4, 1, "z2")], None if C is None or C.is_identity() else C),
+        ([(d, -1, "z3"), (e3, 1, "z1"), (e4, 1, "z2")], None if C is None or C.is_identity() else C),
     ]
 
 
@@ -314,7 +323,8 @@ def gt_run(protocol, s, sk_n, prover_rng, verifier_rng):
     verifier's c and rho, then the prover's beta and nonces), with every row from ``gt_relation``."""
     b, n = s.backend, s.backend.order
     c, rho = b.random_scalar(verifier_rng), b.random_scalar(verifier_rng)
-    fields, rows = gt_relation(protocol, s)
+    values = gt_values(s)
+    fields, rows = gt_relation(protocol, s, values)
     beta = b.random_nonzero_scalar(prover_rng) if protocol == "disavow" else 1
     w = {"z3": beta, "z1": beta * sk_n.y1 % n, "z2": beta * sk_n.y2 % n}
     a = {f: b.random_scalar(prover_rng) for f in fields}
@@ -325,7 +335,7 @@ def gt_run(protocol, s, sk_n, prover_rng, verifier_rng):
     tr.opening = zkproto.ChallengeOpening(c, rho)
     z = {f: (a[f] + c * w[f]) % n for f in fields}
     tr.response = zkproto.SigmaResponse(**z)
-    _, rows = gt_relation(protocol, s, C)
+    _, rows = gt_relation(protocol, s, values, C)
     tr.verdict = all(image is not None and t == _gt_row(terms, z, [(image, -c)])
                      for (terms, image), t in zip(rows, (tr.first.t1, tr.first.t2, tr.first.t3)))
     return tr

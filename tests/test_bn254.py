@@ -189,16 +189,22 @@ def _jacobian(pt, z):
 
 
 def test_line_steps_match_dense_lines():
-    # the tangent at T and the chord through T and Q, from a Jacobian T with Z != 1: each step gives the
-    # affine sum and (n, M, C) = n*(m, c) for the dense line's slope m and c, with n in Fp*; miller_eval
-    # over 88 copies of one entry squares at each doubling step and multiplies in n times the line each step
+    # the tangent at T and the chord through T and each addend the loop takes, Q, psi(Q) and -psi^2(Q), from a
+    # Jacobian T with Z != 1: each step's running point is the ladder's doubling or mixed addition coordinate
+    # for coordinate, its affine sum T + Q, and its (n, M, C) = n*(m, c) for the dense line's slope m and c,
+    # with n in Fp*; miller_eval over 88 copies of one entry squares at each doubling step and multiplies in n
+    # times the line each step
     xp, yp = g1_mul(G1_GEN, 5)
     t = g2_mul(G2_GEN, 3)
     x1, y1 = t
     jt = _jacobian(t, (rng.randrange(1, P), rng.randrange(P)))
     q7 = g2_mul(G2_GEN, 7)
-    for q, (s, (n, big_m, big_c)) in ((t, bn254._tangent_step(jt)), (q7, bn254._chord_step(jt, q7))):
-        assert bn254._to_affine_f2(s) == g2_add(t, q)
+    q1 = bn254._tw_frob(q7)
+    addends = (q7, q1, g2_neg(bn254._tw_frob(q1)))
+    steps = [(t, bn254._tangent_step(jt), bn254._jac_double_f2(jt))]
+    steps += [(q, bn254._chord_step(jt, q), bn254._jac_madd_f2(jt, q)) for q in addends]
+    for q, (s, (n, big_m, big_c)), ladder in steps:
+        assert s == ladder and bn254._to_affine_f2(s) == g2_add(t, q)
         num, den = (f2_mul(f2_sqr(x1), (3, 0)), f2_add(y1, y1)) if q == t else (
             f2_add(q[1], f2_neg(y1)), f2_add(q[0], f2_neg(x1)))
         m = f2_mul(num, f2_inv(den))
@@ -361,7 +367,7 @@ def test_kept_lines_give_the_raw_loop_value(monkeypatch):
     final_exp, g2_lines = bn254.final_exp, bn254.g2_lines
     monkeypatch.setattr(bn254, "final_exp", lambda f: values.append(f) or final_exp(f))
     monkeypatch.setattr(bn254, "g2_lines", lambda qs: batches.append(qs) or g2_lines(qs))
-    b.pairing(*elems[5])  # first in a one-pair pairing
+    b.pairing_product(elems[5:6])  # first in a one-pair pairing
     b.pairing_product(elems)  # then in an eight-pair product
     b.pairing_product(elems)  # every element now has its lines
     # one batch per product over the distinct values not met before, empty once all are kept

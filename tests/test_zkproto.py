@@ -21,7 +21,7 @@ from nomsig.zkproto import (
 )
 
 from conftest import Pipeline, fresh
-from oracles import extract_confirm_witness, gt_run, holds_for, simulate_transcript
+from oracles import extract_confirm_witness, gt_run, gt_values, holds_for, simulate_transcript
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +45,15 @@ def test_statement_holds_for_witness(stmt, bad_sigma_stmt, mock_pipeline):
 
 @pytest.mark.parametrize("pipeline", ["mock_pipeline", "real_pipeline"])
 def test_statement_d_is_e1_over_e2(request, pipeline):
-    # d replaces the pair e1 = e(g1, s3), e2 = e(gS, hS) e(gN, hN) by their ratio
+    # d replaces the pair e1 = e(g1, s3), e2 = e(gS, hS) e(gN, hN) by their ratio, in the statement's form of it
+    # (one pair and the key pair's K) and in the oracles' (one pair and both keys' held Miller values)
     p = request.getfixturevalue(pipeline)
     b = p.par.backend
-    e1 = b.pairing(p.par.g1, p.sigma.s3)
-    e2 = b.pairing(p.pk_s.gS, p.pk_s.hS) * b.pairing(p.pk_n.gN, p.pk_n.hN)
-    assert derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma).d == e1 / e2
+    e1 = b.pairing_product([(p.par.g1, p.sigma.s3)])
+    e2 = b.pairing_product([(p.pk_s.gS, p.pk_s.hS)]) * b.pairing_product([(p.pk_n.gN, p.pk_n.hN)])
+    s = derive_statement(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
+    pairs, held = s.form("d")
+    assert b.product([b.pairing_product(pairs), *held]) == gt_values(s)[0] == e1 / e2
 
 
 def test_a_statement_makes_no_final_exponentiation_and_a_run_two_or_three(real_pipeline, monkeypatch):
