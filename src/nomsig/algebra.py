@@ -13,7 +13,8 @@ objects supporting ``*`` (group operation), ``**`` (scalar exponent), ``/``
 and ``~`` (inverse), so scheme code reads like the algebra it implements.
 A backend's one group-law hook is ``add_all``, which multiplies each pair of
 a list in one call; ``Backend`` writes ``op``, ``op_all`` and
-``subset_sums`` over it.
+``subset_sums`` over it. On bn254 each per-group hook looks the group's
+``curve.Group`` record up in ``RealBackend.groups``.
 """
 
 from __future__ import annotations
@@ -400,6 +401,7 @@ class RealBackend(Backend):
 
     name = "bn254"
     order = bn254.N
+    groups = {"G1": bn254.G1, "G2": bn254.G2, "GT": bn254.GT}  # each group's ``curve.Group`` record
 
     def generator_value(self, group):
         if group == "G1":
@@ -409,44 +411,27 @@ class RealBackend(Backend):
         return _gt_gen()
 
     def identity_value(self, group):
-        return bn254.F12_ONE if group == "GT" else None
+        return self.groups[group].one
 
     def add_all(self, group, pairs):  # on G1 and G2, one batched inversion for all the pairs
-        if group == "G1":
-            return curve.add_all(bn254.P, pairs)
-        if group == "G2":
-            return bn254._g2_add_all(pairs)
-        return bn254.f12_mul_all(pairs)
+        return self.groups[group].add_all(pairs)
 
-    def inv(self, group, a):
-        if group == "G1":
-            return bn254.g1_neg(a)
-        if group == "G2":
-            return bn254.g2_neg(a)
-        return bn254.f12_conj(a)  # GT is cyclotomic: inverse = conjugate
+    def inv(self, group, a):  # GT is cyclotomic: its inverse is the conjugate
+        return self.groups[group].neg(a)
 
     def exp(self, group, a, k):  # unused: kept by name for perfbench's tracer; powers go through multi_exp
         return self.multi_exp([(GroupElem(self, group, a), k)]).value
 
     def multi_exp(self, terms):
-        """One joint ladder; a base with a comb (``comb_of``) enters it by its table.
+        """One ``curve.multi_mul`` ladder; a base with a comb (``comb_of``) enters it by its table.
 
         Every GT value here is in the order-N subgroup, where the GLS split holds.
         """
         group = _one_group([x for x, _ in terms], "multi_exp")
-        terms = [(x, k % self.order) for x, k in terms]
-        plain, combs = [], []
-        for x, k in terms:
-            comb = self.comb_of(x)
-            if comb is None:
-                plain.append((x.value, k))
-            else:
-                combs.append((comb, k))
-        if group == "G1":
-            return GroupElem(self, group, curve.glv_mul(bn254.G1_GLV, plain, combs))
-        if group == "G2":
-            return GroupElem(self, group, bn254.g2_mul_gls(plain, combs))
-        return GroupElem(self, group, bn254.gt_pow_gls(plain, combs))
+        terms = [(x, k % self.order, self.comb_of(x)) for x, k in terms]
+        plain = [(x.value, k) for x, k, comb in terms if comb is None]
+        combs = [(comb, k) for _, k, comb in terms if comb is not None]
+        return GroupElem(self, group, curve.multi_mul(self.groups[group], plain, combs))
 
     def comb_of(self, x: GroupElem, now: bool = False):
         """x's comb table, ``kept`` in its ``comb`` slot from its ``COMB_USES``-th product (or ``now``); None before.
@@ -456,9 +441,7 @@ class RealBackend(Backend):
         """
         if x.is_identity():
             return None
-        build = {"G1": lambda: curve.comb(bn254.P, x.value), "G2": lambda: bn254.g2_comb(x.value),
-                 "GT": lambda: bn254.gt_comb(x.value)}[x.group]
-        return kept(x, "comb", build, now)
+        return kept(x, "comb", lambda: curve.comb_table(self.groups[x.group], x.value), now)
 
     def base_powers(self, base, scalars):
         """A batch of G2 powers from base's comb, built now if it has none yet: keygen's u_i and u'_i."""

@@ -8,10 +8,10 @@ G1 uses the Fp point arithmetic in ``curve``; G2 has Fp2 versions of its
 point formulas below and shares the rest of ``curve``. One slope routine,
 ``_slopes``, gives the chord or tangent slope of each of a list of (t, q)
 pairs with one batched inversion, and ``_chord_sum`` each sum. Every affine
-sum on the twist takes them through ``_g2_add_all``, G2's adder for the
-batched sums of ``curve``: ``g2_add``, G2 products, the batched subgroup
-test's buckets, ``g2_mul_gls``, the combs and the Waters tables. The Miller
-loop's lines take neither.
+sum on the twist takes them through ``_g2_add_all``, the adder of the G2
+record: ``g2_add``, G2 products, the batched subgroup test's buckets, the
+split tables, the combs and the Waters tables. The Miller loop's lines
+take neither.
 
 The Miller loop walks the signed digits of 6u+2: 65 doublings, 21 additions
 and 2 Frobenius lines, 88 line steps. ``g2_lines`` walks each G2 point in
@@ -29,22 +29,19 @@ walk the next time (Costello-Stebila, "Fixed Argument Pairings",
 LATINCRYPT 2010); ``miller_loop`` keeps none.
 
 Every exponentiation runs the one double-and-add loop ``curve.ladder``:
-  - G1 ``g1_mul`` splits the scalar in two with the cube-root endomorphism
-    (``curve.glv_mul``);
-  - in the order-N subgroups, ``g2_mul_gls`` (also for powers of G2_GEN)
-    and ``gt_pow_gls`` split it in four with the Frobenius; like ``glv_mul``
-    they run a product of powers as one ladder over ``curve.split_table``;
-  - an element of G1, G2 or GT raised to many powers keeps a Lim-Lee comb
-    of 16 teeth (``curve.comb``, ``g2_comb`` and ``gt_comb``, all
-    ``curve.comb_table``), two kept ``curve.split_table`` tables of 8
+  - the records ``G1``, ``G2`` and ``GT`` (``curve.Group``) take a product
+    of powers by ``curve.multi_mul``, one ladder over ``curve.split_table``:
+    G1 splits each scalar in two with the cube-root endomorphism, G2 and GT,
+    the order-N subgroups, in four with the Frobenius;
+  - an element raised to many powers keeps a Lim-Lee comb of 16 teeth
+    (``curve.comb_table``), two kept ``curve.split_table`` tables of 8
     teeth each: a comb term's parts are k's sixteen 16-bit pieces, so it
-    joins the product's 16 columns beside its split terms (``glv_mul``,
-    ``g2_mul_gls``, ``gt_pow_gls``), and ``g2_comb_powers`` steps a batch
-    of powers of one point over its comb together, one batched doubling
-    and one batched addition per table per row; the backend gives an
-    element a comb at its 8th product, or at once for keygen's batch of
-    powers of g2, so a key's e(g^-1, h) in GT keeps one from the confirm
-    and disavow proofs;
+    joins the product's 16 columns beside its split terms, and
+    ``g2_comb_powers`` steps a batch of powers of one point over its comb
+    together, one batched doubling and one batched addition per table per
+    row; the backend gives an element a comb at its 8th product, or at
+    once for keygen's batch of powers of g2, so a key's e(g^-1, h) in GT
+    keeps one from the confirm and disavow proofs;
   - ``g2_mul`` and ``f12_cyc_pow`` (width-4 signed digits over pt, 3pt,
     5pt, 7pt or a, a^3, a^5, a^7) take any twist point or cyclotomic
     element and any scalar, for the subgroup tests, cofactor clearing, the
@@ -85,7 +82,7 @@ cyclotomic squarings over width-4 signed digits.
 
 import hashlib
 import struct
-from functools import reduce
+from functools import partial, reduce
 
 from . import curve
 
@@ -288,11 +285,6 @@ def f12_mul(a, b):
     )
 
 
-def f12_mul_all(pairs):
-    """a * b for each pair (a, b) of Fp12 elements: GT's ``add_all``."""
-    return [f12_mul(a, b) for a, b in pairs]
-
-
 def f12_sqr(a):
     """a^2 by the complex method: with t = A0*A1, (A0 + A1)(A0 + v*A1) - t - v*t + 2t*w."""
     (a00, a01), (a10, a11), (a20, a21), (a30, a31), (a40, a41), (a50, a51) = a
@@ -458,17 +450,13 @@ G1_B = 3
 G1_GEN = (1, 2)
 
 
-def g1_neg(pt):
-    return None if pt is None else (pt[0], -pt[1] % P)
-
-
 # (x, y) -> (beta*x, y) is multiplication by lam on G1, with beta^3 = 1 in Fp.
-G1_GLV = curve.glv(P, N, beta=18 * U**3 + 18 * U**2 + 9 * U + 1, lam=36 * U**3 + 18 * U**2 + 6 * U + 1)
+G1 = curve.glv(P, N, beta=18 * U**3 + 18 * U**2 + 9 * U + 1, lam=36 * U**3 + 18 * U**2 + 6 * U + 1)
 
 
 def g1_mul(pt, k):
-    """k * pt for pt on G1, with k reduced mod N: ``curve.glv_mul``, as G1 is the whole curve."""
-    return curve.glv_mul(G1_GLV, [(pt, k % N)])
+    """k * pt for pt on G1, with k reduced mod N: ``curve.multi_mul``, as G1 is the whole curve."""
+    return curve.multi_mul(G1, [(pt, k % N)])
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +617,14 @@ def _to_affine_f2(q):
 
 
 def _batch_to_affine_f2(qs):
-    """Finite Jacobian points to affine, with one batched inversion for all of them."""
-    out = []
-    for (x, y, _), zi in zip(qs, _f2_batch_inv([q[2] for q in qs])):
-        zi2 = f2_sqr(zi)
-        out.append((f2_mul(x, zi2), f2_mul(f2_mul(y, zi2), zi)))
+    """Jacobian points to affine, None for infinity, with one batched inversion for all the finite ones."""
+    zis, out = iter(_f2_batch_inv([q[2] for q in qs if q is not None])), []
+    for q in qs:
+        if q is not None:
+            zi = next(zis)
+            zi2 = f2_sqr(zi)
+            q = (f2_mul(q[0], zi2), f2_mul(f2_mul(q[1], zi2), zi))
+        out.append(q)
     return out
 
 
@@ -679,7 +670,7 @@ def _tw_frob(pt):
 # below. A product of powers runs one joint ladder of at most 65 steps over
 # all its terms' parts, so the terms share every doubling or squaring. The
 # rows span a sublattice of index 3 (det 3N); that is enough, since each row
-# alone sums to 0 mod N. Both paths hold only in the order-N subgroup, so
+# alone sums to 0 mod N. Both records hold only in the order-N subgroup, so
 # the general g2_mul and f12_cyc_pow stay for everything else.
 # ---------------------------------------------------------------------------
 
@@ -691,35 +682,11 @@ GLS_LATTICE = curve.lattice([
 ])
 
 
-def g2_mul_gls(terms, combs=()):
-    """sum k * pt over (pt, k) terms, for points of G2 only, plus combs, by one joint ladder.
-
-    The table takes 3 inversions for the subset sums and one per level of
-    the pairwise tree of each column's entries, the (``g2_comb`` of pt, k)
-    terms combs, with 0 <= k < 2^256, among them (``curve.split_table``);
-    the ladder makes one mixed addition per nonzero column.
-    """
-    cols, table = curve.split_table([(pt, k % N) for pt, k in terms], GLS_LATTICE, _tw_frob, g2_neg, _g2_add_all,
-                                    combs)
-    return _to_affine_f2(curve.ladder(None, cols, table, _jac_double_f2, _jac_madd_f2))
-
-
-def gt_pow_gls(terms, combs=()):
-    """prod a^k over (a, k) terms, for elements of GT only, plus combs, by one joint ladder of cyclotomic squarings.
-
-    A negative part takes the conjugate, the inverse in GT. The (``gt_comb``
-    of a, k) terms combs, with 0 <= k < 2^256, join the columns by k's
-    pieces, as in ``g2_mul_gls``. The ladder starts from the first column's
-    entry, so it never squares 1.
-    """
-    cols, table = curve.split_table([(a, k % N) for a, k in terms], GLS_LATTICE, f12_frob, f12_conj, f12_mul_all,
-                                    combs)
-    return curve.ladder(table[cols[0]], cols[1:], table, f12_cyc_sqr, f12_mul) if cols else F12_ONE
-
-
-def gt_comb(a):
-    """The Lim-Lee comb of an element of GT (``curve.comb_table``): its spokes by cyclotomic squarings, no inversion."""
-    return curve.comb_table(a, f12_cyc_sqr, lambda f, b: b if f is None else f12_mul(f, b), list, f12_mul_all)
+# GT's negation is the conjugate; it has no projective form, so its lift and ``to_affine_all`` change nothing.
+G2 = curve.Group(_jac_double_f2, _jac_madd_f2, partial(_jac_madd_f2, None), _batch_to_affine_f2, _g2_add_all, g2_neg,
+                 _tw_frob, GLS_LATTICE, None)
+GT = curve.Group(f12_cyc_sqr, f12_mul, lambda a: a, list, lambda pairs: [f12_mul(a, b) for a, b in pairs], f12_conj,
+                 f12_frob, GLS_LATTICE, F12_ONE)
 
 
 def g2_in_subgroup(pt):
@@ -851,12 +818,7 @@ def g1_mul_base(k):
 
 def g2_mul_base(k):
     """k * G2_GEN, by the GLS split."""
-    return g2_mul_gls([(G2_GEN, k)])
-
-
-def g2_comb(pt):
-    """The Lim-Lee comb of a finite point of G2 (``curve.comb_table``): one batched chord call per spoke of a table."""
-    return curve.comb_table(pt, _jac_double_f2, _jac_madd_f2, _batch_to_affine_f2, _g2_add_all)
+    return curve.multi_mul(G2, [(G2_GEN, k % N)])
 
 
 def g2_comb_powers(comb, ks):
@@ -866,8 +828,8 @@ def g2_comb_powers(comb, ks):
     every k is short. Each step is one batched affine doubling of every
     power and one batched addition of each power's entry of each of the
     comb's two tables: three ``_g2_add_all`` calls for all of ks. A power
-    costs at most 16 doublings and 32 additions (``g2_mul_gls``: about 64
-    of each, after a 16-entry table); a k below 2^128 adds no high entry.
+    costs at most 16 doublings and 32 additions (``curve.multi_mul``: about
+    64 of each, after a 16-entry table); a k below 2^128 adds no high entry.
     """
     low, high = comb
     cols = [curve.columns(curve.comb_pieces(k % N)) for k in ks]

@@ -13,7 +13,7 @@ import functools
 import sys
 import time
 from pathlib import Path
-from random import Random
+from random import Random, SystemRandom
 
 import click
 
@@ -27,6 +27,15 @@ EXIT_REJECT = 1
 EXIT_MALFORMED = 2
 
 TRANSPORT_TIMEOUT = 120.0
+
+# The --seed of keygen-signer, keygen-nominee, sign, receive, confirm and disavow.
+_seed_option = click.option("--seed", type=int, default=None, help="A seeded run is deterministic and meant for "
+                            "tests: it repeats its secrets. Without --seed they are drawn from the OS by "
+                            "random.SystemRandom, the class secrets.SystemRandom names.")
+
+
+def _rng(seed):
+    return SystemRandom() if seed is None else Random(seed)
 
 
 class MalformedInput(click.ClickException):
@@ -92,11 +101,11 @@ def _keygen_command(role: str) -> None:
 
     @main.command(f"keygen-{role}")
     @click.option("--params", "params_path", required=True, type=click.Path())
-    @click.option("--seed", type=int, required=True)
+    @_seed_option
     @click.option("--pub-out", required=True, type=click.Path())
     @click.option("--sec-out", required=True, type=click.Path())
     def cmd(params_path, seed, pub_out, sec_out):
-        pk, sk = getattr(scheme, f"keygen_{role}")(env.read_object(params_path, scheme.PublicParams), Random(seed))
+        pk, sk = getattr(scheme, f"keygen_{role}")(env.read_object(params_path, scheme.PublicParams), _rng(seed))
         _write_keys(pub_out, pk, sec_out, sk)
         click.echo(f"{role} keys written to {pub_out}, {sec_out}")
 
@@ -129,12 +138,12 @@ def _scheme_inputs(fn):
 @main.command("sign")
 @_scheme_inputs
 @click.option("--signer-sec", required=True, type=click.Path())
-@click.option("--seed", type=int, required=True)
+@_seed_option
 @click.option("--out", required=True, type=click.Path())
 def cmd_sign(par, pk_s, pk_n, m, signer_sec, seed, out):
     """Produce the signer's partial signature over the program source."""
     sk_s = env.read_object(signer_sec, scheme.SignerSecretKey)
-    delta = scheme.sign(par, pk_s, pk_n, m, sk_s, Random(seed))
+    delta = scheme.sign(par, pk_s, pk_n, m, sk_s, _rng(seed))
     env.write_object(out, delta)
     click.echo(f"delta written to {out}")
 
@@ -143,13 +152,13 @@ def cmd_sign(par, pk_s, pk_n, m, signer_sec, seed, out):
 @_scheme_inputs
 @click.option("--nominee-sec", required=True, type=click.Path())
 @click.option("--delta", "delta_path", required=True, type=click.Path())
-@click.option("--seed", type=int, required=True)
+@_seed_option
 @click.option("--out", required=True, type=click.Path())
 def cmd_receive(par, pk_s, pk_n, m, nominee_sec, delta_path, seed, out):
     """Nominee check of the partial signature; writes sigma or rejects."""
     sk_n = env.read_object(nominee_sec, scheme.NomineeSecretKey)
     delta = env.read_object(delta_path, scheme.DeltaMsg, par.backend)
-    sigma = scheme.receive(par, pk_s, pk_n, m, delta, sk_n, Random(seed))
+    sigma = scheme.receive(par, pk_s, pk_n, m, delta, sk_n, _rng(seed))
     if sigma is None:
         _reject("partial signature invalid")
     env.write_object(out, sigma)
@@ -206,7 +215,7 @@ def _interactive(protocol, par, pk_s, pk_n, m, role, nominee_sec, sigma_path, tr
     stmt = zkproto.derive_statement(par, pk_s, pk_n, m, sigma)
     tdir = Path(transport_dir)
     tdir.mkdir(parents=True, exist_ok=True)
-    rng = Random(seed)
+    rng = _rng(seed)
     b = par.backend
 
     if role == "verifier":
@@ -244,7 +253,7 @@ def _protocol_options(fn):
         click.option("--nominee-sec", default=None, type=click.Path()),
         click.option("--sigma", "sigma_path", required=True, type=click.Path()),
         click.option("--transport-dir", required=True, type=click.Path()),
-        click.option("--seed", type=int, required=True),
+        _seed_option,
     ]):
         checked = opt(checked)
     return checked

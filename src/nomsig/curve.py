@@ -1,18 +1,19 @@
-"""Point arithmetic on y^2 = x^3 + b over Fp, shared by BN254 G1 and secp256k1.
+"""Point arithmetic on y^2 = x^3 + b over Fp, shared by BN254 G1 and secp256k1, and the powers of every group.
 
 Every function takes the modulus p first; b never enters the formulas.
 Points are affine (x, y) or Jacobian (X, Y, Z) for (X/Z^2, Y/Z^3), with
 None as infinity. Both curves have odd order, so no point has y = 0 and
 doubling never reaches infinity. ``bn254`` has the Fp2 copy for the twist.
 
-``ladder`` is the one double-and-add loop of the package: every
-exponentiation in G1, G2, GT and secp256k1 runs it, over its own group's
-doubling and addition. A product of powers is one joint ladder (Straus)
-over ``split_table``, which splits each scalar in short parts with an
-endomorphism: in two for ``glv_mul``, with (x, y) -> (beta*x, y)
-(Gallant-Lambert-Vanstone, CRYPTO 2001), and in four for G2 and GT in
-``bn254``. Every batched sum takes its group's ``add_all``, which adds a
-list of pairs in one call, as do the pairwise trees of ``sums``.
+Each group of the package is one ``Group`` record: ``glv`` makes a curve's
+here (BN254 G1, secp256k1), ``bn254`` makes those of G2 and GT. ``ladder``
+is the one double-and-add loop of the package, over a group's own doubling
+and addition. ``multi_mul`` takes a product of powers in any record as one
+joint ladder (Straus) over ``split_table``, which splits each scalar in
+short parts with the record's endomorphism: in two on the curves, with
+(x, y) -> (beta*x, y) (Gallant-Lambert-Vanstone, CRYPTO 2001), and in four
+for G2 and GT. Every batched sum takes the record's ``add_all``, which adds
+a list of pairs in one call, as do the pairwise trees of ``sums``.
 
 A point that is raised to many powers can keep a Lim-Lee comb (CRYPTO '94,
 ``comb_table``): with k = sum_i k_i 2^(16i) in its sixteen 16-bit pieces
@@ -21,8 +22,7 @@ entries of two 256-entry tables, one over the spokes of bits 0-127 and one
 over those of bits 128-255; a k below 2^128 reads the low table alone. A
 comb is two kept ``split_table`` tables: a comb term's parts are its
 pieces, so it joins the columns of a product's one ladder beside the split
-terms. The same code serves G1 here and G2 and GT in ``bn254``, where
-``g2_comb_powers`` steps many powers over one comb together.
+terms. ``bn254.g2_comb_powers`` steps many powers over one G2 comb together.
 """
 
 from collections import namedtuple
@@ -153,26 +153,18 @@ def ladder(acc, steps, table, double, add):
     return acc
 
 
-def comb_table(pt, double, madd, to_affine_all, add_all):
-    """The Lim-Lee comb of the affine point pt: the 256 subset sums of its spokes 2^(16i) * pt, i < 8, and of i = 8 .. 15.
+def comb_table(g, pt):
+    """The Lim-Lee comb of pt in the group g: the 256 subset sums of its spokes 2^(16i) * pt, i < 8, and of i = 8 .. 15.
 
-    The spokes take 240 Jacobian doublings and one ``to_affine_all`` call;
-    the sums take one ``add_all`` call per spoke of a half, 494 additions
-    in 8 calls. Entry 0 of each table is None. A group with no projective
-    form (GT in ``bn254``) passes a ``madd`` that takes None for the
-    identity and an identity ``to_affine_all``.
+    The spokes take 240 doublings and one ``to_affine_all`` call; the sums
+    take one ``add_all`` call per spoke of a half, 494 additions in 8
+    calls. Entry 0 of each table is None.
     """
-    spokes = [madd(None, pt)]
+    spokes = [g.lift(pt)]
     for _ in range(COMB_TEETH - 1):  # a ladder of zero steps only doubles
-        spokes.append(ladder(spokes[-1], [0] * COMB_ROWS, None, double, madd))
-    spokes = to_affine_all(spokes)
-    return subset_sums([spokes[: COMB_TEETH // 2], spokes[COMB_TEETH // 2 :]], add_all)
-
-
-def comb(p, pt):
-    """``comb_table`` of an affine point over Fp."""
-    return comb_table(pt, partial(jac_double, p), partial(jac_madd, p),
-                      lambda qs: [to_affine(p, q) for q in qs], partial(add_all, p))
+        spokes.append(ladder(spokes[-1], [0] * COMB_ROWS, None, g.double, g.add))
+    spokes = g.to_affine_all(spokes)
+    return subset_sums([spokes[: COMB_TEETH // 2], spokes[COMB_TEETH // 2 :]], g.add_all)
 
 
 def comb_pieces(k):
@@ -221,27 +213,27 @@ def split(k, lat):
     return parts
 
 
-def split_table(terms, lat, endo, neg, add_all, combs=()):
-    """The bit columns of one joint ladder for sum k * x over (x, k) terms with x not None, and their table.
+def split_table(g, terms, combs=()):
+    """The bit columns of one joint ladder for sum k * x over (x, k) terms of g with x not None, and their table.
 
-    Each k splits in d = len(lat.basis) parts over x and its images under
-    endo, each negated (neg) where its part is negative, and each term keeps
+    Each k splits in d = len(g.lat.basis) parts over x and its images under
+    g.endo, each negated where its part is negative, and each term keeps
     the 2^d subset sums of its d bases. A (comb of x, k) term in combs, with
     0 <= k < 2^256, has its ``comb_pieces`` for parts and its comb's two
     tables, each indexed by 8 pieces. A nonzero column, one bit of every
     part, maps to the ``sums`` of the entries it selects, at most one per
     table: a lone comb term with k < 2^128 selects one and needs no sum.
     """
-    d = len(lat.basis)
+    d = len(g.lat.basis)
     bases, parts = [], []
     for x, k in terms:
         if x is None:
             continue
-        for i, c in enumerate(split(k, lat)):
-            x = endo(x) if i else x
-            bases.append(x if c >= 0 else neg(x))
+        for i, c in enumerate(split(k, g.lat)):
+            x = g.endo(x) if i else x
+            bases.append(x if c >= 0 else g.neg(x))
             parts.append(abs(c))
-    tables = subset_sums([bases[i : i + d] for i in range(0, len(bases), d)], add_all)
+    tables = subset_sums([bases[i : i + d] for i in range(0, len(bases), d)], g.add_all)
     widths = [d] * len(tables) + [COMB_TEETH // 2] * (2 * len(combs))
     tables += [table for comb, _ in combs for table in comb]
     parts += [piece for _, k in combs for piece in comb_pieces(k)]
@@ -249,7 +241,21 @@ def split_table(terms, lat, endo, neg, add_all, combs=()):
     keys = [c for c in set(cols) if c]
     # a column's bits shifts[j] .. shifts[j] + widths[j] - 1 index table j
     entries = [[t[i] for t, at, w in zip(tables, shifts, widths) if (i := c >> at & (1 << w) - 1)] for c in keys]
-    return cols, dict(zip(keys, sums(entries, add_all)))
+    return cols, dict(zip(keys, sums(entries, g.add_all)))
+
+
+def multi_mul(g, terms, combs=()):
+    """sum k * x over (x, k) terms of the group g, plus (comb of x, k) terms combs, by one joint ladder.
+
+    The scalars are taken as they are: a caller reduces them mod the
+    group's order. The ladder starts from the first column's entry, lifted
+    to its form, not from the identity, and ends with one
+    ``to_affine_all``; the empty product is g.one.
+    """
+    cols, table = split_table(g, terms, combs)
+    if not cols:
+        return g.one
+    return g.to_affine_all([ladder(g.lift(table[cols[0]]), cols[1:], table, g.double, g.add)])[0]
 
 
 def glv_basis(n, lam):
@@ -267,22 +273,15 @@ def glv_basis(n, lam):
     return rows[-2], min(rows[-3], rows[-1], key=lambda v: v[0] ** 2 + v[1] ** 2)
 
 
-# A curve over Fp of prime order n on which (x, y) -> (beta*x, y) is multiplication by lam.
-Glv = namedtuple("Glv", "p beta lat")
+# A group's record: the ladder's doubling and its addition of an affine entry, the lift of an affine
+# entry to the ladder's form and ``to_affine_all`` back, the batched affine ``add_all``, the negation,
+# the endomorphism and the Lattice of its eigenvalue, and the identity.
+Group = namedtuple("Group", "double add lift to_affine_all add_all neg endo lat one")
 
 
 def glv(p, n, beta, lam):
-    return Glv(p, beta, lattice(glv_basis(n, lam)))
-
-
-def glv_mul(c, terms, combs=()):
-    """sum k * pt over (pt, k) terms, for points of the order-n group of the Glv curve c, plus combs.
-
-    Each k splits into k0 + k1*lam, halves of about log2(n)/2 bits, over pt
-    and (beta*x, y); the (comb of pt, k) terms combs, with 0 <= k < 2^256,
-    take k's pieces. All join one ladder over ``split_table``.
-    """
-    p = c.p
-    cols, table = split_table(terms, c.lat, lambda pt: (c.beta * pt[0] % p, pt[1]), lambda pt: (pt[0], -pt[1] % p),
-                              partial(add_all, p), combs)
-    return to_affine(p, ladder(None, cols, table, partial(jac_double, p), partial(jac_madd, p)))
+    """The Group of a curve over Fp of prime order n on which (x, y) -> (beta*x, y) is multiplication by lam."""
+    return Group(partial(jac_double, p), partial(jac_madd, p), partial(jac_madd, p, None),
+                 lambda qs: [to_affine(p, q) for q in qs], partial(add_all, p),
+                 lambda pt: None if pt is None else (pt[0], -pt[1] % p), lambda pt: (beta * pt[0] % p, pt[1]),
+                 lattice(glv_basis(n, lam)), None)

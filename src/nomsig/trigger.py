@@ -8,8 +8,8 @@ reproducible; s is always normalized to the low half-range, and recovery
 refuses high-s encodings.
 
 The point arithmetic is ``curve``'s, shared with BN254 G1; every scalar
-multiplication goes through ``curve.glv_mul`` with this curve's cube-root
-endomorphism.
+multiplication is ``curve.multi_mul`` over this curve's record ``GLV``,
+which splits the scalar with its cube-root endomorphism.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def ecdsa_keygen(seed: bytes) -> EcdsaKeyPair:
             hashlib.sha256(b"NOMSIG-ECDSA-KEY" + ctr.to_bytes(4, "big") + seed).digest(), "big"
         )
         if 0 < sk < N:
-            return EcdsaKeyPair(sk=sk, vk=curve.glv_mul(GLV, [(G, sk)]))
+            return EcdsaKeyPair(sk=sk, vk=curve.multi_mul(GLV, [(G, sk)]))
         ctr += 1
 
 
@@ -106,7 +106,7 @@ def ecdsa_sign(sk: int, message: bytes) -> EcdsaSignature:
         attempt += 1
         if k == 0:
             continue
-        rx, ry = curve.glv_mul(GLV, [(G, k)])
+        rx, ry = curve.multi_mul(GLV, [(G, k)])
         r = rx % N
         if r == 0:
             continue
@@ -141,7 +141,7 @@ def ecdsa_recover(sig: EcdsaSignature, message: bytes) -> tuple[int, int]:
     z = _msg_hash(message)
     r_inv = pow(sig.r, -1, N)
     # s/r * R - z/r * G as one joint ladder over R, -G and their endomorphism images
-    vk = curve.glv_mul(GLV, [(big_r, sig.s * r_inv % N), ((GX, P - GY), z * r_inv % N)])
+    vk = curve.multi_mul(GLV, [(big_r, sig.s * r_inv % N), ((GX, P - GY), z * r_inv % N)])
     if vk is None:
         raise RecoveryFailed("recovered key is the point at infinity")
     return vk

@@ -354,10 +354,8 @@ COMB_EDGES = [0, 1, N - 1, N, N + 1, -1, 2**256 - 1, 2**16 - 1, 2**16, 2**128 - 
 
 
 def _plain(b, terms):
-    """The value of prod x^k by the split ladders alone: ``glv_mul`` on G1, ``g2_mul_gls`` on G2, ``gt_pow_gls`` on GT."""
-    values = [(x.value, k % N) for x, k in terms]
-    split = {"G1": lambda v: curve.glv_mul(bn254.G1_GLV, v), "G2": bn254.g2_mul_gls, "GT": bn254.gt_pow_gls}
-    return split[terms[0][0].group](values)
+    """The value of prod x^k by the split ladder alone, ``curve.multi_mul`` over the group's record in ``bn254``."""
+    return curve.multi_mul(getattr(bn254, terms[0][0].group), [(x.value, k % N) for x, k in terms])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -407,9 +405,8 @@ def test_comb_products_at_the_edge_scalars(group):
 @pytest.mark.parametrize("group", ["G1", "G2", "GT"])
 def test_comb_table_is_written_once_at_the_nth_use(group, monkeypatch):
     b = RealBackend()
-    module, name = {"G1": (curve, "comb"), "G2": (bn254, "g2_comb"), "GT": (bn254, "gt_comb")}[group]
-    build, builds = getattr(module, name), []
-    monkeypatch.setattr(module, name, lambda *args: builds.append(args[-1]) or build(*args))
+    build, builds = curve.comb_table, []
+    monkeypatch.setattr(curve, "comb_table", lambda g, pt: builds.append(pt) or build(g, pt))
     x = getattr(b, group.lower())() ** 987654321
     for uses in range(1, COMB_USES):
         y = getattr(b, group.lower())() ** uses  # new, so it stays below the count
@@ -448,10 +445,9 @@ def test_a_product_with_comb_terms_is_one_split_table_and_one_ladder(group, comb
     for x, _ in terms[:combs]:
         b.comb_of(x, now=True)
     want = b.multi_exp(terms)
-    module, name = (curve, "jac_madd") if group == "G1" else (bn254, "_jac_madd_f2")
-    madd, ladder, split_table = getattr(module, name), curve.ladder, curve.split_table
+    record, ladder, split_table = RealBackend.groups[group], curve.ladder, curve.split_table
     adds, walks, tables = [], [], []
-    monkeypatch.setattr(module, name, lambda *args: adds.append(1) or madd(*args))
+    monkeypatch.setitem(RealBackend.groups, group, record._replace(add=lambda q, a: adds.append(1) or record.add(q, a)))
     monkeypatch.setattr(curve, "split_table", lambda *args: tables.append(1) or split_table(*args))
 
     def walk(acc, steps, *args):
@@ -471,9 +467,9 @@ def test_a_lone_comb_term_below_2_128_makes_no_column_sum(group, monkeypatch):
     b = RealBackend()
     x = getattr(b, group.lower())() ** 987654321
     b.comb_of(x, now=True)
-    module, name = {"G1": (curve, "add_all"), "G2": (bn254, "_g2_add_all"), "GT": (bn254, "f12_mul_all")}[group]
-    add_all, calls = getattr(module, name), []
-    monkeypatch.setattr(module, name, lambda *args: calls.append(len(args[-1])) or add_all(*args))
+    record, calls = RealBackend.groups[group], []
+    monkeypatch.setitem(RealBackend.groups, group,
+                        record._replace(add_all=lambda pairs: calls.append(len(pairs)) or record.add_all(pairs)))
     for k in (1, 2**16 - 1, 2**16, 2**128 - 1, 2**128, random.Random(34).randrange(2**128)):
         calls.clear()
         got = b.multi_exp([(x, k)])

@@ -32,9 +32,7 @@ from nomsig.bn254 import (
     f12_sqr,
     g1_mul,
     g1_mul_base,
-    g1_neg,
     g2_add,
-    g2_comb,
     g2_comb_powers,
     g2_in_subgroup,
     g2_is_on_curve,
@@ -66,7 +64,7 @@ def naive_g1_mul(pt, k):
 
 
 GROUPS = {
-    "G1": (G1_GEN, lambda a, b: curve_add(P, a, b), g1_mul, g1_mul_base, g1_neg),
+    "G1": (G1_GEN, lambda a, b: curve_add(P, a, b), g1_mul, g1_mul_base, bn254.G1.neg),
     "G2": (G2_GEN, g2_add, g2_mul, g2_mul_base, g2_neg),
 }
 
@@ -95,12 +93,12 @@ def test_g2_mul_unreduced_scalars():
 
 
 def test_fp_core_mixed_addition_of_equal_and_opposite_points(monkeypatch):
-    # glv_mul's joint ladder with the split fixed to (N + 2, 0): an unreduced part, so the
+    # G1's joint ladder with the split fixed to (N + 2, 0): an unreduced part, so the
     # last mixed addition meets a point equal to the accumulator
     monkeypatch.setattr(curve, "split", lambda k, lat: [N + 2, 0])
     two = curve_add(P, G1_GEN, G1_GEN)
-    assert curve.glv_mul(bn254.G1_GLV, [(G1_GEN, 1)]) == two == curve_mul(P, G1_GEN, N + 2)
-    assert curve.glv_mul(bn254.G1_GLV, [(None, 5)]) is None
+    assert curve.multi_mul(bn254.G1, [(G1_GEN, 1)]) == two == curve_mul(P, G1_GEN, N + 2)
+    assert curve.multi_mul(bn254.G1, [(None, 5)]) is None
 
 
 def test_curve_constants():
@@ -618,7 +616,7 @@ COMB_SCALARS = [0, 1, 2, N - 1, N, N + 1, -1, 2**32 - 1, 2**32, 0, 2**224, 2**25
 def test_g2_comb_matches_gls_and_binary_ladder():
     draws = random.Random(1323)
     ks = COMB_SCALARS + [draws.randrange(N) for _ in range(50)]
-    comb = g2_comb(G2_GEN)
+    comb = curve.comb_table(bn254.G2, G2_GEN)
     got = g2_comb_powers(comb, ks)
     assert got == [g2_mul_base(k) for k in ks]
     assert got == [binary_g2_mul(G2_GEN, k % N) for k in ks]
@@ -633,7 +631,7 @@ def test_g2_comb_powers_step_every_ladder_together(count, top, monkeypatch):
     # one of the high table, whatever the number of powers; top - 1 has a piece of 16 bits, so 16 rows,
     # and powers below 2^128 add no entry of the high table
     draws = random.Random(1325)
-    comb = g2_comb(G2_GEN)
+    comb = curve.comb_table(bn254.G2, G2_GEN)
     low, high = ({id(e) for e in table} for table in comb)
     ks = [top - 1] + [draws.randrange(top) for _ in range(count - 1)]
     calls = []

@@ -656,7 +656,7 @@ COMMAND_OPTIONS = {
     "confirm": {
         ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"),
         ("--nominee-sec", False, None, "path"), ("--params", True, None, "path"),
-        ("--role", True, None, "choice"), ("--seed", True, None, "integer"), ("--sigma", True, None, "path"),
+        ("--role", True, None, "choice"), ("--seed", False, None, "integer"), ("--sigma", True, None, "path"),
         ("--signer-pub", True, None, "path"), ("--transport-dir", True, None, "path"),
     },
     "convert": {
@@ -675,22 +675,22 @@ COMMAND_OPTIONS = {
     "disavow": {
         ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"),
         ("--nominee-sec", False, None, "path"), ("--params", True, None, "path"),
-        ("--role", True, None, "choice"), ("--seed", True, None, "integer"), ("--sigma", True, None, "path"),
+        ("--role", True, None, "choice"), ("--seed", False, None, "integer"), ("--sigma", True, None, "path"),
         ("--signer-pub", True, None, "path"), ("--transport-dir", True, None, "path"),
     },
     "keygen-nominee": {
         ("--params", True, None, "path"), ("--pub-out", True, None, "path"), ("--sec-out", True, None, "path"),
-        ("--seed", True, None, "integer"),
+        ("--seed", False, None, "integer"),
     },
     "keygen-signer": {
         ("--params", True, None, "path"), ("--pub-out", True, None, "path"), ("--sec-out", True, None, "path"),
-        ("--seed", True, None, "integer"),
+        ("--seed", False, None, "integer"),
     },
     "pay-advance": {("--amount", True, None, "integer"), ("--state", True, None, "path")},
     "receive": {
         ("--delta", True, None, "path"), ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"),
         ("--nominee-sec", True, None, "path"), ("--out", True, None, "path"), ("--params", True, None, "path"),
-        ("--seed", True, None, "integer"), ("--signer-pub", True, None, "path"),
+        ("--seed", False, None, "integer"), ("--signer-pub", True, None, "path"),
     },
     "report-gas": {
         ("--cost-table", False, None, "path"), ("--ec-additions", False, 256, "integer"),
@@ -700,7 +700,7 @@ COMMAND_OPTIONS = {
     "setup": {("--backend", False, "bn254", "text"), ("--out", True, None, "path")},
     "sign": {
         ("--message-file", True, None, "path"), ("--nominee-pub", True, None, "path"), ("--out", True, None, "path"),
-        ("--params", True, None, "path"), ("--seed", True, None, "integer"), ("--signer-pub", True, None, "path"),
+        ("--params", True, None, "path"), ("--seed", False, None, "integer"), ("--signer-pub", True, None, "path"),
         ("--signer-sec", True, None, "path"),
     },
     "store-sig": {("--sigma", True, None, "path"), ("--state", True, None, "path")},
@@ -716,6 +716,23 @@ def test_every_command_keeps_its_options():
     got = {name: {(*p.opts, p.required, None if p.required else p.default, p.type.name) for p in cmd.params}
            for name, cmd in main.commands.items()}
     assert got == COMMAND_OPTIONS
+
+
+def test_unseeded_runs_draw_fresh_secrets_and_the_pipeline_still_accepts(tmp_path):
+    # without --seed every secret is drawn from the OS: two runs of keygen-signer, and two of sign,
+    # write different bytes, and the pipeline accepts on the second runs' files
+    for args in _bn254_pipeline(tmp_path):
+        if "--seed" in args:
+            i = args.index("--seed")
+            args = args[:i] + args[i + 2 :]
+        outs = [args[args.index(opt) + 1] for opt in ("--pub-out", "--sec-out", "--out") if opt in args]
+        runs = []
+        for _ in range(2 if args[0] in ("keygen-signer", "sign") else 1):
+            res = invoke(*args)
+            assert res.exit_code == 0, res.output
+            runs.append([path.read_bytes() for path in outs])
+        assert len(runs) == 1 or all(a != b for a, b in zip(*runs)), args[0]
+    assert "accept" in res.output
 
 
 def _bn254_pipeline(d):
@@ -747,9 +764,9 @@ def test_bn254_commands_build_no_comb_and_each_keygen_builds_one(tmp_path, monke
     # command meets enough products to keep a comb, no key's bases enough evaluations to keep
     # a nibble table, and each keygen takes its powers from the one comb of g2 it builds
     built = []
-    g2_comb, comb, subset_sums = bn254.g2_comb, curve.comb, RealBackend.subset_sums
-    monkeypatch.setattr(bn254, "g2_comb", lambda pt: built.append("G2") or g2_comb(pt))
-    monkeypatch.setattr(curve, "comb", lambda p, pt: built.append("G1") or comb(p, pt))
+    comb_table, subset_sums = curve.comb_table, RealBackend.subset_sums
+    names = {id(g): name for name, g in RealBackend.groups.items()}
+    monkeypatch.setattr(curve, "comb_table", lambda g, pt: built.append(names[id(g)]) or comb_table(g, pt))
     monkeypatch.setattr(RealBackend, "subset_sums",
                         lambda self, group, groups: built.append("Waters") or subset_sums(self, group, groups))
     for args in _bn254_pipeline(tmp_path):

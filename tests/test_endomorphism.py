@@ -1,8 +1,8 @@
-"""Endomorphism-split exponentiation against the plain ladders it replaces.
+"""Endomorphism-split exponentiation (``curve.multi_mul``) against the plain ladders it replaces.
 
-The 4-dimensional GLS split serves G2 and GT, the 2-dimensional GLV split
-serves BN254 G1 and secp256k1. The oracles are the general ladders
-``bn254.g2_mul`` and ``bn254.f12_cyc_pow``, which take any point or
+The 4-dimensional GLS split serves the G2 and GT records, the 2-dimensional
+GLV split those of BN254 G1 and secp256k1. The oracles are the general
+ladders ``bn254.g2_mul`` and ``bn254.f12_cyc_pow``, which take any point or
 cyclotomic element and any scalar, and on the Fp curves affine binary
 double-and-add over ``oracles.curve_add`` (``oracles.curve_mul``), which shares no
 code with ``curve.ladder``.
@@ -26,7 +26,7 @@ LAMBDA_GLS = 6 * U**2  # p mod N: the eigenvalue of psi on G2 and of the Frobeni
 # name -> (lattice, group order, eigenvalue)
 SPLITS = {
     "gls": (bn254.GLS_LATTICE, N, LAMBDA_GLS),
-    "bn254-g1": (bn254.G1_GLV.lat, N, LAMBDA_G1),
+    "bn254-g1": (bn254.G1.lat, N, LAMBDA_G1),
     "secp256k1": (trigger.GLV.lat, trigger.N, trigger.LAMBDA),
 }
 
@@ -62,14 +62,19 @@ def test_split_bounds_fix_the_ladder_lengths():
 
 
 def test_endomorphisms_act_as_their_eigenvalues():
-    # the (beta, lam) pairs against affine double-and-add, and psi, the Frobenius against p mod N
-    for c, n, lam, gen in ((bn254.G1_GLV, N, LAMBDA_G1, G1_GEN), (trigger.GLV, trigger.N, trigger.LAMBDA, trigger.G)):
-        assert (lam * lam + lam + 1) % n == 0 and pow(c.beta, 3, c.p) == 1 != c.beta
-        assert curve_mul(c.p, gen, lam) == (c.beta * gen[0] % c.p, gen[1])
+    # each record's endomorphism: (x, y) -> (beta*x, y) against affine double-and-add on the Fp curves,
+    # psi and the Frobenius against p mod N
+    for g, p, n, lam, gen in ((bn254.G1, P, N, LAMBDA_G1, G1_GEN),
+                              (trigger.GLV, trigger.P, trigger.N, trigger.LAMBDA, trigger.G)):
+        (bx, by), (x, y) = g.endo(gen), gen
+        beta = bx * pow(x, -1, p) % p
+        assert (lam * lam + lam + 1) % n == 0 and pow(beta, 3, p) == 1 != beta and by == y
+        assert curve_mul(p, gen, lam) == g.endo(gen)
+        assert g.endo((5, 7)) == (5 * beta % p, 7)
     assert P % N == LAMBDA_GLS
-    assert bn254._tw_frob(G2_GEN) == g2_mul(G2_GEN, LAMBDA_GLS)
+    assert bn254.G2.endo(G2_GEN) == bn254._tw_frob(G2_GEN) == g2_mul(G2_GEN, LAMBDA_GLS)
     e = bn254.pairing(G1_GEN, G2_GEN)
-    assert bn254.f12_frob(e) == f12_cyc_pow(e, LAMBDA_GLS)
+    assert bn254.GT.endo(e) == bn254.f12_frob(e) == f12_cyc_pow(e, LAMBDA_GLS)
 
 
 @pytest.mark.parametrize("name", sorted(SPLITS))
@@ -95,60 +100,60 @@ def _scalars(n, lam, draws):
     return [0, 1, 2, n - 1, lam, n - lam, 2**64, 2**65 - 1] + [draws.randrange(n) for _ in range(8)]
 
 
-def test_g2_mul_gls_matches_g2_mul():
-    draws = random.Random(1401)
-    pts = [G2_GEN, g2_mul(G2_GEN, draws.randrange(N)), g2_mul(G2_GEN, N - 1)]
-    for q in pts:
-        for k in _scalars(N, LAMBDA_GLS, draws):
-            assert bn254.g2_mul_gls([(q, k)]) == g2_mul(q, k)
-    assert bn254.g2_mul_gls([(None, 5)]) is None
-    assert bn254.g2_mul_gls([(G2_GEN, N)]) is None
-
-
-def test_gt_pow_gls_matches_f12_cyc_pow():
-    draws = random.Random(1402)
+def _record(name, draws):
+    """(record, order, eigenvalue, elements, k * x by the general ladder, the group law) of a record by name."""
+    if name in ("bn254-g1", "secp256k1"):
+        g, p, n, lam, gen = ((bn254.G1, P, N, LAMBDA_G1, G1_GEN) if name == "bn254-g1" else
+                             (trigger.GLV, trigger.P, trigger.N, trigger.LAMBDA, trigger.G))
+        xs = [gen, curve_mul(p, gen, draws.randrange(1, n)), curve_mul(p, gen, n - 1)]
+        return g, n, lam, xs, lambda x, k: curve_mul(p, x, k), lambda a, b: curve_add(p, a, b)
+    if name == "g2":
+        xs = [G2_GEN, g2_mul(G2_GEN, draws.randrange(N)), g2_mul(G2_GEN, N - 1), g2_mul(G2_GEN, 2**200)]
+        return bn254.G2, N, LAMBDA_GLS, xs, g2_mul, g2_add
     e = bn254.pairing(G1_GEN, G2_GEN)
-    for a in (e, f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)):
-        for k in _scalars(N, LAMBDA_GLS, draws):
-            assert bn254.gt_pow_gls([(a, k)]) == f12_cyc_pow(a, k)
-    assert bn254.gt_pow_gls([(bn254.F12_ONE, draws.randrange(N))]) == bn254.F12_ONE
-    assert bn254.gt_pow_gls([(e, N)]) == bn254.F12_ONE
+    xs = [e, f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)]
+    return bn254.GT, N, LAMBDA_GLS, xs, f12_cyc_pow, bn254.f12_mul
 
 
-def test_gt_pow_gls_with_comb_terms_matches_f12_cyc_pow():
-    # comb terms alone, two together and beside a split term, against one f12_cyc_pow per term; a comb
-    # term's k is not reduced, so 2^255 > N takes all sixteen pieces, the high table's among them
-    draws = random.Random(1408)
-    e = bn254.pairing(G1_GEN, G2_GEN)
-    a, b = f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)
-    ca, cb = bn254.gt_comb(a), bn254.gt_comb(b)
-    assert [len(t) for t in ca] == [256, 256] and ca[0][0] is ca[1][0] is None
-    assert ca[0][1] == a and ca[1][1] == f12_cyc_pow(a, 2**128)
-    for k in (0, 1, N - 1, 2**255, draws.randrange(N)):
-        other = draws.randrange(N)
-        assert bn254.gt_pow_gls([], [(ca, k)]) == f12_cyc_pow(a, k)
-        assert bn254.gt_pow_gls([], [(ca, k), (cb, other)]) == bn254.f12_mul(f12_cyc_pow(a, k), f12_cyc_pow(b, other))
-        assert bn254.gt_pow_gls([(e, other)], [(ca, k)]) == bn254.f12_mul(f12_cyc_pow(e, other), f12_cyc_pow(a, k))
-        assert bn254.gt_pow_gls([(a, other)], [(ca, k)]) == f12_cyc_pow(a, (k + other) % N)
-
-
-@pytest.mark.parametrize("c", [bn254.G1_GLV, trigger.GLV], ids=["bn254-g1", "secp256k1"])
-def test_glv_mul_matches_curve_mul(c):
+@pytest.mark.parametrize("name", ["bn254-g1", "secp256k1", "g2", "gt"])
+def test_multi_mul_matches_the_general_ladders(name):
     draws = random.Random(1403)
-    n, lam, gen = (N, LAMBDA_G1, G1_GEN) if c is bn254.G1_GLV else (trigger.N, trigger.LAMBDA, trigger.G)
-    pts = [gen, curve_mul(c.p, gen, draws.randrange(1, n))]
-    for pt in pts:
-        for k in _scalars(n, lam, draws):
-            assert curve.glv_mul(c, [(pt, k)]) == curve_mul(c.p, pt, k)
-    a, b = (draws.randrange(n) for _ in range(2))
-    want = curve_add(c.p, curve_mul(c.p, pts[0], a), curve_mul(c.p, pts[1], b))
-    assert curve.glv_mul(c, [(pts[0], a), (pts[1], b)]) == want
-    # a comb term joins the two split terms' ladder
-    assert curve.glv_mul(c, [(pts[0], a), (pts[1], b)], [(curve.comb(c.p, pts[1]), a)]) == \
-        curve_add(c.p, want, curve_mul(c.p, pts[1], a))
-    assert curve.glv_mul(c, [(None, a), (pts[1], b)]) == curve_mul(c.p, pts[1], b)
-    assert curve.glv_mul(c, [(pts[0], a), ((pts[0][0], -pts[0][1] % c.p), a)]) is None
-    assert curve.glv_mul(c, []) is None
+    g, n, lam, xs, mul, add = _record(name, draws)
+    for x in xs:
+        for k in _scalars(n, lam, draws) + [n]:
+            assert curve.multi_mul(g, [(x, k)]) == mul(x, k), (x, k)
+    # products of one term per element and up, alone and beside a None term
+    for size in range(1, len(xs) + 1):
+        ks = [draws.randrange(n) for _ in range(size)]
+        want = reduce(add, [mul(x, k) for x, k in zip(xs, ks)])
+        assert curve.multi_mul(g, list(zip(xs, ks))) == want
+        assert curve.multi_mul(g, [(None, 3), *zip(xs, ks)]) == want
+    # two terms that cancel, alone and beside a third, so the column entries meet the identity;
+    # the identity as a base; the empty product
+    k = draws.randrange(n)
+    assert curve.multi_mul(g, [(xs[0], k), (g.neg(xs[0]), k)]) == g.one
+    assert curve.multi_mul(g, [(xs[0], k), (g.neg(xs[0]), k), (xs[1], 1)]) == xs[1]
+    assert curve.multi_mul(g, [(g.one, k)]) == g.one
+    assert curve.multi_mul(g, []) == g.one
+
+
+@pytest.mark.parametrize("name", ["bn254-g1", "secp256k1", "g2", "gt"])
+def test_multi_mul_with_comb_terms_matches_the_general_ladders(name):
+    draws = random.Random(1408)
+    g, n, _, xs, mul, add = _record(name, draws)
+    # comb terms alone, two together and beside split terms, against one ladder per term; a comb
+    # term's k is not reduced, so 2^255 takes all sixteen pieces, the high table's among them
+    ca, cb = curve.comb_table(g, xs[0]), curve.comb_table(g, xs[1])
+    assert [len(t) for t in ca] == [256, 256] and ca[0][0] is ca[1][0] is None
+    assert ca[0][1] == xs[0] and ca[1][1] == mul(xs[0], 2**128)
+    for k in (0, 1, n - 1, 2**255, draws.randrange(n)):
+        other = draws.randrange(n)
+        assert curve.multi_mul(g, [], [(ca, k)]) == mul(xs[0], k)
+        assert curve.multi_mul(g, [], [(ca, k), (cb, other)]) == add(mul(xs[0], k), mul(xs[1], other))
+        assert curve.multi_mul(g, [(xs[2], other)], [(ca, k)]) == add(mul(xs[2], other), mul(xs[0], k))
+        assert curve.multi_mul(g, [(xs[0], other)], [(ca, k)]) == mul(xs[0], (k + other) % n)
+        assert curve.multi_mul(g, [(xs[0], other), (xs[1], k)], [(cb, other)]) == \
+            add(mul(xs[0], other), mul(xs[1], (k + other) % n))
 
 
 def test_g1_mul_matches_curve_mul():
@@ -160,7 +165,7 @@ def test_g1_mul_matches_curve_mul():
 
 
 def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypatch):
-    # the joint ladder over the subset sums of the bases, as glv_mul and g2_mul_gls run it
+    # the joint ladder over the subset sums of the bases, as multi_mul runs it
     def joint(p, bases, scalars):
         table = curve.subset_sums([bases], lambda pairs: curve.add_all(p, pairs))[0]
         steps = curve.columns(scalars)
@@ -168,7 +173,7 @@ def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypat
                                                lambda q, a: curve.jac_madd(p, q, a)))
 
     # bases (Q, 2Q) with scalars (2, 1): after one doubling the accumulator is 2Q, the next entry
-    for p, pt, neg in ((P, G1_GEN, bn254.g1_neg), (trigger.P, trigger.G, lambda q: (q[0], trigger.P - q[1]))):
+    for p, pt, neg in ((P, G1_GEN, bn254.G1.neg), (trigger.P, trigger.G, lambda q: (q[0], trigger.P - q[1]))):
         two = curve_add(p, pt, pt)
         assert joint(p, [pt, two], [2, 1]) == curve_mul(p, pt, 4)
         assert joint(p, [pt, neg(two)], [2, 1]) is None
@@ -176,12 +181,11 @@ def test_ladders_whose_mixed_addition_meets_an_equal_or_opposite_point(monkeypat
         assert joint(p, [pt, neg(pt)], [3, 1]) == two
         assert joint(p, [], []) is None
 
-    # the same cases on g2_mul_gls's ladder: the split is fixed, and the
+    # the same cases on the G2 record's ladder: the split is fixed, and the record's
     # twist Frobenius replaced so that the conjugates of Q are 2Q, 4Q, 8Q or -Q, Q, -Q
     def gls(parts, frob):
         monkeypatch.setattr(curve, "split", lambda k, lat: list(parts))
-        monkeypatch.setattr(bn254, "_tw_frob", frob)
-        return bn254.g2_mul_gls([(G2_GEN, 1)])
+        return curve.multi_mul(bn254.G2._replace(endo=frob), [(G2_GEN, 1)])
 
     two = g2_add(G2_GEN, G2_GEN)
     assert gls([2, 1, 0, 0], lambda q: g2_add(q, q)) == g2_mul(G2_GEN, 4)
@@ -201,24 +205,6 @@ def test_batched_affine_additions_match_add():
         assert curve.add_all(p, []) == []
 
 
-def test_joint_products_match_the_general_ladders():
-    draws = random.Random(1407)
-    pts = [G2_GEN, g2_mul(G2_GEN, draws.randrange(N)), g2_mul(G2_GEN, N - 1), g2_mul(G2_GEN, 2**200)]
-    e = bn254.pairing(G1_GEN, G2_GEN)
-    els = [e, f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)]
-    for n in range(1, 5):
-        ks = [draws.randrange(N) for _ in range(n)]
-        want = reduce(g2_add, [g2_mul(q, k) for q, k in zip(pts, ks)])
-        assert bn254.g2_mul_gls(list(zip(pts, ks))) == want
-        assert bn254.g2_mul_gls([(None, 3), *zip(pts, ks)]) == want
-    ks = [draws.randrange(N) for _ in els]
-    want = reduce(bn254.f12_mul, [f12_cyc_pow(a, k) for a, k in zip(els, ks)])
-    assert bn254.gt_pow_gls(list(zip(els, ks))) == want
-    # three terms whose column entries meet 1: e^k * e^-k * a
-    assert bn254.gt_pow_gls([(e, ks[0]), (bn254.f12_conj(e), ks[0]), (els[1], 1)]) == els[1]
-    assert bn254.g2_mul_gls([]) is None and bn254.gt_pow_gls([]) == bn254.F12_ONE
-
-
 def test_joint_ladder_tables_and_additions_meet_equal_and_opposite_points(monkeypatch):
     # Two-term G2 products with each term's split fixed and the twist Frobenius
     # replaced, against the binary Jacobian ladder of the oracles. With psi = -1
@@ -230,8 +216,7 @@ def test_joint_ladder_tables_and_additions_meet_equal_and_opposite_points(monkey
     def joint(terms, frob):
         splits = iter([parts for _, parts in terms])
         monkeypatch.setattr(curve, "split", lambda k, lat: list(next(splits)))
-        monkeypatch.setattr(bn254, "_tw_frob", frob)
-        return bn254.g2_mul_gls([(pt, 1) for pt, _ in terms])
+        return curve.multi_mul(bn254.G2._replace(endo=frob), [(pt, 1) for pt, _ in terms])
 
     def double(q):
         return g2_add(q, q)
@@ -295,12 +280,24 @@ def test_subgroup_checks_do_not_use_the_split_paths(monkeypatch):
     def refuse(*args):
         raise AssertionError("a subgroup-only path ran on a value not known to be in the subgroup")
 
+    def refusing(fn):
+        """fn, refused for the G2 and GT records, whose splits hold only in the order-N subgroups."""
+        return lambda g, *args: refuse() if g is bn254.G2 or g is bn254.GT else fn(g, *args)
+
     b = RealBackend()
     gt = b.gt() ** 12345
     g2 = b.g2() ** 678
     batch = [(b.serialize("G2", (b.g2() ** k).value, c), c) for k in range(1, G2_BATCH_MIN + 1) for c in (True, False)]
-    for name in ("g2_mul_gls", "gt_pow_gls", "g2_comb", "g2_comb_powers"):
-        monkeypatch.setattr(bn254, name, refuse)
+    for name in ("split_table", "comb_table"):
+        monkeypatch.setattr(curve, name, refusing(getattr(curve, name)))
+    monkeypatch.setattr(bn254, "g2_comb_powers", refuse)
+    # the refusal fires on a power in G2 or GT, but not in G1
+    for x in (b.g2(), b.gt()):
+        with pytest.raises(AssertionError, match="subgroup-only"):
+            x ** 5
+    with pytest.raises(AssertionError, match="subgroup-only"):
+        b.base_powers(b.g2(), [1, 2])
+    assert b.g1() ** 5 == b.g1() * b.g1() ** 4
     assert b.element("G2", g2.to_bytes()) == g2
     assert b.element("G2", b.serialize("G2", g2.value, compressed=False), compressed=False) == g2
     assert b.element("GT", gt.to_bytes()) == gt

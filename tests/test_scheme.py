@@ -430,11 +430,8 @@ def test_tk_verify_serializes_each_public_key_once(mock_pipeline, monkeypatch):
 
 def _spy_comb_builds(monkeypatch):
     """The value of each element whose comb table gets built, G1, G2 or GT."""
-    built = []
-    g2_comb, gt_comb, comb = bn254.g2_comb, bn254.gt_comb, curve.comb
-    monkeypatch.setattr(bn254, "g2_comb", lambda pt: built.append(pt) or g2_comb(pt))
-    monkeypatch.setattr(bn254, "gt_comb", lambda a: built.append(a) or gt_comb(a))
-    monkeypatch.setattr(curve, "comb", lambda p, pt: built.append(pt) or comb(p, pt))
+    built, comb_table = [], curve.comb_table
+    monkeypatch.setattr(curve, "comb_table", lambda g, pt: built.append(pt) or comb_table(g, pt))
     return built
 
 
