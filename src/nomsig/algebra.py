@@ -447,7 +447,7 @@ class RealBackend(Backend):
         """A batch of G2 powers from base's comb, built now if it has none yet: keygen's u_i and u'_i."""
         if base.group != "G2" or base.value is None:
             return super().base_powers(base, scalars)
-        values = bn254.g2_comb_powers(self.comb_of(base, now=True), [k % self.order for k in scalars])
+        values = curve.comb_powers(bn254.G2, self.comb_of(base, now=True), [k % self.order for k in scalars])
         return [GroupElem(self, "G2", v) for v in values]
 
     def miller_value(self, a, b):
@@ -499,7 +499,7 @@ class RealBackend(Backend):
             # nonzero a has a^N = 1 exactly when a^p = a^(p - N), and p - N = 6u^2 has 127 bits to N's 254;
             # cyclotomic first, so that power may square cyclotomically. Zero passes both, so it is named.
             if (v == (bn254.F2_ZERO,) * 6 or not bn254.f12_is_cyclotomic(v)
-                    or bn254.f12_frob(v) != bn254.f12_cyc_pow(v, bn254.P - self.order)):
+                    or bn254.f12_frob(v) != curve.wnaf_mul(bn254.GT, v, bn254.P - self.order)):
                 raise NotInSubgroup("GT: not in the order-n subgroup")
             return v
         pt = self.point(group, data, compressed)

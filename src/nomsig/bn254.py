@@ -28,30 +28,25 @@ function of the point alone, so a caller that keeps them skips the point's
 walk the next time (Costello-Stebila, "Fixed Argument Pairings",
 LATINCRYPT 2010); ``miller_loop`` keeps none.
 
-Every exponentiation runs the one double-and-add loop ``curve.ladder``:
-  - the records ``G1``, ``G2`` and ``GT`` (``curve.Group``) take a product
-    of powers by ``curve.multi_mul``, one ladder over ``curve.split_table``:
-    G1 splits each scalar in two with the cube-root endomorphism, G2 and GT,
-    the order-N subgroups, in four with the Frobenius;
-  - an element raised to many powers keeps a Lim-Lee comb of 16 teeth
-    (``curve.comb_table``), two kept ``curve.split_table`` tables of 8
-    teeth each: a comb term's parts are k's sixteen 16-bit pieces, so it
-    joins the product's 16 columns beside its split terms, and
-    ``g2_comb_powers`` steps a batch of powers of one point over its comb
-    together, one batched doubling and one batched addition per table per
-    row; the backend gives an element a comb at its 8th product, or at
-    once for keygen's batch of powers of g2, so a key's e(g^-1, h) in GT
-    keeps one from the confirm and disavow proofs;
-  - ``g2_mul`` and ``f12_cyc_pow`` (width-4 signed digits over pt, 3pt,
-    5pt, 7pt or a, a^3, a^5, a^7) take any twist point or cyclotomic
+Every exponentiation runs the one double-and-add loop ``curve.ladder``
+over a record (``curve.Group``) of this module, ``G1``, ``G2`` or ``GT``:
+  - a product of powers is one ``curve.multi_mul`` ladder: G1 splits each
+    scalar in two with the cube-root endomorphism, G2 and GT, the order-N
+    subgroups, in four with the Frobenius;
+  - an element raised to many powers keeps a Lim-Lee comb
+    (``curve.comb_table``), whose terms join a product's ladder, and
+    ``curve.comb_powers`` steps keygen's batch of powers of g2 over one;
+    the backend gives an element a comb at its 8th product, so a key's
+    e(g^-1, h) in GT keeps one from the confirm and disavow proofs;
+  - ``curve.wnaf_mul`` takes any twist point (``g2_mul``) or cyclotomic
     element and any scalar, for the subgroup tests, cofactor clearing, the
     final exponentiation and a decoded GT element's membership test.
 The program takes no power through ``g1_mul_base`` or ``g2_mul_base``.
 
 Decoding a G2 point costs an on-curve check of its (x, y), or for a
 compressed x two Fp exponentiations in ``f2_sqrt``, and the subgroup test
-``g2_in_subgroup``: 62 doublings and 13 mixed additions for [u]Q, then
-five mixed additions whose Jacobian sum is tested for infinity.
+``g2_in_subgroup``: [u]Q, then five mixed additions whose Jacobian sum is
+tested for infinity.
 ``g2_all_in_subgroup`` tests a batch of points with 10 of those tests, on
 random linear combinations with coefficients centred on 0, summed by
 signed-digit buckets whose reductions the 10 rounds run in lockstep.
@@ -76,8 +71,8 @@ Karatsuba over Fp6 = Fp2[w^2], on plain ints reduced once per output
 coefficient.
 
 GT, and every value past the easy part of the final exponentiation, lies in
-the cyclotomic subgroup of Fp12*: there ``f12_cyc_pow`` exponentiates with
-cyclotomic squarings over width-4 signed digits.
+the cyclotomic subgroup of Fp12*, where the GT record squares by
+``f12_cyc_sqr``.
 """
 
 import hashlib
@@ -400,48 +395,6 @@ def _f4_sqr(x0, x1, y0, y1):
     return t0 + 9 * u0 - u1, t1 + 9 * u1 + u0, (s0 + s1) * (s0 - s1) - t0 - u0, 2 * s0 * s1 - t1 - u1
 
 
-def _naf(k, w=2):
-    """The width-w non-adjacent form of k >= 0, least significant first.
-
-    Each digit is 0 or odd with |d| < 2^(w-1), and a nonzero digit is followed
-    by at least w - 1 zeros; w = 2 is the plain NAF, with digits in {-1, 0, 1}.
-    """
-    digits = []
-    while k:
-        d = 0
-        if k & 1:
-            d = k & ((1 << w) - 1)
-            if d >> (w - 1):
-                d -= 1 << w
-        digits.append(d)
-        k = (k - d) >> 1
-    return digits
-
-
-def f12_cyc_pow(a, k):
-    """a^k for a in the cyclotomic subgroup and k >= 0, by a width-4 signed-digit (wNAF) ladder.
-
-    The table maps the digits 1, 3, 5, 7 to a, a^3, a^5, a^7 (one cyclotomic
-    squaring and three products) and -1, -3, -5, -7 to their conjugates,
-    the inverses there. The ladder starts from the leading digit's entry and
-    makes one cyclotomic squaring per later digit: for k = u, 63 squarings
-    and 16 products in all, where plain NAF digits took 62 and 23.
-    """
-    digits = _naf(k, 4)
-    if not digits:
-        return F12_ONE
-    a2, odd = f12_cyc_sqr(a), [a]
-    for _ in range(3):
-        odd.append(f12_mul(odd[-1], a2))
-    table = _digit_table(odd, f12_conj)
-    return curve.ladder(table[digits[-1]], reversed(digits[:-1]), table, f12_cyc_sqr, f12_mul)
-
-
-def _digit_table(odd, inv):
-    """A width-4 ladder's table: the digits 1, 3, 5, 7 to the four odd powers, -1, -3, -5, -7 to their inverses."""
-    return {s * d: x if s > 0 else inv(x) for d, x in zip((1, 3, 5, 7), odd) for s in (1, -1)}
-
-
 # ---------------------------------------------------------------------------
 # G1: y^2 = x^3 + 3 over Fp
 # ---------------------------------------------------------------------------
@@ -612,10 +565,6 @@ def _jac_madd_f2(q, a):
     return s or (_jac_double_f2(q) if r0 == r1 == 0 else None)
 
 
-def _to_affine_f2(q):
-    return None if q is None else _batch_to_affine_f2([q])[0]
-
-
 def _batch_to_affine_f2(qs):
     """Jacobian points to affine, None for infinity, with one batched inversion for all the finite ones."""
     zis, out = iter(_f2_batch_inv([q[2] for q in qs if q is not None])), []
@@ -626,30 +575,6 @@ def _batch_to_affine_f2(qs):
             q = (f2_mul(q[0], zi2), f2_mul(f2_mul(q[1], zi2), zi))
         out.append(q)
     return out
-
-
-def g2_mul(pt, k):
-    """k * pt for any twist point and any k, by a width-4 signed-digit (wNAF) ladder.
-
-    The table maps the digits 1, 3, 5, 7 to pt, 3pt, 5pt, 7pt (2pt by one
-    affine doubling, the odd multiples by mixed additions of it, then one
-    batched inversion) and -1, -3, -5, -7 to their negatives. A nonzero
-    digit is followed by at least three zero digits. No reduction mod N
-    here: the subgroup test and cofactor clearing multiply points outside
-    G2, and by scalars of N or more.
-    The twist's order has no prime factor below 10069, so no table entry is
-    infinity and none meets +-pt in its mixed addition.
-    """
-    if k < 0:
-        pt, k = g2_neg(pt), -k
-    if pt is None or k == 0:
-        return None
-    two = g2_add(pt, pt)
-    odd = [(*pt, F2_ONE)]
-    for _ in range(3):
-        odd.append(_jac_madd_f2(odd[-1], two))
-    table = _digit_table([pt, *_batch_to_affine_f2(odd[1:])], g2_neg)
-    return _to_affine_f2(curve.ladder(None, reversed(_naf(k, 4)), table, _jac_double_f2, _jac_madd_f2))
 
 
 # Frobenius on the twist: psi(x, y) = (conj(x)*XI^((p-1)/3), conj(y)*XI^((p-1)/2)).
@@ -670,8 +595,8 @@ def _tw_frob(pt):
 # below. A product of powers runs one joint ladder of at most 65 steps over
 # all its terms' parts, so the terms share every doubling or squaring. The
 # rows span a sublattice of index 3 (det 3N); that is enough, since each row
-# alone sums to 0 mod N. Both records hold only in the order-N subgroup, so
-# the general g2_mul and f12_cyc_pow stay for everything else.
+# alone sums to 0 mod N. Both splits hold only in the order-N subgroup, so
+# everything else takes ``curve.wnaf_mul``.
 # ---------------------------------------------------------------------------
 
 GLS_LATTICE = curve.lattice([
@@ -689,15 +614,23 @@ GT = curve.Group(f12_cyc_sqr, f12_mul, lambda a: a, list, lambda pairs: [f12_mul
                  f12_frob, GLS_LATTICE, F12_ONE)
 
 
+def g2_mul(pt, k):
+    """k * pt for any twist point and any k: ``curve.wnaf_mul`` on the G2 record, with no reduction mod N.
+
+    The twist's order has no prime factor below 10069, so no table entry is
+    infinity and none meets +-pt in its mixed addition.
+    """
+    return curve.wnaf_mul(G2, pt, k)
+
+
 def g2_in_subgroup(pt):
     """Whether pt is on the twist and in G2, the order-N subgroup.
 
     Tests Q + R + psi(R) + psi^2(R) - 2psi^3(R) = O for R = [u]Q, with psi the
     twist Frobenius (Dai-Lin-Zhao-Zhou, ePrint 2022/348): one 63-bit ``g2_mul``
-    (62 doublings, 13 mixed additions, one inversion for its table and one for
-    R) where [N]Q = O takes a 254-bit one. The sum is five mixed additions and
-    stays Jacobian: only its infinity is tested. [u]Q = O only for Q = O,
-    since u < N.
+    (63 doublings, 16 mixed additions and 3 inversions) where [N]Q = O takes
+    a 254-bit one. The sum is five mixed additions and stays Jacobian: only
+    its infinity is tested. [u]Q = O only for Q = O, since u < N.
     """
     if pt is None:
         return True
@@ -709,7 +642,7 @@ def g2_in_subgroup(pt):
     psi1 = _tw_frob(uq)
     psi2 = _tw_frob(psi1)
     psi3 = g2_neg(_tw_frob(psi2))
-    return reduce(_jac_madd_f2, [pt, uq, psi1, psi2, psi3, psi3], None) is None
+    return reduce(G2.add, [pt, uq, psi1, psi2, psi3, psi3], None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -821,27 +754,6 @@ def g2_mul_base(k):
     return curve.multi_mul(G2, [(G2_GEN, k % N)])
 
 
-def g2_comb_powers(comb, ks):
-    """[k * pt for k in ks] over the comb of pt, None where k = 0 mod N, by one lockstep comb ladder.
-
-    Every k takes the 16 bit columns of its ``curve.comb_pieces``, fewer if
-    every k is short. Each step is one batched affine doubling of every
-    power and one batched addition of each power's entry of each of the
-    comb's two tables: three ``_g2_add_all`` calls for all of ks. A power
-    costs at most 16 doublings and 32 additions (``curve.multi_mul``: about
-    64 of each, after a 16-entry table); a k below 2^128 adds no high entry.
-    """
-    low, high = comb
-    cols = [curve.columns(curve.comb_pieces(k % N)) for k in ks]
-    rows = max(map(len, cols), default=0)
-    accs = [None] * len(ks)
-    for row in zip(*([0] * (rows - len(c)) + c for c in cols)):
-        accs = _g2_add_all([(a, a) for a in accs])
-        accs = _g2_add_all([(a, low[c & 255]) for a, c in zip(accs, row)])
-        accs = _g2_add_all([(a, high[c >> 8]) for a, c in zip(accs, row)])
-    return accs
-
-
 # ---------------------------------------------------------------------------
 # Optimal ate pairing
 # ---------------------------------------------------------------------------
@@ -849,7 +761,7 @@ def g2_comb_powers(comb, ks):
 # The 88 line steps over the signed digits of 6u+2, each named by the addend
 # of the running point T: 0 doubles T, 1 and -1 add Q and -Q, 2 and 3 add
 # the Frobenius images psi(Q) and -psi^2(Q).
-_ATE_STEPS = [s for d in reversed(_naf(ATE_LOOP)[:-1]) for s in ((0, d) if d else (0,))] + [2, 3]
+_ATE_STEPS = [s for d in reversed(curve.naf(ATE_LOOP)[:-1]) for s in ((0, d) if d else (0,))] + [2, 3]
 
 
 def _tangent_step(t):
@@ -963,15 +875,15 @@ def final_exp(f):
 
     The hard exponent is l0 + l1*p + l2*p^2 + p^3 with l2 = 6u^2 + 1,
     l1 = -36u^3 - 18u^2 - 12u + 1 and l0 = -36u^3 - 30u^2 - 18u - 2. It is
-    raised by three exponentiations by u (``f12_cyc_pow``, 63 cyclotomic
-    squarings and 16 products each), Frobenius maps and the addition chain
-    y0 * y1^2 * y2^6 * y3^12 * y4^18 * y5^30 * y6^36 of Scott et al.
-    (Pairing 2009); the inverses are conjugates.
+    raised by three exponentiations by u (``curve.wnaf_mul`` on GT, 63
+    cyclotomic squarings and 16 products each), Frobenius maps and the
+    addition chain y0 * y1^2 * y2^6 * y3^12 * y4^18 * y5^30 * y6^36 of
+    Scott et al. (Pairing 2009); the inverses are conjugates.
     """
     f = easy_part(f)
-    fu = f12_cyc_pow(f, U)
-    fu2 = f12_cyc_pow(fu, U)
-    fu3 = f12_cyc_pow(fu2, U)
+    fu = curve.wnaf_mul(GT, f, U)
+    fu2 = curve.wnaf_mul(GT, fu, U)
+    fu3 = curve.wnaf_mul(GT, fu2, U)
     fp = f12_frob(f)
     fp2 = f12_frob(fp)
     y0 = f12_mul(f12_mul(fp, fp2), f12_frob(fp2))  # f^(p + p^2 + p^3)

@@ -12,8 +12,10 @@ and addition. ``multi_mul`` takes a product of powers in any record as one
 joint ladder (Straus) over ``split_table``, which splits each scalar in
 short parts with the record's endomorphism: in two on the curves, with
 (x, y) -> (beta*x, y) (Gallant-Lambert-Vanstone, CRYPTO 2001), and in four
-for G2 and GT. Every batched sum takes the record's ``add_all``, which adds
-a list of pairs in one call, as do the pairwise trees of ``sums``.
+for G2 and GT. The split holds only in the subgroup of the lattice's order;
+``wnaf_mul`` takes any element and any scalar by width-4 signed digits
+(``naf``). Every batched sum takes the record's ``add_all``, which adds a
+list of pairs in one call, as do the pairwise trees of ``sums``.
 
 A point that is raised to many powers can keep a Lim-Lee comb (CRYPTO '94,
 ``comb_table``): with k = sum_i k_i 2^(16i) in its sixteen 16-bit pieces
@@ -22,7 +24,7 @@ entries of two 256-entry tables, one over the spokes of bits 0-127 and one
 over those of bits 128-255; a k below 2^128 reads the low table alone. A
 comb is two kept ``split_table`` tables: a comb term's parts are its
 pieces, so it joins the columns of a product's one ladder beside the split
-terms. ``bn254.g2_comb_powers`` steps many powers over one G2 comb together.
+terms. ``comb_powers`` steps many powers over one comb together.
 """
 
 from collections import namedtuple
@@ -153,6 +155,48 @@ def ladder(acc, steps, table, double, add):
     return acc
 
 
+def naf(k, w=2):
+    """The width-w non-adjacent form of k >= 0, least significant first.
+
+    Each digit is 0 or odd with |d| < 2^(w-1), and a nonzero digit is followed
+    by at least w - 1 zeros; w = 2 is the plain NAF, with digits in {-1, 0, 1}.
+    """
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & ((1 << w) - 1)
+            if d >> (w - 1):
+                d -= 1 << w
+        digits.append(d)
+        k = (k - d) >> 1
+    return digits
+
+
+def wnaf_mul(g, x, k):
+    """k * x for any element x of the group g and any integer k, by a width-4 signed-digit (wNAF) ladder.
+
+    The table maps the digits 1, 3, 5, 7 to x, 3x, 5x, 7x (2x by one
+    doubling, 3x, 5x and 7x by additions of it, each stage closed by one
+    ``to_affine_all``) and -1, -3, -5, -7 to their negatives. The ladder
+    starts from the leading digit's entry. No reduction and no split, so x
+    need not lie in the subgroup of the record's lattice: the subgroup
+    tests, cofactor clearing and the final exponentiation take this path.
+    """
+    if k < 0:
+        x, k = g.neg(x), -k
+    if k == 0 or x == g.one:
+        return g.one
+    odd = [g.lift(x)]
+    two = g.to_affine_all([g.double(odd[0])])[0]
+    for _ in range(3):
+        odd.append(g.add(odd[-1], two))
+    table = {s * d: e if s > 0 else g.neg(e) for d, e in zip((1, 3, 5, 7), [x, *g.to_affine_all(odd[1:])])
+             for s in (1, -1)}
+    digits = naf(k, 4)
+    return g.to_affine_all([ladder(g.lift(table[digits[-1]]), reversed(digits[:-1]), table, g.double, g.add)])[0]
+
+
 def comb_table(g, pt):
     """The Lim-Lee comb of pt in the group g: the 256 subset sums of its spokes 2^(16i) * pt, i < 8, and of i = 8 .. 15.
 
@@ -171,6 +215,25 @@ def comb_pieces(k):
     """The sixteen 16-bit pieces k_i of 0 <= k < 2^256, k = sum_i k_i 2^(16i): a comb term's parts."""
     mask = (1 << COMB_ROWS) - 1
     return [k >> COMB_ROWS * i & mask for i in range(COMB_TEETH)]
+
+
+def comb_powers(g, comb, ks):
+    """[k * pt for k in ks], 0 <= k < 2^256, over the comb of pt in the group g, in lockstep.
+
+    Every k takes the bit columns of its ``comb_pieces``: per column, one
+    ``add_all`` call doubles every power, one adds each power's entry of the
+    low table and one its entry of the high table. A power costs at most 16
+    doublings and 32 additions, and a k below 2^128 adds no high entry.
+    """
+    low, high = comb
+    cols = [columns(comb_pieces(k)) for k in ks]
+    rows = max(map(len, cols), default=0)
+    accs = [g.one] * len(ks)
+    for row in zip(*([0] * (rows - len(c)) + c for c in cols)):
+        accs = g.add_all([(a, a) for a in accs])
+        accs = g.add_all([(a, low[c & 255]) for a, c in zip(accs, row)])
+        accs = g.add_all([(a, high[c >> 8]) for a, c in zip(accs, row)])
+    return accs
 
 
 # ---------------------------------------------------------------------------

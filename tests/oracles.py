@@ -27,9 +27,8 @@ from functools import partial, reduce
 
 from nomsig import envelopes, zkproto
 from nomsig.algebra import get_backend
-from nomsig.bn254 import (_ATE_STEPS, ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2_COFACTOR, TW_B, N, P, _chord_sum,
-                          _f12_mul_f6, _f12_mul_line, _jac_double_f2, _jac_madd_f2, _slopes, _sqrt_fp,
-                          _to_affine_f2, _tw_frob,
+from nomsig.bn254 import (_ATE_STEPS, ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2, G2_COFACTOR, TW_B, N, P, _chord_sum,
+                          _f12_mul_f6, _f12_mul_line, _jac_double_f2, _jac_madd_f2, _slopes, _sqrt_fp, _tw_frob,
                           f2_add, f2_inv, f2_mul, f2_mul_xi, f2_sqr, f2_sqrt, f2_sub, f12_inv,
                           f12_sqr, g2_add, g2_mul, g2_neg, g2_rhs)
 
@@ -124,7 +123,7 @@ def binary_g2_mul(pt, k):
         acc = _jac_double_f2(acc)
         if b == "1":
             acc = _jac_madd_f2(acc, pt)
-    return _to_affine_f2(acc)
+    return G2.to_affine_all([acc])[0]
 
 
 def complex_f2_sqrt(a):

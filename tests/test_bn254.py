@@ -24,7 +24,6 @@ from nomsig.bn254 import (
     f2_neg,
     f2_sqr,
     f2_sqrt,
-    f12_cyc_pow,
     f12_cyc_sqr,
     f12_inv,
     f12_is_cyclotomic,
@@ -33,7 +32,6 @@ from nomsig.bn254 import (
     g1_mul,
     g1_mul_base,
     g2_add,
-    g2_comb_powers,
     g2_in_subgroup,
     g2_is_on_curve,
     g2_mul,
@@ -202,7 +200,7 @@ def test_line_steps_match_dense_lines():
     steps = [(t, bn254._tangent_step(jt), bn254._jac_double_f2(jt))]
     steps += [(q, bn254._chord_step(jt, q), bn254._jac_madd_f2(jt, q)) for q in addends]
     for q, (s, (n, big_m, big_c)), ladder in steps:
-        assert s == ladder and bn254._to_affine_f2(s) == g2_add(t, q)
+        assert s == ladder and bn254.G2.to_affine_all([s])[0] == g2_add(t, q)
         num, den = (f2_mul(f2_sqr(x1), (3, 0)), f2_add(y1, y1)) if q == t else (
             f2_add(q[1], f2_neg(y1)), f2_add(q[0], f2_neg(x1)))
         m = f2_mul(num, f2_inv(den))
@@ -313,7 +311,7 @@ def _spy_steps(monkeypatch):
 
 def test_miller_loop_makes_no_inversion(monkeypatch):
     pairs = [(g1_mul(G1_GEN, k), g2_mul(G2_GEN, k + 1)) for k in range(1, 9)]
-    digits = bn254._naf(ATE_LOOP)
+    digits = curve.naf(ATE_LOOP)
     # a line per signed digit after the leading one, one more per nonzero digit, and two Frobenius lines
     steps = len(digits) - 1 + sum(1 for d in digits if d) - 1 + 2
     assert (len(digits) - 1, sum(1 for d in digits if d) - 1, steps) == (65, 21, 88)
@@ -524,29 +522,15 @@ def test_cyclotomic_squaring_matches_f12_mul():
         assert f12_cyc_sqr(g) == f12_mul(g, g)
 
 
-def test_cyclotomic_pow_matches_f12_pow():
-    draws = random.Random(1308)
-    e = pairing(G1_GEN, G2_GEN)
-    g = easy_part(random_f12(draws))  # cyclotomic, not of order N
-    # 5, 7, 49, 83 and 119 lead with the width-4 digits 5, 7, 3, 5 and 7, the longer ones with 3, 5 and 7
-    wide = [5, 7, 11, 13, 49, 83, 119, 2**64 - 1, 3 << 70 | 12345, 5 << 100 | 7, 7 << 200 | 99]
-    assert {bn254._naf(k, 4)[-1] for k in wide} == {1, 3, 5, 7}
-    for k in [0, 1, 2, 3, N - 1, N, U] + wide + [draws.randrange(N) for _ in range(3)]:
-        assert f12_cyc_pow(e, k) == f12_pow(e, k)
-        assert f12_cyc_pow(g, k) == f12_pow(g, k)
-    assert f12_cyc_pow(e, N) == F12_ONE and f12_cyc_pow(g, N) != F12_ONE
-
-
-def test_cyclotomic_pow_by_u_operation_counts(monkeypatch):
+def test_cyclotomic_pow_by_u_operation_counts():
     # the table a^2, a^3, a^5, a^7 takes one squaring and 3 products, then 62 squarings and 13 products
     # for the digits after the leading one; plain NAF digits took 62 squarings and 23 products
     counts = {"sqr": 0, "mul": 0}
-    sqr, mul = bn254.f12_cyc_sqr, bn254.f12_mul
-    monkeypatch.setattr(bn254, "f12_cyc_sqr", lambda a: counts.update(sqr=counts["sqr"] + 1) or sqr(a))
-    monkeypatch.setattr(bn254, "f12_mul", lambda a, b: counts.update(mul=counts["mul"] + 1) or mul(a, b))
+    sqr, mul = bn254.GT.double, bn254.GT.add
+    gt = bn254.GT._replace(double=lambda a: counts.update(sqr=counts["sqr"] + 1) or sqr(a),
+                           add=lambda a, b: counts.update(mul=counts["mul"] + 1) or mul(a, b))
     e = pairing(G1_GEN, G2_GEN)
-    counts.update(sqr=0, mul=0)
-    assert f12_cyc_pow(e, U) == f12_pow(e, U)
+    assert curve.wnaf_mul(gt, e, U) == f12_pow(e, U)
     assert counts == {"sqr": 63, "mul": 16}
 
 
@@ -580,30 +564,51 @@ def test_g2_subgroup_check_rejects_cofactor_torsion(ell):
 # ---------------------------------------------------------------------------
 
 
-def test_g2_mul_matches_binary_ladder(monkeypatch):
+def _wnaf_case(name, draws):
+    """(record, order, bases, k * x for k >= 0 by the record's oracle) for the named record."""
+    if name in ("g1", "secp256k1"):
+        g, p, n, gen = (bn254.G1, P, N, G1_GEN) if name == "g1" else (trigger.GLV, trigger.P, trigger.N, trigger.G)
+        return g, n, [gen, curve_mul(p, gen, draws.randrange(1, n))], lambda x, k: curve_mul(p, x, k)
+    if name == "g2":
+        t = torsion_point(draws, 10069)
+        return bn254.G2, N, [G2_GEN, t, g2_add(G2_GEN, t), random_twist_point(draws)], binary_g2_mul
+    # e in GT, and a cyclotomic element not of order N
+    return bn254.GT, N, [pairing(G1_GEN, G2_GEN), easy_part(random_f12(draws))], f12_pow
+
+
+@pytest.mark.parametrize("name", ["g1", "secp256k1", "g2", "gt"])
+def test_wnaf_mul_matches_the_general_ladders(name):
     draws = random.Random(1321)
-    t = torsion_point(draws, 10069)
-    pts = [G2_GEN, t, g2_add(G2_GEN, t), random_twist_point(draws), None]
-    ks = [0, 1, 2, 7, 8, 15, 16, U, 2 * U, N - 1, N, N + 1, G2_COFACTOR,
-          N - 2, 10069, 10069 - 10, draws.randrange(N * G2_COFACTOR)]
+    g, n, xs, mul = _wnaf_case(name, draws)
+    # 5, 7, 49, 83 and 119 lead with the width-4 digits 5, 7, 3, 5 and 7, the longer ones with 3, 5 and 7
+    wide = [5, 7, 11, 13, 49, 83, 119, 2**64 - 1, 3 << 70 | 12345, 5 << 100 | 7, 7 << 200 | 99]
+    assert {curve.naf(k, 4)[-1] for k in wide} == {1, 3, 5, 7}
+    ks = [0, 1, 2, 8, 15, 16, U, 2 * U, n - 2, n - 1, n, n + 1, G2_COFACTOR, 10069, 10069 - 10,
+          draws.randrange(n), draws.randrange(n * G2_COFACTOR)] + wide
     met = set()
-    madd = bn254._jac_madd_f2
+    add = g.add
 
     def spy(q, a):
-        if bn254._to_affine_f2(q) == a:
+        if g.to_affine_all([q])[0] == a:
             met.add("equal")
-        elif bn254._to_affine_f2(q) == g2_neg(a):
+        elif g.to_affine_all([q])[0] == g.neg(a):
             met.add("opposite")
-        return madd(q, a)
+        return add(q, a)
 
-    monkeypatch.setattr(bn254, "_jac_madd_f2", spy)
-    for pt in pts:
+    spied = g._replace(add=spy)
+    for x in xs:
         for k in ks:
-            assert g2_mul(pt, k) == binary_g2_mul(pt, k), (pt, k)
-            assert g2_mul(pt, -k) == binary_g2_mul(pt, -k), (pt, -k)
-    # N - 2 on G2_GEN and 10059 on t end on -G2_GEN + -G2_GEN and -5t + -5t;
-    # N and 10069 end on -dQ + dQ
+            want = mul(x, k)
+            assert curve.wnaf_mul(spied, x, k) == want, (x, k)
+            assert curve.wnaf_mul(spied, x, -k) == g.neg(want), (x, -k)
+    for k in (0, 1, -1, n - 1, n):
+        assert curve.wnaf_mul(g, g.one, k) == g.one
+    # n - 2 on an element of order n ends on -x + -x, and 10059 on the order-10069 point t on -5t + -5t;
+    # n and 10069 end on -dx + dx
     assert met == {"equal", "opposite"}
+    # the last base of G2 and GT lies outside the order-n subgroup
+    assert curve.wnaf_mul(g, xs[0], n) == g.one
+    assert (curve.wnaf_mul(g, xs[-1], n) == g.one) == (name in ("g1", "secp256k1"))
 
 
 # Comb edges: the pieces' ends (2^16 - 1, 2^16, 2^32 - 1, 2^32), the low table's end
@@ -615,18 +620,18 @@ COMB_SCALARS = [0, 1, 2, N - 1, N, N + 1, -1, 2**32 - 1, 2**32, 0, 2**224, 2**25
 
 def test_g2_comb_matches_gls_and_binary_ladder():
     draws = random.Random(1323)
-    ks = COMB_SCALARS + [draws.randrange(N) for _ in range(50)]
+    ks = [k % N if k < 0 else k for k in COMB_SCALARS + [draws.randrange(N) for _ in range(50)]]
     comb = curve.comb_table(bn254.G2, G2_GEN)
-    got = g2_comb_powers(comb, ks)
+    got = curve.comb_powers(bn254.G2, comb, ks)
     assert got == [g2_mul_base(k) for k in ks]
-    assert got == [binary_g2_mul(G2_GEN, k % N) for k in ks]
+    assert got == [binary_g2_mul(G2_GEN, k) for k in ks]
     assert got[0] is None and got[9] is None and got[1] == G2_GEN
-    assert g2_comb_powers(comb, []) == []
-    assert g2_comb_powers(comb, [0, N]) == [None, None]
+    assert curve.comb_powers(bn254.G2, comb, []) == []
+    assert curve.comb_powers(bn254.G2, comb, [0, N]) == [None, None]
 
 
 @pytest.mark.parametrize("count, top", [(1, N), (300, N), (20, 2**128)], ids=["1", "300", "20-below-2^128"])
-def test_g2_comb_powers_step_every_ladder_together(count, top, monkeypatch):
+def test_g2_comb_powers_step_every_ladder_together(count, top):
     # per comb row, one batched doubling, then one batched addition of an entry of the low table and
     # one of the high table, whatever the number of powers; top - 1 has a piece of 16 bits, so 16 rows,
     # and powers below 2^128 add no entry of the high table
@@ -635,15 +640,13 @@ def test_g2_comb_powers_step_every_ladder_together(count, top, monkeypatch):
     low, high = ({id(e) for e in table} for table in comb)
     ks = [top - 1] + [draws.randrange(top) for _ in range(count - 1)]
     calls = []
-    add_all = bn254._g2_add_all
-    monkeypatch.setattr(bn254, "_g2_add_all", lambda pairs: calls.append(pairs) or add_all(pairs))
-    got = g2_comb_powers(comb, ks)
+    add_all = bn254.G2.add_all
+    got = curve.comb_powers(bn254.G2._replace(add_all=lambda pairs: calls.append(pairs) or add_all(pairs)), comb, ks)
     assert len(calls) == 3 * curve.COMB_ROWS == 48 and {len(pairs) for pairs in calls} == {count}
     assert all(a is b for pairs in calls[0::3] for a, b in pairs)
     for adds, table in ((calls[1::3], low), (calls[2::3], high)):
         entries = [b for pairs in adds for _, b in pairs if b is not None]
         assert all(id(b) in table for b in entries) and bool(entries) == (table is low or top > 2**128)
-    monkeypatch.undo()
     assert got == [g2_mul_base(k) for k in ks]
 
 
@@ -651,13 +654,13 @@ def test_wnaf_digits():
     draws = random.Random(1322)
     for w in (2, 3, 4, 5):
         for k in [0, 1, 7, 8, 15, 16, U, N, G2_COFACTOR] + [draws.randrange(N) for _ in range(20)]:
-            digits = bn254._naf(k, w)
+            digits = curve.naf(k, w)
             assert sum(d << i for i, d in enumerate(digits)) == k
             assert all(d == 0 or (d % 2 and abs(d) < 1 << (w - 1)) for d in digits)
             nonzero = [i for i, d in enumerate(digits) if d]
             assert all(j - i >= w for i, j in zip(nonzero, nonzero[1:]))
     # the subgroup test's [u]Q: 62 doublings and 13 mixed additions after the first digit
-    assert len(bn254._naf(U, 4)) == 63 and sum(1 for d in bn254._naf(U, 4) if d) == 14
+    assert len(curve.naf(U, 4)) == 63 and sum(1 for d in curve.naf(U, 4) if d) == 14
 
 
 def _is_qr(x):
@@ -693,21 +696,22 @@ def test_f2_sqrt_matches_complex_method_oracle():
 def test_decode_kernel_operation_counts(monkeypatch):
     draws = random.Random(1324)
     counts = {"double": 0, "madd": 0, "inv": 0, "pow": 0}
-    double, madd, batch_inv = bn254._jac_double_f2, bn254._jac_madd_f2, curve.batch_inv
+    double, madd, batch_inv = bn254.G2.double, bn254.G2.add, curve.batch_inv
 
     def count(name, fn, *args):
         if args[0] is not None:  # an operation on infinity is a copy, not arithmetic
             counts[name] += 1
         return fn(*args)
 
-    monkeypatch.setattr(bn254, "_jac_double_f2", lambda q: count("double", double, q))
-    monkeypatch.setattr(bn254, "_jac_madd_f2", lambda q, a: count("madd", madd, q, a))
+    monkeypatch.setattr(bn254, "G2", bn254.G2._replace(double=lambda q: count("double", double, q),
+                                                       add=lambda q, a: count("madd", madd, q, a)))
     monkeypatch.setattr(curve, "batch_inv", lambda p, xs: count("inv", batch_inv, p, xs))
     for q in (g2_mul(G2_GEN, draws.randrange(1, N)), random_twist_point(draws)):
         counts.update(double=0, madd=0, inv=0)
         bn254.g2_in_subgroup(q)
-        # was 62 doublings, 32 mixed additions and 2 inversions with the binary ladder
-        assert counts["double"] == 62 and counts["madd"] <= 22 and 1 <= counts["inv"] <= 3, counts
+        # 62 doublings in the ladder and one for the table's 2Q, which one of the 3 inversions normalizes;
+        # the binary ladder took 62 doublings, 32 mixed additions and 2 inversions
+        assert counts["double"] == 63 and counts["madd"] <= 22 and counts["inv"] == 3, counts
 
     def counting_pow(x, e, m=None):
         counts["inv" if e == -1 else "pow"] += 1

@@ -2,14 +2,14 @@
 
 The 4-dimensional GLS split serves the G2 and GT records, the 2-dimensional
 GLV split those of BN254 G1 and secp256k1. The oracles are the general
-ladders ``bn254.g2_mul`` and ``bn254.f12_cyc_pow``, which take any point or
-cyclotomic element and any scalar, and on the Fp curves affine binary
-double-and-add over ``oracles.curve_add`` (``oracles.curve_mul``), which shares no
-code with ``curve.ladder``.
+ladder ``curve.wnaf_mul`` on G2 and GT, which takes any point or cyclotomic
+element and any scalar, and on the Fp curves affine binary double-and-add
+over ``oracles.curve_add`` (``oracles.curve_mul``), which shares no code with
+``curve.ladder``.
 """
 
 import random
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from nomsig import bn254, curve, trigger
 from nomsig.algebra import G2_BATCH_MIN, NotInSubgroup, RealBackend
-from nomsig.bn254 import G1_GEN, G2_COFACTOR, G2_GEN, N, P, U, f12_cyc_pow, g2_add, g2_mul, g2_neg
+from nomsig.bn254 import G1_GEN, G2_COFACTOR, G2_GEN, N, P, U, g2_add, g2_mul, g2_neg
 from oracles import binary_g2_mul, curve_add, curve_mul
 
 LAMBDA_G1 = 36 * U**3 + 18 * U**2 + 6 * U + 1
 LAMBDA_GLS = 6 * U**2  # p mod N: the eigenvalue of psi on G2 and of the Frobenius on GT
+gt_pow = partial(curve.wnaf_mul, bn254.GT)
 
 # name -> (lattice, group order, eigenvalue)
 SPLITS = {
@@ -74,7 +75,7 @@ def test_endomorphisms_act_as_their_eigenvalues():
     assert P % N == LAMBDA_GLS
     assert bn254.G2.endo(G2_GEN) == bn254._tw_frob(G2_GEN) == g2_mul(G2_GEN, LAMBDA_GLS)
     e = bn254.pairing(G1_GEN, G2_GEN)
-    assert bn254.GT.endo(e) == bn254.f12_frob(e) == f12_cyc_pow(e, LAMBDA_GLS)
+    assert bn254.GT.endo(e) == bn254.f12_frob(e) == gt_pow(e, LAMBDA_GLS)
 
 
 @pytest.mark.parametrize("name", sorted(SPLITS))
@@ -111,8 +112,8 @@ def _record(name, draws):
         xs = [G2_GEN, g2_mul(G2_GEN, draws.randrange(N)), g2_mul(G2_GEN, N - 1), g2_mul(G2_GEN, 2**200)]
         return bn254.G2, N, LAMBDA_GLS, xs, g2_mul, g2_add
     e = bn254.pairing(G1_GEN, G2_GEN)
-    xs = [e, f12_cyc_pow(e, draws.randrange(N)), bn254.f12_conj(e)]
-    return bn254.GT, N, LAMBDA_GLS, xs, f12_cyc_pow, bn254.f12_mul
+    xs = [e, gt_pow(e, draws.randrange(N)), bn254.f12_conj(e)]
+    return bn254.GT, N, LAMBDA_GLS, xs, gt_pow, bn254.f12_mul
 
 
 @pytest.mark.parametrize("name", ["bn254-g1", "secp256k1", "g2", "gt"])
@@ -287,16 +288,18 @@ def test_subgroup_checks_do_not_use_the_split_paths(monkeypatch):
     b = RealBackend()
     gt = b.gt() ** 12345
     g2 = b.g2() ** 678
+    combed = b.g2()
+    b.comb_of(combed, now=True)  # so that its base_powers meet only comb_powers
     batch = [(b.serialize("G2", (b.g2() ** k).value, c), c) for k in range(1, G2_BATCH_MIN + 1) for c in (True, False)]
-    for name in ("split_table", "comb_table"):
+    for name in ("split_table", "comb_table", "comb_powers"):
         monkeypatch.setattr(curve, name, refusing(getattr(curve, name)))
-    monkeypatch.setattr(bn254, "g2_comb_powers", refuse)
     # the refusal fires on a power in G2 or GT, but not in G1
     for x in (b.g2(), b.gt()):
         with pytest.raises(AssertionError, match="subgroup-only"):
             x ** 5
-    with pytest.raises(AssertionError, match="subgroup-only"):
-        b.base_powers(b.g2(), [1, 2])
+    for base in (b.g2(), combed):
+        with pytest.raises(AssertionError, match="subgroup-only"):
+            b.base_powers(base, [1, 2])
     assert b.g1() ** 5 == b.g1() * b.g1() ** 4
     assert b.element("G2", g2.to_bytes()) == g2
     assert b.element("G2", b.serialize("G2", g2.value, compressed=False), compressed=False) == g2
@@ -320,7 +323,7 @@ def test_subgroup_checks_do_not_use_the_split_paths(monkeypatch):
         b.element("G2", b.serialize("G2", g2_add(G2_GEN, torsion)))
     bad = (b.serialize("G2", g2_add(G2_GEN, torsion), compressed=False), False)
     assert b.first_outside_g2([pts[:5], [b.point("G2", *bad)], pts[5:]]) == 1
-    g = f12_cyc_pow(bn254.easy_part(tuple((draws.randrange(P), draws.randrange(P)) for _ in range(6))), N)
+    g = gt_pow(bn254.easy_part(tuple((draws.randrange(P), draws.randrange(P)) for _ in range(6))), N)
     assert g != bn254.F12_ONE
     with pytest.raises(NotInSubgroup):
         b.element("GT", b.serialize("GT", g))
