@@ -37,7 +37,6 @@ from .contract import (
     WrongPhase,
     deploy,
     pay_advance,
-    query_state,
     store_signature,
     submit_trigger,
 )

